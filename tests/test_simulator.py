@@ -1,11 +1,13 @@
 """Tests for the flow-level simulator."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.network import Link, Network
 from repro.netsim.simulator import FlowSim, FlowSpec
+from repro.netsim.vectorized import HAVE_NUMPY
+from repro.obs import Tracer, tracing
 
 
 def two_link_network():
@@ -275,3 +277,126 @@ class TestSolverBackends:
 
     def test_auto_matches_incremental(self):
         assert self._run("auto") == self._run("incremental")
+
+
+_LINKS = ("l0", "l1", "l2", "l3")
+_GRID = st.integers(0, 12).map(lambda k: k * 0.5)
+
+
+def _paths(hops):
+    """Loop-free paths of exactly ``hops`` links over ``_LINKS``."""
+    return st.permutations(range(len(_LINKS))).map(
+        lambda order: tuple(order[:hops]))
+
+
+@st.composite
+def fault_cases(draw):
+    """A small flow DAG plus link outages and reroutes, as plain tuples
+    (so the edge cases below can be spelled out with ``@example``).
+
+    Times sit on a coarse grid so admissions, outages and reroutes
+    collide; every outage ends with a recovery, so no run stalls for
+    good; reroutes keep a flow's hop count, which keeps the total-bytes
+    invariant checkable.
+    """
+    caps = tuple(draw(st.lists(st.sampled_from([2.0, 4.0, 5.0, 10.0]),
+                               min_size=len(_LINKS), max_size=len(_LINKS))))
+    flows = []
+    for i in range(draw(st.integers(1, 7))):
+        hops = draw(st.integers(0, 3))
+        children = tuple(draw(st.sets(st.integers(0, i - 1), max_size=2))) \
+            if i else ()
+        flows.append((
+            float(draw(st.integers(0, 40))), draw(_paths(hops)),
+            draw(_GRID), tuple(sorted(children)),
+            draw(st.sampled_from([None, None, 1.0, 3.0])),
+        ))
+    outages = tuple(draw(st.lists(st.tuples(
+        st.integers(0, len(_LINKS) - 1), _GRID,
+        st.integers(1, 8).map(lambda k: k * 0.5),
+        st.sampled_from([2.0, 5.0, 10.0])), max_size=3)))
+    reroutes = []
+    for _ in range(draw(st.integers(0, 3))):
+        flow = draw(st.integers(0, len(flows) - 1))
+        reroutes.append((draw(_GRID), flow,
+                         draw(_paths(len(flows[flow][1])))))
+    return caps, tuple(flows), outages, tuple(reroutes)
+
+
+class TestFaultedRunsAgreeAcrossBackendsAndTracing:
+    """``FlowSim`` differential oracle: the same faulted flow DAG run
+    under every solver backend, traced and untraced, gives one answer.
+    Covers what ``TestSolverBackends`` does not: stalls, recoveries and
+    reroutes, and the storage the traced loop uses."""
+
+    BACKENDS = ("vectorized", "incremental") if HAVE_NUMPY \
+        else ("incremental",)
+
+    @staticmethod
+    def _run(case, solver, traced):
+        caps, flows, outages, reroutes = case
+        network = Network([Link(l, c) for l, c in zip(_LINKS, caps)])
+        sim = FlowSim(network, solver=solver)
+        for i, (size, path, start, children, cap) in enumerate(flows):
+            sim.add_flow(FlowSpec(
+                f"f{i}", size=size, path=tuple(_LINKS[l] for l in path),
+                start_time=start, rate_cap=cap,
+                children=tuple(f"f{c}" for c in children)))
+        for link, down, duration, restored in outages:
+            sim.add_capacity_event(down, _LINKS[link], 0.0)
+            sim.add_capacity_event(down + duration, _LINKS[link], restored)
+        for when, flow, path in reroutes:
+            sim.add_reroute_event(when, f"f{flow}",
+                                  tuple(_LINKS[l] for l in path))
+        if traced:
+            with tracing(Tracer()):
+                result = sim.run()
+        else:
+            result = sim.run()
+        times = {fid: (r.admitted_time, r.drain_time)
+                 for fid, r in result.records.items()}
+        return times, result.link_traffic(wire_only=False)
+
+    def _check(self, case):
+        _, flows, _, reroutes = case
+        runs = {(solver, traced): self._run(case, solver, traced)
+                for solver in self.BACKENDS for traced in (False, True)}
+        for solver in self.BACKENDS:
+            assert runs[solver, True] == runs[solver, False]
+        ref_times, ref_bytes = runs[self.BACKENDS[-1], False]
+        for times, link_bytes in runs.values():
+            for fid, (admitted, drained) in times.items():
+                assert admitted == pytest.approx(ref_times[fid][0],
+                                                 rel=1e-9, abs=1e-9)
+                assert drained == pytest.approx(ref_times[fid][1],
+                                                rel=1e-9, abs=1e-9)
+            assert link_bytes == pytest.approx(ref_bytes, rel=1e-9, abs=1e-9)
+            # Bytes are conserved: a flow charges its size once per hop
+            # (reroutes keep the hop count), and a never-rerouted flow
+            # charges exactly the links of its one path.
+            assert sum(link_bytes.values()) == pytest.approx(
+                sum(size * len(path) for size, path, *_ in flows),
+                rel=1e-9, abs=1e-9)
+            moved = {flow for _, flow, _ in reroutes}
+            for l, link in enumerate(_LINKS):
+                fixed = sum(size for i, (size, path, *_) in enumerate(flows)
+                            if i not in moved and l in path)
+                assert link_bytes[link] >= fixed - 1e-9 * max(1.0, fixed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fault_cases())
+    # A flow admitted (t=1) onto a link that is already down (0..3).
+    @example(case=((10.0, 10.0, 10.0, 10.0),
+                   ((20.0, (0, 1), 1.0, (), None),
+                    (10.0, (1,), 0.0, (), None)),
+                   ((0, 0.0, 3.0, 5.0),), ()))
+    # A stalled flow (l0 down 1..6) rerouted onto live links at t=2,
+    # and a second one rerouted onto another down link.
+    @example(case=((10.0, 10.0, 10.0, 10.0),
+                   ((40.0, (0,), 0.0, (), None),
+                    (40.0, (0, 1), 0.0, (), 3.0),
+                    (5.0, (2,), 0.5, (0,), None)),
+                   ((0, 1.0, 5.0, 10.0), (3, 1.5, 2.0, 2.0)),
+                   ((2.0, 0, (2,)), (2.0, 1, (3, 1)))))
+    def test_faulted_dag(self, case):
+        self._check(case)
