@@ -7,30 +7,21 @@ and repeats.  The result is the unique max-min fair allocation -- the
 steady state that per-flow-fair TCP converges to, which is what the
 paper's packet-level simulator models.
 
-Two implementations are provided:
-
-- :func:`max_min_rates_py` -- a readable pure-Python reference;
-- :func:`max_min_rates_np` -- a vectorised numpy version used in the hot
-  path of :class:`repro.netsim.simulator.FlowSim`.
-
-:func:`max_min_rates` picks numpy when available.  The two are
-cross-checked by property-based tests.
+This is the readable from-scratch reference: :class:`FlowSim
+<repro.netsim.simulator.FlowSim>` solves with the warm-started
+:mod:`repro.netsim.incremental` / :mod:`repro.netsim.vectorized`
+backends, and property-based tests cross-check both against it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence
 
-try:  # numpy is a hard dependency of the benchmarks, soft for the library
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 #: Flows at or below this rate-gap are considered frozen at their cap.
 _EPS = 1e-12
 
 
-def max_min_rates(
+def max_min_rates_py(
     flow_links: Mapping[str, Sequence[str]],
     capacities: Mapping[str, float],
     rate_caps: Optional[Mapping[str, float]] = None,
@@ -48,17 +39,6 @@ def max_min_rates(
     Returns:
         flow id -> allocated rate (bytes/second).
     """
-    if _np is not None:
-        return max_min_rates_np(flow_links, capacities, rate_caps)
-    return max_min_rates_py(flow_links, capacities, rate_caps)
-
-
-def max_min_rates_py(
-    flow_links: Mapping[str, Sequence[str]],
-    capacities: Mapping[str, float],
-    rate_caps: Optional[Mapping[str, float]] = None,
-) -> Dict[str, float]:
-    """Pure-Python progressive filling (reference implementation)."""
     caps = dict(rate_caps or {})
     rates: Dict[str, float] = {}
     active: Dict[str, Sequence[str]] = {}
@@ -139,92 +119,6 @@ def max_min_rates_py(
     return rates
 
 
-def max_min_rates_np(
-    flow_links: Mapping[str, Sequence[str]],
-    capacities: Mapping[str, float],
-    rate_caps: Optional[Mapping[str, float]] = None,
-) -> Dict[str, float]:
-    """Vectorised progressive filling used by the simulator hot path."""
-    if _np is None:  # pragma: no cover
-        raise RuntimeError("numpy is not available")
-    flow_ids = list(flow_links)
-    n_flows = len(flow_ids)
-    if n_flows == 0:
-        return {}
-    link_ids = list(capacities)
-    link_index = {link: i for i, link in enumerate(link_ids)}
-
-    incidence_flow = []
-    incidence_link = []
-    for fi, flow_id in enumerate(flow_ids):
-        # A path that repeats a link charges it once (set semantics),
-        # matching the pure-Python implementation.
-        for link in set(flow_links[flow_id]):
-            if link not in link_index:
-                raise KeyError(f"flow {flow_id!r} uses unknown link {link!r}")
-            incidence_flow.append(fi)
-            incidence_link.append(link_index[link])
-    inc_flow = _np.asarray(incidence_flow, dtype=_np.int64)
-    inc_link = _np.asarray(incidence_link, dtype=_np.int64)
-
-    remaining = _np.asarray([capacities[l] for l in link_ids], dtype=_np.float64)
-    capacity_arr = remaining.copy()
-    rates = _np.zeros(n_flows, dtype=_np.float64)
-    caps = _np.full(n_flows, _np.inf, dtype=_np.float64)
-    if rate_caps:
-        flow_index = {flow_id: i for i, flow_id in enumerate(flow_ids)}
-        for flow_id, cap in rate_caps.items():
-            if flow_id in flow_index:
-                caps[flow_index[flow_id]] = cap
-    # Flows with no links and no cap get infinite rate immediately.
-    has_links = _np.zeros(n_flows, dtype=bool)
-    if len(inc_flow):
-        has_links[_np.unique(inc_flow)] = True
-    active = has_links | _np.isfinite(caps)
-    rates[~active] = _np.inf
-
-    while active.any():
-        active_edges = active[inc_flow]
-        users = _np.zeros(len(link_ids), dtype=_np.float64)
-        if active_edges.any():
-            _np.add.at(users, inc_link[active_edges], 1.0)
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            headroom = _np.where(users > 0, remaining / users, _np.inf)
-        delta_links = headroom.min() if len(headroom) else _np.inf
-        gaps = _np.where(active, caps - rates, _np.inf)
-        delta_caps = gaps.min()
-        delta = min(delta_links, delta_caps)
-        if not _np.isfinite(delta):
-            rates[active] = _np.inf
-            break
-        delta = max(delta, 0.0)
-
-        rates[active] += delta
-        remaining -= delta * users
-        _np.maximum(remaining, 0.0, out=remaining)
-
-        saturated_links = (users > 0) & (remaining <= 1e-9 * capacity_arr)
-        freeze = _np.zeros(n_flows, dtype=bool)
-        if saturated_links.any():
-            sat_edge = saturated_links[inc_link] & active_edges
-            freeze[inc_flow[sat_edge]] = True
-        finite_caps = _np.isfinite(caps)
-        at_cap = _np.zeros(n_flows, dtype=bool)
-        at_cap[finite_caps] = (caps[finite_caps] - rates[finite_caps]) <= (
-            1e-9 * caps[finite_caps] + _EPS
-        )
-        freeze |= active & at_cap
-        freeze &= active
-        if not freeze.any():
-            # Numerical guard: freeze the flows on the tightest link.
-            if saturated_links.any() or not active_edges.any():
-                rates[active] = _np.where(
-                    _np.isfinite(caps[active]), caps[active], rates[active]
-                )
-                break
-            tightest = int(_np.argmin(headroom))
-            sat_edge = (inc_link == tightest) & active_edges
-            freeze[inc_flow[sat_edge]] = True
-        active &= ~freeze
-
-    return {flow_id: float(rates[i]) for i, flow_id in enumerate(flow_ids)}
+#: The public name; ``max_min_rates_py`` is what the solver cross-check
+#: tests call the reference.
+max_min_rates = max_min_rates_py

@@ -39,15 +39,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.netsim.incremental import IncrementalMaxMin, SolverStats
+from repro.netsim._transfer import transfer_state
 from repro.netsim.network import Network
-from repro.netsim.vectorized import (
-    HAVE_NUMPY,
-    SOLVER_BACKENDS,
-    VectorizedMaxMin,
-    make_solver,
-    _np,
-)
+from repro.netsim.vectorized import HAVE_NUMPY, SOLVER_BACKENDS, make_solver
 from repro.obs import LINK_UTIL_PREFIX, METRICS, get_tracer
 from repro.units import EPSILON
 
@@ -59,62 +53,6 @@ _SOLVER_METRICS = (
     ("flows_resolved", "netsim.solver.flows_resolved"),
     ("flows_reused", "netsim.solver.flows_reused"),
 )
-
-
-class SimCounters:
-    """Deprecated facade over the ``netsim.*`` metrics in
-    :data:`repro.obs.METRICS`.
-
-    PR 2's benchmark harness read module-wide work counters from this
-    class; the unified observability layer moved the storage into the
-    metrics registry.  The facade keeps ``COUNTERS.reset()`` /
-    ``COUNTERS.snapshot()`` (and the attribute reads) working while
-    callers migrate to ``METRICS.snapshot("netsim.")``.
-    """
-
-    @property
-    def runs(self) -> int:
-        return METRICS.counter("netsim.runs").value
-
-    @property
-    def flows(self) -> int:
-        return METRICS.counter("netsim.flows").value
-
-    @property
-    def events(self) -> int:
-        return METRICS.counter("netsim.events").value
-
-    @property
-    def epochs(self) -> int:
-        return METRICS.counter("netsim.epochs").value
-
-    @property
-    def solver(self) -> SolverStats:
-        return SolverStats(**{
-            attr: METRICS.counter(name).value
-            for attr, name in _SOLVER_METRICS
-        })
-
-    def reset(self) -> None:
-        METRICS.reset("netsim.")
-
-    def snapshot(self) -> Dict[str, int]:
-        solver = self.solver
-        return {
-            "runs": self.runs,
-            "flows": self.flows,
-            "events": self.events,
-            "epochs": self.epochs,
-            "solver_calls": solver.solves,
-            "solver_cache_hits": solver.cache_hits,
-            "components_resolved": solver.components_resolved,
-            "flows_resolved": solver.flows_resolved,
-            "flows_reused": solver.flows_reused,
-        }
-
-
-#: Legacy global counter view; prefer ``METRICS.snapshot("netsim.")``.
-COUNTERS = SimCounters()
 
 
 @dataclass(frozen=True)
@@ -252,6 +190,51 @@ class SimulationResult:
         return {link.link_id: link.bytes_carried for link in links}
 
 
+class _LinkUtilSampler:
+    """Per-link utilization counter tracks of one traced run.
+
+    A sample at ``now`` holds the link's allocated-bandwidth fraction
+    for the epoch starting at ``now`` (piecewise-constant until the
+    next sample on the same track).  Samples are emitted on change
+    only, optionally rate-limited per link by ``period``; the timeline
+    analyzer integrates these tracks into busy fractions and
+    utilization percentiles.
+    """
+
+    def __init__(self, network: Network, period: Optional[float]) -> None:
+        self._wire_ids = tuple(l.link_id for l in network.wire_links())
+        self._period = period
+        self._last_util: Dict[str, float] = {}
+        self._last_sampled: Dict[str, float] = {}
+
+    def sample(self, tracer, now: float,
+               rates: Iterable[Tuple[str, float]],
+               paths: Dict[str, Tuple[str, ...]],
+               capacities: Dict[str, float]) -> None:
+        """Emit this epoch's samples; ``rates`` is (flow id, rate) for
+        the flows in the rate solve."""
+        used: Dict[str, float] = {}
+        for flow_id, rate in rates:
+            if rate <= 0.0 or rate == float("inf"):
+                continue
+            for link_id in paths[flow_id]:
+                used[link_id] = used.get(link_id, 0.0) + rate
+        last_util, last_sampled = self._last_util, self._last_sampled
+        for link_id in self._wire_ids:
+            cap = capacities.get(link_id, 0.0)
+            util = (used.get(link_id, 0.0) / cap) if cap > 0 else 0.0
+            previous = last_util.get(link_id)
+            if previous is not None and abs(util - previous) <= 1e-12:
+                continue
+            if self._period and link_id in last_sampled \
+                    and now - last_sampled[link_id] < self._period:
+                continue
+            last_util[link_id] = util
+            last_sampled[link_id] = now
+            tracer.sample(LINK_UTIL_PREFIX + link_id, now, util,
+                          layer="netsim")
+
+
 class FlowSim:
     """Simulate a set of flows over a :class:`Network` to completion.
 
@@ -266,10 +249,10 @@ class FlowSim:
 
     ``solver`` selects the max-min backend: ``"vectorized"`` (numpy),
     ``"incremental"`` (pure Python) or ``"auto"`` (the default:
-    vectorized when numpy is importable, incremental otherwise).  With
-    the vectorized backend and no enabled tracer, the per-epoch loop
-    (rate lookups, byte draining, completion detection) also runs as
-    array operations over the solver's flow slots.
+    vectorized when numpy is importable, incremental otherwise).  The
+    per-flow transfer bookkeeping follows the solver
+    (:mod:`repro.netsim._transfer`): array operations over the
+    vectorized solver's flow slots, dicts otherwise -- traced or not.
     """
 
     def __init__(self, network: Network, label: str = "",
@@ -343,174 +326,90 @@ class FlowSim:
     def run(self) -> SimulationResult:
         """Run to completion and return per-flow records.
 
-        The hot path keeps one max-min solver alive for the whole run:
-        admissions, completions, capacity changes and reroutes mutate
-        its state, and every event that lands on one virtual timestamp
-        is coalesced into a single rate epoch (one solver consult;
-        ``netsim.events`` counts the individual events,
-        ``netsim.epochs`` the solves-plus-cache-hits).  Flows whose
-        current path crosses a down link are parked in ``stalled`` (and
-        removed from the solver) via a per-link index instead of a
-        per-epoch scan.  With the vectorized solver and no tracer the
-        per-epoch byte draining runs over the solver's slot arrays.
+        One max-min solver lives for the whole run: admissions,
+        completions, capacity changes and reroutes mutate it, and every
+        event that lands on one virtual timestamp is coalesced into a
+        single rate epoch (one solver consult; ``netsim.events`` counts
+        the individual events, ``netsim.epochs`` the consults).  Each
+        epoch is: apply due fault events, admit due flows, ask the
+        transfer state when the next flow drains, advance to the
+        earliest of that / the next admission / the next fault event,
+        and record whoever finished.  Flows whose path crosses a down
+        link are stalled (out of the solve) via a per-link index rather
+        than a per-epoch scan.
         """
         self._validate_dependencies()
         METRICS.counter("netsim.runs").inc()
         METRICS.counter("netsim.flows").inc(len(self._specs))
         n_events = 0   # admissions + completions + fault events applied
         n_epochs = 0   # rate epochs (one solver consult each)
+        specs = self._specs
         tracer = get_tracer()
         traced = tracer.enabled
         capacities = dict(self._network.capacities())
         solver = make_solver(capacities, self._solver_backend)
-        fast = isinstance(solver, VectorizedMaxMin) and not traced
+        state = transfer_state(solver, specs)
         run_span = tracer.begin(
             "flowsim.run", 0.0, layer="netsim",
-            flows=len(self._specs), links=len(capacities),
+            flows=len(specs), links=len(capacities),
             strategy=self._label,
         ) if traced else 0
-        #: Per-link utilization sampling state (traced runs only).
-        wire_ids: Tuple[str, ...] = ()
-        last_util: Dict[str, float] = {}
-        last_sampled: Dict[str, float] = {}
-        if traced:
-            wire_ids = tuple(
-                link.link_id for link in self._network.wire_links()
-            )
+        sampler = _LinkUtilSampler(
+            self._network, self._link_sample_period) if traced else None
         #: Current path per flow; reroute events replace entries.
         paths: Dict[str, Tuple[str, ...]] = {
-            flow_id: spec.path for flow_id, spec in self._specs.items()
+            flow_id: spec.path for flow_id, spec in specs.items()
         }
         #: Bytes already charged to a (previous) path per rerouted flow.
         accounted: Dict[str, float] = {}
 
-        # Fault events, time-ordered with a stable tie-break (capacity
-        # changes before reroutes at equal times, then insertion order).
-        events: List[Tuple[float, int, object]] = sorted(
-            [(e.when, i, e) for i, e in enumerate(self._cap_events)]
-            + [(e.when, len(self._cap_events) + i, e)
-               for i, e in enumerate(self._reroute_events)],
-            key=lambda item: (item[0], item[1]),
-        )
+        # Fault events in time order; the sort is stable, so capacity
+        # changes precede reroutes at equal times, then insertion order.
+        events: List[object] = sorted(
+            self._cap_events + self._reroute_events, key=lambda e: e.when)
         event_i = 0
 
         # Dependency bookkeeping: a flow is *armed* once every child has
         # drained; an armed flow is admitted at max(start_time, arm time).
         blockers: Dict[str, int] = {}
         dependents: Dict[str, List[str]] = {}
-        for flow_id, spec in self._specs.items():
+        pending: List[Tuple[float, str]] = []
+        for flow_id, spec in specs.items():
             blockers[flow_id] = len(spec.children)
             for child in spec.children:
                 dependents.setdefault(child, []).append(flow_id)
-
-        pending: List[Tuple[float, str]] = []
-        for flow_id, spec in self._specs.items():
-            if blockers[flow_id] == 0:
+            if not spec.children:
                 heapq.heappush(pending, (spec.start_time, flow_id))
-        remaining: Dict[str, float] = {}
         records: Dict[str, FlowRecord] = {}
         now = 0.0
 
-        #: Fast-path state: transferring bytes live in per-slot arrays
-        #: (indexed by the vectorized solver's slots); stalled flows'
-        #: bytes are parked in ``parked`` while they are out of the
-        #: solve.  ``remaining`` stays empty in fast mode.
-        rem_arr = thr_arr = live_arr = None
-        slot_fid: Dict[int, str] = {}
-        fid_slot: Dict[str, int] = {}
-        parked: Dict[str, float] = {}
-        if fast:
-            rem_arr = _np.zeros(256)
-            thr_arr = _np.zeros(256)
-            live_arr = _np.zeros(256, dtype=bool)
-
-        def _ensure(slot: int) -> None:
-            nonlocal rem_arr, thr_arr, live_arr
-            n = len(rem_arr)
-            if slot < n:
-                return
-            new = max(slot + 1, 2 * n)
-            grown = _np.zeros(new)
-            grown[:n] = rem_arr
-            rem_arr = grown
-            grown = _np.zeros(new)
-            grown[:n] = thr_arr
-            thr_arr = grown
-            grown_b = _np.zeros(new, dtype=bool)
-            grown_b[:n] = live_arr
-            live_arr = grown_b
-
-        def solver_add(flow_id: str) -> None:
-            """Enter a flow into the rate solve (admission/unstall)."""
-            slot = solver.add_flow(flow_id, paths[flow_id],
-                                   rate_cap=self._specs[flow_id].rate_cap)
-            if fast:
-                _ensure(slot)
-                rem_arr[slot] = parked.pop(flow_id)
-                thr_arr[slot] = EPSILON * max(
-                    1.0, self._specs[flow_id].size)
-                live_arr[slot] = True
-                slot_fid[slot] = flow_id
-                fid_slot[flow_id] = slot
-
-        def solver_drop(flow_id: str, park: bool) -> None:
-            """Take a flow out of the rate solve (stall/finish)."""
-            if fast:
-                slot = fid_slot.pop(flow_id)
-                if park:
-                    parked[flow_id] = float(rem_arr[slot])
-                live_arr[slot] = False
-                del slot_fid[slot]
-            solver.remove_flow(flow_id)
-
-        def transferring(flow_id: str) -> bool:
-            if fast:
-                return flow_id in fid_slot or flow_id in parked
-            return flow_id in remaining
-
-        def remaining_of(flow_id: str) -> float:
-            if fast:
-                got = parked.get(flow_id)
-                return float(rem_arr[fid_slot[flow_id]]) \
-                    if got is None else got
-            return remaining[flow_id]
-
         #: Links currently at zero capacity, and the per-link index of
-        #: admitted-but-unfinished flows used to find who a capacity or
-        #: reroute event touches without scanning every active flow.
+        #: transferring flows used to find who a capacity or reroute
+        #: event touches without scanning every active flow.
         down_links: Set[str] = {
             link_id for link_id, cap in capacities.items() if cap <= 0.0
         }
         link_flows: Dict[str, Set[str]] = {}
-        stalled: Set[str] = set()
 
         def attach(flow_id: str) -> None:
-            """Register a transferring flow with the indexes + solver."""
+            """Index a transferring flow by link; it enters the rate
+            solve unless its path crosses a down link."""
             path = paths[flow_id]
             for link_id in set(path):
                 link_flows.setdefault(link_id, set()).add(flow_id)
-            if down_links and any(l in down_links for l in path):
-                stalled.add(flow_id)
-            else:
-                solver_add(flow_id)
+            if not (down_links and any(l in down_links for l in path)):
+                state.enter(flow_id, path)
 
-        def detach(flow_id: str, park: bool = True) -> None:
+        def unindex(flow_id: str) -> None:
             for link_id in set(paths[flow_id]):
-                users = link_flows.get(link_id)
-                if users is not None:
-                    users.discard(flow_id)
-            if flow_id in stalled:
-                stalled.discard(flow_id)
-            elif flow_id in solver:
-                solver_drop(flow_id, park)
+                link_flows[link_id].discard(flow_id)
 
         def drain(flow_id: str, when: float, admitted: float) -> None:
             nonlocal n_events
             n_events += 1
+            spec = specs[flow_id]
             records[flow_id] = FlowRecord(
-                spec=self._specs[flow_id], drain_time=when,
-                admitted_time=admitted,
-            )
+                spec=spec, drain_time=when, admitted_time=admitted)
             if traced:
                 # One completed span per flow over its transfer window
                 # [admitted, drained].  Flows overlap freely, so they
@@ -518,7 +417,6 @@ class FlowSim:
                 # and link to the run span explicitly.  The tags carry
                 # the request/job DAG (children, path) the critical-path
                 # extractor reconstructs.
-                spec = self._specs[flow_id]
                 tracer.complete(
                     "flow", admitted, when, layer="netsim.flow",
                     parent_id=run_span,
@@ -530,7 +428,7 @@ class FlowSim:
             for parent in dependents.get(flow_id, ()):
                 blockers[parent] -= 1
                 if blockers[parent] == 0:
-                    start = max(self._specs[parent].start_time, when)
+                    start = max(specs[parent].start_time, when)
                     heapq.heappush(pending, (start, parent))
 
         def admit(until: float) -> None:
@@ -539,7 +437,7 @@ class FlowSim:
             while pending and pending[0][0] <= until + EPSILON:
                 when, flow_id = heapq.heappop(pending)
                 n_events += 1
-                spec = self._specs[flow_id]
+                spec = specs[flow_id]
                 admitted = max(when, spec.start_time)
                 if spec.size <= 0 or (not paths[flow_id] and
                                       spec.rate_cap is None):
@@ -549,115 +447,90 @@ class FlowSim:
                         spec=spec, drain_time=float("nan"),
                         admitted_time=admitted,
                     )
-                    if fast:
-                        parked[flow_id] = spec.size
-                    else:
-                        remaining[flow_id] = spec.size
+                    state.admit(flow_id)
                     attach(flow_id)
 
-        def apply_event(event: object) -> None:
-            nonlocal n_events
-            n_events += 1
-            if isinstance(event, CapacityEvent):
-                link_id = event.link_id
-                old = capacities[link_id]
-                if traced:
-                    tracer.instant("capacity", event.when, layer="netsim",
-                                   link=link_id, capacity=event.capacity)
-                if old == event.capacity:
-                    return
-                capacities[link_id] = event.capacity
-                solver.set_capacity(link_id, event.capacity)
-                if event.capacity <= 0.0 < old:
-                    down_links.add(link_id)
-                    # Flows crossing the downed link stall: they keep
-                    # their place but leave the rate solve.
-                    for fid in link_flows.get(link_id, ()):
-                        if fid not in stalled:
-                            stalled.add(fid)
-                            if fid in solver:
-                                solver_drop(fid, park=True)
-                elif old <= 0.0 < event.capacity:
-                    down_links.discard(link_id)
-                    for fid in sorted(link_flows.get(link_id, ())):
-                        if fid in stalled and not any(
-                            l in down_links for l in paths[fid]
-                        ):
-                            stalled.discard(fid)
-                            solver_add(fid)
+        def apply_capacity(event: CapacityEvent) -> None:
+            link_id = event.link_id
+            old = capacities[link_id]
+            if traced:
+                tracer.instant("capacity", event.when, layer="netsim",
+                               link=link_id, capacity=event.capacity)
+            if old == event.capacity:
                 return
-            assert isinstance(event, RerouteEvent)
+            capacities[link_id] = event.capacity
+            solver.set_capacity(link_id, event.capacity)
+            if event.capacity <= 0.0 < old:
+                down_links.add(link_id)
+                # Flows crossing the downed link stall: they keep
+                # their place but leave the rate solve.
+                for fid in link_flows.get(link_id, ()):
+                    if not state.is_stalled(fid):
+                        state.leave(fid)
+            elif old <= 0.0 < event.capacity:
+                down_links.discard(link_id)
+                for fid in sorted(link_flows.get(link_id, ())):
+                    if state.is_stalled(fid) and not any(
+                        l in down_links for l in paths[fid]
+                    ):
+                        state.enter(fid, paths[fid])
+
+        def apply_reroute(event: RerouteEvent) -> None:
             flow_id = event.flow_id
             if traced:
                 tracer.instant("reroute", event.when, layer="netsim",
                                flow=flow_id, hops=len(event.path))
-            if flow_id in records and not transferring(flow_id):
-                return  # already drained; nothing left to move
-            if transferring(flow_id):
+            if flow_id in state:
                 # Charge what transferred so far to the old path.
-                moved = self._specs[flow_id].size - remaining_of(flow_id)
+                moved = specs[flow_id].size - state.remaining(flow_id)
                 delta = moved - accounted.get(flow_id, 0.0)
                 if delta > 0:
                     for link_id in paths[flow_id]:
                         self._network.account(link_id, delta)
                     accounted[flow_id] = moved
-                detach(flow_id)
+                unindex(flow_id)
+                if not state.is_stalled(flow_id):
+                    state.leave(flow_id)
                 paths[flow_id] = event.path
                 attach(flow_id)
-            else:
-                paths[flow_id] = event.path
+            elif flow_id not in records:
+                paths[flow_id] = event.path  # not admitted yet
+            # else: already drained; nothing left to move
 
-        while pending or remaining or fid_slot or parked:
-            if not (remaining or fid_slot or parked):
+        while pending or state:
+            if not state:
                 wake = pending[0][0]
                 if event_i < len(events):
-                    wake = min(wake, events[event_i][0])
+                    wake = min(wake, events[event_i].when)
                 now = max(now, wake)
             while event_i < len(events) and \
-                    events[event_i][0] <= now + EPSILON:
-                apply_event(events[event_i][2])
+                    events[event_i].when <= now + EPSILON:
+                event = events[event_i]
                 event_i += 1
+                n_events += 1
+                if isinstance(event, CapacityEvent):
+                    apply_capacity(event)
+                else:
+                    apply_reroute(event)
             admit(now)
-            if not (remaining or fid_slot or parked):
+            if not state:
                 continue
 
-            # One re-solve covers every admission, completion and fault
-            # event applied at this instant; a clean solver answers
-            # straight from its cache.
+            # One solver consult covers every admission, completion and
+            # fault event applied at this instant; a clean solver
+            # answers straight from its cache.
             n_epochs += 1
-            rates: Dict[str, float] = {}
-            if fast:
-                nslots = solver.nslots
-                rate_v = solver.rates_array()[:nslots]
-                live_v = live_arr[:nslots]
-                rem_v = rem_arr[:nslots]
-                moving = live_v & (rate_v > 0.0)
-                any_moving = bool(moving.any())
-                dt_complete = float(
-                    (rem_v[moving] / rate_v[moving]).min()
-                ) if any_moving else float("inf")
-            else:
-                rates = solver.rates()
-                dt_complete = float("inf")
-                for flow_id in remaining:
-                    if flow_id in stalled:
-                        continue
-                    rate = rates[flow_id]
-                    if rate == float("inf"):
-                        dt_complete = 0.0
-                        break
-                    if rate > 0:
-                        dt_complete = min(dt_complete,
-                                          remaining[flow_id] / rate)
-            dt_next_start = (pending[0][0] - now) if pending else float("inf")
-            dt_next_event = (events[event_i][0] - now) \
-                if event_i < len(events) else float("inf")
-            dt = min(dt_complete, dt_next_start, dt_next_event)
+            dt = min(
+                state.next_completion(),
+                (pending[0][0] - now) if pending else float("inf"),
+                (events[event_i].when - now)
+                if event_i < len(events) else float("inf"),
+            )
             if dt == float("inf"):
                 detail = ""
-                if stalled:
+                if state.n_stalled:
                     detail = (
-                        f" ({len(stalled)} flow(s) stuck on down links "
+                        f" ({state.n_stalled} flow(s) stuck on down links "
                         "with no recovery or reroute scheduled)"
                     )
                 raise RuntimeError(
@@ -666,131 +539,54 @@ class FlowSim:
                 )
             dt = max(dt, 0.0)
 
-            epoch_span = 0
             if traced:
                 epoch_span = tracer.begin(
                     "epoch", now, layer="netsim",
-                    active=len(remaining) - len(stalled),
-                    stalled=len(stalled),
+                    active=len(state) - state.n_stalled,
+                    stalled=state.n_stalled,
                 )
                 tracer.sample("netsim.active_flows", now,
-                              float(len(remaining)), layer="netsim")
-                self._sample_link_utilization(
-                    tracer, now, rates, remaining, stalled, paths,
-                    capacities, wire_ids, last_util, last_sampled,
-                )
+                              float(len(state)), layer="netsim")
+                sampler.sample(tracer, now, state.moving_rates(), paths,
+                               capacities)
+                tracer.end(epoch_span, now + dt)
             now += dt
-            if traced:
-                tracer.end(epoch_span, now)
-            if fast:
-                if any_moving:
-                    # Infinite-rate flows drain instantly regardless of
-                    # dt; keep them out of the multiply (inf * 0 = NaN).
-                    inf_v = moving & _np.isinf(rate_v)
-                    if inf_v.any():
-                        rem_v[inf_v] = 0.0
-                        moving &= ~inf_v
-                    if dt > 0.0:
-                        rem_v[moving] -= rate_v[moving] * dt
-                done = live_v & (rem_v <= thr_arr[:nslots])
-                for slot in _np.nonzero(done)[0].tolist():
-                    fid = slot_fid[slot]
-                    detach(fid, park=False)
-                    drain(fid, now, records[fid].admitted_time)
-            else:
-                finished: List[str] = []
-                for flow_id in remaining:
-                    if flow_id in stalled:
-                        continue
-                    rate = rates[flow_id]
-                    if rate == float("inf"):
-                        remaining[flow_id] = 0.0
-                    elif rate > 0.0:
-                        remaining[flow_id] -= rate * dt
-                    if remaining[flow_id] <= EPSILON * max(
-                        1.0, self._specs[flow_id].size
-                    ):
-                        finished.append(flow_id)
-                for flow_id in finished:
-                    del remaining[flow_id]
-                    detach(flow_id)
-                    drain(flow_id, now, records[flow_id].admitted_time)
+            for flow_id in state.advance(dt):
+                unindex(flow_id)
+                drain(flow_id, now, records[flow_id].admitted_time)
         METRICS.counter("netsim.events").inc(n_events)
         METRICS.counter("netsim.epochs").inc(n_epochs)
         for attr, name in _SOLVER_METRICS:
             METRICS.counter(name).inc(getattr(solver.stats, attr))
 
-        if len(records) != len(self._specs):
-            missing = sorted(set(self._specs) - set(records))
+        if len(records) != len(specs):
+            missing = sorted(set(specs) - set(records))
             raise RuntimeError(f"flows never became eligible: {missing}")
         self._account_traffic(paths, accounted)
         end_time = max(
             (r.completion_time for r in records.values()), default=0.0
         )
         if traced:
-            # Per-link utilization samples: how much of each physical
-            # link's capacity-time the run actually used (Fig. 9's
-            # "where do the bytes go" view, directly in the trace).
-            for link in self._network.wire_links():
-                cap = capacities.get(link.link_id, 0.0)
-                busy = cap * end_time
-                tracer.instant(
-                    "link.traffic", end_time, layer="netsim",
-                    link=link.link_id, bytes=link.bytes_carried,
-                    utilization=(link.bytes_carried / busy
-                                 if busy > 0 else 0.0),
-                )
+            self._trace_link_traffic(tracer, capacities, end_time)
             tracer.end(run_span, end_time)
         return SimulationResult(records=records, network=self._network,
                                 end_time=end_time)
 
     # -- internals ---------------------------------------------------------
 
-    def _sample_link_utilization(
-        self,
-        tracer,
-        now: float,
-        rates: Dict[str, float],
-        remaining: Dict[str, float],
-        stalled: Set[str],
-        paths: Dict[str, Tuple[str, ...]],
-        capacities: Dict[str, float],
-        wire_ids: Tuple[str, ...],
-        last_util: Dict[str, float],
-        last_sampled: Dict[str, float],
-    ) -> None:
-        """Emit per-link utilization counter samples for this epoch.
-
-        The sample at ``now`` holds the link's allocated-bandwidth
-        fraction for the epoch starting at ``now`` (piecewise-constant
-        until the next sample on the same track).  Samples are emitted
-        on change only, optionally rate-limited per link by
-        ``link_sample_period``; the timeline analyzer integrates these
-        tracks into busy fractions and utilization percentiles.
-        """
-        used: Dict[str, float] = {}
-        for flow_id in remaining:
-            if flow_id in stalled:
-                continue
-            rate = rates[flow_id]
-            if rate <= 0.0 or rate == float("inf"):
-                continue
-            for link_id in paths[flow_id]:
-                used[link_id] = used.get(link_id, 0.0) + rate
-        period = self._link_sample_period
-        for link_id in wire_ids:
-            cap = capacities.get(link_id, 0.0)
-            util = (used.get(link_id, 0.0) / cap) if cap > 0 else 0.0
-            previous = last_util.get(link_id)
-            if previous is not None and abs(util - previous) <= 1e-12:
-                continue
-            if period and link_id in last_sampled \
-                    and now - last_sampled[link_id] < period:
-                continue
-            last_util[link_id] = util
-            last_sampled[link_id] = now
-            tracer.sample(LINK_UTIL_PREFIX + link_id, now, util,
-                          layer="netsim")
+    def _trace_link_traffic(self, tracer, capacities: Dict[str, float],
+                            end_time: float) -> None:
+        """One ``link.traffic`` instant per physical link: how much of
+        its capacity-time the run used (Fig. 9's "where do the bytes
+        go" view, directly in the trace)."""
+        for link in self._network.wire_links():
+            busy = capacities.get(link.link_id, 0.0) * end_time
+            tracer.instant(
+                "link.traffic", end_time, layer="netsim",
+                link=link.link_id, bytes=link.bytes_carried,
+                utilization=(link.bytes_carried / busy
+                             if busy > 0 else 0.0),
+            )
 
     def _validate_dependencies(self) -> None:
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done

@@ -1,8 +1,8 @@
 """``repro.obs`` -- the unified observability layer.
 
 One zero-dependency subsystem replaces the three ad-hoc telemetry
-mechanisms that grew across PRs 1-3 (``SimCounters`` in the flow
-simulator, ``ShimEvent`` tallies in the platform, box health/queue
+mechanisms that grew across PRs 1-3 (module-wide work counters in the
+flow simulator, ``ShimEvent`` tallies in the platform, box health/queue
 stats in the aggbox layer):
 
 - :class:`Tracer` records structured spans and instant events on the

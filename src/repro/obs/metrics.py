@@ -1,8 +1,8 @@
 """The metrics registry: named counters, gauges and histograms.
 
 One process-wide :data:`METRICS` registry absorbs the ad-hoc telemetry
-that used to live in three places -- ``SimCounters`` (flow simulator
-work counters), the platform's shim-event tallies, and per-box
+that used to live in three places -- the flow simulator's module-wide
+work counters, the platform's shim-event tallies, and per-box
 health/queue stats -- behind a single flat :meth:`MetricsRegistry
 .snapshot`.  Namespacing is by dotted prefix:
 

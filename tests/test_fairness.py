@@ -1,4 +1,4 @@
-"""Tests for the max-min fairness solver (both implementations)."""
+"""Tests for the from-scratch max-min fairness reference solver."""
 
 import math
 
@@ -6,20 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fairness import (
-    _np,
-    max_min_rates,
-    max_min_rates_np,
-    max_min_rates_py,
-)
-
-SOLVERS = [max_min_rates_py, max_min_rates_np]
+from repro.netsim.fairness import max_min_rates, max_min_rates_py
 
 
-@pytest.fixture(params=SOLVERS, ids=["python", "numpy"])
+@pytest.fixture(params=[max_min_rates_py], ids=["python"])
 def solver(request):
-    if request.param is max_min_rates_np and _np is None:
-        pytest.skip("numpy not installed")
     return request.param
 
 
@@ -121,16 +112,6 @@ def random_instance(draw):
 
 
 class TestPropertyBased:
-    @pytest.mark.skipif(_np is None, reason="numpy not installed")
-    @given(random_instance())
-    @settings(max_examples=200, deadline=None)
-    def test_implementations_agree(self, instance):
-        flows, links, caps = instance
-        py = max_min_rates_py(flows, links, caps)
-        np_ = max_min_rates_np(flows, links, caps)
-        for flow_id in flows:
-            assert py[flow_id] == pytest.approx(np_[flow_id], rel=1e-6, abs=1e-6)
-
     @given(random_instance())
     @settings(max_examples=200, deadline=None)
     def test_no_link_overloaded(self, instance):

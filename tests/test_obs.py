@@ -287,18 +287,19 @@ class TestInstrumentation:
         assert flows[0].tags["flow"] == "f"
         assert any(i.name == "link.traffic" for i in t.instants)
 
-    def test_registry_counts_match_legacy_facade(self):
+    def test_simulator_counts_land_in_the_registry(self):
         from repro.netsim.network import Link, Network
-        from repro.netsim.simulator import COUNTERS, FlowSim, FlowSpec
+        from repro.netsim.simulator import FlowSim, FlowSpec
 
-        COUNTERS.reset()
+        METRICS.reset("netsim.")
         sim = FlowSim(Network([Link("l", 10.0)]))
         sim.add_flow(FlowSpec("f", size=10.0, path=("l",)))
         sim.run()
-        snap = COUNTERS.snapshot()
-        assert snap["runs"] == 1
-        assert snap["flows"] == 1
-        assert snap["events"] == METRICS.counter("netsim.events").value
+        snap = METRICS.snapshot("netsim.")
+        assert snap["netsim.runs"] == 1
+        assert snap["netsim.flows"] == 1
+        assert snap["netsim.events"] == 2  # one admission, one completion
+        assert snap["netsim.epochs"] == snap["netsim.solver.solves"] == 1
 
     def test_platform_and_box_layers_traced(self):
         from repro.aggregation import deploy_boxes
@@ -401,8 +402,7 @@ class TestTraceCli:
 
 class TestObsLint:
     def test_no_ad_hoc_telemetry_outside_obs(self):
-        """tools/check_obs.py: telemetry containers only in repro.obs
-        (plus the allowlisted deprecated SimCounters facade)."""
+        """tools/check_obs.py: telemetry containers only in repro.obs."""
         import pathlib
 
         script = (pathlib.Path(__file__).resolve().parents[1]

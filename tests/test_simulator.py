@@ -278,6 +278,27 @@ class TestSolverBackends:
     def test_auto_matches_incremental(self):
         assert self._run("auto") == self._run("incremental")
 
+    def test_storage_follows_the_solver_even_when_traced(self, monkeypatch):
+        """A traced fig06 run keeps the array-backed transfer state on
+        a numpy host (tracing reads through the seam, it does not pick
+        the storage)."""
+        from repro.experiments import QUICK, load
+        from repro.netsim import simulator
+
+        seen = set()
+
+        def spy(solver, specs):
+            state = real(solver, specs)
+            seen.add(type(state).__name__)
+            return state
+
+        real = simulator.transfer_state
+        monkeypatch.setattr(simulator, "transfer_state", spy)
+        with tracing(Tracer()):
+            load("fig06_fct_cdf").run(scale=QUICK, seed=1)
+        assert seen == {"_ArrayTransfers" if HAVE_NUMPY
+                        else "_DictTransfers"}
+
 
 _LINKS = ("l0", "l1", "l2", "l3")
 _GRID = st.integers(0, 12).map(lambda k: k * 0.5)

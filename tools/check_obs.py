@@ -2,8 +2,8 @@
 """Lint: telemetry lives in ``repro.obs``, not in ad-hoc counter dicts.
 
 Before the unified observability layer, each layer grew its own
-telemetry (``SimCounters`` in the simulator, shim-event tallies in the
-platform, health/queue stats on the boxes).  This check keeps it from
+telemetry (module-wide work counters in the simulator, shim-event
+tallies in the platform, health/queue stats on the boxes).  This check keeps it from
 growing back: outside ``src/repro/obs/``, modules may not
 
 - define a class whose name says it is a telemetry container
@@ -22,10 +22,6 @@ growing back: outside ``src/repro/obs/``, modules may not
   ``SloMonitor``); callers import it (as ``core.partition``'s
   ``GrayDetector`` does) rather than growing private copies whose
   boundary conventions drift.
-
-Allowlisted: ``repro.netsim.simulator``'s ``SimCounters``/``COUNTERS``
-pair, which survives as a *deprecated facade* over ``repro.obs.METRICS``
-for old callers (it holds no state of its own).
 
 Run from the repo root::
 
@@ -64,11 +60,8 @@ EWMA_PATTERN = re.compile(r"(?i)ewma")
 WINDOW_CLASS_PATTERN = re.compile(
     r"(Windowed?(Series|Stats|Store)?$|Rolling|BurnRate|TimeSeries)")
 
-#: (module relative to src/repro, symbol) pairs that may stay: the
-#: simulator's deprecated SimCounters facade over repro.obs.METRICS.
+#: (module relative to src/repro, symbol) pairs that may stay.
 ALLOWLIST = {
-    ("netsim/simulator.py", "SimCounters"),
-    ("netsim/simulator.py", "COUNTERS"),
     # Hadoop-style *job* counters: domain data of the modelled
     # application (the paper's MapReduce workload), not repo telemetry.
     ("apps/hadoop/job.py", "Counters"),
