@@ -1,8 +1,8 @@
 """Benchmark harness: time every experiment, record the trajectory,
 and gate CI on regressions against the committed baseline.
 
-Runs each experiment in the registry (the same set ``benchmarks/``
-covers) at one scale and writes ``BENCH_netsim.json``::
+Runs each experiment in the registry at one scale and writes
+``BENCH_netsim.json``::
 
     python -m repro bench                    # BENCH scale
     python -m repro bench --scale quick      # CI smoke run
@@ -86,27 +86,19 @@ def _peak_rss_kb() -> int:
 
 
 def bench_targets(names: Optional[Sequence[str]] = None) -> List[str]:
-    """Experiments to time: ``benchmarks/bench_*.py`` coverage, which
-    mirrors the registry; falls back to the registry when the
-    ``benchmarks/`` tree is not present (installed package)."""
-    if names:
-        resolved = []
-        for name in names:
-            try:
-                resolved.append(resolve(name))
-            except KeyError:
-                raise SystemExit(
-                    unknown_experiment_message(name)) from None
-            except ValueError as exc:
-                raise SystemExit(str(exc)) from None
-        return resolved
-    bench_dir = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-    found = sorted(
-        path.stem[len("bench_"):]
-        for path in bench_dir.glob("bench_*.py")
-    ) if bench_dir.is_dir() else []
-    covered = [name for name in MODULES if name in set(found)]
-    return covered or list(MODULES)
+    """Experiments to time: the ``names`` given (short names and
+    prefixes resolve through the registry), else every registered
+    experiment."""
+    resolved = []
+    for name in names or ():
+        try:
+            resolved.append(resolve(name))
+        except KeyError:
+            raise SystemExit(
+                unknown_experiment_message(name)) from None
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
+    return resolved or list(MODULES)
 
 
 def time_experiment(name: str, scale: SimScale, seed: int = 1,

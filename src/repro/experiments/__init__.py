@@ -17,7 +17,9 @@ catalogue in figure order, and :func:`resolve` maps short names
 
 from __future__ import annotations
 
+import functools
 import importlib
+import inspect
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
@@ -97,6 +99,12 @@ def register(name: str, summary: Optional[str] = None,
     ``name`` is the short CLI name (``fig08``); the registry key is the
     defining module's name.  The one-line summary defaults to the first
     line of the module docstring.
+
+    The registered ``run`` refuses keywords its signature does not
+    name: figure modules used to take per-module tuning knobs
+    (``run(clients=..., duration=...)``), and such legacy calls fail
+    with a migration hint to ``run(scale=..., seed=...)`` (pinned by
+    ``tests/test_experiments.py::TestLegacyEntrypoints``).
     """
 
     def decorate(fn: Callable[..., ExperimentResult]
@@ -106,9 +114,22 @@ def register(name: str, summary: Optional[str] = None,
         if text is None:
             doc = (sys.modules[fn.__module__].__doc__ or "").strip()
             text = doc.splitlines()[0] if doc else ""
+        accepted = set(inspect.signature(fn).parameters)
+
+        @functools.wraps(fn)
+        def run(*args: object, **kwargs: object) -> ExperimentResult:
+            legacy = sorted(set(kwargs) - accepted)
+            if legacy:
+                raise TypeError(
+                    f"{module}.run no longer accepts ad-hoc keyword "
+                    f"arguments ({', '.join(legacy)}); use "
+                    "run(scale=..., seed=...) with a SimScale preset "
+                    "(QUICK/BENCH/DEFAULT/PAPER)")
+            return fn(*args, **kwargs)
+
         _REGISTRY[module] = Experiment(
-            name=name, module=module, summary=text, run=fn)
-        return fn
+            name=name, module=module, summary=text, run=run)
+        return run
 
     return decorate
 

@@ -43,11 +43,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
             netagg_relative_p99=relative_p99(netagg, baseline),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.netsim.engine import EventQueue
 from repro.units import percentile
@@ -94,10 +93,7 @@ _QUICK = dict(duration=10.0)
 
 
 @register("ablation_colocation")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("ablation_colocation.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -119,11 +115,3 @@ def _sweep(duration: float = 20.0, cores: int = 4) -> ExperimentResult:
             batch_done=row["batch_done"],
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

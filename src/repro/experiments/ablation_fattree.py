@@ -16,7 +16,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.netsim.metrics import fct_summary, relative_p99
 from repro.netsim.simulator import FlowSim
@@ -45,10 +44,7 @@ _QUICK = dict(k=4, tree_counts=(1, 2))
 
 
 @register("ablation_fattree")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("ablation_fattree.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
@@ -84,11 +80,3 @@ def _sweep(k: int = 8, tree_counts=TREE_COUNTS,
             agg_p99_s=fct_summary(outcome, aggregatable=True).p99,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -21,7 +21,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.netsim.simulator import FlowSim
 from repro.topology.threetier import ThreeTierParams, three_tier
@@ -34,10 +33,7 @@ _QUICK = dict(receiver_counts=(4, 16))
 
 
 @register("ablation_multicast")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("ablation_multicast.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -81,11 +77,3 @@ def _sweep(receiver_counts=RECEIVER_COUNTS,
                 mc_specs, payload)["host:0->tor:0"],
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -42,11 +42,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
             random_penalty=random_p99 / local_p99,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

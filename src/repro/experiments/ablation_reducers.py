@@ -15,7 +15,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.units import GB
 
@@ -26,10 +25,7 @@ _QUICK = dict(reducer_counts=(1, 4))
 
 
 @register("ablation_reducers")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("ablation_reducers.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -58,11 +54,3 @@ def _sweep(reducer_counts=REDUCER_COUNTS, alpha: float = 0.10,
                      / netagg.shuffle_reduce_seconds),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -39,11 +39,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
             single_path_penalty=single_p99 / ecmp_p99,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.units import MB, to_gbps
 
@@ -28,10 +27,7 @@ _QUICK = dict(leaves=16, threads=8)
 
 
 @register("ablation_streaming")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("ablation_streaming.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -56,11 +52,3 @@ def _sweep(chunk_sizes=CHUNK_SIZES, leaves: int = 32,
             tasks=outcome.tasks_executed,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -37,11 +37,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             agg_p99_s=fct_summary(sim, aggregatable=True).p99,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

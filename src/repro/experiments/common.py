@@ -4,7 +4,7 @@ the result container all figure modules use.
 Scales trade runtime for fidelity:
 
 - ``QUICK``   -- seconds; used by unit tests;
-- ``BENCH``   -- sub-minute figures; the default for ``benchmarks/``;
+- ``BENCH``   -- sub-minute figures; the default for ``repro bench``;
 - ``DEFAULT`` -- the tuned configuration behind EXPERIMENTS.md numbers;
 - ``PAPER``   -- the paper's full 1,024-server topology (slow).
 
@@ -126,23 +126,6 @@ def simulate(
     if injector is not None:
         injector.apply(sim, workload)
     return sim.run()
-
-
-def reject_legacy_knobs(entry: str, knobs: Dict[str, object]) -> None:
-    """Refuse a legacy ad-hoc-keyword call to a figure's ``run()``.
-
-    Figure modules used to expose per-module tuning knobs directly on
-    ``run()`` (``run(clients=..., duration=...)``); the canonical
-    signature is ``run(scale=..., seed=...)``.  The deprecation shim
-    that used to forward such calls (with a ``DeprecationWarning``) is
-    retired: old call sites now fail loudly with a migration hint.
-    Pinned by ``tests/test_experiments.py::TestLegacyEntrypoints``.
-    """
-    names = ", ".join(sorted(knobs))
-    raise TypeError(
-        f"{entry} no longer accepts ad-hoc keyword arguments ({names}); "
-        "use run(scale=..., seed=...) with a SimScale preset "
-        "(QUICK/BENCH/DEFAULT/PAPER)")
 
 
 @dataclass

@@ -80,11 +80,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
         upgrade_cost_usd=netagg_cost(n_aggr, prices).total,
     )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

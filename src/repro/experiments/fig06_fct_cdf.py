@@ -67,11 +67,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
             row[f"p{int(fraction * 100)}"] = fcts[max(index, 0)]
         result.add_row(**row)
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

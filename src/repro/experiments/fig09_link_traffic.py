@@ -50,11 +50,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
             median_vs_rack=median / rack_median if rack_median else 0.0,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -42,11 +42,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
             row[strategy.name] = relative_p99(sim, baseline)
         result.add_row(**row)
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -63,11 +63,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
         result.add_row(deployment=name, n_boxes=budget,
                        relative_p99=relative_p99(sim, baseline))
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -36,11 +36,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             netagg_relative_p99=relative_p99(netagg, baseline),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

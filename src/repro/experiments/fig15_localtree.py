@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.units import to_gbps
 
@@ -27,10 +26,7 @@ _QUICK = dict(leaves=(4, 16, 64), threads=(8, 32))
 
 
 @register("fig15")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig15_localtree.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -50,11 +46,3 @@ def _sweep(leaves=LEAVES, threads=THREADS, alpha: float = 0.10
             row[f"threads_{n_threads}"] = to_gbps(model.run().throughput)
         result.add_row(**row)
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

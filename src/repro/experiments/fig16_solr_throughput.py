@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 
 CLIENTS = (5, 10, 20, 30, 50, 70)
@@ -23,10 +22,7 @@ _QUICK = dict(clients=(10, 50), duration=5.0)
 
 
 @register("fig16")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig16_solr_throughput.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -48,11 +44,3 @@ def _sweep(clients=CLIENTS, duration: float = 10.0,
             netagg_gbps=netagg.throughput_gbps,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

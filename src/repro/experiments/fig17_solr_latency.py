@@ -13,7 +13,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.experiments.fig16_solr_throughput import CLIENTS
 
@@ -21,10 +20,7 @@ _QUICK = dict(clients=(50,), duration=5.0)
 
 
 @register("fig17")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig17_solr_latency.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -46,11 +42,3 @@ def _sweep(clients=CLIENTS, duration: float = 10.0,
             netagg_p99_s=netagg.p99_latency,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 
 ALPHAS = (0.05, 0.10, 0.25, 0.50, 0.75, 1.00)
@@ -23,10 +22,7 @@ _QUICK = dict(alphas=(0.05, 0.5, 1.0), duration=5.0)
 
 
 @register("fig18")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig18_solr_ratio.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -49,11 +45,3 @@ def _sweep(alphas=ALPHAS, n_clients: int = 70, duration: float = 10.0,
             netagg_gbps=netagg.throughput_gbps,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 
 BACKENDS_PER_RACK = (2, 4, 6, 8, 10)
@@ -23,10 +22,7 @@ _QUICK = dict(backends=(4, 10), duration=5.0)
 
 
 @register("fig19")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig19_solr_tworack.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -54,11 +50,3 @@ def _sweep(backends=BACKENDS_PER_RACK, duration: float = 10.0,
             two_racks_gbps=two.throughput_gbps,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

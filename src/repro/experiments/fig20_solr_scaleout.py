@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.aggbox.functions import CategoriseFunction
 
@@ -24,10 +23,7 @@ _QUICK = dict(clients=(70,), duration=5.0)
 
 
 @register("fig20")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig20_solr_scaleout.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -56,11 +52,3 @@ def _sweep(clients=CLIENTS, duration: float = 10.0) -> ExperimentResult:
             two_boxes_gbps=two.throughput_gbps,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

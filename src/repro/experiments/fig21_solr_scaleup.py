@@ -15,7 +15,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 
 CORES = (2, 4, 8, 12, 16)
@@ -24,10 +23,7 @@ _QUICK = dict(cores=(2, 4, 16), duration=5.0)
 
 
 @register("fig21")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig21_solr_scaleup.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -52,11 +48,3 @@ def _sweep(cores=CORES, n_clients: int = 70,
             categorise_gbps=categorise.throughput_gbps,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

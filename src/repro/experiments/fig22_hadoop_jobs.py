@@ -35,7 +35,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.units import GB
 
@@ -62,12 +61,9 @@ def measure_profiles(seed: int = 1) -> List[JobProfile]:
 
 
 @register("fig22")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     # The five-benchmark sweep is already CI-fast; every scale runs the
     # paper configuration.
-    if knobs:
-        reject_legacy_knobs("fig22_hadoop_jobs.run", knobs)
     return _sweep(seed=seed)
 
 
@@ -106,11 +102,3 @@ def _sweep(intermediate_bytes: float = 2 * GB, seed: int = 1,
             box_gbps=box_rate,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -18,7 +18,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.experiments.fig22_hadoop_jobs import _splits
 from repro.units import GB
@@ -30,10 +29,7 @@ _QUICK = dict(vocabularies=(20, 12500))
 
 
 @register("fig23")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig23_hadoop_ratio.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
@@ -62,11 +58,3 @@ def _sweep(vocabularies=VOCABULARIES, intermediate_bytes: float = 2 * GB,
                           / plain.shuffle_reduce_seconds),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.units import GB
 
@@ -24,10 +23,7 @@ _QUICK = dict(sizes_gb=(2, 16))
 
 
 @register("fig24")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig24_hadoop_datasize.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(**(_QUICK if scale.name == "quick" else {}))
 
 
@@ -54,11 +50,3 @@ def _sweep(sizes_gb=DATA_SIZES_GB, alpha: float = 0.10,
                      / netagg.shuffle_reduce_seconds),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 
 SOLR_TASK_SECONDS = 0.030
@@ -24,10 +23,7 @@ _QUICK = dict(duration=20.0)
 
 
 @register("fig25")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig25_fair_fixed.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
@@ -60,11 +56,3 @@ def _sweep(duration: float = 30.0, seed: int = 1,
             hadoop_share=snapshot["hadoop"],
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -12,26 +12,14 @@ from repro.experiments.common import (
     DEFAULT,
     ExperimentResult,
     SimScale,
-    reject_legacy_knobs,
 )
 from repro.experiments.fig25_fair_fixed import _QUICK, _sweep
 
 
 @register("fig26")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        **knobs) -> ExperimentResult:
-    if knobs:
-        reject_legacy_knobs("fig26_fair_adaptive.run", knobs)
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     return _adaptive(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
 def _adaptive(duration: float = 30.0, seed: int = 1) -> ExperimentResult:
     return _sweep(duration=duration, seed=seed, adaptive=True)
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

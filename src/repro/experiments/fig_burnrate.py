@@ -143,11 +143,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             viol_frac=_violations(sim_result, slo),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

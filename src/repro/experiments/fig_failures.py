@@ -168,11 +168,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             exact=_check_exact(scale, seed, schedule),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

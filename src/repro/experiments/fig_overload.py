@@ -216,11 +216,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             ctrl_denials=denials,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -409,11 +409,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             undrains=controller.undrains,
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

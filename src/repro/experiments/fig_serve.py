@@ -123,11 +123,3 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
                            for t in noadm.report.tenants.values()),
         )
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -106,11 +106,3 @@ def _count() -> ExperimentResult:
         )
     result.notes = f"platform LoC = {platform_loc}"
     return result
-
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

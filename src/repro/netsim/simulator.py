@@ -391,13 +391,16 @@ class FlowSim:
         }
         link_flows: Dict[str, Set[str]] = {}
 
+        def is_up(path: Sequence[str]) -> bool:
+            return not (down_links and any(l in down_links for l in path))
+
         def attach(flow_id: str) -> None:
             """Index a transferring flow by link; it enters the rate
             solve unless its path crosses a down link."""
             path = paths[flow_id]
             for link_id in set(path):
                 link_flows.setdefault(link_id, set()).add(flow_id)
-            if not (down_links and any(l in down_links for l in path)):
+            if is_up(path):
                 state.enter(flow_id, path)
 
         def unindex(flow_id: str) -> None:
@@ -470,9 +473,7 @@ class FlowSim:
             elif old <= 0.0 < event.capacity:
                 down_links.discard(link_id)
                 for fid in sorted(link_flows.get(link_id, ())):
-                    if state.is_stalled(fid) and not any(
-                        l in down_links for l in paths[fid]
-                    ):
+                    if state.is_stalled(fid) and is_up(paths[fid]):
                         state.enter(fid, paths[fid])
 
         def apply_reroute(event: RerouteEvent) -> None:

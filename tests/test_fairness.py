@@ -1,4 +1,10 @@
-"""Tests for the from-scratch max-min fairness reference solver."""
+"""Closed-form and property tests for max-min fair allocation.
+
+The closed-form cases run against the from-scratch reference
+(``max_min_rates_py``) and, where numpy is importable, against the numpy
+backend ``FlowSim`` solves with (``VectorizedMaxMin``, loaded from
+scratch) -- the allocation is unique, so both must hit the same numbers.
+"""
 
 import math
 
@@ -7,10 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.fairness import max_min_rates, max_min_rates_py
+from repro.netsim.vectorized import HAVE_NUMPY, VectorizedMaxMin
 
 
-@pytest.fixture(params=[max_min_rates_py], ids=["python"])
+def vectorized_rates(flow_links, capacities, rate_caps=None):
+    """``max_min_rates``'s signature over a fresh numpy solver."""
+    solver = VectorizedMaxMin(capacities)
+    for flow_id, links in flow_links.items():
+        solver.add_flow(flow_id, links,
+                        rate_cap=(rate_caps or {}).get(flow_id))
+    return dict(solver.rates())
+
+
+@pytest.fixture(params=[max_min_rates_py, vectorized_rates],
+                ids=["python", "numpy"])
 def solver(request):
+    if request.param is vectorized_rates and not HAVE_NUMPY:
+        pytest.skip("numpy not installed")
     return request.param
 
 

@@ -98,9 +98,15 @@ def test_dunder_all_resolves(package):
 
 @pytest.mark.parametrize("name", EXPERIMENT_MODULES)
 def test_experiment_modules_expose_run_and_main(name):
+    """A figure module exposes the registered ``run``; its command-line
+    entry point is the package's (``python -m repro run <name>``), so
+    it carries no ``main()`` of its own."""
+    from repro.experiments import load
+
     module = importlib.import_module(f"repro.experiments.{name}")
     assert callable(module.run)
-    assert callable(module.main)
+    assert load(name).run is module.run
+    assert not hasattr(module, "main")
 
 
 def test_experiment_api_at_top_level():
