@@ -120,6 +120,7 @@ class AggBoxRuntime:
         self.trace_origin = ""
         self._apps: Dict[str, AppBinding] = {}
         self._requests: Dict[tuple, RequestState] = {}
+        #: Partially received frames only: an entry leaves once drained.
         self._reassemblers: Dict[tuple, ChunkReassembler] = {}
         self._policy = policy
         self._health = BoxHealth(policy, owner=box_id) \
@@ -294,14 +295,21 @@ class AggBoxRuntime:
         """
         binding = self._binding(app)
         key = (app, request_id, source)
-        reassembler = self._reassemblers.setdefault(key, ChunkReassembler())
+        reassembler = self._reassemblers.pop(key, None) or ChunkReassembler()
+        frames = reassembler.feed(chunk)
+        if reassembler.pending_bytes:
+            self._reassemblers[key] = reassembler
         result = None
-        for frame_payload in reassembler.feed(chunk):
+        for frame_payload in frames:
             value = binding.deserialise(frame_payload)
             emitted = self.submit_partial(app, request_id, source, value)
             if emitted is not None:
                 result = emitted
         return result
+
+    def partial_streams(self) -> List[tuple]:
+        """``(app, request, source)`` of every stream buffered mid-frame."""
+        return list(self._reassemblers)
 
     def pending_requests(self) -> List[RequestState]:
         return [s for s in self._requests.values() if not s.emitted]

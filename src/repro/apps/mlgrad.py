@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.aggbox.functions import AggregationFunction
-from repro.wire.serializer import read_float, read_varint, write_float, \
-    write_varint
+from repro.wire.serializer import WireError, read_floats, read_varint, \
+    write_floats, write_varint
 
 
 class VectorSumFunction(AggregationFunction):
@@ -40,7 +40,10 @@ class VectorSumFunction(AggregationFunction):
                 raise ValueError(
                     f"gradient length mismatch: {len(vector)} != {length}"
                 )
-        return [sum(v[i] for v in vectors) for i in range(length)]
+        # One sum() per column, adding in the order the vectors came.
+        # zip alone would silently truncate ragged input, hence the
+        # check above.
+        return list(map(sum, zip(*vectors)))
 
     def output_bytes(self, input_sizes: Sequence[float]) -> float:
         # The aggregate is one vector, the size of any single input.
@@ -48,18 +51,14 @@ class VectorSumFunction(AggregationFunction):
 
 
 def encode_vector(vector: List[float]) -> bytes:
-    out = bytearray(write_varint(len(vector)))
-    for value in vector:
-        out += write_float(value)
-    return bytes(out)
+    return write_varint(len(vector)) + write_floats(vector)
 
 
 def decode_vector(buffer: bytes) -> List[float]:
     count, offset = read_varint(buffer, 0)
-    values = []
-    for _ in range(count):
-        value, offset = read_float(buffer, offset)
-        values.append(value)
+    values, offset = read_floats(buffer, offset, count)
+    if offset != len(buffer):
+        raise WireError(f"{len(buffer) - offset} trailing bytes in vector")
     return values
 
 

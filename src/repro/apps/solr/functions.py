@@ -21,6 +21,7 @@ from repro.wire.records import (
     encode_search_results,
 )
 from repro.wire.serializer import (
+    WireError,
     read_float,
     read_string,
     read_varint,
@@ -62,6 +63,10 @@ def _decode_categorise(buffer: bytes) -> List[Tuple[str, float, str]]:
         score, offset = read_float(buffer, offset)
         category, offset = read_string(buffer, offset)
         items.append((text, score, category))
+    if offset != len(buffer):
+        raise WireError(
+            f"{len(buffer) - offset} trailing bytes in categorise batch"
+        )
     return items
 
 

@@ -27,10 +27,12 @@ from repro.wire.serializer import (
     WireError,
     read_bytes,
     read_float,
+    read_floats,
     read_string,
     read_varint,
     write_bytes,
     write_float,
+    write_floats,
     write_string,
     write_varint,
 )
@@ -45,6 +47,8 @@ __all__ = [
     "write_bytes",
     "read_float",
     "write_float",
+    "read_floats",
+    "write_floats",
     "frame",
     "unframe_all",
     "ChunkReassembler",

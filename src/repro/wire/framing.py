@@ -11,7 +11,7 @@ received chunk").
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.wire.serializer import WireError, read_varint, write_varint
 
@@ -23,41 +23,37 @@ def frame(payload: bytes) -> bytes:
 
 def unframe_all(buffer: bytes) -> List[bytes]:
     """Split a buffer containing whole frames; raises on trailing junk."""
-    frames, rest = _drain(buffer)
-    if rest:
-        raise WireError(f"{len(rest)} trailing bytes after last frame")
+    reassembler = ChunkReassembler()
+    frames = reassembler.feed(buffer)
+    if reassembler.pending_bytes:
+        raise WireError(
+            f"{reassembler.pending_bytes} trailing bytes after last frame"
+        )
     return frames
 
 
-def _drain(buffer: bytes) -> Tuple[List[bytes], bytes]:
-    """Extract complete frames; returns (frames, unconsumed tail)."""
-    frames: List[bytes] = []
-    offset = 0
-    while offset < len(buffer):
-        try:
-            length, after = read_varint(buffer, offset)
-        except WireError:
-            break  # incomplete length prefix
-        end = after + length
-        if end > len(buffer):
-            break  # incomplete payload
-        frames.append(bytes(buffer[after:end]))
-        offset = end
-    return frames, bytes(buffer[offset:])
-
-
 class ChunkReassembler:
-    """Streaming frame extractor tolerating arbitrary chunk boundaries."""
+    """Streaming frame extractor tolerating arbitrary chunk boundaries.
+
+    Arriving bytes are appended to one buffer.  Once the length prefix
+    of the frame at its head has been read, :meth:`feed` knows how many
+    bytes that frame needs and returns at once while fewer have arrived,
+    so a frame costs time linear in its size however finely it is
+    chunked.
+    """
 
     def __init__(self) -> None:
-        self._pending = b""
+        self._buffer = bytearray()
+        #: Buffer length at which the frame at the head is complete;
+        #: 0 while its length prefix has not fully arrived.
+        self._need = 0
         self._frames_out = 0
         self._bytes_in = 0
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
-        return len(self._pending)
+        return len(self._buffer)
 
     @property
     def frames_emitted(self) -> int:
@@ -70,7 +66,25 @@ class ChunkReassembler:
     def feed(self, chunk: bytes) -> List[bytes]:
         """Add a chunk; returns every frame completed by it."""
         self._bytes_in += len(chunk)
-        frames, self._pending = _drain(self._pending + chunk)
+        buffer = self._buffer
+        buffer += chunk
+        if len(buffer) < self._need:
+            return []
+        self._need = 0
+        frames: List[bytes] = []
+        offset = 0
+        while offset < len(buffer):
+            try:
+                length, after = read_varint(buffer, offset)
+            except WireError:
+                break  # incomplete length prefix
+            end = after + length
+            if end > len(buffer):
+                self._need = end - offset  # incomplete payload
+                break
+            frames.append(bytes(buffer[after:end]))
+            offset = end
+        del buffer[:offset]
         self._frames_out += len(frames)
         return frames
 
@@ -82,8 +96,8 @@ class ChunkReassembler:
 
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary."""
-        if self._pending:
+        if self._buffer:
             raise WireError(
-                f"stream ended mid-frame with {len(self._pending)} bytes "
+                f"stream ended mid-frame with {len(self._buffer)} bytes "
                 "buffered"
             )

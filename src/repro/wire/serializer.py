@@ -10,7 +10,7 @@ doubles for floats.  All readers take ``(buffer, offset)`` and return
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 
 class WireError(ValueError):
@@ -88,13 +88,38 @@ def read_string(buffer: bytes, offset: int = 0) -> Tuple[str, int]:
         raise WireError(f"invalid UTF-8 in string: {exc}") from exc
 
 
+_DOUBLE = struct.Struct(">d")
+
+
 def write_float(value: float) -> bytes:
     """IEEE-754 double, big-endian."""
-    return struct.pack(">d", value)
+    return _DOUBLE.pack(value)
 
 
 def read_float(buffer: bytes, offset: int = 0) -> Tuple[float, int]:
     end = offset + 8
     if end > len(buffer):
         raise WireError("truncated float")
-    return struct.unpack(">d", buffer[offset:end])[0], end
+    return _DOUBLE.unpack_from(buffer, offset)[0], end
+
+
+def write_floats(values: Sequence[float]) -> bytes:
+    """A run of doubles in one ``struct`` call.
+
+    Byte-for-byte the concatenation of :func:`write_float` over
+    ``values``; the run carries no count of its own.
+    """
+    return struct.pack(f">{len(values)}d", *values)
+
+
+def read_floats(buffer: bytes, offset: int,
+                count: int) -> Tuple[List[float], int]:
+    """Decode ``count`` consecutive doubles; ``(values, new_offset)``.
+
+    ``count`` usually comes off the wire, so it is checked against the
+    bytes actually present before any format or list is sized by it.
+    """
+    if count > (len(buffer) - offset) // 8:
+        raise WireError("truncated float")
+    values = struct.unpack_from(f">{count}d", buffer, offset)
+    return list(values), offset + 8 * count

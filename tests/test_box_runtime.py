@@ -123,6 +123,33 @@ class TestStreamingChunks:
         assert ready is not None
         assert [r.doc_id for r in ready.value] == [1, 2]
 
+    def test_partial_frame_is_held_until_it_completes(self):
+        box = make_box(topk_binding())
+        box.announce("solr", "r", expected=2)
+        payload_a = frame(encode_search_results([SearchResult(1, 9.0)]))
+        payload_b = frame(encode_search_results([SearchResult(2, 5.0)]))
+        assert box.partial_streams() == []
+        box.submit_chunk("solr", "r", "w0", payload_a[:4])
+        box.submit_chunk("solr", "r", "w1", payload_b)  # whole: never held
+        assert box.partial_streams() == [("solr", "r", "w0")]
+        box.submit_chunk("solr", "r", "w0", payload_a[4:-1])
+        assert box.partial_streams() == [("solr", "r", "w0")]
+        ready = box.submit_chunk("solr", "r", "w0", payload_a[-1:])
+        assert [r.doc_id for r in ready.value] == [1, 2]
+        assert box.partial_streams() == []
+
+    def test_stream_with_a_second_frame_started_stays_held(self):
+        box = make_box()
+        box.announce("sum", "r", expected=1)
+        one, two = frame(write_float(1.0)), frame(write_float(2.0))
+        ready = box.submit_chunk("sum", "r", "w0", one + two[:3])
+        assert ready.value == 1.0
+        assert box.partial_streams() == [("sum", "r", "w0")]
+        # The rest arrives: a resend from a processed source, dropped
+        # by submit_partial, but the stream is drained and released.
+        assert box.submit_chunk("sum", "r", "w0", two[3:]) is None
+        assert box.partial_streams() == []
+
     def test_payload_roundtrips_through_serialiser(self):
         box = make_box(topk_binding(k=1))
         box.announce("solr", "r", expected=1)

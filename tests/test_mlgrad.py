@@ -1,6 +1,10 @@
 """Tests for distributed gradient aggregation (the third domain app)."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.aggbox.localtree import tree_aggregate
 from repro.aggregation import deploy_boxes
@@ -15,12 +19,21 @@ from repro.apps.mlgrad import (
 )
 from repro.core import NetAggPlatform
 from repro.topology import ThreeTierParams, three_tier
+from repro.wire import WireError, write_float, write_floats, write_varint
 
 TRUE_WEIGHTS = [2.0, -1.0, 0.5]
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
 )
 WORKER_HOSTS = ["host:1", "host:4", "host:8", "host:12"]
+
+
+def index_loop_merge(items):
+    """Reference merge: element i is the sum of every v[i], in order."""
+    vectors = [v for v in items if v]
+    if not vectors:
+        return []
+    return [sum(v[i] for v in vectors) for i in range(len(vectors[0]))]
 
 
 def make_shards(n=400, noise=0.0, seed=3):
@@ -50,6 +63,47 @@ class TestVectorSum:
     def test_codec_roundtrip(self):
         vector = [0.5, -1.25, 3e9, 0.0]
         assert decode_vector(encode_vector(vector)) == vector
+
+    @given(st.integers(0, 64).flatmap(lambda width: st.lists(
+        st.one_of(st.just([]),
+                  st.lists(st.floats(), min_size=width, max_size=width)),
+        max_size=9)))
+    @example([[math.inf, -0.0, 5e-324, math.nan], [],
+              [-math.inf, -0.0, -5e-324, 1.0]])
+    @settings(max_examples=200)
+    def test_merge_is_bit_equal_to_the_index_loop(self, vectors):
+        # Compared as bytes: NaN equals itself, 0.0 differs from -0.0.
+        merged = VectorSumFunction().merge(vectors)
+        assert write_floats(merged) == write_floats(index_loop_merge(vectors))
+
+    @given(st.lists(st.lists(st.floats(), min_size=1, max_size=6),
+                    min_size=2, max_size=6))
+    @settings(max_examples=100)
+    def test_ragged_input_never_truncates(self, vectors):
+        if len({len(v) for v in vectors}) == 1:
+            vectors[-1] = vectors[-1] + [1.0]
+        with pytest.raises(ValueError, match="gradient length mismatch"):
+            VectorSumFunction().merge(vectors)
+
+    def test_encoding_is_a_count_then_scalar_doubles(self):
+        vector = [0.0, -0.0, math.inf, math.nan, 5e-324, -1.5]
+        expected = write_varint(len(vector)) + \
+            b"".join(write_float(v) for v in vector)
+        assert encode_vector(vector) == expected
+        assert write_floats(decode_vector(expected)) == write_floats(vector)
+        assert encode_vector([]) == b"\x00"
+        assert decode_vector(b"\x00") == []
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(WireError, match="3 trailing bytes"):
+            decode_vector(encode_vector([1.0, 2.0]) + b"abc")
+
+    @pytest.mark.parametrize("count", [3, 2**31, 2**60])
+    def test_declared_count_beyond_buffer(self, count):
+        """A hostile count fails before anything is sized by it."""
+        buffer = write_varint(count) + write_float(1.0) + write_float(2.0)
+        with pytest.raises(WireError, match="truncated float"):
+            decode_vector(buffer)
 
     def test_output_bytes_is_one_vector(self):
         fn = VectorSumFunction()
@@ -114,6 +168,16 @@ class TestOnPathTraining:
                                           f"grad-step-{step}@t0"):
                     counted.add(step)
         assert counted == set(range(5))
+
+    def test_boxes_release_drained_reassemblers(self):
+        platform = self.make_platform()
+        aggregate = netagg_aggregator(platform, "host:0", WORKER_HOSTS)
+        wide = [[float(i + w) for i in range(1024)] for w in range(4)]
+        for step in range(6):
+            assert aggregate(step, wide) == \
+                [4.0 * i + 6.0 for i in range(1024)]
+        for info in platform.topology.all_boxes():
+            assert platform.box_runtime(info.box_id).partial_streams() == []
 
     def test_gradient_count_must_match_workers(self):
         platform = self.make_platform()

@@ -15,6 +15,7 @@ from repro.apps.solr import (
 )
 from repro.apps.solr.corpus import BASE_CATEGORIES, Document, random_queries
 from repro.apps.solr.index import tokenize
+from repro.wire import WireError, write_varint
 
 
 def corpus(n=120, seed=2):
@@ -179,6 +180,16 @@ class TestWrappers:
         merged = fn.merge([items])
         assert deserialise(serialise(merged)) == merged
         assert merged[0][2] == "science"
+
+    def test_categorise_decoder_rejects_malformed_batches(self):
+        _, serialise, deserialise = make_categorise_wrapper(k=2)
+        encoded = serialise([("science text", 1.5, "science")])
+        with pytest.raises(WireError, match="2 trailing bytes"):
+            deserialise(encoded + b"\x00\x00")
+        # A declared count far beyond the buffer fails on the first
+        # missing item instead of sizing anything by the count.
+        with pytest.raises(WireError):
+            deserialise(write_varint(2**60) + encoded[1:])
 
     def test_categorise_classifies_corpus_correctly(self):
         fn, _, _ = make_categorise_wrapper()

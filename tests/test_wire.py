@@ -1,5 +1,7 @@
 """Tests for the binary wire format."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +21,13 @@ from repro.wire import (
 from repro.wire.serializer import (
     read_bytes,
     read_float,
+    read_floats,
     read_signed,
     read_string,
     read_varint,
     write_bytes,
     write_float,
+    write_floats,
     write_signed,
     write_string,
     write_varint,
@@ -105,6 +109,83 @@ class TestScalars:
             read_string(bad)
 
 
+#: Every double hypothesis can draw, with the awkward ones made likely.
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                     5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+class TestFloatRuns:
+    """``write_floats``/``read_floats`` against the scalar codec."""
+
+    @given(st.lists(_DOUBLES, max_size=2048))
+    @settings(max_examples=100)
+    def test_batch_bytes_equal_per_element_bytes(self, values):
+        expected = b"".join(write_float(v) for v in values)
+        assert write_floats(values) == expected
+
+    @given(st.lists(_DOUBLES, max_size=2048), st.binary(max_size=9))
+    @settings(max_examples=100)
+    def test_batch_read_equals_per_element_read(self, values, lead):
+        # The run sits at a non-zero offset, followed by one more byte.
+        buffer = lead + b"".join(write_float(v) for v in values) + b"\x7f"
+        expected, offset = [], len(lead)
+        for _ in values:
+            value, offset = read_float(buffer, offset)
+            expected.append(value)
+        decoded, end = read_floats(buffer, len(lead), len(values))
+        assert end == offset == len(buffer) - 1
+        # Compare bit patterns: NaN != NaN and 0.0 == -0.0 as floats.
+        assert write_floats(decoded) == write_floats(expected)
+
+    @pytest.mark.parametrize("length", [1, 255, 1024, 2048])
+    def test_long_runs(self, length):
+        import random
+
+        rng = random.Random(length)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+        values = [rng.choice(specials) if rng.random() < 0.1
+                  else rng.uniform(-1e300, 1e300) for _ in range(length)]
+        raw = b"".join(write_float(v) for v in values)
+        assert write_floats(values) == raw
+        decoded, end = read_floats(raw, 0, length)
+        assert end == 8 * length
+        assert write_floats(decoded) == raw
+
+    def test_empty_run(self):
+        assert write_floats([]) == b""
+        assert read_floats(b"", 0, 0) == ([], 0)
+
+    def test_reads_any_buffer_type(self):
+        raw = write_floats([1.5, -2.0])
+        for buffer in (bytearray(raw), memoryview(raw)):
+            assert read_floats(buffer, 0, 2) == ([1.5, -2.0], 16)
+            assert read_float(buffer, 8) == (-2.0, 16)
+
+    @pytest.mark.parametrize("count", [3, 2**31, 2**60])
+    def test_count_beyond_buffer_is_truncation(self, count):
+        buffer = write_floats([1.0, 2.0]) + b"\x00" * 7
+        with pytest.raises(WireError, match="truncated float"):
+            read_floats(buffer, 0, count)
+
+    def test_scalar_truncation(self):
+        with pytest.raises(WireError, match="truncated float"):
+            read_float(write_float(1.0)[:7])
+        with pytest.raises(WireError, match="truncated float"):
+            read_float(write_float(1.0), 1)
+
+
+#: Payloads whose length prefix is two or three bytes (> 127 B,
+#: > 16 KiB), built by repetition so hypothesis draws only a few bytes.
+_LONG_PAYLOADS = st.builds(
+    lambda unit, length: (unit * length)[:length],
+    st.binary(min_size=1, max_size=4),
+    st.sampled_from([128, 129, 1000, 16_383, 16_384, 17_001]),
+)
+
+
 class TestFraming:
     def test_frame_roundtrip(self):
         frames = unframe_all(frame(b"abc") + frame(b"") + frame(b"xy"))
@@ -114,7 +195,8 @@ class TestFraming:
         with pytest.raises(WireError):
             unframe_all(frame(b"abc") + b"\x05ab")
 
-    @given(st.lists(st.binary(max_size=100), max_size=10),
+    @given(st.lists(st.one_of(st.binary(max_size=100), _LONG_PAYLOADS),
+                    max_size=10),
            st.integers(1, 17))
     @settings(max_examples=100)
     def test_reassembly_any_chunking(self, payloads, chunk_size):
@@ -125,6 +207,51 @@ class TestFraming:
             out.extend(reassembler.feed(stream[i:i + chunk_size]))
         assert out == payloads
         reassembler.finish()  # must end on a boundary
+
+    @pytest.mark.parametrize("length", [127, 128, 300, 16_383, 16_384,
+                                        20_000])
+    def test_reassembly_byte_by_byte(self, length):
+        """Every split of a one-, two- and three-byte prefix."""
+        payload = (bytes(range(256)) * (length // 256 + 1))[:length]
+        stream = frame(payload) + frame(b"") + frame(b"tail")
+        reassembler = ChunkReassembler()
+        out = []
+        for i in range(len(stream)):
+            out.extend(reassembler.feed(stream[i:i + 1]))
+        assert out == [payload, b"", b"tail"]
+        assert reassembler.frames_emitted == 3
+        assert reassembler.bytes_consumed == len(stream)
+        reassembler.finish()
+
+    def test_prefix_parsed_a_constant_number_of_times(self, monkeypatch):
+        """Reassembly is linear: a frame's prefix is not re-read per chunk."""
+        from repro.wire import framing
+
+        calls = []
+
+        def counting_read_varint(buffer, offset=0):
+            calls.append(offset)
+            return read_varint(buffer, offset)
+
+        monkeypatch.setattr(framing, "read_varint", counting_read_varint)
+        payload = bytes(256 * 1024)
+        stream = frame(payload)
+        reassembler = ChunkReassembler()
+        out = []
+        for i in range(0, len(stream), 256):
+            out.extend(reassembler.feed(stream[i:i + 256]))
+        assert out == [payload]
+        assert len(calls) <= 2
+
+    def test_frames_after_a_held_frame_are_still_emitted(self):
+        big, small = bytes(range(200)), b"xy"
+        stream = frame(big) + frame(small) + frame(big)[:50]
+        reassembler = ChunkReassembler()
+        assert reassembler.feed(stream[:10]) == []
+        assert reassembler.feed(stream[10:]) == [big, small]
+        assert reassembler.pending_bytes == 50
+        assert reassembler.feed(frame(big)[50:]) == [big]
+        reassembler.finish()
 
     def test_finish_mid_frame_raises(self):
         reassembler = ChunkReassembler()
