@@ -11,10 +11,11 @@ independent transfers exactly like store-and-forward hops.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Sequence, Tuple
+from functools import partial
+from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netsim.engine import EventQueue
+from repro.obs import METRICS
 
 
 class Resource:
@@ -41,11 +42,14 @@ class Resource:
         self.rate = rate
         self._base_rate = rate
         self.servers = servers
-        self._free = servers
         self._waiting: Deque[Tuple[float, Callable[[], None]]] = deque()
-        #: token -> (amount, done, started_at, service) for parking on fail.
-        self._in_service: Dict[int, Tuple[float, Callable[[], None],
-                                          float, float]] = {}
+        #: One record per server, ``(token, amount, done, started_at,
+        #: service)`` while it serves and ``None`` while it idles.
+        self._slots: List[Optional[tuple]] = [None] * servers
+        self._idle = list(range(servers))
+        #: Each server's completion callback, bound once, not per item.
+        self._finishers = [partial(self._pump, slot)
+                           for slot in range(servers)]
         self._down = False
         self.busy_time = 0.0
         self.completed = 0
@@ -55,8 +59,19 @@ class Resource:
         """Enqueue ``amount`` units of work; ``done`` fires on completion."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        self._waiting.append((amount, done))
-        self._pump()
+        idle = self._idle
+        if not idle or self._down or self._waiting:
+            self._waiting.append((amount, done))
+            if idle:   # freed by the completion whose ``done`` is calling
+                self._pump()
+            return
+        # _pump's loop body again: an idle resource skips the deque.
+        slot = idle.pop()
+        service = amount / self.rate
+        self.busy_time += service
+        queue = self._queue
+        token = queue.schedule(service, self._finishers[slot])
+        self._slots[slot] = (token, amount, done, queue.now, service)
 
     @property
     def queue_length(self) -> int:
@@ -80,14 +95,16 @@ class Resource:
         self._down = True
         self.failures += 1
         now = self._queue.now
-        parked = sorted(self._in_service.items())
-        for token, (_amount, _done, started, service) in parked:
+        # Tokens grow with dispatch order, so sorting restores it.
+        parked = sorted(record for record in self._slots if record)
+        for token, _amount, _done, started, service in parked:
             self._queue.cancel(token)
             self.busy_time -= service - (now - started)
-        for _token, (amount, done, _started, _service) in reversed(parked):
+        for _token, amount, done, _started, _service in reversed(parked):
             self._waiting.appendleft((amount, done))
-        self._in_service.clear()
-        self._free = self.servers
+        # In place: _pump holds both lists across the ``done`` it calls.
+        self._slots[:] = [None] * self.servers
+        self._idle[:] = range(self.servers)
 
     def recover(self) -> None:
         """Bring the resource back at full rate and replay parked work."""
@@ -108,47 +125,59 @@ class Resource:
             return 0.0
         return self.busy_time / (elapsed * self.servers)
 
-    def _pump(self) -> None:
-        while not self._down and self._free > 0 and self._waiting:
-            amount, done = self._waiting.popleft()
-            self._free -= 1
+    def _pump(self, finished: Optional[int] = None) -> None:
+        """Retire the item on server ``finished`` (when given), then
+        serve waiting work on idle servers.  A completion is scheduled
+        (and its token drawn) at dispatch, never at enqueue: ``rate`` may
+        change while work waits, and tokens break same-time ties."""
+        slots, idle, waiting = self._slots, self._idle, self._waiting
+        if finished is not None:
+            done = slots[finished][2]
+            slots[finished] = None
+            idle.append(finished)
+            self.completed += 1
+            done()
+        queue = self._queue
+        while waiting and idle and not self._down:
+            amount, done = waiting.popleft()
+            slot = idle.pop()
             service = amount / self.rate
             self.busy_time += service
-            token_cell: list = []
-
-            def finish(cb=done, cell=token_cell):
-                self._free += 1
-                self.completed += 1
-                self._in_service.pop(cell[0], None)
-                cb()
-                self._pump()
-
-            token = self._queue.schedule(service, finish)
-            token_cell.append(token)
-            self._in_service[token] = (amount, done, self._queue.now, service)
+            token = queue.schedule(service, self._finishers[slot])
+            slots[slot] = (token, amount, done, queue.now, service)
 
 
-@dataclass
 class TransferChain:
-    """Run work through resources in sequence, then call ``done``."""
+    """Run work through resources in sequence, then call ``done``.
 
-    stages: Sequence[Tuple[Resource, float]]
+    One chain is one transfer: :meth:`start` it once.
+    """
+
+    __slots__ = ("stages", "_next", "_done")
+
+    def __init__(self, stages: Sequence[Tuple[Resource, float]]) -> None:
+        self.stages = stages
+        self._next = 0
 
     def start(self, done: Callable[[], None]) -> None:
-        stages = list(self.stages)
+        self._done = done
+        self._advance()
 
-        def advance(index: int) -> None:
-            if index >= len(stages):
-                done()
-                return
-            resource, amount = stages[index]
-            resource.request(amount, lambda: advance(index + 1))
-
-        advance(0)
+    def _advance(self) -> None:
+        index = self._next
+        left = len(self.stages) - index
+        if left < 1:
+            self._done()   # a chain with no stages at all
+            return
+        self._next = index + 1
+        resource, amount = self.stages[index]
+        resource.request(amount, self._done if left == 1 else self._advance)
 
 
 class Barrier:
     """Invoke a callback after ``count`` arms complete."""
+
+    __slots__ = ("_remaining", "_done")
 
     def __init__(self, count: int, done: Callable[[], None]) -> None:
         if count < 1:
@@ -157,11 +186,21 @@ class Barrier:
         self._done = done
 
     def arm(self) -> Callable[[], None]:
-        def arrive() -> None:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._done()
-            elif self._remaining < 0:
-                raise RuntimeError("barrier over-released")
+        return self._arrive
 
-        return arrive
+    def _arrive(self) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._done()
+        elif self._remaining < 0:
+            raise RuntimeError("barrier over-released")
+
+
+def publish_run(work: str, count: int, resources: Iterable[Resource],
+                events: int) -> None:
+    """Account one finished emulation run in ``METRICS`` -- called once
+    per run, so the hot path carries no telemetry at all."""
+    METRICS.counter(f"cluster.{work}").inc(count)
+    METRICS.counter("cluster.resource.dispatches").inc(
+        sum(resource.completed for resource in resources))
+    METRICS.counter("cluster.engine_events").inc(events)

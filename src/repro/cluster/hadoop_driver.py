@@ -21,12 +21,18 @@ the real mini-Hadoop engine: :func:`measure_job_profile`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.apps.hadoop.engine import MapReduceEngine
 from repro.apps.hadoop.job import JobSpec
 from repro.cluster.deployment import TestbedConfig
-from repro.cluster.emulator import Barrier, Resource
+from repro.cluster.emulator import (
+    Barrier,
+    Resource,
+    TransferChain,
+    publish_run,
+)
 from repro.netsim.engine import EventQueue
 from repro.units import GB, to_gbps
 
@@ -124,6 +130,8 @@ class HadoopEmulation:
         box_in = Resource(queue, "box-in", config.box_link_rate)
         box_cpu = Resource(queue, "box-cpu", 1.0, servers=config.box_cores)
         box_out = Resource(queue, "box-out", config.box_link_rate)
+        resources = [*mapper_nics, *reducer_in, *reducer_cpu, *disks,
+                     box_in, box_cpu, box_out]
 
         done_at = [0.0]
         box_busy = [0.0, 0.0]  # [start of box phase, end of box phase]
@@ -152,20 +160,18 @@ class HadoopEmulation:
 
         if not use_netagg:
             # Each mapper ships a 1/R slice of its output to each reducer.
+            slice_bytes = per_mapper / n_reducers
             for reducer in range(n_reducers):
                 shuffle_done = Barrier(
-                    n_mappers,
-                    lambda r=reducer: reduce_phase(r, per_reducer_share),
-                )
-                slice_bytes = per_mapper / n_reducers
+                    n_mappers, partial(reduce_phase, reducer,
+                                       per_reducer_share))
                 for i in range(n_mappers):
-                    arrive = shuffle_done.arm()
-                    mapper_nics[i].request(
-                        slice_bytes,
-                        lambda r=reducer, arrive=arrive: reducer_in[r]
-                        .request(per_mapper / n_reducers, arrive),
-                    )
-            queue.run()
+                    TransferChain((
+                        (mapper_nics[i], slice_bytes),
+                        (reducer_in[reducer], slice_bytes),
+                    )).start(shuffle_done.arm())
+            events = queue.run()
+            publish_run("shuffles", 1, resources, events)
             return HadoopRunResult(
                 job=profile.name,
                 use_netagg=False,
@@ -189,32 +195,23 @@ class HadoopEmulation:
             box_busy[1] = queue.now
             per_out = combined_bytes / n_reducers
             for reducer in range(n_reducers):
-                box_out.request(
-                    per_out,
-                    lambda r=reducer: reducer_in[r].request(
-                        combined_bytes / n_reducers,
-                        lambda r=r: reduce_phase(
-                            r, combined_bytes / n_reducers),
-                    ),
-                )
+                TransferChain((
+                    (box_out, per_out), (reducer_in[reducer], per_out),
+                )).start(partial(reduce_phase, reducer, per_out))
 
         collect = Barrier(n_mappers * n_chunks, after_box)
-        for i in range(n_mappers):
-            def send_chunk(i=i, remaining=n_chunks) -> None:
-                if remaining == 0:
-                    return
-                arrive = collect.arm()
-                mapper_nics[i].request(
-                    chunk,
-                    lambda: box_in.request(
-                        chunk,
-                        lambda: box_cpu.request(merge_cpu_chunk, arrive),
-                    ),
-                )
-                queue.schedule(0.0, lambda: send_chunk(i, remaining - 1))
 
-            send_chunk()
-        queue.run()
+        def send_chunk(stages, remaining: int) -> None:
+            if remaining == 0:
+                return
+            TransferChain(stages).start(collect.arm())
+            queue.schedule(0.0, partial(send_chunk, stages, remaining - 1))
+
+        for nic in mapper_nics:
+            send_chunk(((nic, chunk), (box_in, chunk),
+                        (box_cpu, merge_cpu_chunk)), n_chunks)
+        events = queue.run()
+        publish_run("shuffles", 1, resources, events)
         agg_seconds = box_busy[1]
         total = done_at[0]
         return HadoopRunResult(

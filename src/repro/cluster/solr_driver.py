@@ -15,13 +15,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from functools import partial
+from typing import Callable, Dict, List
 
 from repro.cluster.deployment import TestbedConfig
-from repro.cluster.emulator import Barrier, Resource
+from repro.cluster.emulator import (
+    Barrier,
+    Resource,
+    TransferChain,
+    publish_run,
+)
 from repro.netsim.engine import EventQueue
 from repro.units import KB, percentile, to_gbps
-
 
 @dataclass(frozen=True)
 class SolrEmulationParams:
@@ -129,98 +134,80 @@ class SolrEmulation:
         stats = SolrRunResult(requests_completed=0,
                               duration=params.duration,
                               injected_bytes=0.0)
+        result_bytes = params.result_bytes
+        jittered, cpu_seconds = self._jittered, params.backend_cpu_seconds
 
-        def backend_box(index: int, request_seq: int) -> int:
-            """Scale-out: hash requests over the rack's boxes."""
-            rack = index // config.backends_per_rack
-            offset = request_seq % config.boxes_per_rack
-            return rack * config.boxes_per_rack + offset
+        def ship(stages, arrive: Callable[[], None]) -> None:
+            """A backend's search is done: its partial goes on the wire."""
+            stats.injected_bytes += result_bytes
+            TransferChain(stages).start(arrive)
+
+        def fan_out(members, barrier: Barrier) -> None:
+            for cpu, stages in members:
+                cpu.request(jittered(rng, cpu_seconds),
+                            partial(ship, stages, barrier.arm()))
+
+        # Stage tables are built per run, not per query: every amount is
+        # fixed.  A member is (backend CPU, stages its partial then takes).
+        to_frontend = [
+            (backend_cpus[i], ((backend_nics[i], result_bytes),
+                               (frontend_in, result_bytes)))
+            for i in range(config.n_backends)
+        ]
+        # Scale-out hashes requests over a rack's boxes; one plan per
+        # hash value, each a list of (box stages, members) per box used.
+        plans = []
+        for offset in range(config.boxes_per_rack):
+            groups: Dict[int, List[int]] = {}
+            for i in range(config.n_backends):
+                rack = i // config.backends_per_rack
+                groups.setdefault(rack * config.boxes_per_rack + offset,
+                                  []).append(i)
+            plan = []
+            for box, backends in groups.items():
+                aggregate_in = result_bytes * len(backends)
+                out_bytes = params.alpha * aggregate_in
+                merge_cpu = (params.agg_cpu_factor * aggregate_in
+                             / config.core_rate)
+                plan.append((
+                    ((box_cpu[box], merge_cpu), (box_out[box], out_bytes),
+                     (frontend_in, out_bytes)),
+                    [(backend_cpus[i], ((backend_nics[i], result_bytes),
+                                        (box_in[box], result_bytes)))
+                     for i in backends],
+                ))
+            plans.append(plan)
 
         def issue(client_id: int, seq: int) -> None:
             if queue.now >= params.duration:
                 return
             started = queue.now
-            request_seq = client_id * 1_000_003 + seq
 
             def finish() -> None:
                 stats.requests_completed += 1
                 stats.latencies.append(queue.now - started)
                 issue(client_id, seq + 1)
 
-            def deliver_to_frontend(nbytes: float) -> None:
-                frontend_in.request(nbytes, lambda: frontend_cpu.request(
-                    params.frontend_cpu_seconds, finish))
-
+            respond = partial(frontend_cpu.request,
+                              params.frontend_cpu_seconds, finish)
             if not params.use_netagg:
-                barrier = Barrier(config.n_backends, lambda: frontend_cpu
-                                  .request(params.frontend_cpu_seconds,
-                                           finish))
-                for i in range(config.n_backends):
-                    arrive = barrier.arm()
-
-                    def through_frontend(i=i, arrive=arrive) -> None:
-                        stats.injected_bytes += params.result_bytes
-                        backend_nics[i].request(
-                            params.result_bytes,
-                            lambda: frontend_in.request(params.result_bytes,
-                                                        arrive),
-                        )
-
-                    backend_cpus[i].request(
-                        self._jittered(rng, params.backend_cpu_seconds),
-                        through_frontend,
-                    )
+                fan_out(to_frontend, Barrier(config.n_backends, respond))
                 return
-
-            # NetAgg path: group backends by their box for this request.
-            groups: Dict[int, List[int]] = {}
-            for i in range(config.n_backends):
-                groups.setdefault(backend_box(i, request_seq), []).append(i)
-            fan_in = Barrier(len(groups), lambda: frontend_cpu.request(
-                params.frontend_cpu_seconds, finish))
-            for box_index, members in groups.items():
-                box_done = fan_in.arm()
-                aggregate_in = params.result_bytes * len(members)
-                out_bytes = params.alpha * aggregate_in
-
-                def box_phase(box_index=box_index, box_done=box_done,
-                              aggregate_in=aggregate_in,
-                              out_bytes=out_bytes) -> None:
-                    merge_cpu = (params.agg_cpu_factor * aggregate_in
-                                 / config.core_rate)
-                    box_cpu[box_index].request(
-                        merge_cpu,
-                        lambda: box_out[box_index].request(
-                            out_bytes,
-                            lambda: frontend_in.request(
-                                out_bytes,
-                                lambda: box_done(),
-                            ),
-                        ),
-                    )
-
-                collect = Barrier(len(members), box_phase)
-                for i in members:
-                    arrive = collect.arm()
-
-                    def into_box(i=i, box_index=box_index,
-                                 arrive=arrive) -> None:
-                        stats.injected_bytes += params.result_bytes
-                        backend_nics[i].request(
-                            params.result_bytes,
-                            lambda: box_in[box_index].request(
-                                params.result_bytes, arrive),
-                        )
-
-                    backend_cpus[i].request(
-                        self._jittered(rng, params.backend_cpu_seconds),
-                        into_box,
-                    )
+            plan = plans[(client_id * 1_000_003 + seq)
+                         % config.boxes_per_rack]
+            fan_in = Barrier(len(plan), respond)
+            for box_stages, members in plan:
+                box_phase = TransferChain(box_stages)
+                fan_out(members, Barrier(
+                    len(members), partial(box_phase.start, fan_in.arm())))
 
         for client in range(params.n_clients):
             # Stagger client starts a hair so ties don't synchronise.
-            queue.schedule(client * 1e-4, lambda c=client: issue(c, 0))
-        queue.run(until=params.duration)
+            queue.schedule(client * 1e-4, partial(issue, client, 0))
+        events = queue.run(until=params.duration)
+        publish_run("queries", stats.requests_completed,
+                    [frontend_in, frontend_cpu, *backend_nics, *backend_cpus,
+                     *box_in, *box_cpu, *box_out], events)
 
         if not stats.latencies:
             raise RuntimeError(

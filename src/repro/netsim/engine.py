@@ -8,8 +8,9 @@ stable tie-break so runs are deterministic.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 
@@ -32,7 +33,8 @@ class EventQueue:
         return self._now
 
     def __len__(self) -> int:
-        # _cancelled may hold tokens that already ran; count what is real.
+        # Until the heap drains _cancelled may hold tokens that already
+        # ran; count what is real.
         return sum(1 for _, token, _ in self._heap
                    if token not in self._cancelled)
 
@@ -43,7 +45,9 @@ class EventQueue:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        token = next(self._counter)
+        heappush(self._heap, (self._now + delay, token, callback))
+        return token
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` at absolute virtual time ``when``."""
@@ -52,26 +56,29 @@ class EventQueue:
                 f"cannot schedule at {when}, clock already at {self._now}"
             )
         token = next(self._counter)
-        heapq.heappush(self._heap, (when, token, callback))
+        heappush(self._heap, (when, token, callback))
         return token
 
     def cancel(self, token: int) -> None:
         """Cancel a scheduled event (no-op if it already ran)."""
-        self._cancelled.add(token)
+        if self._heap:   # nothing pending: the token is stale, forget it
+            self._cancelled.add(token)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` when empty."""
-        self._drop_cancelled()
+        if self._cancelled:
+            self._drop_cancelled()
         if not self._heap:
             return None
         return self._heap[0][0]
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        self._drop_cancelled()
+        if self._cancelled:
+            self._drop_cancelled()
         if not self._heap:
             return False
-        when, _token, callback = heapq.heappop(self._heap)
+        when, _token, callback = heappop(self._heap)
         self._now = when
         callback()
         return True
@@ -84,16 +91,18 @@ class EventQueue:
         including events a callback schedules *at* the (now current)
         batch time.  Returns the number executed (0 when idle).
         """
-        self._drop_cancelled()
+        if self._cancelled:
+            self._drop_cancelled()
         if not self._heap:
             return 0
         when = self._heap[0][0]
         executed = 0
         while True:
-            self._drop_cancelled()
+            if self._cancelled:
+                self._drop_cancelled()
             if not self._heap or self._heap[0][0] > when:
                 return executed
-            _, _token, callback = heapq.heappop(self._heap)
+            _, _token, callback = heappop(self._heap)
             self._now = when
             callback()
             executed += 1
@@ -102,24 +111,31 @@ class EventQueue:
         """Drain the queue, optionally stopping at time ``until``.
 
         Returns the number of events executed.  When ``until`` is given the
-        clock is advanced to exactly ``until`` even if no event fires there.
+        clock is advanced to exactly ``until`` even if no event fires there
+        (not when ``max_events`` ran out first: events may still be due).
         """
+        heap, cancelled = self._heap, self._cancelled
+        limit = inf if until is None else until
+        budget = inf if max_events is None else max_events
         executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                return executed
-            next_time = self.peek_time()
-            if next_time is None:
+        while executed < budget:
+            if cancelled:
+                self._drop_cancelled()
+            if not heap or heap[0][0] > limit:
                 break
-            if until is not None and next_time > until:
-                break
-            self.step()
+            self._now, _token, callback = heappop(heap)
+            callback()
             executed += 1
+        else:
+            return executed
         if until is not None and until > self._now:
             self._now = until
         return executed
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0][1] in self._cancelled:
-            _, token, _ = heapq.heappop(self._heap)
-            self._cancelled.discard(token)
+        heap, cancelled = self._heap, self._cancelled
+        while heap and heap[0][1] in cancelled:
+            cancelled.discard(heappop(heap)[1])
+        if not heap:
+            # Whatever is left names events that already ran.
+            cancelled.clear()

@@ -14,6 +14,7 @@ from repro.cluster.hadoop_driver import JobProfile, measure_job_profile
 from repro.cluster.solr_driver import SolrEmulationParams
 from repro.apps.hadoop import generate_text, wordcount_job
 from repro.netsim.engine import EventQueue
+from repro.obs import METRICS
 from repro.units import GB
 
 
@@ -63,6 +64,113 @@ class TestResource:
             resource.request(-1.0, lambda: None)
 
 
+class TestResourceEdgeCases:
+    def test_fail_scheduled_before_dispatch_wins_the_same_time_tie(self):
+        queue = EventQueue()
+        nic = Resource(queue, "nic", rate=1.0)
+        done = []
+        queue.schedule_at(1.0, nic.fail)            # lower token
+        nic.request(1.0, lambda: done.append(queue.now))
+        queue.run()
+        assert done == [] and nic.queue_length == 1 and nic.completed == 0
+        assert nic.busy_time == 1.0                 # all of it was served
+        nic.recover()
+        queue.run()
+        assert done == [2.0] and nic.completed == 1  # once, not twice
+        assert nic.busy_time == 2.0
+
+    def test_completion_dispatched_before_fail_wins_the_same_time_tie(self):
+        queue = EventQueue()
+        nic = Resource(queue, "nic", rate=1.0)
+        done = []
+        nic.request(1.0, lambda: done.append(queue.now))  # lower token
+        nic.request(1.0, lambda: done.append(queue.now))
+        queue.schedule_at(1.0, nic.fail)
+        queue.run()
+        # The first fired at 1.0 and is not replayed; the second was
+        # dispatched by that completion, then parked at zero elapsed.
+        assert done == [1.0] and nic.queue_length == 1
+        assert nic.busy_time == 1.0
+        nic.recover()
+        queue.run()
+        assert done == [1.0, 2.0] and nic.completed == 2
+
+    def test_degrade_with_a_backlog_changes_only_later_dispatches(self):
+        queue = EventQueue()
+        nic = Resource(queue, "nic", rate=10.0)
+        done = []
+        for name in "abc":
+            nic.request(10.0, lambda name=name: done.append((name, queue.now)))
+        queue.schedule_at(0.5, lambda: nic.degrade(2.0))
+        queue.run()
+        assert done == [("a", 1.0), ("b", 3.0), ("c", 5.0)]
+        assert nic.busy_time == 1.0 + 2.0 + 2.0
+
+    def test_eight_servers_replay_in_dispatch_order(self):
+        queue = EventQueue()
+        pool = Resource(queue, "cpu", rate=1.0, servers=8)
+        done = []
+
+        def submit(name, amount):
+            pool.request(amount, lambda: done.append((name, queue.now)))
+
+        # 0, 2 and 4 finish early, so 8-10 start on their servers: the
+        # order work sits on servers is no longer the order it started.
+        for name in range(8):
+            submit(name, 0.25 if name in (0, 2, 4) else 1.0)
+        for name in (8, 9, 10, 11):
+            submit(name, 1.0)
+        queue.schedule_at(0.5, pool.fail)
+        queue.schedule_at(1.0, pool.recover)
+        queue.run()
+        assert done[:3] == [(0, 0.25), (2, 0.25), (4, 0.25)]
+        assert done[3:] == [(name, 2.0) for name in
+                            (1, 3, 5, 6, 7, 8, 9, 10)] + [(11, 3.0)]
+        assert pool.completed == 12 and pool.queue_length == 0
+        # 3 short items, 5 x 0.5s + 3 x 0.25s lost to the crash, 9 replays.
+        assert pool.busy_time == 0.75 + 2.5 + 0.75 + 9.0
+
+    def test_zero_amount_completes_through_the_queue(self):
+        queue = EventQueue()
+        nic = Resource(queue, "nic", rate=10.0)
+        done = []
+        queue.schedule_at(2.0, lambda: nic.request(
+            0.0, lambda: done.append(queue.now)))
+        queue.run(until=2.0)
+        assert done == [2.0] and nic.completed == 1 and nic.busy_time == 0.0
+        nic.request(0.0, lambda: done.append("sync"))
+        assert done == [2.0]        # never fired from inside request()
+
+    def test_rerequest_from_done_sees_the_freed_server(self):
+        queue = EventQueue()
+        nic = Resource(queue, "nic", rate=1.0)
+        done = []
+
+        def again():
+            done.append(("first", queue.now))
+            nic.request(1.0, lambda: done.append(("second", queue.now)))
+            assert nic.queue_length == 0     # dispatched on the spot
+
+        nic.request(1.0, again)
+        queue.run()
+        assert done == [("first", 1.0), ("second", 2.0)]
+
+    def test_rerequest_from_done_queues_behind_waiting_work(self):
+        queue = EventQueue()
+        nic = Resource(queue, "nic", rate=1.0)
+        done = []
+
+        def again():
+            done.append(("a", queue.now))
+            nic.request(1.0, lambda: done.append(("a2", queue.now)))
+            assert nic.queue_length == 1     # "b" took the server
+
+        nic.request(1.0, again)
+        nic.request(1.0, lambda: done.append(("b", queue.now)))
+        queue.run()
+        assert done == [("a", 1.0), ("b", 2.0), ("a2", 3.0)]
+
+
 class TestTransferChain:
     def test_sequential_stages(self):
         queue = EventQueue()
@@ -85,6 +193,21 @@ class TestTransferChain:
         queue.run()
         # Store-and-forward pipeline: last one at 4s, not 6s.
         assert done[-1] == pytest.approx(4.0)
+
+
+    def test_empty_chain_completes_at_once(self):
+        done = []
+        TransferChain([]).start(lambda: done.append(True))
+        assert done == [True]
+
+    def test_last_stage_hands_done_straight_to_the_resource(self):
+        queue = EventQueue()
+        stages = [(Resource(queue, name, rate=1.0), 1.0) for name in "abc"]
+        done = []
+        TransferChain(stages).start(lambda: done.append(queue.now))
+        assert queue.run() == 3     # one event per stage, none extra
+        assert done == [3.0]
+        assert [resource.completed for resource, _ in stages] == [1, 1, 1]
 
 
 class TestBarrier:
@@ -267,3 +390,68 @@ class TestMultiReducer:
         emulation = HadoopEmulation(TestbedConfig())
         with pytest.raises(ValueError):
             emulation.run(self.profile(), 1 * GB, n_reducers=0)
+
+
+class TestRunAccounting:
+    """Each emulation run publishes what it did to METRICS, once."""
+
+    NAMES = ("cluster.queries", "cluster.shuffles",
+             "cluster.resource.dispatches", "cluster.engine_events")
+
+    def published(self, run):
+        METRICS.reset("cluster.")
+        run()
+        snapshot = METRICS.snapshot("cluster.")
+        return {name: snapshot.get(name, 0) for name in self.NAMES}
+
+    def test_plain_hadoop_counts_match_a_hand_count(self):
+        config = TestbedConfig()
+        profile = JobProfile("WC", output_ratio=0.1, cpu_factor=1.0,
+                             aggregatable=True)
+        counts = self.published(lambda: HadoopEmulation(config).run(
+            profile, 1 * GB, n_mappers=2))
+        # 2 mapper NICs -> 2 reducer-link transfers -> one core-wide
+        # reduce -> 1 disk spill; every event is a completion.
+        requests = 2 + 2 + config.backend_cores + 1
+        assert counts == {"cluster.queries": 0, "cluster.shuffles": 1,
+                          "cluster.resource.dispatches": requests,
+                          "cluster.engine_events": requests}
+
+    def test_netagg_hadoop_counts_match_a_hand_count(self):
+        config = TestbedConfig()
+        profile = JobProfile("WC", output_ratio=0.1, cpu_factor=1.0,
+                             aggregatable=True)
+        counts = self.published(lambda: HadoopEmulation(config).run(
+            profile, 1 * GB, use_netagg=True, n_mappers=2))
+        # 64 chunks per mapper through NIC, box link and box CPU, then
+        # box-out, reducer link, the reduce and the spill; each chunk
+        # also costs its mapper one zero-delay "send the next" event.
+        requests = 2 * 64 * 3 + 1 + 1 + config.backend_cores + 1
+        assert counts["cluster.resource.dispatches"] == requests
+        assert counts["cluster.engine_events"] == requests + 2 * 64
+        assert counts["cluster.shuffles"] == 1
+
+    def test_one_solr_query_counts_match_a_hand_count(self):
+        config = TestbedConfig(racks=1, backends_per_rack=3)
+        # One client, and time for exactly one query to finish.
+        params = SolrEmulationParams(n_clients=1, duration=0.02,
+                                     use_netagg=True, seed=4)
+        result = SolrEmulation(config, params).run
+        counts = self.published(result)
+        assert counts["cluster.queries"] == 1
+        # Query 1: 3 x (CPU, NIC, box link) + box CPU, box-out, frontend
+        # link, frontend CPU = 13, all done.  Query 2 is cut off with
+        # its three searches (12-13 ms each) still running.
+        assert counts["cluster.resource.dispatches"] == 13
+        # ... plus the client's start event.
+        assert counts["cluster.engine_events"] == 14
+
+    def test_counts_repeat_for_a_fixed_seed(self):
+        params = SolrEmulationParams(n_clients=20, duration=1.0,
+                                     use_netagg=True, seed=7)
+        run = SolrEmulation(TestbedConfig(), params).run
+        first, second = self.published(run), self.published(run)
+        assert first == second
+        assert first["cluster.queries"] > 20
+        assert (first["cluster.engine_events"]
+                > first["cluster.resource.dispatches"] > 0)

@@ -226,6 +226,9 @@ def _play(queue_cls, resource_cls, servers, rate, script):
             observe(("done", label))
             for child in children:
                 submit(child)
+                # Seen from inside the callback: did the child start on
+                # the server this completion freed, or queue behind work?
+                observe(("resubmitted", label))
 
         resource.request(amount, done)
 
@@ -298,5 +301,5 @@ def test_script_that_hits_every_branch(servers):
     live = _play(EventQueue, Resource, servers, 1.0, script)
     assert live == frozen
     kinds = {entry[0][0] for entry in frozen[0] if isinstance(entry[0], tuple)}
-    assert kinds == {"done", "step", "fail_in", "recover_in"}
+    assert kinds == {"done", "resubmitted", "step", "fail_in", "recover_in"}
     assert frozen[0][-1][4] >= 2          # both faults really fired

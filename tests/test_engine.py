@@ -71,6 +71,29 @@ class TestCancel:
         queue.cancel(token)  # no-op, must not raise
         assert len(queue) == 0
 
+    def test_stale_cancel_tokens_do_not_outlive_the_heap(self):
+        queue = EventQueue()
+        fired = queue.schedule(1.0, lambda: None)
+        queue.schedule(2.0, lambda: None)
+        queue.step()
+        queue.cancel(fired)      # already ran: stale, but the heap is live
+        queue.run()
+        assert queue._cancelled == set()
+        queue.cancel(fired)      # nothing pending at all
+        assert queue._cancelled == set()
+
+    def test_cancelled_set_is_empty_after_a_drained_run(self):
+        queue = EventQueue()
+        fired = []
+        tokens = [queue.schedule(float(i), lambda i=i: fired.append(i))
+                  for i in range(6)]
+        queue.run(until=1.0)
+        for token in tokens[:4]:         # two ran already, two pending
+            queue.cancel(token)
+        assert queue.run() == 2
+        assert fired == [0, 1, 4, 5]
+        assert queue._cancelled == set() and len(queue) == 0
+
     def test_len_excludes_cancelled(self):
         queue = EventQueue()
         token = queue.schedule(1.0, lambda: None)
@@ -98,6 +121,39 @@ class TestRun:
             queue.schedule(float(i + 1), lambda i=i: fired.append(i))
         queue.run(max_events=3)
         assert fired == [0, 1, 2]
+
+    def test_run_until_with_budget_to_spare_lands_on_until(self):
+        queue = EventQueue()
+        fired = []
+        for when in (1.0, 2.0, 3.0, 9.0):
+            queue.schedule_at(when, lambda when=when: fired.append(when))
+        assert queue.run(until=5.0, max_events=10) == 3
+        assert fired == [1.0, 2.0, 3.0]
+        assert queue.now == 5.0          # exactly until, not 3.0
+        assert queue.peek_time() == 9.0
+
+    def test_run_until_stops_at_the_budget(self):
+        queue = EventQueue()
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            queue.schedule_at(when, lambda when=when: fired.append(when))
+        assert queue.run(until=5.0, max_events=2) == 2
+        assert fired == [1.0, 2.0]
+        # The 3.0 event is still due: the clock must not jump over it.
+        assert queue.now == 2.0
+        assert queue.run(until=5.0, max_events=0) == 0
+        assert queue.run(until=5.0) == 1 and queue.now == 5.0
+
+    def test_run_skips_cancelled_events_without_counting_them(self):
+        queue = EventQueue()
+        fired = []
+        tokens = [queue.schedule(float(i + 1), lambda i=i: fired.append(i))
+                  for i in range(4)]
+        queue.cancel(tokens[0])
+        queue.cancel(tokens[2])
+        assert queue.run(until=3.5) == 1
+        assert fired == [1] and queue.now == 3.5
+        assert queue.run() == 1 and fired == [1, 3]
 
     def test_step_on_empty_returns_false(self):
         assert EventQueue().step() is False
