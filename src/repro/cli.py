@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro run all --scale quick --out results.txt
     python -m repro run fig09 --out results.json   # JSON, round-trips
     python -m repro bench --scale quick
-    python -m repro bench --compare BENCH_netsim.json --max-regress 0.15
+    python -m repro bench --compare BENCH_netsim.json
     python -m repro sweep fig06 --seeds 1,2,3 --processes 4
     python -m repro analyze --run fig06
     python -m repro analyze --trace trace_fig06.json
@@ -39,25 +39,12 @@ import time
 from typing import List, Optional, TextIO, Tuple
 
 import repro.experiments as experiments
-from repro.experiments import (
-    BENCH,
-    DEFAULT,
-    PAPER,
-    QUICK,
-    ExperimentResult,
-    SimScale,
-)
+from repro.experiments import ExperimentResult, SimScale
+from repro.experiments.common import SCALES
 
 #: Ordered experiment catalogue (kept as an alias of the registry's
 #: module list for back-compat with older scripts).
 EXPERIMENTS = experiments.MODULES
-
-SCALES = {
-    "quick": QUICK,
-    "bench": BENCH,
-    "default": DEFAULT,
-    "paper": PAPER,
-}
 
 
 def common_options(scale_default: str = "bench",
@@ -179,15 +166,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import SCALES as SWEEP_SCALES, sweep
+    from repro.experiments.sweep import sweep
 
     names = list(EXPERIMENTS) if "all" in args.experiments \
         else [resolve(name) for name in args.experiments]
     scales = [s.strip() for s in args.scale.split(",") if s.strip()]
     for scale_name in scales:
-        if scale_name not in SWEEP_SCALES:
+        if scale_name not in SCALES:
             raise SystemExit(f"unknown scale {scale_name!r}; choose from "
-                             f"{sorted(SWEEP_SCALES)}")
+                             f"{sorted(SCALES)}")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
@@ -222,17 +209,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench, run_compare
+    from repro.bench import run_bench
 
-    if args.compare:
-        # Compare mode never rewrites the committed baseline; it runs
-        # at the baseline's scale/seed so the numbers are comparable.
-        return run_compare(args.compare, max_regress=args.max_regress,
-                           trajectory=args.trajectory,
-                           names=args.only or None)
     return run_bench(scale_name=args.scale, out=args.out,
                      names=args.only or None, seed=args.seed,
-                     profile=args.profile, repeat=args.repeat)
+                     profile=args.profile, compare=args.compare)
 
 
 def _trace_platform_companion(scale: SimScale, seed: int) -> None:
@@ -631,8 +612,6 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.bench import DEFAULT_MAX_REGRESS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate NetAgg's evaluation figures and tables.",
@@ -655,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser(
-        "bench", help="time every experiment, write BENCH_netsim.json",
+        "bench", help="count every experiment's deterministic work, "
+                      "write the BENCH_netsim.json ledger",
         parents=[common_options(
             scale_default="bench",
             out_help="output JSON path (default: BENCH_netsim.json)")])
@@ -665,22 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--profile", action="store_true",
                        help="cProfile the slowest experiment "
                             "(dumps <out>.prof)")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="time each experiment N times, keep the "
-                            "fastest (use 3 when refreshing the "
-                            "committed baseline)")
     bench.add_argument("--compare", metavar="BASELINE",
-                       help="regression gate: re-time the baseline's "
-                            "experiments (at its scale/seed) and exit "
-                            "non-zero on slowdowns")
-    bench.add_argument("--max-regress", type=float,
-                       default=DEFAULT_MAX_REGRESS,
-                       help="allowed fractional slowdown for --compare "
-                            f"(default: {DEFAULT_MAX_REGRESS})")
-    bench.add_argument("--trajectory", default="BENCH_trajectory.jsonl",
-                       help="JSONL file --compare appends each "
-                            "comparison to (default: "
-                            "BENCH_trajectory.jsonl)")
+                       help="regression gate: instead of writing --out, "
+                            "exit non-zero unless every work counter "
+                            "equals this ledger's (same --scale/--seed)")
     bench.set_defaults(func=cmd_bench)
 
     sweep_p = sub.add_parser(

@@ -84,6 +84,11 @@ PAPER = SimScale(
                             **_WORKLOAD_DEFAULTS),
 )
 
+#: The presets by name: the ``--scale`` vocabulary of every subcommand.
+SCALES: Dict[str, SimScale] = {
+    scale.name: scale for scale in (QUICK, BENCH, DEFAULT, PAPER)
+}
+
 
 def simulate(
     scale: SimScale,

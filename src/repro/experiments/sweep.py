@@ -4,9 +4,9 @@ Two layers:
 
 - :func:`run_parallel` is the generic fan-out primitive.  It maps a
   module-level function over picklable items with a ``fork`` process
-  pool, preserves item order, and merges the children's ``netsim.*``
-  counter increments back into the parent's metrics registry -- so
-  observability totals are identical to a serial run.  It degrades to
+  pool, preserves item order, and merges every counter increment the
+  children make back into the parent's metrics registry -- so counter
+  totals are identical to a serial run.  It degrades to
   the plain serial loop whenever parallelism is unsafe or pointless:
   one item, ``processes=1`` (or ``REPRO_PROCESSES=1``), no ``fork``
   start method, an enabled tracer (child trace spans cannot be merged),
@@ -16,8 +16,9 @@ Two layers:
 
 Merge-back scope -- what does and does not cross the fork boundary:
 
-- **Merged**: monotonic ``netsim.*`` *counters* only.  Each child
-  reports its before/after delta, which the parent re-applies exactly
+- **Merged**: every monotonic *counter*, whatever its layer
+  (``netsim.*``, ``cluster.*``, ``aggbox.*``, ``platform.*``, ...).  Each
+  child reports its before/after delta, which the parent re-applies exactly
   once, so serial and parallel totals agree and nothing is counted
   twice (the child inherits the parent's counter values at fork time;
   the delta subtracts that inheritance out).
@@ -51,16 +52,8 @@ import os
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments import ExperimentResult, load, resolve
-from repro.experiments.common import BENCH, DEFAULT, PAPER, QUICK, SimScale
+from repro.experiments.common import SCALES
 from repro.obs import METRICS, get_tracer
-
-#: Scale presets by name (the CLI vocabulary).
-SCALES: Dict[str, SimScale] = {
-    "quick": QUICK, "bench": BENCH, "default": DEFAULT, "paper": PAPER,
-}
-
-#: Counter namespace whose child-process increments are merged back.
-_COUNTER_PREFIX = "netsim."
 
 
 def _effective_processes(processes: Optional[int], n_items: int) -> int:
@@ -88,19 +81,6 @@ def _effective_processes(processes: Optional[int], n_items: int) -> int:
     return min(processes, n_items)
 
 
-def _counter_values(prefix: str) -> Dict[str, int]:
-    """Current values of the counters under ``prefix`` (counters only:
-    gauges, histograms and the ``repro.obs.live`` windowed stores are
-    per-process state, not mergeable sums -- see module docstring)."""
-    out: Dict[str, int] = {}
-    for name in METRICS.names(prefix):
-        try:
-            out[name] = METRICS.counter(name).value
-        except TypeError:
-            continue
-    return out
-
-
 def _call_with_counters(packed: Tuple[Callable, object]):
     """Pool target: run one call and capture its counter increments.
 
@@ -109,9 +89,9 @@ def _call_with_counters(packed: Tuple[Callable, object]):
     contribution, which the parent re-applies on merge.
     """
     fn, item = packed
-    before = _counter_values(_COUNTER_PREFIX)
+    before = METRICS.counters()
     payload = fn(item)
-    after = _counter_values(_COUNTER_PREFIX)
+    after = METRICS.counters()
     delta = {
         name: value - before.get(name, 0)
         for name, value in after.items()
@@ -125,8 +105,8 @@ def run_parallel(fn: Callable, items: Iterable,
     """``[fn(item) for item in items]``, fanned out over fork workers.
 
     ``fn`` must be a module-level function and every item picklable.
-    Results come back in item order; the children's ``netsim.*``
-    counter increments are merged into the parent registry.  Falls back
+    Results come back in item order; the children's counter
+    increments are merged into the parent registry.  Falls back
     to the serial loop when parallelism is unavailable (see module
     docstring) -- results and counter totals are identical either way.
     """

@@ -256,6 +256,18 @@ class MetricsRegistry:
                 out[name] = metric.value
         return out
 
+    def counters(self) -> Dict[str, int]:
+        """``{name: value}`` for every counter, in name order.
+
+        Counters are the one metric kind that sums across runs and
+        processes; gauges and histograms are point-in-time state, so
+        the bench ledger and the sweep runner's fork merge read this
+        view rather than :meth:`snapshot`.
+        """
+        return {name: metric.value
+                for name, metric in sorted(self._metrics.items())
+                if isinstance(metric, Counter)}
+
     def reset(self, prefix: str = "") -> None:
         """Zero every metric under ``prefix`` in place (objects keep
         their identity, so cached references stay valid)."""

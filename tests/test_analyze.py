@@ -5,8 +5,8 @@ Covers: trace loading round-trips (a reloaded export diagnoses
 identically to the live tracer), critical-path attribution invariants
 (fractions sum to 1), the paper's edge->core bottleneck shift between
 `none` and `netagg` under the incast microbenchmark, the `analyze`
-CLI, and the `bench --compare` gate (passes on itself, fails on an
-injected slowdown).
+CLI, and the `bench --compare` gate (passes on itself, fails on any
+counter that moved).
 """
 
 import copy
@@ -212,166 +212,142 @@ class TestAnalyzeCli:
 
 
 class TestBenchCompare:
+    """The ``bench --compare`` gate: equality of work counters, no
+    tolerance.  Every test builds its own ledgers; none reads the
+    committed ``BENCH_netsim.json`` or needs numpy."""
+
     def _payload(self, **records):
         return {
-            "scale": "bench",
+            "schema": 2, "scale": "bench", "seed": 1,
+            "solver_backend": "VectorizedMaxMin",
             "results": [
-                {"experiment": name, "ok": True, **fields}
-                for name, fields in records.items()
+                {"experiment": name, "ok": True, "rows": 1,
+                 "counters": counters}
+                for name, counters in records.items()
             ],
         }
 
     def test_identical_payloads_pass(self):
         from repro.bench import compare_payloads
 
-        payload = self._payload(
-            a={"seconds": 1.0, "events": 100},
-            b={"seconds": 2.0, "events": 200},
-        )
-        outcome = compare_payloads(copy.deepcopy(payload), payload)
-        assert outcome["regressions"] == []
-        assert outcome["compared"] == 2
-
-    def test_uniform_machine_slowdown_tolerated(self):
-        from repro.bench import compare_payloads
-
-        baseline = self._payload(
-            a={"seconds": 1.0, "events": 100},
-            b={"seconds": 2.0, "events": 200},
-            c={"seconds": 3.0, "events": 300},
-        )
-        current = copy.deepcopy(baseline)
-        for record in current["results"]:
-            record["seconds"] *= 2.0  # slower CI machine, same shape
-        outcome = compare_payloads(current, baseline)
-        assert outcome["regressions"] == []
-        assert outcome["median_ratio"] == pytest.approx(2.0)
-
-    def test_faster_machine_does_not_inflate_rows(self):
-        """A median ratio below 1.0 (machine now faster than the
-        baseline era) must never count *against* a row: a row at
-        parity is not a regression just because the median sped up."""
-        from repro.bench import compare_payloads
-
-        baseline = self._payload(
-            a={"seconds": 1.0, "events": 100},
-            b={"seconds": 2.0, "events": 200},
-            c={"seconds": 3.0, "events": 300},
-        )
-        current = copy.deepcopy(baseline)
-        for record in current["results"][1:]:
-            record["seconds"] *= 0.7  # b, c sped up; a held steady
-        outcome = compare_payloads(current, baseline)
-        assert outcome["median_ratio"] == pytest.approx(0.7)
-        assert outcome["regressions"] == []
-
-    def test_single_experiment_slowdown_trips(self):
-        from repro.bench import compare_payloads
-
-        baseline = self._payload(
-            a={"seconds": 1.0, "events": 100},
-            b={"seconds": 2.0, "events": 200},
-            c={"seconds": 3.0, "events": 300},
-        )
-        current = copy.deepcopy(baseline)
-        current["results"][0]["seconds"] *= 2.0  # only `a` regresses
-        outcome = compare_payloads(current, baseline)
-        assert any("a: wall time" in r for r in outcome["regressions"])
+        payload = self._payload(a={"netsim.events": 100},
+                                b={"cluster.queries": 200}, c={})
+        assert compare_payloads(copy.deepcopy(payload), payload) == []
 
     def test_counter_growth_trips(self):
         from repro.bench import compare_payloads
 
-        baseline = self._payload(a={"seconds": 1.0, "events": 100,
-                                    "solver_calls": 10})
-        current = self._payload(a={"seconds": 1.0, "events": 250,
-                                   "solver_calls": 10})
-        outcome = compare_payloads(current, baseline)
-        assert any("events grew 2.50x" in r
-                   for r in outcome["regressions"])
+        baseline = self._payload(a={"netsim.events": 100,
+                                    "netsim.solver.solves": 10})
+        current = self._payload(a={"netsim.events": 250,
+                                   "netsim.solver.solves": 10})
+        assert compare_payloads(current, baseline) == [
+            "a: netsim.events moved 100 -> 250"]
 
-    def test_scale_mismatch_trips(self):
+    def test_counter_shrink_trips(self):
+        """Less work is drift too: the ledger is refreshed, not beaten."""
         from repro.bench import compare_payloads
 
-        baseline = self._payload(a={"seconds": 1.0, "events": 100})
-        current = self._payload(a={"seconds": 1.0, "events": 100})
-        current["scale"] = "quick"
-        outcome = compare_payloads(current, baseline)
-        assert any("scale mismatch" in r for r in outcome["regressions"])
+        baseline = self._payload(a={"netsim.events": 100})
+        current = self._payload(a={"netsim.events": 99})
+        assert compare_payloads(current, baseline) == [
+            "a: netsim.events moved 100 -> 99"]
+
+    def test_counter_on_one_side_only_trips(self):
+        from repro.bench import compare_payloads
+
+        baseline = self._payload(a={"netsim.events": 100})
+        current = self._payload(a={"netsim.events": 100,
+                                   "platform.requests": 7})
+        assert compare_payloads(current, baseline) == [
+            "a: platform.requests moved absent -> 7"]
+        assert compare_payloads(baseline, current) == [
+            "a: platform.requests moved 7 -> absent"]
+
+    def _header_mismatch(self, key, value):
+        from repro.bench import compare_payloads
+
+        baseline = self._payload(a={"netsim.events": 100})
+        current = self._payload(a={"netsim.events": 555})
+        current[key] = value
+        # Says which header differs, not how far the counts are apart.
+        (problem,) = compare_payloads(current, baseline)
+        assert problem.startswith(f"{key} mismatch")
+        assert repr(value) in problem and repr(baseline[key]) in problem
+
+    def test_scale_mismatch_trips(self):
+        self._header_mismatch("scale", "quick")
+
+    def test_backend_mismatch_trips(self):
+        """``netsim.solver.*`` counts differ between the numpy and the
+        stdlib-only solver, so a ledger is only good for its own."""
+        self._header_mismatch("solver_backend", "IncrementalMaxMin")
+
+    def test_seed_and_schema_mismatch_trip(self):
+        self._header_mismatch("seed", 2)
+        self._header_mismatch("schema", 1)
 
     def test_now_failing_experiment_trips(self):
         from repro.bench import compare_payloads
 
-        baseline = self._payload(a={"seconds": 1.0, "events": 100})
-        current = {"scale": "bench", "results": [
-            {"experiment": "a", "ok": False, "error": "boom"}]}
-        outcome = compare_payloads(current, baseline)
-        assert any("now failing" in r for r in outcome["regressions"])
+        baseline = self._payload(a={"netsim.events": 100})
+        current = self._payload()
+        current["results"] = [
+            {"experiment": "a", "ok": False, "error": "RuntimeError: boom"}]
+        assert compare_payloads(current, baseline) == [
+            "a: failing (RuntimeError: boom)"]
 
-    def test_zero_duration_rows_do_not_poison_median(self):
-        """A sub-tick (0.0s) row must not drag the machine-speed median
-        to zero and flag every other experiment as a regression."""
+    def test_missing_experiment_trips(self):
         from repro.bench import compare_payloads
 
-        baseline = self._payload(
-            a={"seconds": 1.0, "events": 100},
-            b={"seconds": 0.0, "events": 10},
-        )
-        current = self._payload(
-            a={"seconds": 1.0, "events": 100},
-            b={"seconds": 0.0, "events": 10},
-        )
-        outcome = compare_payloads(current, baseline)
-        assert outcome["regressions"] == []
-        assert outcome["median_ratio"] == 1.0
+        both = self._payload(a={"netsim.events": 100},
+                             b={"cluster.queries": 5})
+        only_a = self._payload(a={"netsim.events": 100})
+        assert compare_payloads(only_a, both) == [
+            "b: in the baseline, not run"]
+        assert compare_payloads(both, only_a) == [
+            "b: run, missing from the baseline"]
+        # A --only subset compares only what it ran ...
+        assert compare_payloads(only_a, both, subset=True) == []
+        # ... but what it ran must be in the baseline.
+        assert compare_payloads(both, only_a, subset=True) == [
+            "b: run, missing from the baseline"]
 
-    def test_zero_duration_rows_still_gate_on_counters(self):
-        from repro.bench import compare_payloads
+    def test_cli_gate_fails_on_injected_regression(self, tmp_path, capsys):
+        """`bench --compare` exits 0 against a ledger it just wrote and
+        1 once any single counter in it is doctored by one, naming the
+        experiment, the counter and both values."""
+        ledger = tmp_path / "ledger.json"
+        args = ["bench", "--scale", "quick", "--only", "fig06", "fig25"]
+        assert main(args + ["--out", str(ledger)]) == 0
+        before = ledger.read_bytes()
+        assert main(args + ["--compare", str(ledger)]) == 0
+        assert main(args[:-1] + ["--compare", str(ledger)]) == 0  # subset
+        assert ledger.read_bytes() == before  # compare never writes
+        capsys.readouterr()
 
-        baseline = self._payload(b={"seconds": 0.0, "events": 10})
-        current = self._payload(b={"seconds": 0.0, "events": 30})
-        outcome = compare_payloads(current, baseline)
-        assert any("events grew 3.00x" in r for r in outcome["regressions"])
+        doctored = json.loads(before)
+        counters = doctored["results"][0]["counters"]
+        events = counters["netsim.events"]
+        counters["netsim.events"] = events + 1
+        ledger.write_text(json.dumps(doctored))
+        assert main(args + ["--compare", str(ledger)]) == 1
+        assert (f"fig06_fct_cdf: netsim.events moved {events + 1} -> "
+                f"{events}") in capsys.readouterr().err
 
-    def test_events_per_sec_floored_for_subtick_runs(self, monkeypatch):
-        """``time_experiment`` never records a 0.0 events/sec rate: a
-        clock too coarse to see the run is floored, not zeroed."""
-        from repro import bench
+    def test_committed_ledger_covers_the_catalogue(self):
+        """The one pin on the committed file: a row per registered
+        experiment, and work counted for every row but ``tab01_loc``
+        (which counts source lines and runs nothing)."""
+        import pathlib
 
-        ticks = iter([5.0, 5.0])  # elapsed == 0.0 exactly
-        monkeypatch.setattr(bench.time, "perf_counter",
-                            lambda: next(ticks))
-        record = bench.time_experiment("fig06_fct_cdf",
-                                       bench.SCALES["quick"])
-        assert record["ok"]
-        assert record["seconds"] == 0.0
-        assert record["events_per_sec"] > 0.0
+        from repro.experiments import MODULES
 
-    def test_cli_gate_fails_on_injected_regression(self, tmp_path):
-        """`bench --compare` exits non-zero against a doctored baseline.
-
-        Halving the committed baseline's event count makes the (fully
-        deterministic) current run look like a 2x event regression, so
-        the gate must trip; wall time stays inside the single-experiment
-        normalisation caveat and cannot mask it.
-        """
-        baseline = json.loads(
-            open("BENCH_netsim.json", encoding="utf-8").read())
-        doctored = copy.deepcopy(baseline)
-        injected = False
-        for record in doctored["results"]:
-            if record["experiment"] == "fig06_fct_cdf":
-                record["events"] = int(record["events"] / 2)
-                injected = True
-        assert injected, "fig06_fct_cdf missing from committed baseline"
-        path = tmp_path / "doctored.json"
-        path.write_text(json.dumps(doctored))
-        trajectory = tmp_path / "trajectory.jsonl"
-        code = main(["bench", "--compare", str(path),
-                     "--only", "fig06_fct_cdf",
-                     "--trajectory", str(trajectory)])
-        assert code == 1
-        entries = [json.loads(line)
-                   for line in trajectory.read_text().splitlines()]
-        assert len(entries) == 1
-        assert any("events grew 2.00x" in r
-                   for r in entries[0]["regressions"])
+        ledger = json.loads(
+            (pathlib.Path(__file__).resolve().parents[1]
+             / "BENCH_netsim.json").read_text(encoding="utf-8"))
+        rows = {r["experiment"]: r for r in ledger["results"]}
+        assert list(rows) == list(MODULES)
+        assert all(r["ok"] for r in rows.values())
+        assert [name for name, r in rows.items()
+                if not any(r["counters"].values())] == ["tab01_loc"]

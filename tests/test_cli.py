@@ -105,30 +105,71 @@ class TestBench:
 
         target = tmp_path / "bench.json"
         assert cli.main(["bench", "--scale", "quick",
-                         "--only", "fig09", "tab01",
+                         "--only", "fig09", "tab01", "fig_serve",
                          "--out", str(target)]) == 0
         payload = json.loads(target.read_text())
-        assert payload["schema"] == 1
-        assert payload["baseline"]["fig06_default_seconds"] > 0
-        assert payload["fig06_speedup"] > 0
+        assert {key: payload[key] for key in ("schema", "scale", "seed")} \
+            == {"schema": 2, "scale": "quick", "seed": 1}
+        assert payload["solver_backend"] in ("VectorizedMaxMin",
+                                             "IncrementalMaxMin")
         by_name = {r["experiment"]: r for r in payload["results"]}
-        assert set(by_name) == {"fig09_link_traffic", "tab01_loc"}
-        fig09 = by_name["fig09_link_traffic"]
-        assert fig09["ok"] and fig09["seconds"] >= 0
-        assert fig09["events"] > 0 and fig09["solver_calls"] > 0
-        assert fig09["peak_rss_kb"] > 0
+        assert set(by_name) == {"fig09_link_traffic", "tab01_loc",
+                                "fig_serve"}
+        # Exactly these keys: nothing machine-dependent (seconds, RSS,
+        # rates) reaches the file; the seconds go to stderr.
+        assert all(set(r) == {"experiment", "ok", "rows", "counters"}
+                   for r in by_name.values())
+        fig09 = by_name["fig09_link_traffic"]["counters"]
+        assert fig09["netsim.events"] > 0
+        assert fig09["netsim.solver.solves"] > 0
+        # Every layer's counters are harvested, not only netsim.*.
+        assert by_name["fig_serve"]["counters"]["serve.requests"] > 0
+        assert by_name["tab01_loc"]["counters"] == {}
+        # Integer counters only: no gauge or histogram expansion.
+        assert all(type(value) is int and value > 0
+                   for r in by_name.values()
+                   for value in r["counters"].values())
+        err = capsys.readouterr().err
+        assert "3/3 ok in " in err
+
+    def test_bench_is_byte_reproducible(self, tmp_path):
+        """Two runs write the same bytes: simulator (fork pool),
+        emulator and scheduler rows alike."""
+        from repro.bench import run_bench
+
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for target in (first, second):
+            assert run_bench(scale_name="quick", out=str(target),
+                             names=["fig06", "fig22", "fig25"]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_bench_reports_failures(self, tmp_path, monkeypatch, capsys):
+        import json
+
         from repro import bench
 
-        def boom(name, scale, seed=1):
-            return {"experiment": name, "scale": scale.name,
-                    "ok": False, "error": "RuntimeError: boom"}
+        def boom(name, scale, seed):
+            raise RuntimeError("boom")
 
-        monkeypatch.setattr(bench, "time_experiment", boom)
+        monkeypatch.setattr(bench, "run_experiment", boom)
         target = tmp_path / "bench.json"
         assert bench.run_bench(scale_name="quick", out=str(target),
                                names=["fig09"]) == 1
+        assert json.loads(target.read_text())["results"] == [
+            {"experiment": "fig09_link_traffic", "ok": False,
+             "error": "RuntimeError: boom"}]
+        assert "failed experiments: fig09_link_traffic" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--repeat", "3"], ["--max-regress", "0.15"],
+        ["--trajectory", "t.jsonl"]])
+    def test_deleted_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bench", "--scale", "quick", "--only", "tab01"]
+                     + flag)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -238,17 +279,21 @@ class TestUnknownExperimentMessages:
         assert "fig_overload" in message
         assert "fig08_output_ratio" in message
 
-    def test_bench_only_unknown_lists_registry(self):
-        from repro.bench import bench_targets
-
+    def test_bench_only_unknown_lists_registry(self, tmp_path):
         with pytest.raises(SystemExit) as err:
-            bench_targets(["nope"])
+            cli.main(["bench", "--scale", "quick", "--only", "nope",
+                      "--out", str(tmp_path / "bench.json")])
         message = str(err.value)
         assert "unknown experiment 'nope'" in message
         assert "fig_overload" in message
 
-    def test_bench_only_known_names_resolve(self):
-        from repro.bench import bench_targets
+    def test_bench_only_known_names_resolve(self, tmp_path):
+        import json
 
-        assert bench_targets(["fig08", "fig_overload"]) == [
+        target = tmp_path / "bench.json"
+        assert cli.main(["bench", "--scale", "quick",
+                         "--only", "fig08", "fig_overload",
+                         "--out", str(target)]) == 0
+        assert [r["experiment"]
+                for r in json.loads(target.read_text())["results"]] == [
             "fig08_output_ratio", "fig_overload"]

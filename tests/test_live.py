@@ -517,23 +517,30 @@ def _live_probe(x):
 class TestSweepInteraction:
     @pytest.mark.skipif(not HAVE_FORK, reason="no fork start method")
     def test_live_telemetry_is_per_process(self):
-        """Only ``netsim.*`` counters merge back from sweep children;
-        the children's live alerts/series stay in the children -- no
-        double-counting into parent windows (sweep.py contract)."""
+        """What crosses the fork boundary is counter deltas -- every
+        layer's, so ``obs.slo.alerts`` totals equal a serial run's --
+        and nothing else: each child's windows, burn state and alert
+        list live and die with its private plane, so nothing is folded
+        into a parent window twice (sweep.py contract)."""
+        parent = LiveTelemetry(template=TIGHT)
         netsim_before = METRICS.counter("netsim.test_live_probe").value
         alerts_before = METRICS.counter("obs.slo.alerts").value
         results = run_parallel(_live_probe, [1, 2, 3, 4], processes=2)
         assert results == [1, 1, 1, 1]
         assert METRICS.counter("netsim.test_live_probe").value \
             == netsim_before + 4
-        assert METRICS.counter("obs.slo.alerts").value == alerts_before
+        assert METRICS.counter("obs.slo.alerts").value == alerts_before + 4
+        assert parent.monitor.alerts == []
+        assert parent.windowed("t1")["count"] == 0
 
     def test_serial_run_keeps_counter_totals(self):
         netsim_before = METRICS.counter("netsim.test_live_probe").value
+        alerts_before = METRICS.counter("obs.slo.alerts").value
         results = run_parallel(_live_probe, [1, 2], processes=1)
         assert results == [1, 1]
         assert METRICS.counter("netsim.test_live_probe").value \
             == netsim_before + 2
+        assert METRICS.counter("obs.slo.alerts").value == alerts_before + 2
 
 
 class TestWatchDashboard:

@@ -75,6 +75,16 @@ class TestTreeModelBehaviour:
         )
         assert result.tasks_executed == 3 * chunks
 
+    def test_run_publishes_its_task_count_once(self):
+        """The bench ledger's view of Fig. 15: one counter bump per run,
+        equal to the merges the run executed."""
+        from repro.obs import METRICS
+
+        counter = METRICS.counter("aggbox.localtree.tasks")
+        before = counter.value
+        result = LocalTreeModel(TreeModelParams(leaves=4, threads=4)).run()
+        assert counter.value - before == result.tasks_executed > 0
+
     def test_more_threads_never_slower(self):
         slow = LocalTreeModel(TreeModelParams(leaves=32, threads=4)).run()
         fast = LocalTreeModel(TreeModelParams(leaves=32, threads=16)).run()

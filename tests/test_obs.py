@@ -203,6 +203,14 @@ class TestMetricsRegistry:
         reg.gauge("b.y").set(2.5)
         assert reg.snapshot("b.") == {"b.y": 2.5}
 
+    def test_counters_view_is_counters_only_in_name_order(self):
+        reg = MetricsRegistry()
+        reg.counter("b.x").inc(2)
+        reg.gauge("a.y").set(2.5)
+        reg.histogram("a.z").observe(1.0)
+        reg.counter("a.x")
+        assert list(reg.counters().items()) == [("a.x", 0), ("b.x", 2)]
+
 
 class TestExporter:
     def _tracer(self):

@@ -89,6 +89,17 @@ class TestAdaptiveWeights:
         b = make(adaptive=True, seed=7).run(10.0)
         assert a.shares["solr"].cpu_seconds == b.shares["solr"].cpu_seconds
 
+    def test_run_publishes_its_task_count_once(self):
+        """The bench ledger's view of Figs. 25-26: one counter bump per
+        run, equal to the tasks the run started."""
+        from repro.obs import METRICS
+
+        counter = METRICS.counter("aggbox.scheduler.tasks")
+        before = counter.value
+        result = make(adaptive=True).run(2.0)
+        assert counter.value - before == sum(
+            share.tasks_run for share in result.shares.values()) > 0
+
     def test_single_app_gets_everything(self):
         scheduler = TaskScheduler(
             [WorkloadSpec("only", task_seconds=0.01, target_share=1.0)],

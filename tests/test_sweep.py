@@ -33,6 +33,11 @@ def _bump_counter(x):
     return x
 
 
+def _bump_cluster_counter(x):
+    METRICS.counter("cluster.test_sweep_probe").inc(x)
+    return x
+
+
 class TestEffectiveProcesses:
     def test_single_item_is_serial(self):
         assert _effective_processes(8, 1) == 1
@@ -76,6 +81,18 @@ class TestRunParallel:
         run_parallel(_bump_counter, [1, 2, 3, 4], processes=2)
         after = METRICS.counter("netsim.test_sweep_probe").value
         assert after - before == 1 + 2 + 3 + 4
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="no fork start method")
+    def test_every_layers_counters_merge_back(self):
+        """Not only ``netsim.*``: a ``cluster.*`` increment made in a
+        fork child reaches the parent, so the parallel total equals the
+        serial one for emulator and platform experiments too."""
+        probe = METRICS.counter("cluster.test_sweep_probe")
+        start = probe.value
+        run_parallel(_bump_cluster_counter, [1, 2, 3, 4], processes=1)
+        serial = probe.value - start
+        run_parallel(_bump_cluster_counter, [1, 2, 3, 4], processes=2)
+        assert probe.value - start - serial == serial == 10
 
 
 class TestSweep:
