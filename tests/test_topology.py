@@ -1,10 +1,20 @@
 """Tests for topology builders and path enumeration."""
 
+from collections import deque
+
 import pytest
 
 from repro.netsim.routing import EcmpRouter
 from repro.topology import ThreeTierParams, fat_tree, three_tier
-from repro.topology.base import AGGR, CORE, TOR, Node, Topology
+from repro.topology.base import (
+    AGGBOX,
+    AGGR,
+    CORE,
+    HOST,
+    TOR,
+    Node,
+    Topology,
+)
 from repro.topology.threetier import attach_boxes_everywhere
 from repro.units import Gbps
 
@@ -203,3 +213,130 @@ class TestTopologyGuards:
         topo.connect("a", "b", 5.0, capacity_ba=7.0)
         assert topo.network.link("a->b").capacity == 5.0
         assert topo.network.link("b->a").capacity == 7.0
+
+
+# -- differential oracle: per-source BFS, frozen ------------------------------
+#
+# The path enumeration exactly as it stood when every source -- host,
+# box or switch -- ran its own sweep of the relay graph.  Order matters
+# as much as content: ``EcmpRouter`` hashes a flow onto an *index* into
+# the returned paths.
+
+def _frozen_source_bfs(topo, src):
+    dist = {src: 0}
+    preds = {src: []}
+    order = [src]
+    queue = deque([src])
+    while queue:
+        current = queue.popleft()
+        for neighbor in topo.neighbors(current):
+            if topo.node(neighbor).tier in (HOST, AGGBOX):
+                continue
+            if neighbor not in dist:
+                dist[neighbor] = dist[current] + 1
+                preds[neighbor] = [current]
+                queue.append(neighbor)
+                order.append(neighbor)
+            elif dist[neighbor] == dist[current] + 1:
+                preds[neighbor].append(current)
+    return order, dist, preds
+
+
+def _frozen_all_shortest(topo, src, dst):
+    order, dist, preds = _frozen_source_bfs(topo, src)
+    if dst in dist:
+        dst_preds = preds[dst]
+    else:
+        adjacent = set(topo.neighbors(dst))
+        best = None
+        for node in order:
+            if node in adjacent:
+                best = dist[node]
+                break
+        if best is None:
+            raise ValueError(f"no path from {src!r} to {dst!r}")
+        dst_preds = [node for node in order
+                     if node in adjacent and dist[node] == best]
+    paths = []
+
+    def unwind(node, acc):
+        if node == src:
+            paths.append([src] + acc)
+            return
+        for pred in (dst_preds if node == dst else preds[node]):
+            unwind(pred, [node] + acc)
+
+    unwind(dst, [])
+    return paths
+
+
+def _quick_three_tier_with_boxes():
+    from repro.experiments.common import QUICK
+    topo = three_tier(QUICK.topo)
+    attach_boxes_everywhere(topo)
+    return topo
+
+
+def _fat_tree_with_boxes():
+    topo = fat_tree(4)
+    attach_boxes_everywhere(topo, count=2, tiers=(TOR, CORE))
+    attach_boxes_everywhere(topo, tiers=(AGGR,))
+    return topo
+
+
+class TestPathsMatchFrozenPerSourceBfs:
+    @pytest.mark.parametrize("build", [_quick_three_tier_with_boxes,
+                                       _fat_tree_with_boxes])
+    def test_every_ordered_pair(self, build):
+        topo = build()
+        endpoints = [n.node_id for n in topo.nodes()]
+        assert {topo.node(e).tier for e in endpoints} == \
+            {HOST, AGGBOX, TOR, AGGR, CORE}
+        checked = 0
+        for src in endpoints:
+            for dst in endpoints:
+                if src == dst:
+                    continue
+                expected = _frozen_all_shortest(topo, src, dst)
+                assert topo.node_paths(src, dst) == expected, (src, dst)
+                assert topo.equal_cost_paths(src, dst) == tuple(
+                    tuple(f"{a}->{b}" for a, b in zip(nodes, nodes[1:]))
+                    for nodes in expected
+                ), (src, dst)
+                checked += 1
+        assert checked == len(endpoints) * (len(endpoints) - 1)
+
+    def test_a_leaf_wired_after_the_first_query_is_routed(self):
+        """Paths cached for a switch must not outlive a ``connect``."""
+        topo = _quick_three_tier_with_boxes()
+        before = topo.node_paths("host:0", "host:31")
+        topo.add_node(Node("host:late", HOST, rack=3, pod=1))
+        topo.connect("host:late", "tor:3", Gbps(1.0))
+        assert topo.node_paths("host:0", "host:31") == before
+        for src, dst in (("host:late", "host:0"), ("host:0", "host:late"),
+                         ("host:late", "box:core:0:0")):
+            assert topo.node_paths(src, dst) == \
+                _frozen_all_shortest(topo, src, dst)
+
+    def test_a_dual_homed_leaf_keeps_its_own_sweep(self):
+        """Only single-homed leaves may borrow their switch's paths."""
+        topo = _quick_three_tier_with_boxes()
+        topo.add_node(Node("host:dual", HOST, rack=0, pod=0))
+        topo.connect("host:dual", "tor:0", Gbps(1.0))
+        topo.connect("host:dual", "tor:1", Gbps(1.0))
+        for other in ("host:0", "host:9", "host:31", "tor:1", "core:0",
+                      "box:aggr:1:0:0"):
+            for src, dst in (("host:dual", other), (other, "host:dual")):
+                expected = _frozen_all_shortest(topo, src, dst)
+                assert topo.node_paths(src, dst) == expected
+                assert len(topo.equal_cost_paths(src, dst)) == len(expected)
+
+    def test_unreachable_and_unknown_endpoints(self):
+        topo = three_tier(SMALL)
+        topo.add_node(Node("host:island", HOST))
+        with pytest.raises(ValueError, match="no path"):
+            topo.node_paths("host:0", "host:island")
+        with pytest.raises(ValueError, match="no path"):
+            topo.equal_cost_paths("host:island", "host:0")
+        with pytest.raises(KeyError):
+            topo.node_paths("host:0", "host:nowhere")

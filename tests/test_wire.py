@@ -1,6 +1,7 @@
 """Tests for the binary wire format."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -302,3 +303,159 @@ class TestRecords:
 
     def test_kv_ordering(self):
         assert KeyValue("a", 1) < KeyValue("b", 0)
+
+
+# -- batch codecs vs the per-record API ---------------------------------------
+
+#: Scores as raw 64-bit patterns, so NaN payloads, both zeros, both
+#: infinities and subnormals all occur and survive bit for bit.
+_SCORE_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([
+        0x0000000000000000, 0x8000000000000000,   # +0.0, -0.0
+        0x7FF0000000000000, 0xFFF0000000000000,   # +inf, -inf
+        0x7FF8000000000001, 0xFFF80000DEADBEEF,   # quiet NaNs, payloads
+        0x7FF0000000000001,                       # signalling NaN
+        0x0000000000000001, 0x800FFFFFFFFFFFFF,   # subnormals
+    ]),
+)
+_DOC_IDS = st.one_of(st.integers(0, 2**63), st.integers(0, 300),
+                     st.sampled_from([127, 128, 16_383, 16_384, 2**63]))
+#: Multi-byte UTF-8 (2-, 3- and 4-byte code points), and long enough
+#: that the length prefix needs two bytes (> 127 encoded bytes).
+_WIDE = "aé√\U0001d11e \U0010ffff"
+_SNIPPETS = st.one_of(
+    st.just(""),
+    st.text(max_size=12),
+    st.text(alphabet=_WIDE, min_size=40, max_size=90),
+)
+
+
+def _score(bits: int) -> float:
+    return struct.unpack(">d", bits.to_bytes(8, "big"))[0]
+
+
+def _search_results(max_size):
+    return st.lists(
+        st.builds(lambda doc, bits, text: SearchResult(doc, _score(bits),
+                                                       text),
+                  _DOC_IDS, _SCORE_BITS, _SNIPPETS),
+        max_size=max_size)
+
+
+def _key_values(max_size):
+    return st.lists(st.builds(KeyValue, _SNIPPETS, _DOC_IDS),
+                    max_size=max_size)
+
+
+def _per_record_encode(records) -> bytes:
+    return write_varint(len(records)) + b"".join(r.encode() for r in records)
+
+
+def _per_record_decode(cls, buffer: bytes):
+    count, offset = read_varint(buffer, 0)
+    out = []
+    for _ in range(count):
+        record, offset = cls.decode(buffer, offset)
+        out.append(record)
+    assert offset == len(buffer)
+    return out
+
+
+def _bits(results):
+    """Search results with the score as its bit pattern (NaN != NaN)."""
+    return [(r.doc_id, struct.pack(">d", r.score), r.snippet)
+            for r in results]
+
+
+class TestBatchCodecsMatchPerRecordCodecs:
+    @given(_search_results(max_size=40))
+    @settings(max_examples=200)
+    def test_search_results(self, results):
+        encoded = encode_search_results(results)
+        assert encoded == _per_record_encode(results)
+        decoded = decode_search_results(encoded)
+        assert _bits(decoded) == _bits(results)
+        assert _bits(decoded) == _bits(_per_record_decode(SearchResult,
+                                                          encoded))
+
+    @given(_key_values(max_size=40))
+    @settings(max_examples=200)
+    def test_kv_stream(self, pairs):
+        encoded = encode_kv_stream(pairs)
+        assert encoded == _per_record_encode(pairs)
+        assert decode_kv_stream(encoded) == pairs
+        assert decode_kv_stream(encoded) == _per_record_decode(KeyValue,
+                                                               encoded)
+
+    @pytest.mark.parametrize("count", [0, 1, 127, 128, 300])
+    def test_counts_across_the_prefix_width(self, count):
+        results = [SearchResult(2**63 - i, _score(0x7FF8000000000000 + i),
+                                "√" * (i % 70))
+                   for i in range(count)]
+        encoded = encode_search_results(results)
+        assert encoded == _per_record_encode(results)
+        assert _bits(decode_search_results(encoded)) == _bits(results)
+        pairs = [KeyValue("é" * (i % 70), 2**63 - i)
+                 for i in range(count)]
+        encoded = encode_kv_stream(pairs)
+        assert encoded == _per_record_encode(pairs)
+        assert decode_kv_stream(encoded) == pairs
+
+    def test_any_buffer_type_decodes(self):
+        results = [SearchResult(7, 0.25, "snip"), SearchResult(2**40, -0.0)]
+        encoded = encode_search_results(results)
+        for view in (bytearray(encoded), memoryview(encoded)):
+            assert _bits(decode_search_results(view)) == _bits(results)
+        pairs = [KeyValue("k", 1), KeyValue("", 2**50)]
+        encoded = encode_kv_stream(pairs)
+        for view in (bytearray(encoded), memoryview(encoded)):
+            assert decode_kv_stream(view) == pairs
+
+    @pytest.mark.parametrize("encode, record, bad, text", [
+        (encode_search_results, SearchResult(1, 0.5, "ab"),
+         SearchResult(-1, 0.5), "varint cannot encode negative value -1"),
+        (encode_kv_stream, KeyValue("ab", 1),
+         KeyValue("ab", -7), "varint cannot encode negative value -7"),
+    ])
+    def test_negative_values_refused_with_the_varint_message(
+            self, encode, record, bad, text):
+        with pytest.raises(WireError, match=text):
+            encode([record, bad])
+
+    @pytest.mark.parametrize("decode, encode, records, trailing", [
+        (decode_search_results, encode_search_results,
+         [SearchResult(300, 1.5, "snippet é"), SearchResult(1, 2.0)],
+         "trailing bytes in result batch"),
+        (decode_kv_stream, encode_kv_stream,
+         [KeyValue("key é", 300), KeyValue("", 0)],
+         "trailing bytes in kv batch"),
+    ])
+    def test_every_malformation_raises_the_same_wire_error(
+            self, decode, encode, records, trailing):
+        encoded = encode(records)
+        seen = set()
+        for cut in range(len(encoded)):
+            with pytest.raises(WireError) as err:
+                decode(encoded[:cut])
+            with pytest.raises(WireError) as reference:
+                _per_record_decode(type(records[0]), encoded[:cut])
+            assert str(err.value) == str(reference.value)
+            seen.add(str(err.value))
+        assert {"truncated varint", "truncated byte blob"} <= seen <= {
+            "truncated varint", "truncated float", "truncated byte blob"}
+        with pytest.raises(WireError, match=f"2 {trailing}"):
+            decode(encoded + b"\x00\x00")
+        with pytest.raises(WireError, match="varint longer than 10 bytes"):
+            decode(b"\xff" * 11)
+        # A declared count with nothing behind it sizes no allocation.
+        with pytest.raises(WireError, match="truncated varint"):
+            decode(write_varint(2**60))
+
+    def test_invalid_utf8_message(self):
+        good = encode_search_results([SearchResult(1, 0.5, "ab")])
+        with pytest.raises(WireError, match="invalid UTF-8 in string"):
+            decode_search_results(good[:-2] + b"\xff\xfe")
+        good = encode_kv_stream([KeyValue("ab", 1)])
+        with pytest.raises(WireError, match="invalid UTF-8 in string"):
+            decode_kv_stream(good[:2] + b"\xff\xfe" + good[4:])
