@@ -355,9 +355,12 @@ class NetAggPlatform:
 
         With admission control enabled, a non-admitted request raises
         :class:`repro.core.admission.AdmissionNack` before touching any
-        tree (``tenant`` defaults to the app name).
+        tree (``tenant`` defaults to the app name).  An id this master
+        has already used is refused (``ValueError``) before that: no
+        token spent, no tree built, no clock burnt.
         """
         self._check_app(app)
+        self._refuse_duplicates(master, [request_id])
         self._admit(tenant or app)
         trees = self.build_trees(request_id, master,
                                  [h for h, _ in worker_partials], n_trees)
@@ -384,6 +387,8 @@ class NetAggPlatform:
         to the identity on lists).
         """
         self._check_app(app)
+        self._refuse_duplicates(
+            master, [self._batch_request(job_id, t) for t in range(n_trees)])
         self._admit(tenant or app)
         rebundle = rebundle or (lambda items: items)
         hosts = [h for h, _ in worker_keyed_items]
@@ -399,7 +404,7 @@ class NetAggPlatform:
                 split = shims[index].split(keyed)
                 partials.append((host, rebundle(split[tree.tree_index])))
             outcomes.append(self._run_on_trees(
-                app, f"{job_id}:t{tree.tree_index}", master,
+                app, self._batch_request(job_id, tree.tree_index), master,
                 partials, [tree], tenant=tenant or app,
             ))
         merged = self._mergers[app](
@@ -426,6 +431,14 @@ class NetAggPlatform:
     def _check_app(self, app: str) -> None:
         if app not in self._functions:
             raise KeyError(f"app {app!r} is not registered")
+
+    def _refuse_duplicates(self, master: str,
+                           request_ids: Sequence[str]) -> None:
+        """Front-door duplicate check, ahead of every charge."""
+        shim = self._master_shims.get(master)
+        if shim is not None:
+            for request_id in request_ids:
+                shim.refuse_duplicate(request_id)
 
     def _emit_event(self, events: List[ShimEvent], kind: str, source: str,
                     target: str, attempt: int = 0, detail: str = "",
@@ -828,9 +841,11 @@ class NetAggPlatform:
                         # emit early and miss the box's final result.
                         self._boxes[parent].adjust_expected(
                             app, tree_request, +1)
+                    # The box serialised its aggregate when it emitted
+                    # it; those bytes travel on as they are.
                     parent_emitted, nbytes = self._feed_box(
-                        app, tree_request, parent, tag, emitted.value, rng,
-                        origin=request_id,
+                        app, tree_request, parent, tag, emitted.payload,
+                        rng, origin=request_id,
                     )
                     self._note_degradation(parent, tag, events,
                                            request=request_id)
@@ -877,27 +892,33 @@ class NetAggPlatform:
         )
 
     @staticmethod
+    def _batch_request(job_id: str, tree_index: int) -> str:
+        """The id one tree's share of a batch job runs under."""
+        return f"{job_id}:t{tree_index}"
+
+    @staticmethod
     def _tree_request(request_id: str, tree: AggregationTree) -> str:
         return f"{request_id}@t{tree.tree_index}"
 
     def _feed_box(self, app: str, request_id: str, box_id: str,
-                  source: str, value: Any, rng: random.Random,
+                  source: str, serialised: bytes, rng: random.Random,
                   origin: str = ""):
-        """Serialise, frame, chunk and deliver one partial to a box.
+        """Frame, chunk and deliver one serialised partial to a box.
 
-        ``origin`` is the platform-level request id behind this
-        delivery (``request_id`` is the per-tree key ``<origin>@t<k>``);
-        it is threaded onto the delivery span and, via
-        :attr:`AggBoxRuntime.trace_origin`, onto every span/instant the
-        box emits while processing the chunks.
+        ``serialised`` is the application codec's output: a worker's
+        partial encoded by the transport, or the ``payload`` a child
+        box emitted.  ``origin`` is the platform-level request id behind
+        this delivery (``request_id`` is the per-tree key
+        ``<origin>@t<k>``); it is threaded onto the delivery span and,
+        via :attr:`AggBoxRuntime.trace_origin`, onto every span/instant
+        the box emits while processing the chunks.
         """
         runtime = self._boxes[box_id]
         # Keep the box's clock in step so health transitions and
         # heartbeats are stamped with platform virtual time.
         runtime.clock = max(runtime.clock, self._clock)
         runtime.trace_origin = origin
-        binding = runtime.binding(app)
-        payload = frame(binding.serialise(value))
+        payload = frame(serialised)
         with get_tracer().span("platform.deliver", lambda: self._clock,
                                layer="platform", box=box_id,
                                source=source, bytes=len(payload),
@@ -956,9 +977,13 @@ class _RequestTransport:
                                    request=self._request_id)
 
     def deliver_box(self, box_id: str, worker_index: int, value: Any):
+        # Worker partials arrive as values: this is the one place the
+        # request path serialises on a box's behalf.
+        serialise = self._platform.box_runtime(box_id).binding(
+            self._app).serialise
         emitted, nbytes = self._platform._feed_box(
             self._app, self._tree_request, box_id,
-            f"worker:{worker_index}", value, self._rng,
+            f"worker:{worker_index}", serialise(value), self._rng,
             origin=self._request_id,
         )
         self._platform._note_degradation(

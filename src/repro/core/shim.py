@@ -183,8 +183,7 @@ class MasterShim:
         expected count so partial requests still complete, and boxes
         never wait for partials that cannot arrive.
         """
-        if request_id in self._requests:
-            raise ValueError(f"duplicate request id {request_id!r}")
+        self.refuse_duplicate(request_id)
         if not trees:
             raise ValueError("request needs at least one tree")
         n_workers = len(trees[0].worker_entry)
@@ -202,6 +201,15 @@ class MasterShim:
             expected_per_tree=expected,
         )
         return expected
+
+    def refuse_duplicate(self, request_id: str) -> None:
+        """Raise if ``request_id`` was already intercepted here.
+
+        The platform asks before it admits, plans or probes, so a
+        refused id costs its sender nothing but the refusal.
+        """
+        if request_id in self._requests:
+            raise ValueError(f"duplicate request id {request_id!r}")
 
     def deliver_aggregate(self, request_id: str, tree_index: int,
                           value: Any) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.routing import stable_hash
-from repro.topology.base import AGGR, CORE, AggBoxInfo, Topology
+from repro.topology.base import AggBoxInfo, Topology
 
 
 @dataclass
@@ -94,6 +94,7 @@ class TreeBuilder:
               tree_index: int = 0) -> AggregationTree:
         """Build the ``tree_index``-th tree for the given endpoints."""
         topo = self._topo
+        choices = _TreeChoices(topo, key, tree_index)
         master_tor = topo.tor_of(master)
         master_pod = topo.pod_of(master)
         tree = AggregationTree(
@@ -105,24 +106,24 @@ class TreeBuilder:
             worker_lane={},
             boxes={},
         )
+        # Workers of one rack share a lane, so its boxes are registered
+        # once: (tor, pod) -> (entry box id or None, the worker's lane).
+        entries: Dict[Tuple[str, int],
+                      Tuple[Optional[str], Tuple[str, ...]]] = {}
         for index, host in enumerate(worker_hosts):
             if host == master:
                 raise ValueError(
                     f"master {host!r} cannot also be a worker ({key})"
                 )
-            lane = self.lane(key, tree_index, host, master_tor, master_pod)
-            on_path = [s for s in lane if topo.boxes_at(s)]
-            if not on_path:
-                tree.worker_entry[index] = None
-                tree.worker_lane[index] = tuple(lane)
-                continue
-            self._register_boxes(tree, key, tree_index, lane, on_path)
-            entry_id = self.box_id(key, tree_index, on_path[0])
+            rack = (topo.tor_of(host), topo.pod_of(host))
+            entry = entries.get(rack)
+            if entry is None:
+                entry = entries[rack] = self._enter(
+                    tree, choices, choices.lane(*rack, master_tor, master_pod))
+            entry_id, tree.worker_lane[index] = entry
             tree.worker_entry[index] = entry_id
-            tree.worker_lane[index] = tuple(
-                lane[: lane.index(on_path[0]) + 1]
-            )
-            tree.boxes[entry_id].direct_workers.append(index)
+            if entry_id is not None:
+                tree.boxes[entry_id].direct_workers.append(index)
         return tree
 
     def build_many(self, key: str, master: str,
@@ -141,19 +142,8 @@ class TreeBuilder:
              master_pod: int) -> List[str]:
         """Deterministic switch lane from ``host``'s ToR to the master."""
         topo = self._topo
-        tor = topo.tor_of(host)
-        if tor == master_tor:
-            return [master_tor]
-        pod = topo.pod_of(host)
-        if pod == master_pod:
-            return [tor, self.pod_aggr(key, tree_index, pod), master_tor]
-        return [
-            tor,
-            self.pod_aggr(key, tree_index, pod),
-            self.core(key, tree_index),
-            self.pod_aggr(key, tree_index, master_pod),
-            master_tor,
-        ]
+        return _TreeChoices(topo, key, tree_index).lane(
+            topo.tor_of(host), topo.pod_of(host), master_tor, master_pod)
 
     def pod_aggr(self, key: str, tree_index: int, pod: int) -> str:
         """The aggregation switch a tree uses within ``pod``.
@@ -166,13 +156,7 @@ class TreeBuilder:
         guaranteeing disjoint lanes while enough switches exist (§3.1:
         "each aggregation tree uses a disjoint set of agg boxes").
         """
-        aggrs = sorted(
-            a for a in self._topo.switches(AGGR)
-            if self._topo.pod_of(a) == pod
-        )
-        if not aggrs:
-            raise ValueError(f"pod {pod} has no aggregation switch")
-        return aggrs[self._lane_position(key, tree_index) % len(aggrs)]
+        return _TreeChoices(self._topo, key, tree_index).pod_aggr(pod)
 
     def core(self, key: str, tree_index: int) -> str:
         """The core switch of a tree's cross-pod lane.
@@ -181,30 +165,7 @@ class TreeBuilder:
         aggregation switches (any core in a three-tier multi-rooted
         network; the position-matched core group in a fat-tree).
         """
-        topo = self._topo
-        pods = sorted({
-            topo.pod_of(a) for a in topo.switches(AGGR)
-        })
-        candidates = None
-        for pod in pods:
-            aggr = self.pod_aggr(key, tree_index, pod)
-            adjacent = {
-                n for n in topo.neighbors(aggr)
-                if topo.node(n).tier == CORE
-            }
-            candidates = adjacent if candidates is None \
-                else candidates & adjacent
-        cores = sorted(candidates or ())
-        if not cores:
-            raise ValueError(
-                "no core switch is reachable from every pod's chosen "
-                "aggregation switch"
-            )
-        base = stable_hash(f"{key}:core")
-        return cores[(base + tree_index) % len(cores)]
-
-    def _lane_position(self, key: str, tree_index: int) -> int:
-        return stable_hash(f"{key}:lane") + tree_index
+        return _TreeChoices(self._topo, key, tree_index).core()
 
     def box_id(self, key: str, tree_index: int, switch: str) -> str:
         """The box a tree uses at ``switch``.
@@ -215,33 +176,34 @@ class TreeBuilder:
         trees are assigned to agg boxes in a way that balances the load
         between them").
         """
-        candidates = self._topo.boxes_at(switch)
-        if not candidates:
-            raise ValueError(f"switch {switch!r} has no agg boxes")
-        base = stable_hash(f"{key}:box:{switch}")
-        return candidates[(base + tree_index) % len(candidates)].box_id
+        return _TreeChoices(self._topo, key, tree_index).box_id(switch)
 
     # -- internals -----------------------------------------------------------
 
-    def _register_boxes(self, tree: AggregationTree, key: str,
-                        tree_index: int, lane: Sequence[str],
-                        on_path: Sequence[str]) -> None:
-        for i, switch in enumerate(on_path):
-            vertex = self._vertex(tree, key, tree_index, switch)
-            if i + 1 < len(on_path):
-                parent_switch = on_path[i + 1]
-                parent = self._vertex(tree, key, tree_index, parent_switch)
-                lane_between = _lane_slice(lane, switch, parent_switch)
+    def _enter(self, tree: AggregationTree, choices: "_TreeChoices",
+               lane: List[str],
+               ) -> Tuple[Optional[str], Tuple[str, ...]]:
+        """Register ``lane``'s boxes in ``tree``; returns the entry box
+        (None = no box on the lane) and the lane up to it."""
+        has_boxes = self._topo.has_boxes
+        on_path = [s for s in lane if has_boxes(s)]
+        if not on_path:
+            return None, tuple(lane)
+        vertices = [self._vertex(tree, choices.box_id(s)) for s in on_path]
+        for i, vertex in enumerate(vertices):
+            if i + 1 < len(vertices):
+                parent = vertices[i + 1]
+                lane_between = _lane_slice(lane, on_path[i], on_path[i + 1])
                 self._set_parent(vertex, parent.info.box_id, lane_between)
                 if vertex.info.box_id not in parent.children:
                     parent.children.append(vertex.info.box_id)
             else:
-                tail = _lane_slice(lane, switch, lane[-1])
+                tail = _lane_slice(lane, on_path[i], lane[-1])
                 self._set_parent(vertex, None, tail)
+        return (vertices[0].info.box_id,
+                tuple(lane[: lane.index(on_path[0]) + 1]))
 
-    def _vertex(self, tree: AggregationTree, key: str, tree_index: int,
-                switch: str) -> BoxVertex:
-        box_id = self.box_id(key, tree_index, switch)
+    def _vertex(self, tree: AggregationTree, box_id: str) -> BoxVertex:
         vertex = tree.boxes.get(box_id)
         if vertex is None:
             vertex = BoxVertex(info=self._topo.box(box_id))
@@ -259,6 +221,69 @@ class TreeBuilder:
             )
         vertex.parent = parent
         vertex.lane_to_parent = lane_between
+
+
+class _TreeChoices:
+    """The hash choices of one ``(key, tree_index)``, each derived once.
+
+    A tree is one lane position, one core and one box per switch; every
+    worker and every hop of a build reads them from here.  Lives for one
+    build (or one public selection call), so nothing keyed on a request
+    outlives the request.
+    """
+
+    def __init__(self, topo: Topology, key: str, tree_index: int) -> None:
+        self._topo = topo
+        self._key = key
+        self._tree_index = tree_index
+        self._position = stable_hash(f"{key}:lane") + tree_index
+        self._core: Optional[str] = None
+        self._boxes: Dict[str, str] = {}
+
+    def lane(self, tor: str, pod: int, master_tor: str,
+             master_pod: int) -> List[str]:
+        if tor == master_tor:
+            return [master_tor]
+        if pod == master_pod:
+            return [tor, self.pod_aggr(pod), master_tor]
+        return [
+            tor,
+            self.pod_aggr(pod),
+            self.core(),
+            self.pod_aggr(master_pod),
+            master_tor,
+        ]
+
+    def pod_aggr(self, pod: int) -> str:
+        aggrs = self._topo.pod_aggrs(pod)
+        if not aggrs:
+            raise ValueError(f"pod {pod} has no aggregation switch")
+        return aggrs[self._position % len(aggrs)]
+
+    def core(self) -> str:
+        if self._core is None:
+            topo = self._topo
+            cores = topo.shared_cores(
+                tuple(self.pod_aggr(pod) for pod in topo.pods()))
+            if not cores:
+                raise ValueError(
+                    "no core switch is reachable from every pod's chosen "
+                    "aggregation switch"
+                )
+            base = stable_hash(f"{self._key}:core")
+            self._core = cores[(base + self._tree_index) % len(cores)]
+        return self._core
+
+    def box_id(self, switch: str) -> str:
+        box_id = self._boxes.get(switch)
+        if box_id is None:
+            candidates = self._topo.boxes_at(switch)
+            if not candidates:
+                raise ValueError(f"switch {switch!r} has no agg boxes")
+            base = stable_hash(f"{self._key}:box:{switch}")
+            box_id = self._boxes[switch] = candidates[
+                (base + self._tree_index) % len(candidates)].box_id
+        return box_id
 
 
 def _lane_slice(lane: Sequence[str], src: str, dst: str) -> Tuple[str, ...]:

@@ -214,10 +214,17 @@ class AggregationService:
 
     # -- payloads ----------------------------------------------------------
 
+    def _endpoints(self, request: Mapping[str, Any]) -> Tuple[str, List[str]]:
+        """A request's master and worker hosts: one seeded draw."""
+        return pick_endpoints(
+            self._hosts, int(request.get("payload_seed", 0)),
+            int(request.get("workers", 8)))
+
     def _query_partials(
-        self, request: Mapping[str, Any],
+        self, request: Mapping[str, Any], workers: List[str],
     ) -> List[Tuple[str, List[SearchResult]]]:
-        """Per-worker scored results, explicit or seed-synthesised."""
+        """Per-worker scored results, explicit or seed-synthesised
+        (``workers``: the hosts :meth:`_endpoints` drew)."""
         if "results" in request:
             rows = request["results"]
             if not isinstance(rows, list) or not rows:
@@ -232,9 +239,7 @@ class AggregationService:
                 ]))
             return partials
         seed = int(request.get("payload_seed", 0))
-        n_workers = int(request.get("workers", 8))
         per_worker = int(request.get("results_per_worker", 4))
-        _, workers = pick_endpoints(self._hosts, seed, n_workers)
         return [
             (host, [
                 SearchResult(
@@ -247,7 +252,7 @@ class AggregationService:
         ]
 
     def _mlgrad_partials(
-        self, request: Mapping[str, Any],
+        self, request: Mapping[str, Any], workers: List[str],
     ) -> List[Tuple[str, List[float]]]:
         """Per-worker gradient vectors, explicit or seed-synthesised."""
         if "gradients" in request:
@@ -261,9 +266,7 @@ class AggregationService:
                 for index, vector in enumerate(rows)
             ]
         seed = int(request.get("payload_seed", 0))
-        n_workers = int(request.get("workers", 8))
         dims = int(request.get("gradient_dims", 8))
-        _, workers = pick_endpoints(self._hosts, seed, n_workers)
         return [
             (host, [
                 ((seed + i * 31 + j * 7) % 1999 - 999) / 999.0
@@ -271,12 +274,6 @@ class AggregationService:
             ])
             for i, host in enumerate(workers)
         ]
-
-    def _master_for(self, request: Mapping[str, Any]) -> str:
-        seed = int(request.get("payload_seed", 0))
-        master, _ = pick_endpoints(
-            self._hosts, seed, int(request.get("workers", 8)))
-        return master
 
     def expected_value(self, request: Mapping[str, Any]) -> Any:
         """The centralised (ground-truth) aggregate of a request.
@@ -287,12 +284,14 @@ class AggregationService:
         """
         op = request.get("op")
         if op == OP_QUERY:
-            partials = self._query_partials(request)
+            partials = self._query_partials(request,
+                                            self._endpoints(request)[1])
             merged = TopKFunction(k=self.config.k).merge(
                 [results for _, results in partials])
             return _encode_results(merged)
         if op == OP_MLGRAD:
-            partials = self._mlgrad_partials(request)
+            partials = self._mlgrad_partials(request,
+                                             self._endpoints(request)[1])
             return VectorSumFunction().merge(
                 [vector for _, vector in partials])
         raise ValueError(f"unknown op {op!r}")
@@ -431,17 +430,16 @@ class AggregationService:
                   op: str, tenant: str, request_id: str,
                   arrival: float) -> Dict[str, Any]:
         try:
+            master, workers = self._endpoints(request)
             if op == OP_QUERY:
-                partials = self._query_partials(request)
                 outcome = self._platform.execute_request(
-                    APP_QUERY, request_id, self._master_for(request),
-                    partials, tenant=tenant)
+                    APP_QUERY, request_id, master,
+                    self._query_partials(request, workers), tenant=tenant)
                 value = _encode_results(outcome.value)
             else:
-                partials = self._mlgrad_partials(request)
                 outcome = self._platform.execute_request(
-                    APP_MLGRAD, request_id, self._master_for(request),
-                    partials, tenant=tenant)
+                    APP_MLGRAD, request_id, master,
+                    self._mlgrad_partials(request, workers), tenant=tenant)
                 value = list(outcome.value)
         except AdmissionNack as nack:
             policy = self.config.policy_for(tenant)

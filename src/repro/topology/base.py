@@ -13,12 +13,18 @@ switch with a pair of (usually 10 Gbps) links *and* creates the virtual
 Equal-cost paths are enumerated by breadth-first search over the switch
 graph and memoised; :class:`repro.netsim.routing.EcmpRouter` hashes flows
 onto them.
+
+Everything a topology derives from its nodes, links and boxes -- the
+path memos and the structural index behind :meth:`Topology.hosts`,
+:meth:`Topology.pod_aggrs` and friends -- is dropped by the one
+:meth:`Topology._invalidate` every mutator calls, and rebuilt on the
+next question.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.network import Link, Network
@@ -31,6 +37,8 @@ CORE = "core"
 AGGBOX = "aggbox"
 
 SWITCH_TIERS = (TOR, AGGR, CORE)
+#: Leaves never relay traffic.
+_LEAF_TIERS = (HOST, AGGBOX)
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,26 @@ def link_id(src: str, dst: str) -> str:
     return f"{src}->{dst}"
 
 
+@dataclass
+class _StructureIndex:
+    """Answers derived from one scan of the node table.
+
+    Valid until the next mutation; its size is bounded by the topology
+    (``shared_cores`` gains one entry per distinct tuple of
+    same-position aggregation switches), never by the traffic that asks.
+    """
+
+    #: tier -> node ids in insertion order.
+    ids_by_tier: Dict[str, List[str]]
+    #: pod -> its aggregation switches, sorted.
+    pod_aggrs: Dict[int, Tuple[str, ...]]
+    #: Pods that have an aggregation switch, sorted.
+    pods: Tuple[int, ...]
+    #: aggregation switches -> sorted cores adjacent to all of them.
+    shared_cores: Dict[Tuple[str, ...], Tuple[str, ...]] = field(
+        default_factory=dict)
+
+
 class Topology:
     """Nodes + links + agg boxes, with equal-cost path enumeration."""
 
@@ -91,14 +119,22 @@ class Topology:
         self._bfs_cache: Dict[
             str, Tuple[List[str], Dict[str, int], Dict[str, List[str]]]
         ] = {}
+        self._index: Optional[_StructureIndex] = None
 
     # -- construction -------------------------------------------------------
+
+    def _invalidate(self) -> None:
+        """Drop every derived answer; each mutator ends here."""
+        self._paths_cache.clear()
+        self._bfs_cache.clear()
+        self._index = None
 
     def add_node(self, node: Node) -> None:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
         self._adjacency[node.node_id] = []
+        self._invalidate()
 
     def connect(self, a: str, b: str, capacity_ab: float,
                 capacity_ba: Optional[float] = None) -> None:
@@ -112,8 +148,7 @@ class Topology:
         self.network.add_link(Link(link_id(b, a), capacity_ba, src=b, dst=a))
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
-        self._paths_cache.clear()
-        self._bfs_cache.clear()
+        self._invalidate()
 
     def attach_aggbox(
         self,
@@ -151,6 +186,7 @@ class Topology:
             self._boxes.setdefault(switch_id, []).append(info)
             self._box_index[box_id] = info
             created.append(info)
+        self._invalidate()
         return created
 
     # -- lookups -------------------------------------------------------------
@@ -164,15 +200,56 @@ class Topology:
     def nodes(self, tier: Optional[str] = None) -> List[Node]:
         if tier is None:
             return list(self._nodes.values())
-        return [n for n in self._nodes.values() if n.tier == tier]
+        return [self._nodes[i] for i in self._ids(tier)]
 
     def hosts(self) -> List[str]:
-        return [n.node_id for n in self.nodes(HOST)]
+        return list(self._ids(HOST))
 
     def switches(self, tier: str) -> List[str]:
         if tier not in SWITCH_TIERS:
             raise ValueError(f"not a switch tier: {tier!r}")
-        return [n.node_id for n in self.nodes(tier)]
+        return list(self._ids(tier))
+
+    def pods(self) -> Tuple[int, ...]:
+        """The pods that have an aggregation switch, sorted."""
+        return self._structure().pods
+
+    def pod_aggrs(self, pod: int) -> Tuple[str, ...]:
+        """``pod``'s aggregation switches, sorted (empty if none)."""
+        return self._structure().pod_aggrs.get(pod, ())
+
+    def shared_cores(self, aggrs: Tuple[str, ...]) -> Tuple[str, ...]:
+        """The core switches adjacent to *every* one of ``aggrs``, sorted."""
+        memo = self._structure().shared_cores
+        cores = memo.get(aggrs)
+        if cores is None:
+            common = None
+            for aggr in aggrs:
+                adjacent = {n for n in self._adjacency[aggr]
+                            if self._nodes[n].tier == CORE}
+                common = adjacent if common is None else common & adjacent
+            cores = memo[aggrs] = tuple(sorted(common or ()))
+        return cores
+
+    def _ids(self, tier: str) -> List[str]:
+        return self._structure().ids_by_tier.get(tier, [])
+
+    def _structure(self) -> _StructureIndex:
+        index = self._index
+        if index is None:
+            ids_by_tier: Dict[str, List[str]] = {}
+            by_pod: Dict[int, List[str]] = {}
+            for node in self._nodes.values():
+                ids_by_tier.setdefault(node.tier, []).append(node.node_id)
+                if node.tier == AGGR:
+                    by_pod.setdefault(node.pod, []).append(node.node_id)
+            index = self._index = _StructureIndex(
+                ids_by_tier=ids_by_tier,
+                pod_aggrs={pod: tuple(sorted(ids))
+                           for pod, ids in by_pod.items()},
+                pods=tuple(sorted(by_pod)),
+            )
+        return index
 
     def neighbors(self, node_id: str) -> List[str]:
         return list(self._adjacency[node_id])
@@ -197,6 +274,9 @@ class Topology:
 
     def boxes_at(self, switch_id: str) -> List[AggBoxInfo]:
         return list(self._boxes.get(switch_id, []))
+
+    def has_boxes(self, switch_id: str) -> bool:
+        return bool(self._boxes.get(switch_id))
 
     def all_boxes(self) -> List[AggBoxInfo]:
         return list(self._box_index.values())
@@ -256,7 +336,7 @@ class Topology:
         while queue:
             current = queue.popleft()
             for neighbor in self._adjacency[current]:
-                if self._nodes[neighbor].tier in (HOST, AGGBOX):
+                if self._nodes[neighbor].tier in _LEAF_TIERS:
                     continue
                 if neighbor not in dist:
                     dist[neighbor] = dist[current] + 1
@@ -271,7 +351,18 @@ class Topology:
     def _bfs_all_shortest(self, src: str, dst: str) -> List[List[str]]:
         if src not in self._nodes or dst not in self._nodes:
             raise KeyError(f"unknown endpoint in route {src!r} -> {dst!r}")
-        order, dist, preds = self._source_bfs(src)
+        # A single-homed leaf reaches everything through its one switch,
+        # in the order that switch does: sweep from the switch, so every
+        # host of a rack shares one memoised sweep instead of keeping
+        # its own.
+        root, head = src, [src]
+        links = self._adjacency[src]
+        if len(links) == 1 and self._nodes[src].tier in _LEAF_TIERS \
+                and self._nodes[links[0]].tier not in _LEAF_TIERS:
+            root, head = links[0], [src, links[0]]
+            if dst == root:
+                return [head]
+        order, dist, preds = self._source_bfs(root)
         if dst in dist:
             dst_preds = preds[dst]
         else:
@@ -292,8 +383,8 @@ class Topology:
         paths: List[List[str]] = []
 
         def unwind(node: str, acc: List[str]) -> None:
-            if node == src:
-                paths.append([src] + acc)
+            if node == root:
+                paths.append(head + acc)
                 return
             for pred in (dst_preds if node == dst else preds[node]):
                 unwind(pred, [node] + acc)

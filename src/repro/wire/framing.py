@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.wire.serializer import WireError, read_varint, write_varint
+from repro.wire.serializer import (
+    WireError,
+    WireTruncated,
+    read_varint,
+    write_varint,
+)
 
 
 def frame(payload: bytes) -> bytes:
@@ -40,6 +45,11 @@ class ChunkReassembler:
     bytes that frame needs and returns at once while fewer have arrived,
     so a frame costs time linear in its size however finely it is
     chunked.
+
+    Only a prefix that more bytes could complete is waited for: a
+    malformed one (ten bytes without a terminator, or a padded encoding)
+    raises :class:`WireError` from :meth:`feed`, leaving the reassembler
+    unusable -- the stream has no frame boundary to resynchronise on.
     """
 
     def __init__(self) -> None:
@@ -76,8 +86,8 @@ class ChunkReassembler:
         while offset < len(buffer):
             try:
                 length, after = read_varint(buffer, offset)
-            except WireError:
-                break  # incomplete length prefix
+            except WireTruncated:
+                break  # length prefix still arriving
             end = after + length
             if end > len(buffer):
                 self._need = end - offset  # incomplete payload

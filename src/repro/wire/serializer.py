@@ -17,34 +17,51 @@ class WireError(ValueError):
     """Raised on malformed or truncated wire data."""
 
 
+class WireTruncated(WireError):
+    """The buffer ended inside a value: more bytes could complete it.
+
+    What a streaming reader may wait on; every other :class:`WireError`
+    is malformed for good.
+    """
+
+
 _MAX_VARINT_BYTES = 10  # enough for 64-bit values
+
+
+def append_varint(out: bytearray, value: int) -> None:
+    """Append a non-negative integer to ``out`` as an unsigned varint."""
+    if value < 0:
+        raise WireError(f"varint cannot encode negative value {value}")
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
 
 
 def write_varint(value: int) -> bytes:
     """Encode a non-negative integer as an unsigned varint."""
-    if value < 0:
-        raise WireError(f"varint cannot encode negative value {value}")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    append_varint(out, value)
+    return bytes(out)
 
 
 def read_varint(buffer: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode an unsigned varint; returns ``(value, new_offset)``."""
+    """Decode an unsigned varint; returns ``(value, new_offset)``.
+
+    Only the shortest encoding of a value is accepted (a multi-byte
+    varint ending in a zero byte pads a shorter one), so every byte
+    string that decodes re-encodes to itself.
+    """
     result = 0
     shift = 0
     for i in range(_MAX_VARINT_BYTES):
         if offset + i >= len(buffer):
-            raise WireError("truncated varint")
+            raise WireTruncated("truncated varint")
         byte = buffer[offset + i]
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte and i:
+                raise WireError("overlong varint")
             return result, offset + i + 1
         shift += 7
     raise WireError("varint longer than 10 bytes")
@@ -71,7 +88,7 @@ def read_bytes(buffer: bytes, offset: int = 0) -> Tuple[bytes, int]:
     length, offset = read_varint(buffer, offset)
     end = offset + length
     if end > len(buffer):
-        raise WireError("truncated byte blob")
+        raise WireTruncated("truncated byte blob")
     return bytes(buffer[offset:end]), end
 
 
@@ -99,7 +116,7 @@ def write_float(value: float) -> bytes:
 def read_float(buffer: bytes, offset: int = 0) -> Tuple[float, int]:
     end = offset + 8
     if end > len(buffer):
-        raise WireError("truncated float")
+        raise WireTruncated("truncated float")
     return _DOUBLE.unpack_from(buffer, offset)[0], end
 
 
@@ -120,6 +137,6 @@ def read_floats(buffer: bytes, offset: int,
     bytes actually present before any format or list is sized by it.
     """
     if count > (len(buffer) - offset) // 8:
-        raise WireError("truncated float")
+        raise WireTruncated("truncated float")
     values = struct.unpack_from(f">{count}d", buffer, offset)
     return list(values), offset + 8 * count

@@ -10,7 +10,7 @@ from repro.wire.records import (
     decode_search_results,
     encode_search_results,
 )
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import WireError, read_float, write_float
 
 
 def float_binding(app="sum"):
@@ -148,6 +148,23 @@ class TestStreamingChunks:
         # The rest arrives: a resend from a processed source, dropped
         # by submit_partial, but the stream is drained and released.
         assert box.submit_chunk("sum", "r", "w0", two[3:]) is None
+        assert box.partial_streams() == []
+
+    def test_poisoned_stream_is_dropped_not_buffered(self):
+        """A malformed length prefix raises on arrival and the box lets
+        go of the stream; it used to swallow every later chunk."""
+        box = make_box()
+        box.announce("sum", "r", expected=2)
+        box.submit_chunk("sum", "r", "w0", b"\xff" * 9)   # may still end
+        assert box.partial_streams() == [("sum", "r", "w0")]
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            box.submit_chunk("sum", "r", "w0", b"\xff\xff")
+        assert box.partial_streams() == []
+        # The source's next delivery starts on a clean stream.
+        assert box.submit_chunk("sum", "r", "w0",
+                                frame(write_float(1.0))) is None
+        ready = box.submit_chunk("sum", "r", "w1", frame(write_float(2.0)))
+        assert ready.value == 3.0
         assert box.partial_streams() == []
 
     def test_payload_roundtrips_through_serialiser(self):

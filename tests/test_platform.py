@@ -193,6 +193,55 @@ class TestBatchJobs:
         assert outcome.bytes_into_boxes > 0
 
 
+class TestDuplicateIdsRefusedBeforeAdmission:
+    """Both entry points refuse a re-used id before ``_admit`` runs."""
+
+    @staticmethod
+    def gated_platform():
+        from repro.aggbox.functions import CombinerFunction
+        from repro.core.admission import AdmissionPolicy
+        from repro.core.overload import OverloadConfig
+        from repro.faults import FaultSchedule, PlatformFaultInjector
+        topo = three_tier(SMALL)
+        deploy_boxes(topo)
+        platform = NetAggPlatform(
+            topo, faults=PlatformFaultInjector(FaultSchedule(), topo=topo),
+            overload=OverloadConfig(admission=AdmissionPolicy(rate=0.001,
+                                                              burst=2.0)))
+        platform.register_app("solr", TopKFunction(k=3),
+                              encode_search_results, decode_search_results)
+        platform.register_app("hadoop", CombinerFunction(),
+                              encode_kv_stream, decode_kv_stream)
+        return platform
+
+    def test_online(self):
+        platform = self.gated_platform()
+        platform.execute_request("solr", "r", "host:0", solr_partials())
+        clock = platform.clock
+        assert clock > 0 and platform.admission.admitted == 1
+        with pytest.raises(ValueError, match="duplicate request id 'r'"):
+            platform.execute_request("solr", "r", "host:0", solr_partials())
+        assert platform.clock == clock
+        assert platform.admission.admitted == 1
+        # The second (and last) token is still there for a fresh id.
+        platform.execute_request("solr", "r2", "host:0", solr_partials())
+        assert platform.admission.admitted == 2
+
+    def test_batch(self):
+        platform = self.gated_platform()
+        items = [("host:1", [("apple", KeyValue("apple", 1))]),
+                 ("host:12", [("pear", KeyValue("pear", 2))])]
+        platform.execute_batch("hadoop", "job", "host:0", items, n_trees=2)
+        clock = platform.clock
+        assert platform.admission.admitted == 1
+        with pytest.raises(ValueError,
+                           match="duplicate request id 'job:t0'"):
+            platform.execute_batch("hadoop", "job", "host:0", items,
+                                   n_trees=2)
+        assert platform.clock == clock
+        assert platform.admission.admitted == 1
+
+
 class TestScalarApp:
     def test_sum_through_platform(self):
         platform = make_platform(register_solr=False)

@@ -96,6 +96,57 @@ class TestServiceRoundTrips:
         assert not service.report.accounting_errors()
 
 
+class TestDuplicateIdsCostNothing:
+    """A re-sent id is refused at the front door: it used to be
+    admitted, planned and probed first, and only then refused."""
+
+    @staticmethod
+    def _charges(service):
+        platform = service.platform
+        return {
+            "clock": platform.clock,
+            "admitted": platform.admission.admitted,
+            "nacks": len(platform.admission.nacks),
+            "tokens": platform.admission.bucket("t1").available(
+                platform.clock),
+            "breakers": platform.breakers.states(),
+            "transitions": platform.breakers.transitions(),
+            "partials": {box.box_id: service.platform.box_runtime(
+                box.box_id).pending_count()
+                for box in platform.topology.all_boxes()},
+        }
+
+    @pytest.mark.parametrize("make", [_query, _mlgrad])
+    def test_refused_before_any_charge(self, make):
+        service = AggregationService()
+        first = service.handle(make(rid="a"))
+        assert first["status"] == 200
+        before = self._charges(service)
+        assert before["admitted"] == 1
+        again = service.handle(make(rid="a"))
+        assert again["status"] == 400
+        assert again["error"] == "bad-request"
+        assert "duplicate request id 'a'" in again["reason"]
+        assert self._charges(service) == before
+        # The refusal is still a served request in the ledgers.
+        assert service.report.tenants["t1"].requests == 2
+        # ... and the next fresh id is charged exactly once, from the
+        # clock the first request left behind.
+        fresh = service.handle(make(rid="b"))
+        assert fresh["status"] == 200
+        assert fresh["latency"] == pytest.approx(first["latency"])
+        assert service.platform.admission.admitted == 2
+
+    def test_a_rate_limited_tenant_keeps_its_last_token(self):
+        service = AggregationService(ServeConfig(
+            tenants={"hot": TenantPolicy(rate=0.001, burst=2.0)}))
+        assert service.handle(_query(tenant="hot", rid="a"))["status"] == 200
+        assert service.handle(_query(tenant="hot", rid="a"))["status"] == 400
+        # The duplicate did not spend the second token.
+        assert service.handle(_query(tenant="hot", rid="b"))["status"] == 200
+        assert service.handle(_query(tenant="hot", rid="c"))["status"] == 429
+
+
 class TestAdmissionMapping:
     def _strict_service(self):
         # tenant-hot gets one token and (practically) no refill, so its
@@ -173,9 +224,13 @@ class TestHttpEndpoints:
         service = AggregationService(ServeConfig(
             tenants={"hot": TenantPolicy(rate=0.001, burst=1.0)}))
         frontend = HttpFrontend(service)
-        body = json.dumps({"tenant": "hot", "payload_seed": 1}).encode()
-        first, _ = self._dispatch(frontend, "POST", "/v1/query", body)
-        second, payload = self._dispatch(frontend, "POST", "/v1/query", body)
+        # Distinct ids: a re-sent id is refused (400) ahead of admission.
+        bodies = [json.dumps({"tenant": "hot", "id": rid,
+                              "payload_seed": 1}).encode()
+                  for rid in ("a", "b")]
+        first, _ = self._dispatch(frontend, "POST", "/v1/query", bodies[0])
+        second, payload = self._dispatch(frontend, "POST", "/v1/query",
+                                         bodies[1])
         assert first == 200
         assert second == 429
         assert payload["error"] == "admission-nack"

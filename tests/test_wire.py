@@ -4,7 +4,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.wire import (
@@ -20,6 +20,7 @@ from repro.wire import (
     unframe_all,
 )
 from repro.wire.serializer import (
+    WireTruncated,
     read_bytes,
     read_float,
     read_floats,
@@ -65,6 +66,23 @@ class TestVarint:
     def test_roundtrip_property(self, value):
         decoded, _ = read_varint(write_varint(value))
         assert decoded == value
+
+    @pytest.mark.parametrize("padded", [b"\x80\x00", b"\x81\x00",
+                                        b"\xff\x80\x00",
+                                        b"\x80" * 9 + b"\x00"])
+    def test_padded_encodings_rejected(self, padded):
+        """One value, one encoding: ``80 00`` is a two-byte zero."""
+        with pytest.raises(WireError, match="overlong varint"):
+            read_varint(padded)
+        assert read_varint(b"\x00") == (0, 1)
+
+    def test_truncation_is_its_own_error_type(self):
+        with pytest.raises(WireTruncated):
+            read_varint(b"\x80")
+        with pytest.raises(WireError) as err:
+            read_varint(b"\xff" * 10)
+        assert not isinstance(err.value, WireTruncated)
+
 
 
 class TestSigned:
@@ -253,6 +271,29 @@ class TestFraming:
         assert reassembler.pending_bytes == 50
         assert reassembler.feed(frame(big)[50:]) == [big]
         reassembler.finish()
+
+    def test_malformed_prefix_raises_instead_of_buffering(self):
+        """Ten prefix bytes without a terminator can never become a
+        frame: waiting for more would buffer the stream forever."""
+        reassembler = ChunkReassembler()
+        assert reassembler.feed(b"\xff" * 9) == []     # could still end
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            reassembler.feed(b"\xff")
+        reassembler = ChunkReassembler()
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            reassembler.feed(b"\xff" * 11)
+        # ... and after whole frames, not only at the head of the stream.
+        reassembler = ChunkReassembler()
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            reassembler.feed(frame(b"ok") + b"\x80" * 10 + b"\x01")
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            unframe_all(b"\xff" * 11)
+
+    def test_padded_prefix_raises(self):
+        reassembler = ChunkReassembler()
+        assert reassembler.feed(b"\x83") == []
+        with pytest.raises(WireError, match="overlong varint"):
+            reassembler.feed(b"\x00abc")
 
     def test_finish_mid_frame_raises(self):
         reassembler = ChunkReassembler()
@@ -459,3 +500,72 @@ class TestBatchCodecsMatchPerRecordCodecs:
         good = encode_kv_stream([KeyValue("ab", 1)])
         with pytest.raises(WireError, match="invalid UTF-8 in string"):
             decode_kv_stream(good[:2] + b"\xff\xfe" + good[4:])
+
+
+def _poke(data: bytes, at: int, byte: int) -> bytes:
+    if not data:
+        return data
+    at %= len(data)
+    return data[:at] + bytes([byte]) + data[at + 1:]
+
+
+class TestRecordBatchDecodersAreTotal:
+    """Any byte string either decodes to a value whose re-encoding is
+    that byte string, or raises ``WireError`` -- nothing else."""
+
+    #: Arbitrary bytes rarely get past the count; these get deep.
+    _NEAR_VALID = st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda records, cut, junk: (
+                encode_search_results(records)[:cut] + junk),
+            _search_results(max_size=4), st.integers(0, 80),
+            st.binary(max_size=6)),
+        st.builds(
+            lambda pairs, cut, junk: encode_kv_stream(pairs)[:cut] + junk,
+            _key_values(max_size=4), st.integers(0, 80),
+            st.binary(max_size=6)),
+        st.builds(
+            lambda records, at, byte: _poke(encode_search_results(records),
+                                            at, byte),
+            _search_results(max_size=4), st.integers(0, 200),
+            st.integers(0, 255)),
+    )
+
+    @given(_NEAR_VALID)
+    @example(b"\x80\x00")
+    @example(b"\x81\x00\x05" + bytes(8) + b"\x00")
+    @settings(max_examples=500)
+    def test_search_results(self, data):
+        try:
+            decoded = decode_search_results(data)
+        except WireError:
+            return
+        assert encode_search_results(decoded) == data
+
+    @given(_NEAR_VALID)
+    @example(b"\x80\x00")
+    @example(b"\x81\x00\x01k\x83\x00")
+    @settings(max_examples=500)
+    def test_kv_stream(self, data):
+        try:
+            decoded = decode_kv_stream(data)
+        except WireError:
+            return
+        assert encode_kv_stream(decoded) == data
+
+    @pytest.mark.parametrize("data", [
+        b"\x80\x00",                        # a padded count of zero
+        b"\x81\x00\x05" + bytes(8) + b"\x00",  # a padded count of one
+        b"\x01\x85\x00" + bytes(8) + b"\x00",  # a padded doc id
+        b"\x01\x05" + bytes(8) + b"\x80\x00",  # a padded snippet length
+    ])
+    def test_padded_varints_no_longer_decode(self, data):
+        with pytest.raises(WireError, match="overlong varint"):
+            decode_search_results(data)
+
+    def test_padded_kv_varints_no_longer_decode(self):
+        for data in (b"\x80\x00", b"\x01\x80\x00\x05", b"\x01\x00\x85\x00"):
+            with pytest.raises(WireError, match="overlong varint"):
+                decode_kv_stream(data)
+
