@@ -93,18 +93,19 @@ class NetAggStrategy(AggregationStrategy):
             flow_id = f"{prefix}:w{index}"
             start = worker_start_time(job, index)
             entry = tree.worker_entry[index]
+            # Up to the entry box's switch, or -- no box on the path --
+            # the full switch lane from the worker to the master.
+            lane = tree.worker_lane[index]
             if entry is not None and \
                     job.delay_of(index) > self.straggler_bypass:
                 bypassed.add(index)
                 entry = None
-            if entry is None:
-                # Full switch lane from the worker to the master.
                 lane = tuple(builder.lane(job.job_id, tree.tree_index,
                                           host, tree.master_tor,
                                           master_pod))
+            if entry is None:
                 path = lane_links((host,) + lane + (job.master,))
             else:
-                lane = tree.worker_lane[index]
                 info = tree.boxes[entry].info
                 path = lane_links((host,) + lane) + (
                     info.downlink, info.proc_link,

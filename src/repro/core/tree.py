@@ -236,7 +236,7 @@ class _TreeChoices:
         self._topo = topo
         self._key = key
         self._tree_index = tree_index
-        self._position = stable_hash(f"{key}:lane") + tree_index
+        self._position: Optional[int] = None
         self._core: Optional[str] = None
         self._boxes: Dict[str, str] = {}
 
@@ -258,7 +258,11 @@ class _TreeChoices:
         aggrs = self._topo.pod_aggrs(pod)
         if not aggrs:
             raise ValueError(f"pod {pod} has no aggregation switch")
-        return aggrs[self._position % len(aggrs)]
+        position = self._position
+        if position is None:
+            position = self._position = \
+                stable_hash(f"{self._key}:lane") + self._tree_index
+        return aggrs[position % len(aggrs)]
 
     def core(self) -> str:
         if self._core is None:

@@ -221,10 +221,14 @@ class AggregationService:
             int(request.get("workers", 8)))
 
     def _query_partials(
-        self, request: Mapping[str, Any], workers: List[str],
+        self, request: Mapping[str, Any],
+        workers: Optional[List[str]] = None,
     ) -> List[Tuple[str, List[SearchResult]]]:
-        """Per-worker scored results, explicit or seed-synthesised
-        (``workers``: the hosts :meth:`_endpoints` drew)."""
+        """Per-worker scored results, explicit or seed-synthesised.
+
+        ``workers``: the hosts :meth:`_endpoints` drew, when the caller
+        already has them; only a synthesised payload uses (or draws) them.
+        """
         if "results" in request:
             rows = request["results"]
             if not isinstance(rows, list) or not rows:
@@ -240,6 +244,8 @@ class AggregationService:
             return partials
         seed = int(request.get("payload_seed", 0))
         per_worker = int(request.get("results_per_worker", 4))
+        if workers is None:
+            _, workers = self._endpoints(request)
         return [
             (host, [
                 SearchResult(
@@ -252,7 +258,8 @@ class AggregationService:
         ]
 
     def _mlgrad_partials(
-        self, request: Mapping[str, Any], workers: List[str],
+        self, request: Mapping[str, Any],
+        workers: Optional[List[str]] = None,
     ) -> List[Tuple[str, List[float]]]:
         """Per-worker gradient vectors, explicit or seed-synthesised."""
         if "gradients" in request:
@@ -267,6 +274,8 @@ class AggregationService:
             ]
         seed = int(request.get("payload_seed", 0))
         dims = int(request.get("gradient_dims", 8))
+        if workers is None:
+            _, workers = self._endpoints(request)
         return [
             (host, [
                 ((seed + i * 31 + j * 7) % 1999 - 999) / 999.0
@@ -284,14 +293,12 @@ class AggregationService:
         """
         op = request.get("op")
         if op == OP_QUERY:
-            partials = self._query_partials(request,
-                                            self._endpoints(request)[1])
+            partials = self._query_partials(request)
             merged = TopKFunction(k=self.config.k).merge(
                 [results for _, results in partials])
             return _encode_results(merged)
         if op == OP_MLGRAD:
-            partials = self._mlgrad_partials(request,
-                                             self._endpoints(request)[1])
+            partials = self._mlgrad_partials(request)
             return VectorSumFunction().merge(
                 [vector for _, vector in partials])
         raise ValueError(f"unknown op {op!r}")

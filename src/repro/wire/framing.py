@@ -48,8 +48,11 @@ class ChunkReassembler:
 
     Only a prefix that more bytes could complete is waited for: a
     malformed one (ten bytes without a terminator, or a padded encoding)
-    raises :class:`WireError` from :meth:`feed`, leaving the reassembler
-    unusable -- the stream has no frame boundary to resynchronise on.
+    raises :class:`WireError` from the :meth:`feed` that finds it at the
+    head of the buffer -- frames completed ahead of it in the same chunk
+    are returned first, and the next ``feed`` raises.  The reassembler is
+    unusable from then on: the stream has no frame boundary to
+    resynchronise on.
     """
 
     def __init__(self) -> None:
@@ -88,6 +91,10 @@ class ChunkReassembler:
                 length, after = read_varint(buffer, offset)
             except WireTruncated:
                 break  # length prefix still arriving
+            except WireError:
+                if not frames:
+                    raise
+                break  # deliver what completed; the next feed raises
             end = after + length
             if end > len(buffer):
                 self._need = end - offset  # incomplete payload

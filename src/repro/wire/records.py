@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.wire.serializer import (
-    _DOUBLE,
     WireError,
-    WireTruncated,
     append_varint,
     read_float,
     read_string,
@@ -66,38 +64,21 @@ class SearchResult:
 
 
 def encode_kv_stream(pairs: List[KeyValue]) -> bytes:
-    """Count-prefixed batch of key/value pairs.
-
-    Byte for byte ``write_varint(len(pairs))`` followed by each pair's
-    :meth:`KeyValue.encode`, written into one buffer in one pass.
-    """
-    out = bytearray()
-    append_varint(out, len(pairs))
+    """Count-prefixed batch of key/value pairs."""
+    out = bytearray(write_varint(len(pairs)))
     for pair in pairs:
-        key = pair.key.encode("utf-8")
-        append_varint(out, len(key))
-        out += key
-        append_varint(out, pair.value)
+        out += pair.encode()
     return bytes(out)
 
 
 def decode_kv_stream(buffer: bytes) -> List[KeyValue]:
     count, offset = read_varint(buffer, 0)
-    size = len(buffer)
     pairs = []
     for _ in range(count):
-        length, offset = read_varint(buffer, offset)
-        end = offset + length
-        if end > size:
-            raise WireTruncated("truncated byte blob")
-        try:
-            key = str(buffer[offset:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"invalid UTF-8 in string: {exc}") from exc
-        value, offset = read_varint(buffer, end)
-        pairs.append(KeyValue(key, value))
-    if offset != size:
-        raise WireError(f"{size - offset} trailing bytes in kv batch")
+        pair, offset = KeyValue.decode(buffer, offset)
+        pairs.append(pair)
+    if offset != len(buffer):
+        raise WireError(f"{len(buffer) - offset} trailing bytes in kv batch")
     return pairs
 
 
@@ -106,14 +87,13 @@ def encode_search_results(results: List[SearchResult]) -> bytes:
 
     Byte for byte ``write_varint(len(results))`` followed by each
     result's :meth:`SearchResult.encode`, written into one buffer in one
-    pass.
+    pass: every box emission and worker partial of a query is one call.
     """
     out = bytearray()
     append_varint(out, len(results))
-    pack = _DOUBLE.pack
     for result in results:
         append_varint(out, result.doc_id)
-        out += pack(result.score)
+        out += write_float(result.score)
         snippet = result.snippet.encode("utf-8")
         append_varint(out, len(snippet))
         out += snippet
@@ -122,24 +102,12 @@ def encode_search_results(results: List[SearchResult]) -> bytes:
 
 def decode_search_results(buffer: bytes) -> List[SearchResult]:
     count, offset = read_varint(buffer, 0)
-    size = len(buffer)
-    unpack_from = _DOUBLE.unpack_from
     results = []
     for _ in range(count):
-        doc_id, offset = read_varint(buffer, offset)
-        if offset + 8 > size:
-            raise WireTruncated("truncated float")
-        score = unpack_from(buffer, offset)[0]
-        length, offset = read_varint(buffer, offset + 8)
-        end = offset + length
-        if end > size:
-            raise WireTruncated("truncated byte blob")
-        try:
-            snippet = str(buffer[offset:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"invalid UTF-8 in string: {exc}") from exc
-        offset = end
-        results.append(SearchResult(doc_id, score, snippet))
-    if offset != size:
-        raise WireError(f"{size - offset} trailing bytes in result batch")
+        result, offset = SearchResult.decode(buffer, offset)
+        results.append(result)
+    if offset != len(buffer):
+        raise WireError(
+            f"{len(buffer) - offset} trailing bytes in result batch"
+        )
     return results

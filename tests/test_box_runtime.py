@@ -167,6 +167,20 @@ class TestStreamingChunks:
         assert ready.value == 3.0
         assert box.partial_streams() == []
 
+    def test_partial_ahead_of_the_poison_is_still_counted(self):
+        """A whole frame in the same chunk as a malformed prefix reaches
+        the aggregate; the stream is dropped on the chunk after it."""
+        box = make_box()
+        box.announce("sum", "r", expected=2)
+        assert box.submit_chunk(
+            "sum", "r", "w0", frame(write_float(1.0)) + b"\xff" * 11) is None
+        assert box.partial_streams() == [("sum", "r", "w0")]
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            box.submit_chunk("sum", "r", "w0", b"\x01")
+        assert box.partial_streams() == []
+        ready = box.submit_chunk("sum", "r", "w1", frame(write_float(2.0)))
+        assert ready.value == 3.0
+
     def test_payload_roundtrips_through_serialiser(self):
         box = make_box(topk_binding(k=1))
         box.announce("solr", "r", expected=1)

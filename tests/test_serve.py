@@ -72,6 +72,15 @@ class TestServiceRoundTrips:
         assert response["status"] == 200
         assert response["value"][0] == [4, 0.99]
 
+    def test_expected_value_of_explicit_payload_draws_no_endpoints(self):
+        """Explicit rows name their own hosts: ``workers`` is unused, so
+        a value no draw would accept cannot fail the ground truth."""
+        service = AggregationService()
+        assert service.expected_value(_query(
+            results=[[[1, 0.9]], [[4, 0.99]]], workers=-5))[0] == [4, 0.99]
+        assert service.expected_value(_mlgrad(
+            gradients=[[1.0, 2.0], [0.5, 0.5]], workers=-5)) == [1.5, 2.5]
+
     def test_unknown_op_404(self):
         service = AggregationService()
         response = service.handle({"op": "nonsense", "tenant": "t1",

@@ -282,12 +282,22 @@ class TestFraming:
         reassembler = ChunkReassembler()
         with pytest.raises(WireError, match="longer than 10 bytes"):
             reassembler.feed(b"\xff" * 11)
-        # ... and after whole frames, not only at the head of the stream.
-        reassembler = ChunkReassembler()
-        with pytest.raises(WireError, match="longer than 10 bytes"):
-            reassembler.feed(frame(b"ok") + b"\x80" * 10 + b"\x01")
         with pytest.raises(WireError, match="longer than 10 bytes"):
             unframe_all(b"\xff" * 11)
+
+    def test_frames_ahead_of_a_malformed_prefix_are_delivered(self):
+        """A whole frame sharing a chunk with the poison is not lost: it
+        is returned, and the feed that finds the poison at the head of
+        the buffer raises -- as if the frame had come one chunk earlier."""
+        reassembler = ChunkReassembler()
+        assert reassembler.feed(
+            frame(b"ok") + frame(b"") + b"\xff" * 11) == [b"ok", b""]
+        assert reassembler.frames_emitted == 2
+        assert reassembler.pending_bytes == 11
+        with pytest.raises(WireError, match="longer than 10 bytes"):
+            reassembler.feed(b"")
+        with pytest.raises(WireError, match="trailing bytes"):
+            unframe_all(frame(b"ok") + b"\x80" * 10 + b"\x01")
 
     def test_padded_prefix_raises(self):
         reassembler = ChunkReassembler()
