@@ -215,6 +215,15 @@ class TestFlushAndRecovery:
         # A recovery resend from an already-processed source is dropped.
         assert box.submit_partial("sum", "r", "w0", 1.0) is None
 
+    def test_read_only_accessors_do_not_allocate(self):
+        """Asking about a request the box never saw used to create its
+        state: one post-mortem probe re-leaked what the request freed."""
+        box = make_box()
+        assert box.has_source("sum", "ghost-1", "w0") is False
+        assert box.last_processed("sum", "ghost-2") == []
+        assert box.pending_sources("sum", "ghost-3") == []
+        assert box.pending_requests() == []
+
     def test_announce_validation(self):
         box = make_box()
         with pytest.raises(ValueError):

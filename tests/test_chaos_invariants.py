@@ -20,7 +20,11 @@ promises (the correctness backstop the scenario-based fault tests lack):
   missing-worker set equals the ground-truth set of workers the
   partition scopes actually cut off, completeness is monotone in the
   surviving workers, and once every window heals requests are exact
-  again.
+  again;
+- **nothing left behind** -- after every request, however it ended
+  (answered, NACKed, partial, refused as unreachable, or raised out of
+  a merge mid-tree), no box buffers a partial or a half-received frame
+  and no master shim holds a pending request.
 
 Example counts default to 200 per layer (the acceptance bar) and can be
 lowered for smoke runs via ``CHAOS_EXAMPLES``.  ``derandomize=True``
@@ -74,6 +78,7 @@ from repro.netsim.simulator import FlowSim
 from repro.topology import ThreeTierParams, three_tier
 from repro.wire.serializer import read_float, write_float
 from repro.workload.synthetic import WorkloadParams, generate_workload
+from tests.leftovers import NOTHING, left_behind
 
 CHAOS_EXAMPLES = int(os.environ.get("CHAOS_EXAMPLES", "200"))
 CHAOS = settings(max_examples=CHAOS_EXAMPLES, deadline=None,
@@ -186,6 +191,17 @@ class TestBoxRuntimeChaos:
 # Layer 2: the functional platform end-to-end
 
 
+class NanRejectingSum(SumFunction):
+    """A sum whose merge refuses NaN: a *poisoned* request carries one,
+    so it dies inside whichever box (or master merge) meets it first,
+    with its other partials already buffered across the tree."""
+
+    def merge(self, items):
+        if any(math.isnan(v) for v in items):
+            raise ValueError("NaN partial")
+        return super().merge(items)
+
+
 @st.composite
 def platform_scenario(draw):
     seed = draw(st.integers(0, 10 ** 6))
@@ -218,8 +234,9 @@ def platform_scenario(draw):
                                min_size=len(hosts) - 1,
                                max_size=len(hosts) - 1))
         start = draw(st.floats(0.0, 2.5))
+        poisoned = draw(st.none() | st.integers(0, len(values) - 1))
         requests.append((hosts[0], hosts[1:], [float(v) for v in values],
-                         start))
+                         start, poisoned))
     return seed, counts, permanent, overload, requests
 
 
@@ -234,15 +251,16 @@ class TestPlatformChaos:
         platform = NetAggPlatform(
             TOPO, faults=PlatformFaultInjector(schedule),
             overload=overload)
-        platform.register_app("sum", SumFunction(), write_float,
+        platform.register_app("sum", NanRejectingSum(), write_float,
                               lambda b: read_float(b)[0])
 
         # Requests run in start order so the virtual clock only advances.
-        for i, (master, workers, values, start) in enumerate(
+        for i, (master, workers, values, start, poisoned) in enumerate(
                 sorted(requests, key=lambda r: r[3])):
             platform.advance_clock(start)
-            partials = [(f"host:{h}", v)
-                        for h, v in zip(workers, values)]
+            partials = [
+                (f"host:{h}", math.nan if w == poisoned else v)
+                for w, (h, v) in enumerate(zip(workers, values))]
             try:
                 outcome = platform.execute_request(
                     "sum", f"r{i}", f"host:{master}", partials)
@@ -250,10 +268,16 @@ class TestPlatformChaos:
                 # Termination by typed NACK: legal reason, logged.
                 assert nack.reason in NACK_REASONS
                 assert platform.admission.nacks[-1].reason == nack.reason
-                continue
-            # Exactness: byte-identical to the centralised sum.
-            assert outcome.value == sum(values)
-            assert len(outcome.worker_responses) == len(partials)
+            except ValueError as rejected:
+                # Exit by exception mid-tree: the poisoned kind only.
+                assert poisoned is not None
+                assert str(rejected) == "NaN partial"
+            else:
+                # Exactness: byte-identical to the centralised sum.
+                assert poisoned is None
+                assert outcome.value == sum(values)
+                assert len(outcome.worker_responses) == len(partials)
+            assert left_behind(platform) == NOTHING
 
         if platform.breakers is not None:
             assert_legal_breaker_transitions(
@@ -641,6 +665,8 @@ def completeness_fraction(platform, request_id, master, partials):
             "sum", request_id, host(master), partials)
     except SubtreeUnreachable:
         return 0.0
+    finally:
+        assert left_behind(platform) == NOTHING
     return outcome.completeness.fraction
 
 
@@ -677,6 +703,8 @@ class TestPartitionChaos:
             assert excluded == set(range(len(workers)))
             assert set(refusal.missing_workers) == excluded
             return
+        finally:
+            assert left_behind(platform) == NOTHING
         comp = outcome.completeness
         assert comp is not None
         # The label matches the ground truth: exact iff nothing was
@@ -722,10 +750,12 @@ class TestPartitionChaos:
             platform.execute_request("sum", "r0", host(master), partials)
         except SubtreeUnreachable:
             pass  # everything cut during the window -- legal
+        assert left_behind(platform) == NOTHING
         # Far beyond every window (probe retries burn bounded clock).
         platform.advance_clock(60.0)
         outcome = platform.execute_request(
             "sum", "r1", host(master), partials)
+        assert left_behind(platform) == NOTHING
         assert outcome.completeness is not None
         assert outcome.completeness.exact
         assert outcome.value == sum(values)

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.aggbox.functions import SumFunction, TopKFunction
+from repro.aggbox.functions import (
+    CombinerFunction,
+    SumFunction,
+    TopKFunction,
+)
+from repro.aggbox.overload import FLUSH, HEALTHY, OverloadPolicy
 from repro.aggregation import deploy_boxes
-from repro.core import NetAggPlatform
+from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
+from repro.core import NetAggPlatform, OverloadConfig
 from repro.topology import ThreeTierParams, three_tier
 from repro.topology.base import CORE
 from repro.wire.records import (
@@ -16,6 +22,7 @@ from repro.wire.records import (
     encode_search_results,
 )
 from repro.wire.serializer import read_float, write_float
+from tests.leftovers import NOTHING, left_behind
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -155,8 +162,6 @@ class TestFailures:
 
 class TestBatchJobs:
     def make_hadoop_platform(self):
-        from repro.aggbox.functions import CombinerFunction
-
         platform = make_platform(register_solr=False)
         platform.register_app(
             "hadoop", CombinerFunction(),
@@ -198,9 +203,7 @@ class TestDuplicateIdsRefusedBeforeAdmission:
 
     @staticmethod
     def gated_platform():
-        from repro.aggbox.functions import CombinerFunction
         from repro.core.admission import AdmissionPolicy
-        from repro.core.overload import OverloadConfig
         from repro.faults import FaultSchedule, PlatformFaultInjector
         topo = three_tier(SMALL)
         deploy_boxes(topo)
@@ -240,6 +243,105 @@ class TestDuplicateIdsRefusedBeforeAdmission:
                                    n_trees=2)
         assert platform.clock == clock
         assert platform.admission.admitted == 1
+
+
+class TestRequestsLeaveNothingBehind:
+    """Box and shim state ends with the request, however it ends."""
+
+    HOSTS = [f"host:{h}" for h in range(1, 9)]
+
+    def gradient_platform(self, overload=None):
+        topo = three_tier(SMALL)
+        deploy_boxes(topo)
+        platform = NetAggPlatform(topo, overload=overload)
+        platform.register_app("grad", VectorSumFunction(),
+                              encode_vector, decode_vector)
+        return platform
+
+    def ragged_round(self, platform, request_id):
+        """Eight gradients, the last one short: dies in a box's merge."""
+        rows = [[128.0] * 4 for _ in self.HOSTS]
+        rows[-1] = [128.0] * 3
+        with pytest.raises(ValueError, match="gradient length mismatch"):
+            platform.execute_request("grad", request_id, "host:0",
+                                     list(zip(self.HOSTS, rows)))
+
+    def test_a_request_that_raises_mid_tree_leaves_nothing(self):
+        platform = self.gradient_platform()
+        for i in range(5):
+            self.ragged_round(platform, f"bad-{i}")
+            assert left_behind(platform) == NOTHING
+
+    def test_failed_requests_do_not_contaminate_later_ones(self):
+        """Bounded queues used to flush a dead request's partials into
+        whichever request came next."""
+        platform = self.gradient_platform(OverloadConfig(
+            queue=OverloadPolicy(max_pending=8, shed=FLUSH),
+            avoid_pressured=False))
+        for i in range(6):
+            self.ragged_round(platform, f"bad-{i}")
+        values = []
+        for i in range(6):
+            try:
+                values.append(platform.execute_request(
+                    "grad", f"good-{i}", "host:0",
+                    [(host, [i + 1.0] * 4) for host in self.HOSTS]).value)
+            except ValueError as dead_requests_error:
+                values.append(str(dead_requests_error))
+        assert values == [[8.0 * (i + 1)] * 4 for i in range(6)]
+        for info in platform.topology.all_boxes():
+            assert platform.box_runtime(info.box_id).health == HEALTHY
+        assert left_behind(platform) == NOTHING
+
+    def test_id_completed_on_one_master_is_accepted_on_another(self):
+        """Duplicate refusal is per master; box state used to be keyed
+        on the id alone, so the second master met the first's corpse."""
+        platform = make_platform()
+        for master, hosts in (("host:0", ("host:1", "host:4", "host:8")),
+                              ("host:15", ("host:2", "host:5", "host:9",
+                                           "host:13"))):
+            partials = solr_partials(hosts)
+            outcome = platform.execute_request("solr", "same", master,
+                                               partials)
+            assert outcome.value == \
+                TopKFunction(k=3).merge([p for _, p in partials])
+
+    def test_batch_job_ids_retire_like_online_ids(self):
+        class NoPoison(CombinerFunction):
+            def reduce(self, key, values):
+                if key == "poison":
+                    raise ValueError("poisoned key")
+                return sum(values)
+
+        platform = make_platform(register_solr=False)
+        platform.register_app("hadoop", NoPoison(),
+                              encode_kv_stream, decode_kv_stream)
+
+        def items(hosts, *extra):
+            keys = [f"k{i}" for i in range(12)] + list(extra)
+            return [(host, [(k, KeyValue(k, w + 1)) for k in keys])
+                    for w, host in enumerate(hosts)]
+
+        # A share that dies mid-tree is retired like one that completes.
+        with pytest.raises(ValueError, match="poisoned key"):
+            platform.execute_batch(
+                "hadoop", "bad", "host:0",
+                items(["host:1", "host:4"], "poison"), n_trees=2)
+        assert left_behind(platform) == NOTHING
+        # ``job:t0``/``job:t1`` stay refused where they ran, and are
+        # free again on a master that never saw them.
+        platform.execute_batch("hadoop", "job", "host:0",
+                               items(["host:1", "host:4"]), n_trees=2)
+        with pytest.raises(ValueError,
+                           match="duplicate request id 'job:t0'"):
+            platform.execute_batch("hadoop", "job", "host:0",
+                                   items(["host:1", "host:4"]), n_trees=2)
+        outcome = platform.execute_batch(
+            "hadoop", "job", "host:15",
+            items(["host:2", "host:5", "host:9"]), n_trees=2)
+        assert outcome.value == \
+            [KeyValue(f"k{i}", 6) for i in sorted(range(12), key=str)]
+        assert left_behind(platform) == NOTHING
 
 
 class TestScalarApp:

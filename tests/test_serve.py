@@ -30,7 +30,9 @@ from repro.workload.openloop import (
     OpenLoopParams,
     ZipfTenants,
     generate_arrivals,
+    pick_endpoints,
 )
+from tests.leftovers import NOTHING, census, left_behind
 
 
 def _query(tenant="t1", rid="r1", seed=42, **extra):
@@ -154,6 +156,77 @@ class TestDuplicateIdsCostNothing:
         # The duplicate did not spend the second token.
         assert service.handle(_query(tenant="hot", rid="b"))["status"] == 200
         assert service.handle(_query(tenant="hot", rid="c"))["status"] == 429
+
+
+class TestNothingLeftBehind:
+    """A served request's box and shim state ends with its response."""
+
+    #: Eight gradients, the last one short: refused by a box's merge,
+    #: after seven partials were already buffered in the tree.
+    #: (Explicit rows go to the first eight hosts; ``payload_seed`` 0
+    #: draws a master outside them.)
+    RAGGED = [[1.0] * 4] * 7 + [[1.0] * 3]
+
+    def test_malformed_rounds_leave_no_phantom_pending(self):
+        service = AggregationService(ServeConfig(admission=False))
+        for i in range(40):
+            response = service.handle(
+                _mlgrad(rid=f"bad-{i}", seed=0, gradients=self.RAGGED))
+            assert response["status"] == 400
+            assert "gradient length mismatch" in response["reason"]
+        assert left_behind(service.platform) == NOTHING
+
+    def test_an_id_is_free_again_on_another_master(self):
+        service = AggregationService(ServeConfig(admission=False))
+        hosts = sorted(service.platform.topology.hosts())
+        seed_of = {}
+        for seed in range(100):
+            seed_of.setdefault(pick_endpoints(hosts, seed, 8)[0], seed)
+        assert len(seed_of) >= 4
+        for seed in list(seed_of.values())[:4]:
+            request = _query(rid="same", seed=seed)
+            response = service.handle(request)
+            assert response["status"] == 200
+            assert response["value"] == service.expected_value(request)
+
+    def test_idless_requests_get_ids_of_their_own(self):
+        service = AggregationService(ServeConfig(admission=False))
+        responses = [
+            service.handle({"op": OP_QUERY, "tenant": "t1",
+                            "payload_seed": 42})
+            for _ in range(50)
+        ]
+        assert [r["status"] for r in responses] == [200] * 50
+        assert [r["id"] for r in responses] == \
+            [f"t1:query:anon-{n}" for n in range(50)]
+
+    def test_state_is_flat_over_thousands_of_mixed_requests(self):
+        """Memory per request is memory per *concurrent* request: the
+        per-request objects alive after 2,000 more requests are the
+        ones alive after warm-up (admission on, so 429s occur)."""
+        service = AggregationService()
+
+        def drive(first, count):
+            statuses = set()
+            for n in range(first, first + count):
+                if n % 10 == 9:
+                    request = _mlgrad(rid=f"n{n}", seed=0,
+                                      gradients=self.RAGGED)
+                elif n % 3 == 0:
+                    request = _mlgrad(rid=f"n{n}", seed=n, workers=3)
+                else:
+                    request = _query(rid=f"n{n}", seed=n, workers=3)
+                # 80 small requests/s offered, 50/s admitted: the gate
+                # refuses before the platform's clock backs up.
+                statuses.add(service.handle(
+                    request, arrival=n / 80.0)["status"])
+            return statuses
+
+        drive(0, 300)
+        warm = census()
+        assert drive(300, 2000) == {200, 400, 429}
+        assert census() == warm
+        assert left_behind(service.platform) == NOTHING
 
 
 class TestAdmissionMapping:
