@@ -15,6 +15,7 @@ Shows the full recovery story on live requests:
 Run:  python examples/failure_recovery.py
 """
 
+from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import TopKFunction
 from repro.aggregation import deploy_boxes
 from repro.core import FailureDetector, NetAggPlatform, StragglerMonitor
@@ -37,6 +38,17 @@ def build_platform():
     platform.register_app("solr", TopKFunction(k=3),
                           encode_search_results, decode_search_results)
     return platform
+
+
+def solr_runtime(box_id, function):
+    """One agg box driven directly (outside any platform)."""
+    runtime = AggBoxRuntime(box_id)
+    runtime.register_app(AppBinding(
+        app="solr", function=function,
+        deserialise=decode_search_results,
+        serialise=encode_search_results,
+    ))
+    return runtime
 
 
 PARTIALS = [
@@ -80,8 +92,13 @@ def main():
     assert monitor.permanently_failed() == ["box:aggr:0:0:0"]
 
     print("\n-- duplicate suppression on recovery --")
-    runtime = platform.box_runtime(healthy.boxes_used[-1])
+    # The platform's boxes forget a request once it is answered, so
+    # this box is driven directly and its request is still in flight.
+    runtime = solr_runtime("box:tor:0:0", TopKFunction(k=3))
     request_key = "req@t0"
+    runtime.announce("solr", request_key, expected=2)
+    runtime.submit_partial("solr", request_key, "worker:0", PARTIALS[0][1])
+    assert runtime.flush("solr", request_key) is not None
     processed = runtime.last_processed("solr", request_key)
     resend = runtime.submit_partial("solr", request_key,
                                     processed[0], PARTIALS[0][1])
@@ -91,21 +108,13 @@ def main():
 
     print("\n-- mid-request failure: boxes die while partials are in "
           "flight --")
-    from repro.aggbox.box import AggBoxRuntime, AppBinding
     from repro.core import InFlightRequest, TreeBuilder
 
     fresh = build_platform()
     topo = fresh.topology
     function = TopKFunction(k=3)
-    runtimes = {}
-    for info in topo.all_boxes():
-        rt = AggBoxRuntime(info.box_id)
-        rt.register_app(AppBinding(
-            app="solr", function=function,
-            deserialise=decode_search_results,
-            serialise=encode_search_results,
-        ))
-        runtimes[info.box_id] = rt
+    runtimes = {info.box_id: solr_runtime(info.box_id, function)
+                for info in topo.all_boxes()}
     tree = TreeBuilder(topo).build("live-req", "host:0",
                                    [h for h, _ in PARTIALS])
     request = InFlightRequest(

@@ -119,6 +119,7 @@ class AggBoxRuntime:
         #: the critical-path extractor can group box work per request.
         self.trace_origin = ""
         self._apps: Dict[str, AppBinding] = {}
+        #: Requests in flight: an entry leaves on :meth:`release`.
         self._requests: Dict[tuple, RequestState] = {}
         #: Partially received frames only: an entry leaves once drained.
         self._reassemblers: Dict[tuple, ChunkReassembler] = {}
@@ -247,8 +248,9 @@ class AggBoxRuntime:
     def has_source(self, app: str, request_id: str, source: str) -> bool:
         """True when ``source``'s partial was received (pending or
         already folded into an emitted aggregate)."""
-        state = self._state(app, request_id)
-        return source in state.sources or source in state.processed_sources
+        state = self._requests.get((app, request_id))
+        return state is not None and (
+            source in state.sources or source in state.processed_sources)
 
     def submit_partial(self, app: str, request_id: str, source: str,
                        value: Any) -> Optional[AggregateReady]:
@@ -334,7 +336,8 @@ class AggBoxRuntime:
         The failure protocol sends this upstream so children do not
         resend already-processed results.
         """
-        return list(self._state(app, request_id).processed_sources)
+        state = self._requests.get((app, request_id))
+        return list(state.processed_sources) if state is not None else []
 
     def pending_sources(self, app: str, request_id: str) -> List[str]:
         """Sources received but not yet folded into an emission.
@@ -343,7 +346,37 @@ class AggBoxRuntime:
         were handed upstream synchronously, and everything else never
         arrived.  The recovery protocol replays them.
         """
-        return list(self._state(app, request_id).sources)
+        state = self._requests.get((app, request_id))
+        return list(state.sources) if state is not None else []
+
+    def release(self, app: str, request_id: str) -> int:
+        """Forget ``request_id``: the request is over, however it ended.
+
+        Drops its collection state, its half-received frames and any
+        flush delta of its still waiting in :meth:`drain_shed`.
+        Partials still buffered (the request died mid-tree) come off
+        the app's pending queue and health is re-observed, so no box
+        stays ``pressured`` on the strength of a dead request.  Returns
+        how many such partials were discarded: 0 for a request that
+        completed, and for one this box never saw.
+
+        The platform calls this for every box of a request's trees when
+        the request returns or raises; whoever drives a box directly
+        owns the lifetime of what they create and may call it too.
+        """
+        state = self._requests.pop((app, request_id), None)
+        for key in [k for k in self._reassemblers
+                    if k[0] == app and k[1] == request_id]:
+            del self._reassemblers[key]
+        if self._shed_outbox:
+            self._shed_outbox = [
+                delta for delta in self._shed_outbox
+                if (delta.app, delta.request_id) != (app, request_id)]
+        if state is None or not state.partials:
+            return 0
+        self._pending[app] -= len(state.partials)
+        self._observe(app)
+        return len(state.partials)
 
     def park_pending(
         self,

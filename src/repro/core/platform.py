@@ -13,7 +13,10 @@ Execution model:
 - worker payloads travel as framed binary (the :mod:`repro.wire` layer),
   delivered to boxes in bounded chunks, so streaming deserialisation is
   exercised on every request;
-- failed boxes are rewired out of the trees per §3.1 before execution.
+- failed boxes are rewired out of the trees per §3.1 before execution;
+- a request's state in the boxes and on the master shim lives exactly
+  as long as the call that runs it: one ``finally`` retires it whether
+  the request is answered or raises, so only the outcome outlives it.
 
 Fault-aware execution: constructed with a
 :class:`repro.faults.PlatformFaultInjector` (and optionally a
@@ -355,9 +358,14 @@ class NetAggPlatform:
 
         With admission control enabled, a non-admitted request raises
         :class:`repro.core.admission.AdmissionNack` before touching any
-        tree (``tenant`` defaults to the app name).  An id this master
-        has already used is refused (``ValueError``) before that: no
-        token spent, no tree built, no clock burnt.
+        tree (``tenant`` defaults to the app name).  An id among the
+        last :data:`repro.core.shim.RETIRED_ID_WINDOW` this master
+        retired is refused (``ValueError``) before that: no token spent,
+        no tree built, no clock burnt.
+
+        What the request creates in the boxes and the master shim lives
+        exactly as long as this call: it is retired when the call
+        returns or raises, and only the outcome outlives it.
         """
         self._check_app(app)
         self._refuse_duplicates(master, [request_id])
@@ -732,7 +740,9 @@ class NetAggPlatform:
         worker_partials: Sequence[Tuple[str, Any]],
         trees: Sequence[AggregationTree],
     ) -> RequestOutcome:
-        shim = self._master_shims.setdefault(master, MasterShim(master))
+        shim = self._master_shims.get(master)
+        if shim is None:
+            shim = self._master_shims[master] = MasterShim(master)
         events: List[ShimEvent] = []
         probes: Dict[str, bool] = {}
         nacked: Set[str] = set()
@@ -772,6 +782,40 @@ class NetAggPlatform:
         ]
         shim.intercept_request(request_id, [eff for _, eff in pairs],
                                excluded=sorted(excluded))
+        # From here on the request owns state: an entry on the master
+        # shim and, once announced, one on every box of its effective
+        # trees.  Whether it is answered or raises (a merge refusing a
+        # partial, a box error, an incomplete tree), all of it ends
+        # here -- nothing arrives for a request after it has returned.
+        try:
+            return self._deliver_on_trees(app, request_id, worker_partials,
+                                          pairs, shim, events, probes,
+                                          excluded)
+        finally:
+            abandoned = 0
+            for _, tree in pairs:
+                tree_request = self._tree_request(request_id, tree)
+                for box_id in tree.boxes:
+                    abandoned += self._boxes[box_id].release(
+                        app, tree_request)
+            shim.retire(request_id)
+            if abandoned:
+                METRICS.counter("platform.abandoned_partials").inc(
+                    abandoned)
+
+    def _deliver_on_trees(
+        self,
+        app: str,
+        request_id: str,
+        worker_partials: Sequence[Tuple[str, Any]],
+        pairs: Sequence[Tuple[AggregationTree, AggregationTree]],
+        shim: MasterShim,
+        events: List[ShimEvent],
+        probes: Dict[str, bool],
+        excluded: Dict[int, str],
+    ) -> RequestOutcome:
+        """Announce, emit, propagate and answer one intercepted request
+        over its ``(original, effective)`` tree pairs."""
         boxes_used: List[str] = []
         bytes_in = 0.0
         rng = random.Random(stable_hash(request_id) & 0xFFFF)
@@ -792,7 +836,7 @@ class NetAggPlatform:
             # effective tree's entry, so the announced counts match.
             transport = _RequestTransport(
                 self, app, request_id, tree_request, shim, events, probes,
-                rng, master=master,
+                rng, master=shim.host,
             )
             # Emissions queued for upstream delivery.  Each entry is
             # (box_id, aggregate, source_tag): the final emission of a
@@ -885,7 +929,7 @@ class NetAggPlatform:
             value=responses[0][1],
             worker_responses=responses,
             boxes_used=boxes_used,
-            trees_used=[t.tree_index for t in trees],
+            trees_used=[tree.tree_index for tree, _ in pairs],
             bytes_into_boxes=bytes_in,
             shim_events=events,
             completeness=completeness,

@@ -16,11 +16,17 @@ with the agg boxes so applications need no modification:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tree import AggregationTree
 from repro.netsim.routing import stable_hash
+
+#: How many retired request ids each :class:`MasterShim` remembers, to
+#: refuse their re-use.  At saturation one shim holds 4,096 id strings
+#: and their ordered-dict slots: about 0.8 MB with 40-character ids.
+RETIRED_ID_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,10 @@ class MasterShim:
 
     def __init__(self, host: str) -> None:
         self.host = host
+        #: Requests in flight: an entry leaves on :meth:`retire`.
         self._requests: Dict[str, _RequestEntry] = {}
+        #: The last :data:`RETIRED_ID_WINDOW` retired ids, oldest first.
+        self._retired: "OrderedDict[str, None]" = OrderedDict()
 
     def intercept_request(self, request_id: str,
                           trees: Sequence[AggregationTree],
@@ -203,13 +212,23 @@ class MasterShim:
         return expected
 
     def refuse_duplicate(self, request_id: str) -> None:
-        """Raise if ``request_id`` was already intercepted here.
+        """Raise if ``request_id`` is in flight here, or is among the
+        last :data:`RETIRED_ID_WINDOW` ids this shim retired.
 
         The platform asks before it admits, plans or probes, so a
         refused id costs its sender nothing but the refusal.
         """
-        if request_id in self._requests:
+        if request_id in self._requests or request_id in self._retired:
             raise ValueError(f"duplicate request id {request_id!r}")
+
+    def retire(self, request_id: str) -> None:
+        """The request is over (answered or failed): drop its entry --
+        and with it the aggregate it holds -- and remember only the id,
+        evicting the oldest remembered id once the window is full."""
+        del self._requests[request_id]
+        self._retired[request_id] = None
+        if len(self._retired) > RETIRED_ID_WINDOW:
+            self._retired.popitem(last=False)
 
     def deliver_aggregate(self, request_id: str, tree_index: int,
                           value: Any) -> None:

@@ -42,6 +42,7 @@ service time, exactly like a busy single-worker server.
 from __future__ import annotations
 
 import asyncio
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -187,6 +188,8 @@ class AggregationService:
             APP_MLGRAD, VectorSumFunction(), encode_vector, decode_vector)
         self._hosts = sorted(self._topo.hosts())
         self._lock = asyncio.Lock()
+        #: Numbers the requests that arrive without an ``id``.
+        self._anonymous = itertools.count()
         self.report = ServeReport(slo=config.default_policy.slo)
         #: The live telemetry plane (None when ``config.telemetry`` is
         #: off -- e.g. the capacity-probe scratch deployment).
@@ -314,7 +317,10 @@ class AggregationService:
         """
         tenant = str(request.get("tenant", "anonymous"))
         op = str(request.get("op", ""))
-        request_id = str(request.get("id", f"{tenant}:{op}:anon"))
+        # A request without an id gets one of its own (a shared default
+        # would be a duplicate from the tenant's second request on).
+        request_id = str(request["id"]) if "id" in request \
+            else f"{tenant}:{op}:anon-{next(self._anonymous)}"
         slo = self.config.policy_for(tenant).slo
         if arrival is None:
             arrival = self._platform.clock

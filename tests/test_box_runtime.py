@@ -4,6 +4,12 @@ import pytest
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import SumFunction, TopKFunction
+from repro.aggbox.overload import (
+    FLUSH,
+    HEALTHY,
+    SHEDDING,
+    OverloadPolicy,
+)
 from repro.wire.framing import frame
 from repro.wire.records import (
     SearchResult,
@@ -228,3 +234,54 @@ class TestFlushAndRecovery:
         box = make_box()
         with pytest.raises(ValueError):
             box.announce("sum", "r", expected=0)
+
+
+class TestRelease:
+    """``release`` ends a request on this box, however far it got."""
+
+    def test_completed_request_has_nothing_to_discard(self):
+        box = make_box()
+        box.announce("sum", "r", expected=2)
+        box.submit_partial("sum", "r", "w0", 1.0)
+        assert box.submit_partial("sum", "r", "w1", 2.0).value == 3.0
+        assert box.release("sum", "r") == 0
+        assert box.last_processed("sum", "r") == []
+        # The key is free: the next request under it starts from nothing.
+        box.announce("sum", "r", expected=1)
+        assert box.submit_partial("sum", "r", "w0", 5.0).value == 5.0
+
+    def test_unknown_request_is_a_no_op(self):
+        box = make_box()
+        assert box.release("sum", "ghost") == 0
+        assert box.pending_requests() == []
+
+    def test_buffered_partials_come_off_the_queue_and_health(self):
+        box = AggBoxRuntime("box:test",
+                            policy=OverloadPolicy(max_pending=4, shed=FLUSH))
+        box.register_app(float_binding())
+        box.announce("sum", "dead", expected=5)
+        box.announce("sum", "live", expected=2)
+        for i in range(4):
+            box.submit_partial("sum", "dead", f"w{i}", 1.0)
+        assert box.health == SHEDDING
+        assert box.release("sum", "dead") == 4
+        assert box.pending_count("sum") == 0
+        assert box.health == HEALTHY
+        # Nothing of the dead request is flushed into the live one.
+        box.submit_partial("sum", "live", "w0", 10.0)
+        assert box.submit_partial("sum", "live", "w1", 20.0).value == 30.0
+        assert box.drain_shed() == []
+
+    def test_half_received_frames_and_undrained_deltas_go_too(self):
+        box = AggBoxRuntime("box:test",
+                            policy=OverloadPolicy(max_pending=2, shed=FLUSH))
+        box.register_app(float_binding())
+        box.announce("sum", "dead", expected=4)
+        box.announce("sum", "other", expected=2)
+        for i in range(3):  # the third submit flushes the first two
+            box.submit_partial("sum", "dead", f"w{i}", 1.0)
+        box.submit_chunk("sum", "dead", "w3", frame(write_float(1.0))[:3])
+        box.submit_chunk("sum", "other", "w0", frame(write_float(1.0))[:3])
+        assert box.release("sum", "dead") == 1
+        assert box.partial_streams() == [("sum", "other", "w0")]
+        assert box.drain_shed() == []

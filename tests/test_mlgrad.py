@@ -156,18 +156,22 @@ class TestOnPathTraining:
 
     def test_every_step_is_one_request(self):
         platform = self.make_platform()
+        # Box state ends with its request; the outcomes outlive it.
+        outcomes = []
+        execute = platform.execute_request
+
+        def recording(*args, **kwargs):
+            outcomes.append(execute(*args, **kwargs))
+            return outcomes[-1]
+
+        platform.execute_request = recording
         aggregate = netagg_aggregator(platform, "host:0", WORKER_HOSTS)
         train(make_shards(), n_features=3, iterations=5,
               aggregate=aggregate)
-        # Five steps -> five distinct requests on the entry boxes.
-        counted = set()
-        for info in platform.topology.all_boxes():
-            runtime = platform.box_runtime(info.box_id)
-            for step in range(5):
-                if runtime.last_processed("mlgrad",
-                                          f"grad-step-{step}@t0"):
-                    counted.add(step)
-        assert counted == set(range(5))
+        # Five steps -> five distinct requests, each merged on boxes.
+        assert [o.request_id for o in outcomes] == \
+            [f"grad-step-{step}" for step in range(5)]
+        assert all(o.boxes_used for o in outcomes)
 
     def test_boxes_release_drained_reassemblers(self):
         platform = self.make_platform()

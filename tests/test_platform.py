@@ -11,6 +11,7 @@ from repro.aggbox.overload import FLUSH, HEALTHY, OverloadPolicy
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
 from repro.core import NetAggPlatform, OverloadConfig
+from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
 from repro.topology.base import CORE
 from repro.wire.records import (
@@ -271,6 +272,22 @@ class TestRequestsLeaveNothingBehind:
         for i in range(5):
             self.ragged_round(platform, f"bad-{i}")
             assert left_behind(platform) == NOTHING
+
+    def test_discarded_partials_are_counted(self):
+        """``platform.abandoned_partials``: zero for every request that
+        completes, the partials still buffered for one that does not."""
+        platform = self.gradient_platform()
+        abandoned = METRICS.counter("platform.abandoned_partials")
+        start = abandoned.value
+        platform.execute_request(
+            "grad", "good", "host:0",
+            [(host, [1.0] * 4) for host in self.HOSTS])
+        assert abandoned.value == start
+        self.ragged_round(platform, "bad-0")
+        per_round = abandoned.value - start
+        assert per_round > 0
+        self.ragged_round(platform, "bad-1")
+        assert abandoned.value == start + 2 * per_round
 
     def test_failed_requests_do_not_contaminate_later_ones(self):
         """Bounded queues used to flush a dead request's partials into

@@ -1,9 +1,14 @@
 """Tests for worker and master shim layers."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.aggregation import deploy_boxes
-from repro.core.shim import MasterShim, WorkerShim
+from repro.core import shim as shim_module
+from repro.core.shim import RETIRED_ID_WINDOW, MasterShim, WorkerShim
 from repro.core.tree import TreeBuilder
 from repro.topology import ThreeTierParams, three_tier
 
@@ -137,3 +142,64 @@ class TestMasterShim:
         shim = MasterShim("host:0")
         with pytest.raises(KeyError):
             shim.is_complete("ghost")
+
+
+class TestRetirement:
+    """``retire`` ends a request: its entry (and the aggregate it
+    pins) goes, its id stays refused for one window of newer ids."""
+
+    TREES = make_trees(n_trees=1)
+
+    def test_retire_drops_the_entry_and_keeps_the_id_refused(self):
+        shim = MasterShim("host:0")
+        shim.intercept_request("r1", self.TREES)
+        shim.deliver_aggregate("r1", 0, [42])
+        shim.retire("r1")
+        with pytest.raises(KeyError):
+            shim.is_complete("r1")
+        with pytest.raises(ValueError, match="duplicate request id 'r1'"):
+            shim.refuse_duplicate("r1")
+        with pytest.raises(ValueError, match="duplicate request id 'r1'"):
+            shim.intercept_request("r1", self.TREES)
+
+    def test_failed_requests_retire_too(self):
+        shim = MasterShim("host:0")
+        shim.intercept_request("r1", self.TREES)
+        assert shim.pending_requests() == ["r1"]
+        shim.retire("r1")
+        assert shim.pending_requests() == []
+
+    def test_only_intercepted_requests_retire(self):
+        with pytest.raises(KeyError):
+            MasterShim("host:0").retire("ghost")
+
+    def test_the_window_is_as_wide_as_its_constant(self):
+        shim = MasterShim("host:0")
+        for n in range(RETIRED_ID_WINDOW + 1):
+            shim.intercept_request(f"r{n}", self.TREES)
+            shim.retire(f"r{n}")
+        assert len(shim._retired) == RETIRED_ID_WINDOW
+        shim.refuse_duplicate("r0")  # evicted: free again
+        with pytest.raises(ValueError):
+            shim.refuse_duplicate("r1")
+
+    @given(window=st.integers(1, 6),
+           script=st.lists(st.integers(0, 9), max_size=60))
+    def test_an_id_is_refused_for_exactly_one_window(self, window, script):
+        """Against a list model: an id is refused while it is among the
+        last ``window`` retired, accepted once that many newer ids have
+        retired, and the shim never retains more than ``window``."""
+        with mock.patch.object(shim_module, "RETIRED_ID_WINDOW", window):
+            shim = MasterShim("host:0")
+            retired = []  # oldest first
+            for n in script:
+                request_id = f"r{n}"
+                if request_id in retired[-window:]:
+                    with pytest.raises(ValueError, match="duplicate"):
+                        shim.intercept_request(request_id, self.TREES)
+                else:
+                    shim.intercept_request(request_id, self.TREES)
+                    shim.retire(request_id)
+                    retired.append(request_id)
+                assert list(shim._retired) == retired[-window:]
+                assert shim.pending_requests() == []
