@@ -353,7 +353,7 @@ class AggBoxRuntime:
         """Forget ``request_id``: the request is over, however it ended.
 
         Drops its collection state, its half-received frames and any
-        flush delta of its still waiting in :meth:`drain_shed`.
+        of its flush deltas still waiting for :meth:`drain_shed`.
         Partials still buffered (the request died mid-tree) come off
         the app's pending queue and health is re-observed, so no box
         stays ``pressured`` on the strength of a dead request.  Returns
@@ -364,14 +364,12 @@ class AggBoxRuntime:
         the request returns or raises; whoever drives a box directly
         owns the lifetime of what they create and may call it too.
         """
-        state = self._requests.pop((app, request_id), None)
-        for key in [k for k in self._reassemblers
-                    if k[0] == app and k[1] == request_id]:
-            del self._reassemblers[key]
-        if self._shed_outbox:
-            self._shed_outbox = [
-                delta for delta in self._shed_outbox
-                if (delta.app, delta.request_id) != (app, request_id)]
+        key = (app, request_id)
+        state = self._requests.pop(key, None)
+        for stream in [s for s in self._reassemblers if s[:2] == key]:
+            del self._reassemblers[stream]
+        self._shed_outbox = [delta for delta in self._shed_outbox
+                             if (delta.app, delta.request_id) != key]
         if state is None or not state.partials:
             return 0
         self._pending[app] -= len(state.partials)

@@ -30,13 +30,13 @@ SMALL = ThreeTierParams(
 )
 
 
-def make_platform(tiers=None, register_solr=True):
+def make_platform(tiers=None, register_solr=True, overload=None):
     topo = three_tier(SMALL)
     if tiers is None:
         deploy_boxes(topo)
     elif tiers:
         deploy_boxes(topo, tiers=tiers)
-    platform = NetAggPlatform(topo)
+    platform = NetAggPlatform(topo, overload=overload)
     if register_solr:
         platform.register_app(
             "solr", TopKFunction(k=3),
@@ -252,9 +252,7 @@ class TestRequestsLeaveNothingBehind:
     HOSTS = [f"host:{h}" for h in range(1, 9)]
 
     def gradient_platform(self, overload=None):
-        topo = three_tier(SMALL)
-        deploy_boxes(topo)
-        platform = NetAggPlatform(topo, overload=overload)
+        platform = make_platform(register_solr=False, overload=overload)
         platform.register_app("grad", VectorSumFunction(),
                               encode_vector, decode_vector)
         return platform
@@ -324,14 +322,14 @@ class TestRequestsLeaveNothingBehind:
                 TopKFunction(k=3).merge([p for _, p in partials])
 
     def test_batch_job_ids_retire_like_online_ids(self):
-        class NoPoison(CombinerFunction):
+        class PoisonRejectingCombiner(CombinerFunction):
             def reduce(self, key, values):
                 if key == "poison":
                     raise ValueError("poisoned key")
                 return sum(values)
 
         platform = make_platform(register_solr=False)
-        platform.register_app("hadoop", NoPoison(),
+        platform.register_app("hadoop", PoisonRejectingCombiner(),
                               encode_kv_stream, decode_kv_stream)
 
         def items(hosts, *extra):
