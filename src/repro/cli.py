@@ -229,18 +229,13 @@ def _trace_platform_companion(scale: SimScale, seed: int) -> None:
     from repro.aggregation import deploy_boxes
     from repro.aggbox.functions import SearchResult, TopKFunction
     from repro.core.platform import NetAggPlatform
-    from repro.faults import FaultSchedule, PlatformFaultInjector
     from repro.topology.threetier import three_tier
     from repro.wire.records import decode_search_results, \
         encode_search_results
 
     topo = three_tier(scale.topo)
     deploy_boxes(topo)
-    # An empty fault schedule (rather than faults=None) makes the shim
-    # probe each box and burn send latency, so the platform spans in
-    # the trace have real durations for the critical-path extractor.
-    platform = NetAggPlatform(
-        topo, faults=PlatformFaultInjector(FaultSchedule()))
+    platform = NetAggPlatform(topo)
     function = TopKFunction(k=10)
     platform.register_app("topk", function,
                           encode_search_results, decode_search_results)

@@ -18,15 +18,16 @@ Execution model:
   as long as the call that runs it: one ``finally`` retires it whether
   the request is answered or raises, so only the outcome outlives it.
 
-Fault-aware execution: constructed with a
-:class:`repro.faults.PlatformFaultInjector` (and optionally a
-:class:`repro.faults.RetryPolicy`), the platform advances a
-deterministic virtual clock and probes each box at connect time.  A box
-that is down burns ``timeout`` per attempt plus jittered backoff; a box
-that exhausts its attempts is rewired out of the request's trees
-*before* expected counts are announced, so partial-result accounting
-stays consistent.  Worker shims then walk the degradation ladder (entry
-box -> next on-path ancestor -> direct to master) and every retry,
+Fault-aware execution is the only execution: the platform advances a
+deterministic virtual clock and probes each box before it plans.  Built
+without a fault oracle or retry policy it runs on the empty schedule
+and the default policy (see :class:`NetAggPlatform`), so its clock still
+moves by ``send_latency`` per probe and per delivery.  A box that is
+down burns ``timeout`` per attempt plus jittered backoff; a box that
+exhausts its attempts is rewired out of the request's tree *before*
+expected counts are announced, so partial-result accounting stays
+consistent.  Worker shims then walk the degradation ladder (entry box
+-> next on-path ancestor -> direct to master) and every retry,
 fallback, bypass, degradation and churn wait is recorded as a
 :class:`repro.core.shim.ShimEvent` on the outcome.
 """
@@ -86,8 +87,8 @@ class RequestOutcome:
     #: Bytes of framed partial-result data entering boxes.
     bytes_into_boxes: float
     #: Retries, fallbacks, bypasses, degradations and churn waits the
-    #: shims performed while executing this request (empty when the
-    #: platform has no fault injector).
+    #: shims performed while executing this request (empty when
+    #: nothing went wrong).
     shim_events: List[ShimEvent] = field(default_factory=list)
     #: What fraction of the workers this value covers.  ``None`` on a
     #: platform without a :class:`repro.core.partition.PartitionPolicy`;
@@ -102,19 +103,24 @@ class RequestOutcome:
 class NetAggPlatform:
     """Deployment of NetAgg over a topology with attached agg boxes.
 
-    ``faults`` is a connect-time fault oracle (duck-typed after
-    :class:`repro.faults.PlatformFaultInjector`: ``box_down``,
-    ``degradation``, ``churn_until``, optionally ``overload_factor``
-    and ``shedding``); ``retry`` the shim retry policy (defaults to
-    :class:`repro.faults.RetryPolicy` when ``faults`` is given).
-    Without an oracle every connect succeeds immediately and execution
-    is identical to the fault-free platform.
+    ``faults`` is the connect-time fault oracle, a
+    :class:`repro.faults.PlatformFaultInjector` whose ``box_down``,
+    ``isolated``, ``shedding``, ``degradation``, ``overload_factor``,
+    ``gray_factor`` and ``churn_until`` the request path calls
+    directly; ``retry`` is the shim retry policy.  ``None`` is not a
+    mode: ``faults=None`` *is* ``PlatformFaultInjector(FaultSchedule())``,
+    ``retry=None`` *is* ``RetryPolicy()`` and ``overload=None`` *is*
+    ``OverloadConfig()``.  A platform built without an oracle therefore
+    runs the one request path there is: every box is probed, none is
+    found down, and the virtual clock advances by ``send_latency`` per
+    probe and per delivery, exactly as with an empty schedule.
 
-    ``overload`` switches on the overload-control plane (see
+    ``overload`` configures the overload-control plane (see
     :class:`repro.core.overload.OverloadConfig`): bounded box queues
     with the health state machine, per-target circuit breakers at
     connect time, admission control at the master shim, and tree
-    re-planning away from pressured boxes.
+    re-planning away from pressured boxes.  The default config bounds
+    nothing, has no breakers and admits everything.
 
     ``partition`` switches on the partition-tolerance plane (see
     :class:`repro.core.partition.PartitionPolicy`): workers the fault
@@ -133,10 +139,23 @@ class NetAggPlatform:
                  retry: Optional[Any] = None,
                  overload: Optional[OverloadConfig] = None,
                  partition: Optional[PartitionPolicy] = None) -> None:
+        # Deferred: repro.faults imports repro.core for the tree types.
+        from repro.faults import FaultSchedule, PlatformFaultInjector, \
+            RetryPolicy
+        # What "off" means is decided here, once, as a value: the
+        # request path never asks whether these planes exist.
+        if faults is None:
+            faults = PlatformFaultInjector(FaultSchedule())
+        if retry is None:
+            retry = RetryPolicy()
+        if overload is None:
+            overload = OverloadConfig()
         self._topo = topo
         self._builder = TreeBuilder(topo)
+        self._faults = faults
+        self._retry = retry
         self._overload = overload
-        box_policy = overload.box_policy() if overload is not None else None
+        box_policy = overload.box_policy()
         self._boxes: Dict[str, AggBoxRuntime] = {
             info.box_id: AggBoxRuntime(info.box_id, policy=box_policy)
             for info in topo.all_boxes()
@@ -146,30 +165,21 @@ class NetAggPlatform:
         self._failed: Set[str] = set()
         self._drained: Set[str] = set()
         self._master_shims: Dict[str, MasterShim] = {}
-        self._faults = faults
-        if retry is None and faults is not None:
-            from repro.faults.retry import RetryPolicy
-            retry = RetryPolicy()
-        self._retry = retry
         self._partition = partition
         self._gray: Optional[GrayDetector] = None
-        if partition is not None and faults is not None:
+        if partition is not None:
             seed = partition.gray.baseline
-            if seed is None and self._retry is not None:
+            if seed is None:
                 # Seed the EWMA with the healthy send latency so the
                 # detector can flag from the very first outlier.
-                seed = self._retry.send_latency
+                seed = retry.send_latency
             self._gray = GrayDetector(partition.gray, baseline=seed)
-        self._breakers = (
-            BreakerBoard(overload.breaker)
-            if overload is not None and overload.breaker is not None
-            else None
-        )
+        self._breakers = (BreakerBoard(overload.breaker)
+                          if overload.breaker is not None else None)
         self._admission = (
             AdmissionController(overload.admission,
                                 per_tenant=overload.admission_per_tenant)
-            if overload is not None and overload.admission is not None
-            else None
+            if overload.admission is not None else None
         )
         self._clock = 0.0
 
@@ -233,12 +243,12 @@ class NetAggPlatform:
         return self._clock
 
     @property
-    def overload(self) -> Optional[OverloadConfig]:
+    def overload(self) -> OverloadConfig:
         return self._overload
 
     @property
     def breakers(self) -> Optional[BreakerBoard]:
-        """The per-target circuit breakers (None without overload config)."""
+        """The per-target circuit breakers (None without a breaker policy)."""
         return self._breakers
 
     @property
@@ -274,7 +284,7 @@ class NetAggPlatform:
         is reported as ``gray`` -- the heartbeat protocol's blind spot
         made visible (gray failure: alive, probing fine, and slow).
         """
-        if staleness is None and self._overload is not None:
+        if staleness is None:
             staleness = self._overload.heartbeat_staleness
         report: Dict[str, BoxHeartbeat] = {}
         for box_id, runtime in sorted(self._boxes.items()):
@@ -302,6 +312,8 @@ class NetAggPlatform:
         the next send probes the box immediately instead of waiting
         out the remainder of the breaker's reset timeout.
         """
+        if box_id not in self._boxes:
+            raise KeyError(f"unknown box {box_id!r}")
         self._failed.discard(box_id)
         if self._breakers is not None:
             self._breakers.breaker(box_id).force_probe(self._clock)
@@ -373,9 +385,8 @@ class NetAggPlatform:
         trees = self.build_trees(request_id, master,
                                  [h for h, _ in worker_partials], n_trees)
         chosen = trees[stable_hash(request_id) % len(trees)]
-        return self._run_on_trees(app, request_id, master,
-                                  worker_partials, [chosen],
-                                  tenant=tenant or app)
+        return self._run_on_tree(app, request_id, master, worker_partials,
+                                 chosen, tenant or app)
 
     def execute_batch(
         self,
@@ -411,9 +422,9 @@ class NetAggPlatform:
             for index, (host, keyed) in enumerate(worker_keyed_items):
                 split = shims[index].split(keyed)
                 partials.append((host, rebundle(split[tree.tree_index])))
-            outcomes.append(self._run_on_trees(
+            outcomes.append(self._run_on_tree(
                 app, self._batch_request(job_id, tree.tree_index), master,
-                partials, [tree], tenant=tenant or app,
+                partials, tree, tenant or app,
             ))
         merged = self._mergers[app](
             [outcome.value for outcome in outcomes]
@@ -434,6 +445,7 @@ class NetAggPlatform:
             completeness=Completeness.merged(parts) if parts else None,
         )
 
+
     # -- internals -----------------------------------------------------------
 
     def _check_app(self, app: str) -> None:
@@ -448,27 +460,6 @@ class NetAggPlatform:
             for request_id in request_ids:
                 shim.refuse_duplicate(request_id)
 
-    def _emit_event(self, events: List[ShimEvent], kind: str, source: str,
-                    target: str, attempt: int = 0, detail: str = "",
-                    request: str = "", **tags: object) -> None:
-        """Record one shim lifecycle event everywhere it is observed:
-        the outcome's audit trail, the ``platform.shim.<kind>`` tally
-        in the metrics registry, and (when tracing) an instant on the
-        platform timeline.  ``request`` threads the originating request
-        id onto the instant (the critical-path extractor groups shim
-        events per request by it); extra ``tags`` land on the instant
-        only.
-        """
-        events.append(ShimEvent(at=self._clock, kind=kind, source=source,
-                                target=target, attempt=attempt,
-                                detail=detail))
-        METRICS.counter(f"platform.shim.{kind}").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(f"shim.{kind}", self._clock, layer="platform",
-                           source=source, target=target, attempt=attempt,
-                           detail=detail, request=request, **tags)
-
     def _admit(self, tenant: str) -> None:
         """Admission gate: raises AdmissionNack when the shim refuses."""
         if self._admission is None:
@@ -478,82 +469,6 @@ class NetAggPlatform:
             default=0,
         )
         self._admission.admit(tenant, self._clock, queue_depth=depth)
-
-    def _box_unreachable(self, box_id: str,
-                         master: Optional[str]) -> bool:
-        """Down, or cut off from the master by an active partition.
-
-        A partitioned box is alive but its aggregates cannot reach the
-        master, so from the request's point of view it is exactly as
-        unreachable as a crashed one -- connect attempts time out.
-        """
-        if self._faults.box_down(box_id, self._clock):
-            return True
-        if master is not None:
-            isolated = getattr(self._faults, "isolated", None)
-            if isolated is not None \
-                    and isolated(box_id, master, self._clock) is not None:
-                return True
-        return False
-
-    def _probe_box(self, box_id: str, request_key: str,
-                   events: List[ShimEvent],
-                   master: Optional[str] = None) -> bool:
-        """Connect-time probe with retries, burning virtual clock.
-
-        Each failed attempt costs ``timeout`` plus a jittered backoff;
-        because the clock advances between attempts, a box that recovers
-        during a backoff window is genuinely saved by the retry.
-
-        With circuit breakers enabled, an open breaker fails the probe
-        immediately (zero clock burnt); a half-open breaker allows one
-        probe attempt only.  With a retry ``deadline``, attempts stop
-        once the send's clock budget is exhausted.  ``master`` extends
-        the verdict to partition scopes: a box isolated from the master
-        fails its probes for as long as the partition holds.
-        """
-        policy = self._retry
-        breaker = (self._breakers.breaker(box_id)
-                   if self._breakers is not None else None)
-        if breaker is not None and not breaker.allow(self._clock):
-            self._emit_event(events, "breaker-open", request_key, box_id,
-                             request=request_key)
-            return False
-        attempts = policy.max_attempts
-        if breaker is not None and breaker.state == HALF_OPEN:
-            attempts = 1
-        tracer = get_tracer()
-        probe_span = tracer.begin(
-            "platform.probe", self._clock, layer="platform",
-            target=box_id, request=request_key,
-        ) if tracer.enabled else 0
-        try:
-            started = self._clock
-            for attempt in range(1, attempts + 1):
-                if policy.deadline is not None and attempt > 1 \
-                        and self._clock - started >= policy.deadline:
-                    self._emit_event(events, "deadline", request_key,
-                                     box_id, attempt=attempt - 1,
-                                     detail=f"budget {policy.deadline:g}",
-                                     request=request_key)
-                    return False
-                if not self._box_unreachable(box_id, master):
-                    self._clock += policy.send_latency
-                    if breaker is not None:
-                        breaker.record_success(self._clock)
-                    return True
-                self._clock += policy.timeout
-                self._emit_event(events, "retry", request_key, box_id,
-                                 attempt=attempt, request=request_key)
-                if breaker is not None:
-                    breaker.record_failure(self._clock)
-                if attempt < attempts:
-                    self._clock += policy.backoff(
-                        attempt, key=f"{request_key}->{box_id}")
-            return False
-        finally:
-            if probe_span:
-                tracer.end(probe_span, self._clock)
 
     def _overload_nack_reason(self, box_id: str) -> Optional[str]:
         """Why a reachable box should be planned out of a new tree.
@@ -565,118 +480,149 @@ class NetAggPlatform:
         are planned out the same way -- a gray box heartbeats fine, so
         only the latency feed can get it out of new trees.
         """
-        if self._faults is not None:
-            shedding = getattr(self._faults, "shedding", None)
-            if shedding is not None and shedding(box_id, self._clock):
-                return "shed-window"
-        if self._overload is not None and self._overload.avoid_pressured:
+        if self._faults.shedding(box_id, self._clock):
+            return "shed-window"
+        if self._overload.avoid_pressured:
             state = self._boxes[box_id].health
             if state in (PRESSURED, SHEDDING):
                 return f"health={state}"
         if self._gray is not None and self._partition.avoid_gray \
                 and self._gray.is_gray(box_id):
             # A gray flag must not outlive the episode: re-measure the
-            # box with a hedged probe (clock charge capped at the hedge
-            # deadline plus one healthy send) instead of trusting the
-            # stale flag forever.  A recovered box clears itself here
-            # and returns to the planner.
-            cost = self._retry.send_latency * self._delivery_factor(box_id)
-            self._gray.observe(box_id, cost, at=self._clock)
-            if self._partition.hedging():
-                cost = min(cost,
-                           self._partition.hedge_deadline
-                           + self._retry.send_latency)
-            self._clock += cost
+            # box with a hedged probe (one send's charge) instead of
+            # trusting the stale flag forever.  A recovered box clears
+            # itself here and returns to the planner.
+            _, _, charged = self._send_cost(box_id)
+            self._clock += charged
             if self._gray.is_gray(box_id):
                 return "gray"
         return None
 
-    def _resolve_tree(self, tree: AggregationTree, request_key: str,
-                      probes: Dict[str, bool], events: List[ShimEvent],
-                      nacked: Set[str]) -> AggregationTree:
-        """Probe every box and rewire the unreachable ones out (§3.1).
+    def _send_cost(self, box_id: str) -> Tuple[float, float, float]:
+        """``(factor, cost, charged)`` of one send into ``box_id`` now.
 
-        Runs *before* expected counts are announced, so boxes never wait
-        for partials that degraded elsewhere.  Probe verdicts are cached
-        in ``probes`` for the shims' ladder walks.  Reachable boxes that
-        refuse new work (shed windows, pressured health) are NACKed and
-        planned out the same way -- the overload re-planning path.
+        ``factor`` is the combined slowdown (capacity degradation x
+        overload window x gray window) and ``cost`` the latency it
+        implies.  That true (pre-hedge) cost feeds the gray detector:
+        hedging hides latency from the request, not from the health
+        machinery.  With hedging on, a send slower than the hedge
+        deadline is raced against a duplicate down the healthy path,
+        capping ``charged`` at ``hedge_deadline`` plus one healthy send.
         """
-        if self._faults is None and self._overload is None:
-            return tree
-        effective = tree
-        for box_id in sorted(tree.boxes):
-            reachable = probes.get(box_id)
-            if reachable is None:
-                reachable = (self._probe_box(box_id, request_key, events,
-                                             master=tree.master)
-                             if self._faults is not None else True)
-                if reachable:
-                    reason = self._overload_nack_reason(box_id)
-                    if reason is not None:
-                        reachable = False
-                        nacked.add(box_id)
-                        self._emit_event(events, "nack", request_key,
-                                         box_id, detail=reason,
-                                         request=request_key)
-                probes[box_id] = reachable
-            if not reachable and box_id in effective.boxes:
-                effective = rewire_failed_box(effective, box_id)
-                if box_id not in nacked:
-                    self._emit_event(events, "unreachable", request_key,
-                                     box_id,
-                                     attempt=self._retry.max_attempts,
-                                     request=request_key)
-        return effective
-
-    def _delivery_factor(self, box_id: str) -> float:
-        """Combined slowdown of a delivery into ``box_id`` right now
-        (capacity degradation x overload window x gray window)."""
-        factor = self._faults.degradation(box_id, self._clock)
-        overload = getattr(self._faults, "overload_factor", None)
-        if overload is not None:
-            factor *= overload(box_id, self._clock)
-        gray = getattr(self._faults, "gray_factor", None)
-        if gray is not None:
-            factor *= gray(box_id, self._clock)
-        return factor
-
-    def _note_degradation(self, box_id: str, source: str,
-                          events: List[ShimEvent],
-                          request: str = "") -> None:
-        """Charge a delivery's clock cost, inflated if the box is slow.
-
-        The true (pre-hedge) cost feeds the gray detector: hedging
-        hides latency from the request, not from the health machinery.
-        With hedging on, a delivery slower than the hedge deadline is
-        raced against a duplicate send down the healthy path, capping
-        the charged cost at ``hedge_deadline`` plus one healthy send.
-        """
-        if self._faults is None:
-            return
-        factor = self._delivery_factor(box_id)
-        cost = self._retry.send_latency * factor
+        faults, clock = self._faults, self._clock
+        latency = self._retry.send_latency
+        factor = (faults.degradation(box_id, clock)
+                  * faults.overload_factor(box_id, clock)
+                  * faults.gray_factor(box_id, clock))
+        cost = charged = latency * factor
         if self._gray is not None:
-            self._gray.observe(box_id, cost, at=self._clock)
+            self._gray.observe(box_id, cost, at=clock)
         policy = self._partition
-        if policy is not None and policy.hedging() \
-                and cost > policy.hedge_deadline:
-            hedged = policy.hedge_deadline + self._retry.send_latency
-            if hedged < cost:
-                self._clock += hedged
-                self._emit_event(
-                    events, "hedge", source, box_id,
-                    detail=f"saved {cost - hedged:g}", request=request,
-                    cost=hedged)
-                return
-        self._clock += cost
-        if factor > 1.0:
-            self._emit_event(events, "degraded", source, box_id,
-                             detail=f"x{factor:g}", request=request,
-                             cost=cost)
+        if policy is not None and policy.hedging():
+            charged = min(cost, policy.hedge_deadline + latency)
+        return factor, cost, charged
 
-    def _prune_excluded(self, tree: AggregationTree,
-                        excluded: Dict[int, str]) -> AggregationTree:
+    def _run_on_tree(self, app: str, request_id: str, master: str,
+                     worker_partials: Sequence[Tuple[str, Any]],
+                     tree: AggregationTree, tenant: str) -> RequestOutcome:
+        with get_tracer().span("platform.request", lambda: self._clock,
+                               layer="platform", request=request_id,
+                               app=app, workers=len(worker_partials),
+                               trees=1, tenant=tenant):
+            return _Request(self, app, request_id, master, worker_partials,
+                            tree).run()
+
+    @staticmethod
+    def _batch_request(job_id: str, tree_index: int) -> str:
+        """The id one tree's share of a batch job runs under."""
+        return f"{job_id}:t{tree_index}"
+
+
+class _Request:
+    """One request on its one tree, from interception to retirement.
+
+    Owns everything that lives exactly as long as the request -- the
+    audit trail, the probe verdicts, the workers excluded behind a
+    partition, the chunking rng, the master shim's entry and the
+    per-tree id ``<id>@t<k>`` the boxes know it by -- so the stages of
+    the path (exclude, plan, announce, emit, propagate, answer, retire)
+    read it off ``self`` instead of passing it along.
+
+    It is also the ``transport`` :meth:`WorkerShim.send` talks to:
+    ``connect`` replays the probe verdicts, ``deliver_box`` /
+    ``deliver_master`` route into the platform's box runtimes / master
+    shim and charge the delivery's clock cost, ``record`` writes ladder
+    events onto the audit trail.
+    """
+
+    def __init__(self, platform: NetAggPlatform, app: str, request_id: str,
+                 master: str, worker_partials: Sequence[Tuple[str, Any]],
+                 tree: AggregationTree) -> None:
+        self._p = platform
+        self.app = app
+        self.request_id = request_id
+        self.tree_request = f"{request_id}@t{tree.tree_index}"
+        self.master = master
+        self.partials = worker_partials
+        #: The planned tree, which the worker shims walk; ``run``
+        #: resolves it into the effective tree the boxes are told about.
+        self.planned = tree
+        shim = platform._master_shims.get(master)
+        if shim is None:
+            shim = platform._master_shims[master] = MasterShim(master)
+        self.shim = shim
+        self.events: List[ShimEvent] = []
+        self.probes: Dict[str, bool] = {}
+        self.excluded: Dict[int, str] = {}
+        self.rng = random.Random(stable_hash(request_id) & 0xFFFF)
+
+    def run(self) -> RequestOutcome:
+        p = self._p
+        # Partition check first: workers the fault oracle reports as
+        # isolated from the master cannot deliver, no matter how many
+        # retries are burnt.  With a partition policy they are dropped
+        # (partial delivery); without one the request fails fast -- the
+        # fail-stop baseline.
+        excluded = self.excluded
+        for index, (host, _) in enumerate(self.partials):
+            scope = p._faults.isolated(host, self.master, p._clock)
+            if scope is not None:
+                excluded[index] = scope
+        if excluded:
+            missing = tuple(sorted(excluded))
+            scopes = tuple(sorted(set(excluded.values())))
+            if p._partition is None or not p._partition.allow_partial:
+                raise SubtreeUnreachable(self.request_id, missing, scopes,
+                                         detail="partial delivery disabled")
+            if len(excluded) == len(self.partials):
+                raise SubtreeUnreachable(self.request_id, missing, scopes,
+                                         detail="no reachable workers")
+            for index in missing:
+                self.record("partition", f"worker:{index}", excluded[index])
+        # Resolve the effective tree next: partition-only subtrees are
+        # pruned without probing, then unreachable boxes are rewired
+        # out before announcement keeps every expected count honest.
+        tree = self._resolve(self._prune_excluded(self.planned))
+        self.shim.intercept_request(self.request_id, [tree],
+                                    excluded=sorted(excluded))
+        # From here on the request owns state: an entry on the master
+        # shim and, once announced, one on every box of its effective
+        # tree.  Whether it is answered or raises (a merge refusing a
+        # partial, a box error, an incomplete tree), all of it ends
+        # here -- nothing arrives for a request after it has returned.
+        try:
+            return self._deliver(tree)
+        finally:
+            abandoned = 0
+            for box_id in tree.boxes:
+                abandoned += p._boxes[box_id].release(
+                    self.app, self.tree_request)
+            self.shim.retire(self.request_id)
+            if abandoned:
+                METRICS.counter("platform.abandoned_partials").inc(
+                    abandoned)
+
+    def _prune_excluded(self, tree: AggregationTree) -> AggregationTree:
         """Rewire out boxes whose every input is behind the partition.
 
         Runs *before* probing: a box that only serves excluded workers
@@ -685,7 +631,7 @@ class NetAggPlatform:
         Pruning cascades (a parent whose only child was pruned goes
         next), so the surviving tree has live inputs at every vertex.
         """
-        if not excluded:
+        if not self.excluded:
             return tree
         pruned = tree
         changed = True
@@ -695,347 +641,300 @@ class NetAggPlatform:
                 vertex = pruned.boxes[box_id]
                 if vertex.children:
                     continue
-                if any(w not in excluded for w in vertex.direct_workers):
+                if any(w not in self.excluded for w in vertex.direct_workers):
                     continue
                 pruned = rewire_failed_box(pruned, box_id)
                 changed = True
                 break
         return pruned
 
-    def _wait_out_churn(self, worker_index: int,
-                        events: List[ShimEvent],
-                        request: str = "") -> None:
-        """A churning worker holds its emission until the window ends."""
-        if self._faults is None:
-            return
-        until = self._faults.churn_until(worker_index, self._clock)
-        if until is not None and until > self._clock:
-            self._emit_event(events, "churn", f"worker:{worker_index}",
-                             f"worker:{worker_index}",
-                             detail=f"until {until:g}", request=request,
-                             until=until)
-            self._clock = until
+    def _resolve(self, tree: AggregationTree) -> AggregationTree:
+        """Probe every box and rewire the unreachable ones out (§3.1).
 
-    def _run_on_trees(
-        self,
-        app: str,
-        request_id: str,
-        master: str,
-        worker_partials: Sequence[Tuple[str, Any]],
-        trees: Sequence[AggregationTree],
-        tenant: str = "",
-    ) -> RequestOutcome:
-        with get_tracer().span("platform.request", lambda: self._clock,
-                               layer="platform", request=request_id,
-                               app=app, workers=len(worker_partials),
-                               trees=len(trees), tenant=tenant or app):
-            return self._run_on_trees_traced(
-                app, request_id, master, worker_partials, trees)
+        Runs *before* expected counts are announced, so boxes never wait
+        for partials that degraded elsewhere.  Every box of ``tree``
+        leaves with a verdict in ``probes`` for the shims' ladder walks.
+        Reachable boxes that refuse new work (shed windows, pressured
+        health) are NACKed and planned out the same way -- the overload
+        re-planning path.
+        """
+        effective = tree
+        for box_id in sorted(tree.boxes):
+            reachable = self._probe(box_id)
+            if not reachable:
+                self.record("unreachable", self.request_id, box_id,
+                            attempt=self._p._retry.max_attempts)
+            else:
+                reason = self._p._overload_nack_reason(box_id)
+                if reason is not None:
+                    reachable = False
+                    self.record("nack", self.request_id, box_id,
+                                detail=reason)
+            self.probes[box_id] = reachable
+            if not reachable:
+                effective = rewire_failed_box(effective, box_id)
+        return effective
 
-    def _run_on_trees_traced(
-        self,
-        app: str,
-        request_id: str,
-        master: str,
-        worker_partials: Sequence[Tuple[str, Any]],
-        trees: Sequence[AggregationTree],
-    ) -> RequestOutcome:
-        shim = self._master_shims.get(master)
-        if shim is None:
-            shim = self._master_shims[master] = MasterShim(master)
-        events: List[ShimEvent] = []
-        probes: Dict[str, bool] = {}
-        nacked: Set[str] = set()
-        # Partition check first: workers the fault oracle reports as
-        # isolated from the master cannot deliver, no matter how many
-        # retries are burnt.  With a partition policy they are dropped
-        # (partial delivery); without one the request fails fast -- the
-        # fail-stop baseline.
-        excluded: Dict[int, str] = {}
-        if self._faults is not None:
-            isolated = getattr(self._faults, "isolated", None)
-            if isolated is not None:
-                for index, (host, _) in enumerate(worker_partials):
-                    scope = isolated(host, master, self._clock)
-                    if scope is not None:
-                        excluded[index] = scope
-        if excluded:
-            missing = tuple(sorted(excluded))
-            scopes = tuple(sorted(set(excluded.values())))
-            if self._partition is None or not self._partition.allow_partial:
-                raise SubtreeUnreachable(request_id, missing, scopes,
-                                         detail="partial delivery disabled")
-            if len(excluded) == len(worker_partials):
-                raise SubtreeUnreachable(request_id, missing, scopes,
-                                         detail="no reachable workers")
-            for index in missing:
-                self._emit_event(events, "partition", f"worker:{index}",
-                                 excluded[index], request=request_id)
-        # Resolve the effective trees next: partition-only subtrees are
-        # pruned without probing, then unreachable boxes are rewired
-        # out before announcement keeps every expected count honest.
-        pairs = [
-            (tree,
-             self._resolve_tree(self._prune_excluded(tree, excluded),
-                                request_id, probes, events, nacked))
-            for tree in trees
-        ]
-        shim.intercept_request(request_id, [eff for _, eff in pairs],
-                               excluded=sorted(excluded))
-        # From here on the request owns state: an entry on the master
-        # shim and, once announced, one on every box of its effective
-        # trees.  Whether it is answered or raises (a merge refusing a
-        # partial, a box error, an incomplete tree), all of it ends
-        # here -- nothing arrives for a request after it has returned.
+    def _probe(self, box_id: str) -> bool:
+        """Connect-time probe with retries, burning virtual clock.
+
+        Each failed attempt costs ``timeout`` plus a jittered backoff;
+        because the clock advances between attempts, a box that recovers
+        during a backoff window is genuinely saved by the retry.
+
+        With circuit breakers enabled, an open breaker fails the probe
+        immediately (zero clock burnt); a half-open breaker allows one
+        probe attempt only.  With a retry ``deadline``, attempts stop
+        once the send's clock budget is exhausted.  The verdict covers
+        partition scopes: a box isolated from the master fails its
+        probes for as long as the partition holds.
+        """
+        p = self._p
+        faults, policy = p._faults, p._retry
+        source = self.request_id
+        breaker = (p._breakers.breaker(box_id)
+                   if p._breakers is not None else None)
+        if breaker is not None and not breaker.allow(p._clock):
+            self.record("breaker-open", source, box_id)
+            return False
+        attempts = policy.max_attempts
+        if breaker is not None and breaker.state == HALF_OPEN:
+            attempts = 1
+        tracer = get_tracer()
+        probe_span = tracer.begin(
+            "platform.probe", p._clock, layer="platform",
+            target=box_id, request=source,
+        ) if tracer.enabled else 0
         try:
-            return self._deliver_on_trees(app, request_id, worker_partials,
-                                          pairs, shim, events, probes,
-                                          excluded)
+            started = p._clock
+            for attempt in range(1, attempts + 1):
+                if policy.deadline is not None and attempt > 1 \
+                        and p._clock - started >= policy.deadline:
+                    self.record("deadline", source, box_id,
+                                attempt=attempt - 1,
+                                detail=f"budget {policy.deadline:g}")
+                    return False
+                # Down, or cut off from the master by a partition: such
+                # a box is alive but its aggregates cannot reach the
+                # master, so to the request it is exactly as unreachable
+                # as a crashed one -- connect attempts time out.
+                unreachable = faults.box_down(box_id, p._clock) \
+                    or faults.isolated(box_id, self.master,
+                                       p._clock) is not None
+                if not unreachable:
+                    p._clock += policy.send_latency
+                    if breaker is not None:
+                        breaker.record_success(p._clock)
+                    return True
+                p._clock += policy.timeout
+                self.record("retry", source, box_id, attempt=attempt)
+                if breaker is not None:
+                    breaker.record_failure(p._clock)
+                if attempt < attempts:
+                    p._clock += policy.backoff(
+                        attempt, key=f"{source}->{box_id}")
+            return False
         finally:
-            abandoned = 0
-            for _, tree in pairs:
-                tree_request = self._tree_request(request_id, tree)
-                for box_id in tree.boxes:
-                    abandoned += self._boxes[box_id].release(
-                        app, tree_request)
-            shim.retire(request_id)
-            if abandoned:
-                METRICS.counter("platform.abandoned_partials").inc(
-                    abandoned)
+            if probe_span:
+                tracer.end(probe_span, p._clock)
 
-    def _deliver_on_trees(
-        self,
-        app: str,
-        request_id: str,
-        worker_partials: Sequence[Tuple[str, Any]],
-        pairs: Sequence[Tuple[AggregationTree, AggregationTree]],
-        shim: MasterShim,
-        events: List[ShimEvent],
-        probes: Dict[str, bool],
-        excluded: Dict[int, str],
-    ) -> RequestOutcome:
-        """Announce, emit, propagate and answer one intercepted request
-        over its ``(original, effective)`` tree pairs."""
+    def _deliver(self, tree: AggregationTree) -> RequestOutcome:
+        """Announce, emit, propagate and answer over the effective tree."""
+        p, app, tree_request = self._p, self.app, self.tree_request
+        excluded = self.excluded
         boxes_used: List[str] = []
         bytes_in = 0.0
-        rng = random.Random(stable_hash(request_id) & 0xFFFF)
+        # Announce expected input counts to each participating box
+        # (excluded workers will never emit, so they are not expected
+        # anywhere).
+        for box_id, vertex in tree.boxes.items():
+            expected = sum(1 for w in vertex.direct_workers
+                           if w not in excluded) + len(vertex.children)
+            p._boxes[box_id].announce(app, tree_request, expected)
 
-        for original, tree in pairs:
-            tree_request = self._tree_request(request_id, tree)
-            # Announce expected input counts to each participating box
-            # (excluded workers will never emit, so they are not
-            # expected anywhere).
-            for box_id, vertex in tree.boxes.items():
-                expected = sum(1 for w in vertex.direct_workers
-                               if w not in excluded) + len(vertex.children)
-                self._boxes[box_id].announce(app, tree_request, expected)
+        # Emissions queued for upstream delivery.  Each entry is
+        # (box_id, aggregate, source_tag): the final emission of a box
+        # travels as ``box:<id>``; pressure-relief flush deltas travel
+        # under fresh ``box:<id>@d<k>`` tags because they are
+        # *additional* inputs to the parent beyond its announced count
+        # (expected is adjusted before delivery).
+        ready: List[Tuple[str, Any, str]] = []
+        delta_seq: Dict[str, int] = {}
 
-            # Workers emit; shims walk the ladder into the entry boxes.
-            # The shim sees the *original* tree (it skips dead boxes up
-            # the ancestor chain itself), which lands exactly on the
-            # effective tree's entry, so the announced counts match.
-            transport = _RequestTransport(
-                self, app, request_id, tree_request, shim, events, probes,
-                rng, master=shim.host,
-            )
-            # Emissions queued for upstream delivery.  Each entry is
-            # (box_id, aggregate, source_tag): the final emission of a
-            # box travels as ``box:<id>``; pressure-relief flush deltas
-            # travel under fresh ``box:<id>@d<k>`` tags because they
-            # are *additional* inputs to the parent beyond its
-            # announced count (expected is adjusted before delivery).
-            ready: List[Tuple[str, Any, str]] = []
-            delta_seq: Dict[str, int] = {}
+        def enqueue_shed(box_id: str) -> None:
+            for delta in p._boxes[box_id].drain_shed():
+                k = delta_seq.get(box_id, 0)
+                delta_seq[box_id] = k + 1
+                ready.append((box_id, delta, f"box:{box_id}@d{k}"))
 
-            def enqueue_shed(box_id: str) -> None:
-                for delta in self._boxes[box_id].drain_shed():
-                    k = delta_seq.get(box_id, 0)
-                    delta_seq[box_id] = k + 1
-                    ready.append((box_id, delta, f"box:{box_id}@d{k}"))
+        # Workers emit; shims walk the ladder into the entry boxes.  The
+        # shim sees the *planned* tree (it skips dead boxes up the
+        # ancestor chain itself), which lands exactly on the effective
+        # tree's entry, so the announced counts match.
+        for index, (host, value) in enumerate(self.partials):
+            if index in excluded:
+                continue
+            self._wait_out_churn(index)
+            landed, emitted, nbytes = WorkerShim(
+                host, index, [self.planned]).send(value, self)
+            bytes_in += nbytes
+            if landed is not None:
+                enqueue_shed(landed)
+            if emitted is not None:
+                ready.append((landed, emitted, f"box:{landed}"))
 
-            for index, (host, value) in enumerate(worker_partials):
-                if index in excluded:
-                    continue
-                self._wait_out_churn(index, events, request=request_id)
-                wshim = WorkerShim(host, index, [original])
-                landed, emitted, nbytes = wshim.send(value, transport)
-                bytes_in += nbytes
-                if landed is not None:
-                    enqueue_shed(landed)
-                if emitted is not None:
-                    ready.append((landed, emitted, f"box:{landed}"))
+        # Propagate aggregates up the tree until the roots emit.  A
+        # rewired tree can have several roots (a crashed root's
+        # children); their outputs -- and any flush deltas from a root
+        # -- merge into the tree's single aggregate before delivery.
+        root_values: List[Any] = []
+        while ready:
+            box_id, emitted, tag = ready.pop(0)
+            boxes_used.append(box_id)
+            parent = tree.boxes[box_id].parent
+            if parent is None:
+                root_values.append(emitted.value)
+                continue
+            if tag != f"box:{box_id}":
+                # A flush delta raises the parent's expected count
+                # *before* delivery, so the parent cannot emit early
+                # and miss the box's final result.
+                p._boxes[parent].adjust_expected(app, tree_request, +1)
+            # The box serialised its aggregate when it emitted it;
+            # those bytes travel on as they are.
+            parent_emitted, nbytes = self._feed(parent, tag,
+                                                emitted.payload)
+            bytes_in += nbytes
+            enqueue_shed(parent)
+            if parent_emitted is not None:
+                ready.append((parent, parent_emitted, f"box:{parent}"))
 
-            # Propagate aggregates up the tree until the roots emit.  A
-            # rewired tree can have several roots (a crashed root's
-            # children); their outputs -- and any flush deltas from a
-            # root -- merge into the tree's single aggregate before
-            # delivery.
-            root_values: List[Any] = []
-            while ready:
-                box_id, emitted, tag = ready.pop(0)
-                boxes_used.append(box_id)
-                vertex = tree.boxes[box_id]
-                if vertex.parent is None:
-                    root_values.append(emitted.value)
-                else:
-                    parent = vertex.parent
-                    if tag != f"box:{box_id}":
-                        # A flush delta raises the parent's expected
-                        # count *before* delivery, so the parent cannot
-                        # emit early and miss the box's final result.
-                        self._boxes[parent].adjust_expected(
-                            app, tree_request, +1)
-                    # The box serialised its aggregate when it emitted
-                    # it; those bytes travel on as they are.
-                    parent_emitted, nbytes = self._feed_box(
-                        app, tree_request, parent, tag, emitted.payload,
-                        rng, origin=request_id,
-                    )
-                    self._note_degradation(parent, tag, events,
-                                           request=request_id)
-                    bytes_in += nbytes
-                    enqueue_shed(parent)
-                    if parent_emitted is not None:
-                        ready.append(
-                            (parent, parent_emitted, f"box:{parent}"))
-
-            if root_values:
-                value = (root_values[0] if len(root_values) == 1
-                         else self._mergers[app](root_values))
-                shim.deliver_aggregate(request_id, tree.tree_index, value)
-
-            if not tree.boxes and tree.direct_workers():
-                # Degenerate tree: no boxes anywhere, all direct.
-                pass
-
-        if not shim.is_complete(request_id):
+        if root_values:
+            value = (root_values[0] if len(root_values) == 1
+                     else p._mergers[app](root_values))
+            self.shim.deliver_aggregate(self.request_id, tree.tree_index,
+                                        value)
+        if not self.shim.is_complete(self.request_id):
             raise RuntimeError(
-                f"request {request_id!r} incomplete: boxes never emitted "
-                "(inconsistent expected counts?)"
+                f"request {self.request_id!r} incomplete: boxes never "
+                "emitted (inconsistent expected counts?)"
             )
-        responses = shim.emulate_worker_responses(
-            request_id, merge=self._mergers[app]
+        responses = self.shim.emulate_worker_responses(
+            self.request_id, merge=p._mergers[app]
         )
         completeness = None
-        if self._partition is not None:
+        if p._partition is not None:
             completeness = Completeness(
-                workers_total=len(worker_partials),
-                workers_included=len(worker_partials) - len(excluded),
+                workers_total=len(self.partials),
+                workers_included=len(self.partials) - len(excluded),
                 missing_workers=tuple(sorted(excluded)),
                 missing_scopes=tuple(sorted(set(excluded.values()))),
             )
         return RequestOutcome(
-            request_id=request_id,
+            request_id=self.request_id,
             value=responses[0][1],
             worker_responses=responses,
             boxes_used=boxes_used,
-            trees_used=[tree.tree_index for tree, _ in pairs],
+            trees_used=[tree.tree_index],
             bytes_into_boxes=bytes_in,
-            shim_events=events,
+            shim_events=self.events,
             completeness=completeness,
         )
 
-    @staticmethod
-    def _batch_request(job_id: str, tree_index: int) -> str:
-        """The id one tree's share of a batch job runs under."""
-        return f"{job_id}:t{tree_index}"
+    def _wait_out_churn(self, worker_index: int) -> None:
+        """A churning worker holds its emission until the window ends."""
+        p = self._p
+        until = p._faults.churn_until(worker_index, p._clock)
+        if until is not None and until > p._clock:
+            self.record("churn", f"worker:{worker_index}",
+                        f"worker:{worker_index}",
+                        detail=f"until {until:g}", until=until)
+            p._clock = until
 
-    @staticmethod
-    def _tree_request(request_id: str, tree: AggregationTree) -> str:
-        return f"{request_id}@t{tree.tree_index}"
-
-    def _feed_box(self, app: str, request_id: str, box_id: str,
-                  source: str, serialised: bytes, rng: random.Random,
-                  origin: str = ""):
-        """Frame, chunk and deliver one serialised partial to a box.
-
-        ``serialised`` is the application codec's output: a worker's
-        partial encoded by the transport, or the ``payload`` a child
-        box emitted.  ``origin`` is the platform-level request id behind
-        this delivery (``request_id`` is the per-tree key
-        ``<origin>@t<k>``); it is threaded onto the delivery span and,
-        via :attr:`AggBoxRuntime.trace_origin`, onto every span/instant
-        the box emits while processing the chunks.
-        """
-        runtime = self._boxes[box_id]
-        # Keep the box's clock in step so health transitions and
-        # heartbeats are stamped with platform virtual time.
-        runtime.clock = max(runtime.clock, self._clock)
-        runtime.trace_origin = origin
-        payload = frame(serialised)
-        with get_tracer().span("platform.deliver", lambda: self._clock,
-                               layer="platform", box=box_id,
-                               source=source, bytes=len(payload),
-                               request=origin):
-            emitted = None
-            offset = 0
-            while offset < len(payload):
-                size = rng.randint(1, _CHUNK_BYTES)
-                chunk = payload[offset:offset + size]
-                offset += size
-                result = runtime.submit_chunk(app, request_id, source, chunk)
-                if result is not None:
-                    emitted = result
-        return emitted, float(len(payload))
-
-
-class _RequestTransport:
-    """Connection semantics handed to :meth:`WorkerShim.send`.
-
-    ``connect`` replays the platform's probe verdicts (probing -- and
-    burning retry clock -- on first contact with a box); deliveries
-    route into the platform's box runtimes / master shim and charge any
-    degradation cost.
-    """
-
-    def __init__(self, platform: NetAggPlatform, app: str, request_id: str,
-                 tree_request: str, master_shim: MasterShim,
-                 events: List[ShimEvent], probes: Dict[str, bool],
-                 rng: random.Random, master: str = "") -> None:
-        self._platform = platform
-        self._app = app
-        self._request_id = request_id
-        self._tree_request = tree_request
-        self._master_shim = master_shim
-        self._events = events
-        self._probes = probes
-        self._rng = rng
-        self._master = master or None
+    # -- the transport WorkerShim.send talks to ------------------------------
 
     def connect(self, source: str, box_id: str) -> bool:
-        platform = self._platform
-        if platform._faults is None:
-            return True
-        reachable = self._probes.get(box_id)
-        if reachable is None:
-            reachable = platform._probe_box(
-                box_id, f"{self._request_id}/{source}", self._events,
-                master=self._master)
-            self._probes[box_id] = reachable
-        return reachable
+        """The verdict ``_resolve`` reached for ``box_id``.
 
-    def record(self, kind: str, source: str, target: str,
-               detail: str = "") -> None:
-        self._platform._emit_event(self._events, kind, source, target,
-                                   detail=detail,
-                                   request=self._request_id)
+        The lookup cannot miss.  A shim only walks the ancestor chain of
+        a non-excluded worker's entry box in the planned tree; every box
+        on that chain has a live input (the worker itself, or the child
+        below it on the chain), so ``_prune_excluded`` keeps it and
+        ``_resolve`` probed it before the first worker emitted.
+        """
+        return self.probes[box_id]
+
+    def record(self, kind: str, source: str, target: str, attempt: int = 0,
+               detail: str = "", **tags: object) -> None:
+        """Record one shim lifecycle event everywhere it is observed:
+        the outcome's audit trail, the ``platform.shim.<kind>`` tally
+        in the metrics registry, and (when tracing) an instant on the
+        platform timeline, carrying the request id (the critical-path
+        extractor groups shim events per request by it); extra ``tags``
+        land on the instant only.
+        """
+        clock = self._p._clock
+        self.events.append(ShimEvent(at=clock, kind=kind, source=source,
+                                     target=target, attempt=attempt,
+                                     detail=detail))
+        METRICS.counter(f"platform.shim.{kind}").inc()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(f"shim.{kind}", clock, layer="platform",
+                           source=source, target=target, attempt=attempt,
+                           detail=detail, request=self.request_id, **tags)
 
     def deliver_box(self, box_id: str, worker_index: int, value: Any):
         # Worker partials arrive as values: this is the one place the
         # request path serialises on a box's behalf.
-        serialise = self._platform.box_runtime(box_id).binding(
-            self._app).serialise
-        emitted, nbytes = self._platform._feed_box(
-            self._app, self._tree_request, box_id,
-            f"worker:{worker_index}", serialise(value), self._rng,
-            origin=self._request_id,
-        )
-        self._platform._note_degradation(
-            box_id, f"worker:{worker_index}", self._events,
-            request=self._request_id)
+        serialise = self._p._boxes[box_id].binding(self.app).serialise
+        emitted, nbytes = self._feed(box_id, f"worker:{worker_index}",
+                                     serialise(value))
         return box_id, emitted, nbytes
 
     def deliver_master(self, worker_index: int, value: Any):
-        self._master_shim.deliver_direct(self._request_id, worker_index,
-                                         value)
+        self.shim.deliver_direct(self.request_id, worker_index, value)
         return None, None, 0.0
+
+    def _feed(self, box_id: str, source: str, serialised: bytes):
+        """Frame, chunk and deliver one serialised partial to a box,
+        then charge the delivery's clock cost (inflated if the box is
+        slow, capped if the send was hedged).
+
+        ``serialised`` is the application codec's output: a worker's
+        partial encoded by :meth:`deliver_box`, or the ``payload`` a
+        child box emitted.  The box knows the request by its per-tree
+        id; the platform-level id is threaded onto the delivery span
+        and, via :attr:`AggBoxRuntime.trace_origin`, onto every
+        span/instant the box emits while processing the chunks.
+        """
+        p = self._p
+        runtime = p._boxes[box_id]
+        # Keep the box's clock in step so health transitions and
+        # heartbeats are stamped with platform virtual time.
+        runtime.clock = max(runtime.clock, p._clock)
+        runtime.trace_origin = self.request_id
+        payload = frame(serialised)
+        with get_tracer().span("platform.deliver", lambda: p._clock,
+                               layer="platform", box=box_id,
+                               source=source, bytes=len(payload),
+                               request=self.request_id):
+            emitted = None
+            offset = 0
+            while offset < len(payload):
+                size = self.rng.randint(1, _CHUNK_BYTES)
+                chunk = payload[offset:offset + size]
+                offset += size
+                result = runtime.submit_chunk(self.app, self.tree_request,
+                                              source, chunk)
+                if result is not None:
+                    emitted = result
+        factor, cost, charged = p._send_cost(box_id)
+        p._clock += charged
+        if charged < cost:
+            self.record("hedge", source, box_id,
+                        detail=f"saved {cost - charged:g}", cost=charged)
+        elif factor > 1.0:
+            self.record("degraded", source, box_id, detail=f"x{factor:g}",
+                        cost=cost)
+        return emitted, float(len(payload))

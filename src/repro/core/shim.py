@@ -118,12 +118,13 @@ class WorkerShim:
         """Send one partial result, degrading down the ladder (§3.1).
 
         ``transport`` carries the platform's connection semantics:
-        ``connect(source, box_id) -> bool`` (burns retry/backoff clock on
-        the first probe of a box), ``deliver_box(box_id, worker_index,
-        value)``, ``deliver_master(worker_index, value)`` and
-        ``record(kind, source, target)`` for ladder events.
+        ``connect(source, box_id) -> bool`` (the verdict of the probe
+        that burnt retry/backoff clock when the request's tree was
+        resolved), ``deliver_box(box_id, worker_index, value)``,
+        ``deliver_master(worker_index, value)`` and ``record(kind,
+        source, target)`` for ladder events.
 
-        The ladder: try the entry box (with the transport's retries);
+        The ladder: try the entry box (with the transport's verdict);
         unreachable boxes are skipped up the ancestor chain to the next
         on-path box (*fallback*); when no box remains, the partial goes
         direct to the master (*bypass*).  Returns whatever the transport

@@ -313,6 +313,34 @@ class TestPlatformFaults:
             "solr", "r1", "host:0", _solr_partials())
         assert outcome.shim_events == []
 
+    def test_oracle_surface_is_called_directly(self):
+        """One plain request asks the oracle all seven questions, and
+        asks them unguarded: an oracle missing one fails at first use
+        instead of being silently read as "no such fault"."""
+        surface = {"box_down", "degradation", "overload_factor",
+                   "gray_factor", "shedding", "churn_until", "isolated"}
+        real = PlatformFaultInjector(FaultSchedule())
+
+        class Oracle:
+            def __init__(self, missing=None):
+                self.missing = missing
+                self.asked = set()
+
+            def __getattr__(self, name):
+                if name == self.missing:
+                    raise AttributeError(name)
+                self.asked.add(name)
+                return getattr(real, name)
+
+        whole = Oracle()
+        _solr_platform(faults=whole).execute_request(
+            "solr", "r1", "host:0", _solr_partials())
+        assert whole.asked == surface
+        for name in sorted(surface):
+            with pytest.raises(AttributeError, match=name):
+                _solr_platform(faults=Oracle(missing=name)).execute_request(
+                    "solr", "r1", "host:0", _solr_partials())
+
     def test_crashed_boxes_rewired_with_retries(self):
         partials = _solr_partials()
         base = _solr_platform().execute_request("solr", "r1", "host:0",

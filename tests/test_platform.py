@@ -1,6 +1,7 @@
 """Integration tests: the NetAgg platform executing real requests."""
 
 import pytest
+from hypothesis import given
 
 from repro.aggbox.functions import (
     CombinerFunction,
@@ -10,7 +11,8 @@ from repro.aggbox.functions import (
 from repro.aggbox.overload import FLUSH, HEALTHY, OverloadPolicy
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
-from repro.core import NetAggPlatform, OverloadConfig
+from repro.core import BreakerPolicy, NetAggPlatform, OverloadConfig
+from repro.faults import FaultSchedule, PlatformFaultInjector, RetryPolicy
 from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
 from repro.topology.base import CORE
@@ -24,6 +26,7 @@ from repro.wire.records import (
 )
 from repro.wire.serializer import read_float, write_float
 from tests.leftovers import NOTHING, left_behind
+from tests.test_chaos_invariants import CHAOS, TOPO, platform_scenario
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -155,10 +158,52 @@ class TestFailures:
         platform.recover_box(box)
         assert box not in platform.failed_boxes()
 
+    def test_recover_unknown_box_rejected(self):
+        """Regression: a bogus id was accepted silently and, with
+        breakers on, grew a breaker that ``states()`` then listed."""
+        platform = make_platform(
+            overload=OverloadConfig(breaker=BreakerPolicy()))
+        with pytest.raises(KeyError, match="unknown box 'box:ghost'"):
+            platform.recover_box("box:ghost")
+        assert "box:ghost" not in platform.breakers.states()
+
     def test_unknown_box_rejected(self):
         platform = make_platform()
         with pytest.raises(KeyError):
             platform.fail_box("box:ghost")
+
+
+class TestOffIsTheEmptySchedule:
+    """``None`` is a value, not a mode: a bare platform and one handed
+    the empty schedule and the default policies are the same platform."""
+
+    @given(scenario=platform_scenario())
+    @CHAOS
+    def test_bare_and_explicit_defaults_agree(self, scenario):
+        bare = NetAggPlatform(TOPO)
+        explicit = NetAggPlatform(
+            TOPO, faults=PlatformFaultInjector(FaultSchedule()),
+            retry=RetryPolicy(), overload=OverloadConfig())
+        for platform in (bare, explicit):
+            platform.register_app("sum", SumFunction(), write_float,
+                                  lambda b: read_float(b)[0])
+
+        def agree(call):
+            ours, theirs = call(bare), call(explicit)
+            for name in ("value", "boxes_used", "trees_used",
+                         "bytes_into_boxes", "shim_events", "completeness"):
+                assert getattr(ours, name) == getattr(theirs, name), name
+            assert bare.clock == explicit.clock > 0.0
+
+        for i, (master, workers, values, _, _) in enumerate(scenario[-1]):
+            hosts = [f"host:{h}" for h in workers]
+            agree(lambda p: p.execute_request(
+                "sum", f"r{i}", f"host:{master}", list(zip(hosts, values))))
+            keyed = [(host, [(f"k{i}:{w}", value), (f"k{w}", value + w)])
+                     for w, (host, value) in enumerate(zip(hosts, values))]
+            agree(lambda p: p.execute_batch(
+                "sum", f"job{i}", f"host:{master}", keyed, n_trees=2,
+                rebundle=sum))
 
 
 class TestBatchJobs:
