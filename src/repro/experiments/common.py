@@ -98,7 +98,6 @@ def simulate(
     stragglers: Optional[StragglerModel] = None,
     router: Optional[EcmpRouter] = None,
     faults: Optional[FaultSchedule] = None,
-    solver: str = "auto",
 ) -> SimulationResult:
     """Build topology, deploy boxes, generate workload, run one strategy.
 
@@ -106,10 +105,6 @@ def simulate(
     fault injector in uniformly: the strategy plans against the
     injector's fault view (if it accepts one, e.g. ``NetAggStrategy``)
     and the schedule's capacity/reroute events are applied to the run.
-
-    ``solver`` selects the max-min backend (see
-    :class:`repro.netsim.simulator.FlowSim`): ``"vectorized"``,
-    ``"incremental"`` or ``"auto"``.
     """
     topo = three_tier(scale.topo)
     if deploy is not None:
@@ -125,8 +120,7 @@ def simulate(
     workload = generate_workload(topo, scale.workload, seed=seed)
     if stragglers is not None:
         workload = inject_stragglers(workload, stragglers, seed=seed)
-    sim = FlowSim(topo.network, label=getattr(strategy, "name", ""),
-                  solver=solver)
+    sim = FlowSim(topo.network, label=getattr(strategy, "name", ""))
     sim.add_flows(strategy.plan(workload, topo, router))
     if injector is not None:
         injector.apply(sim, workload)

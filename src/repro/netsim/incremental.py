@@ -83,6 +83,14 @@ class SolverStats:
         other.flows_reused += self.flows_reused
 
 
+def _check_rate_cap(flow_id: str, rate_cap: Optional[float]) -> None:
+    """Both warm solvers' ``rate_cap`` check: a negative cap would come
+    back as a negative rate and a NaN one never freezes (``>= 0`` is
+    false for both)."""
+    if rate_cap is not None and not rate_cap >= 0:
+        raise ValueError(f"flow {flow_id!r} rate cap must be >= 0")
+
+
 class _Flow:
     """Internal per-flow record (identity-hashed, generation-stamped)."""
 
@@ -154,6 +162,7 @@ class IncrementalMaxMin:
         solvers: a repeated link is charged once)."""
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
+        _check_rate_cap(flow_id, rate_cap)
         index = self._link_index
         try:
             link_ids = tuple({index[l]: None for l in links})
@@ -217,6 +226,7 @@ class IncrementalMaxMin:
         flow = self._flows.get(flow_id)
         if flow is None:
             raise KeyError(flow_id)
+        _check_rate_cap(flow_id, rate_cap)
         index = self._link_index
         try:
             new_links = tuple({index[l]: None for l in links})

@@ -36,6 +36,7 @@ layer (:mod:`repro.faults`) perturb a run deterministically:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -87,11 +88,14 @@ class FlowSpec:
     rate_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"flow {self.flow_id!r} has negative size")
-        if self.start_time < 0:
-            raise ValueError(f"flow {self.flow_id!r} starts before t=0")
-        if self.rate_cap is not None and self.rate_cap <= 0:
+        # Chained/negated comparisons, so that NaN (false either way)
+        # fails too: "NaN" is valid JSON input and a NaN size never
+        # drains.
+        if not 0 <= self.size < math.inf:
+            raise ValueError(f"flow {self.flow_id!r} size not in [0, inf)")
+        if not 0 <= self.start_time < math.inf:
+            raise ValueError(f"flow {self.flow_id!r} start not in [0, inf)")
+        if self.rate_cap is not None and not self.rate_cap > 0:
             raise ValueError(f"flow {self.flow_id!r} has non-positive cap")
 
 

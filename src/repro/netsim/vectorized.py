@@ -15,9 +15,9 @@ append-only index arrays (``edge_flow[i]`` traverses ``edge_link[i]``)
 with a contiguous ``[estart, eend)`` range per slot; removing a flow
 just repoints its edges at the sink slot (whose rate is pinned to 0, so
 dead edges contribute nothing to any reduction) and the arrays are
-compacted once dead edges outnumber live ones.  Per-link state is one
-capacity vector plus a user-count vector, both maintained
-incrementally.
+compacted once dead edges outnumber live ones.  Per-link state is
+plain Python lists (capacity, recorded water level, live user slots)
+plus one numpy allocated-rate vector, all maintained incrementally.
 
 **Warm-start solve.**  A solve first builds the exact *cascade region*
 -- the set of flows whose rates the pending mutations can change --
@@ -27,11 +27,12 @@ link admits only the flows at or above a sound per-link floor (the
 level), and admissions re-queue the admitted flows' other links until
 the region reaches a fixpoint.  Everything outside the region keeps
 its cached rate and acts as a frozen capacity debit.  The region then
-refills by progressive filling -- the dict-based heap kernel for
-typical small regions, the lock-step array sweep for very large ones
--- exactly as :func:`repro.netsim.fairness.max_min_rates_py` would;
-property tests cross-check the three solvers against each other to
-within 1e-9.
+refills by progressive filling (:meth:`_fill`, one heap kernel for
+every region size) exactly as
+:func:`repro.netsim.fairness.max_min_rates_py` would; property tests
+cross-check the three solvers against each other to within 1e-9.
+numpy carries the edge arrays and the per-solve ``bincount``, not the
+fill (measurements: ARCHITECTURE, "Why three max-min implementations").
 
 numpy is a soft dependency: importing this module without numpy leaves
 :data:`HAVE_NUMPY` false and :func:`make_solver` falls back to the
@@ -48,6 +49,7 @@ from repro.netsim.incremental import (
     IncrementalMaxMin,
     SolverStats,
     _THRESHOLD_SLACK,
+    _check_rate_cap,
 )
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
@@ -58,7 +60,7 @@ except ImportError:  # pragma: no cover
 #: True when the numpy backend is importable in this interpreter.
 HAVE_NUMPY = _np is not None
 
-#: Valid values for the ``solver=`` knob on FlowSim / simulate().
+#: Valid values for the ``solver=`` knob on FlowSim.
 SOLVER_BACKENDS = ("auto", "vectorized", "incremental")
 
 _INF = float("inf")
@@ -67,13 +69,6 @@ _INF = float("inf")
 #: they outnumber the live ones); keeps reroute/stall storms from
 #: growing every per-solve reduction without paying a rebuild per event.
 _COMPACT_MIN_DEAD = 256
-
-#: Re-solve regions at or below this many flows refill with the heap
-#: kernel; larger regions use the lock-step array sweep.  Measured
-#: crossover: per-round numpy dispatch (~20 array ops over full-length
-#: arrays) outweighs the per-freeze Python cost until regions reach
-#: about a thousand flows.
-_LOCKSTEP_MIN_REGION = 1024
 
 
 def make_solver(capacities: Mapping[str, float], backend: str = "auto"):
@@ -118,9 +113,7 @@ class VectorizedMaxMin:
             caps.append(cap)
         nlinks = len(caps)
         self._nlinks = nlinks
-        self._cap = _np.asarray(caps, dtype=_np.float64)
-        #: Python mirror of ``_cap`` (scalar reads during region BFS).
-        self._cap_list: List[float] = list(caps)
+        self._cap_list: List[float] = caps
         #: Per-link allocated-rate sum as of the last solve (removals
         #: since are subtracted; fresh flows are not yet included).
         self._lalloc = _np.zeros(nlinks, dtype=_np.float64)
@@ -149,7 +142,8 @@ class VectorizedMaxMin:
         self._rate = _np.zeros(n0, dtype=_np.float64)
         #: Python mirror of ``_rate`` (scalar reads during region BFS).
         self._rlist: List[float] = [0.0] * n0
-        self._fcap = _np.full(n0, _INF, dtype=_np.float64)
+        #: Per-slot rate cap (+inf = uncapped).
+        self._fcap: List[float] = [_INF] * n0
         self._estart = _np.zeros(n0, dtype=_np.int64)
         self._eend = _np.zeros(n0, dtype=_np.int64)
 
@@ -160,7 +154,7 @@ class VectorizedMaxMin:
         self._elink = _np.zeros(e0, dtype=_np.int64)
 
         #: Per-slot link-index tuples (the Python-side view of the CSR
-        #: ranges); the heap fill kernel walks these instead of slicing
+        #: ranges); the fill kernel walks these instead of slicing
         #: the edge arrays.
         self._slinks: List[Tuple[int, ...]] = [()]
 
@@ -186,15 +180,13 @@ class VectorizedMaxMin:
         if need <= n:
             return
         new = max(need, 2 * n)
-        for name in ("_rate", "_fcap", "_estart", "_eend"):
+        for name in ("_rate", "_estart", "_eend"):
             old = getattr(self, name)
-            if name == "_fcap":
-                arr = _np.full(new, _INF, dtype=old.dtype)
-            else:
-                arr = _np.zeros(new, dtype=old.dtype)
+            arr = _np.zeros(new, dtype=old.dtype)
             arr[:n] = old
             setattr(self, name, arr)
         self._rlist.extend([0.0] * (new - n))
+        self._fcap.extend([_INF] * (new - n))
 
     def _grow_edges(self, need: int) -> None:
         n = len(self._eflow)
@@ -213,6 +205,7 @@ class VectorizedMaxMin:
         flow's slot index for array-side bookkeeping."""
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
+        _check_rate_cap(flow_id, rate_cap)
         index = self._link_index
         try:
             link_ids = tuple({index[l]: None for l in links})
@@ -268,14 +261,12 @@ class VectorizedMaxMin:
             self._eflow[s:e] = 0
             self._dead_edges += e - s
         self._slinks[slot] = ()
+        self._rate[slot] = 0.0
+        self._rlist[slot] = 0.0
         if fresh:
             self._fresh.discard(slot)
-            self._rate[slot] = 0.0
-            self._rlist[slot] = 0.0
         else:
             self._seeds.update(links)
-            self._rate[slot] = 0.0
-            self._rlist[slot] = 0.0
             self._ndirty += 1
             self._rates_dict = None
         if self._dead_edges > _COMPACT_MIN_DEAD \
@@ -289,6 +280,7 @@ class VectorizedMaxMin:
         slot = self._flows.get(flow_id)
         if slot is None:
             raise KeyError(flow_id)
+        _check_rate_cap(flow_id, rate_cap)
         index = self._link_index
         try:
             new_links = tuple({index[l]: None for l in links})
@@ -312,10 +304,8 @@ class VectorizedMaxMin:
         li = self._link_index.get(link_id)
         if li is None:
             raise KeyError(f"unknown link {link_id!r}")
-        old = float(self._cap[li])
-        if old == capacity:
+        if self._cap_list[li] == capacity:
             return
-        self._cap[li] = capacity
         self._cap_list[li] = capacity
         if self._lflows[li]:
             self._seeds.add(li)
@@ -396,17 +386,14 @@ class VectorizedMaxMin:
             else:
                 # Flows with no links freeze immediately at cap (or
                 # +inf); only fresh flows can reach the region linkless.
-                r = float(fcap[s])
-                self._rate[s] = r
-                rlist[s] = r
+                self._rate[s] = rlist[s] = fcap[s]
         if linked:
-            if len(linked) <= _LOCKSTEP_MIN_REGION:
-                self._fill_heap(linked, lflows, contrib)
-            else:
-                self._fill_lockstep(linked)
+            self._fill(linked, lflows, contrib)
         self._finish_solve(region)
 
-    def _build_region(self) -> List[int]:
+    def _build_region(
+        self,
+    ) -> Tuple[List[int], Dict[int, List[int]], Dict[int, float]]:
         """Slots whose rates the pending perturbations can change.
 
         A worklist closure with sound per-link admission floors.  A
@@ -532,80 +519,6 @@ class VectorizedMaxMin:
         lam = (cap - pre) / k
         return lam if lam > 0.0 else 0.0
 
-    def _fill_lockstep(self, linked: List[int]) -> None:
-        """Lock-step array sweep for very large regions: per round, one
-        ``bincount`` gives each link its unfrozen-user count, the lowest
-        link-saturation level (or unreached rate cap) becomes the next
-        water level, and every flow on a saturating link (or at its
-        cap) freezes with one scatter."""
-        np = _np
-        S = self._nslots
-        E = self._nedges
-        L = self._nlinks
-        rate_v = self._rate[:S]
-        fcap = self._fcap[:S]
-        llevel = self._llevel
-        unf = np.zeros(S, dtype=bool)
-        unf[linked] = True
-        n_unf = len(linked)
-
-        ef = self._eflow[:E]
-        el = self._elink[:E]
-        env_rate = np.where(unf, 0.0, rate_v)
-        debit = np.bincount(el, weights=env_rate[ef], minlength=L)
-        lrem = self._cap - debit
-        np.maximum(lrem, 0.0, out=lrem)
-
-        unf_f = unf.astype(np.float64)
-        users0 = np.bincount(el, weights=unf_f[ef], minlength=L)
-        for li in np.nonzero(users0 > 0.0)[0].tolist():
-            llevel[li] = _INF
-        lmark = np.zeros(L, dtype=np.float64)
-        level = 0.0
-        while n_unf:
-            users = np.bincount(el, weights=unf_f[ef], minlength=L)
-            has = users > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sat = lmark + lrem / users
-            sat[~has] = _INF
-            link_min = float(sat.min()) if L else _INF
-            cap_min = float(np.where(unf, fcap, _INF).min())
-            at = link_min if link_min <= cap_min else cap_min
-            if at == _INF:  # pragma: no cover - defensive
-                rate_v[unf] = _INF
-                break
-            if at < level:
-                at = level
-            # Advance every link's residual to the new water level.
-            lrem -= (at - lmark) * users
-            np.maximum(lrem, 0.0, out=lrem)
-            lmark[has] = at
-            freeze = fcap <= at
-            sel = has & (sat <= at)
-            if sel.any():
-                hit = np.zeros(S, dtype=bool)
-                hit[ef[sel[el]]] = True
-                freeze = freeze | hit
-                for li in np.nonzero(sel)[0].tolist():
-                    llevel[li] = at
-            freeze &= unf
-            if not freeze.any():  # pragma: no cover - numerical guard
-                # Nothing met the level exactly (float drift): force
-                # the tightest link's users, mirroring the batch solver.
-                li = int(np.argmin(sat))
-                hit = np.zeros(S, dtype=bool)
-                hit[ef[el == li]] = True
-                freeze = hit & unf
-                if not freeze.any():
-                    break
-                llevel[li] = at
-            rate_v[freeze] = np.minimum(at, fcap[freeze])
-            unf = unf & ~freeze
-            unf_f[freeze] = 0.0
-            n_unf = int(unf.sum())
-            level = at
-        self._rlist[:S] = rate_v.tolist()
-
     def _finish_solve(self, region: int) -> None:
         self._fresh.clear()
         self._seeds.clear()
@@ -623,17 +536,16 @@ class VectorizedMaxMin:
             self.stats.flows_resolved += region
             self.stats.flows_reused += len(self._flows) - region
 
-    def _fill_heap(self, region_slots: List[int],
-                   lflows: Dict[int, List[int]],
-                   contrib: Dict[int, float]) -> None:
-        """Heap-kernel progressive fill of a small rising region.
+    def _fill(self, slots: List[int],
+              lflows: Dict[int, List[int]],
+              contrib: Dict[int, float]) -> None:
+        """Progressive fill of the rising region.
 
         The same bottleneck-freezing algorithm as
         ``IncrementalMaxMin._fill`` (lazy link-saturation heap plus a
-        rate-cap heap), run over region-local dicts: for the small
-        regions a typical simulator event perturbs, both the per-round
-        numpy dispatches of the lock-step sweep and any full-length
-        (all links / all edges) setup cost more than the whole fill.
+        rate-cap heap), run over region-local state: its cost follows
+        the region, never the network -- no full-length (all links /
+        all edges) array pass is paid per solve.
         Per-link residuals are reconstructed from the maintained
         allocation sums: ``cap - lalloc`` is the slack left by the
         whole last allocation, and adding back the region's own old
@@ -641,11 +553,9 @@ class VectorizedMaxMin:
         capacity available to the rising set.
         """
         slinks = self._slinks
-        slots = region_slots
-        arr = _np.asarray(slots, dtype=_np.int64)
-        fcaps = self._fcap[arr].tolist()
+        fcap = self._fcap
         cap_heap: List[Tuple[float, int]] = [
-            (cap, s) for cap, s in zip(fcaps, slots) if cap != _INF]
+            (fcap[s], s) for s in slots if fcap[s] != _INF]
         n_active = len(slots)
 
         touched = list(lflows)
@@ -654,15 +564,15 @@ class VectorizedMaxMin:
             # Refreshed below as links fire; a link that never fires
             # bottlenecks nobody in the new allocation.
             llevel[li] = _INF
-        caps_l = self._cap[touched].tolist()
+        cap_list = self._cap_list
         allocs = self._lalloc[touched].tolist()
         lrem = self._f_rem
         lmark = self._f_mark
         lver = self._f_ver
         lrising = self._f_rising
         link_heap: List[Tuple[float, int, int]] = []
-        for li, cap_l, alloc in zip(touched, caps_l, allocs):
-            left = cap_l - alloc + contrib[li]
+        for li, alloc in zip(touched, allocs):
+            left = cap_list[li] - alloc + contrib[li]
             if left < 0.0:
                 left = 0.0
             n = len(lflows[li])

@@ -27,6 +27,19 @@ class TestFlowSpecValidation:
         with pytest.raises(ValueError):
             FlowSpec("f", size=1.0, rate_cap=0.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"size": float("nan")},
+        {"size": float("inf")},
+        {"size": 1.0, "start_time": float("nan")},
+        {"size": 1.0, "start_time": float("inf")},
+        {"size": 1.0, "rate_cap": float("nan")},
+    ])
+    def test_non_finite_fields_rejected(self, fields):
+        """``nan < 0`` is false, so these used to pass; a NaN-size flow
+        then hung the numpy backend and stalled the incremental one."""
+        with pytest.raises(ValueError):
+            FlowSpec("f", **fields)
+
     def test_duplicate_flow_id_rejected(self):
         sim = FlowSim(two_link_network())
         sim.add_flow(FlowSpec("f", size=1.0, path=("l1",)))

@@ -37,9 +37,7 @@ REL = 1e-9
 ABS = 1e-9
 
 
-def assert_matches_exact(solver, flows, links, caps):
-    got = solver.rates()
-    want = max_min_rates_py(flows, links, caps)
+def assert_same_rates(got, want):
     assert set(got) == set(want)
     for flow_id in want:
         if math.isinf(want[flow_id]):
@@ -47,6 +45,11 @@ def assert_matches_exact(solver, flows, links, caps):
         else:
             assert got[flow_id] == pytest.approx(
                 want[flow_id], rel=REL, abs=ABS), flow_id
+
+
+def assert_matches_exact(solver, flows, links, caps):
+    assert_same_rates(solver.rates(),
+                      max_min_rates_py(flows, links, caps))
 
 
 class TestBackendSelection:
@@ -243,6 +246,22 @@ class TestCacheHits:
         assert solver.stats.cache_hits == hits + 1
 
 
+@pytest.mark.parametrize("backend", ["vectorized", "incremental"])
+@pytest.mark.parametrize("bad_cap", [-1.0, float("nan")])
+def test_negative_or_nan_rate_cap_rejected(backend, bad_cap):
+    """A negative cap used to come back as a negative rate from both
+    warm solvers (the exact solver answers 0.0); a refused reroute must
+    leave the flow where it was."""
+    solver = make_solver({"l": 10.0}, backend)
+    with pytest.raises(ValueError, match="rate cap"):
+        solver.add_flow("a", ["l"], rate_cap=bad_cap)
+    assert "a" not in solver
+    solver.add_flow("a", ["l"], rate_cap=4.0)
+    with pytest.raises(ValueError, match="rate cap"):
+        solver.reroute("a", ["l"], rate_cap=bad_cap)
+    assert dict(solver.rates()) == {"a": 4.0}
+
+
 @st.composite
 def random_history(draw):
     """A capacity map plus a random op history over it (same shape as
@@ -348,49 +367,11 @@ class TestPropertyBased:
         inc = IncrementalMaxMin(dict(links))
         for op in ops:
             if op[0] == "solve":
-                got_v, got_i = vec.rates(), inc.rates()
-                assert set(got_v) == set(got_i)
-                for fid, want in got_i.items():
-                    if math.isinf(want):
-                        assert math.isinf(got_v[fid]), fid
-                    else:
-                        assert got_v[fid] == pytest.approx(
-                            want, rel=REL, abs=ABS), fid
+                assert_same_rates(vec.rates(), inc.rates())
             else:
                 _apply(vec, op)
                 _apply(inc, op)
-        got_v, got_i = vec.rates(), inc.rates()
-        for fid, want in got_i.items():
-            if math.isinf(want):
-                assert math.isinf(got_v[fid]), fid
-            else:
-                assert got_v[fid] == pytest.approx(
-                    want, rel=REL, abs=ABS), fid
-
-    @given(random_history())
-    @settings(max_examples=60, deadline=None)
-    def test_lockstep_sweep_matches_exact(self, history):
-        """Forcing every region through the lock-step array sweep (the
-        large-region path) must not change any allocation.  (Manual
-        save/restore rather than the monkeypatch fixture: hypothesis
-        forbids function-scoped fixtures inside ``@given``.)"""
-        import repro.netsim.vectorized as vectorized
-        links, ops = history
-        capacities = dict(links)
-        saved = vectorized._LOCKSTEP_MIN_REGION
-        vectorized._LOCKSTEP_MIN_REGION = 0
-        try:
-            solver = VectorizedMaxMin(capacities)
-            flows, caps = {}, {}
-            for op in ops:
-                if op[0] == "solve":
-                    assert_matches_exact(solver, flows, capacities, caps)
-                else:
-                    _apply(solver, op)
-                    _track(flows, caps, capacities, op)
-            assert_matches_exact(solver, flows, capacities, caps)
-        finally:
-            vectorized._LOCKSTEP_MIN_REGION = saved
+        assert_same_rates(vec.rates(), inc.rates())
 
     @given(random_history())
     @settings(max_examples=50, deadline=None)
@@ -410,3 +391,51 @@ class TestPropertyBased:
             assert load <= capacity * (1 + 1e-6) + 1e-9
         for fid, cap in caps.items():
             assert rates[fid] <= cap * (1 + 1e-6)
+
+
+def large_region_history():
+    """A deterministic history whose re-solve regions pass a thousand
+    flows, which the hypothesis histories (at most 30 ops) never reach:
+    1,500 flows share one core link between 25 uplinks and 40
+    downlinks, a third of them rate-capped; then a removal wave, a core
+    capacity cut, a reroute off the core and the capacity restored."""
+    links = {"core": 900.0}
+    links.update({f"up{i}": 20.0 + 3.0 * i for i in range(25)})
+    links.update({f"down{i}": 15.0 + 2.0 * i for i in range(40)})
+    ops = []
+    for i in range(1500):
+        cap = 0.2 + 0.3 * (i % 11) if i % 3 == 0 else None
+        ops.append(("add", f"f{i}",
+                    [f"up{i % 25}", "core", f"down{i % 40}"], cap))
+    ops.append(("solve",))
+    ops.extend(("remove", f"f{i}") for i in range(0, 1500, 5))
+    ops.append(("solve",))
+    ops.append(("capacity", "core", 120.0))
+    ops.append(("solve",))
+    ops.append(("reroute", "f1", ["up1", "down1"], 4.0))
+    ops.append(("solve",))
+    ops.append(("capacity", "core", 900.0))
+    ops.append(("solve",))
+    return links, ops
+
+
+def test_large_region_matches_exact_and_incremental():
+    links, ops = large_region_history()
+    capacities = dict(links)
+    vec = VectorizedMaxMin(capacities)
+    inc = IncrementalMaxMin(capacities)
+    flows, caps = {}, {}
+    regions = []
+    for op in ops:
+        if op[0] == "solve":
+            before = vec.stats.flows_resolved
+            assert_matches_exact(vec, flows, capacities, caps)
+            assert_same_rates(vec.rates(), inc.rates())
+            regions.append(vec.stats.flows_resolved - before)
+        else:
+            _apply(vec, op)
+            _apply(inc, op)
+            _track(flows, caps, capacities, op)
+    # The cold solve and the warm one after the capacity cut both
+    # refill more than a thousand flows in one region.
+    assert regions[0] == 1500 and regions[2] > 1024, regions
