@@ -68,11 +68,9 @@ def main():
     shim.register_request("req-1", MASTER, WORKERS)
 
     netagg_result, netagg_responses, netagg_data = application(shim)
-    boxes = sum(
-        1 for info in platform.topology.all_boxes()
-        if platform.box_runtime(info.box_id).last_processed(
-            "solr", "req-1@t0")
-    )
+    # The boxes forget a request once the master has its answer, so the
+    # boxes it went through are read off its tree.
+    boxes = len(platform.build_trees("req-1", MASTER, WORKERS)[0].boxes)
     print("netagg shim   : "
           f"{netagg_responses} responses ({netagg_data} with data, the "
           f"rest emulated empty), aggregated through {boxes} boxes, "

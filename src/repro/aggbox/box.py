@@ -478,31 +478,13 @@ class AggBoxRuntime:
         partials folded, so the request still auto-completes (and the
         ``emitted`` flag is untouched -- the request stays pending).
         """
-        binding = self._binding(state.app)
-        with get_tracer().span("box.flush", lambda: self.clock,
-                               layer="aggbox", box=self.box_id,
-                               app=state.app, request=state.request_id,
-                               origin=self.trace_origin,
-                               partials=len(state.partials)):
-            value = tree_aggregate(binding.function, state.partials)
-            payload = binding.serialise(value)
         flushed = len(state.partials)
-        state.processed_sources.extend(state.sources)
+        delta = self._fold(state, "box.flush")
         if state.expected is not None:
             state.expected = max(0, state.expected - flushed)
-        state.partials = []
-        state.sources = []
-        self._pending[state.app] = self._pending.get(state.app, 0) - flushed
         self.flushes += 1
         self._m_flushes.inc()
-        self._observe(state.app)
-        return AggregateReady(
-            app=state.app,
-            request_id=state.request_id,
-            value=value,
-            payload=payload,
-            sources=list(state.processed_sources),
-        )
+        return delta
 
     def _observe(self, app: str) -> None:
         if self._health is not None:
@@ -529,8 +511,19 @@ class AggBoxRuntime:
         return self._emit(state)
 
     def _emit(self, state: RequestState) -> AggregateReady:
+        ready = self._fold(state, "box.emit")
+        state.emitted = True
+        return ready
+
+    def _fold(self, state: RequestState, span: str) -> AggregateReady:
+        """Merge ``state``'s buffered partials into one aggregate.
+
+        Merge first, then mutate: a function or codec that raises (a
+        request dying inside a merge) leaves the state as it was, and
+        the caller's own bookkeeping runs only once this has returned.
+        """
         binding = self._binding(state.app)
-        with get_tracer().span("box.emit", lambda: self.clock,
+        with get_tracer().span(span, lambda: self.clock,
                                layer="aggbox", box=self.box_id,
                                app=state.app, request=state.request_id,
                                origin=self.trace_origin,
@@ -542,7 +535,6 @@ class AggBoxRuntime:
         state.processed_sources.extend(state.sources)
         state.partials = []
         state.sources = []
-        state.emitted = True
         self._observe(state.app)
         return AggregateReady(
             app=state.app,

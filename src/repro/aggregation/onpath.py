@@ -22,7 +22,7 @@ from repro.aggregation.base import (
     lane_links,
     worker_start_time,
 )
-from repro.core.failure import rewire_failed_box
+from repro.core.failure import rewire_out
 from repro.core.tree import AggregationTree, TreeBuilder
 from repro.netsim.routing import EcmpRouter
 from repro.netsim.simulator import FlowSpec
@@ -66,12 +66,8 @@ class NetAggStrategy(AggregationStrategy):
             job.job_id, job.master, [h for h, _ in job.workers], job.n_trees
         )
         if self.fault_view is not None:
-            failed = sorted(set(self.fault_view(job)))
-            for i, tree in enumerate(trees):
-                for box_id in failed:
-                    if box_id in tree.boxes:
-                        tree = rewire_failed_box(tree, box_id)
-                trees[i] = tree
+            failed = set(self.fault_view(job))
+            trees = [rewire_out(tree, failed) for tree in trees]
         specs: List[FlowSpec] = []
         for tree in trees:
             specs.extend(self._tree_flows(job, tree, topo, builder))

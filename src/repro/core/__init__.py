@@ -39,7 +39,7 @@ from repro.core.breaker import (
     BreakerTransition,
     CircuitBreaker,
 )
-from repro.core.failure import FailureDetector, rewire_failed_box
+from repro.core.failure import FailureDetector, rewire_failed_box, rewire_out
 from repro.core.multicast import (
     MulticastTree,
     build_multicast_tree,
@@ -90,6 +90,7 @@ __all__ = [
     "NetAggPlatform",
     "FailureDetector",
     "rewire_failed_box",
+    "rewire_out",
     "StragglerMonitor",
     "StragglerPolicy",
     "InFlightRequest",

@@ -9,15 +9,16 @@ suppression, which the box runtime enforces via its processed-sources
 set).
 
 The structural half -- removing F from a tree and re-parenting its
-children -- is :func:`rewire_failed_box`; the detector half is a small
-heartbeat monitor usable in both the functional platform and tests.
+children -- is :func:`rewire_failed_box` (:func:`rewire_out` for a set of
+boxes known before planning); the detector half is a small heartbeat
+monitor usable in both the functional platform and tests.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.tree import AggregationTree
 
@@ -68,6 +69,21 @@ def rewire_failed_box(tree: AggregationTree,
             rewired.boxes[parent_id].direct_workers.append(worker_index)
 
     return rewired
+
+
+def rewire_out(tree: AggregationTree,
+               box_ids: Iterable[str]) -> AggregationTree:
+    """``tree`` with every box of ``box_ids`` it holds rewired out.
+
+    Plan-time §3.1, stated once for every planner: boxes leave in
+    sorted id order (adopted children are appended in rewiring order,
+    so the order shows in the tree) and ids the tree does not hold are
+    skipped.  Returns ``tree`` itself when nothing had to go.
+    """
+    for box_id in sorted(box_ids):
+        if box_id in tree.boxes:
+            tree = rewire_failed_box(tree, box_id)
+    return tree
 
 
 @dataclass

@@ -37,10 +37,6 @@ class MulticastTree:
     receivers: Tuple[str, ...]
     tree: AggregationTree
 
-    def fan_out_of(self, box_id: str) -> int:
-        vertex = self.tree.boxes[box_id]
-        return len(vertex.children) + len(vertex.direct_workers)
-
 
 def build_multicast_tree(
     topo: Topology,

@@ -19,9 +19,9 @@ drain-then-cutover protocol**:
    guard failure the migration **rolls back**: the box is un-drained
    and its parked partials replay straight back into it.
 
-Migrations that land while a request is mid-flight go through
-:meth:`repro.core.recovery.InFlightRequest.migrate_box` instead (pass
-``in_flight``), which adds the expected-count arithmetic of §3.1.
+A migration that lands while a request is mid-flight *is*
+:meth:`repro.core.recovery.InFlightRequest.migrate_box`, which adds the
+expected-count arithmetic of §3.1; whoever holds the request calls it.
 
 Every action emits an ``optimizer.action`` instant; every migration an
 ``optimizer.migrate`` span wrapping ``optimizer.drain`` /
@@ -80,9 +80,9 @@ class PlanApplier:
     """Executes action plans on a platform (or any drain-capable shim).
 
     ``platform`` must provide ``drain_box`` / ``undrain_box`` /
-    ``drained_boxes`` / ``failed_boxes``; a full
-    :class:`~repro.core.platform.NetAggPlatform` additionally provides
-    ``box_runtime`` (for parking) and ``clock``.  ``interrupt`` is the
+    ``drained_boxes`` / ``failed_boxes``, ``topology`` and ``clock``; a
+    full :class:`~repro.core.platform.NetAggPlatform` additionally
+    provides ``box_runtime`` (for parking).  ``interrupt`` is the
     chaos hook invoked between drain and cutover of every migration.
     ``min_active`` is the cutover guard: a migration or drain that
     would leave fewer than this many active (un-drained, un-failed)
@@ -104,14 +104,8 @@ class PlanApplier:
 
     # -- public ---------------------------------------------------------------
 
-    def apply(self, plan: ActionPlan, in_flight=None) -> ApplyResult:
-        """Execute ``plan``; returns what was applied and skipped.
-
-        ``in_flight`` (an :class:`repro.core.recovery.InFlightRequest`)
-        routes migrations of boxes in its tree through the mid-request
-        protocol, parked partials and expected-count arithmetic
-        included.
-        """
+    def apply(self, plan: ActionPlan) -> ApplyResult:
+        """Execute ``plan``; returns what was applied and skipped."""
         at = self._now(plan.at)
         result = ApplyResult(plan=plan)
         tracer = get_tracer()
@@ -121,7 +115,7 @@ class PlanApplier:
             if tracer.enabled else 0
         try:
             for action in plan.actions:
-                self._apply_one(action, plan, at, result, in_flight)
+                self._apply_one(action, plan, at, result)
         finally:
             if span:
                 tracer.end(span, self._now(at))
@@ -130,19 +124,13 @@ class PlanApplier:
     # -- internals ------------------------------------------------------------
 
     def _now(self, floor: float) -> float:
-        return max(floor, getattr(self._platform, "clock", floor))
+        return max(floor, self._platform.clock)
 
     def _active_boxes(self, excluding: str = "") -> List[str]:
         drained = self._platform.drained_boxes()
         failed = self._platform.failed_boxes()
-        boxes = getattr(self._platform, "box_ids", None)
-        if boxes is None:
-            boxes = sorted(
-                info.box_id
-                for info in self._platform.topology.all_boxes()
-            )
-        else:
-            boxes = sorted(boxes())
+        boxes = sorted(
+            info.box_id for info in self._platform.topology.all_boxes())
         return [b for b in boxes
                 if b not in drained and b not in failed
                 and b != excluding]
@@ -153,7 +141,7 @@ class PlanApplier:
             tracer.instant(name, at, layer="optimizer", **tags)
 
     def _apply_one(self, action: Action, plan: ActionPlan, at: float,
-                   result: ApplyResult, in_flight) -> None:
+                   result: ApplyResult) -> None:
         if action.kind == NOOP:
             result.applied.append(action)
             return
@@ -176,22 +164,22 @@ class PlanApplier:
             self._m_undrains.inc()
             result.applied.append(action)
         elif action.kind == MIGRATE:
-            outcome = self._migrate(action, plan, at, in_flight)
+            outcome = self._migrate(action, plan, at)
             result.migrations.append(outcome)
             if outcome.outcome == ROLLED_BACK:
                 result.skipped.append((action, "rolled back"))
             else:
                 result.applied.append(action)
 
-    def _migrate(self, action: Action, plan: ActionPlan, at: float,
-                 in_flight) -> MigrationOutcome:
+    def _migrate(self, action: Action, plan: ActionPlan,
+                 at: float) -> MigrationOutcome:
         box_id = action.target
         tracer = get_tracer()
         span = tracer.begin("optimizer.migrate", at, layer="optimizer",
                             box=box_id, strategy=plan.strategy) \
             if tracer.enabled else 0
         try:
-            outcome = self._migrate_phases(box_id, at, in_flight)
+            outcome = self._migrate_phases(box_id, at)
             self._m_migrations.inc()
             if outcome.outcome == ROLLED_BACK:
                 self._m_rollbacks.inc()
@@ -200,10 +188,7 @@ class PlanApplier:
             if span:
                 tracer.end(span, self._now(at))
 
-    def _migrate_phases(self, box_id: str, at: float,
-                        in_flight) -> MigrationOutcome:
-        if in_flight is not None and box_id in in_flight.tree.boxes:
-            return self._migrate_in_flight(box_id, at, in_flight)
+    def _migrate_phases(self, box_id: str, at: float) -> MigrationOutcome:
         platform = self._platform
 
         # Phase 1: drain.  The box leaves the planner; its buffered
@@ -257,40 +242,9 @@ class PlanApplier:
                                 parked=len(parked),
                                 replayed_to=box_id if parked else "")
 
-    def _migrate_in_flight(self, box_id: str, at: float,
-                           in_flight) -> MigrationOutcome:
-        """Mid-request migration: delegate to the §3.1 protocol."""
-        self._instant("optimizer.drain", at, box=box_id)
-        self._platform.drain_box(box_id)
-        log = in_flight.migrate_box(box_id, interrupt=self._interrupt)
-        if log.parked_sources:
-            self._instant("optimizer.park", at, box=box_id,
-                          parked=len(log.parked_sources))
-        now = self._now(at)
-        if log.rolled_back:
-            self._platform.undrain_box(box_id)
-            self._instant("optimizer.rollback", now, box=box_id,
-                          parked=len(log.parked_sources),
-                          outcome=ROLLED_BACK)
-            return MigrationOutcome(
-                box_id=box_id, outcome=ROLLED_BACK,
-                parked=len(log.parked_sources),
-                replayed_to=box_id if log.parked_sources else "",
-            )
-        outcome = FAILED_OVER if log.failed_over else APPLIED
-        self._instant("optimizer.cutover", now, box=box_id,
-                      dest=log.replayed_to or "none", outcome=outcome)
-        return MigrationOutcome(
-            box_id=box_id, outcome=outcome,
-            parked=len(log.parked_sources),
-            replayed_to=log.replayed_to,
-        )
-
     def _replay(self, box_id: str, parked) -> None:
-        """Replay parked partials into ``box_id``'s runtime."""
-        runtime = getattr(self._platform, "box_runtime", None)
-        if not parked or runtime is None:
-            return
-        target = runtime(box_id)
+        """Replay parked partials into ``box_id``'s runtime (they came
+        out of a runtime, so a platform without any parks nothing)."""
         for p in parked:
-            target.submit_partial(p.app, p.request_id, p.source, p.value)
+            self._platform.box_runtime(box_id).submit_partial(
+                p.app, p.request_id, p.source, p.value)

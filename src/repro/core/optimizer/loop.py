@@ -67,13 +67,13 @@ class OptimizerLoop:
     def config(self) -> StrategyConfig:
         return self._config
 
-    def tick(self, at: float, in_flight=None) -> TickResult:
+    def tick(self, at: float) -> TickResult:
         """Run one audit/strategy/apply cycle at virtual time ``at``."""
         report = self._auditor.audit(at)
         plan = self._strategy(report, self._config)
         result = None
         if not self._dry_run:
-            result = self._applier.apply(plan, in_flight=in_flight)
+            result = self._applier.apply(plan)
         self._m_ticks.inc()
         tick = TickResult(report=report, plan=plan, result=result)
         self.history.append(tick)

@@ -51,7 +51,7 @@ from repro.aggbox.overload import (
 )
 from repro.core.admission import AdmissionController
 from repro.core.breaker import HALF_OPEN, BreakerBoard
-from repro.core.failure import rewire_failed_box
+from repro.core.failure import rewire_failed_box, rewire_out
 from repro.core.overload import OverloadConfig
 from repro.core.partition import (
     Completeness,
@@ -349,13 +349,9 @@ class NetAggPlatform:
         the same way -- their runtimes are alive, but new work must not
         land on them.
         """
-        trees = self._builder.build_many(key, master, worker_hosts, n_trees)
-        for i, tree in enumerate(trees):
-            for box_id in sorted(self._failed | self._drained):
-                if box_id in tree.boxes:
-                    tree = rewire_failed_box(tree, box_id)
-            trees[i] = tree
-        return trees
+        avoid = self._failed | self._drained
+        return [rewire_out(tree, avoid) for tree in
+                self._builder.build_many(key, master, worker_hosts, n_trees)]
 
     def execute_request(
         self,
@@ -561,7 +557,7 @@ class _Request:
         self._p = platform
         self.app = app
         self.request_id = request_id
-        self.tree_request = f"{request_id}@t{tree.tree_index}"
+        self.tree_request = tree.request_key(request_id)
         self.master = master
         self.partials = worker_partials
         #: The planned tree, which the worker shims walk; ``run``
@@ -747,10 +743,9 @@ class _Request:
         # Announce expected input counts to each participating box
         # (excluded workers will never emit, so they are not expected
         # anywhere).
-        for box_id, vertex in tree.boxes.items():
-            expected = sum(1 for w in vertex.direct_workers
-                           if w not in excluded) + len(vertex.children)
-            p._boxes[box_id].announce(app, tree_request, expected)
+        for box_id in tree.boxes:
+            p._boxes[box_id].announce(app, tree_request,
+                                      tree.fan_in(box_id, excluded))
 
         # Emissions queued for upstream delivery.  Each entry is
         # (box_id, aggregate, source_tag): the final emission of a box

@@ -27,7 +27,7 @@ suppressed; everything not yet sent simply follows the rewired tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.aggbox.box import AggBoxRuntime
 from repro.core.failure import FailureDetector, rewire_failed_box
@@ -114,12 +114,9 @@ class InFlightRequest:
     # -- normal operation -----------------------------------------------------
 
     def announce_all(self) -> None:
-        for box_id, vertex in self.tree.boxes.items():
-            if box_id in self._failed:
-                continue
-            expected = len(vertex.direct_workers) + len(vertex.children)
+        for box_id in self.tree.boxes:
             self._boxes[box_id].announce(self.app, self._box_request(),
-                                         expected)
+                                         self.tree.fan_in(box_id))
 
     def deliver_worker(self, index: int) -> None:
         """One worker shim sends its partial result."""
@@ -154,44 +151,11 @@ class InFlightRequest:
         log.suppressed_sources = list(processed)
 
         # Rewire: F's children (and its direct workers) now feed N.
-        children_workers = list(vertex.direct_workers)
-        children_boxes = list(vertex.children)
         log.redirected_children = (
-            [f"worker:{w}" for w in children_workers]
-            + [f"box:{b}" for b in children_boxes]
+            [f"worker:{w}" for w in vertex.direct_workers]
+            + [f"box:{b}" for b in vertex.children]
         )
-        self._failed.add(box_id)
-        self._detector.forget(box_id)
-        self.tree = rewire_failed_box(self.tree, box_id)
-
-        # N's expected-input count changes: F's single (future) input is
-        # replaced by the lost replays plus whatever F's children have
-        # not sent yet.  Exactness only affects *when* N auto-emits --
-        # the final flush pass guarantees completeness either way.
-        if parent is not None:
-            seen_at_f = set(lost) | set(processed)
-            future_workers = sum(
-                1 for w in children_workers
-                if f"worker:{w}" not in seen_at_f
-            )
-            future_boxes = sum(
-                1 for b in children_boxes
-                if not any(tag in seen_at_f
-                           for tag in self._emission_tags(b))
-            )
-            f_emitted_to_parent = any(
-                self._boxes[parent].has_source(
-                    self.app, self._box_request(), tag
-                )
-                for tag in self._emission_tags(box_id)
-            )
-            delta = (len(lost) + future_workers + future_boxes
-                     - (0 if f_emitted_to_parent else 1))
-            emitted = self._boxes[parent].adjust_expected(
-                self.app, self._box_request(), delta
-            )
-            if emitted is not None:
-                self._propagate(parent, emitted.value)
+        self._detach(box_id, set(lost) | set(processed), len(lost))
 
         # Replay exactly the lost partials from retained send buffers.
         # Membership, not truthiness: None is a legitimate partial value
@@ -289,36 +253,10 @@ class InFlightRequest:
         if box_id in self._failed:
             log.failed_over = True
         else:
-            vertex = self.tree.boxes[box_id]
-            children_workers = list(vertex.direct_workers)
-            children_boxes = list(vertex.children)
-            parent = vertex.parent
-            self._failed.add(box_id)
-            self._detector.forget(box_id)
-            self.tree = rewire_failed_box(self.tree, box_id)
-            if parent is not None and parent not in self._failed:
-                adjusted_parent = parent
-                seen = set(log.parked_sources) | set(log.suppressed_sources)
-                future_workers = sum(
-                    1 for w in children_workers
-                    if f"worker:{w}" not in seen
-                )
-                future_boxes = sum(
-                    1 for b in children_boxes
-                    if not any(tag in seen
-                               for tag in self._emission_tags(b))
-                )
-                emitted_to_parent = any(
-                    self._boxes[parent].has_source(self.app, request, tag)
-                    for tag in self._emission_tags(box_id)
-                )
-                delta = (len(parked) + future_workers + future_boxes
-                         - (0 if emitted_to_parent else 1))
-                emitted = self._boxes[parent].adjust_expected(
-                    self.app, request, delta
-                )
-                if emitted is not None:
-                    self._propagate(parent, emitted.value)
+            adjusted_parent = self._detach(
+                box_id,
+                set(log.parked_sources) | set(log.suppressed_sources),
+                len(parked))
 
         dest = next(
             (b for b in chain
@@ -367,8 +305,44 @@ class InFlightRequest:
 
     # -- internals ----------------------------------------------------------------
 
+    def _detach(self, box_id: str, seen: Set[str],
+                replays: int) -> Optional[str]:
+        """Take F = ``box_id`` out of the tree; its parent N adopts.
+
+        ``seen`` are the sources F received (folded or not) and
+        ``replays`` how many of them the caller is about to resend.
+        Returns N, whose expected count now includes those replays, or
+        None when F fed the master.
+        """
+        vertex = self.tree.boxes[box_id]
+        parent = vertex.parent
+        self._failed.add(box_id)
+        self._detector.forget(box_id)
+        self.tree = rewire_failed_box(self.tree, box_id)
+        if parent is None:
+            return None
+        # N's expected-input count changes: F's single (future) input is
+        # replaced by the replays plus whatever F's children have not
+        # sent yet.  Exactness only affects *when* N auto-emits -- the
+        # final flush pass guarantees completeness either way.
+        request = self._box_request()
+        future_workers = sum(
+            1 for w in vertex.direct_workers if f"worker:{w}" not in seen)
+        future_boxes = sum(
+            1 for b in vertex.children
+            if not any(tag in seen for tag in self._emission_tags(b)))
+        emitted_to_parent = any(
+            self._boxes[parent].has_source(self.app, request, tag)
+            for tag in self._emission_tags(box_id))
+        delta = (replays + future_workers + future_boxes
+                 - (0 if emitted_to_parent else 1))
+        emitted = self._boxes[parent].adjust_expected(self.app, request, delta)
+        if emitted is not None:
+            self._propagate(parent, emitted.value)
+        return parent
+
     def _box_request(self) -> str:
-        return f"{self.request_id}@t{self.tree.tree_index}"
+        return self.tree.request_key(self.request_id)
 
     def _emission_tags(self, box_id: str) -> List[str]:
         count = self._emit_count.get(box_id, 0)

@@ -19,6 +19,11 @@ The demo application flow:
   entry agg box of the worker's aggregation tree, and the master's
   socket instead receives the box-built aggregate plus emulated empty
   results.
+
+A request lives from ``register_request`` to that delivery: the factory
+then releases it on every box of its tree and drops its routing, so it
+holds only requests in flight, later frames on those connections pass
+through as plain traffic and the id may be registered again.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ class NetAggSocketFactory(SocketFactory):
         super().__init__()
         self._platform = platform
         self._app = app
-        #: (master, request) -> request routing state.
+        #: (master, request) -> routing state of a request in flight.
         self._requests: Dict[Tuple[str, str], "_RequestRouting"] = {}
 
     # -- request registration (done by the master shim) ---------------------
@@ -151,12 +156,12 @@ class NetAggSocketFactory(SocketFactory):
             master=master,
             worker_hosts=list(worker_hosts),
             tree=tree,
+            box_request=tree.request_key(request_id),
         )
         self._requests[key] = routing
-        for box_id, vertex in tree.boxes.items():
-            expected = len(vertex.direct_workers) + len(vertex.children)
+        for box_id in tree.boxes:
             self._platform.box_runtime(box_id).announce(
-                self._app, routing.box_request, expected
+                self._app, routing.box_request, tree.fan_in(box_id)
             )
 
     # -- interception --------------------------------------------------------
@@ -192,8 +197,7 @@ class NetAggSocketFactory(SocketFactory):
 
     def _find_routing(self, src: str, dst: str) -> Optional["_RequestRouting"]:
         for (master, _), routing in self._requests.items():
-            if master == dst and src in routing.worker_hosts and \
-                    not routing.delivered:
+            if master == dst and src in routing.worker_hosts:
                 return routing
         return None
 
@@ -213,15 +217,13 @@ class NetAggSocketFactory(SocketFactory):
             self._climb(routing, vertex.parent, emitted)
 
     def _maybe_finish(self, routing: "_RequestRouting") -> None:
-        """Deliver to the master once every root aggregate is in."""
-        if routing.delivered:
-            return
+        """Deliver to the master once every root aggregate is in, which
+        ends the request: its boxes release it and its routing goes."""
         want_roots = len(routing.tree.roots())
         want_direct = len(routing.tree.direct_workers())
         if len(routing.aggregates) < want_roots or \
                 routing.direct_done < want_direct:
             return
-        routing.delivered = True
         master_inbox = self.endpoint(routing.master).inbox(DATA_PORT)
         # All aggregated data attributed to the first worker; the rest
         # send empty frames (the master's unmodified gather loop still
@@ -232,6 +234,10 @@ class NetAggSocketFactory(SocketFactory):
                     master_inbox.append((host, payload))
             elif routing.tree.worker_entry[i] is not None:
                 master_inbox.append((host, b""))
+        for box_id in routing.tree.boxes:
+            self._platform.box_runtime(box_id).release(
+                self._app, routing.box_request)
+        del self._requests[(routing.master, routing.request_id)]
 
 
 @dataclass
@@ -240,10 +246,7 @@ class _RequestRouting:
     master: str
     worker_hosts: List[str]
     tree: Any
+    #: The id the tree's boxes know the request by.
+    box_request: str
     aggregates: List[bytes] = field(default_factory=list)
     direct_done: int = 0
-    delivered: bool = False
-
-    @property
-    def box_request(self) -> str:
-        return f"{self.request_id}@t{self.tree.tree_index}"

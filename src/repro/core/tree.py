@@ -20,7 +20,7 @@ here, so the simulated and executed systems are wired identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.routing import stable_hash
 from repro.topology.base import AggBoxInfo, Topology
@@ -78,6 +78,22 @@ class AggregationTree:
             vertex = self.boxes[vertex.parent]
             depth += 1
         return depth
+
+    def request_key(self, request_id: str) -> str:
+        """The id this tree's boxes know ``request_id`` by: a box keys
+        its state on request *and* tree, so two trees of one request
+        that share a box (too few for disjoint lanes) stay apart."""
+        return f"{request_id}@t{self.tree_index}"
+
+    def fan_in(self, box_id: str, excluded: Collection[int] = ()) -> int:
+        """Inputs ``box_id`` is announced to expect (§3.2.2 metadata):
+        one per child box and per attached worker, less the ``excluded``
+        workers (behind a partition), who will never emit."""
+        vertex = self.boxes[box_id]
+        workers = vertex.direct_workers
+        live = (sum(1 for w in workers if w not in excluded) if excluded
+                else len(workers))
+        return live + len(vertex.children)
 
 
 class TreeConstructionError(RuntimeError):

@@ -47,7 +47,7 @@ from repro.core.optimizer import (
     PlanApplier,
     StrategyConfig,
 )
-from repro.core.failure import rewire_failed_box
+from repro.core.failure import rewire_out
 from repro.core.tree import TreeBuilder
 from repro.experiments import register
 from repro.experiments.common import (
@@ -334,9 +334,7 @@ class SelfHealController:
             job.n_trees,
         )
         for tree in trees:
-            for box_id in sorted(drained):
-                if box_id in tree.boxes:
-                    tree = rewire_failed_box(tree, box_id)
+            tree = rewire_out(tree, drained)
             for index, (host, _) in enumerate(job.workers):
                 entry = tree.worker_entry[index]
                 if entry is not None:

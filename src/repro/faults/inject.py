@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.failure import rewire_failed_box
+from repro.core.failure import rewire_failed_box, rewire_out
 from repro.core.tree import AggregationTree, TreeBuilder
 from repro.faults.domains import in_scope, topology_domains
 from repro.faults.schedule import (
@@ -192,15 +192,11 @@ class SimFaultInjector:
             if not later:
                 continue
             hosts = [h for h, _ in job.workers]
-            trees = builder.build_many(job.job_id, job.master, hosts,
-                                       job.n_trees)
             # Reproduce the plan-time view: boxes already down at job
             # start were rewired out before any flow existed.
-            for i, tree in enumerate(trees):
-                for box_id in sorted(self.fault_view(job)):
-                    if box_id in tree.boxes:
-                        tree = rewire_failed_box(tree, box_id)
-                trees[i] = tree
+            down = self.fault_view(job)
+            trees = [rewire_out(tree, down) for tree in builder.build_many(
+                job.job_id, job.master, hosts, job.n_trees)]
             for crash_time, box in later:
                 for i, tree in enumerate(trees):
                     if box not in tree.boxes:

@@ -267,29 +267,63 @@ class FaultSchedule:
 
     # -- point-in-time queries ------------------------------------------------
 
-    def crashed_at(self, t: float) -> Set[str]:
-        """Boxes crashed at or before ``t`` and not yet recovered."""
-        down: Set[str] = set()
+    # Every query is one early-exit scan of the sorted events, in one of
+    # three shapes: a latch, a level and a self-clearing window.
+
+    def _latched(self, on: str, off: str, t: float) -> Set[str]:
+        """Targets an ``on`` event set at or before ``t`` with no ``off``
+        event since."""
+        held: Set[str] = set()
         for event in self._events:
             if event.time > t:
                 break
-            if event.kind == BOX_CRASH:
-                down.add(event.target)
+            if event.kind == on:
+                held.add(event.target)
+            elif event.kind == off:
+                held.discard(event.target)
+        return held
+
+    def _level(self, kind: str, target: str, t: float,
+               rest: float) -> float:
+        """Severity of ``target``'s latest ``kind`` event at or before
+        ``t``; a ``box-recover`` puts it back to ``rest``."""
+        level = rest
+        for event in self._events:
+            if event.time > t:
+                break
+            if event.target != target:
+                continue
+            if event.kind == kind:
+                level = event.severity
             elif event.kind == BOX_RECOVER:
-                down.discard(event.target)
-        return down
+                level = rest
+        return level
+
+    def _covering(self, kinds: Iterable[str], target: Optional[str],
+                  t: float) -> List[FaultEvent]:
+        """Events of ``kinds`` (on ``target``; None = on anything) whose
+        window ``[time, time + duration)`` holds ``t``.  A domain marker
+        of ``duration`` 0 is permanent; any other zero-length window
+        covers nothing."""
+        hits: List[FaultEvent] = []
+        for event in self._events:
+            if event.time > t:
+                break
+            if event.kind in kinds \
+                    and (target is None or event.target == target) \
+                    and (t < event.time + event.duration
+                         or (event.duration <= 0
+                             and event.kind in DOMAIN_KINDS)):
+                hits.append(event)
+        return hits
+
+    def crashed_at(self, t: float) -> Set[str]:
+        """Boxes crashed at or before ``t`` and not yet recovered."""
+        return self._latched(BOX_CRASH, BOX_RECOVER, t)
 
     def links_down_at(self, t: float) -> Set[str]:
         """Links down at or before ``t`` and not yet brought back up."""
-        down: Set[str] = set()
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind == LINK_DOWN:
-                down.add(event.target)
-            elif event.kind == LINK_UP:
-                down.discard(event.target)
-        return down
+        return self._latched(LINK_DOWN, LINK_UP, t)
 
     def degradation_at(self, target: str, t: float) -> float:
         """Processing slow-down factor of ``target`` at ``t`` (1.0 = healthy).
@@ -297,43 +331,17 @@ class FaultSchedule:
         The latest ``box-degrade`` at or before ``t`` applies until a
         ``box-recover`` for the same target clears it.
         """
-        factor = 1.0
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.target != target:
-                continue
-            if event.kind == BOX_DEGRADE:
-                factor = event.severity
-            elif event.kind == BOX_RECOVER:
-                factor = 1.0
-        return factor
+        return self._level(BOX_DEGRADE, target, t, 1.0)
 
     def clock_skew_at(self, target: str, t: float) -> float:
         """Seconds ``target``'s clock lags at ``t`` (0.0 = in sync)."""
-        skew = 0.0
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.target != target:
-                continue
-            if event.kind == CLOCK_SKEW:
-                skew = event.severity
-            elif event.kind == BOX_RECOVER:
-                skew = 0.0
-        return skew
+        return self._level(CLOCK_SKEW, target, t, 0.0)
 
     def churn_until(self, target: str, t: float) -> Optional[float]:
         """End time of a ``worker-churn`` window covering ``t``, if any."""
-        end: Optional[float] = None
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind == WORKER_CHURN and event.target == target \
-                    and t < event.time + event.duration:
-                window_end = event.time + event.duration
-                end = window_end if end is None else max(end, window_end)
-        return end
+        ends = [e.time + e.duration for e in
+                self._covering((WORKER_CHURN,), target, t)]
+        return max(ends) if ends else None
 
     def overload_at(self, target: str, t: float) -> float:
         """Service slow-down from overload windows covering ``t``.
@@ -341,34 +349,18 @@ class FaultSchedule:
         Overlapping ``box-overload`` windows do not stack; the worst
         (largest) factor applies.  1.0 = no overload.
         """
-        factor = 1.0
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind == BOX_OVERLOAD and event.target == target \
-                    and t < event.time + event.duration:
-                factor = max(factor, event.severity)
-        return factor
+        worst = 1.0
+        for event in self._covering((BOX_OVERLOAD,), target, t):
+            worst = max(worst, event.severity)
+        return worst
 
     def shedding_at(self, target: str, t: float) -> bool:
         """Is ``target`` inside a ``box-shed`` window at ``t``?"""
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind == BOX_SHED and event.target == target \
-                    and t < event.time + event.duration:
-                return True
-        return False
+        return bool(self._covering((BOX_SHED,), target, t))
 
     def migrating_at(self, target: str, t: float) -> bool:
         """Is ``target`` inside a ``box-migrate`` drain window at ``t``?"""
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind == BOX_MIGRATE and event.target == target \
-                    and t < event.time + event.duration:
-                return True
-        return False
+        return bool(self._covering((BOX_MIGRATE,), target, t))
 
     def migrations(self) -> List[FaultEvent]:
         """All ``box-migrate`` events, in time order."""
@@ -381,14 +373,10 @@ class FaultSchedule:
         worst factor applies) -- but a gray window never shows up in
         the box's own health feed: its heartbeat stays ``healthy``.
         """
-        factor = 1.0
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind == BOX_GRAY and event.target == target \
-                    and t < event.time + event.duration:
-                factor = max(factor, event.severity)
-        return factor
+        worst = 1.0
+        for event in self._covering((BOX_GRAY,), target, t):
+            worst = max(worst, event.severity)
+        return worst
 
     def partitions_at(self, t: float) -> List[str]:
         """Partition scopes (domain names) active at ``t``, sorted.
@@ -398,15 +386,8 @@ class FaultSchedule:
         a partitioned domain's members are merely unreachable.  A
         window with ``duration`` 0 never heals.
         """
-        scopes: Set[str] = set()
-        for event in self._events:
-            if event.time > t:
-                break
-            if event.kind in DOMAIN_KINDS \
-                    and (event.duration <= 0
-                         or t < event.time + event.duration):
-                scopes.add(event.target)
-        return sorted(scopes)
+        return sorted({e.target for e in
+                       self._covering(DOMAIN_KINDS, None, t)})
 
     def domain_events(self) -> List[FaultEvent]:
         """All ``domain-fail``/``net-partition`` markers, in time order."""

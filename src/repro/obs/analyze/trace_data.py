@@ -3,12 +3,12 @@
 Analysis must not care where a trace came from: ``python -m repro
 analyze --run fig06`` works on a live :class:`~repro.obs.Tracer` while
 ``--trace trace.json`` reloads a Perfetto JSON file written by
-:func:`repro.obs.export.write_trace`.  Both loaders normalise into the
-same frozen record types, carrying the exact virtual-clock seconds the
-exporter stores in its top-level ``t0``/``t1``/``seq`` keys (the
-``ts``/``dur`` microsecond fields lose float precision), so the two
-paths are bit-for-bit identical -- pinned by
-``tests/test_analyze.py::TestRoundTrip``.
+:func:`repro.obs.export.write_trace`.  There is one loader: a live tracer is
+rendered to the exporter's event list and read back exactly like a
+file.  Records carry the exact virtual-clock seconds the exporter
+stores in its top-level ``t0``/``t1``/``seq`` keys (the ``ts``/``dur``
+microsecond fields lose float precision), so the JSON round trip loses
+no float bits -- pinned by ``tests/test_analyze.py::TestTraceRoundTrip``.
 
 A single trace may hold several sequential simulator runs (a strategy
 sweep traces ``none`` and ``netagg`` back to back, both starting at
@@ -25,7 +25,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.obs.export import _clean_args
+from repro.obs.export import to_trace_events
 from repro.obs.tracer import Tracer
 
 #: Span name the simulator opens around one :meth:`FlowSim.run`.
@@ -100,42 +100,14 @@ class TraceData:
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceData":
-        """Snapshot a live tracer.
+        """Snapshot a live tracer, as the file it would export.
 
-        Open spans are closed at the latest timestamp seen anywhere --
-        the same padding :func:`repro.obs.export.to_trace_events`
-        applies -- and tags pass through the exporter's arg cleaning,
-        so analysing a tracer and analysing its exported file give
+        :func:`repro.obs.export.to_trace_events` closes open spans at
+        the latest timestamp seen anywhere and cleans the tags, so
+        analysing a tracer and analysing its exported file give
         identical results.
         """
-        horizon = 0.0
-        for span in tracer.spans:
-            horizon = max(horizon, span.start,
-                          span.end if span.end is not None else span.start)
-        for instant in tracer.instants:
-            horizon = max(horizon, instant.at)
-        for sample in tracer.samples:
-            horizon = max(horizon, sample.at)
-        data = cls()
-        for span in tracer.spans:
-            data.spans.append(SpanRec(
-                seq=span.seq, parent=span.parent_id, name=span.name,
-                layer=span.layer, start=span.start,
-                end=span.end if span.end is not None else horizon,
-                tags=_clean_args(span.tags),
-            ))
-        for instant in tracer.instants:
-            data.instants.append(InstantRec(
-                seq=instant.seq, name=instant.name, layer=instant.layer,
-                at=instant.at, tags=_clean_args(instant.tags),
-            ))
-        for sample in tracer.samples:
-            data.samples.append(SampleRec(
-                seq=sample.seq, name=sample.name, layer=sample.layer,
-                at=sample.at, value=sample.value,
-            ))
-        data._sort()
-        return data
+        return cls.from_payload({"traceEvents": to_trace_events(tracer)})
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "TraceData":

@@ -86,6 +86,26 @@ class TestTraceRoundTrip:
             assert run.spans, "run segment lost its spans"
             assert any(s.name == "flow" for s in run.spans)
 
+    def test_open_span_analyses_the_same_live_and_reloaded(self, tmp_path):
+        """A run still open when the trace is taken is padded to the
+        latest timestamp seen -- the same one, live and from the file."""
+        tracer = Tracer()
+        tracer.begin("flowsim.run", 0.1, layer="netsim", strategy="netagg")
+        flow = tracer.begin("flow", 0.2, layer="netsim", route=("a", "b"))
+        tracer.instant("flow.rate", 0.3, layer="netsim", rate=1 / 3)
+        tracer.end(flow, 0.7)
+        tracer.begin("flow", 0.8, layer="netsim")  # open, like its run
+        tracer.sample("link.util", 0.9 + 1e-12, 2 / 3, layer="netsim")
+        path = tmp_path / "open.json"
+        write_trace(tracer, str(path))
+        live = TraceData.from_tracer(tracer).runs()
+        assert live == TraceData.from_file(path).runs()
+        (run,) = live
+        assert run.span.end == 0.9 + 1e-12
+        assert [s.end for s in run.spans] == [0.7, 0.9 + 1e-12]
+        assert run.spans[0].tags["route"] == "('a', 'b')"
+        assert (len(run.instants), len(run.samples)) == (1, 1)
+
 
 class TestCriticalPath:
     def test_fractions_sum_to_one(self, fig06_diagnosis):

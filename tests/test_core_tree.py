@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation import deploy_boxes
+from repro.core.failure import rewire_failed_box, rewire_out
 from repro.core.tree import (
     AggregationTree,
     BoxVertex,
@@ -411,6 +412,68 @@ class TestLiveBuilderMatchesFrozenSelection:
                 builder.build("job", "host:0", ["host:1", "host:0"])
             with pytest.raises(ValueError, match="n_trees"):
                 builder.build_many("job", "host:0", ["host:1"], 0)
+
+
+def _frozen_rewire_loop(tree, avoid):
+    """The plan-time rewiring loop as ``NetAggPlatform.build_trees``,
+    ``NetAggStrategy.plan_job``, ``SimFaultInjector.reroute_events`` and
+    ``SelfHealController.view`` each spelled it before ``rewire_out``."""
+    for box_id in sorted(avoid):
+        if box_id in tree.boxes:
+            tree = rewire_failed_box(tree, box_id)
+    return tree
+
+
+@st.composite
+def _trees_and_victims(draw):
+    """One built tree, and box ids to take out of it in drawn order:
+    some it holds, some (``box:ghost:<n>``) it does not."""
+    topo, key, master, workers, n_trees = draw(_jobs())
+    tree = TreeBuilder(topo).build(key, master, workers,
+                                   draw(st.integers(0, n_trees - 1)))
+    pool = sorted(tree.boxes) + ["box:ghost:0", "box:ghost:1"]
+    return tree, draw(st.lists(st.sampled_from(pool), unique=True))
+
+
+class TestRewireOutAndFanIn:
+    @given(_trees_and_victims())
+    @settings(max_examples=150)
+    def test_rewire_out_is_the_sorted_fold(self, case):
+        """Whatever order or container the caller's fault view comes
+        in, the result is the sorted, skip-what-is-absent fold."""
+        tree, victims = case
+        want = _frozen_rewire_loop(tree, set(victims))
+        for avoid in (victims, victims[::-1], set(victims),
+                      frozenset(victims), tuple(victims) * 2,
+                      iter(victims)):
+            _same_trees([rewire_out(tree, avoid)], [want])
+        assert not set(victims) & set(want.boxes)
+        if not set(victims) & set(tree.boxes):
+            assert rewire_out(tree, victims) is tree
+
+    @given(_trees_and_victims(), st.data())
+    @settings(max_examples=150)
+    def test_fan_in_counts_every_live_edge_once(self, case, data):
+        tree, victims = case
+        tree = rewire_out(tree, victims)
+        excluded = data.draw(st.sets(st.sampled_from(
+            sorted(tree.worker_entry))))
+        # dict, set and the default all mean "these workers are silent".
+        for silent in (excluded, dict.fromkeys(excluded, "rack:0")):
+            assert sum(tree.fan_in(b, silent) for b in tree.boxes) == (
+                sum(1 for w, entry in tree.worker_entry.items()
+                    if entry is not None and w not in excluded)
+                + sum(1 for v in tree.boxes.values()
+                      if v.parent is not None))
+        for box_id, vertex in tree.boxes.items():
+            assert tree.fan_in(box_id) == \
+                len(vertex.direct_workers) + len(vertex.children)
+
+    def test_request_key_names_the_tree(self):
+        trees = TreeBuilder(topo_with_boxes()).build_many(
+            "job", "host:0", CROSS_POD_WORKERS, 2)
+        assert [t.request_key("req-7") for t in trees] == \
+            ["req-7@t0", "req-7@t1"]
 
 
 class TestBuilderSeesTopologyMutations:

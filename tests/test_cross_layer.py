@@ -34,20 +34,41 @@ def make_topo():
 class TestSharedTreeConstruction:
     def test_strategy_and_platform_use_same_boxes(self):
         """The simulated flows traverse exactly the boxes the platform's
-        trees contain -- both are built by repro.core.tree."""
+        trees contain, and enter them where the platform's workers do --
+        both are built by repro.core.tree and, around failed boxes,
+        rewired by repro.core.failure.rewire_out."""
         topo = make_topo()
+        planned = TreeBuilder(topo).build("req-7", "host:0", list(WORKERS))
+        entry, root = planned.worker_entry[0], planned.roots()[0]
         job = AggJob("req-7", "host:0",
                      tuple((h, MB) for h in WORKERS), alpha=0.1)
-        specs = NetAggStrategy().plan_job(job, topo, EcmpRouter())
-        sim_boxes = set()
-        for spec in specs:
-            for link in spec.path:
-                if link.startswith("proc:"):
-                    sim_boxes.add(link[len("proc:"):])
+        for failed in ([], [entry], [root], [root, entry]):
+            strategy = NetAggStrategy(fault_view=lambda job: failed) \
+                if failed else NetAggStrategy()
+            specs = strategy.plan_job(job, topo, EcmpRouter())
+            sim_boxes = set()
+            sim_entries = {}
+            for spec in specs:
+                for link in spec.path:
+                    if link.startswith("proc:"):
+                        sim_boxes.add(link[len("proc:"):])
+                if spec.kind == "worker":
+                    index = int(spec.flow_id.rsplit(":w", 1)[1])
+                    last = spec.path[-1]
+                    sim_entries[index] = last[len("proc:"):] \
+                        if last.startswith("proc:") else None
 
-        builder = TreeBuilder(topo)
-        tree = builder.build("req-7", "host:0", list(WORKERS))
-        assert sim_boxes == set(tree.boxes)
+            platform = NetAggPlatform(topo)
+            for box_id in failed:
+                platform.fail_box(box_id)
+            tree = platform.build_trees("req-7", "host:0",
+                                        list(WORKERS))[0]
+            assert sim_boxes == set(tree.boxes)
+            assert sim_entries == tree.worker_entry
+            if failed:
+                assert not set(failed) & sim_boxes
+            else:
+                assert tree == planned
 
     def test_tree_selection_consistent_across_layers(self):
         topo = make_topo()

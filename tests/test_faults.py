@@ -8,6 +8,8 @@ centralised computation while the shims retry and degrade gracefully.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.aggbox.functions import SearchResult, TopKFunction
 from repro.aggregation import NetAggStrategy, deploy_boxes
@@ -16,9 +18,17 @@ from repro.core.platform import NetAggPlatform
 from repro.faults import (
     BOX_CRASH,
     BOX_DEGRADE,
+    BOX_GRAY,
+    BOX_MIGRATE,
+    BOX_OVERLOAD,
     BOX_RECOVER,
+    BOX_SHED,
+    CLOCK_SKEW,
+    DOMAIN_FAIL,
+    FAULT_KINDS,
     LINK_DOWN,
     LINK_UP,
+    NET_PARTITION,
     WORKER_CHURN,
     EmulatorFaultInjector,
     FaultEvent,
@@ -32,6 +42,7 @@ from repro.netsim.simulator import FlowSim
 from repro.topology.threetier import ThreeTierParams, three_tier
 from repro.wire.records import decode_search_results, encode_search_results
 from repro.workload.synthetic import WorkloadParams, generate_workload
+from tests.test_chaos_invariants import BOX_IDS, CHAOS, platform_scenario
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -138,6 +149,216 @@ class TestFaultSchedule:
             FaultSchedule.generate(seed=1, duration=1.0, link_flaps=1)
         with pytest.raises(ValueError):
             FaultSchedule.generate(seed=1, duration=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Point-in-time queries: frozen oracle
+#
+# The ten query bodies as they stood before they were rewritten over
+# three shared scans (latch / level / window), kept here verbatim
+# (``self._events`` reads ``events``).  The live methods must agree with them on every
+# schedule and every ``t``.
+
+_DOMAIN_KINDS = (DOMAIN_FAIL, NET_PARTITION)
+
+
+def frozen_crashed_at(events, t):
+    down = set()
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == BOX_CRASH:
+            down.add(event.target)
+        elif event.kind == BOX_RECOVER:
+            down.discard(event.target)
+    return down
+
+
+def frozen_links_down_at(events, t):
+    down = set()
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == LINK_DOWN:
+            down.add(event.target)
+        elif event.kind == LINK_UP:
+            down.discard(event.target)
+    return down
+
+
+def frozen_degradation_at(events, target, t):
+    factor = 1.0
+    for event in events:
+        if event.time > t:
+            break
+        if event.target != target:
+            continue
+        if event.kind == BOX_DEGRADE:
+            factor = event.severity
+        elif event.kind == BOX_RECOVER:
+            factor = 1.0
+    return factor
+
+
+def frozen_clock_skew_at(events, target, t):
+    skew = 0.0
+    for event in events:
+        if event.time > t:
+            break
+        if event.target != target:
+            continue
+        if event.kind == CLOCK_SKEW:
+            skew = event.severity
+        elif event.kind == BOX_RECOVER:
+            skew = 0.0
+    return skew
+
+
+def frozen_churn_until(events, target, t):
+    end = None
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == WORKER_CHURN and event.target == target \
+                and t < event.time + event.duration:
+            window_end = event.time + event.duration
+            end = window_end if end is None else max(end, window_end)
+    return end
+
+
+def frozen_overload_at(events, target, t):
+    factor = 1.0
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == BOX_OVERLOAD and event.target == target \
+                and t < event.time + event.duration:
+            factor = max(factor, event.severity)
+    return factor
+
+
+def frozen_shedding_at(events, target, t):
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == BOX_SHED and event.target == target \
+                and t < event.time + event.duration:
+            return True
+    return False
+
+
+def frozen_migrating_at(events, target, t):
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == BOX_MIGRATE and event.target == target \
+                and t < event.time + event.duration:
+            return True
+    return False
+
+
+def frozen_gray_at(events, target, t):
+    factor = 1.0
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind == BOX_GRAY and event.target == target \
+                and t < event.time + event.duration:
+            factor = max(factor, event.severity)
+    return factor
+
+
+def frozen_partitions_at(events, t):
+    scopes = set()
+    for event in events:
+        if event.time > t:
+            break
+        if event.kind in _DOMAIN_KINDS \
+                and (event.duration <= 0
+                     or t < event.time + event.duration):
+            scopes.add(event.target)
+    return sorted(scopes)
+
+
+#: Few enough values that events and query times collide on the
+#: boundaries (``time == t``, ``t == time + duration``).
+_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+_TARGETS = BOX_IDS[:2] + ["link:a", "worker:0", "worker:1", "rack:0"]
+
+
+@st.composite
+def schedule_and_probe(draw):
+    """A chaos-suite schedule widened to every fault kind, salted with
+    raw events the generator never draws (severity below 1, zero-length
+    windows, recovers with nothing to clear), and one (target, t)."""
+    seed, counts, permanent, _, _ = draw(platform_scenario())
+    generated = FaultSchedule.generate(
+        seed=seed, duration=3.0, boxes=BOX_IDS, links=["link:a", "link:b"],
+        workers=2, domains=["rack:0", "rack:1"],
+        permanent_fraction=permanent,
+        link_flaps=draw(st.integers(0, 2)), skews=draw(st.integers(0, 2)),
+        migrations=draw(st.integers(0, 2)), grays=draw(st.integers(0, 2)),
+        domain_fails=draw(st.integers(0, 1)),
+        partitions=draw(st.integers(0, 1)), **counts)
+    raw = draw(st.lists(st.builds(
+        FaultEvent,
+        time=st.sampled_from(_GRID),
+        kind=st.sampled_from(sorted(FAULT_KINDS)),
+        target=st.sampled_from(_TARGETS),
+        severity=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        duration=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    ), max_size=12))
+    schedule = FaultSchedule(list(generated) + raw, validate=False)
+    targets = sorted({e.target for e in schedule}) + ["nobody"]
+    t = draw(st.sampled_from(_GRID) | st.floats(0.0, 4.0))
+    return schedule, draw(st.sampled_from(targets)), t
+
+
+class TestPointInTimeQueriesMatchFrozenBodies:
+    @given(case=schedule_and_probe())
+    @CHAOS
+    def test_ten_queries(self, case):
+        schedule, target, t = case
+        events = list(schedule)
+        assert schedule.crashed_at(t) == frozen_crashed_at(events, t)
+        assert schedule.links_down_at(t) == frozen_links_down_at(events, t)
+        assert schedule.partitions_at(t) == frozen_partitions_at(events, t)
+        for live, frozen in (
+            (schedule.degradation_at, frozen_degradation_at),
+            (schedule.clock_skew_at, frozen_clock_skew_at),
+            (schedule.churn_until, frozen_churn_until),
+            (schedule.overload_at, frozen_overload_at),
+            (schedule.shedding_at, frozen_shedding_at),
+            (schedule.migrating_at, frozen_migrating_at),
+            (schedule.gray_at, frozen_gray_at),
+        ):
+            got, want = live(target, t), frozen(events, target, t)
+            assert got == want and type(got) is type(want), live.__name__
+
+    @pytest.mark.parametrize("kind, query", [
+        (BOX_OVERLOAD, FaultSchedule.overload_at),
+        (BOX_GRAY, FaultSchedule.gray_at),
+    ])
+    def test_a_speed_up_window_still_reads_one(self, kind, query):
+        sched = FaultSchedule([
+            FaultEvent(1.0, kind, "b", severity=0.5, duration=2.0)])
+        assert query(sched, "b", 1.5) == 1.0
+
+    def test_zero_length_windows(self):
+        """``duration=0`` is "never heals" for a partition and "covers
+        nothing" for every self-clearing box window."""
+        sched = FaultSchedule([
+            FaultEvent(1.0, NET_PARTITION, "rack:0"),
+            FaultEvent(1.0, BOX_SHED, "b"),
+            FaultEvent(1.0, BOX_MIGRATE, "b"),
+            FaultEvent(1.0, WORKER_CHURN, "worker:0"),
+        ])
+        for t in (1.0, 5.0, 1e9):
+            assert sched.partitions_at(t) == ["rack:0"]
+            assert not sched.shedding_at("b", t)
+            assert not sched.migrating_at("b", t)
+            assert sched.churn_until("worker:0", t) is None
+        assert sched.partitions_at(0.5) == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ test_chaos_invariants.py; here the plan-level drain-then-cutover
 protocol is pinned down deterministically, rollback path included.
 """
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,6 +354,15 @@ class TestPlanApplier:
 
 # ---------------------------------------------------------------------------
 # The loop end to end: audit -> strategy -> plan -> apply
+
+
+def test_apply_and_tick_take_no_in_flight_request():
+    """A mid-request migration is ``InFlightRequest.migrate_box``, called
+    by whoever holds the request; the applier has no route to it."""
+    assert list(inspect.signature(PlanApplier.apply).parameters) == \
+        ["self", "plan"]
+    assert list(inspect.signature(OptimizerLoop.tick).parameters) == \
+        ["self", "at"]
 
 
 class TestOptimizerLoop:

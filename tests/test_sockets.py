@@ -19,6 +19,7 @@ from repro.wire.records import (
     decode_search_results,
     encode_search_results,
 )
+from tests.leftovers import NOTHING, census, left_behind
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -143,11 +144,38 @@ class TestNetAggFactory:
     def test_boxes_actually_processed_traffic(self):
         factory = make_netagg_factory()
         factory.register_request("req-1", MASTER, WORKERS)
-        run_application(factory)
         platform = factory._platform
+        # The boxes forget a request on delivery: look while the last
+        # worker has yet to send.
+        for host, results in list(zip(WORKERS, partials()))[:-1]:
+            conn = factory.connect(host, MASTER, DATA_PORT)
+            conn.send_frame(encode_search_results(results))
         touched = sum(
             1 for info in platform.topology.all_boxes()
             if platform.box_runtime(info.box_id).last_processed(
                 "solr", "req-1@t0")
         )
         assert touched >= 1
+
+    def test_delivery_ends_the_request(self):
+        """Fifty delivered requests leave nothing in the boxes or the
+        factory, and a delivered id is free to be registered again."""
+        factory = make_netagg_factory()
+        platform = factory._platform
+        expected, _ = run_application(SocketFactory())
+        before = census()
+        for i in range(50):
+            factory.register_request(f"q{i}", MASTER, WORKERS)
+            # In flight, the id is taken.
+            with pytest.raises(SocketError):
+                factory.register_request(f"q{i}", MASTER, WORKERS)
+            result, _ = run_application(factory)
+            assert result == expected
+        assert census() == before
+        assert factory._requests == {}
+        assert left_behind(platform) == NOTHING
+        for info in platform.topology.all_boxes():
+            assert not platform.box_runtime(info.box_id)._requests
+        factory.register_request("q0", MASTER, WORKERS)
+        result, _ = run_application(factory)
+        assert result == expected
