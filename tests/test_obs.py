@@ -340,6 +340,81 @@ class TestInstrumentation:
         assert any(s.name == "box.emit" for s in t.spans)
 
 
+class TestRequestPathSpans:
+    """The spans of one request: always closed, and a fixed set."""
+
+    QUERY = {"op": "query", "tenant": "tenant-1", "payload_seed": 12345,
+             "workers": 8, "results_per_worker": 4}
+
+    @staticmethod
+    def _service():
+        from repro.serve import AggregationService, ServeConfig
+
+        return AggregationService(ServeConfig())
+
+    @staticmethod
+    def _assert_closed(recorder, *names):
+        assert recorder.finished()
+        seen = {span.name for span in recorder.spans}
+        assert set(names) <= seen
+        for span in recorder.spans:
+            assert span.end is not None and span.end >= span.start, span
+
+    def test_a_merge_that_raises_closes_its_spans(self):
+        """Dies inside ``_fold``: under ``box.emit``, itself under a
+        ``platform.deliver``."""
+        service = self._service()
+        rows = [[1.0] * 4] * 7 + [[1.0] * 3]
+        response = service.handle({"op": "mlgrad", "id": "ragged",
+                                   "payload_seed": 0, "gradients": rows})
+        assert response["status"] == 400
+        assert "gradient length mismatch" in response["reason"]
+        self._assert_closed(service.telemetry.recorder, "box.emit",
+                            "platform.deliver", "platform.request",
+                            "serve.request")
+
+    def test_a_chunk_that_raises_closes_its_span(self):
+        """Dies inside ``_feed``, in the box's decode of a frame."""
+        from repro.aggbox.functions import SearchResult, TopKFunction
+        from repro.obs import FlightRecorder
+        from repro.wire.records import encode_search_results
+
+        def refuse(buffer):
+            raise ValueError("refused frame")
+
+        platform = self._service().platform
+        platform.register_app("refusing", TopKFunction(k=3),
+                              encode_search_results, refuse)
+        hosts = sorted(platform.topology.hosts())
+        with tracing(FlightRecorder()) as recorder:
+            with pytest.raises(ValueError, match="refused frame"):
+                platform.execute_request(
+                    "refusing", "r", hosts[0],
+                    [(host, [SearchResult(1, 0.5)]) for host in hosts[1:5]])
+        self._assert_closed(recorder, "platform.deliver",
+                            "platform.request")
+        assert "box.emit" not in {span.name for span in recorder.spans}
+
+    def test_one_query_records_a_fixed_set(self):
+        """A record added to (or dropped from) the request path shows
+        up here as a diff, not as a slower benchmark."""
+        from collections import Counter
+
+        service = self._service()
+        recorder = service.telemetry.recorder
+        service.handle({"id": "warm", **self.QUERY})
+        before = recorder.record_count()
+        spans, instants = len(recorder.spans), len(recorder.instants)
+        assert service.handle({"id": "q", **self.QUERY})["status"] == 200
+        assert recorder.record_count() - before == 45
+        assert Counter(s.name for s in list(recorder.spans)[spans:]) == {
+            "platform.deliver": 14, "box.emit": 7, "platform.probe": 7,
+            "platform.request": 1, "serve.request": 1}
+        assert Counter(i.name for i in list(recorder.instants)[instants:]) \
+            == {"box.partial": 14, "serve.response": 1}
+        assert not recorder.samples
+
+
 class TestDisabledTracerPurity:
     def test_fig06_output_identical_with_and_without_tracing(self):
         """Tracing must observe, never perturb: the result JSON of a

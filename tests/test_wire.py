@@ -84,6 +84,91 @@ class TestVarint:
         assert not isinstance(err.value, WireTruncated)
 
 
+def _frozen_read_varint(buffer, offset=0):
+    """``read_varint`` as it stood before its one-byte fast path: the
+    reference the live one is held against, copied here on purpose."""
+    result = 0
+    shift = 0
+    for i in range(10):
+        if offset + i >= len(buffer):
+            raise WireTruncated("truncated varint")
+        byte = buffer[offset + i]
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            if not byte and i:
+                raise WireError("overlong varint")
+            return result, offset + i + 1
+        shift += 7
+    raise WireError("varint longer than 10 bytes")
+
+
+def _outcome(call, *args):
+    """What a decoder did: its value, or the exact type and text it
+    raised."""
+    try:
+        return call(*args)
+    except WireError as err:
+        return type(err), str(err)
+
+
+def _raw_varint(value: int) -> bytes:
+    """The varint bytes of ``value`` with no width limit (the encoder
+    refuses what the decoder cannot read back)."""
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+class TestReadVarintMatchesItsFrozenCopy:
+    _VALUES = st.one_of(
+        st.sampled_from([0, 1, 127, 128, 16_383, 16_384, 2**63,
+                         2**64 - 1, 2**70 - 1]),
+        st.integers(0, 2**70 - 1))
+
+    @given(_VALUES, st.binary(max_size=3), st.binary(max_size=3),
+           st.integers(0, 12))
+    @settings(max_examples=400)
+    def test_values_at_any_offset_and_every_truncation(self, value, lead,
+                                                       tail, cut):
+        encoded = _raw_varint(value)
+        buffer = lead + encoded + tail
+        assert read_varint(buffer, len(lead)) \
+            == (value, len(lead) + len(encoded))
+        for data in (buffer, lead + encoded[:cut], lead + encoded[:cut] + tail):
+            for view in (data, bytearray(data), memoryview(data)):
+                assert _outcome(read_varint, view, len(lead)) \
+                    == _outcome(_frozen_read_varint, view, len(lead))
+
+    @given(st.binary(max_size=14), st.integers(0, 16))
+    @example(b"", 0)
+    @example(b"\x05", 1)               # offset == len(buffer)
+    @example(b"\x05", 7)               # offset past the end
+    @example(b"\x80", 0)
+    @example(b"\x80\x00", 0)           # a padded zero
+    @example(b"\xff\x80\x00", 0)
+    @example(b"\x80" * 9 + b"\x00", 0)
+    @example(b"\x80" * 9 + b"\x01", 0)  # 2**63, ten bytes
+    @example(b"\xff" * 10, 0)
+    @example(b"\xff" * 11, 0)
+    @example(b"\xff" * 9 + b"\x7f", 0)  # 2**70 - 1
+    @settings(max_examples=600)
+    def test_any_bytes_any_offset(self, data, offset):
+        assert _outcome(read_varint, data, offset) \
+            == _outcome(_frozen_read_varint, data, offset)
+
+    def test_the_named_outcomes(self):
+        for data, offset in ((b"", 0), (b"\x05", 1), (b"\x80", 0)):
+            assert _outcome(read_varint, data, offset) \
+                == (WireTruncated, "truncated varint")
+        assert _outcome(read_varint, b"\x81\x00") \
+            == (WireError, "overlong varint")
+        assert _outcome(read_varint, b"\xff" * 11) \
+            == (WireError, "varint longer than 10 bytes")
+        assert read_varint(b"\xff" * 9 + b"\x7f") == (2**70 - 1, 10)
+
 
 class TestSigned:
     @given(st.integers(-(2**62), 2**62))
@@ -356,6 +441,58 @@ class TestRecords:
         assert KeyValue("a", 1) < KeyValue("b", 0)
 
 
+class TestSearchResultContract:
+    """What callers rely on from the record type, whatever it is built
+    from."""
+
+    def test_construction(self):
+        by_keyword = SearchResult(doc_id=7, score=0.25)   # perf/serve.py's
+        assert by_keyword == SearchResult(7, 0.25) == SearchResult(7, 0.25,
+                                                                   "")
+        assert by_keyword.snippet == ""
+        full = SearchResult(score=1.5, snippet="s", doc_id=9)
+        assert (full.doc_id, full.score, full.snippet) == (9, 1.5, "s")
+        with pytest.raises(TypeError):
+            SearchResult(1)
+        with pytest.raises(TypeError):
+            SearchResult(1, 0.5, "s", "extra")
+
+    def test_immutable(self):
+        result = SearchResult(1, 0.5, "s")
+        for field in ("doc_id", "score", "snippet"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, 2)
+        with pytest.raises(AttributeError):
+            result.rank = 1
+
+    def test_equality_and_hash_by_value(self):
+        a, b = SearchResult(1, 0.5, "s"), SearchResult(1, 0.5, "s")
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert len({a, b, SearchResult(1, 0.5)}) == 2
+        for other in (SearchResult(2, 0.5, "s"), SearchResult(1, 0.75, "s"),
+                      SearchResult(1, 0.5, "t")):
+            assert a != other
+
+    def test_top_k_key_input(self):
+        import heapq
+
+        results = [SearchResult(3, 0.5), SearchResult(1, 0.5),
+                   SearchResult(2, 0.9, "best")]
+        best = heapq.nlargest(2, results,
+                              key=lambda r: (r.score, -r.doc_id))
+        assert best == [SearchResult(2, 0.9, "best"), SearchResult(1, 0.5)]
+
+    def test_record_codec_methods(self):
+        result = SearchResult(300, -0.0, "é")
+        encoded = result.encode()
+        assert encoded == (write_varint(300) + write_float(-0.0)
+                           + write_string("é"))
+        decoded, offset = SearchResult.decode(b"\x00" + encoded, 1)
+        assert _bits([decoded]) == _bits([result])
+        assert offset == 1 + len(encoded)
+        assert type(decoded) is SearchResult
+
+
 # -- batch codecs vs the per-record API ---------------------------------------
 
 #: Scores as raw 64-bit patterns, so NaN payloads, both zeros, both
@@ -417,6 +554,26 @@ def _bits(results):
     """Search results with the score as its bit pattern (NaN != NaN)."""
     return [(r.doc_id, struct.pack(">d", r.score), r.snippet)
             for r in results]
+
+
+def _reference_decode_search_results(buffer):
+    """The per-record loop over the scalar readers, trailing-bytes check
+    included: what ``decode_search_results`` must agree with on every
+    input, in value or in the exact error."""
+    count, offset = read_varint(buffer, 0)
+    results = []
+    for _ in range(count):
+        result, offset = SearchResult.decode(buffer, offset)
+        results.append(result)
+    if offset != len(buffer):
+        raise WireError(
+            f"{len(buffer) - offset} trailing bytes in result batch")
+    return results
+
+
+def _decode_outcome(decode, buffer):
+    outcome = _outcome(decode, buffer)
+    return _bits(outcome) if isinstance(outcome, list) else outcome
 
 
 class TestBatchCodecsMatchPerRecordCodecs:
@@ -503,6 +660,23 @@ class TestBatchCodecsMatchPerRecordCodecs:
         with pytest.raises(WireError, match="truncated varint"):
             decode(write_varint(2**60))
 
+    @pytest.mark.parametrize("records", [
+        [SearchResult(300, 1.5, "snippet é"), SearchResult(1, -0.0)],
+        # A two-byte snippet length, multi-byte code points, NaN payload.
+        [SearchResult(2**63, _score(0xFFF80000DEADBEEF), _WIDE * 20),
+         SearchResult(127, 0.0, "\U0001d11e")],
+    ])
+    def test_search_results_at_every_cut_in_type_and_text(self, records):
+        encoded = encode_search_results(records)
+        for cut in range(len(encoded) + 1):
+            for junk in (b"", b"\x00", b"\xff\xfe"):
+                data = encoded[:cut] + junk
+                assert _decode_outcome(decode_search_results, data) \
+                    == _decode_outcome(_reference_decode_search_results,
+                                       data)
+        assert _decode_outcome(decode_search_results, encoded) \
+            == _bits(records)
+
     def test_invalid_utf8_message(self):
         good = encode_search_results([SearchResult(1, 0.5, "ab")])
         with pytest.raises(WireError, match="invalid UTF-8 in string"):
@@ -547,6 +721,8 @@ class TestRecordBatchDecodersAreTotal:
     @example(b"\x81\x00\x05" + bytes(8) + b"\x00")
     @settings(max_examples=500)
     def test_search_results(self, data):
+        assert _decode_outcome(decode_search_results, data) \
+            == _decode_outcome(_reference_decode_search_results, data)
         try:
             decoded = decode_search_results(data)
         except WireError:
