@@ -523,13 +523,18 @@ class AggBoxRuntime:
         the caller's own bookkeeping runs only once this has returned.
         """
         binding = self._binding(state.app)
-        with get_tracer().span(span, lambda: self.clock,
-                               layer="aggbox", box=self.box_id,
-                               app=state.app, request=state.request_id,
-                               origin=self.trace_origin,
-                               partials=len(state.partials)):
+        tracer = get_tracer()
+        span_id = tracer.begin(
+            span, self.clock, layer="aggbox", box=self.box_id,
+            app=state.app, request=state.request_id,
+            origin=self.trace_origin, partials=len(state.partials),
+        ) if tracer.enabled else 0
+        try:
             value = tree_aggregate(binding.function, state.partials)
             payload = binding.serialise(value)
+        finally:
+            if span_id:
+                tracer.end(span_id, self.clock)
         self._pending[state.app] = \
             self._pending.get(state.app, 0) - len(state.partials)
         state.processed_sources.extend(state.sources)

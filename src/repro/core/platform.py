@@ -521,12 +521,18 @@ class NetAggPlatform:
     def _run_on_tree(self, app: str, request_id: str, master: str,
                      worker_partials: Sequence[Tuple[str, Any]],
                      tree: AggregationTree, tenant: str) -> RequestOutcome:
-        with get_tracer().span("platform.request", lambda: self._clock,
-                               layer="platform", request=request_id,
-                               app=app, workers=len(worker_partials),
-                               trees=1, tenant=tenant):
+        tracer = get_tracer()
+        span = tracer.begin(
+            "platform.request", self._clock, layer="platform",
+            request=request_id, app=app, workers=len(worker_partials),
+            trees=1, tenant=tenant,
+        ) if tracer.enabled else 0
+        try:
             return _Request(self, app, request_id, master, worker_partials,
                             tree).run()
+        finally:
+            if span:
+                tracer.end(span, self._clock)
 
     @staticmethod
     def _batch_request(job_id: str, tree_index: int) -> str:
@@ -910,10 +916,12 @@ class _Request:
         runtime.clock = max(runtime.clock, p._clock)
         runtime.trace_origin = self.request_id
         payload = frame(serialised)
-        with get_tracer().span("platform.deliver", lambda: p._clock,
-                               layer="platform", box=box_id,
-                               source=source, bytes=len(payload),
-                               request=self.request_id):
+        tracer = get_tracer()
+        span = tracer.begin(
+            "platform.deliver", p._clock, layer="platform", box=box_id,
+            source=source, bytes=len(payload), request=self.request_id,
+        ) if tracer.enabled else 0
+        try:
             emitted = None
             offset = 0
             while offset < len(payload):
@@ -924,6 +932,9 @@ class _Request:
                                               source, chunk)
                 if result is not None:
                     emitted = result
+        finally:
+            if span:
+                tracer.end(span, p._clock)
         factor, cost, charged = p._send_cost(box_id)
         p._clock += charged
         if charged < cost:

@@ -24,29 +24,44 @@ Timestamps are whatever virtual clock the instrumented layer runs on
 clock for shims and boxes).  The tracer never reads wall time.
 
 The module-global active tracer defaults to :data:`NULL_TRACER`, whose
-methods are no-ops and whose ``enabled`` flag is False -- instrumented
-hot paths guard span emission with one ``if tracer.enabled:`` branch,
-so a disabled tracer costs a single attribute test per epoch.
+methods are no-ops and whose ``enabled`` flag is False.  Every call site
+outside ``repro.obs`` has one shape -- ``span = tracer.begin(...) if
+tracer.enabled else 0``, the work in a ``try``, ``if span:
+tracer.end(...)`` in its ``finally``; instants and samples under ``if
+tracer.enabled:`` -- so a disabled tracer costs a :func:`get_tracer`
+call and one attribute test per site and builds no tag dict, and an
+enabled one pays for a record, not for a generator.
+:meth:`Tracer.span` (a ``@contextmanager``, several times the cost of
+the begin/end pair it wraps) is for tests and off-path callers;
+``tools/check_obs.py`` rejects ``with ....span(`` anywhere else.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 
-@dataclass
 class Span:
     """One named interval on a layer's virtual clock."""
 
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    layer: str
-    start: float
-    end: Optional[float] = None  #: None while the span is open
-    tags: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("span_id", "parent_id", "name", "layer", "start", "end",
+                 "tags")
+
+    def __init__(self, span_id: int, parent_id: Optional[int], name: str,
+                 layer: str, start: float, end: Optional[float],
+                 tags: Dict[str, object]) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.layer = layer
+        self.start = start
+        self.end = end  #: None while the span is open
+        self.tags = tags
+
+    def __repr__(self) -> str:
+        return (f"Span({self.span_id}, {self.name!r}, {self.layer!r}, "
+                f"[{self.start}, {self.end}], {self.tags})")
 
     @property
     def seq(self) -> int:
@@ -60,19 +75,17 @@ class Span:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Instant:
+class Instant(NamedTuple):
     """One point event."""
 
     name: str
     at: float
     layer: str
-    tags: Dict[str, object] = field(default_factory=dict)
-    seq: int = 0  #: global record sequence number
+    tags: Dict[str, object]
+    seq: int  #: global record sequence number
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One counter-track sample."""
 
     name: str
@@ -107,16 +120,12 @@ class Tracer:
     def begin(self, name: str, at: float, layer: str = "",
               **tags: object) -> int:
         """Open a span; the innermost open span becomes its parent."""
-        span = Span(
-            span_id=self._take_seq(),
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            name=name,
-            layer=layer,
-            start=at,
-            tags=tags,
-        )
+        stack = self._stack
+        span = Span(self._take_seq(),
+                    stack[-1].span_id if stack else None,
+                    name, layer, at, None, tags)
         self.spans.append(span)
-        self._stack.append(span)
+        stack.append(span)
         return span.span_id
 
     def complete(self, name: str, start: float, end: float,
@@ -134,15 +143,8 @@ class Tracer:
             raise ValueError(
                 f"span {name!r} ends at {end} before its start {start}"
             )
-        span = Span(
-            span_id=self._take_seq(),
-            parent_id=parent_id,
-            name=name,
-            layer=layer,
-            start=start,
-            end=end,
-            tags=tags,
-        )
+        span = Span(self._take_seq(), parent_id, name, layer, start, end,
+                    tags)
         self.spans.append(span)
         return span.span_id
 
@@ -178,13 +180,13 @@ class Tracer:
 
     def instant(self, name: str, at: float, layer: str = "",
                 **tags: object) -> None:
-        self.instants.append(Instant(name=name, at=at, layer=layer,
-                                     tags=tags, seq=self._take_seq()))
+        self.instants.append(Instant(name, at, layer, tags,
+                                     self._take_seq()))
 
     def sample(self, name: str, at: float, value: float,
                layer: str = "") -> None:
-        self.samples.append(Sample(name=name, at=at, value=value,
-                                   layer=layer, seq=self._take_seq()))
+        self.samples.append(Sample(name, at, value, layer,
+                                   self._take_seq()))
 
     def _take_seq(self) -> int:
         seq = self._next_id
@@ -219,26 +221,12 @@ class Tracer:
         self._next_id = 1
 
 
-class _NullContext:
-    """Reusable no-op context manager (one allocation, ever)."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_CTX = _NullContext()
-
-
 class NullTracer(Tracer):
     """The disabled tracer: every method is a no-op.
 
-    Instrumentation holds a reference to the active tracer and checks
-    ``tracer.enabled`` before building span/event payloads, so a
-    disabled trace costs one branch on the hot path; methods here stay
-    no-ops so un-guarded call sites are still safe.
+    Instrumentation checks ``tracer.enabled`` before building a
+    record's tags (module docstring), so a guarded site reaches none of
+    these; they stay no-ops so an un-guarded caller is still safe.
     """
 
     __slots__ = ()
@@ -261,7 +249,7 @@ class NullTracer(Tracer):
 
     def span(self, name: str, clock: Callable[[], float], layer: str = "",
              **tags: object):
-        return _NULL_CTX
+        return nullcontext()
 
     def instant(self, name: str, at: float, layer: str = "",
                 **tags: object) -> None:

@@ -10,11 +10,13 @@ Two record families cover the paper's case studies:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.wire.serializer import (
     WireError,
+    WireTruncated,
     append_varint,
     read_float,
     read_string,
@@ -23,6 +25,9 @@ from repro.wire.serializer import (
     write_string,
     write_varint,
 )
+
+#: A score on the wire: :func:`write_float`'s eight bytes.
+_unpack_score = struct.Struct(">d").unpack_from
 
 
 @dataclass(frozen=True, order=True)
@@ -42,9 +47,9 @@ class KeyValue:
         return cls(key, value), offset
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """One scored document of a distributed search response."""
+class SearchResult(NamedTuple):
+    """One scored document of a distributed search response (a tuple:
+    every box of a query's tree rebuilds each record it decodes)."""
 
     doc_id: int
     score: float
@@ -94,20 +99,43 @@ def encode_search_results(results: List[SearchResult]) -> bytes:
     for result in results:
         append_varint(out, result.doc_id)
         out += write_float(result.score)
-        snippet = result.snippet.encode("utf-8")
-        append_varint(out, len(snippet))
-        out += snippet
+        if result.snippet:
+            snippet = result.snippet.encode("utf-8")
+            append_varint(out, len(snippet))
+            out += snippet
+        else:
+            out.append(0)
     return bytes(out)
 
 
 def decode_search_results(buffer: bytes) -> List[SearchResult]:
+    """Inverse of :func:`encode_search_results`, in one pass.
+
+    Result for result what :meth:`SearchResult.decode` returns and
+    raises (UTF-8 is validated here, at every hop), without a call and
+    a tuple per field; an empty snippet builds no string.
+    """
     count, offset = read_varint(buffer, 0)
+    size = len(buffer)
     results = []
     for _ in range(count):
-        result, offset = SearchResult.decode(buffer, offset)
-        results.append(result)
-    if offset != len(buffer):
-        raise WireError(
-            f"{len(buffer) - offset} trailing bytes in result batch"
-        )
+        doc_id, offset = read_varint(buffer, offset)
+        end = offset + 8
+        if end > size:
+            raise WireTruncated("truncated float")
+        score = _unpack_score(buffer, offset)[0]
+        length, offset = read_varint(buffer, end)
+        snippet = ""
+        if length:
+            end = offset + length
+            if end > size:
+                raise WireTruncated("truncated byte blob")
+            try:
+                snippet = str(buffer[offset:end], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise WireError(f"invalid UTF-8 in string: {exc}") from exc
+            offset = end
+        results.append(SearchResult(doc_id, score, snippet))
+    if offset != size:
+        raise WireError(f"{size - offset} trailing bytes in result batch")
     return results

@@ -26,15 +26,25 @@ class WireTruncated(WireError):
 
 
 _MAX_VARINT_BYTES = 10  # enough for 64-bit values
+_MAX_VARINT_BITS = 7 * _MAX_VARINT_BYTES
+_LAST_VARINT_SHIFT = _MAX_VARINT_BITS - 7  # the tenth byte's
 
 
 def append_varint(out: bytearray, value: int) -> None:
-    """Append a non-negative integer to ``out`` as an unsigned varint."""
+    """Append a non-negative integer to ``out`` as an unsigned varint.
+
+    Refuses what :func:`read_varint` refuses: a value of more than 70
+    bits would take an eleventh byte.
+    """
     if value < 0:
         raise WireError(f"varint cannot encode negative value {value}")
-    while value > 0x7F:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
+    if value > 0x7F:
+        if value >> _MAX_VARINT_BITS:
+            raise WireError(f"varint cannot encode {value}: it needs more "
+                            f"than {_MAX_VARINT_BYTES} bytes")
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
     out.append(value)
 
 
@@ -52,19 +62,26 @@ def read_varint(buffer: bytes, offset: int = 0) -> Tuple[int, int]:
     varint ending in a zero byte pads a shorter one), so every byte
     string that decodes re-encodes to itself.
     """
-    result = 0
-    shift = 0
-    for i in range(_MAX_VARINT_BYTES):
-        if offset + i >= len(buffer):
-            raise WireTruncated("truncated varint")
-        byte = buffer[offset + i]
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if not byte and i:
-                raise WireError("overlong varint")
-            return result, offset + i + 1
-        shift += 7
-    raise WireError("varint longer than 10 bytes")
+    size = len(buffer)
+    if offset < size:
+        byte = buffer[offset]
+        if byte < 0x80:  # a count, a short length, a small id
+            return byte, offset + 1
+        result = byte & 0x7F
+        shift = 7
+        offset += 1
+        while offset < size:
+            byte = buffer[offset]
+            offset += 1
+            if byte < 0x80:
+                if not byte:
+                    raise WireError("overlong varint")
+                return result | byte << shift, offset
+            if shift == _LAST_VARINT_SHIFT:
+                raise WireError("varint longer than 10 bytes")
+            result |= (byte & 0x7F) << shift
+            shift += 7
+    raise WireTruncated("truncated varint")
 
 
 def write_signed(value: int) -> bytes:

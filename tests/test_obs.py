@@ -9,6 +9,7 @@ byte-identical.
 """
 
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.aggbox.functions import SearchResult
 from repro.obs import (
     METRICS,
     MetricsRegistry,
@@ -375,7 +377,7 @@ class TestRequestPathSpans:
 
     def test_a_chunk_that_raises_closes_its_span(self):
         """Dies inside ``_feed``, in the box's decode of a frame."""
-        from repro.aggbox.functions import SearchResult, TopKFunction
+        from repro.aggbox.functions import TopKFunction
         from repro.obs import FlightRecorder
         from repro.wire.records import encode_search_results
 
@@ -413,6 +415,31 @@ class TestRequestPathSpans:
         assert Counter(i.name for i in list(recorder.instants)[instants:]) \
             == {"box.partial": 14, "serve.response": 1}
         assert not recorder.samples
+
+    def test_a_disabled_tracer_is_never_called(self):
+        """Off means one ``enabled`` test per site: ``_feed``, ``_fold``
+        and the rest of the request path call no tracer method."""
+        calls = []
+
+        class Off:
+            enabled = False
+
+            def __getattr__(self, name):
+                calls.append(name)
+                raise AssertionError(f"tracer.{name} used while disabled")
+
+        platform = self._service().platform
+        hosts = sorted(platform.topology.hosts())
+        previous = set_tracer(Off())
+        try:
+            outcome = platform.execute_request(
+                "serve-solr", "quiet", hosts[0],
+                [(host, [SearchResult(i, float(i))])
+                 for i, host in enumerate(hosts[1:9])])
+        finally:
+            set_tracer(previous)
+        assert len(outcome.boxes_used) >= 2 and outcome.value
+        assert calls == []
 
 
 class TestDisabledTracerPurity:
@@ -484,15 +511,42 @@ class TestTraceCli:
 
 
 class TestObsLint:
+    SCRIPT = (pathlib.Path(__file__).resolve().parents[1]
+              / "tools" / "check_obs.py")
+
     def test_no_ad_hoc_telemetry_outside_obs(self):
         """tools/check_obs.py: telemetry containers only in repro.obs."""
-        import pathlib
-
-        script = (pathlib.Path(__file__).resolve().parents[1]
-                  / "tools" / "check_obs.py")
-        proc = subprocess.run([sys.executable, str(script)],
+        proc = subprocess.run([sys.executable, str(self.SCRIPT)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("source, flagged_lines", [
+        ("with get_tracer().span('x', clock):\n    pass\n", [1]),
+        ("def f(t):\n    with t.span('x', clock, layer='l') as s:\n"
+         "        return s\n", [2]),
+        ("with open(p) as f, self._tracer.span('x', c):\n    pass\n", [1]),
+        ("async def f(t):\n    async with t.span('x', c):\n"
+         "        pass\n", [2]),
+        # The sanctioned shape, and things that only look like a span.
+        ("span = t.begin('x', 0.0) if t.enabled else 0\n"
+         "try:\n    pass\nfinally:\n    if span:\n"
+         "        t.end(span, 1.0)\n", []),
+        ("ctx = t.span('x', clock)\n", []),
+        ("with rec.spans('x'):\n    pass\n", []),
+        ("with span('x'):\n    pass\n", []),
+        ("with t.span:\n    pass\n", []),
+    ])
+    def test_span_blocks_are_flagged(self, source, flagged_lines):
+        import ast
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location("check_obs",
+                                                      self.SCRIPT)
+        check_obs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_obs)
+        problems = check_obs._check_span_blocks(ast.parse(source))
+        assert [line for line, _ in problems] == flagged_lines
+        assert all("tracer.begin" in text for _, text in problems)
 
 
 class TestFctSummaryDegradation:

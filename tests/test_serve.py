@@ -176,6 +176,21 @@ class TestNothingLeftBehind:
             assert "gradient length mismatch" in response["reason"]
         assert left_behind(service.platform) == NOTHING
 
+    def test_an_unencodable_doc_id_is_refused_by_the_encoder(self):
+        """A doc id the wire cannot carry dies where the worker's
+        partial is serialised, not in the first box's decode."""
+        service = AggregationService(ServeConfig(admission=False))
+        rows = [[[1, 0.25]], [[2**70, 0.5]], [[2, 0.75]]]
+        response = service.handle(_query(rid="wide", results=rows))
+        assert response["status"] == 400
+        assert response["reason"] == (
+            f"varint cannot encode {2**70}: it needs more than 10 bytes")
+        assert left_behind(service.platform) == NOTHING
+        rows[1][0][0] = 2**70 - 1   # the widest id that fits
+        response = service.handle(_query(rid="fits", results=rows))
+        assert response["status"] == 200
+        assert response["value"] == [[2, 0.75], [2**70 - 1, 0.5], [1, 0.25]]
+
     def test_an_id_is_free_again_on_another_master(self):
         service = AggregationService(ServeConfig(admission=False))
         hosts = sorted(service.platform.topology.hosts())

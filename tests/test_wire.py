@@ -84,6 +84,30 @@ class TestVarint:
         assert not isinstance(err.value, WireTruncated)
 
 
+class TestTheEncoderRefusesWhatTheDecoderRefuses:
+    @given(st.one_of(st.integers(0, 2**70 + 2**20),
+                     st.sampled_from([2**63, 2**64, 2**70 - 1, 2**70,
+                                      2**77, 2**700])))
+    @settings(max_examples=300)
+    def test_whatever_is_written_reads_back(self, value):
+        try:
+            encoded = write_varint(value)
+        except WireError as err:
+            assert value >= 2**70
+            assert str(err) == (f"varint cannot encode {value}: it needs "
+                                f"more than 10 bytes")
+            return
+        assert value < 2**70 and len(encoded) <= 10
+        assert read_varint(encoded) == (value, len(encoded))
+
+    def test_the_batch_and_record_encoders_refuse_it_too(self):
+        wide = SearchResult(2**70, 0.5)
+        for encode in (wide.encode, lambda: encode_search_results([wide]),
+                       lambda: encode_kv_stream([KeyValue("k", 2**70)])):
+            with pytest.raises(WireError, match="needs more than 10 bytes"):
+                encode()
+
+
 def _frozen_read_varint(buffer, offset=0):
     """``read_varint`` as it stood before its one-byte fast path: the
     reference the live one is held against, copied here on purpose."""
@@ -541,12 +565,17 @@ def _per_record_encode(records) -> bytes:
 
 
 def _per_record_decode(cls, buffer: bytes):
+    """The per-record loop over the scalar readers: what a batch decoder
+    must agree with on every input, in value or in the exact error."""
     count, offset = read_varint(buffer, 0)
     out = []
     for _ in range(count):
         record, offset = cls.decode(buffer, offset)
         out.append(record)
-    assert offset == len(buffer)
+    if offset != len(buffer):
+        batch = "result" if cls is SearchResult else "kv"
+        raise WireError(
+            f"{len(buffer) - offset} trailing bytes in {batch} batch")
     return out
 
 
@@ -557,18 +586,7 @@ def _bits(results):
 
 
 def _reference_decode_search_results(buffer):
-    """The per-record loop over the scalar readers, trailing-bytes check
-    included: what ``decode_search_results`` must agree with on every
-    input, in value or in the exact error."""
-    count, offset = read_varint(buffer, 0)
-    results = []
-    for _ in range(count):
-        result, offset = SearchResult.decode(buffer, offset)
-        results.append(result)
-    if offset != len(buffer):
-        raise WireError(
-            f"{len(buffer) - offset} trailing bytes in result batch")
-    return results
+    return _per_record_decode(SearchResult, buffer)
 
 
 def _decode_outcome(decode, buffer):

@@ -21,7 +21,13 @@ growing back: outside ``src/repro/obs/``, modules may not
   in :mod:`repro.obs.live` (``ewma_step``, ``WindowedSeries``,
   ``SloMonitor``); callers import it (as ``core.partition``'s
   ``GrayDetector`` does) rather than growing private copies whose
-  boundary conventions drift.
+  boundary conventions drift, or
+- open a span with ``with ....span(...)``: every span outside
+  ``repro.obs`` sits on a request or epoch path, where the
+  ``@contextmanager`` generator costs more than the span and is paid
+  even with tracing off.  Use the guarded ``tracer.begin(...) if
+  tracer.enabled else 0`` / ``try`` / ``finally: tracer.end(...)``
+  shape; ``Tracer.span`` stays for tests and off-path callers.
 
 Run from the repo root::
 
@@ -75,6 +81,7 @@ def check_file(path: pathlib.Path) -> List[Tuple[int, str]]:
     tree = ast.parse(source, filename=str(path))
     problems.extend(_check_trace_parsing(tree))
     problems.extend(_check_window_math(tree))
+    problems.extend(_check_span_blocks(tree))
     for node in tree.body:
         if isinstance(node, ast.ClassDef) \
                 and CLASS_PATTERN.search(node.name) \
@@ -144,6 +151,26 @@ def _check_window_math(tree: ast.Module) -> List[Tuple[int, str]]:
                         f"state; keep the smoothing arithmetic in "
                         f"repro.obs.live.ewma_step",
                     ))
+    return problems
+
+
+def _check_span_blocks(tree: ast.Module) -> List[Tuple[int, str]]:
+    """Flag ``with <anything>.span(...)`` (module docstring, rule 5)."""
+    problems: List[Tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.With, ast.AsyncWith)):
+            continue
+        for item in node.items:
+            call = item.context_expr
+            if isinstance(call, ast.Call) \
+                    and isinstance(call.func, ast.Attribute) \
+                    and call.func.attr == "span":
+                problems.append((
+                    node.lineno,
+                    "'with ....span(...)' outside repro.obs; use the "
+                    "guarded tracer.begin / try / finally: tracer.end "
+                    "shape",
+                ))
     return problems
 
 
