@@ -14,15 +14,14 @@ over a thread pool with weighted-fair sharing between applications.
 - :mod:`repro.aggbox.box` -- the box runtime: application registration,
   per-request partial-result collection, streaming deserialisation;
 - :mod:`repro.aggbox.overload` -- overload control: bounded pending
-  queues with watermarks, the box health state machine, load shedding.
+  queues with watermarks, the box health state machine, shedding by
+  partial flush.
 """
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding, RequestState
 from repro.aggbox.overload import (
     BoxHealth,
     BoxHeartbeat,
-    BoxOverloadError,
-    BoxSpillError,
     HealthTransition,
     OverloadPolicy,
 )
@@ -75,8 +74,6 @@ __all__ = [
     "RequestState",
     "BoxHealth",
     "BoxHeartbeat",
-    "BoxOverloadError",
-    "BoxSpillError",
     "HealthTransition",
     "OverloadPolicy",
     "GuardedFunction",

@@ -21,12 +21,8 @@ from repro.aggbox.functions import AggregationFunction
 from repro.aggbox.localtree import tree_aggregate
 from repro.aggbox.overload import (
     HEALTHY,
-    REJECT_NEW,
-    SPILL,
     BoxHealth,
     BoxHeartbeat,
-    BoxOverloadError,
-    BoxSpillError,
     HealthTransition,
     OverloadPolicy,
 )
@@ -131,14 +127,12 @@ class AggBoxRuntime:
         # per-partial path to one method call per metric.
         self._m_partials = METRICS.counter("aggbox.partials")
         self._m_queue = METRICS.histogram("aggbox.queue_depth")
-        self._m_sheds = METRICS.counter("aggbox.sheds")
         self._m_flushes = METRICS.counter("aggbox.flushes")
         #: Buffered (not yet folded) partials per app.
         self._pending: Dict[str, int] = {}
         #: Delta aggregates emitted by pressure-relief partial flushes;
         #: the host drains these and forwards them upstream.
         self._shed_outbox: List[AggregateReady] = []
-        self.sheds = 0     #: cumulative reject/spill decisions
         self.flushes = 0   #: cumulative pressure-relief partial flushes
 
     # -- overload control -----------------------------------------------------
@@ -170,7 +164,6 @@ class AggBoxRuntime:
             state=self.health,
             pending=self.pending_count(),
             max_pending=self._policy.max_pending if self._policy else 0,
-            sheds=self.sheds,
             flushes=self.flushes,
         )
 
@@ -261,11 +254,9 @@ class AggBoxRuntime:
         failure-recovery protocol resends only unprocessed results).
 
         With an :class:`OverloadPolicy`, a submit that would push the
-        app's pending queue past its bound triggers the shed policy:
-        ``reject-new``/``spill`` raise :class:`BoxOverloadError` /
-        :class:`BoxSpillError` (the partial is refused, the sender walks
-        its ladder), ``flush`` frees space by partially flushing the
-        most-loaded request into :meth:`drain_shed`.
+        app's pending queue past its bound first frees space by
+        partially flushing the most-loaded request into
+        :meth:`drain_shed`; the partial itself is always accepted.
         """
         self._binding(app)
         state = self._state(app, request_id)
@@ -273,7 +264,9 @@ class AggBoxRuntime:
             return None
         if self._policy is not None and \
                 self._pending.get(app, 0) >= self._policy.max_pending:
-            self._shed(app, state)
+            # A full queue holds at least one partial, so relieve always
+            # has a request to flush.
+            self._shed_outbox.append(self.relieve(app))
         state.partials.append(value)
         state.sources.append(source)
         self._pending[app] = self._pending.get(app, 0) + 1
@@ -376,46 +369,36 @@ class AggBoxRuntime:
         self._observe(app)
         return len(state.partials)
 
-    def park_pending(
-        self,
-        app: Optional[str] = None,
-        request_id: Optional[str] = None,
-    ) -> List[ParkedPartial]:
-        """Remove buffered partials for migration, *without* folding them.
+    def park_pending(self, app: str, request_id: str) -> List[ParkedPartial]:
+        """Remove one request's buffered partials, *without* folding them.
 
-        The drain phase of a migration calls this: the returned partials
-        are no longer this box's responsibility and will be replayed --
-        into the destination on cutover, or back into this box on
-        rollback.  Unlike :meth:`relieve`, parked sources are **not**
-        moved to the duplicate-suppression set and the expected count is
-        untouched, so a replay under the original source tags is
-        accepted exactly once wherever it lands.  ``app``/``request_id``
-        filter what is parked (None = everything pending).
+        The drain phase of a mid-request migration
+        (:meth:`repro.core.recovery.InFlightRequest.migrate_box`) calls
+        this: the returned partials are no longer this box's
+        responsibility and will be replayed -- into the destination on
+        cutover, or back into this box on rollback.  Unlike
+        :meth:`relieve`, parked sources are **not** moved to the
+        duplicate-suppression set and the expected count is untouched,
+        so a replay under the original source tags is accepted exactly
+        once wherever it lands.
         """
-        parked: List[ParkedPartial] = []
-        for (state_app, rid), state in sorted(self._requests.items()):
-            if app is not None and state_app != app:
-                continue
-            if request_id is not None and rid != request_id:
-                continue
-            if not state.partials:
-                continue
-            parked.extend(
-                ParkedPartial(app=state_app, request_id=rid,
-                              source=source, value=value)
-                for source, value in zip(state.sources, state.partials)
-            )
-            self._pending[state_app] = \
-                self._pending.get(state_app, 0) - len(state.partials)
-            state.partials = []
-            state.sources = []
-            self._observe(state_app)
-        if parked:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.instant("box.park", self.clock, layer="aggbox",
-                               box=self.box_id, origin=self.trace_origin,
-                               parked=len(parked))
+        state = self._requests.get((app, request_id))
+        if state is None or not state.partials:
+            return []
+        parked = [
+            ParkedPartial(app=app, request_id=request_id, source=source,
+                          value=value)
+            for source, value in zip(state.sources, state.partials)
+        ]
+        self._pending[app] -= len(state.partials)
+        state.partials = []
+        state.sources = []
+        self._observe(app)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant("box.park", self.clock, layer="aggbox",
+                           box=self.box_id, origin=self.trace_origin,
+                           parked=len(parked))
         return parked
 
     def relieve(self, app: str) -> Optional[AggregateReady]:
@@ -434,32 +417,6 @@ class AggBoxRuntime:
         return self._partial_flush(state)
 
     # -- internals -----------------------------------------------------------
-
-    def _shed(self, app: str, state: RequestState) -> None:
-        """Apply the shed policy for an over-bound submit into ``state``.
-
-        Raises to refuse the partial (``spill`` always; ``reject-new``
-        for requests with nothing accepted yet) or frees queue space via
-        a partial flush whose delta lands in the shed outbox.
-        """
-        policy = self._policy
-        if policy.shed == SPILL:
-            self.sheds += 1
-            self._m_sheds.inc()
-            raise BoxSpillError(self.box_id, app, state.request_id, SPILL)
-        if policy.shed == REJECT_NEW and not state.partials \
-                and not state.processed_sources:
-            self.sheds += 1
-            self._m_sheds.inc()
-            raise BoxOverloadError(self.box_id, app, state.request_id,
-                                   REJECT_NEW)
-        # FLUSH policy -- or an in-progress request under reject-new,
-        # which must not lose accepted partials: relieve pressure.
-        delta = self.relieve(app)
-        if delta is None:
-            raise BoxOverloadError(self.box_id, app, state.request_id,
-                                   policy.shed)
-        self._shed_outbox.append(delta)
 
     def _most_loaded(self, app: str) -> Optional[RequestState]:
         """The app's pending request holding the most partials."""

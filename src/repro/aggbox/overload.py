@@ -3,26 +3,16 @@
 NetAgg's failure story (§3.1) covers *crashes*; this module covers
 *saturation*.  An :class:`repro.aggbox.box.AggBoxRuntime` constructed
 with an :class:`OverloadPolicy` bounds how many partial results it will
-buffer per application, tracks a :class:`BoxHealth` state machine over
-high/low queue watermarks, and -- when the bound is hit -- applies one
-of three load-shedding policies, all of which preserve exactness via the
-runtime's duplicate-suppression sets:
-
-``reject-new``
-    Partials for *new* requests are refused with
-    :class:`BoxOverloadError` (the shim NACKs and walks its degradation
-    ladder); requests already in progress keep their buffered partials
-    and overflow falls back to a partial flush, so nothing accepted is
-    ever dropped.
-``spill``
-    Any overflow partial is refused with :class:`BoxSpillError`; the
-    sender re-targets the box's parent (spill-to-parent), keeping the
-    hot box's memory flat.
-``flush``
-    The most-loaded pending request is *partially flushed*: its buffered
-    partials merge into a delta aggregate that is emitted upstream
-    immediately (safe -- aggregation functions are associative and
-    commutative), freeing queue space for the new partial.
+buffer per application and tracks a :class:`BoxHealth` state machine
+over high/low queue watermarks.  When the bound is hit the box *sheds
+by partial flush*: the most-loaded pending request's buffered partials
+merge into a delta aggregate that is emitted upstream immediately
+(safe -- aggregation functions are associative and commutative),
+freeing queue space for the new partial.  Folded sources move to the
+duplicate-suppression set, so exactness holds.  A box never refuses a
+partial: refusing one the platform already announced would strand the
+parent's expected count, so refusal happens at plan time instead
+(pressured and shedding boxes are NACKed out of new trees).
 
 Health states and legal transitions::
 
@@ -36,8 +26,8 @@ Health states and legal transitions::
                     (recover)  +----------+
 
 ``healthy -> pressured`` when pending crosses the high watermark,
-``pressured -> shedding`` when the queue is full (the shed policy is
-active only in this state), ``shedding -> pressured`` once the queue
+``pressured -> shedding`` when the queue is full (partial flushes
+happen only in this state), ``shedding -> pressured`` once the queue
 drains below the high watermark, ``pressured -> healthy`` below the low
 watermark.  ``failed`` is entered explicitly (crash) from any state and
 leaves only through ``recover``.  Every transition is recorded so chaos
@@ -88,12 +78,6 @@ LEGAL_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
     FAILED: (HEALTHY,),
 }
 
-REJECT_NEW = "reject-new"
-SPILL = "spill"
-FLUSH = "flush"
-
-SHED_POLICIES = (REJECT_NEW, SPILL, FLUSH)
-
 
 @dataclass(frozen=True)
 class OverloadPolicy:
@@ -104,14 +88,11 @@ class OverloadPolicy:
         high_watermark: fraction of ``max_pending`` above which the box
             reports ``pressured`` (and returns there from ``shedding``).
         low_watermark: fraction below which it returns to ``healthy``.
-        shed: policy applied when a submit would exceed ``max_pending``
-            (one of :data:`SHED_POLICIES`).
     """
 
     max_pending: int = 64
     high_watermark: float = 0.75
     low_watermark: float = 0.25
-    shed: str = REJECT_NEW
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -121,8 +102,6 @@ class OverloadPolicy:
                 "need 0 < low_watermark < high_watermark <= 1 "
                 f"(got {self.low_watermark}, {self.high_watermark})"
             )
-        if self.shed not in SHED_POLICIES:
-            raise ValueError(f"unknown shed policy {self.shed!r}")
 
     @property
     def high_pending(self) -> int:
@@ -131,29 +110,6 @@ class OverloadPolicy:
     @property
     def low_pending(self) -> int:
         return max(0, int(self.max_pending * self.low_watermark))
-
-
-class BoxOverloadError(RuntimeError):
-    """A box refused a partial because its pending queue is full.
-
-    The sender should treat this as a NACK: degrade down the ladder
-    (next on-path box, then direct to the master) instead of retrying
-    into the saturated box.
-    """
-
-    def __init__(self, box_id: str, app: str, request_id: str,
-                 policy: str) -> None:
-        super().__init__(
-            f"box {box_id!r} shed {app}/{request_id} (policy={policy})"
-        )
-        self.box_id = box_id
-        self.app = app
-        self.request_id = request_id
-        self.policy = policy
-
-
-class BoxSpillError(BoxOverloadError):
-    """Overflow refusal under the ``spill`` policy: re-target upstream."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +131,6 @@ class BoxHeartbeat:
     state: str
     pending: int          #: total buffered partials across apps
     max_pending: int      #: per-app bound (0 = unbounded)
-    sheds: int            #: cumulative shed/reject decisions
     flushes: int          #: cumulative pressure-relief partial flushes
 
 

@@ -445,12 +445,11 @@ def _optimizer_text(optimizer: dict) -> str:
     lines = [
         "== optimizer: self-healing actions ==",
         "ticks={ticks} audits={audits} drains={drains} "
-        "undrains={undrains} parked={parked}".format(
+        "undrains={undrains}".format(
             ticks=optimizer.get("ticks", 0),
             audits=optimizer.get("audits", 0),
             drains=optimizer.get("drains", 0),
-            undrains=optimizer.get("undrains", 0),
-            parked=optimizer.get("parked", 0)),
+            undrains=optimizer.get("undrains", 0)),
     ]
     if actions:
         lines.append("actions: " + "  ".join(

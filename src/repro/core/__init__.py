@@ -16,7 +16,7 @@
 - :mod:`repro.core.breaker` -- per-target circuit breakers on the shim
   send path (closed/open/half-open on the virtual clock);
 - :mod:`repro.core.admission` -- admission control at the master shim
-  (per-tenant token buckets, queue-depth NACKs);
+  (per-tenant token buckets, rate-limit NACKs);
 - :mod:`repro.core.overload` -- the platform's overload-control
   configuration tying queues, breakers and admission together;
 - :mod:`repro.core.partition` -- partition tolerance: gray-failure
@@ -62,8 +62,6 @@ from repro.core.overload import OverloadConfig
 from repro.core.partition import (
     Completeness,
     GrayDetector,
-    GrayPolicy,
-    PartitionPolicy,
     SubtreeUnreachable,
 )
 from repro.core.platform import NetAggPlatform
@@ -117,8 +115,6 @@ __all__ = [
     "OverloadConfig",
     "Completeness",
     "GrayDetector",
-    "GrayPolicy",
-    "PartitionPolicy",
     "SubtreeUnreachable",
     "SocketFactory",
     "NetAggSocketFactory",

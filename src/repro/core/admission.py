@@ -4,13 +4,13 @@ Instead of letting an overloaded deployment time senders out, the
 master shim refuses excess requests up front with a typed NACK: the
 caller degrades immediately (retry later, shed the query, fall back to
 edge aggregation) rather than burning retry budget into saturated
-boxes.  Two gates run per request, in order:
+boxes.  One gate runs per request: a per-tenant *token bucket*,
+``rate`` tokens/virtual-second with a ``burst`` ceiling; an empty
+bucket NACKs with reason ``rate-limit``.
 
-- a *queue-depth* gate: when the deepest agg-box pending queue (from
-  the health feed) is at or above ``max_queue_depth``, the request is
-  NACKed with reason ``queue-depth``;
-- a per-tenant *token bucket*: ``rate`` tokens/virtual-second with a
-  ``burst`` ceiling; an empty bucket NACKs with reason ``rate-limit``.
+There is no queue-depth gate: a platform's boxes hold nothing between
+requests (a request's state ends with the call that runs it), so the
+deepest box queue is 0 whenever a request is admitted.
 
 Refills run on the platform's deterministic virtual clock, so a fixed
 workload produces bit-identical admission decisions across runs.
@@ -18,13 +18,18 @@ workload produces bit-identical admission decisions across runs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Deque, Dict, Mapping, Optional
 
 RATE_LIMIT = "rate-limit"
-QUEUE_DEPTH = "queue-depth"
 
-NACK_REASONS = (RATE_LIMIT, QUEUE_DEPTH)
+NACK_REASONS = (RATE_LIMIT,)
+
+#: Refusals :attr:`AdmissionController.nacks` keeps, newest last; older
+#: ones survive only in the ``refused`` total.  A service refuses for as
+#: long as it runs, so an unbounded log would be a leak.
+NACK_WINDOW = 1024
 
 
 class TokenBucket:
@@ -62,19 +67,14 @@ class AdmissionPolicy:
     Attributes:
         rate: sustained admitted requests per tenant per virtual second.
         burst: token-bucket ceiling (instantaneous burst allowance).
-        max_queue_depth: NACK every tenant while the deepest box pending
-            queue is at or above this (None disables the gate).
     """
 
     rate: float = 50.0
     burst: float = 10.0
-    max_queue_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.rate <= 0 or self.burst <= 0:
             raise ValueError("rate and burst must be positive")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or None)")
 
 
 class AdmissionNack(RuntimeError):
@@ -84,15 +84,13 @@ class AdmissionNack(RuntimeError):
     sender never enters the aggregation trees, so nothing can hang.
     """
 
-    def __init__(self, tenant: str, at: float, reason: str,
-                 queue_depth: int = 0) -> None:
+    def __init__(self, tenant: str, at: float, reason: str) -> None:
         super().__init__(
             f"admission NACK for tenant {tenant!r} at {at:g} ({reason})"
         )
         self.tenant = tenant
         self.at = at
         self.reason = reason
-        self.queue_depth = queue_depth
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,17 @@ class NackRecord:
     tenant: str
     at: float
     reason: str
-    queue_depth: int
 
 
 class AdmissionController:
-    """Per-tenant token buckets plus the queue-depth gate.
+    """Per-tenant token buckets.
 
     ``per_tenant`` overrides the default policy for named tenants, so a
     multi-tenant deployment (the serving layer) can give each tenant its
-    own sustained rate and burst while sharing one queue-depth gate.
-    The override is read once, when the tenant's bucket is created.
+    own sustained rate and burst.  The override is read once, when the
+    tenant's bucket is created.  ``admitted`` and ``refused`` count every
+    decision; ``nacks`` keeps only the last :data:`NACK_WINDOW`
+    refusals.
     """
 
     def __init__(self, policy: AdmissionPolicy,
@@ -121,7 +120,8 @@ class AdmissionController:
         self._per_tenant: Dict[str, AdmissionPolicy] = dict(per_tenant or {})
         self._buckets: Dict[str, TokenBucket] = {}
         self.admitted = 0
-        self.nacks: List[NackRecord] = []
+        self.refused = 0
+        self.nacks: Deque[NackRecord] = deque(maxlen=NACK_WINDOW)
 
     def tenant_policy(self, tenant: str) -> AdmissionPolicy:
         return self._per_tenant.get(tenant, self.policy)
@@ -142,22 +142,11 @@ class AdmissionController:
             self._buckets[tenant] = bucket
         return bucket
 
-    def admit(self, tenant: str, now: float, queue_depth: int = 0) -> None:
-        """Admit one request or raise :class:`AdmissionNack`.
-
-        The queue-depth gate runs first (it protects the boxes
-        regardless of tenant budgets), then the tenant's token bucket.
-        """
-        limit = self.policy.max_queue_depth
-        if limit is not None and queue_depth >= limit:
-            self._nack(tenant, now, QUEUE_DEPTH, queue_depth)
+    def admit(self, tenant: str, now: float) -> None:
+        """Admit one request or raise :class:`AdmissionNack`."""
         if not self.bucket(tenant).try_take(now):
-            self._nack(tenant, now, RATE_LIMIT, queue_depth)
+            self.refused += 1
+            self.nacks.append(NackRecord(tenant=tenant, at=now,
+                                         reason=RATE_LIMIT))
+            raise AdmissionNack(tenant, now, RATE_LIMIT)
         self.admitted += 1
-
-    def _nack(self, tenant: str, now: float, reason: str,
-              queue_depth: int) -> None:
-        self.nacks.append(NackRecord(
-            tenant=tenant, at=now, reason=reason, queue_depth=queue_depth,
-        ))
-        raise AdmissionNack(tenant, now, reason, queue_depth)

@@ -14,8 +14,8 @@ arXiv 2110.14224):
   ``rebalance_hot_edges``) emitting typed :class:`Action` batches with
   dry-run cost estimates;
 - :mod:`~repro.core.optimizer.apply` -- the two-phase
-  drain-then-cutover executor (partials parked and replayed, rollback
-  on cutover-guard failure, §3.1 rewiring for the tree changes);
+  drain-then-cutover executor (rollback on cutover-guard failure, §3.1
+  rewiring for the tree changes);
 - :mod:`~repro.core.optimizer.loop` -- :class:`OptimizerLoop.tick`
   tying the stages together on the caller's virtual clock.
 

@@ -33,8 +33,8 @@ class Action:
             carried onto the ``optimizer.action`` trace instant so
             ``python -m repro analyze`` can attribute the decision.
         cost: dry-run estimate of the work the action moves -- for
-            migrations/drains, the partials that would be parked and
-            replayed; zero for undrain/noop.  A unitless proxy used to
+            migrations/drains, the box's buffered partials at audit
+            time; zero for undrain/noop.  A unitless proxy used to
             rank and cap actions, not a promise of bytes.
     """
 

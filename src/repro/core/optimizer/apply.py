@@ -6,28 +6,28 @@ drain-then-cutover protocol**:
 
 1. **drain** -- the box leaves the planner
    (:meth:`~repro.core.platform.NetAggPlatform.drain_box`), so every
-   tree built from now on rewires around it through the §3.1 path; any
-   buffered partials are *parked* (removed without touching the
-   duplicate-suppression sets, so a replay lands exactly once);
+   tree built from now on rewires around it through the §3.1 path;
 2. **interruption window** -- the optional ``interrupt`` hook runs
    between the phases; the chaos suite uses it to crash boxes
    mid-migration;
 3. **cutover** -- the guard re-checks that enough active boxes remain.
-   On success the parked partials replay (into the still-live source,
-   which finishes its in-flight folds while new work avoids it, or into
-   the healthiest surviving box if the source died in the window).  On
-   guard failure the migration **rolls back**: the box is un-drained
-   and its parked partials replay straight back into it.
+   On success the box stays drained (or, if it died in the window, the
+   migration is recorded as failed over).  On guard failure the
+   migration **rolls back**: the box is un-drained.
 
-A migration that lands while a request is mid-flight *is*
-:meth:`repro.core.recovery.InFlightRequest.migrate_box`, which adds the
-expected-count arithmetic of §3.1; whoever holds the request calls it.
+There is no parking phase: the applier runs between requests, and a
+platform's boxes hold nothing between requests (a request's state ends
+with the call that runs it), so there is never a buffered partial to
+move.  A migration that lands while a request is mid-flight *is*
+:meth:`repro.core.recovery.InFlightRequest.migrate_box`, which parks
+that request's partials and adds the expected-count arithmetic of
+§3.1; whoever holds the request calls it.
 
 Every action emits an ``optimizer.action`` instant; every migration an
 ``optimizer.migrate`` span wrapping ``optimizer.drain`` /
-``optimizer.park`` / ``optimizer.cutover`` / ``optimizer.rollback``
-instants, so ``python -m repro analyze`` can attribute each applied
-action to its tick and outcome.
+``optimizer.cutover`` / ``optimizer.rollback`` instants, so ``python
+-m repro analyze`` can attribute each applied action to its tick and
+outcome.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ class MigrationOutcome:
 
     box_id: str
     outcome: str          #: APPLIED, ROLLED_BACK or FAILED_OVER
-    parked: int = 0       #: partials parked during the drain phase
-    replayed_to: str = "" #: where they landed ("" when none)
 
 
 @dataclass
@@ -80,10 +78,10 @@ class PlanApplier:
     """Executes action plans on a platform (or any drain-capable shim).
 
     ``platform`` must provide ``drain_box`` / ``undrain_box`` /
-    ``drained_boxes`` / ``failed_boxes``, ``topology`` and ``clock``; a
-    full :class:`~repro.core.platform.NetAggPlatform` additionally
-    provides ``box_runtime`` (for parking).  ``interrupt`` is the
-    chaos hook invoked between drain and cutover of every migration.
+    ``drained_boxes`` / ``failed_boxes``, ``topology`` and ``clock``
+    (a :class:`~repro.core.platform.NetAggPlatform` does).
+    ``interrupt`` is the chaos hook invoked between drain and cutover of
+    every migration.
     ``min_active`` is the cutover guard: a migration or drain that
     would leave fewer than this many active (un-drained, un-failed)
     boxes rolls back / is skipped.
@@ -191,60 +189,30 @@ class PlanApplier:
     def _migrate_phases(self, box_id: str, at: float) -> MigrationOutcome:
         platform = self._platform
 
-        # Phase 1: drain.  The box leaves the planner; its buffered
-        # partials are parked so nothing is lost whatever happens next.
+        # Phase 1: drain.  The box leaves the planner.
         platform.drain_box(box_id)
         self._instant("optimizer.drain", at, box=box_id)
-        runtime = getattr(platform, "box_runtime", None)
-        parked = runtime(box_id).park_pending() if runtime else []
-        if parked:
-            self._instant("optimizer.park", at, box=box_id,
-                          parked=len(parked))
 
         # Phase 2: the interruption window.
         if self._interrupt is not None:
             self._interrupt()
 
-        # Phase 3: cutover guard, then replay.
+        # Phase 3: cutover guard.
         now = self._now(at)
         alive = self._active_boxes(excluding=box_id)
-        failed = platform.failed_boxes()
-        if len(alive) < self._min_active and box_id not in failed:
-            # No safe destination capacity: roll back.  Parked partials
-            # replay into the still-live source under their original
-            # tags (parking removed them from the suppression sets).
+        if box_id in platform.failed_boxes():
+            # The source died inside the window: it is out of every
+            # plan either way.
+            outcome = FAILED_OVER
+        elif len(alive) < self._min_active:
+            # No safe destination capacity: roll back.
             platform.undrain_box(box_id)
-            self._replay(box_id, parked)
             self._instant("optimizer.rollback", now, box=box_id,
-                          parked=len(parked), outcome=ROLLED_BACK)
-            return MigrationOutcome(box_id=box_id, outcome=ROLLED_BACK,
-                                    parked=len(parked),
-                                    replayed_to=box_id if parked else "")
-        if box_id in failed:
-            # The source died inside the window; the parked values
-            # survive precisely because drain parked them first.
-            dest = alive[0] if alive and parked else ""
-            if dest:
-                self._replay(dest, parked)
-            self._instant("optimizer.cutover", now, box=box_id,
-                          dest=dest or "none", outcome=FAILED_OVER)
-            return MigrationOutcome(box_id=box_id, outcome=FAILED_OVER,
-                                    parked=len(parked),
-                                    replayed_to=dest)
-        # Normal cutover: the box stays drained (future trees avoid
-        # it); parked partials replay into it so its in-flight requests
-        # still complete exactly.
-        self._replay(box_id, parked)
+                          outcome=ROLLED_BACK)
+            return MigrationOutcome(box_id=box_id, outcome=ROLLED_BACK)
+        else:
+            # The box stays drained: future trees avoid it.
+            outcome = APPLIED
         self._instant("optimizer.cutover", now, box=box_id,
-                      dest=box_id if parked else "planner",
-                      outcome=APPLIED)
-        return MigrationOutcome(box_id=box_id, outcome=APPLIED,
-                                parked=len(parked),
-                                replayed_to=box_id if parked else "")
-
-    def _replay(self, box_id: str, parked) -> None:
-        """Replay parked partials into ``box_id``'s runtime (they came
-        out of a runtime, so a platform without any parks nothing)."""
-        for p in parked:
-            self._platform.box_runtime(box_id).submit_partial(
-                p.app, p.request_id, p.source, p.value)
+                      outcome=outcome)
+        return MigrationOutcome(box_id=box_id, outcome=outcome)

@@ -42,7 +42,6 @@ class BoxAudit:
     state: str            #: heartbeat state (may be ``suspect``)
     pending: int          #: buffered partials across apps
     utilization: float    #: offered-load fraction of proc capacity
-    sheds: int            #: cumulative shed decisions
     flushes: int          #: cumulative pressure-relief flushes
     drained: bool = False #: currently drained by the optimizer
 
@@ -120,7 +119,6 @@ class Auditor:
                     state=beat.state,
                     pending=beat.pending,
                     utilization=float(util.get(box_id, 0.0)),
-                    sheds=beat.sheds,
                     flushes=beat.flushes,
                     drained=box_id in drained,
                 )

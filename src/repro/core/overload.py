@@ -4,17 +4,16 @@ One :class:`OverloadConfig` switches on the whole overload plane of a
 :class:`repro.core.platform.NetAggPlatform`:
 
 - ``queue``: the per-box :class:`repro.aggbox.overload.OverloadPolicy`
-  (bounded pending queues + health state machine).  Inside the
-  platform the shed policy is forced to ``flush``: a box that accepted
-  a request's announcement must never refuse its partials (that would
-  strand the parent's expected count), so mid-request pressure is
-  relieved by partial flushes whose deltas the platform forwards
-  upstream under fresh source tags.  ``reject-new``/``spill`` refusal
-  semantics surface at *plan time* instead: pressured and shedding
-  boxes are NACKed out of new trees (see ``avoid_pressured``).
+  (bounded pending queues + health state machine).  A full queue sheds
+  by partial flush, whose deltas the platform forwards upstream under
+  fresh source tags: a box that accepted a request's announcement
+  never refuses its partials (that would strand the parent's expected
+  count).  Refusal happens at *plan time* instead: pressured and
+  shedding boxes are NACKed out of new trees (see
+  ``avoid_pressured``).
 - ``breaker``: per-target circuit breakers wrapped around the retry
   policy at connect time.
-- ``admission``: token-bucket + queue-depth admission at the master
+- ``admission``: per-tenant token-bucket admission at the master
   shim; non-admitted requests terminate with a typed
   :class:`repro.core.admission.AdmissionNack`.
 - ``avoid_pressured``: re-plan new trees away from boxes whose health
@@ -29,10 +28,10 @@ One :class:`OverloadConfig` switches on the whole overload plane of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.aggbox.overload import FLUSH, OverloadPolicy
+from repro.aggbox.overload import OverloadPolicy
 from repro.core.admission import AdmissionPolicy
 from repro.core.breaker import BreakerPolicy
 
@@ -57,15 +56,3 @@ class OverloadConfig:
             raise ValueError(
                 "heartbeat_staleness must be positive (or None)"
             )
-
-    def box_policy(self) -> Optional[OverloadPolicy]:
-        """The queue policy as installed on platform boxes.
-
-        The shed policy is forced to ``flush`` -- within the platform,
-        refusal happens at plan/admission time, never mid-request.
-        """
-        if self.queue is None:
-            return None
-        if self.queue.shed == FLUSH:
-            return self.queue
-        return replace(self.queue, shed=FLUSH)

@@ -8,9 +8,8 @@ shapes that story misses:
   magnitude slow.  :class:`GrayDetector` watches per-box observed
   service times against a seeded EWMA baseline and flags outliers; the
   platform reports flagged boxes as ``gray`` in its health feed, plans
-  new trees around them, and -- under a :class:`PartitionPolicy` with
-  ``hedge`` on -- races deliveries into them against a hedge deadline
-  instead of waiting the slow path out;
+  new trees around them, and races deliveries into them against
+  :data:`HEDGE_DEADLINE` instead of waiting the slow path out;
 - **partitions** -- a subtree is unreachable, not dead.  Rather than
   fail the request, the platform can complete it *partially*, dropping
   exactly the unreachable workers and attaching a
@@ -18,91 +17,71 @@ shapes that story misses:
   aggregate covers (the bounded-completeness degraded mode of the
   distributed-aggregation literature).
 
-Everything here is deterministic on the platform's virtual clock; the
-detector has no wall-clock or randomness of its own.
+A platform built with ``partition=True`` detects, avoids and hedges
+gray boxes and delivers partially; one built without (the fail-stop
+baseline) does none of it, and an isolated worker fails its request
+with :class:`SubtreeUnreachable`.  The tuning is
+module constants: one value of each was ever used.  Everything here is
+deterministic on the platform's virtual clock; the detector has no
+wall-clock or randomness of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.live.series import ewma_step
 
 
-@dataclass(frozen=True)
-class GrayPolicy:
-    """Tuning of the latency-outlier gray-failure detector.
+#: Virtual seconds a delivery may take before the hedged duplicate down
+#: the healthy path fires: ten healthy sends at the default 1 ms send
+#: latency, so a healthy box is never hedged and a gray one (x400 in
+#: ``fig_partition``) costs the request 11 ms instead of 0.4 s.
+HEDGE_DEADLINE = 0.01
 
-    Attributes:
-        alpha: EWMA smoothing weight for healthy samples.
-        threshold: a sample ``threshold`` times the EWMA baseline flags
-            the box gray.
-        min_samples: observations (including the seed baseline) needed
-            before the detector trusts its baseline enough to flag.
-        baseline: seed value for the EWMA (the platform seeds it with
-            the retry policy's healthy ``send_latency``, so the
-            detector can flag from the very first outlier).
-    """
+#: EWMA smoothing weight of a healthy sample in the gray baseline.
+GRAY_ALPHA = 0.3
 
-    alpha: float = 0.3
-    threshold: float = 4.0
-    min_samples: int = 1
-    baseline: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.threshold <= 1.0:
-            raise ValueError("threshold must be > 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if self.baseline is not None and self.baseline <= 0:
-            raise ValueError("baseline must be positive")
+#: A sample this many times the baseline flags the box gray.  Every
+#: gray window clears it (x8 and up in generated schedules, x400 in
+#: ``fig_partition``); a degraded or overloaded box slowed past x4 is
+#: flagged too, and new trees route around it as around pressured
+#: health.
+GRAY_THRESHOLD = 4.0
 
 
 class GrayDetector:
     """Seeded-EWMA latency-outlier detection over per-box service times.
 
-    ``observe`` folds healthy samples into the box's EWMA baseline;
-    a sample beyond ``threshold`` times the baseline flags the box
-    *without* poisoning the baseline (otherwise a long gray episode
-    would normalise itself).  A subsequent healthy sample clears the
-    flag -- post-heal traffic returns the box to service.
+    Every box's baseline starts at ``baseline`` -- the platform seeds it
+    with the retry policy's healthy ``send_latency`` -- so the seed is
+    the one trusted sample and the detector can flag from the very
+    first outlier.  ``observe`` folds healthy samples into the box's
+    baseline; a sample beyond :data:`GRAY_THRESHOLD` times the baseline
+    flags the box *without* poisoning the baseline (otherwise a long
+    gray episode would normalise itself).  A subsequent healthy sample
+    clears the flag -- post-heal traffic returns the box to service.
     """
 
-    def __init__(self, policy: GrayPolicy,
-                 baseline: Optional[float] = None) -> None:
-        self._policy = policy
-        self._baseline = policy.baseline if baseline is None else baseline
+    def __init__(self, baseline: float) -> None:
+        self._baseline = baseline
         #: Per-box smoothed baselines (repro.obs.live owns the EWMA
         #: arithmetic; this detector only keeps the per-box state).
         self._baselines: Dict[str, float] = {}
-        self._count: Dict[str, int] = {}
         self._flagged: Dict[str, float] = {}
 
     def observe(self, box_id: str, service_time: float,
                 at: float) -> bool:
         """Fold one observed service time; returns True when flagged."""
-        policy = self._policy
-        baseline = self._baselines.get(box_id)
-        seen = self._count.get(box_id, 0)
-        if baseline is None:
-            if self._baseline is not None:
-                baseline, seen = self._baseline, seen + 1
-            else:
-                # No prior at all: the first sample becomes the baseline.
-                self._baselines[box_id] = service_time
-                self._count[box_id] = seen + 1
-                return False
-        self._count[box_id] = seen + 1
-        if seen >= policy.min_samples and baseline > 0 \
-                and service_time > policy.threshold * baseline:
+        baseline = self._baselines.get(box_id, self._baseline)
+        # A zero baseline (a zero send latency) cannot scale a threshold.
+        if baseline > 0 and service_time > GRAY_THRESHOLD * baseline:
             self._flagged[box_id] = at
             return True
         self._flagged.pop(box_id, None)
         self._baselines[box_id] = ewma_step(baseline, service_time,
-                                            policy.alpha)
+                                            GRAY_ALPHA)
         return False
 
     def is_gray(self, box_id: str) -> bool:
@@ -111,38 +90,8 @@ class GrayDetector:
     def gray_boxes(self) -> List[str]:
         return sorted(self._flagged)
 
-    def baseline_of(self, box_id: str) -> Optional[float]:
+    def baseline_of(self, box_id: str) -> float:
         return self._baselines.get(box_id, self._baseline)
-
-
-@dataclass(frozen=True)
-class PartitionPolicy:
-    """How a platform responds to partitions and gray boxes.
-
-    Attributes:
-        allow_partial: complete requests without unreachable workers,
-            attaching :class:`Completeness`; off, an unreachable
-            subtree raises :class:`SubtreeUnreachable` (the fail-stop
-            baseline).
-        hedge: race slow deliveries against ``hedge_deadline`` instead
-            of waiting them out (the hedged duplicate costs one extra
-            healthy send).
-        hedge_deadline: virtual seconds a delivery may take before the
-            hedge fires; ``None`` disables hedging regardless of
-            ``hedge``.
-        avoid_gray: plan new trees around detector-flagged boxes (the
-            NACK/ladder path, like pressured health).
-        gray: detector tuning.
-    """
-
-    allow_partial: bool = True
-    hedge: bool = True
-    hedge_deadline: Optional[float] = 0.01
-    avoid_gray: bool = True
-    gray: GrayPolicy = GrayPolicy()
-
-    def hedging(self) -> bool:
-        return self.hedge and self.hedge_deadline is not None
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,9 @@ from repro.core.breaker import HALF_OPEN, BreakerBoard
 from repro.core.failure import rewire_failed_box, rewire_out
 from repro.core.overload import OverloadConfig
 from repro.core.partition import (
+    HEDGE_DEADLINE,
     Completeness,
     GrayDetector,
-    PartitionPolicy,
     SubtreeUnreachable,
 )
 from repro.core.shim import MasterShim, ShimEvent, WorkerShim
@@ -91,9 +91,9 @@ class RequestOutcome:
     #: nothing went wrong).
     shim_events: List[ShimEvent] = field(default_factory=list)
     #: What fraction of the workers this value covers.  ``None`` on a
-    #: platform without a :class:`repro.core.partition.PartitionPolicy`;
-    #: otherwise always present, ``exact`` unless workers were dropped
-    #: behind a partition (partial delivery).
+    #: platform built without ``partition``; otherwise always present,
+    #: ``exact`` unless workers were dropped behind a partition
+    #: (partial delivery).
     completeness: Optional[Completeness] = None
 
     def events_of_kind(self, kind: str) -> List[ShimEvent]:
@@ -122,23 +122,23 @@ class NetAggPlatform:
     re-planning away from pressured boxes.  The default config bounds
     nothing, has no breakers and admits everything.
 
-    ``partition`` switches on the partition-tolerance plane (see
-    :class:`repro.core.partition.PartitionPolicy`): workers the fault
-    oracle reports as isolated from the master (``isolated``) are
-    dropped from the request instead of failing it, and the outcome
-    carries a :class:`repro.core.partition.Completeness` record; slow
-    deliveries are hedged against a deadline; and a
-    :class:`repro.core.partition.GrayDetector` flags slow-but-alive
-    boxes, which the health feed reports as ``gray`` and the planner
-    routes around.  Without a policy, an isolated worker fails the
-    whole request with :class:`SubtreeUnreachable` (the fail-stop
-    baseline).
+    ``partition=True`` switches on the partition-tolerance plane (see
+    :mod:`repro.core.partition`): workers the fault oracle reports as
+    isolated from the master (``isolated``) are dropped from the
+    request instead of failing it, and the outcome carries a
+    :class:`repro.core.partition.Completeness` record; deliveries are
+    hedged against :data:`repro.core.partition.HEDGE_DEADLINE`; and a
+    :class:`repro.core.partition.GrayDetector` seeded with the retry
+    policy's ``send_latency`` flags slow-but-alive boxes, which the
+    health feed reports as ``gray`` and the planner routes around.
+    Without it, an isolated worker fails the whole request with
+    :class:`SubtreeUnreachable` (the fail-stop baseline).
     """
 
     def __init__(self, topo: Topology, faults: Optional[Any] = None,
                  retry: Optional[Any] = None,
                  overload: Optional[OverloadConfig] = None,
-                 partition: Optional[PartitionPolicy] = None) -> None:
+                 partition: bool = False) -> None:
         # Deferred: repro.faults imports repro.core for the tree types.
         from repro.faults import FaultSchedule, PlatformFaultInjector, \
             RetryPolicy
@@ -155,9 +155,8 @@ class NetAggPlatform:
         self._faults = faults
         self._retry = retry
         self._overload = overload
-        box_policy = overload.box_policy()
         self._boxes: Dict[str, AggBoxRuntime] = {
-            info.box_id: AggBoxRuntime(info.box_id, policy=box_policy)
+            info.box_id: AggBoxRuntime(info.box_id, policy=overload.queue)
             for info in topo.all_boxes()
         }
         self._functions: Dict[str, AggregationFunction] = {}
@@ -166,14 +165,7 @@ class NetAggPlatform:
         self._drained: Set[str] = set()
         self._master_shims: Dict[str, MasterShim] = {}
         self._partition = partition
-        self._gray: Optional[GrayDetector] = None
-        if partition is not None:
-            seed = partition.gray.baseline
-            if seed is None:
-                # Seed the EWMA with the healthy send latency so the
-                # detector can flag from the very first outlier.
-                seed = retry.send_latency
-            self._gray = GrayDetector(partition.gray, baseline=seed)
+        self._gray = GrayDetector(retry.send_latency) if partition else None
         self._breakers = (BreakerBoard(overload.breaker)
                           if overload.breaker is not None else None)
         self._admission = (
@@ -257,19 +249,17 @@ class NetAggPlatform:
         return self._admission
 
     @property
-    def partition_policy(self) -> Optional[PartitionPolicy]:
-        """The partition-tolerance policy (None = fail-stop baseline)."""
-        return self._partition
-
-    @property
     def gray_detector(self) -> Optional[GrayDetector]:
-        """The latency-outlier detector (None without a partition policy)."""
+        """The latency-outlier detector (None without ``partition``)."""
         return self._gray
 
     def health_report(
         self, staleness: Optional[float] = None,
     ) -> Dict[str, BoxHeartbeat]:
         """The health feed: one heartbeat per box, keyed by box id.
+
+        A box taken down with :meth:`fail_box` reports ``failed`` until
+        :meth:`recover_box`, whatever its runtime's own machine says.
 
         ``staleness`` (defaulting to the overload config's
         ``heartbeat_staleness``) bounds how long a heartbeat is trusted:
@@ -279,7 +269,7 @@ class NetAggPlatform:
         box already reporting ``failed`` stays ``failed`` (worse news
         wins).  ``None`` disables the check.
 
-        With a partition policy, a box whose own heartbeat says
+        With ``partition`` on, a box whose own heartbeat says
         ``healthy`` but that the latency-outlier detector has flagged
         is reported as ``gray`` -- the heartbeat protocol's blind spot
         made visible (gray failure: alive, probing fine, and slow).
@@ -289,10 +279,12 @@ class NetAggPlatform:
         report: Dict[str, BoxHeartbeat] = {}
         for box_id, runtime in sorted(self._boxes.items()):
             beat = runtime.heartbeat(at=self._clock)
-            if staleness is not None and beat.state != BOX_FAILED \
+            if box_id in self._failed:
+                beat = replace(beat, state=BOX_FAILED)
+            elif staleness is not None and beat.state != BOX_FAILED \
                     and self._clock - runtime.clock > staleness:
                 beat = replace(beat, state=SUSPECT)
-            if beat.state == HEALTHY and self._gray is not None \
+            elif beat.state == HEALTHY and self._gray is not None \
                     and self._gray.is_gray(box_id):
                 beat = replace(beat, state=GRAY)
             report[box_id] = beat
@@ -324,8 +316,9 @@ class NetAggPlatform:
     def drain_box(self, box_id: str) -> None:
         """Plan future trees around a live box (optimizer drain phase).
 
-        Unlike :meth:`fail_box` the runtime stays up: parked partials
-        can still be read out of it and, on rollback, replayed into it.
+        Unlike :meth:`fail_box` the box stays up and keeps reporting
+        its own health; it holds nothing between requests, so there is
+        nothing to move off it.
         """
         if box_id not in self._boxes:
             raise KeyError(f"unknown box {box_id!r}")
@@ -458,23 +451,18 @@ class NetAggPlatform:
 
     def _admit(self, tenant: str) -> None:
         """Admission gate: raises AdmissionNack when the shim refuses."""
-        if self._admission is None:
-            return
-        depth = max(
-            (runtime.pending_count() for runtime in self._boxes.values()),
-            default=0,
-        )
-        self._admission.admit(tenant, self._clock, queue_depth=depth)
+        if self._admission is not None:
+            self._admission.admit(tenant, self._clock)
 
     def _overload_nack_reason(self, box_id: str) -> Optional[str]:
         """Why a reachable box should be planned out of a new tree.
 
         Scheduled ``BOX_SHED`` windows and the box's own health feed
         (``pressured``/``shedding``) both refuse new work; the sender
-        walks its ladder instead of loading the box further.  Under a
-        partition policy with ``avoid_gray``, detector-flagged boxes
-        are planned out the same way -- a gray box heartbeats fine, so
-        only the latency feed can get it out of new trees.
+        walks its ladder instead of loading the box further.  With
+        ``partition`` on, detector-flagged boxes are planned out the
+        same way -- a gray box heartbeats fine, so only the latency
+        feed can get it out of new trees.
         """
         if self._faults.shedding(box_id, self._clock):
             return "shed-window"
@@ -482,8 +470,7 @@ class NetAggPlatform:
             state = self._boxes[box_id].health
             if state in (PRESSURED, SHEDDING):
                 return f"health={state}"
-        if self._gray is not None and self._partition.avoid_gray \
-                and self._gray.is_gray(box_id):
+        if self._gray is not None and self._gray.is_gray(box_id):
             # A gray flag must not outlive the episode: re-measure the
             # box with a hedged probe (one send's charge) instead of
             # trusting the stale flag forever.  A recovered box clears
@@ -501,9 +488,10 @@ class NetAggPlatform:
         overload window x gray window) and ``cost`` the latency it
         implies.  That true (pre-hedge) cost feeds the gray detector:
         hedging hides latency from the request, not from the health
-        machinery.  With hedging on, a send slower than the hedge
+        machinery.  With ``partition`` on, a send slower than the hedge
         deadline is raced against a duplicate down the healthy path,
-        capping ``charged`` at ``hedge_deadline`` plus one healthy send.
+        capping ``charged`` at :data:`HEDGE_DEADLINE` plus one healthy
+        send.
         """
         faults, clock = self._faults, self._clock
         latency = self._retry.send_latency
@@ -513,9 +501,7 @@ class NetAggPlatform:
         cost = charged = latency * factor
         if self._gray is not None:
             self._gray.observe(box_id, cost, at=clock)
-        policy = self._partition
-        if policy is not None and policy.hedging():
-            charged = min(cost, policy.hedge_deadline + latency)
+            charged = min(cost, HEDGE_DEADLINE + latency)
         return factor, cost, charged
 
     def _run_on_tree(self, app: str, request_id: str, master: str,
@@ -582,8 +568,8 @@ class _Request:
         p = self._p
         # Partition check first: workers the fault oracle reports as
         # isolated from the master cannot deliver, no matter how many
-        # retries are burnt.  With a partition policy they are dropped
-        # (partial delivery); without one the request fails fast -- the
+        # retries are burnt.  With ``partition`` on they are dropped
+        # (partial delivery); without it the request fails fast -- the
         # fail-stop baseline.
         excluded = self.excluded
         for index, (host, _) in enumerate(self.partials):
@@ -593,7 +579,7 @@ class _Request:
         if excluded:
             missing = tuple(sorted(excluded))
             scopes = tuple(sorted(set(excluded.values())))
-            if p._partition is None or not p._partition.allow_partial:
+            if not p._partition:
                 raise SubtreeUnreachable(self.request_id, missing, scopes,
                                          detail="partial delivery disabled")
             if len(excluded) == len(self.partials):
@@ -824,7 +810,7 @@ class _Request:
             self.request_id, merge=p._mergers[app]
         )
         completeness = None
-        if p._partition is not None:
+        if p._partition:
             completeness = Completeness(
                 workers_total=len(self.partials),
                 workers_included=len(self.partials) - len(excluded),

@@ -8,15 +8,16 @@ a live :class:`repro.serve.AggregationService` while a sweep of
 off, and one pod-0 box runs *gray* (heartbeat-healthy, two orders of
 magnitude slow) for the whole run.  Two arms per severity:
 
-- ``base``: no :class:`repro.core.partition.PartitionPolicy` -- the
-  fail-stop baseline.  A request with any worker behind the partition
-  is a 503, and deliveries into the gray box are waited out in full
-  (the heartbeat machinery cannot see it);
-- ``resil``: partial delivery, hedged sends and gray avoidance on.
-  Unreachable workers are dropped and answered as 206 with a
-  completeness record (gated by the tenant's ``min_completeness``
-  floor), and the gray box is raced against the hedge deadline, then
-  planned out once the latency-outlier detector flags it.
+- ``base``: ``partition=False`` -- the fail-stop baseline.  A request
+  with any worker behind the partition is a 503, and deliveries into
+  the gray box are waited out in full (the heartbeat machinery cannot
+  see it);
+- ``resil``: ``partition=True`` -- partial delivery, hedged sends and
+  gray avoidance on.  Unreachable workers are dropped and answered as
+  206 with a completeness record (gated by the tenant's
+  ``min_completeness`` floor), and the gray box is raced against the
+  hedge deadline, then planned out once the latency-outlier detector
+  flags it.
 
 Availability counts requests *answered* (200 or 206) within the SLO
 over requests offered.  The claim: at moderate severity (one pod of
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.partition import PartitionPolicy
 from repro.experiments import register
 from repro.experiments.common import DEFAULT, ExperimentResult, SimScale
 from repro.faults import (
@@ -95,8 +95,8 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
     for severity in sorted(severities):
         pods_cut = round(severity * n_pods)
         schedule = _schedule(n_pods, pods_cut, gray_box)
-        base = _arm(scale, schedule, seeds, policy=None)
-        resil = _arm(scale, schedule, seeds, policy=PartitionPolicy())
+        base = _arm(scale, schedule, seeds, partition=False)
+        resil = _arm(scale, schedule, seeds, partition=True)
         result.add_row(
             severity=severity,
             pods_cut=pods_cut,
@@ -154,13 +154,13 @@ def _schedule(n_pods: int, pods_cut: int, gray_box: str) -> FaultSchedule:
 
 
 def _arm(scale: SimScale, schedule: FaultSchedule,
-         seeds: Sequence[int], policy) -> Dict[str, float]:
+         seeds: Sequence[int], partition: bool) -> Dict[str, float]:
     service = AggregationService(ServeConfig(
         topo=scale.topo,
         default_policy=TenantPolicy(slo=SLO),
         admission=False,
         faults=schedule,
-        partition=policy,
+        partition=partition,
     ))
     service.platform.advance_clock(1.0)
     answered: List[Tuple[float, float]] = []  # (latency, completeness)

@@ -241,12 +241,11 @@ class PlanDrainShim:
 class _PlanBeat:
     """Minimal heartbeat for the plan-time auditor (always healthy)."""
 
-    __slots__ = ("state", "pending", "sheds", "flushes")
+    __slots__ = ("state", "pending", "flushes")
 
     def __init__(self) -> None:
         self.state = "healthy"
         self.pending = 0
-        self.sheds = 0
         self.flushes = 0
 
 

@@ -24,7 +24,7 @@ Diagnosis schema (version 1)::
                "critical_path": {seconds, fractions, dominant, top}}],
      "platform": {seconds, fractions, dominant, top},
      "optimizer": {ticks, audits, actions, migrations, drains,
-                   undrains, parked, targets, log},
+                   undrains, targets, log},
      "serve": {requests, tenants: {waits, service, p99, statuses}}}
 
 The ``optimizer`` section (present only when a control loop ran under

@@ -3,7 +3,7 @@
 The self-healing control plane (:mod:`repro.core.optimizer`) emits
 ``optimizer.*`` spans and instants as it works -- audits, per-action
 instants tagged with kind/target/reason, and per-migration
-drain/park/cutover/rollback records carrying an ``outcome`` tag.
+drain/cutover/rollback records carrying an ``outcome`` tag.
 :func:`optimizer_report` folds a whole trace's worth into the
 ``optimizer`` section of the diagnosis dict, so ``python -m repro
 analyze`` can answer "what did the optimizer do, to whom, and why" for
@@ -32,7 +32,7 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
         {"ticks": ..., "audits": ..., "actions": {kind: count},
          "migrations": {"applied": n, "rolled-back": n,
                         "failed-over": n},
-         "drains": n, "undrains": n, "parked": n,
+         "drains": n, "undrains": n,
          "targets": {box_id: action count},
          "log": [{at, kind, target, reason, strategy}, ...]}
     """
@@ -44,7 +44,7 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
     targets: Dict[str, int] = {}
     log: List[Dict[str, object]] = []
     migrations: Dict[str, int] = {}
-    drains = undrains = parked = 0
+    drains = undrains = 0
     for rec in trace.instants:
         if rec.name == "optimizer.action":
             kind = str(rec.tags.get("kind", ""))
@@ -67,8 +67,6 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
             drains += 1
         elif rec.name == "optimizer.undrain":
             undrains += 1
-        elif rec.name == "optimizer.park":
-            parked += int(rec.tags.get("parked", 0))
     return {
         "ticks": ticks,
         "audits": audits,
@@ -76,7 +74,6 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
         "migrations": migrations,
         "drains": drains,
         "undrains": undrains,
-        "parked": parked,
         "targets": dict(sorted(targets.items(),
                                key=lambda kv: (-kv[1], kv[0]))),
         "log": log[:_LOG_TOP],

@@ -9,7 +9,7 @@ health/queue stats -- behind a single flat :meth:`MetricsRegistry
 - ``netsim.*``   -- runs, flows, rate epochs, incremental-solver work;
 - ``platform.*`` -- shim lifecycle events (``platform.shim.retry``,
   ``platform.shim.nack``, ...);
-- ``aggbox.*``   -- partials folded, sheds, flushes, health
+- ``aggbox.*``   -- partials folded, flushes, health
   transitions, queue-depth distribution.
 
 Metric objects are stable: ``counter(name)`` get-or-creates, and

@@ -15,8 +15,8 @@ into JSON-shaped responses with HTTP-style statuses:
   ``min_completeness`` floor; below the floor the request is a ``503``
   (``incomplete``) instead -- a too-small answer is no answer;
 - ``429`` -- the per-tenant admission gate refused the request
-  (:class:`repro.core.admission.AdmissionNack`: rate-limit or
-  queue-depth), before it touched any tree;
+  (:class:`repro.core.admission.AdmissionNack`: rate-limit), before
+  it touched any tree;
 - ``503`` -- the service failed fast: every agg box's circuit
   breaker is open, the request queued longer than ``max_queue_wait``
   (front-door load shedding), a partition cut off all (or too many)
@@ -56,7 +56,7 @@ from repro.apps.mlgrad import (
 from repro.core.admission import AdmissionNack, AdmissionPolicy
 from repro.core.breaker import BreakerPolicy
 from repro.core.overload import OverloadConfig
-from repro.core.partition import PartitionPolicy, SubtreeUnreachable
+from repro.core.partition import SubtreeUnreachable
 from repro.core.platform import NetAggPlatform
 from repro.faults import (
     FaultSchedule,
@@ -109,6 +109,8 @@ class ServeConfig:
 
     ``admission=False`` removes the per-tenant gate entirely (the
     ``fig_serve`` ablation arm); everything else stays identical.
+    Every box has a circuit breaker (the default
+    :class:`repro.core.breaker.BreakerPolicy`).
     """
 
     #: Topology preset the platform deploys over.
@@ -119,18 +121,16 @@ class ServeConfig:
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
     #: Per-tenant token-bucket admission on/off.
     admission: bool = True
-    #: Per-box circuit breakers on/off.
-    breaker: bool = True
     #: 503-shed requests that queued longer than this (None disables).
     max_queue_wait: Optional[float] = 1.0
     #: Fault schedule replayed against the platform (box failures etc.).
     faults: Optional[FaultSchedule] = None
     #: Shim retry policy override.
     retry: Optional[RetryPolicy] = None
-    #: Partition-tolerance policy (partial delivery, hedging, gray
-    #: avoidance); None keeps the fail-stop baseline, where a
-    #: partitioned worker fails the whole request.
-    partition: Optional[PartitionPolicy] = None
+    #: Partition tolerance (partial delivery, hedging, gray avoidance)
+    #: on/off; off is the fail-stop baseline, where a partitioned
+    #: worker fails the whole request.
+    partition: bool = False
     #: Top-k of query requests.
     k: int = 10
     #: Live telemetry plane (windowed series, SLO burn-rate alerting,
@@ -165,7 +165,7 @@ class AggregationService:
         self._box_ids = sorted(
             info.box_id for info in self._topo.all_boxes())
         overload = OverloadConfig(
-            breaker=BreakerPolicy() if config.breaker else None,
+            breaker=BreakerPolicy(),
             admission=(config.default_policy.admission()
                        if config.admission else None),
             admission_per_tenant={
@@ -503,7 +503,7 @@ class AggregationService:
         503 storm self-heals after the breaker reset timeout.
         """
         board = self._platform.breakers
-        if board is None or not self._box_ids:
+        if not self._box_ids:
             return False
         states = board.states()
         if not all(box in states for box in self._box_ids):

@@ -4,12 +4,7 @@ import pytest
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import SumFunction, TopKFunction
-from repro.aggbox.overload import (
-    FLUSH,
-    HEALTHY,
-    SHEDDING,
-    OverloadPolicy,
-)
+from repro.aggbox.overload import HEALTHY, SHEDDING, OverloadPolicy
 from repro.wire.framing import frame
 from repro.wire.records import (
     SearchResult,
@@ -257,7 +252,7 @@ class TestRelease:
 
     def test_buffered_partials_come_off_the_queue_and_health(self):
         box = AggBoxRuntime("box:test",
-                            policy=OverloadPolicy(max_pending=4, shed=FLUSH))
+                            policy=OverloadPolicy(max_pending=4))
         box.register_app(float_binding())
         box.announce("sum", "dead", expected=5)
         box.announce("sum", "live", expected=2)
@@ -274,7 +269,7 @@ class TestRelease:
 
     def test_half_received_frames_and_undrained_deltas_go_too(self):
         box = AggBoxRuntime("box:test",
-                            policy=OverloadPolicy(max_pending=2, shed=FLUSH))
+                            policy=OverloadPolicy(max_pending=2))
         box.register_app(float_binding())
         box.announce("sum", "dead", expected=4)
         box.announce("sum", "other", expected=2)

@@ -1,6 +1,8 @@
 """Unit and integration tests: circuit breakers, admission control,
 retry deadlines -- the shim half of the overload-control plane."""
 
+import tracemalloc
+
 import pytest
 
 from repro.aggbox.functions import SumFunction
@@ -24,7 +26,7 @@ from repro.core.breaker import (
     BreakerTransition,
     assert_legal_breaker_transitions,
 )
-from repro.core.admission import QUEUE_DEPTH, RATE_LIMIT
+from repro.core.admission import NACK_WINDOW, RATE_LIMIT
 from repro.faults import (
     BOX_CRASH,
     BOX_RECOVER,
@@ -104,21 +106,35 @@ class TestAdmissionController:
         with pytest.raises(AdmissionNack):
             ctl.admit("solr", 0.0)
 
-    def test_queue_depth_gate_runs_first(self):
-        ctl = AdmissionController(
-            AdmissionPolicy(rate=1.0, burst=1.0, max_queue_depth=4))
-        with pytest.raises(AdmissionNack) as err:
-            ctl.admit("solr", 0.0, queue_depth=4)
-        assert err.value.reason == QUEUE_DEPTH
-        assert err.value.queue_depth == 4
-        # The bucket was not charged by the refused request.
-        ctl.admit("solr", 0.0, queue_depth=3)
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             AdmissionPolicy(rate=0.0)
         with pytest.raises(ValueError):
-            AdmissionPolicy(max_queue_depth=0)
+            AdmissionPolicy(burst=0.0)
+
+    def test_nack_log_is_bounded(self):
+        """A service refuses for as long as it runs: the log keeps the
+        last NACK_WINDOW refusals and the total is a count."""
+        ctl = AdmissionController(AdmissionPolicy(rate=1.0, burst=1.0))
+        ctl.admit("solr", 0.0)
+        refusals = NACK_WINDOW + 10_000
+        tracemalloc.start()
+        try:
+            for _ in range(NACK_WINDOW):
+                with pytest.raises(AdmissionNack):
+                    ctl.admit("solr", 0.0)
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(refusals - NACK_WINDOW):
+                with pytest.raises(AdmissionNack):
+                    ctl.admit("solr", 0.0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ctl.nacks) == NACK_WINDOW
+        assert ctl.refused == refusals and ctl.admitted == 1
+        # 10,000 more refusals leave the controller's memory flat (one
+        # record each was ~110 bytes: about 1 MB).
+        assert after - before < 64 * 1024, after - before
 
 
 # ---------------------------------------------------------------------------

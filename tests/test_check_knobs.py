@@ -1,0 +1,86 @@
+"""tools/check_knobs.py: the census of who sets each policy knob."""
+
+import importlib.util
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SCRIPT = (pathlib.Path(__file__).resolve().parents[1]
+          / "tools" / "check_knobs.py")
+
+
+def load():
+    spec = importlib.util.spec_from_file_location("check_knobs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: A small owner table with the real shapes: two dataclasses sharing a
+#: field name, and the platform, whose knobs are constructor parameters.
+KNOBS = {
+    "AdmissionPolicy": ["rate", "burst"],
+    "TenantPolicy": ["rate", "burst", "slo"],
+    "NetAggPlatform": ["topo", "faults"],
+}
+
+
+def test_every_knob_is_set_or_listed():
+    proc = subprocess.run([sys.executable, str(SCRIPT)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "check_knobs: ok" in proc.stderr
+
+
+def test_census_reads_the_owners_from_the_source():
+    knobs = load().owner_knobs()
+    assert knobs["AdmissionPolicy"] == ["rate", "burst"]
+    assert knobs["NetAggPlatform"] == [
+        "topo", "faults", "retry", "overload", "partition"]
+    assert "breaker" not in knobs["ServeConfig"]
+    assert "shed" not in knobs["OverloadPolicy"]
+
+
+@pytest.mark.parametrize("source, credited", [
+    ("AdmissionPolicy(rate=2.0)\n", {"AdmissionPolicy.rate"}),
+    ("core.AdmissionPolicy(1.0, 2.0)\n",
+     {"AdmissionPolicy.rate", "AdmissionPolicy.burst"}),
+    ("NetAggPlatform(topo, faults=f)\n",
+     {"NetAggPlatform.topo", "NetAggPlatform.faults"}),
+    ("replace(p, slo=0.1)\n", {"TenantPolicy.slo"}),
+    ("dataclasses.replace(p, rate=1.0)\n",
+     {"AdmissionPolicy.rate", "TenantPolicy.rate"}),
+    ("replace(p, rate=1.0, slo=0.1)\n",
+     {"TenantPolicy.rate", "TenantPolicy.slo"}),
+    # Not setters: defaults, splats, other classes, the platform via
+    # replace, and keywords no owner has.
+    ("AdmissionPolicy()\n", set()),
+    ("AdmissionPolicy(**overrides)\n", set()),
+    ("AdmissionPolicy(*args)\n", set()),
+    ("BucketPolicy(rate=1.0)\n", set()),
+    ("def f(rate=1.0):\n    pass\n", set()),
+    ("replace(p, faults=None)\n", set()),
+    ("replace(p, **overrides)\n", set()),
+    ("AdmissionPolicy(ratee=1.0)\n", set()),
+])
+def test_setters(source, credited):
+    found = load().setters_in(source, KNOBS, where="m.py")
+    assert set(found) == credited
+    assert all(sites == ["m.py:1"] for sites in found.values())
+
+
+def test_problems_name_unset_stale_and_unknown_entries(monkeypatch):
+    check_knobs = load()
+    monkeypatch.setattr(check_knobs, "TEST_ONLY", {
+        "A.stale": "listed, but a caller sets it now",
+        "A.listed": "only tests set it",
+        "A.ghost": "no such knob",
+    })
+    rows = [("A.unset", []), ("A.stale", ["src/m.py:3"]),
+            ("A.listed", []), ("A.set", ["src/m.py:4"])]
+    found = check_knobs.problems(rows)
+    assert [line.split(":")[0] for line in found] == [
+        "A.unset", "A.stale", "A.ghost"]
+    assert "src/m.py:3" in found[1]

@@ -33,6 +33,7 @@ from repro.core.optimizer import (
     MIGRATE,
     NOOP,
     ROLLED_BACK,
+    STRATEGIES,
     UNDRAIN,
     Action,
     ActionPlan,
@@ -45,6 +46,8 @@ from repro.core.optimizer import (
     get_strategy,
     noop_plan,
 )
+from repro.core.optimizer.strategies import _headroom
+from repro.experiments.common import QUICK
 from repro.faults.retry import RetryPolicy
 from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
@@ -73,10 +76,9 @@ def box_ids(platform):
 
 
 def audit(box_id, state="healthy", pending=0, util=0.0, drained=False,
-          sheds=0, flushes=0):
+          flushes=0):
     return BoxAudit(box_id=box_id, state=state, pending=pending,
-                    utilization=util, sheds=sheds, flushes=flushes,
-                    drained=drained)
+                    utilization=util, flushes=flushes, drained=drained)
 
 
 def report(*boxes, at=1.0, retry_delta=0):
@@ -175,6 +177,69 @@ class TestHeartbeatStaleness:
         platform.advance_clock(100.0)
         states = {beat.state for beat in platform.health_report().values()}
         assert states == {"healthy"}
+
+
+class TestFailedBoxesReportFailed:
+    """A box taken down with ``fail_box`` is ``failed`` in the health
+    feed until ``recover_box`` -- it used to report ``healthy``, and the
+    optimizer spent its actions draining the dead box."""
+
+    def make(self):
+        topo = three_tier(QUICK.topo)
+        deploy_boxes(topo)
+        return NetAggPlatform(topo)
+
+    def test_reported_until_recovered(self):
+        platform = self.make()
+        dead = box_ids(platform)[0]
+        platform.fail_box(dead)
+        states = {bid: beat.state
+                  for bid, beat in platform.health_report().items()}
+        assert states[dead] == FAILED
+        assert all(s == "healthy" for b, s in states.items() if b != dead)
+        platform.recover_box(dead)
+        assert platform.health_report()[dead].state == "healthy"
+
+    def test_failed_outranks_suspect(self):
+        platform = make_platform(OverloadConfig(heartbeat_staleness=1.0))
+        dead = box_ids(platform)[0]
+        platform.fail_box(dead)
+        platform.advance_clock(5.0)  # every heartbeat now stale
+        assert platform.health_report()[dead].state == FAILED
+
+    def test_no_strategy_targets_the_dead_box(self):
+        platform = self.make()
+        boxes = box_ids(platform)
+        dead = boxes[0]
+        platform.fail_box(dead)
+        # Everything cold, the dead box hot: each strategy has a reason
+        # to act on it if it believed the box alive.
+        util = {b: 0.0 for b in boxes}
+        util[dead] = 3.0
+        report = Auditor(health=platform.health_report,
+                         utilization=lambda: util,
+                         drained=platform.drained_boxes).audit(1.0)
+        assert report.box(dead).state == FAILED
+        config = StrategyConfig(hot_utilization=2.0, cold_utilization=0.5,
+                                max_actions=len(boxes))
+        assert _headroom(report, config) == len(boxes) - 1 - 1
+        for name in sorted(STRATEGIES):
+            plan = get_strategy(name)(report, config)
+            assert dead not in {a.target for a in plan.actions}, name
+
+    def test_consolidation_tick_drains_a_live_box(self):
+        platform = self.make()
+        dead = box_ids(platform)[0]
+        platform.fail_box(dead)
+        loop = OptimizerLoop(
+            Auditor(health=platform.health_report,
+                    drained=platform.drained_boxes),
+            "consolidate_underused", PlanApplier(platform),
+            config=StrategyConfig(max_actions=1))
+        tick = loop.tick(1.0)
+        drained = [a.target for a in tick.plan.of_kind(DRAIN)]
+        assert len(drained) == 1 and dead not in drained
+        assert platform.drained_boxes() == set(drained)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for agg-box overload control: policies, health, shedding."""
+"""Unit tests for agg-box overload control: policy, health, partial flushes."""
 
 import pytest
 
@@ -6,15 +6,10 @@ from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import SumFunction
 from repro.aggbox.overload import (
     FAILED,
-    FLUSH,
     HEALTHY,
     PRESSURED,
-    REJECT_NEW,
     SHEDDING,
-    SPILL,
     BoxHealth,
-    BoxOverloadError,
-    BoxSpillError,
     HealthTransition,
     OverloadPolicy,
     assert_legal_transitions,
@@ -36,7 +31,6 @@ class TestOverloadPolicy:
     def test_defaults(self):
         policy = OverloadPolicy()
         assert policy.max_pending == 64
-        assert policy.shed == REJECT_NEW
         assert policy.high_pending == 48
         assert policy.low_pending == 16
 
@@ -47,8 +41,6 @@ class TestOverloadPolicy:
             OverloadPolicy(low_watermark=0.8, high_watermark=0.5)
         with pytest.raises(ValueError):
             OverloadPolicy(low_watermark=0.0)
-        with pytest.raises(ValueError):
-            OverloadPolicy(shed="drop-everything")
 
     def test_watermarks_never_collapse_to_zero(self):
         policy = OverloadPolicy(max_pending=1, low_watermark=0.1,
@@ -112,27 +104,13 @@ class TestBoxHealth:
             assert_legal_transitions(trace)
 
 
-class TestRejectNew:
-    def test_new_request_refused_when_full(self):
-        box = make_box(OverloadPolicy(max_pending=2, shed=REJECT_NEW))
-        box.announce("sum", "r1", 3)
-        box.submit_partial("sum", "r1", "w0", 1.0)
-        box.submit_partial("sum", "r1", "w1", 2.0)
-        with pytest.raises(BoxOverloadError) as err:
-            box.submit_partial("sum", "r2", "w0", 4.0)
-        assert err.value.box_id == "box:test"
-        assert err.value.request_id == "r2"
-        assert err.value.policy == REJECT_NEW
-        assert box.sheds == 1
-        # The in-progress request is untouched.
-        assert box.pending_count("sum") == 2
-
+class TestFlush:
     def test_in_progress_request_flushes_instead(self):
-        box = make_box(OverloadPolicy(max_pending=2, shed=REJECT_NEW))
+        box = make_box(OverloadPolicy(max_pending=2))
         box.announce("sum", "r1", 4)
         box.submit_partial("sum", "r1", "w0", 1.0)
         box.submit_partial("sum", "r1", "w1", 2.0)
-        # r1 already holds partials, so its overflow must not be lost:
+        # The overflowing request's own partials must not be lost:
         # pressure is relieved by a partial flush, then the submit lands.
         assert box.submit_partial("sum", "r1", "w2", 4.0) is None
         deltas = box.drain_shed()
@@ -143,25 +121,8 @@ class TestRejectNew:
         assert emitted is not None
         assert emitted.value + deltas[0].value == 15.0
 
-
-class TestSpill:
-    def test_overflow_spills(self):
-        box = make_box(OverloadPolicy(max_pending=2, shed=SPILL))
-        box.announce("sum", "r1", 3)
-        box.submit_partial("sum", "r1", "w0", 1.0)
-        box.submit_partial("sum", "r1", "w1", 2.0)
-        with pytest.raises(BoxSpillError):
-            box.submit_partial("sum", "r1", "w2", 4.0)
-        assert box.sheds == 1
-        # The spilled sender re-targets upstream; the box completes once
-        # its expected count is adjusted down.
-        emitted = box.adjust_expected("sum", "r1", -1)
-        assert emitted is not None and emitted.value == 3.0
-
-
-class TestFlush:
     def test_overflow_partially_flushes_most_loaded(self):
-        box = make_box(OverloadPolicy(max_pending=3, shed=FLUSH))
+        box = make_box(OverloadPolicy(max_pending=3))
         box.announce("sum", "r1", 4)
         box.announce("sum", "r2", 2)
         box.submit_partial("sum", "r1", "w0", 1.0)
@@ -180,7 +141,7 @@ class TestFlush:
         assert deltas[0].value + emitted.value == 15.0
 
     def test_flushed_sources_are_duplicate_suppressed(self):
-        box = make_box(OverloadPolicy(max_pending=2, shed=FLUSH))
+        box = make_box(OverloadPolicy(max_pending=2))
         box.announce("sum", "r1", 4)
         box.submit_partial("sum", "r1", "w0", 1.0)
         box.submit_partial("sum", "r1", "w1", 2.0)
@@ -195,13 +156,13 @@ class TestFlush:
         assert emitted.value == 4.0
 
     def test_relieve_on_empty_app_returns_none(self):
-        box = make_box(OverloadPolicy(max_pending=2, shed=FLUSH))
+        box = make_box(OverloadPolicy(max_pending=2))
         assert box.relieve("sum") is None
 
 
 class TestHeartbeat:
     def test_reports_queue_and_counters(self):
-        box = make_box(OverloadPolicy(max_pending=2, shed=FLUSH))
+        box = make_box(OverloadPolicy(max_pending=2))
         box.clock = 1.5
         box.announce("sum", "r1", 4)
         box.submit_partial("sum", "r1", "w0", 1.0)

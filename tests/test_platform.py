@@ -8,7 +8,7 @@ from repro.aggbox.functions import (
     SumFunction,
     TopKFunction,
 )
-from repro.aggbox.overload import FLUSH, HEALTHY, OverloadPolicy
+from repro.aggbox.overload import HEALTHY, OverloadPolicy
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
 from repro.core import BreakerPolicy, NetAggPlatform, OverloadConfig
@@ -336,7 +336,7 @@ class TestRequestsLeaveNothingBehind:
         """Bounded queues used to flush a dead request's partials into
         whichever request came next."""
         platform = self.gradient_platform(OverloadConfig(
-            queue=OverloadPolicy(max_pending=8, shed=FLUSH),
+            queue=OverloadPolicy(max_pending=8),
             avoid_pressured=False))
         for i in range(6):
             self.ragged_round(platform, f"bad-{i}")
