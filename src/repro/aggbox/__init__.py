@@ -13,18 +13,12 @@ over a thread pool with weighted-fair sharing between applications.
   fixed and adaptive weighted fair queuing (Figs. 25/26);
 - :mod:`repro.aggbox.box` -- the box runtime: application registration,
   per-request partial-result collection, streaming deserialisation;
-- :mod:`repro.aggbox.overload` -- overload control: bounded pending
-  queues with watermarks, the box health state machine, shedding by
-  partial flush.
+- :mod:`repro.aggbox.overload` -- the states of the platform's box
+  health feed (healthy, failed, suspect, gray) and its heartbeat record.
 """
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding, RequestState
-from repro.aggbox.overload import (
-    BoxHealth,
-    BoxHeartbeat,
-    HealthTransition,
-    OverloadPolicy,
-)
+from repro.aggbox.overload import BoxHeartbeat
 from repro.aggbox.isolation import (
     AggregationFault,
     AppQuarantined,
@@ -72,10 +66,7 @@ __all__ = [
     "AggBoxRuntime",
     "AppBinding",
     "RequestState",
-    "BoxHealth",
     "BoxHeartbeat",
-    "HealthTransition",
-    "OverloadPolicy",
     "GuardedFunction",
     "IsolationMonitor",
     "IsolationPolicy",

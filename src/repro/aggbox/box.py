@@ -19,13 +19,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.aggbox.functions import AggregationFunction
 from repro.aggbox.localtree import tree_aggregate
-from repro.aggbox.overload import (
-    HEALTHY,
-    BoxHealth,
-    BoxHeartbeat,
-    HealthTransition,
-    OverloadPolicy,
-)
 from repro.obs import METRICS, get_tracer
 from repro.wire.framing import ChunkReassembler
 
@@ -95,17 +88,15 @@ class ParkedPartial:
 class AggBoxRuntime:
     """Hosts aggregation functions and merges partial results.
 
-    Constructed with an :class:`repro.aggbox.overload.OverloadPolicy`,
-    the runtime bounds its per-app pending queues and runs the
-    :class:`repro.aggbox.overload.BoxHealth` state machine over them;
-    without one (the default) queues are unbounded and the box always
-    reports ``healthy``.  ``clock`` is the virtual time stamped onto
-    health transitions and heartbeats -- the hosting platform advances
-    it alongside its own clock.
+    A box holds a request's partials from its announcement until it
+    emits, and forgets the request on :meth:`release`; nothing bounds
+    or sheds what it buffers, because nothing outlives the request.
+    ``clock`` is the virtual time stamped onto trace records -- the
+    hosting platform advances it alongside its own clock, and the
+    health feed reads a box whose clock lags as ``suspect``.
     """
 
-    def __init__(self, box_id: str,
-                 policy: Optional[OverloadPolicy] = None) -> None:
+    def __init__(self, box_id: str) -> None:
         self.box_id = box_id
         self.clock = 0.0
         #: Platform-level request id behind the partials currently being
@@ -119,72 +110,14 @@ class AggBoxRuntime:
         self._requests: Dict[tuple, RequestState] = {}
         #: Partially received frames only: an entry leaves once drained.
         self._reassemblers: Dict[tuple, ChunkReassembler] = {}
-        self._policy = policy
-        self._health = BoxHealth(policy, owner=box_id) \
-            if policy is not None else None
         # Registry metrics survive METRICS.reset() (values zero in
-        # place), so caching the objects here is safe and keeps the
-        # per-partial path to one method call per metric.
+        # place), so caching the object here is safe and keeps the
+        # per-partial path to one method call.
         self._m_partials = METRICS.counter("aggbox.partials")
-        self._m_queue = METRICS.histogram("aggbox.queue_depth")
-        self._m_flushes = METRICS.counter("aggbox.flushes")
-        #: Buffered (not yet folded) partials per app.
-        self._pending: Dict[str, int] = {}
-        #: Delta aggregates emitted by pressure-relief partial flushes;
-        #: the host drains these and forwards them upstream.
-        self._shed_outbox: List[AggregateReady] = []
-        self.flushes = 0   #: cumulative pressure-relief partial flushes
 
-    # -- overload control -----------------------------------------------------
-
-    @property
-    def policy(self) -> Optional[OverloadPolicy]:
-        return self._policy
-
-    @property
-    def health(self) -> str:
-        """Current health state (always ``healthy`` when unbounded)."""
-        return self._health.state if self._health is not None else HEALTHY
-
-    @property
-    def health_transitions(self) -> List[HealthTransition]:
-        return list(self._health.transitions) if self._health else []
-
-    def pending_count(self, app: Optional[str] = None) -> int:
-        """Buffered partials for ``app`` (or across all apps)."""
-        if app is not None:
-            return self._pending.get(app, 0)
-        return sum(self._pending.values())
-
-    def heartbeat(self, at: Optional[float] = None) -> BoxHeartbeat:
-        """The health report this box exports to the platform."""
-        return BoxHeartbeat(
-            box_id=self.box_id,
-            at=self.clock if at is None else at,
-            state=self.health,
-            pending=self.pending_count(),
-            max_pending=self._policy.max_pending if self._policy else 0,
-            flushes=self.flushes,
-        )
-
-    def mark_failed(self) -> None:
-        """Drive the health machine into ``failed`` (box crash)."""
-        if self._health is not None:
-            self._health.fail(self.clock)
-
-    def mark_recovered(self) -> None:
-        if self._health is not None:
-            self._health.recover(self.clock)
-
-    def drain_shed(self) -> List[AggregateReady]:
-        """Delta aggregates produced by partial flushes since last drain.
-
-        The host must forward each upstream (with a fresh source tag --
-        deltas are *additional* inputs to the parent, not replacements).
-        """
-        out = self._shed_outbox
-        self._shed_outbox = []
-        return out
+    def pending_count(self) -> int:
+        """Partials buffered across all requests, not yet folded."""
+        return sum(len(state.partials) for state in self._requests.values())
 
     # -- application management ---------------------------------------------
 
@@ -252,33 +185,20 @@ class AggBoxRuntime:
         Returns the aggregate when this partial completes the request.
         Re-submissions from already-processed sources are dropped (the
         failure-recovery protocol resends only unprocessed results).
-
-        With an :class:`OverloadPolicy`, a submit that would push the
-        app's pending queue past its bound first frees space by
-        partially flushing the most-loaded request into
-        :meth:`drain_shed`; the partial itself is always accepted.
         """
         self._binding(app)
         state = self._state(app, request_id)
         if source in state.processed_sources or source in state.sources:
             return None
-        if self._policy is not None and \
-                self._pending.get(app, 0) >= self._policy.max_pending:
-            # A full queue holds at least one partial, so relieve always
-            # has a request to flush.
-            self._shed_outbox.append(self.relieve(app))
         state.partials.append(value)
         state.sources.append(source)
-        self._pending[app] = self._pending.get(app, 0) + 1
         self._m_partials.inc()
-        self._m_queue.observe(self._pending[app])
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant("box.partial", self.clock, layer="aggbox",
                            box=self.box_id, app=app, request=request_id,
                            origin=self.trace_origin, source=source,
-                           pending=self._pending[app])
-        self._observe(app)
+                           pending=len(state.partials))
         return self._maybe_emit(state)
 
     def submit_chunk(self, app: str, request_id: str, source: str,
@@ -345,12 +265,9 @@ class AggBoxRuntime:
     def release(self, app: str, request_id: str) -> int:
         """Forget ``request_id``: the request is over, however it ended.
 
-        Drops its collection state, its half-received frames and any
-        of its flush deltas still waiting for :meth:`drain_shed`.
-        Partials still buffered (the request died mid-tree) come off
-        the app's pending queue and health is re-observed, so no box
-        stays ``pressured`` on the strength of a dead request.  Returns
-        how many such partials were discarded: 0 for a request that
+        Drops its collection state and its half-received frames.
+        Returns how many partials were still buffered (the request died
+        mid-tree) and are discarded with it: 0 for a request that
         completed, and for one this box never saw.
 
         The platform calls this for every box of a request's trees when
@@ -361,13 +278,7 @@ class AggBoxRuntime:
         state = self._requests.pop(key, None)
         for stream in [s for s in self._reassemblers if s[:2] == key]:
             del self._reassemblers[stream]
-        self._shed_outbox = [delta for delta in self._shed_outbox
-                             if (delta.app, delta.request_id) != key]
-        if state is None or not state.partials:
-            return 0
-        self._pending[app] -= len(state.partials)
-        self._observe(app)
-        return len(state.partials)
+        return len(state.partials) if state is not None else 0
 
     def park_pending(self, app: str, request_id: str) -> List[ParkedPartial]:
         """Remove one request's buffered partials, *without* folding them.
@@ -377,7 +288,7 @@ class AggBoxRuntime:
         this: the returned partials are no longer this box's
         responsibility and will be replayed -- into the destination on
         cutover, or back into this box on rollback.  Unlike
-        :meth:`relieve`, parked sources are **not** moved to the
+        :meth:`flush`, parked sources are **not** moved to the
         duplicate-suppression set and the expected count is untouched,
         so a replay under the original source tags is accepted exactly
         once wherever it lands.
@@ -390,10 +301,8 @@ class AggBoxRuntime:
                           value=value)
             for source, value in zip(state.sources, state.partials)
         ]
-        self._pending[app] -= len(state.partials)
         state.partials = []
         state.sources = []
-        self._observe(app)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant("box.park", self.clock, layer="aggbox",
@@ -401,52 +310,7 @@ class AggBoxRuntime:
                            parked=len(parked))
         return parked
 
-    def relieve(self, app: str) -> Optional[AggregateReady]:
-        """Force one pressure-relief partial flush for ``app``.
-
-        The most-loaded pending request merges its buffered partials
-        into a *delta* aggregate (returned for upstream forwarding) and
-        its expected count drops by the partials folded, so the final
-        emission still fires when the remainder arrives.  Exactness is
-        preserved: folded sources move to the duplicate-suppression set.
-        Returns None when nothing is buffered.
-        """
-        state = self._most_loaded(app)
-        if state is None:
-            return None
-        return self._partial_flush(state)
-
     # -- internals -----------------------------------------------------------
-
-    def _most_loaded(self, app: str) -> Optional[RequestState]:
-        """The app's pending request holding the most partials."""
-        best: Optional[RequestState] = None
-        for (state_app, _rid), state in sorted(self._requests.items()):
-            if state_app != app or not state.partials:
-                continue
-            if best is None or len(state.partials) > len(best.partials):
-                best = state
-        return best
-
-    def _partial_flush(self, state: RequestState) -> AggregateReady:
-        """Emit buffered partials as a delta, freeing queue space.
-
-        Unlike :meth:`flush` this also reduces the expected count by the
-        partials folded, so the request still auto-completes (and the
-        ``emitted`` flag is untouched -- the request stays pending).
-        """
-        flushed = len(state.partials)
-        delta = self._fold(state, "box.flush")
-        if state.expected is not None:
-            state.expected = max(0, state.expected - flushed)
-        self.flushes += 1
-        self._m_flushes.inc()
-        return delta
-
-    def _observe(self, app: str) -> None:
-        if self._health is not None:
-            worst = max(self._pending.values(), default=0)
-            self._health.observe(worst, at=self.clock)
 
     def _binding(self, app: str) -> AppBinding:
         binding = self._apps.get(app)
@@ -468,21 +332,15 @@ class AggBoxRuntime:
         return self._emit(state)
 
     def _emit(self, state: RequestState) -> AggregateReady:
-        ready = self._fold(state, "box.emit")
-        state.emitted = True
-        return ready
-
-    def _fold(self, state: RequestState, span: str) -> AggregateReady:
         """Merge ``state``'s buffered partials into one aggregate.
 
         Merge first, then mutate: a function or codec that raises (a
-        request dying inside a merge) leaves the state as it was, and
-        the caller's own bookkeeping runs only once this has returned.
+        request dying inside a merge) leaves the state as it was.
         """
         binding = self._binding(state.app)
         tracer = get_tracer()
         span_id = tracer.begin(
-            span, self.clock, layer="aggbox", box=self.box_id,
+            "box.emit", self.clock, layer="aggbox", box=self.box_id,
             app=state.app, request=state.request_id,
             origin=self.trace_origin, partials=len(state.partials),
         ) if tracer.enabled else 0
@@ -492,12 +350,10 @@ class AggBoxRuntime:
         finally:
             if span_id:
                 tracer.end(span_id, self.clock)
-        self._pending[state.app] = \
-            self._pending.get(state.app, 0) - len(state.partials)
         state.processed_sources.extend(state.sources)
         state.partials = []
         state.sources = []
-        self._observe(state.app)
+        state.emitted = True
         return AggregateReady(
             app=state.app,
             request_id=state.request_id,

@@ -18,7 +18,8 @@
 - :mod:`repro.core.admission` -- admission control at the master shim
   (per-tenant token buckets, rate-limit NACKs);
 - :mod:`repro.core.overload` -- the platform's overload-control
-  configuration tying queues, breakers and admission together;
+  configuration tying breakers, admission and heartbeat staleness
+  together;
 - :mod:`repro.core.partition` -- partition tolerance: gray-failure
   detection (seeded-EWMA latency outliers), hedged deliveries, and
   partial-aggregate completeness records;
@@ -35,7 +36,6 @@ from repro.core.admission import (
 )
 from repro.core.breaker import (
     BreakerBoard,
-    BreakerPolicy,
     BreakerTransition,
     CircuitBreaker,
 )
@@ -106,7 +106,6 @@ __all__ = [
     "get_strategy",
     "CircuitBreaker",
     "BreakerBoard",
-    "BreakerPolicy",
     "BreakerTransition",
     "AdmissionController",
     "AdmissionNack",

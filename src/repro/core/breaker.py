@@ -1,16 +1,20 @@
 """Per-target circuit breakers for the shim send path.
 
 A flapping agg box makes every shim burn its full retry budget
-(``max_attempts * timeout`` plus backoffs) on every send.  A circuit
+(``MAX_ATTEMPTS * TIMEOUT`` plus backoffs) on every send.  A circuit
 breaker remembers recent failures per target and fails fast instead:
 
 - ``closed``: sends flow normally; consecutive connect failures are
-  counted, and ``failure_threshold`` of them trip the breaker ``open``;
+  counted, and :data:`FAILURE_THRESHOLD` of them trip the breaker
+  ``open``;
 - ``open``: sends are refused immediately (zero clock burnt) until
-  ``reset_timeout`` virtual seconds have passed since tripping;
+  :data:`RESET_TIMEOUT` virtual seconds have passed since tripping;
 - ``half-open``: after the reset timeout, exactly one probe attempt is
   allowed through; success closes the breaker, failure re-opens it and
   restarts the timeout.
+
+Every breaker of every platform runs on these two constants: the
+service turns breakers on and nothing tunes them.
 
 All timing runs on the platform's deterministic virtual clock, so a
 given workload + fault schedule produces bit-identical breaker traces.
@@ -21,6 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+#: Consecutive connect failures that trip a closed breaker open: one
+#: full probe of a dead box (three attempts) is enough evidence.
+FAILURE_THRESHOLD = 3
+
+#: Virtual seconds an open breaker refuses sends before it lets one
+#: half-open probe through; every deployment ran this default, and
+#: ``recover_box`` skips the wait when a target is known to be back.
+RESET_TIMEOUT = 0.5
 
 CLOSED = "closed"
 OPEN = "open"
@@ -37,31 +50,6 @@ BREAKER_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
-class BreakerPolicy:
-    """Trip/reset configuration shared by all of a platform's breakers.
-
-    Attributes:
-        failure_threshold: consecutive connect failures that trip a
-            closed breaker open.
-        reset_timeout: virtual seconds an open breaker refuses sends
-            before allowing a half-open probe.
-        success_threshold: successful half-open probes needed to close.
-    """
-
-    failure_threshold: int = 3
-    reset_timeout: float = 0.5
-    success_threshold: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.reset_timeout <= 0:
-            raise ValueError("reset_timeout must be positive")
-        if self.success_threshold < 1:
-            raise ValueError("success_threshold must be >= 1")
-
-
-@dataclass(frozen=True)
 class BreakerTransition:
     """One recorded state change of one breaker."""
 
@@ -75,12 +63,10 @@ class BreakerTransition:
 class CircuitBreaker:
     """The breaker guarding one send target (an agg box)."""
 
-    def __init__(self, target: str, policy: BreakerPolicy) -> None:
+    def __init__(self, target: str) -> None:
         self.target = target
-        self._policy = policy
         self._state = CLOSED
         self._failures = 0
-        self._successes = 0
         self._opened_at: Optional[float] = None
         self.transitions: List[BreakerTransition] = []
 
@@ -108,19 +94,16 @@ class CircuitBreaker:
         degrades down its ladder without burning retry clock).
         """
         if self._state == OPEN:
-            if now >= self._opened_at + self._policy.reset_timeout:
+            if now >= self._opened_at + RESET_TIMEOUT:
                 self._move(HALF_OPEN, now, "reset-timeout")
-                self._successes = 0
                 return True
             return False
         return True
 
     def record_success(self, now: float) -> None:
-        """A connect to the target succeeded."""
+        """A connect to the target succeeded: a half-open probe closes."""
         if self._state == HALF_OPEN:
-            self._successes += 1
-            if self._successes >= self._policy.success_threshold:
-                self._move(CLOSED, now, "probe-success")
+            self._move(CLOSED, now, "probe-success")
         self._failures = 0
 
     def force_probe(self, now: float, reason: str = "recovery") -> None:
@@ -128,7 +111,7 @@ class CircuitBreaker:
 
         Called when an out-of-band signal says the target is back (e.g.
         :meth:`repro.core.platform.NetAggPlatform.recover_box`): instead
-        of refusing sends for the rest of ``reset_timeout``, the very
+        of refusing sends for the rest of :data:`RESET_TIMEOUT`, the very
         next send probes the target.  A closed or already half-open
         breaker is left untouched; failure of the probe re-opens the
         breaker as usual, so a false recovery signal costs one attempt.
@@ -136,7 +119,6 @@ class CircuitBreaker:
         if self._state != OPEN:
             return
         self._move(HALF_OPEN, now, reason)
-        self._successes = 0
 
     def record_failure(self, now: float) -> None:
         """A connect attempt to the target timed out."""
@@ -146,7 +128,7 @@ class CircuitBreaker:
             return
         if self._state == CLOSED:
             self._failures += 1
-            if self._failures >= self._policy.failure_threshold:
+            if self._failures >= FAILURE_THRESHOLD:
                 self._move(OPEN, now,
                            f"{self._failures} consecutive failures")
                 self._opened_at = now
@@ -155,14 +137,13 @@ class CircuitBreaker:
 class BreakerBoard:
     """All of a platform's per-target breakers, created on first use."""
 
-    def __init__(self, policy: BreakerPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def breaker(self, target: str) -> CircuitBreaker:
         breaker = self._breakers.get(target)
         if breaker is None:
-            breaker = CircuitBreaker(target, self.policy)
+            breaker = CircuitBreaker(target)
             self._breakers[target] = breaker
         return breaker
 

@@ -6,13 +6,12 @@ feeds (PR 4/5) into closed-loop self-healing, in the spirit of
 utilization-aware placement of scarce aggregation resources (SOAR,
 arXiv 2110.14224):
 
-- :mod:`~repro.core.optimizer.audit` -- snapshot heartbeats, queue
-  depths, utilization and shim-retry deltas into a frozen
+- :mod:`~repro.core.optimizer.audit` -- snapshot heartbeats,
+  utilization and shim-retry deltas into a frozen
   :class:`AuditReport`;
 - :mod:`~repro.core.optimizer.strategies` -- pluggable, deterministic
   policies (``stabilize_p99``, ``consolidate_underused``,
-  ``rebalance_hot_edges``) emitting typed :class:`Action` batches with
-  dry-run cost estimates;
+  ``rebalance_hot_edges``) emitting typed :class:`Action` batches;
 - :mod:`~repro.core.optimizer.apply` -- the two-phase
   drain-then-cutover executor (rollback on cutover-guard failure, §3.1
   rewiring for the tree changes);

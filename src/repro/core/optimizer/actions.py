@@ -2,11 +2,9 @@
 
 An :class:`Action` is one atomic operation on the platform -- migrate a
 box's subtree upstream, drain a box out of future trees, return a
-drained box to the planner, or do nothing -- plus a dry-run cost
-estimate, so strategies can be compared (and capped) before anything
-touches the data path.  An :class:`ActionPlan` is one strategy's output
-for one audit: an ordered, deterministic batch of actions stamped with
-the strategy name and virtual time.
+drained box to the planner, or do nothing.  An :class:`ActionPlan`
+is one strategy's output for one audit: an ordered, deterministic
+batch of actions stamped with the strategy name and virtual time.
 """
 
 from __future__ import annotations
@@ -32,24 +30,17 @@ class Action:
         reason: why the strategy chose it (audited metric + threshold),
             carried onto the ``optimizer.action`` trace instant so
             ``python -m repro analyze`` can attribute the decision.
-        cost: dry-run estimate of the work the action moves -- for
-            migrations/drains, the box's buffered partials at audit
-            time; zero for undrain/noop.  A unitless proxy used to
-            rank and cap actions, not a promise of bytes.
     """
 
     kind: str
     target: str = ""
     reason: str = ""
-    cost: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ACTION_KINDS:
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind != NOOP and not self.target:
             raise ValueError(f"{self.kind} action needs a target")
-        if self.cost < 0:
-            raise ValueError("cost must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,6 @@ class ActionPlan:
     @property
     def is_noop(self) -> bool:
         return all(a.kind == NOOP for a in self.actions)
-
-    @property
-    def cost(self) -> float:
-        return sum(a.cost for a in self.actions)
 
     def of_kind(self, kind: str) -> Tuple[Action, ...]:
         return tuple(a for a in self.actions if a.kind == kind)

@@ -145,7 +145,7 @@ class PlanApplier:
             return
         self._instant("optimizer.action", at, kind=action.kind,
                       target=action.target, reason=action.reason,
-                      strategy=plan.strategy, cost=action.cost)
+                      strategy=plan.strategy)
         self._m_actions.inc()
         if action.kind == DRAIN:
             if len(self._active_boxes(excluding=action.target)) \

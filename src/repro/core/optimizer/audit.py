@@ -4,7 +4,7 @@ An :class:`Auditor` is wired to *providers* -- callables returning the
 live feeds the control loop consumes -- and folds them into a frozen
 :class:`AuditReport` per tick:
 
-- ``health``: per-box heartbeats (queue depth, health state including
+- ``health``: per-box heartbeats (the health-feed state, including
   the platform-synthesised ``suspect`` for stale heartbeats), usually
   :meth:`repro.core.platform.NetAggPlatform.health_report`;
 - ``utilization``: per-box offered-load fraction of processing
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.aggbox.overload import FAILED, PRESSURED, SHEDDING, SUSPECT
+from repro.aggbox.overload import FAILED, SUSPECT
 from repro.obs import METRICS, get_tracer
 
 
@@ -40,15 +40,13 @@ class BoxAudit:
 
     box_id: str
     state: str            #: heartbeat state (may be ``suspect``)
-    pending: int          #: buffered partials across apps
     utilization: float    #: offered-load fraction of proc capacity
-    flushes: int          #: cumulative pressure-relief flushes
     drained: bool = False #: currently drained by the optimizer
 
     @property
     def distrusted(self) -> bool:
         """States the optimizer must not route new work towards."""
-        return self.state in (PRESSURED, SHEDDING, FAILED, SUSPECT)
+        return self.state in (FAILED, SUSPECT)
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,7 @@ class Auditor:
                 BoxAudit(
                     box_id=box_id,
                     state=beat.state,
-                    pending=beat.pending,
                     utilization=float(util.get(box_id, 0.0)),
-                    flushes=beat.flushes,
                     drained=box_id in drained,
                 )
                 for box_id, beat in sorted(heartbeats.items())

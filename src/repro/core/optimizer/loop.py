@@ -5,7 +5,7 @@ call.  Each tick is deterministic and synchronous: the auditor
 snapshots the live feeds, the selected strategy turns the report into
 an :class:`~repro.core.optimizer.actions.ActionPlan`, and the applier
 executes it through the drain-then-cutover protocol.  A ``dry_run``
-loop stops after planning -- useful for cost previews and for tests
+loop stops after planning -- useful for previews and for tests
 asserting strategy decisions without platform side effects.
 
 The loop never sleeps or schedules itself; the caller decides the

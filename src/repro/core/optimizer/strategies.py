@@ -11,8 +11,8 @@ Built-ins:
 
 ``stabilize_p99``
     Reactive tail defence: migrate work off boxes whose health is
-    ``suspect``/``pressured``/``shedding`` (the states behind retry
-    storms and queue-driven tail inflation), worst queue first.
+    ``suspect`` (silent boxes, the ones behind retry storms), in box-id
+    order.
 ``consolidate_underused``
     Cost control: drain boxes whose utilization sits below the cold
     threshold so their work folds into busier neighbours; un-drain
@@ -109,17 +109,16 @@ def _headroom(report: AuditReport, config: StrategyConfig) -> int:
 @strategy("stabilize_p99")
 def stabilize_p99(report: AuditReport,
                   config: StrategyConfig) -> ActionPlan:
-    """Migrate off distrusted boxes, worst queue first."""
+    """Migrate off distrusted boxes, in box-id order."""
     candidates = [
         a for a in report.boxes
         if a.distrusted and not a.drained and a.state != "failed"
     ]
-    candidates.sort(key=lambda a: (-a.pending, a.box_id))
+    candidates.sort(key=lambda a: a.box_id)
     budget = min(config.max_actions, _headroom(report, config))
     actions: List[Action] = [
         Action(kind=MIGRATE, target=a.box_id,
-               reason=f"state={a.state} pending={a.pending}",
-               cost=float(a.pending))
+               reason=f"state={a.state}")
         for a in candidates[:budget]
     ]
     if not actions:
@@ -135,15 +134,14 @@ def consolidate_underused(report: AuditReport,
     candidates = [
         a for a in report.boxes
         if not a.drained and a.state == "healthy"
-        and a.utilization < config.cold_utilization and a.pending == 0
+        and a.utilization < config.cold_utilization
     ]
     candidates.sort(key=lambda a: (a.utilization, a.box_id))
     budget = min(config.max_actions, _headroom(report, config))
     actions = [
         Action(kind=DRAIN, target=a.box_id,
                reason=f"util={a.utilization:.2f}"
-                      f"<{config.cold_utilization:g}",
-               cost=float(a.pending))
+                      f"<{config.cold_utilization:g}")
         for a in candidates[:budget]
     ]
     if not actions:
@@ -183,8 +181,7 @@ def rebalance_hot_edges(report: AuditReport,
     actions.extend(
         Action(kind=MIGRATE, target=a.box_id,
                reason=f"util={a.utilization:.2f}"
-                      f">={config.hot_utilization:g}",
-               cost=float(a.pending))
+                      f">={config.hot_utilization:g}")
         for a in hot[:budget]
     )
     if not actions:

@@ -1,29 +1,23 @@
 """The platform's overload-control configuration.
 
-One :class:`OverloadConfig` switches on the whole overload plane of a
+One :class:`OverloadConfig` switches on the overload plane of a
 :class:`repro.core.platform.NetAggPlatform`:
 
-- ``queue``: the per-box :class:`repro.aggbox.overload.OverloadPolicy`
-  (bounded pending queues + health state machine).  A full queue sheds
-  by partial flush, whose deltas the platform forwards upstream under
-  fresh source tags: a box that accepted a request's announcement
-  never refuses its partials (that would strand the parent's expected
-  count).  Refusal happens at *plan time* instead: pressured and
-  shedding boxes are NACKed out of new trees (see
-  ``avoid_pressured``).
 - ``breaker``: per-target circuit breakers wrapped around the retry
-  policy at connect time.
+  policy at connect time (see :mod:`repro.core.breaker`).
 - ``admission``: per-tenant token-bucket admission at the master
   shim; non-admitted requests terminate with a typed
   :class:`repro.core.admission.AdmissionNack`.
-- ``avoid_pressured``: re-plan new trees away from boxes whose health
-  feed reports ``pressured``/``shedding`` (or that sit inside a
-  scheduled ``BOX_SHED`` window), pushing senders down the degradation
-  ladder instead of into a saturated box.
 - ``heartbeat_staleness``: heartbeats older than this many virtual
   seconds are reported as ``suspect`` instead of last-known-healthy,
   so the optimizer never trusts a silent box (None disables the
   check -- heartbeats are then trusted forever).
+
+Boxes have no queue bound: a box holds one request's fan-in and
+forgets it when the request ends, so there is no box load to bound,
+report or shed.  New trees are planned around boxes in a scheduled
+``BOX_SHED`` window and, with partition tolerance on, around gray
+boxes.
 """
 
 from __future__ import annotations
@@ -31,23 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.aggbox.overload import OverloadPolicy
 from repro.core.admission import AdmissionPolicy
-from repro.core.breaker import BreakerPolicy
 
 
 @dataclass(frozen=True)
 class OverloadConfig:
     """Overload-control plane configuration for one platform."""
 
-    queue: Optional[OverloadPolicy] = None
-    breaker: Optional[BreakerPolicy] = None
+    breaker: bool = False
     admission: Optional[AdmissionPolicy] = None
     #: Per-tenant admission overrides (tenant id -> policy); tenants not
     #: listed fall back to ``admission``.  Ignored when ``admission`` is
     #: None.  Used by the serving layer for per-tenant SLO budgets.
     admission_per_tenant: Optional[Mapping[str, AdmissionPolicy]] = None
-    avoid_pressured: bool = True
     heartbeat_staleness: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -46,8 +46,8 @@ GRAY_ALPHA = 0.3
 #: A sample this many times the baseline flags the box gray.  Every
 #: gray window clears it (x8 and up in generated schedules, x400 in
 #: ``fig_partition``); a degraded or overloaded box slowed past x4 is
-#: flagged too, and new trees route around it as around pressured
-#: health.
+#: flagged too, and new trees route around it as around a shed
+#: window.
 GRAY_THRESHOLD = 4.0
 
 
@@ -55,10 +55,10 @@ class GrayDetector:
     """Seeded-EWMA latency-outlier detection over per-box service times.
 
     Every box's baseline starts at ``baseline`` -- the platform seeds it
-    with the retry policy's healthy ``send_latency`` -- so the seed is
-    the one trusted sample and the detector can flag from the very
-    first outlier.  ``observe`` folds healthy samples into the box's
-    baseline; a sample beyond :data:`GRAY_THRESHOLD` times the baseline
+    with the healthy :data:`repro.faults.retry.SEND_LATENCY` -- so the
+    seed is the one trusted sample and the detector can flag from the
+    very first outlier.  ``observe`` folds healthy samples into the
+    box's baseline; a sample beyond :data:`GRAY_THRESHOLD` times the baseline
     flags the box *without* poisoning the baseline (otherwise a long
     gray episode would normalise itself).  A subsequent healthy sample
     clears the flag -- post-heal traffic returns the box to service.

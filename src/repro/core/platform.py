@@ -22,8 +22,8 @@ Fault-aware execution is the only execution: the platform advances a
 deterministic virtual clock and probes each box before it plans.  Built
 without a fault oracle or retry policy it runs on the empty schedule
 and the default policy (see :class:`NetAggPlatform`), so its clock still
-moves by ``send_latency`` per probe and per delivery.  A box that is
-down burns ``timeout`` per attempt plus jittered backoff; a box that
+moves by ``SEND_LATENCY`` per probe and per delivery.  A box that is
+down burns ``TIMEOUT`` per attempt plus jittered backoff; a box that
 exhausts its attempts is rewired out of the request's tree *before*
 expected counts are announced, so partial-result accounting stays
 consistent.  Worker shims then walk the degradation ladder (entry box
@@ -35,7 +35,7 @@ fallback, bypass, degradation and churn wait is recorded as a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding
@@ -44,8 +44,6 @@ from repro.aggbox.overload import (
     FAILED as BOX_FAILED,
     GRAY,
     HEALTHY,
-    PRESSURED,
-    SHEDDING,
     SUSPECT,
     BoxHeartbeat,
 )
@@ -61,6 +59,7 @@ from repro.core.partition import (
 )
 from repro.core.shim import MasterShim, ShimEvent, WorkerShim
 from repro.core.tree import AggregationTree, TreeBuilder
+from repro.faults.retry import MAX_ATTEMPTS, SEND_LATENCY, TIMEOUT
 from repro.netsim.routing import stable_hash
 from repro.obs import METRICS, get_tracer
 from repro.topology.base import Topology
@@ -112,15 +111,15 @@ class NetAggPlatform:
     ``retry=None`` *is* ``RetryPolicy()`` and ``overload=None`` *is*
     ``OverloadConfig()``.  A platform built without an oracle therefore
     runs the one request path there is: every box is probed, none is
-    found down, and the virtual clock advances by ``send_latency`` per
-    probe and per delivery, exactly as with an empty schedule.
+    found down, and the virtual clock advances by
+    :data:`repro.faults.retry.SEND_LATENCY` per probe and per delivery,
+    exactly as with an empty schedule.
 
     ``overload`` configures the overload-control plane (see
-    :class:`repro.core.overload.OverloadConfig`): bounded box queues
-    with the health state machine, per-target circuit breakers at
-    connect time, admission control at the master shim, and tree
-    re-planning away from pressured boxes.  The default config bounds
-    nothing, has no breakers and admits everything.
+    :class:`repro.core.overload.OverloadConfig`): per-target circuit
+    breakers at connect time, admission control at the master shim,
+    and heartbeat staleness in the health feed.  The default config
+    has no breakers, admits everything and trusts every heartbeat.
 
     ``partition=True`` switches on the partition-tolerance plane (see
     :mod:`repro.core.partition`): workers the fault oracle reports as
@@ -128,8 +127,8 @@ class NetAggPlatform:
     request instead of failing it, and the outcome carries a
     :class:`repro.core.partition.Completeness` record; deliveries are
     hedged against :data:`repro.core.partition.HEDGE_DEADLINE`; and a
-    :class:`repro.core.partition.GrayDetector` seeded with the retry
-    policy's ``send_latency`` flags slow-but-alive boxes, which the
+    :class:`repro.core.partition.GrayDetector` seeded with
+    ``SEND_LATENCY`` flags slow-but-alive boxes, which the
     health feed reports as ``gray`` and the planner routes around.
     Without it, an isolated worker fails the whole request with
     :class:`SubtreeUnreachable` (the fail-stop baseline).
@@ -156,7 +155,7 @@ class NetAggPlatform:
         self._retry = retry
         self._overload = overload
         self._boxes: Dict[str, AggBoxRuntime] = {
-            info.box_id: AggBoxRuntime(info.box_id, policy=overload.queue)
+            info.box_id: AggBoxRuntime(info.box_id)
             for info in topo.all_boxes()
         }
         self._functions: Dict[str, AggregationFunction] = {}
@@ -165,9 +164,8 @@ class NetAggPlatform:
         self._drained: Set[str] = set()
         self._master_shims: Dict[str, MasterShim] = {}
         self._partition = partition
-        self._gray = GrayDetector(retry.send_latency) if partition else None
-        self._breakers = (BreakerBoard(overload.breaker)
-                          if overload.breaker is not None else None)
+        self._gray = GrayDetector(SEND_LATENCY) if partition else None
+        self._breakers = BreakerBoard() if overload.breaker else None
         self._admission = (
             AdmissionController(overload.admission,
                                 per_tenant=overload.admission_per_tenant)
@@ -240,7 +238,7 @@ class NetAggPlatform:
 
     @property
     def breakers(self) -> Optional[BreakerBoard]:
-        """The per-target circuit breakers (None without a breaker policy)."""
+        """The per-target circuit breakers (None with breakers off)."""
         return self._breakers
 
     @property
@@ -258,36 +256,37 @@ class NetAggPlatform:
     ) -> Dict[str, BoxHeartbeat]:
         """The health feed: one heartbeat per box, keyed by box id.
 
-        A box taken down with :meth:`fail_box` reports ``failed`` until
-        :meth:`recover_box`, whatever its runtime's own machine says.
+        A box itself is always ``healthy`` (it holds nothing between
+        requests); the feed reports the platform's verdicts about it,
+        worst news first.  A box taken down with :meth:`fail_box`
+        reports ``failed`` until :meth:`recover_box`.
 
         ``staleness`` (defaulting to the overload config's
         ``heartbeat_staleness``) bounds how long a heartbeat is trusted:
         a box whose runtime clock lags the platform clock by more than
         the threshold has not been heard from in that long, and its
-        report carries ``suspect`` instead of the last-known state.  A
-        box already reporting ``failed`` stays ``failed`` (worse news
-        wins).  ``None`` disables the check.
+        report carries ``suspect``.  ``None`` disables the check.
 
-        With ``partition`` on, a box whose own heartbeat says
-        ``healthy`` but that the latency-outlier detector has flagged
-        is reported as ``gray`` -- the heartbeat protocol's blind spot
-        made visible (gray failure: alive, probing fine, and slow).
+        With ``partition`` on, a box that the latency-outlier detector
+        has flagged is reported as ``gray`` -- the heartbeat protocol's
+        blind spot made visible (gray failure: alive, probing fine, and
+        slow).
         """
         if staleness is None:
             staleness = self._overload.heartbeat_staleness
         report: Dict[str, BoxHeartbeat] = {}
         for box_id, runtime in sorted(self._boxes.items()):
-            beat = runtime.heartbeat(at=self._clock)
             if box_id in self._failed:
-                beat = replace(beat, state=BOX_FAILED)
-            elif staleness is not None and beat.state != BOX_FAILED \
+                state = BOX_FAILED
+            elif staleness is not None \
                     and self._clock - runtime.clock > staleness:
-                beat = replace(beat, state=SUSPECT)
-            elif beat.state == HEALTHY and self._gray is not None \
-                    and self._gray.is_gray(box_id):
-                beat = replace(beat, state=GRAY)
-            report[box_id] = beat
+                state = SUSPECT
+            elif self._gray is not None and self._gray.is_gray(box_id):
+                state = GRAY
+            else:
+                state = HEALTHY
+            report[box_id] = BoxHeartbeat(box_id=box_id, at=self._clock,
+                                          state=state)
         return report
 
     def fail_box(self, box_id: str) -> None:
@@ -316,8 +315,8 @@ class NetAggPlatform:
     def drain_box(self, box_id: str) -> None:
         """Plan future trees around a live box (optimizer drain phase).
 
-        Unlike :meth:`fail_box` the box stays up and keeps reporting
-        its own health; it holds nothing between requests, so there is
+        Unlike :meth:`fail_box` the box stays up and keeps its place in
+        the health feed; it holds nothing between requests, so there is
         nothing to move off it.
         """
         if box_id not in self._boxes:
@@ -457,8 +456,7 @@ class NetAggPlatform:
     def _overload_nack_reason(self, box_id: str) -> Optional[str]:
         """Why a reachable box should be planned out of a new tree.
 
-        Scheduled ``BOX_SHED`` windows and the box's own health feed
-        (``pressured``/``shedding``) both refuse new work; the sender
+        A scheduled ``BOX_SHED`` window refuses new work; the sender
         walks its ladder instead of loading the box further.  With
         ``partition`` on, detector-flagged boxes are planned out the
         same way -- a gray box heartbeats fine, so only the latency
@@ -466,10 +464,6 @@ class NetAggPlatform:
         """
         if self._faults.shedding(box_id, self._clock):
             return "shed-window"
-        if self._overload.avoid_pressured:
-            state = self._boxes[box_id].health
-            if state in (PRESSURED, SHEDDING):
-                return f"health={state}"
         if self._gray is not None and self._gray.is_gray(box_id):
             # A gray flag must not outlive the episode: re-measure the
             # box with a hedged probe (one send's charge) instead of
@@ -494,7 +488,7 @@ class NetAggPlatform:
         send.
         """
         faults, clock = self._faults, self._clock
-        latency = self._retry.send_latency
+        latency = SEND_LATENCY
         factor = (faults.degradation(box_id, clock)
                   * faults.overload_factor(box_id, clock)
                   * faults.gray_factor(box_id, clock))
@@ -642,8 +636,8 @@ class _Request:
         Runs *before* expected counts are announced, so boxes never wait
         for partials that degraded elsewhere.  Every box of ``tree``
         leaves with a verdict in ``probes`` for the shims' ladder walks.
-        Reachable boxes that refuse new work (shed windows, pressured
-        health) are NACKed and planned out the same way -- the overload
+        Reachable boxes that refuse new work (shed windows, gray boxes)
+        are NACKed and planned out the same way -- the overload
         re-planning path.
         """
         effective = tree
@@ -651,7 +645,7 @@ class _Request:
             reachable = self._probe(box_id)
             if not reachable:
                 self.record("unreachable", self.request_id, box_id,
-                            attempt=self._p._retry.max_attempts)
+                            attempt=MAX_ATTEMPTS)
             else:
                 reason = self._p._overload_nack_reason(box_id)
                 if reason is not None:
@@ -685,7 +679,7 @@ class _Request:
         if breaker is not None and not breaker.allow(p._clock):
             self.record("breaker-open", source, box_id)
             return False
-        attempts = policy.max_attempts
+        attempts = MAX_ATTEMPTS
         if breaker is not None and breaker.state == HALF_OPEN:
             attempts = 1
         tracer = get_tracer()
@@ -710,11 +704,11 @@ class _Request:
                     or faults.isolated(box_id, self.master,
                                        p._clock) is not None
                 if not unreachable:
-                    p._clock += policy.send_latency
+                    p._clock += SEND_LATENCY
                     if breaker is not None:
                         breaker.record_success(p._clock)
                     return True
-                p._clock += policy.timeout
+                p._clock += TIMEOUT
                 self.record("retry", source, box_id, attempt=attempt)
                 if breaker is not None:
                     breaker.record_failure(p._clock)
@@ -739,20 +733,9 @@ class _Request:
             p._boxes[box_id].announce(app, tree_request,
                                       tree.fan_in(box_id, excluded))
 
-        # Emissions queued for upstream delivery.  Each entry is
-        # (box_id, aggregate, source_tag): the final emission of a box
-        # travels as ``box:<id>``; pressure-relief flush deltas travel
-        # under fresh ``box:<id>@d<k>`` tags because they are
-        # *additional* inputs to the parent beyond its announced count
-        # (expected is adjusted before delivery).
-        ready: List[Tuple[str, Any, str]] = []
-        delta_seq: Dict[str, int] = {}
-
-        def enqueue_shed(box_id: str) -> None:
-            for delta in p._boxes[box_id].drain_shed():
-                k = delta_seq.get(box_id, 0)
-                delta_seq[box_id] = k + 1
-                ready.append((box_id, delta, f"box:{box_id}@d{k}"))
+        # Emissions queued for upstream delivery, as (box_id, aggregate);
+        # each travels to its parent under the source tag ``box:<id>``.
+        ready: List[Tuple[str, Any]] = []
 
         # Workers emit; shims walk the ladder into the entry boxes.  The
         # shim sees the *planned* tree (it skips dead boxes up the
@@ -765,36 +748,28 @@ class _Request:
             landed, emitted, nbytes = WorkerShim(
                 host, index, [self.planned]).send(value, self)
             bytes_in += nbytes
-            if landed is not None:
-                enqueue_shed(landed)
             if emitted is not None:
-                ready.append((landed, emitted, f"box:{landed}"))
+                ready.append((landed, emitted))
 
         # Propagate aggregates up the tree until the roots emit.  A
         # rewired tree can have several roots (a crashed root's
-        # children); their outputs -- and any flush deltas from a root
-        # -- merge into the tree's single aggregate before delivery.
+        # children); their outputs merge into the tree's single
+        # aggregate before delivery.
         root_values: List[Any] = []
         while ready:
-            box_id, emitted, tag = ready.pop(0)
+            box_id, emitted = ready.pop(0)
             boxes_used.append(box_id)
             parent = tree.boxes[box_id].parent
             if parent is None:
                 root_values.append(emitted.value)
                 continue
-            if tag != f"box:{box_id}":
-                # A flush delta raises the parent's expected count
-                # *before* delivery, so the parent cannot emit early
-                # and miss the box's final result.
-                p._boxes[parent].adjust_expected(app, tree_request, +1)
             # The box serialised its aggregate when it emitted it;
             # those bytes travel on as they are.
-            parent_emitted, nbytes = self._feed(parent, tag,
+            parent_emitted, nbytes = self._feed(parent, f"box:{box_id}",
                                                 emitted.payload)
             bytes_in += nbytes
-            enqueue_shed(parent)
             if parent_emitted is not None:
-                ready.append((parent, parent_emitted, f"box:{parent}"))
+                ready.append((parent, parent_emitted))
 
         if root_values:
             value = (root_values[0] if len(root_values) == 1
@@ -897,8 +872,8 @@ class _Request:
         """
         p = self._p
         runtime = p._boxes[box_id]
-        # Keep the box's clock in step so health transitions and
-        # heartbeats are stamped with platform virtual time.
+        # Keep the box's clock in step so its trace records carry
+        # platform virtual time and the health feed sees it as fresh.
         runtime.clock = max(runtime.clock, p._clock)
         runtime.trace_origin = self.request_id
         payload = frame(serialised)

@@ -58,8 +58,8 @@ class ShimEvent:
                         (:attr:`repro.faults.RetryPolicy.deadline`) and
                         degraded early;
         ``nack``        a reachable box refused new work (shed window or
-                        pressured health) and was planned out of the
-                        request's tree;
+                        gray box) and was planned out of the request's
+                        tree;
         ``partition``   a worker was isolated from the master by an
                         active partition scope (``target`` names the
                         scope) and dropped from the request (partial

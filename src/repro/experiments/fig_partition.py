@@ -14,8 +14,8 @@ magnitude slow) for the whole run.  Two arms per severity:
   see it);
 - ``resil``: ``partition=True`` -- partial delivery, hedged sends and
   gray avoidance on.  Unreachable workers are dropped and answered as
-  206 with a completeness record (gated by the tenant's
-  ``min_completeness`` floor), and the gray box is raced against the
+  206 with a completeness record (gated by the service's
+  ``MIN_COMPLETENESS`` floor), and the gray box is raced against the
   hedge deadline, then planned out once the latency-outlier detector
   flags it.
 

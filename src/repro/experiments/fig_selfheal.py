@@ -241,12 +241,10 @@ class PlanDrainShim:
 class _PlanBeat:
     """Minimal heartbeat for the plan-time auditor (always healthy)."""
 
-    __slots__ = ("state", "pending", "flushes")
+    __slots__ = ("state",)
 
     def __init__(self) -> None:
         self.state = "healthy"
-        self.pending = 0
-        self.flushes = 0
 
 
 class SelfHealController:

@@ -7,16 +7,20 @@ random jitter to decorrelate retry storms; here the jitter is a hash of
 ``(key, attempt)`` so runs are bit-reproducible while different senders
 still spread out.
 
+The timing of a retry is a set of module constants (:data:`TIMEOUT`,
+:data:`MAX_ATTEMPTS`, the backoff curve, :data:`SEND_LATENCY`): every
+deployment ran the same values, so they are not options.
+
 Two jitter schemes are available:
 
 - the default multiplies each exponential backoff by a hash-derived
-  factor in ``[1 - jitter, 1]`` -- bounded, but senders that fail at
+  factor in ``[1 - JITTER, 1]`` -- bounded, but senders that fail at
   the same instant still share the exponential *envelope*, so their
   retries cluster around the same doubling points (visible as aliasing
   spikes in ``fig_failures``);
 - ``decorrelated=True`` switches to decorrelated jitter (the AWS
   architecture-blog scheme): each delay is drawn uniformly from
-  ``[base_backoff, 3 * previous_delay]``, capped at ``max_backoff``.
+  ``[BASE_BACKOFF, 3 * previous_delay]``, capped at ``MAX_BACKOFF``.
   Consecutive delays no longer share an envelope, so synchronized
   senders spread out after the first retry.  The draw is seeded from
   ``(key, attempt, seed)`` via :func:`repro.netsim.routing.stable_hash`,
@@ -33,64 +37,52 @@ from repro.netsim.routing import stable_hash
 #: Jitter granularity: hashes are reduced modulo this many buckets.
 _JITTER_BUCKETS = 10_000
 
+#: Seconds a failed connect attempt burns before the shim gives up on it.
+TIMEOUT = 0.05
+
+#: Connect attempts per target before the shim degrades down its ladder.
+MAX_ATTEMPTS = 3
+
+#: Sleep after the first failed attempt, and the growth factor of each
+#: further one (exponential backoff).
+BASE_BACKOFF = 0.01
+MULTIPLIER = 2.0
+
+#: Backoff ceiling: the "bounded" in bounded backoff.
+MAX_BACKOFF = 0.5
+
+#: Fraction of each backoff randomised away: sleeps land in
+#: ``[(1 - JITTER) * b, b]``, deterministically from the retry key.
+JITTER = 0.5
+
+#: Clock cost of one successful delivery hop; also the baseline the
+#: gray-failure detector is seeded with.
+SEND_LATENCY = 0.001
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
 
     Attributes:
-        timeout: seconds a failed connect attempt burns before the shim
-            gives up on it.
-        max_attempts: connect attempts per target before degrading to
-            the next rung of the ladder (>= 1).
-        base_backoff: sleep after the first failed attempt.
-        multiplier: backoff growth factor per further attempt.
-        max_backoff: backoff ceiling (the "bounded" in bounded backoff).
-        jitter: fraction of each backoff randomised away (0 = none,
-            0.5 = sleeps land in ``[0.5 * b, b]``), deterministically
-            from the retry key.
-        send_latency: clock cost of one successful delivery hop.
         deadline: optional total retry-time budget per send.  Once a
             send has burnt this much clock across attempts, the shim
-            degrades down the ladder immediately, even with
-            ``max_attempts`` remaining -- so a send can never exceed a
-            request SLO.  None (the default) keeps attempts unbounded
-            in time.
+            degrades down the ladder immediately, even with attempts
+            remaining -- so a send can never exceed a request SLO.
+            None (the default) keeps attempts unbounded in time.
         decorrelated: use decorrelated jitter instead of jittered
             exponential backoff (see the module docstring); delays stay
-            within ``[base_backoff, max_backoff]`` and are a pure
+            within ``[BASE_BACKOFF, MAX_BACKOFF]`` and are a pure
             function of ``(policy, key, attempt)``.
         seed: extra entropy folded into the deterministic jitter hash,
             so two deployments sharing retry keys still decorrelate.
     """
 
-    timeout: float = 0.05
-    max_attempts: int = 3
-    base_backoff: float = 0.01
-    multiplier: float = 2.0
-    max_backoff: float = 0.5
-    jitter: float = 0.5
-    send_latency: float = 0.001
     deadline: Optional[float] = None
     decorrelated: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_backoff <= 0 or self.max_backoff < self.base_backoff:
-            raise ValueError(
-                "need 0 < base_backoff <= max_backoff "
-                f"(got {self.base_backoff}, {self.max_backoff})"
-            )
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.send_latency < 0:
-            raise ValueError("send_latency must be >= 0")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
 
@@ -99,20 +91,17 @@ class RetryPolicy:
 
         Deterministic: the same ``(policy, attempt, key)`` always yields
         the same delay.  With the default scheme the delay is within
-        ``[(1 - jitter) * b, b]`` for the un-jittered bound ``b``;
-        with ``decorrelated=True`` it is within
-        ``[base_backoff, max_backoff]``.
+        ``[(1 - JITTER) * b, b]`` for the un-jittered bound ``b``
+        (:func:`raw_backoff`); with ``decorrelated=True`` it is within
+        ``[BASE_BACKOFF, MAX_BACKOFF]``.
         """
         if attempt < 1:
             raise ValueError("attempt numbers start at 1")
         if self.decorrelated:
             return self._decorrelated(attempt, key)
-        raw = min(self.base_backoff * self.multiplier ** (attempt - 1),
-                  self.max_backoff)
-        if self.jitter == 0.0:
-            return raw
         bucket = stable_hash(f"{key}#a{attempt}") % _JITTER_BUCKETS
-        return raw * (1.0 - self.jitter * bucket / _JITTER_BUCKETS)
+        return raw_backoff(attempt) * (
+            1.0 - JITTER * bucket / _JITTER_BUCKETS)
 
     def _decorrelated(self, attempt: int, key: str) -> float:
         """Decorrelated jitter, replayed from the first attempt.
@@ -124,28 +113,30 @@ class RetryPolicy:
         :meth:`backoff` stateless (the caller passes only the attempt
         number), at O(attempt) hash cost -- attempts are small.
         """
-        sleep = self.base_backoff
+        sleep = BASE_BACKOFF
         for step in range(1, attempt + 1):
             bucket = stable_hash(
                 f"{key}#d{step}#s{self.seed}") % _JITTER_BUCKETS
             frac = bucket / (_JITTER_BUCKETS - 1)
-            span = max(3.0 * sleep - self.base_backoff, 0.0)
-            sleep = min(self.base_backoff + frac * span, self.max_backoff)
+            span = max(3.0 * sleep - BASE_BACKOFF, 0.0)
+            sleep = min(BASE_BACKOFF + frac * span, MAX_BACKOFF)
         return sleep
 
     def delays(self, key: str = "") -> List[float]:
         """All backoff sleeps of one full retry sequence for ``key``."""
-        return [self.backoff(a, key) for a in range(1, self.max_attempts)]
+        return [self.backoff(a, key) for a in range(1, MAX_ATTEMPTS)]
 
     def worst_case_clock(self) -> float:
         """Upper bound on clock burnt before giving up on one target."""
-        raw = self.max_attempts * self.timeout + sum(
-            min(self.base_backoff * self.multiplier ** (a - 1),
-                self.max_backoff)
-            for a in range(1, self.max_attempts)
-        )
+        raw = MAX_ATTEMPTS * TIMEOUT + sum(
+            raw_backoff(a) for a in range(1, MAX_ATTEMPTS))
         if self.deadline is None:
             return raw
         # The deadline is checked before each attempt after the first,
         # so the worst case is one full attempt past the budget.
-        return min(raw, self.deadline + self.timeout)
+        return min(raw, self.deadline + TIMEOUT)
+
+
+def raw_backoff(attempt: int) -> float:
+    """The un-jittered exponential backoff after attempt ``attempt``."""
+    return min(BASE_BACKOFF * MULTIPLIER ** (attempt - 1), MAX_BACKOFF)

@@ -22,8 +22,7 @@ tag (probe spans and shim instants use per-tree ``<id>@t<k>`` and
 per-source ``<id>/<source>`` aliases; box spans carry the origin id
 directly).  Attribution inside the envelope:
 
-- ``box-compute``: ``box.emit``/``box.flush`` span time for the
-  request;
+- ``box-compute``: ``box.emit`` span time for the request;
 - ``shim-retry``: probe spans that contained a retry/deadline
   instant (the whole probe burned timeout+backoff clock), plus
   churn waits and degradation costs;
@@ -195,7 +194,7 @@ def platform_paths(trace: TraceData) -> List[RequestPath]:
         chain: List[Dict[str, object]] = []
         box_windows: List[SpanRec] = []
         for span in inside:
-            if span.name in ("box.emit", "box.flush") \
+            if span.name == "box.emit" \
                     and str(span.tags.get("origin", "")) == rid:
                 seconds[CAT_BOX] += span.duration
                 box_windows.append(span)

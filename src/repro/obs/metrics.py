@@ -3,14 +3,13 @@
 One process-wide :data:`METRICS` registry absorbs the ad-hoc telemetry
 that used to live in three places -- the flow simulator's module-wide
 work counters, the platform's shim-event tallies, and per-box
-health/queue stats -- behind a single flat :meth:`MetricsRegistry
-.snapshot`.  Namespacing is by dotted prefix:
+stats -- behind a single flat :meth:`MetricsRegistry.snapshot`.
+Namespacing is by dotted prefix:
 
 - ``netsim.*``   -- runs, flows, rate epochs, incremental-solver work;
 - ``platform.*`` -- shim lifecycle events (``platform.shim.retry``,
   ``platform.shim.nack``, ...);
-- ``aggbox.*``   -- partials folded, flushes, health
-  transitions, queue-depth distribution.
+- ``aggbox.*``   -- partials received, local-tree and scheduler tasks.
 
 Metric objects are stable: ``counter(name)`` get-or-creates, and
 ``reset()`` zeroes values *in place*, so hot paths may cache the

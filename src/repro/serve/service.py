@@ -11,8 +11,8 @@ into JSON-shaped responses with HTTP-style statuses:
 - ``206`` -- the aggregate is *partial*: workers behind a network
   partition were dropped (platform partial delivery) and the response
   carries a ``completeness`` record alongside the value.  A 206 is
-  only returned when the covered fraction clears the tenant's
-  ``min_completeness`` floor; below the floor the request is a ``503``
+  only returned when the covered fraction clears the
+  :data:`MIN_COMPLETENESS` floor; below the floor the request is a ``503``
   (``incomplete``) instead -- a too-small answer is no answer;
 - ``429`` -- the per-tenant admission gate refused the request
   (:class:`repro.core.admission.AdmissionNack`: rate-limit), before
@@ -54,15 +54,10 @@ from repro.apps.mlgrad import (
     encode_vector,
 )
 from repro.core.admission import AdmissionNack, AdmissionPolicy
-from repro.core.breaker import BreakerPolicy
 from repro.core.overload import OverloadConfig
 from repro.core.partition import SubtreeUnreachable
 from repro.core.platform import NetAggPlatform
-from repro.faults import (
-    FaultSchedule,
-    PlatformFaultInjector,
-    RetryPolicy,
-)
+from repro.faults import FaultSchedule, PlatformFaultInjector
 from repro.obs import METRICS, get_tracer, set_tracer
 from repro.obs.live import LiveTelemetry, SloObjective, render_prometheus
 from repro.serve.stats import (
@@ -87,6 +82,22 @@ from repro.workload.openloop import OP_MLGRAD, OP_QUERY, pick_endpoints
 APP_QUERY = "serve-solr"
 APP_MLGRAD = "serve-mlgrad"
 
+#: Top-k of query requests: every service answered top-10 queries.
+TOP_K = 10
+
+#: Smallest worker fraction a partial aggregate may cover and still be
+#: answered (206); below it every tenant gets a 503.
+MIN_COMPLETENESS = 0.5
+
+#: Good-event fraction each tenant's SLO objective requires.
+SLO_TARGET = 0.9
+
+#: Burn-rate windows (virtual seconds): fast 5x-budget catch, slow
+#: 1x-budget confirmation (Google SRE multi-window pattern).  The slow
+#: window is also the dashboard/exposition window.
+SLO_FAST_WINDOW = 1.0
+SLO_SLOW_WINDOW = 5.0
+
 
 @dataclass(frozen=True)
 class TenantPolicy:
@@ -95,9 +106,6 @@ class TenantPolicy:
     rate: float = 50.0    #: sustained admitted requests per virtual second
     burst: float = 10.0   #: token-bucket burst allowance
     slo: float = 0.25     #: latency SLO (virtual seconds)
-    #: Smallest worker fraction a partial aggregate may cover and still
-    #: be answered (206); below the floor the tenant gets a 503.
-    min_completeness: float = 0.5
 
     def admission(self) -> AdmissionPolicy:
         return AdmissionPolicy(rate=self.rate, burst=self.burst)
@@ -109,8 +117,8 @@ class ServeConfig:
 
     ``admission=False`` removes the per-tenant gate entirely (the
     ``fig_serve`` ablation arm); everything else stays identical.
-    Every box has a circuit breaker (the default
-    :class:`repro.core.breaker.BreakerPolicy`).
+    Every box has a circuit breaker (:mod:`repro.core.breaker`), and
+    the shim runs the default :class:`repro.faults.RetryPolicy`.
     """
 
     #: Topology preset the platform deploys over.
@@ -125,28 +133,21 @@ class ServeConfig:
     max_queue_wait: Optional[float] = 1.0
     #: Fault schedule replayed against the platform (box failures etc.).
     faults: Optional[FaultSchedule] = None
-    #: Shim retry policy override.
-    retry: Optional[RetryPolicy] = None
     #: Partition tolerance (partial delivery, hedging, gray avoidance)
     #: on/off; off is the fail-stop baseline, where a partitioned
     #: worker fails the whole request.
     partition: bool = False
-    #: Top-k of query requests.
-    k: int = 10
     #: Live telemetry plane (windowed series, SLO burn-rate alerting,
     #: anomaly-triggered flight recorder) on/off.
     telemetry: bool = True
-    #: Good-event fraction each tenant's SLO objective requires.
-    slo_target: float = 0.9
-    #: Burn-rate windows (virtual seconds): fast 5x-budget catch, slow
-    #: 1x-budget confirmation (Google SRE multi-window pattern).
-    slo_fast_window: float = 1.0
-    slo_slow_window: float = 5.0
-    #: Flight-recorder ring capacity (records per kind).
-    recorder_capacity: int = 2048
     #: Directory flight-recorder dumps are written to (None keeps them
     #: in memory only, on the recorder's bounded ``dumps`` ring).
     dump_dir: Optional[str] = None
+
+    @property
+    def k(self) -> int:
+        """Top-k of query requests (:data:`TOP_K`; not settable)."""
+        return TOP_K
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         return self.tenants.get(tenant, self.default_policy)
@@ -165,7 +166,7 @@ class AggregationService:
         self._box_ids = sorted(
             info.box_id for info in self._topo.all_boxes())
         overload = OverloadConfig(
-            breaker=BreakerPolicy(),
+            breaker=True,
             admission=(config.default_policy.admission()
                        if config.admission else None),
             admission_per_tenant={
@@ -177,12 +178,11 @@ class AggregationService:
             self._topo,
             faults=PlatformFaultInjector(config.faults or FaultSchedule(),
                                          topo=self._topo),
-            retry=config.retry,
             overload=overload,
             partition=config.partition,
         )
         self._platform.register_app(
-            APP_QUERY, TopKFunction(k=config.k),
+            APP_QUERY, TopKFunction(k=TOP_K),
             encode_search_results, decode_search_results)
         self._platform.register_app(
             APP_MLGRAD, VectorSumFunction(), encode_vector, decode_vector)
@@ -198,12 +198,11 @@ class AggregationService:
             self.telemetry = LiveTelemetry(
                 template=SloObjective(
                     key="",
-                    target=config.slo_target,
-                    fast_window=config.slo_fast_window,
-                    slow_window=config.slo_slow_window,
+                    target=SLO_TARGET,
+                    fast_window=SLO_FAST_WINDOW,
+                    slow_window=SLO_SLOW_WINDOW,
                 ),
-                recorder_capacity=config.recorder_capacity,
-                window=config.slo_slow_window,
+                window=SLO_SLOW_WINDOW,
                 dump_dir=config.dump_dir,
             )
 
@@ -297,7 +296,7 @@ class AggregationService:
         op = request.get("op")
         if op == OP_QUERY:
             partials = self._query_partials(request)
-            merged = TopKFunction(k=self.config.k).merge(
+            merged = TopKFunction(k=TOP_K).merge(
                 [results for _, results in partials])
             return _encode_results(merged)
         if op == OP_MLGRAD:
@@ -483,14 +482,12 @@ class AggregationService:
             response["hedges"] = hedges
         completeness = outcome.completeness
         if completeness is not None and not completeness.exact:
-            policy = self.config.policy_for(tenant)
-            if completeness.fraction < policy.min_completeness:
+            if completeness.fraction < MIN_COMPLETENESS:
                 return {**base, "status": STATUS_UNAVAILABLE,
                         "error": "incomplete",
                         "reason": (
                             f"completeness {completeness.fraction:.2f} "
-                            f"below tenant floor "
-                            f"{policy.min_completeness:g}"),
+                            f"below tenant floor {MIN_COMPLETENESS:g}"),
                         "completeness": completeness.to_dict()}
             response["status"] = STATUS_PARTIAL
             response["completeness"] = completeness.to_dict()

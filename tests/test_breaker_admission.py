@@ -6,14 +6,12 @@ import tracemalloc
 import pytest
 
 from repro.aggbox.functions import SumFunction
-from repro.aggbox.overload import OverloadPolicy
 from repro.aggregation import deploy_boxes
 from repro.core import (
     AdmissionController,
     AdmissionNack,
     AdmissionPolicy,
     BreakerBoard,
-    BreakerPolicy,
     CircuitBreaker,
     NetAggPlatform,
     OverloadConfig,
@@ -21,8 +19,10 @@ from repro.core import (
 )
 from repro.core.breaker import (
     CLOSED,
+    FAILURE_THRESHOLD,
     HALF_OPEN,
     OPEN,
+    RESET_TIMEOUT,
     BreakerTransition,
     assert_legal_breaker_transitions,
 )
@@ -36,6 +36,7 @@ from repro.faults import (
     PlatformFaultInjector,
     RetryPolicy,
 )
+from repro.faults.retry import MAX_ATTEMPTS, TIMEOUT
 from repro.topology import ThreeTierParams, three_tier
 from repro.wire.serializer import read_float, write_float
 
@@ -141,9 +142,17 @@ class TestAdmissionController:
 # CircuitBreaker
 
 
+def trip(breaker, at=0.0):
+    """Fail ``breaker`` open at ``at``."""
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure(at)
+    assert breaker.state == OPEN
+
+
 class TestCircuitBreaker:
     def test_trips_after_threshold(self):
-        breaker = CircuitBreaker("b", BreakerPolicy(failure_threshold=3))
+        assert FAILURE_THRESHOLD == 3
+        breaker = CircuitBreaker("b")
         breaker.record_failure(0.1)
         breaker.record_failure(0.2)
         assert breaker.state == CLOSED
@@ -152,16 +161,18 @@ class TestCircuitBreaker:
         assert not breaker.allow(0.4)
 
     def test_success_resets_failure_count(self):
-        breaker = CircuitBreaker("b", BreakerPolicy(failure_threshold=2))
+        breaker = CircuitBreaker("b")
         breaker.record_failure(0.1)
-        breaker.record_success(0.2)
-        breaker.record_failure(0.3)
+        breaker.record_failure(0.2)
+        breaker.record_success(0.3)
+        breaker.record_failure(0.4)
+        breaker.record_failure(0.5)
         assert breaker.state == CLOSED
 
     def test_half_open_probe_closes_on_success(self):
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=0.5)
-        breaker = CircuitBreaker("b", policy)
-        breaker.record_failure(0.0)
+        assert RESET_TIMEOUT == 0.5
+        breaker = CircuitBreaker("b")
+        trip(breaker)
         assert not breaker.allow(0.4)
         assert breaker.allow(0.5)              # reset timeout elapsed
         assert breaker.state == HALF_OPEN
@@ -169,9 +180,8 @@ class TestCircuitBreaker:
         assert breaker.state == CLOSED
 
     def test_half_open_probe_reopens_on_failure(self):
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=0.5)
-        breaker = CircuitBreaker("b", policy)
-        breaker.record_failure(0.0)
+        breaker = CircuitBreaker("b")
+        trip(breaker)
         assert breaker.allow(0.5)
         breaker.record_failure(0.6)
         assert breaker.state == OPEN
@@ -179,10 +189,9 @@ class TestCircuitBreaker:
         assert breaker.allow(1.1)
 
     def test_transitions_recorded_and_legal(self):
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=0.5)
-        board = BreakerBoard(policy)
-        board.breaker("b1").record_failure(0.0)
-        board.breaker("b2").record_failure(0.0)
+        board = BreakerBoard()
+        trip(board.breaker("b1"))
+        trip(board.breaker("b2"))
         assert board.breaker("b1").allow(0.7)
         board.breaker("b1").record_success(0.8)
         trace = board.transitions()
@@ -197,14 +206,6 @@ class TestCircuitBreaker:
                 BreakerTransition(at=0.0, target="b", frm=OPEN, to=CLOSED),
             ])
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BreakerPolicy(failure_threshold=0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(reset_timeout=0.0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(success_threshold=0)
-
 
 # ---------------------------------------------------------------------------
 # RetryPolicy deadline (satellite)
@@ -218,10 +219,10 @@ class TestRetryDeadline:
             RetryPolicy(deadline=-1.0)
 
     def test_worst_case_clock_capped_by_deadline(self):
-        unbounded = RetryPolicy(max_attempts=10, timeout=1.0)
-        bounded = RetryPolicy(max_attempts=10, timeout=1.0, deadline=2.0)
-        assert bounded.worst_case_clock() <= unbounded.worst_case_clock()
-        assert bounded.worst_case_clock() <= 2.0 + bounded.timeout
+        unbounded = RetryPolicy()
+        bounded = RetryPolicy(deadline=0.06)
+        assert bounded.worst_case_clock() < unbounded.worst_case_clock()
+        assert bounded.worst_case_clock() == pytest.approx(0.06 + TIMEOUT)
 
     def test_deadline_stops_retries_and_emits_event(self):
         topo = three_tier(SMALL)
@@ -230,17 +231,19 @@ class TestRetryDeadline:
         schedule = FaultSchedule([
             FaultEvent(0.0, BOX_CRASH, b) for b in box_ids
         ])
-        retry = RetryPolicy(max_attempts=8, timeout=0.1, deadline=0.15)
+        # Two timeouts burn 0.1 s plus a backoff: the budget binds
+        # before the third attempt.
+        retry = RetryPolicy(deadline=0.1)
         platform = make_platform(schedule, retry=retry)
         outcome = platform.execute_request("sum", "r1", "host:0", PARTIALS)
         assert outcome.value == TOTAL
         deadlines = outcome.events_of_kind("deadline")
         assert deadlines
-        # The budget binds before the attempt cap: never all 8 attempts.
+        # The budget binds before the attempt cap: never all attempts.
         for box_id in box_ids:
             attempts = [e.attempt for e in outcome.shim_events
                         if e.kind == "retry" and e.target == box_id]
-            assert len(attempts) < 8
+            assert len(attempts) < MAX_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +286,8 @@ class TestPlatformBreakers:
         deploy_boxes(topo)
         victim = sorted(info.box_id for info in topo.all_boxes())[0]
         schedule = FaultSchedule([FaultEvent(0.0, BOX_CRASH, victim)])
-        overload = OverloadConfig(
-            breaker=BreakerPolicy(failure_threshold=2, reset_timeout=50.0))
-        platform = make_platform(schedule, overload=overload)
+        platform = make_platform(schedule,
+                                 overload=OverloadConfig(breaker=True))
 
         tripped = False
         for i in range(12):
@@ -309,9 +311,8 @@ class TestPlatformBreakers:
             FaultEvent(0.0, BOX_CRASH, victim),
             FaultEvent(1.0, BOX_RECOVER, victim),
         ])
-        overload = OverloadConfig(
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=0.2))
-        platform = make_platform(schedule, overload=overload)
+        platform = make_platform(schedule,
+                                 overload=OverloadConfig(breaker=True))
         for i in range(30):
             platform.advance_clock(i * 0.1)
             platform.execute_request("sum", f"r{i}", "host:0", PARTIALS)
@@ -336,8 +337,8 @@ class TestPlatformHealthNacks:
         assert not outcome.events_of_kind("unreachable")
 
     def test_health_feed_visible_in_report(self):
-        overload = OverloadConfig(queue=OverloadPolicy(max_pending=2))
-        platform = make_platform(overload=overload)
+        platform = make_platform(overload=OverloadConfig())
+        platform.execute_request("sum", "r1", "host:0", PARTIALS)
         report = platform.health_report()
         assert set(report) == {
             info.box_id for info in platform.topology.all_boxes()}

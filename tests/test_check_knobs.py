@@ -40,7 +40,22 @@ def test_census_reads_the_owners_from_the_source():
     assert knobs["NetAggPlatform"] == [
         "topo", "faults", "retry", "overload", "partition"]
     assert "breaker" not in knobs["ServeConfig"]
-    assert "shed" not in knobs["OverloadPolicy"]
+    assert "OverloadPolicy" not in knobs
+    assert "BreakerPolicy" not in knobs
+    assert knobs["RetryPolicy"] == ["deadline", "decorrelated", "seed"]
+    # The perf harness still reads ``config.k``: a read-only property
+    # over the constant, not a knob.
+    assert "k" not in knobs["ServeConfig"]
+    from repro.serve.service import TOP_K, ServeConfig
+    assert ServeConfig().k == TOP_K == 10
+
+
+def test_test_only_table_stays_short():
+    # Every other unset knob became a constant; a sixth test-only knob
+    # must be argued for, not slipped in.
+    test_only = load().TEST_ONLY
+    assert len(test_only) <= 5
+    assert all(reason.strip() for reason in test_only.values())
 
 
 @pytest.mark.parametrize("source, credited", [

@@ -37,6 +37,13 @@ from repro.faults import (
     RetryPolicy,
     SimFaultInjector,
 )
+from repro.faults.retry import (
+    JITTER,
+    MAX_ATTEMPTS,
+    MAX_BACKOFF,
+    TIMEOUT,
+    raw_backoff,
+)
 from repro.netsim.engine import EventQueue
 from repro.netsim.simulator import FlowSim
 from repro.topology.threetier import ThreeTierParams, three_tier
@@ -367,36 +374,30 @@ class TestPointInTimeQueriesMatchFrozenBodies:
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_backoff=0.01, multiplier=2.0,
-                             max_backoff=0.03, jitter=0.0, max_attempts=6)
-        delays = policy.delays()
-        assert delays == [0.01, 0.02, 0.03, 0.03, 0.03]
+        assert [raw_backoff(a) for a in range(1, 8)] == pytest.approx(
+            [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, MAX_BACKOFF])
+        assert raw_backoff(20) == MAX_BACKOFF
+        assert len(RetryPolicy().delays()) == MAX_ATTEMPTS - 1
 
     def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(jitter=0.5)
+        policy = RetryPolicy()
         for attempt in (1, 2):
-            raw = RetryPolicy(jitter=0.0).backoff(attempt)
+            raw = raw_backoff(attempt)
             jittered = policy.backoff(attempt, key="w0->box:a")
-            assert raw * 0.5 <= jittered <= raw
+            assert raw * (1.0 - JITTER) <= jittered <= raw
             assert jittered == policy.backoff(attempt, key="w0->box:a")
         assert policy.backoff(1, key="a") != policy.backoff(1, key="b")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff=0.5, max_backoff=0.1)
+            RetryPolicy(deadline=0.0)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0)
 
     def test_worst_case_clock(self):
-        policy = RetryPolicy(timeout=0.1, max_attempts=2, base_backoff=0.05,
-                             max_backoff=0.05, jitter=0.0)
-        assert policy.worst_case_clock() == pytest.approx(0.25)
+        # Three 50 ms attempts plus the 10 ms and 20 ms backoffs.
+        assert RetryPolicy().worst_case_clock() == pytest.approx(
+            MAX_ATTEMPTS * TIMEOUT + 0.01 + 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +584,9 @@ class TestPlatformFaults:
         base = _solr_platform().execute_request("solr", "r1", "host:0",
                                                 partials)
         victim = base.boxes_used[0]
-        policy = RetryPolicy()
         sched = FaultSchedule([
             FaultEvent(0.0, BOX_CRASH, victim),
-            FaultEvent(policy.timeout * 1.5, BOX_RECOVER, victim),
+            FaultEvent(TIMEOUT * 1.5, BOX_RECOVER, victim),
         ])
         outcome = _solr_platform(
             faults=PlatformFaultInjector(sched)).execute_request(

@@ -22,6 +22,7 @@ Pins the tentpole loop end to end -- observe -> alert -> act:
 import asyncio
 import json
 import multiprocessing
+from unittest import mock
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.experiments.sweep import run_parallel
 from repro.obs import METRICS
 from repro.obs.export import validate_trace_events
 from repro.obs.live import (
+    DEFAULT_CAPACITY,
     FlightRecorder,
     LiveTelemetry,
     SloMonitor,
@@ -42,8 +44,15 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import Histogram
 from repro.serve import AggregationService, ServeConfig, TenantPolicy
+from repro.serve import service as service_module
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def short_burn_windows():
+    """Halve the service's burn-rate windows so 40 requests burn both."""
+    return mock.patch.multiple(service_module, SLO_FAST_WINDOW=0.5,
+                               SLO_SLOW_WINDOW=1.0)
 
 #: A tight objective so a handful of bad events lights it up.
 TIGHT = SloObjective(key="", target=0.9, fast_window=1.0,
@@ -378,10 +387,9 @@ def _query(tenant="t1", rid="r1", seed=42, **extra):
 class TestServeIntegration:
     def _burning_service(self):
         """An SLO no request can meet: every 200 is a bad SLO event."""
-        return AggregationService(ServeConfig(
-            default_policy=TenantPolicy(slo=1e-9),
-            slo_fast_window=0.5, slo_slow_window=1.0,
-        ))
+        with short_burn_windows():
+            return AggregationService(ServeConfig(
+                default_policy=TenantPolicy(slo=1e-9)))
 
     def test_forced_burn_through_the_service(self):
         service = self._burning_service()
@@ -449,9 +457,8 @@ class TestBoundedUnderLoad:
         """The hardening pin: after 10k requests the recorder ring, the
         windowed store and both GET endpoints are the same size they
         were after 1k -- nothing grows with trace length."""
-        capacity = 256
-        service = AggregationService(ServeConfig(
-            recorder_capacity=capacity))
+        capacity = DEFAULT_CAPACITY  # the ring is full after 1k requests
+        service = AggregationService()
         telemetry = service.telemetry
 
         def sizes():
@@ -491,11 +498,9 @@ class TestFlightRecorderDeterminism:
             FaultEvent(0.005, "box-crash", boxes[0]),
             FaultEvent(0.200, "box-recover", boxes[0]),
         ])
-        service = AggregationService(ServeConfig(
-            default_policy=TenantPolicy(slo=1e-9),
-            slo_fast_window=0.5, slo_slow_window=1.0,
-            faults=schedule,
-        ))
+        with short_burn_windows():
+            service = AggregationService(ServeConfig(
+                default_policy=TenantPolicy(slo=1e-9), faults=schedule))
         for i in range(40):
             service.handle(_query(rid=f"r{i}", seed=i))
         payload = service.telemetry.recorder.last_dump()

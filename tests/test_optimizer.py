@@ -18,14 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggbox.functions import SumFunction
-from repro.aggbox.overload import FAILED, SUSPECT, OverloadPolicy
+from repro.aggbox.overload import FAILED, SUSPECT
 from repro.aggregation import deploy_boxes
-from repro.core import (
-    BreakerPolicy,
-    NetAggPlatform,
-    OverloadConfig,
-)
-from repro.core.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.core import NetAggPlatform, OverloadConfig
+from repro.core.breaker import CLOSED, FAILURE_THRESHOLD, HALF_OPEN, OPEN
 from repro.core.optimizer import (
     APPLIED,
     DRAIN,
@@ -48,7 +44,13 @@ from repro.core.optimizer import (
 )
 from repro.core.optimizer.strategies import _headroom
 from repro.experiments.common import QUICK
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import (
+    BASE_BACKOFF,
+    JITTER,
+    MAX_BACKOFF,
+    RetryPolicy,
+    raw_backoff,
+)
 from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
 from repro.wire.serializer import read_float, write_float
@@ -75,10 +77,9 @@ def box_ids(platform):
     return sorted(info.box_id for info in platform.topology.all_boxes())
 
 
-def audit(box_id, state="healthy", pending=0, util=0.0, drained=False,
-          flushes=0):
-    return BoxAudit(box_id=box_id, state=state, pending=pending,
-                    utilization=util, flushes=flushes, drained=drained)
+def audit(box_id, state="healthy", util=0.0, drained=False):
+    return BoxAudit(box_id=box_id, state=state, utilization=util,
+                    drained=drained)
 
 
 def report(*boxes, at=1.0, retry_delta=0):
@@ -95,10 +96,9 @@ class TestDecorrelatedJitter:
            seed=st.integers(0, 2**16))
     @PROPS
     def test_delays_stay_within_base_and_cap(self, attempt, key, seed):
-        policy = RetryPolicy(decorrelated=True, seed=seed,
-                             base_backoff=0.01, max_backoff=0.25)
+        policy = RetryPolicy(decorrelated=True, seed=seed)
         delay = policy.backoff(attempt, key)
-        assert policy.base_backoff <= delay <= policy.max_backoff
+        assert BASE_BACKOFF <= delay <= MAX_BACKOFF
 
     @given(attempt=st.integers(1, 8), key=st.text(max_size=12),
            seed=st.integers(0, 2**16))
@@ -115,17 +115,15 @@ class TestDecorrelatedJitter:
         assert a.delays("req:1") != b.delays("req:1")
 
     def test_different_keys_decorrelate(self):
-        policy = RetryPolicy(decorrelated=True, max_attempts=4)
+        policy = RetryPolicy(decorrelated=True)
         assert policy.delays("host:1") != policy.delays("host:2")
 
     @given(attempt=st.integers(1, 8), key=st.text(max_size=12))
     @PROPS
     def test_default_scheme_stays_within_jitter_band(self, attempt, key):
-        policy = RetryPolicy()
-        raw = min(policy.base_backoff * policy.multiplier ** (attempt - 1),
-                  policy.max_backoff)
-        delay = policy.backoff(attempt, key)
-        assert raw * (1.0 - policy.jitter) <= delay <= raw
+        raw = raw_backoff(attempt)
+        delay = RetryPolicy().backoff(attempt, key)
+        assert raw * (1.0 - JITTER) <= delay <= raw
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +132,14 @@ class TestDecorrelatedJitter:
 
 class TestHeartbeatStaleness:
     def test_stale_heartbeats_report_suspect(self):
-        overload = OverloadConfig(queue=OverloadPolicy(),
-                                  heartbeat_staleness=1.0)
+        overload = OverloadConfig(heartbeat_staleness=1.0)
         platform = make_platform(overload)
         platform.advance_clock(5.0)  # box clocks still at 0: all stale
         states = {beat.state for beat in platform.health_report().values()}
         assert states == {SUSPECT}
 
     def test_fresh_heartbeats_keep_their_state(self):
-        overload = OverloadConfig(queue=OverloadPolicy(),
-                                  heartbeat_staleness=1.0)
+        overload = OverloadConfig(heartbeat_staleness=1.0)
         platform = make_platform(overload)
         platform.advance_clock(5.0)
         fresh = box_ids(platform)[0]
@@ -155,17 +151,19 @@ class TestHeartbeatStaleness:
                    for bid, state in states.items() if bid != fresh)
 
     def test_failed_outranks_suspect(self):
-        overload = OverloadConfig(queue=OverloadPolicy(),
-                                  heartbeat_staleness=1.0)
+        overload = OverloadConfig(heartbeat_staleness=1.0)
         platform = make_platform(overload)
         dead = box_ids(platform)[0]
-        platform.box_runtime(dead).mark_failed()
+        platform.fail_box(dead)
         platform.advance_clock(5.0)
-        assert platform.health_report()[dead].state == FAILED
+        states = {bid: beat.state
+                  for bid, beat in platform.health_report().items()}
+        assert states[dead] == FAILED
+        assert all(state == SUSPECT
+                   for bid, state in states.items() if bid != dead)
 
     def test_explicit_staleness_overrides_config(self):
-        overload = OverloadConfig(queue=OverloadPolicy(),
-                                  heartbeat_staleness=1.0)
+        overload = OverloadConfig(heartbeat_staleness=1.0)
         platform = make_platform(overload)
         platform.advance_clock(5.0)
         states = {beat.state
@@ -248,15 +246,17 @@ class TestFailedBoxesReportFailed:
 
 class TestRecoverForcesProbe:
     def make(self):
-        overload = OverloadConfig(
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=1000.0))
-        return make_platform(overload)
+        return make_platform(OverloadConfig(breaker=True))
+
+    def trip(self, breaker):
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure(0.0)
 
     def test_recover_box_moves_open_breaker_to_half_open(self):
         platform = self.make()
         box = box_ids(platform)[0]
         breaker = platform.breakers.breaker(box)
-        breaker.record_failure(0.0)
+        self.trip(breaker)
         assert breaker.state == OPEN
         # Regression: recovery used to leave the breaker waiting out
         # the full reset timeout, refusing the recovered box for
@@ -276,7 +276,7 @@ class TestRecoverForcesProbe:
         platform = self.make()
         box = box_ids(platform)[0]
         breaker = platform.breakers.breaker(box)
-        breaker.record_failure(0.0)
+        self.trip(breaker)
         platform.recover_box(box)
         breaker.record_failure(0.1)  # the probe fails: re-open
         assert breaker.state == OPEN
@@ -287,14 +287,15 @@ class TestRecoverForcesProbe:
 
 
 class TestStrategies:
-    def test_stabilize_migrates_worst_queue_first(self):
+    def test_stabilize_migrates_suspect_boxes_in_id_order(self):
         plan = get_strategy("stabilize_p99")(report(
-            audit("box:a", state="pressured", pending=3),
-            audit("box:b", state="suspect", pending=9),
-            audit("box:c"), audit("box:d"),
+            audit("box:a", state="gray"),
+            audit("box:d", state="suspect"),
+            audit("box:b", state="suspect"),
+            audit("box:c", state=FAILED), audit("box:e"), audit("box:f"),
         ), StrategyConfig(max_actions=1))
         assert [a.target for a in plan.of_kind(MIGRATE)] == ["box:b"]
-        assert plan.actions[0].cost == 9.0
+        assert plan.actions[0].reason == "state=suspect"
 
     def test_stabilize_noops_when_all_trusted(self):
         plan = get_strategy("stabilize_p99")(
@@ -303,8 +304,8 @@ class TestStrategies:
 
     def test_stabilize_respects_min_active_guard(self):
         plan = get_strategy("stabilize_p99")(report(
-            audit("box:a", state="shedding", pending=1),
-            audit("box:b", state="shedding", pending=2),
+            audit("box:a", state="suspect"),
+            audit("box:b", state="suspect"),
         ), StrategyConfig(min_active=2))
         assert plan.is_noop
 
@@ -313,7 +314,7 @@ class TestStrategies:
             audit("box:a", util=0.05),
             audit("box:b", util=0.01),
             audit("box:c", util=0.9),
-            audit("box:d", util=0.02, pending=4),  # busy: never drained
+            audit("box:d", util=0.01, state=SUSPECT),  # never drained
         ), StrategyConfig(max_actions=2, cold_utilization=0.15))
         assert [a.target for a in plan.of_kind(DRAIN)] \
             == ["box:b", "box:a"]
@@ -348,7 +349,9 @@ class TestStrategies:
 
     def test_noop_plan_shape(self):
         plan = noop_plan("s", 1.0, reason="all quiet")
-        assert plan.is_noop and plan.cost == 0.0
+        assert plan.is_noop
+        assert [(a.kind, a.reason) for a in plan.actions] \
+            == [(NOOP, "all quiet")]
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +452,7 @@ class TestOptimizerLoop:
         assert loop.history == [tick]
 
     def test_suspect_boxes_get_migrated(self):
-        overload = OverloadConfig(queue=OverloadPolicy(),
-                                  heartbeat_staleness=1.0)
+        overload = OverloadConfig(heartbeat_staleness=1.0)
         platform = make_platform(overload)
         platform.advance_clock(10.0)  # every heartbeat now stale
         loop = self.make_loop(platform)
@@ -461,8 +463,7 @@ class TestOptimizerLoop:
         assert platform.drained_boxes() == set(migrated)
 
     def test_dry_run_plans_without_touching_the_platform(self):
-        overload = OverloadConfig(queue=OverloadPolicy(),
-                                  heartbeat_staleness=1.0)
+        overload = OverloadConfig(heartbeat_staleness=1.0)
         platform = make_platform(overload)
         platform.advance_clock(10.0)
         loop = self.make_loop(platform, dry_run=True)

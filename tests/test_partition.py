@@ -13,15 +13,17 @@ Covers the pieces end-to-end, each label checked against ground truth:
 - partial delivery: the platform completes around unreachable
   subtrees, the completeness record matches the centralised ground
   truth exactly, the fail-stop baseline raises instead;
-- serving: 206 bodies with completeness, the ``min_completeness``
+- serving: 206 bodies with completeness, the ``MIN_COMPLETENESS``
   floor, 503 partition mapping, and frame-level HTTP robustness
   (garbled request line -> 400, oversized body -> 413 -- well-formed
   JSON, never a dropped connection).
 """
 
 import asyncio
+import contextlib
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -50,12 +52,8 @@ from repro.faults import (
     rack_domain_name,
     topology_domains,
 )
-from repro.serve import (
-    AggregationService,
-    HttpFrontend,
-    ServeConfig,
-    TenantPolicy,
-)
+from repro.serve import AggregationService, HttpFrontend, ServeConfig
+from repro.serve import service as service_module
 from repro.topology import ThreeTierParams, three_tier
 from repro.topology.base import TOR
 from repro.wire.serializer import read_float, write_float
@@ -470,6 +468,11 @@ class ServeScenario:
             partition=partition, **config))
 
 
+def raised_floor():
+    """Lift the completeness floor above the scenario's half coverage."""
+    return mock.patch.object(service_module, "MIN_COMPLETENESS", 0.9)
+
+
 class TestServePartialResponses:
     def test_206_carries_exact_completeness(self):
         scenario = ServeScenario()
@@ -489,12 +492,11 @@ class TestServePartialResponses:
 
     def test_completeness_floor_maps_to_503(self):
         scenario = ServeScenario()
-        service = scenario.service(
-            True,
-            tenants={"picky": TenantPolicy(min_completeness=0.9)})
+        service = scenario.service(True)
         service.platform.advance_clock(1.0)
-        response = service.handle(
-            serve_request(tenant="picky", seed=scenario.seed))
+        with raised_floor():
+            response = service.handle(
+                serve_request(tenant="picky", seed=scenario.seed))
         assert response["status"] == 503
         assert response["error"] == "incomplete"
         assert response["completeness"]["fraction"] < 0.9
@@ -571,15 +573,15 @@ def frozen_outcomes():
             else outcome.completeness.to_dict(),
         ]
     scenario = ServeScenario()
-    picky = {"tenants": {"picky": TenantPolicy(min_completeness=0.9)}}
-    for name, partition, config, tenant in (
-            ("206", RESILIENT, {}, "t1"),
-            ("floor-503", RESILIENT, picky, "picky"),
-            ("partition-503", FAIL_STOP, {}, "t1")):
-        service = scenario.service(partition, **config)
+    for name, partition, floor, tenant in (
+            ("206", RESILIENT, contextlib.nullcontext(), "t1"),
+            ("floor-503", RESILIENT, raised_floor(), "picky"),
+            ("partition-503", FAIL_STOP, contextlib.nullcontext(), "t1")):
+        service = scenario.service(partition)
         service.platform.advance_clock(1.0)
-        out[f"serve-{name}"] = service.handle(
-            serve_request(tenant=tenant, seed=scenario.seed))
+        with floor:
+            out[f"serve-{name}"] = service.handle(
+                serve_request(tenant=tenant, seed=scenario.seed))
     return out
 
 

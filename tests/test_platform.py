@@ -8,10 +8,10 @@ from repro.aggbox.functions import (
     SumFunction,
     TopKFunction,
 )
-from repro.aggbox.overload import HEALTHY, OverloadPolicy
+from repro.aggbox.overload import HEALTHY
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
-from repro.core import BreakerPolicy, NetAggPlatform, OverloadConfig
+from repro.core import NetAggPlatform, OverloadConfig
 from repro.faults import FaultSchedule, PlatformFaultInjector, RetryPolicy
 from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
@@ -162,7 +162,7 @@ class TestFailures:
         """Regression: a bogus id was accepted silently and, with
         breakers on, grew a breaker that ``states()`` then listed."""
         platform = make_platform(
-            overload=OverloadConfig(breaker=BreakerPolicy()))
+            overload=OverloadConfig(breaker=True))
         with pytest.raises(KeyError, match="unknown box 'box:ghost'"):
             platform.recover_box("box:ghost")
         assert "box:ghost" not in platform.breakers.states()
@@ -296,8 +296,8 @@ class TestRequestsLeaveNothingBehind:
 
     HOSTS = [f"host:{h}" for h in range(1, 9)]
 
-    def gradient_platform(self, overload=None):
-        platform = make_platform(register_solr=False, overload=overload)
+    def gradient_platform(self):
+        platform = make_platform(register_solr=False)
         platform.register_app("grad", VectorSumFunction(),
                               encode_vector, decode_vector)
         return platform
@@ -333,11 +333,9 @@ class TestRequestsLeaveNothingBehind:
         assert abandoned.value == start + 2 * per_round
 
     def test_failed_requests_do_not_contaminate_later_ones(self):
-        """Bounded queues used to flush a dead request's partials into
-        whichever request came next."""
-        platform = self.gradient_platform(OverloadConfig(
-            queue=OverloadPolicy(max_pending=8),
-            avoid_pressured=False))
+        """A dead request's partials used to be flushed into whichever
+        request came next."""
+        platform = self.gradient_platform()
         for i in range(6):
             self.ragged_round(platform, f"bad-{i}")
         values = []
@@ -349,8 +347,8 @@ class TestRequestsLeaveNothingBehind:
             except ValueError as dead_requests_error:
                 values.append(str(dead_requests_error))
         assert values == [[8.0 * (i + 1)] * 4 for i in range(6)]
-        for info in platform.topology.all_boxes():
-            assert platform.box_runtime(info.box_id).health == HEALTHY
+        assert {beat.state for beat in platform.health_report().values()} \
+            == {HEALTHY}
         assert left_behind(platform) == NOTHING
 
     def test_id_completed_on_one_master_is_accepted_on_another(self):

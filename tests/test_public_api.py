@@ -128,7 +128,7 @@ def test_fault_api_at_top_level():
 
     schedule = FaultSchedule([FaultEvent(1.0, "box-crash", "box:tor:0:0")])
     assert len(schedule) == 1
-    assert RetryPolicy().max_attempts >= 1
+    assert RetryPolicy().worst_case_clock() > 0
 
 
 def test_serve_api_at_top_level():

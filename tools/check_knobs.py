@@ -4,10 +4,10 @@
 Every field of a policy or config object is an option, and every option
 doubles the configurations the tests and benchmarks must cover.  This
 script counts, for each knob of the platform's policy plane -- the
-fields of ``OverloadConfig``, ``OverloadPolicy``, ``AdmissionPolicy``,
-``BreakerPolicy``, ``RetryPolicy``, ``ServeConfig`` and
-``TenantPolicy``, plus the parameters of ``NetAggPlatform.__init__`` --
-the call sites under ``src/`` and ``perf/`` that set it:
+fields of ``OverloadConfig``, ``AdmissionPolicy``, ``RetryPolicy``,
+``ServeConfig`` and ``TenantPolicy``, plus the parameters of
+``NetAggPlatform.__init__`` -- the call sites under ``src/`` and
+``perf/`` that set it:
 
 - by keyword or by position in a call of the owner (``Owner(...)`` or
   ``module.Owner(...)``), or
@@ -19,9 +19,10 @@ the call sites under ``src/`` and ``perf/`` that set it:
 
 A knob no such call sets is exercised only by its default and the
 tests.  It must then appear in :data:`TEST_ONLY` with a one-line
-reason; that table is the to-do list of options to turn into
-constants.  The script exits 1 when a knob is unset and unlisted, and
-when a listed knob has gained a setter (the entry is stale).
+reason; that table is the short list of options a test genuinely
+needs settable, and every other unset knob becomes a constant.  The
+script exits 1 when a knob is unset and unlisted, and when a listed
+knob has gained a setter (the entry is stale).
 
 Run from the repo root::
 
@@ -49,9 +50,7 @@ SCANNED = ("src", "perf")
 #: its ``__init__`` parameters.
 OWNERS = (
     ("core/overload.py", "OverloadConfig"),
-    ("aggbox/overload.py", "OverloadPolicy"),
     ("core/admission.py", "AdmissionPolicy"),
-    ("core/breaker.py", "BreakerPolicy"),
     ("faults/retry.py", "RetryPolicy"),
     ("serve/service.py", "ServeConfig"),
     ("serve/service.py", "TenantPolicy"),
@@ -63,57 +62,12 @@ CONSTRUCTED_ONLY = frozenset({"NetAggPlatform"})
 
 #: ``Owner.knob`` -> why no caller outside the tests sets it.
 TEST_ONLY: Dict[str, str] = {
-    "OverloadConfig.queue":
-        "no deployment bounds its box queues; only tests run the health "
-        "machine and the partial flush",
-    "OverloadConfig.avoid_pressured":
-        "every platform plans around pressured boxes; one test turns it off",
     "OverloadConfig.heartbeat_staleness":
         "only the optimizer tests turn on stale-heartbeat suspicion",
-    "OverloadPolicy.max_pending":
-        "no deployment bounds a queue (see OverloadConfig.queue)",
-    "OverloadPolicy.high_watermark":
-        "no deployment bounds a queue (see OverloadConfig.queue)",
-    "OverloadPolicy.low_watermark":
-        "no deployment bounds a queue (see OverloadConfig.queue)",
-    "BreakerPolicy.failure_threshold":
-        "the service runs the default breaker; only tests tune tripping",
-    "BreakerPolicy.reset_timeout":
-        "the service runs the default breaker; only tests tune the reset",
-    "BreakerPolicy.success_threshold":
-        "every breaker closes after one successful half-open probe",
-    "RetryPolicy.timeout":
-        "every caller uses the 50 ms default connect timeout",
-    "RetryPolicy.max_attempts":
-        "every caller uses the default three connect attempts",
-    "RetryPolicy.base_backoff":
-        "only the jitter property tests vary the first backoff",
-    "RetryPolicy.multiplier":
-        "every caller backs off by the default factor 2",
-    "RetryPolicy.max_backoff":
-        "only the jitter property tests vary the backoff cap",
-    "RetryPolicy.jitter":
-        "every caller uses the default jitter band",
-    "RetryPolicy.send_latency":
-        "every platform runs on the 1 ms default send latency",
     "RetryPolicy.deadline":
         "only the deadline tests bound a send's retry budget",
-    "ServeConfig.retry":
-        "no service overrides its retry policy outside the tests",
-    "ServeConfig.k":
-        "every service answers top-10 queries",
-    "ServeConfig.slo_target":
-        "every service uses the default 0.9 SLO objective",
-    "ServeConfig.slo_fast_window":
-        "every service uses the default 1 s fast burn-rate window",
-    "ServeConfig.slo_slow_window":
-        "every service uses the default 5 s slow burn-rate window",
-    "ServeConfig.recorder_capacity":
-        "every service uses the 2,048-record flight-recorder ring",
     "ServeConfig.dump_dir":
         "a deployment path, so it stays; only tests write dumps to disk",
-    "TenantPolicy.min_completeness":
-        "every tenant uses the 0.5 completeness floor; tests vary it",
 }
 
 Site = str  #: "path:line" of one setting call
