@@ -14,7 +14,7 @@ over a thread pool with weighted-fair sharing between applications.
 - :mod:`repro.aggbox.box` -- the box runtime: application registration,
   per-request partial-result collection, streaming deserialisation;
 - :mod:`repro.aggbox.overload` -- the states of the platform's box
-  health feed (healthy, failed, suspect, gray) and its heartbeat record.
+  health feed (healthy, failed, gray) and its heartbeat record.
 """
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding, RequestState

@@ -71,29 +71,14 @@ class AggregateReady:
     sources: List[str]
 
 
-@dataclass(frozen=True)
-class ParkedPartial:
-    """One partial removed from a box by :meth:`AggBoxRuntime.park_pending`.
-
-    Carries everything needed to replay the partial elsewhere (cutover)
-    or back into the same box (rollback) under its original source tag.
-    """
-
-    app: str
-    request_id: str
-    source: str
-    value: Any
-
-
 class AggBoxRuntime:
     """Hosts aggregation functions and merges partial results.
 
     A box holds a request's partials from its announcement until it
     emits, and forgets the request on :meth:`release`; nothing bounds
     or sheds what it buffers, because nothing outlives the request.
-    ``clock`` is the virtual time stamped onto trace records -- the
-    hosting platform advances it alongside its own clock, and the
-    health feed reads a box whose clock lags as ``suspect``.
+    ``clock`` is the virtual time stamped onto trace records; the
+    hosting platform advances it alongside its own clock.
     """
 
     def __init__(self, box_id: str) -> None:
@@ -279,36 +264,6 @@ class AggBoxRuntime:
         for stream in [s for s in self._reassemblers if s[:2] == key]:
             del self._reassemblers[stream]
         return len(state.partials) if state is not None else 0
-
-    def park_pending(self, app: str, request_id: str) -> List[ParkedPartial]:
-        """Remove one request's buffered partials, *without* folding them.
-
-        The drain phase of a mid-request migration
-        (:meth:`repro.core.recovery.InFlightRequest.migrate_box`) calls
-        this: the returned partials are no longer this box's
-        responsibility and will be replayed -- into the destination on
-        cutover, or back into this box on rollback.  Unlike
-        :meth:`flush`, parked sources are **not** moved to the
-        duplicate-suppression set and the expected count is untouched,
-        so a replay under the original source tags is accepted exactly
-        once wherever it lands.
-        """
-        state = self._requests.get((app, request_id))
-        if state is None or not state.partials:
-            return []
-        parked = [
-            ParkedPartial(app=app, request_id=request_id, source=source,
-                          value=value)
-            for source, value in zip(state.sources, state.partials)
-        ]
-        state.partials = []
-        state.sources = []
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant("box.park", self.clock, layer="aggbox",
-                           box=self.box_id, origin=self.trace_origin,
-                           parked=len(parked))
-        return parked
 
     # -- internals -----------------------------------------------------------
 

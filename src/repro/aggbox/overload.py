@@ -9,12 +9,12 @@ The other states are verdicts the platform reaches about a box
 first::
 
     failed   taken down with fail_box, until recover_box
-    suspect  no heartbeat for longer than the staleness threshold
     gray     heartbeats fine, but the latency detector flags it slow
     healthy  none of the above
 
-A box the feed reports as anything but ``healthy`` is planned out of
-new trees or distrusted by the optimizer; refusal happens at plan time
+A ``failed`` box is planned out of new trees and never touched by the
+optimizer; a ``gray`` one is planned around when partition tolerance is
+on.  Refusal happens at plan time
 (``BOX_SHED`` windows and gray boxes are NACKed), never by a box
 turning away a partial the platform already announced.
 """
@@ -25,12 +25,6 @@ from dataclasses import dataclass
 
 HEALTHY = "healthy"
 FAILED = "failed"
-
-#: The platform reports ``suspect`` for a box whose heartbeat is older
-#: than the configured staleness threshold.  A silent box may be
-#: healthy, wedged, or partitioned -- the optimizer must not trust its
-#: last-known state either way.
-SUSPECT = "suspect"
 
 #: The platform reports ``gray`` for a box that heartbeats fine but
 #: whose observed service times the latency-outlier detector flagged

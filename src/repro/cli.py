@@ -441,7 +441,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _optimizer_text(optimizer: dict) -> str:
     """Render the diagnosis's optimizer section for the terminal."""
     actions = optimizer.get("actions", {})
-    migrations = optimizer.get("migrations", {})
     lines = [
         "== optimizer: self-healing actions ==",
         "ticks={ticks} audits={audits} drains={drains} "
@@ -454,18 +453,12 @@ def _optimizer_text(optimizer: dict) -> str:
     if actions:
         lines.append("actions: " + "  ".join(
             f"{kind}={count}" for kind, count in sorted(actions.items())))
-    if migrations:
-        lines.append("migrations: " + "  ".join(
-            f"{outcome}={count}"
-            for outcome, count in sorted(migrations.items())))
     for entry in optimizer.get("log", []):
         lines.append(
-            "  t={at:8.3f}  {kind:<8s} {target:<20s} "
-            "[{strategy}] {reason}".format(
+            "  t={at:8.3f}  {kind:<8s} {target:<20s} {reason}".format(
                 at=float(entry.get("at", 0.0)),
                 kind=str(entry.get("kind", "")),
                 target=str(entry.get("target", "")),
-                strategy=str(entry.get("strategy", "")),
                 reason=str(entry.get("reason", ""))))
     return "\n".join(lines)
 

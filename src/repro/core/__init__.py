@@ -18,14 +18,14 @@
 - :mod:`repro.core.admission` -- admission control at the master shim
   (per-tenant token buckets, rate-limit NACKs);
 - :mod:`repro.core.overload` -- the platform's overload-control
-  configuration tying breakers, admission and heartbeat staleness
-  together;
+  configuration tying breakers and admission together;
 - :mod:`repro.core.partition` -- partition tolerance: gray-failure
   detection (seeded-EWMA latency outliers), hedged deliveries, and
   partial-aggregate completeness records;
-- :mod:`repro.core.optimizer` -- the self-healing control plane: a
+- :mod:`repro.core.optimizer` -- the self-healing control loop: a
   deterministic audit -> strategy -> action-plan -> apply loop that
-  migrates subtrees off sick boxes with two-phase drain-then-cutover.
+  drains boxes whose effective capacity collapsed and undrains them
+  once they cool.
 """
 
 from repro.core.admission import (
@@ -55,8 +55,6 @@ from repro.core.optimizer import (
     AuditReport,
     OptimizerLoop,
     PlanApplier,
-    StrategyConfig,
-    get_strategy,
 )
 from repro.core.overload import OverloadConfig
 from repro.core.partition import (
@@ -67,8 +65,6 @@ from repro.core.partition import (
 from repro.core.platform import NetAggPlatform
 from repro.core.recovery import (
     InFlightRequest,
-    MigrationAborted,
-    MigrationLog,
     RecoveryLog,
 )
 from repro.core.shim import MasterShim, WorkerShim
@@ -93,8 +89,6 @@ __all__ = [
     "StragglerPolicy",
     "InFlightRequest",
     "RecoveryLog",
-    "MigrationAborted",
-    "MigrationLog",
     "Action",
     "ActionPlan",
     "ApplyResult",
@@ -102,8 +96,6 @@ __all__ = [
     "AuditReport",
     "OptimizerLoop",
     "PlanApplier",
-    "StrategyConfig",
-    "get_strategy",
     "CircuitBreaker",
     "BreakerBoard",
     "BreakerTransition",

@@ -1,62 +1,40 @@
-"""``repro.core.optimizer`` -- the self-healing control plane.
+"""``repro.core.optimizer`` -- the self-healing control loop.
 
-A deterministic **audit -> strategy -> action-plan -> apply** loop that
-turns the reactive overload machinery (PR 3) and the observability
-feeds (PR 4/5) into closed-loop self-healing, in the spirit of
-utilization-aware placement of scarce aggregation resources (SOAR,
-arXiv 2110.14224):
+A deterministic **audit -> strategy -> action plan -> apply** loop that
+drains boxes whose effective capacity collapsed and returns them once
+they cool, in the spirit of utilization-aware placement of scarce
+aggregation resources (SOAR, arXiv 2110.14224):
 
-- :mod:`~repro.core.optimizer.audit` -- snapshot heartbeats,
-  utilization and shim-retry deltas into a frozen
-  :class:`AuditReport`;
-- :mod:`~repro.core.optimizer.strategies` -- pluggable, deterministic
-  policies (``stabilize_p99``, ``consolidate_underused``,
-  ``rebalance_hot_edges``) emitting typed :class:`Action` batches;
-- :mod:`~repro.core.optimizer.apply` -- the two-phase
-  drain-then-cutover executor (rollback on cutover-guard failure, §3.1
-  rewiring for the tree changes);
+- :mod:`~repro.core.optimizer.audit` -- snapshot health, utilization
+  and the drained set into a frozen :class:`AuditReport`;
+- :mod:`~repro.core.optimizer.strategies` -- :func:`rebalance_hot_edges`,
+  the one strategy, emitting typed :class:`Action` batches;
+- :mod:`~repro.core.optimizer.apply` -- the applier: drain (behind the
+  active-box guard) and undrain; the drained set feeds the §3.1
+  rewiring of every tree built afterwards;
 - :mod:`~repro.core.optimizer.loop` -- :class:`OptimizerLoop.tick`
   tying the stages together on the caller's virtual clock.
 
 Everything the loop does is traced (``optimizer.*`` spans/instants)
-and counted (``optimizer.audits`` / ``.actions`` / ``.migrations`` /
-``.rollbacks`` ...), so ``python -m repro analyze`` attributes every
-applied action.
+and counted (``optimizer.ticks`` / ``.audits`` / ``.actions`` /
+``.drains`` / ``.undrains``), so ``python -m repro analyze`` attributes
+every applied action.
 """
 
 from repro.core.optimizer.actions import (
     ACTION_KINDS,
     DRAIN,
-    MIGRATE,
-    NOOP,
     UNDRAIN,
     Action,
     ActionPlan,
-    noop_plan,
 )
-from repro.core.optimizer.apply import (
-    APPLIED,
-    FAILED_OVER,
-    ROLLED_BACK,
-    ApplyResult,
-    MigrationOutcome,
-    PlanApplier,
-)
+from repro.core.optimizer.apply import ApplyResult, PlanApplier
 from repro.core.optimizer.audit import Auditor, AuditReport, BoxAudit
 from repro.core.optimizer.loop import OptimizerLoop, TickResult
-from repro.core.optimizer.strategies import (
-    STRATEGIES,
-    StrategyConfig,
-    consolidate_underused,
-    get_strategy,
-    rebalance_hot_edges,
-    stabilize_p99,
-    strategy,
-)
+from repro.core.optimizer.strategies import rebalance_hot_edges
 
 __all__ = [
     "ACTION_KINDS",
-    "APPLIED",
     "Action",
     "ActionPlan",
     "ApplyResult",
@@ -64,21 +42,9 @@ __all__ = [
     "Auditor",
     "BoxAudit",
     "DRAIN",
-    "FAILED_OVER",
-    "MIGRATE",
-    "MigrationOutcome",
-    "NOOP",
     "OptimizerLoop",
     "PlanApplier",
-    "ROLLED_BACK",
-    "STRATEGIES",
-    "StrategyConfig",
     "TickResult",
     "UNDRAIN",
-    "consolidate_underused",
-    "get_strategy",
-    "noop_plan",
     "rebalance_hot_edges",
-    "stabilize_p99",
-    "strategy",
 ]

@@ -1,10 +1,10 @@
-"""Typed actions the optimizer strategies emit.
+"""Typed actions the optimizer emits.
 
-An :class:`Action` is one atomic operation on the platform -- migrate a
-box's subtree upstream, drain a box out of future trees, return a
-drained box to the planner, or do nothing.  An :class:`ActionPlan`
-is one strategy's output for one audit: an ordered, deterministic
-batch of actions stamped with the strategy name and virtual time.
+An :class:`Action` is one atomic operation on the platform: drain a box
+out of future trees, or return a drained box to the planner.  An
+:class:`ActionPlan` is the strategy's output for one audit: an ordered,
+deterministic batch of actions stamped with the virtual time, empty
+when nothing needs doing.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-MIGRATE = "migrate"
 DRAIN = "drain"
 UNDRAIN = "undrain"
-NOOP = "noop"
 
-ACTION_KINDS = (MIGRATE, DRAIN, UNDRAIN, NOOP)
+ACTION_KINDS = (DRAIN, UNDRAIN)
 
 
 @dataclass(frozen=True)
@@ -26,40 +24,29 @@ class Action:
 
     Attributes:
         kind: one of :data:`ACTION_KINDS`.
-        target: box id the action applies to (empty for ``noop``).
+        target: box id the action applies to.
         reason: why the strategy chose it (audited metric + threshold),
             carried onto the ``optimizer.action`` trace instant so
             ``python -m repro analyze`` can attribute the decision.
     """
 
     kind: str
-    target: str = ""
+    target: str
     reason: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ACTION_KINDS:
             raise ValueError(f"unknown action kind {self.kind!r}")
-        if self.kind != NOOP and not self.target:
+        if not self.target:
             raise ValueError(f"{self.kind} action needs a target")
 
 
 @dataclass(frozen=True)
 class ActionPlan:
-    """One strategy's ordered action batch for one audit."""
+    """The strategy's ordered action batch for one audit."""
 
-    strategy: str
     at: float
     actions: Tuple[Action, ...] = ()
 
-    @property
-    def is_noop(self) -> bool:
-        return all(a.kind == NOOP for a in self.actions)
-
     def of_kind(self, kind: str) -> Tuple[Action, ...]:
         return tuple(a for a in self.actions if a.kind == kind)
-
-
-def noop_plan(strategy: str, at: float, reason: str = "") -> ActionPlan:
-    """The empty plan every strategy returns when nothing is wrong."""
-    return ActionPlan(strategy=strategy, at=at,
-                      actions=(Action(kind=NOOP, reason=reason),))

@@ -8,10 +8,6 @@ One :class:`OverloadConfig` switches on the overload plane of a
 - ``admission``: per-tenant token-bucket admission at the master
   shim; non-admitted requests terminate with a typed
   :class:`repro.core.admission.AdmissionNack`.
-- ``heartbeat_staleness``: heartbeats older than this many virtual
-  seconds are reported as ``suspect`` instead of last-known-healthy,
-  so the optimizer never trusts a silent box (None disables the
-  check -- heartbeats are then trusted forever).
 
 Boxes have no queue bound: a box holds one request's fan-in and
 forgets it when the request ends, so there is no box load to bound,
@@ -38,11 +34,3 @@ class OverloadConfig:
     #: listed fall back to ``admission``.  Ignored when ``admission`` is
     #: None.  Used by the serving layer for per-tenant SLO budgets.
     admission_per_tenant: Optional[Mapping[str, AdmissionPolicy]] = None
-    heartbeat_staleness: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_staleness is not None \
-                and self.heartbeat_staleness <= 0:
-            raise ValueError(
-                "heartbeat_staleness must be positive (or None)"
-            )

@@ -44,7 +44,6 @@ from repro.aggbox.overload import (
     FAILED as BOX_FAILED,
     GRAY,
     HEALTHY,
-    SUSPECT,
     BoxHeartbeat,
 )
 from repro.core.admission import AdmissionController
@@ -117,9 +116,8 @@ class NetAggPlatform:
 
     ``overload`` configures the overload-control plane (see
     :class:`repro.core.overload.OverloadConfig`): per-target circuit
-    breakers at connect time, admission control at the master shim,
-    and heartbeat staleness in the health feed.  The default config
-    has no breakers, admits everything and trusts every heartbeat.
+    breakers at connect time and admission control at the master
+    shim.  The default config has no breakers and admits everything.
 
     ``partition=True`` switches on the partition-tolerance plane (see
     :mod:`repro.core.partition`): workers the fault oracle reports as
@@ -251,9 +249,7 @@ class NetAggPlatform:
         """The latency-outlier detector (None without ``partition``)."""
         return self._gray
 
-    def health_report(
-        self, staleness: Optional[float] = None,
-    ) -> Dict[str, BoxHeartbeat]:
+    def health_report(self) -> Dict[str, BoxHeartbeat]:
         """The health feed: one heartbeat per box, keyed by box id.
 
         A box itself is always ``healthy`` (it holds nothing between
@@ -261,26 +257,15 @@ class NetAggPlatform:
         worst news first.  A box taken down with :meth:`fail_box`
         reports ``failed`` until :meth:`recover_box`.
 
-        ``staleness`` (defaulting to the overload config's
-        ``heartbeat_staleness``) bounds how long a heartbeat is trusted:
-        a box whose runtime clock lags the platform clock by more than
-        the threshold has not been heard from in that long, and its
-        report carries ``suspect``.  ``None`` disables the check.
-
         With ``partition`` on, a box that the latency-outlier detector
         has flagged is reported as ``gray`` -- the heartbeat protocol's
         blind spot made visible (gray failure: alive, probing fine, and
         slow).
         """
-        if staleness is None:
-            staleness = self._overload.heartbeat_staleness
         report: Dict[str, BoxHeartbeat] = {}
-        for box_id, runtime in sorted(self._boxes.items()):
+        for box_id in sorted(self._boxes):
             if box_id in self._failed:
                 state = BOX_FAILED
-            elif staleness is not None \
-                    and self._clock - runtime.clock > staleness:
-                state = SUSPECT
             elif self._gray is not None and self._gray.is_gray(box_id):
                 state = GRAY
             else:
@@ -313,7 +298,7 @@ class NetAggPlatform:
         return set(self._failed)
 
     def drain_box(self, box_id: str) -> None:
-        """Plan future trees around a live box (optimizer drain phase).
+        """Plan future trees around a live box (the optimizer's drain).
 
         Unlike :meth:`fail_box` the box stays up and keeps its place in
         the health feed; it holds nothing between requests, so there is
@@ -324,7 +309,9 @@ class NetAggPlatform:
         self._drained.add(box_id)
 
     def undrain_box(self, box_id: str) -> None:
-        """Return a drained box to the planner (cutover done/rolled back)."""
+        """Return a drained box to the planner."""
+        if box_id not in self._boxes:
+            raise KeyError(f"unknown box {box_id!r}")
         self._drained.discard(box_id)
 
     def drained_boxes(self) -> Set[str]:
@@ -337,8 +324,8 @@ class NetAggPlatform:
                     n_trees: int = 1) -> List[AggregationTree]:
         """Aggregation trees for the endpoints, failures rewired out.
 
-        Drained boxes (optimizer migrations in flight) are rewired out
-        the same way -- their runtimes are alive, but new work must not
+        Drained boxes (the optimizer's hot boxes) are rewired out the
+        same way -- their runtimes are alive, but new work must not
         land on them.
         """
         avoid = self._failed | self._drained

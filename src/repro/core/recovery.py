@@ -27,7 +27,7 @@ suppressed; everything not yet sent simply follows the rewired tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Sequence, Set
 
 from repro.aggbox.box import AggBoxRuntime
 from repro.core.failure import FailureDetector, rewire_failed_box
@@ -43,31 +43,6 @@ class RecoveryLog:
     redirected_children: List[str] = field(default_factory=list)
     replayed_sources: List[str] = field(default_factory=list)
     suppressed_sources: List[str] = field(default_factory=list)
-
-
-class MigrationAborted(RuntimeError):
-    """Raised by a migration interrupt hook to force a rollback."""
-
-
-@dataclass
-class MigrationLog:
-    """What happened during one drain-then-cutover migration."""
-
-    box_id: str
-    #: Candidate adopters in order (ancestors bottom-up, then "master"),
-    #: captured *before* any rewiring -- the cutover failover ladder.
-    dest_chain: List[str] = field(default_factory=list)
-    parked_sources: List[str] = field(default_factory=list)
-    suppressed_sources: List[str] = field(default_factory=list)
-    #: Where the parked partials were replayed ("" when nothing was
-    #: parked or the migration rolled back).
-    replayed_to: str = ""
-    #: The interrupt hook aborted the migration; parked partials were
-    #: replayed back into the (still live) source box.
-    rolled_back: bool = False
-    #: The first-choice destination died mid-migration; the cutover
-    #: walked down ``dest_chain`` instead.
-    failed_over: bool = False
 
 
 class InFlightRequest:
@@ -96,7 +71,6 @@ class InFlightRequest:
         self._boxes = boxes
         self._worker_values = list(worker_values)
         self._merge = merge
-        self._failed: Set[str] = set()
         self._detector = FailureDetector(timeout=1.0)
         #: Emission log: source tag -> emitted value (the sender's
         #: unacknowledged-output buffer).
@@ -109,7 +83,6 @@ class InFlightRequest:
         #: Direct (unaggregated) worker deliveries to the master.
         self.master_direct: Dict[int, Any] = {}
         self.logs: List[RecoveryLog] = []
-        self.migrations: List[MigrationLog] = []
 
     # -- normal operation -----------------------------------------------------
 
@@ -178,115 +151,6 @@ class InFlightRequest:
         self.logs.append(log)
         return log
 
-    def migrate_box(self, box_id: str, interrupt=None) -> MigrationLog:
-        """Gracefully move ``box_id``'s in-flight work upstream.
-
-        The optimizer's drain-then-cutover protocol on one live request:
-
-        1. **drain** -- the box's pending partials are *parked* (removed
-           without entering the duplicate-suppression set), so whatever
-           happens next, the values are safely in hand;
-        2. **interruption window** -- ``interrupt()`` (if given) runs
-           between drain and cutover; the chaos suite uses it to fail
-           the destination, fail the migrating box itself, or raise
-           :class:`MigrationAborted` to force the rollback path;
-        3. **cutover** -- the box leaves the tree (same §3.1 rewiring
-           and expected-count arithmetic as :meth:`fail_box`) and the
-           parked partials are replayed, under fresh tags, into the
-           first member of the pre-captured destination chain that is
-           still alive (falling back to the master).
-
-        On :class:`MigrationAborted` the parked partials are replayed
-        back into the still-live source box under their original tags
-        -- exactness is preserved because parking removed those tags
-        from the box's suppression sets, so each replay is accepted
-        exactly once.  If the interrupt killed the source box itself,
-        rollback is impossible and the cutover proceeds anyway: the
-        parked values survive the crash precisely because they were
-        parked first.
-        """
-        if box_id not in self.tree.boxes:
-            raise KeyError(f"{box_id!r} is not part of this tree")
-        if box_id in self._failed:
-            raise ValueError(f"cannot migrate failed box {box_id!r}")
-        vertex = self.tree.boxes[box_id]
-        chain: List[str] = []
-        cursor = vertex.parent
-        while cursor is not None:
-            chain.append(cursor)
-            cursor = self.tree.boxes[cursor].parent
-        runtime = self._boxes[box_id]
-        request = self._box_request()
-
-        # Phase 1: drain.  Parked partials leave the box's queue but
-        # stay replayable; already-folded sources stay suppressed.
-        parked = runtime.park_pending(self.app, request)
-        log = MigrationLog(
-            box_id=box_id,
-            dest_chain=chain + ["master"],
-            parked_sources=[p.source for p in parked],
-            suppressed_sources=runtime.last_processed(self.app, request),
-        )
-
-        # Phase 2: the interruption window.
-        abort = False
-        if interrupt is not None:
-            try:
-                interrupt()
-            except MigrationAborted:
-                abort = True
-        if abort and box_id not in self._failed:
-            for p in parked:
-                self._submit(box_id, p.source, p.value)
-            log.rolled_back = True
-            self.migrations.append(log)
-            return log
-
-        # Phase 3: cutover.  If the interrupt failed the migrating box
-        # itself, fail_box already rewired it out (with nothing lost --
-        # its queue was parked); otherwise detach it now with the same
-        # expected-count arithmetic as a failure.  The interrupt may
-        # have rewired the tree (e.g. failed the box's parent), so the
-        # adoption arithmetic reads the *current* tree, while the
-        # failover ladder keeps the pre-drain ``dest_chain``.
-        adjusted_parent = None  # adopter whose delta already counts parked
-        if box_id in self._failed:
-            log.failed_over = True
-        else:
-            adjusted_parent = self._detach(
-                box_id,
-                set(log.parked_sources) | set(log.suppressed_sources),
-                len(parked))
-
-        dest = next(
-            (b for b in chain
-             if b not in self._failed and b in self.tree.boxes),
-            None,
-        )
-        if chain and dest != chain[0]:
-            log.failed_over = True
-        if dest is not None and dest != adjusted_parent and parked:
-            # The adopter's expected count does not yet include the
-            # parked replays (failover, or the fail_box path already
-            # re-parented with an empty queue): announce them.
-            self._boxes[dest].adjust_expected(
-                self.app, request, +len(parked)
-            )
-        suffix = f"~mig{len(self.migrations)}"
-        for p in parked:
-            tag = f"{p.source}{suffix}"
-            # Replays are retained like any other send: if the adopter
-            # dies later, fail_box can replay them again.
-            self._sent_values[tag] = p.value
-            if dest is not None:
-                self._submit(dest, tag, p.value)
-            else:
-                self.master_inbox[tag] = p.value
-        if parked:
-            log.replayed_to = dest if dest is not None else "master"
-        self.migrations.append(log)
-        return log
-
     # -- completion --------------------------------------------------------------
 
     def finish(self, merge=None) -> Any:
@@ -305,22 +169,18 @@ class InFlightRequest:
 
     # -- internals ----------------------------------------------------------------
 
-    def _detach(self, box_id: str, seen: Set[str],
-                replays: int) -> Optional[str]:
+    def _detach(self, box_id: str, seen: Set[str], replays: int) -> None:
         """Take F = ``box_id`` out of the tree; its parent N adopts.
 
         ``seen`` are the sources F received (folded or not) and
         ``replays`` how many of them the caller is about to resend.
-        Returns N, whose expected count now includes those replays, or
-        None when F fed the master.
         """
         vertex = self.tree.boxes[box_id]
         parent = vertex.parent
-        self._failed.add(box_id)
         self._detector.forget(box_id)
         self.tree = rewire_failed_box(self.tree, box_id)
         if parent is None:
-            return None
+            return
         # N's expected-input count changes: F's single (future) input is
         # replaced by the replays plus whatever F's children have not
         # sent yet.  Exactness only affects *when* N auto-emits -- the
@@ -339,7 +199,6 @@ class InFlightRequest:
         emitted = self._boxes[parent].adjust_expected(self.app, request, delta)
         if emitted is not None:
             self._propagate(parent, emitted.value)
-        return parent
 
     def _box_request(self) -> str:
         return self.tree.request_key(self.request_id)

@@ -13,13 +13,12 @@ same workload against the same degradation schedule:
   The auditor's utilization feed is the plan-time concurrent fan-in
   demand over each box's *effective* (degradation-adjusted)
   processing rate -- the flow-level stand-in for the platform's
-  pressure heartbeats; the ``rebalance_hot_edges`` strategy migrates
-  work off boxes above the hot threshold (two-phase
-  drain-then-cutover at the plan level) and returns drained boxes to
-  the planner once the hotspot drifts away and they cool below the
-  cold threshold.  The drained set feeds ``NetAggStrategy``'s fault
-  view, so later jobs rewire around migrated boxes through the §3.1
-  path and their aggregation lands on boxes with headroom.
+  pressure heartbeats; the ``rebalance_hot_edges`` strategy drains
+  boxes above the hot threshold and returns drained boxes to the
+  planner once the hotspot drifts away and they cool below the cold
+  threshold.  The drained set feeds ``NetAggStrategy``'s fault view,
+  so later jobs rewire around drained boxes through the §3.1 path and
+  their aggregation lands on boxes with headroom.
 - ``noopt``: the same drifting workload and degradations, no control
   loop; every job piles onto the momentarily-hot, slowed box.
 
@@ -30,8 +29,9 @@ strictly dominate (be lower than) the optimizer-off arm at every load
 point where violations occur at all.
 
 Every optimizer decision is traced: ``python -m repro analyze --run
-fig_selfheal`` shows the migrations in the diagnosis's ``optimizer``
-section, attributed by target box, strategy and reason.
+fig_selfheal`` shows the drains in the diagnosis's ``optimizer``
+section, attributed by target box and reason.  The table's
+``migrations`` column counts applied drains.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.aggregation import NetAggStrategy, deploy_boxes
 from repro.core.optimizer import (
+    DRAIN,
+    UNDRAIN,
     Auditor,
     OptimizerLoop,
     PlanApplier,
-    StrategyConfig,
 )
 from repro.core.failure import rewire_out
 from repro.core.tree import TreeBuilder
@@ -84,16 +85,6 @@ UTIL_WINDOW = 0.25
 
 #: Processing slow-down on the hot rack's ToR box during its phase.
 DEGRADE_SEVERITY = 16.0
-
-#: Control-loop thresholds: migrate above hot, return below cold.
-#: Utilization is offered fan-in rate over *effective* processing
-#: capacity, so 1.0 is the saturation point.  Hot sits well above it:
-#: plain concentration is what on-path aggregation is *for* (migrating
-#: away from a merely-busy box forfeits the uplink byte reduction), so
-#: only boxes whose effective rate collapsed under degradation -- where
-#: aggregating there is slower than not aggregating at all -- qualify.
-LOOP_CONFIG = StrategyConfig(hot_utilization=2.0, cold_utilization=0.5,
-                             max_actions=2, min_active=2)
 
 
 def _loaded_scale(scale: SimScale, load: float) -> SimScale:
@@ -215,9 +206,8 @@ def skew_workload(workload: Workload, topo: Topology,
 class PlanDrainShim:
     """The drain-capable surface :class:`PlanApplier` needs, plan-side.
 
-    No box runtimes exist at plan time, so migrations reduce to their
-    drain phase (nothing to park); the drained set is the output the
-    planner consumes.
+    No box runtimes exist at plan time; the drained set is the output
+    the planner consumes.
     """
 
     def __init__(self, topo: Topology) -> None:
@@ -259,8 +249,7 @@ class SelfHealController:
     set for the strategy to rewire around.
     """
 
-    def __init__(self, topo: Topology, schedule: FaultSchedule,
-                 config: StrategyConfig = LOOP_CONFIG) -> None:
+    def __init__(self, topo: Topology, schedule: FaultSchedule) -> None:
         self._topo = topo
         self._schedule = schedule
         self._builder = TreeBuilder(topo)
@@ -280,10 +269,8 @@ class SelfHealController:
             utilization=self._utilization,
             drained=self._shim.drained_boxes,
         )
-        applier = PlanApplier(self._shim, min_active=config.min_active)
-        self.loop = OptimizerLoop(auditor, "rebalance_hot_edges",
-                                  applier, config)
-        self.migrations = 0
+        self.loop = OptimizerLoop(auditor, PlanApplier(self._shim))
+        self.drains = 0
         self.undrains = 0
 
     def _health(self) -> Dict[str, _PlanBeat]:
@@ -317,11 +304,9 @@ class SelfHealController:
         self._shim.clock = max(self._shim.clock, t)
         self._charges = [c for c in self._charges
                          if c[0] > t - UTIL_WINDOW]
-        tick = self.loop.tick(t)
-        if tick.result is not None:
-            self.migrations += len(tick.result.migrations)
-            self.undrains += sum(
-                1 for a in tick.result.applied if a.kind == "undrain")
+        applied = self.loop.tick(t).result.applied
+        self.drains += sum(1 for a in applied if a.kind == DRAIN)
+        self.undrains += sum(1 for a in applied if a.kind == UNDRAIN)
         drained = self._shim.drained_boxes()
         # Charge the boxes this job will actually use: build its trees,
         # rewire the drained boxes out exactly as the strategy will,
@@ -400,7 +385,7 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
             noopt_viol=_violations(noopt, slo),
             opt_p99=fct_summary(opt, empty_ok=True).p99,
             noopt_p99=fct_summary(noopt, empty_ok=True).p99,
-            migrations=controller.migrations,
+            migrations=controller.drains,
             undrains=controller.undrains,
         )
     return result

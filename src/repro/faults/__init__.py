@@ -8,8 +8,8 @@ package turns that story into a reusable chaos harness:
 - :mod:`repro.faults.schedule` -- a seedable :class:`FaultSchedule` of
   timestamped fault events (box crash/recover, capacity degradation,
   link down/flap, worker churn, clock-skewed heartbeats, the overload
-  kinds ``box-overload``/``box-shed`` for saturation windows, and
-  ``box-migrate`` for optimizer drain-then-cutover windows);
+  kinds ``box-overload``/``box-shed`` for saturation windows, gray
+  failures, and correlated domain failures and partitions);
 - :mod:`repro.faults.retry` -- the shim-side :class:`RetryPolicy`:
   connect timeout, bounded exponential backoff with deterministic
   jitter;
@@ -46,7 +46,6 @@ from repro.faults.schedule import (
     BOX_CRASH,
     BOX_DEGRADE,
     BOX_GRAY,
-    BOX_MIGRATE,
     BOX_OVERLOAD,
     BOX_RECOVER,
     BOX_SHED,
@@ -83,7 +82,6 @@ __all__ = [
     "CLOCK_SKEW",
     "BOX_OVERLOAD",
     "BOX_SHED",
-    "BOX_MIGRATE",
     "BOX_GRAY",
     "DOMAIN_FAIL",
     "NET_PARTITION",

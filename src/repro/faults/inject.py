@@ -26,7 +26,6 @@ from repro.faults.schedule import (
     BOX_CRASH,
     BOX_DEGRADE,
     BOX_GRAY,
-    BOX_MIGRATE,
     BOX_OVERLOAD,
     BOX_RECOVER,
     BOX_SHED,
@@ -71,15 +70,8 @@ class SimFaultInjector:
         return self._schedule
 
     def fault_view(self, job) -> Set[str]:
-        """Boxes to plan around when ``job`` starts: crashed boxes plus
-        boxes inside a ``box-migrate`` drain window (drained boxes are
-        alive but accept no new trees until cutover)."""
-        draining = {
-            e.target for e in self._schedule.migrations()
-            if e.time <= job.start_time < e.time + e.duration
-        }
-        return (self._schedule.crashed_at(job.start_time) | draining) \
-            & self._known_boxes
+        """Boxes to plan around when ``job`` starts: the crashed ones."""
+        return self._schedule.crashed_at(job.start_time) & self._known_boxes
 
     def capacity_events(self, network) -> List[Tuple[float, str, float]]:
         """(when, link_id, capacity) tuples realising the schedule.
@@ -104,8 +96,7 @@ class SimFaultInjector:
         for event in self._schedule:
             windowed: List[Tuple[str, float]] = []
             if event.kind in (BOX_CRASH, BOX_RECOVER, BOX_DEGRADE,
-                              BOX_OVERLOAD, BOX_SHED, BOX_MIGRATE,
-                              BOX_GRAY):
+                              BOX_OVERLOAD, BOX_SHED, BOX_GRAY):
                 if event.target not in self._known_boxes:
                     continue
                 info = self._topo.box(event.target)
@@ -121,9 +112,7 @@ class SimFaultInjector:
                     windowed = [
                         (info.proc_link, base[info.proc_link])
                     ] if info.proc_link in base else []
-                elif event.kind in (BOX_SHED, BOX_MIGRATE):
-                    # A draining (migrating) box refuses new ingress for
-                    # its window exactly like a shedding one.
+                elif event.kind == BOX_SHED:
                     changes = [(info.downlink, 0.0)] \
                         if info.downlink in base else []
                     windowed = [(info.downlink, base[info.downlink])] \
@@ -324,11 +313,8 @@ class PlatformFaultInjector:
         return self._schedule.overload_at(box_id, t)
 
     def shedding(self, box_id: str, t: float) -> bool:
-        """Is the box refusing new requests (shed or drain window) at
-        ``t``?  A migrating box behaves like a shedding one at plan
-        time: new trees must route around it until cutover completes."""
-        return self._schedule.shedding_at(box_id, t) \
-            or self._schedule.migrating_at(box_id, t)
+        """Is the box refusing new requests (a shed window) at ``t``?"""
+        return self._schedule.shedding_at(box_id, t)
 
     def gray_factor(self, box_id: str, t: float) -> float:
         """Gray slow-down factor at ``t`` (1.0 = none).
@@ -404,7 +390,7 @@ class EmulatorFaultInjector:
                     lambda r=resource: r.degrade(1.0),
                 )
                 armed += 1
-            elif event.kind in (BOX_SHED, BOX_MIGRATE):
+            elif event.kind == BOX_SHED:
                 queue.schedule_at(event.time, resource.fail)
                 queue.schedule_at(event.time + event.duration,
                                   resource.recover)

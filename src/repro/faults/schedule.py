@@ -25,11 +25,6 @@ kind            meaning
 ``box-shed``    the box refuses *new* requests for ``duration`` s
                 (senders are NACKed down their degradation ladder;
                 in the flow simulator its ingress carries no traffic)
-``box-migrate`` the optimizer drains the box at ``time`` and cuts its
-                work over upstream after ``duration`` s; during the
-                window the box accepts no new trees (like a shed) and
-                the chaos suite may kill boxes *inside* the window to
-                exercise mid-migration recovery and rollback
 ``box-gray``    gray failure: the box runs ``severity`` times slow for
                 ``duration`` s while its heartbeat stays healthy --
                 invisible to the health machinery, caught only by the
@@ -77,7 +72,6 @@ WORKER_CHURN = "worker-churn"
 CLOCK_SKEW = "clock-skew"
 BOX_OVERLOAD = "box-overload"
 BOX_SHED = "box-shed"
-BOX_MIGRATE = "box-migrate"
 BOX_GRAY = "box-gray"
 DOMAIN_FAIL = "domain-fail"
 NET_PARTITION = "net-partition"
@@ -85,8 +79,7 @@ NET_PARTITION = "net-partition"
 FAULT_KINDS = frozenset({
     BOX_CRASH, BOX_RECOVER, BOX_DEGRADE,
     LINK_DOWN, LINK_UP, WORKER_CHURN, CLOCK_SKEW,
-    BOX_OVERLOAD, BOX_SHED, BOX_MIGRATE,
-    BOX_GRAY, DOMAIN_FAIL, NET_PARTITION,
+    BOX_OVERLOAD, BOX_SHED, BOX_GRAY, DOMAIN_FAIL, NET_PARTITION,
 })
 
 #: Marker kinds a topology-aware consumer expands into member events.
@@ -358,14 +351,6 @@ class FaultSchedule:
         """Is ``target`` inside a ``box-shed`` window at ``t``?"""
         return bool(self._covering((BOX_SHED,), target, t))
 
-    def migrating_at(self, target: str, t: float) -> bool:
-        """Is ``target`` inside a ``box-migrate`` drain window at ``t``?"""
-        return bool(self._covering((BOX_MIGRATE,), target, t))
-
-    def migrations(self) -> List[FaultEvent]:
-        """All ``box-migrate`` events, in time order."""
-        return self.events_for(kind=BOX_MIGRATE)
-
     def gray_at(self, target: str, t: float) -> float:
         """Gray slow-down factor of ``target`` at ``t`` (1.0 = none).
 
@@ -463,7 +448,6 @@ class FaultSchedule:
         skews: int = 0,
         overloads: int = 0,
         sheds: int = 0,
-        migrations: int = 0,
         mean_downtime: Optional[float] = None,
         permanent_fraction: float = 0.25,
         grays: int = 0,
@@ -493,7 +477,7 @@ class FaultSchedule:
         if duration <= 0:
             raise ValueError("duration must be positive")
         if box_crashes + degradations + skews + overloads + sheds \
-                + migrations + grays > 0 and not boxes:
+                + grays > 0 and not boxes:
             raise ValueError("box faults requested but no boxes given")
         if link_flaps > 0 and not links:
             raise ValueError("link flaps requested but no links given")
@@ -594,15 +578,6 @@ class FaultSchedule:
             events.append(FaultEvent(
                 time=start, kind=BOX_SHED, target=box,
                 duration=min(rng.uniform(0.05, 0.2) * duration,
-                             duration - start),
-            ))
-
-        for _ in range(migrations):
-            box = rng.choice(boxes)
-            start = rng.uniform(0.0, 0.8 * duration)
-            events.append(FaultEvent(
-                time=start, kind=BOX_MIGRATE, target=box,
-                duration=min(rng.uniform(0.02, 0.15) * duration,
                              duration - start),
             ))
 

@@ -23,8 +23,8 @@ Diagnosis schema (version 1)::
                "timeline": {ranked links, tier_busy, dominant_tier},
                "critical_path": {seconds, fractions, dominant, top}}],
      "platform": {seconds, fractions, dominant, top},
-     "optimizer": {ticks, audits, actions, migrations, drains,
-                   undrains, targets, log},
+     "optimizer": {ticks, audits, actions, drains, undrains,
+                   targets, log},
      "serve": {requests, tenants: {waits, service, p99, statuses}}}
 
 The ``optimizer`` section (present only when a control loop ran under

@@ -1,9 +1,9 @@
 """Optimizer attribution: every control-loop action, from the trace.
 
 The self-healing control plane (:mod:`repro.core.optimizer`) emits
-``optimizer.*`` spans and instants as it works -- audits, per-action
-instants tagged with kind/target/reason, and per-migration
-drain/cutover/rollback records carrying an ``outcome`` tag.
+``optimizer.*`` spans and instants as it works -- one audit span and
+one apply span per tick, per-action instants tagged with
+kind/target/reason, and a drain or undrain instant per applied action.
 :func:`optimizer_report` folds a whole trace's worth into the
 ``optimizer`` section of the diagnosis dict, so ``python -m repro
 analyze`` can answer "what did the optimizer do, to whom, and why" for
@@ -30,11 +30,13 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
     Shape::
 
         {"ticks": ..., "audits": ..., "actions": {kind: count},
-         "migrations": {"applied": n, "rolled-back": n,
-                        "failed-over": n},
          "drains": n, "undrains": n,
          "targets": {box_id: action count},
-         "log": [{at, kind, target, reason, strategy}, ...]}
+         "log": [{at, kind, target, reason}, ...]}
+
+    ``actions`` counts what the strategy asked for, ``drains`` and
+    ``undrains`` what was applied (a drain the guard refuses is an
+    action and not a drain).
     """
     audits = sum(1 for s in trace.spans if s.name == "optimizer.audit")
     ticks = sum(1 for s in trace.spans if s.name == "optimizer.apply")
@@ -43,7 +45,6 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
     actions: Dict[str, int] = {}
     targets: Dict[str, int] = {}
     log: List[Dict[str, object]] = []
-    migrations: Dict[str, int] = {}
     drains = undrains = 0
     for rec in trace.instants:
         if rec.name == "optimizer.action":
@@ -57,12 +58,7 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
                 "kind": kind,
                 "target": target,
                 "reason": str(rec.tags.get("reason", "")),
-                "strategy": str(rec.tags.get("strategy", "")),
             })
-        elif rec.name in ("optimizer.cutover", "optimizer.rollback"):
-            outcome = str(rec.tags.get("outcome", ""))
-            if outcome:
-                migrations[outcome] = migrations.get(outcome, 0) + 1
         elif rec.name == "optimizer.drain":
             drains += 1
         elif rec.name == "optimizer.undrain":
@@ -71,7 +67,6 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
         "ticks": ticks,
         "audits": audits,
         "actions": actions,
-        "migrations": migrations,
         "drains": drains,
         "undrains": undrains,
         "targets": dict(sorted(targets.items(),

@@ -23,9 +23,7 @@ owns: every handled request flows through :meth:`LiveTelemetry
 request into its tenant's SLO stream, evaluates burn rates, and -- on
 an alert's rising edge -- tags and dumps the flight recorder.
 Breaker-open and partition events reach the same recorder through
-:meth:`LiveTelemetry.trigger`.  The optimizer's ``Auditor`` consumes
-:meth:`LiveTelemetry.drain_alerts` as a first-class audit signal
-(observe -> alert -> act; see ARCHITECTURE.md, "Live telemetry").
+:meth:`LiveTelemetry.trigger` (see ARCHITECTURE.md, "Live telemetry").
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ class LiveTelemetry:
         self.window = window
         self.dump_dir = dump_dir
         self.now = 0.0  #: latest virtual time observed
-        self._alert_cursor = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -141,12 +138,6 @@ class LiveTelemetry:
         return self.recorder.dump(kind, at, path=path, **tags)
 
     # -- consumption -------------------------------------------------------
-
-    def drain_alerts(self) -> List[BurnRateAlert]:
-        """Alerts fired since the last drain (the Auditor's feed)."""
-        fired = self.monitor.alerts[self._alert_cursor:]
-        self._alert_cursor = len(self.monitor.alerts)
-        return list(fired)
 
     def tenants(self) -> List[str]:
         """Tenant keys with any recorded traffic, sorted."""

@@ -14,7 +14,13 @@ import json
 
 import pytest
 
-from repro.cli import SCALES, _trace_platform_companion, main, run_experiment
+from repro.cli import (
+    SCALES,
+    _optimizer_text,
+    _trace_platform_companion,
+    main,
+    run_experiment,
+)
 from repro.obs import METRICS, Tracer, tracing, write_trace
 from repro.obs.analyze import (
     CATEGORIES,
@@ -205,6 +211,57 @@ class TestTimeline:
         for run in fig06_diagnosis["runs"]:
             for value in run["timeline"]["tier_busy"].values():
                 assert 0.0 <= value <= 1.0
+
+
+class TestOptimizerSection:
+    """``repro analyze``'s optimizer section on a traced QUICK
+    ``fig_selfheal``: the trace-derived numbers equal the
+    ``optimizer.*`` counters of the same run."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        tracer = Tracer()
+        METRICS.reset()
+        with tracing(tracer):
+            run_experiment("fig_selfheal", SCALES["quick"], 1)
+        counters = {name: METRICS.counter(f"optimizer.{name}").value
+                    for name in ("ticks", "audits", "actions", "drains",
+                                 "undrains")}
+        return diagnose_tracer(tracer)["optimizer"], counters
+
+    def test_report_equals_the_counters(self, traced):
+        report, counters = traced
+        assert counters["ticks"] > 0 and counters["drains"] > 0
+        assert report["ticks"] == counters["ticks"]
+        assert report["audits"] == counters["audits"]
+        assert report["drains"] == counters["drains"]
+        assert report["undrains"] == counters["undrains"]
+        assert sum(report["actions"].values()) == counters["actions"]
+        # No drain hit the guard in this run, so every action of a kind
+        # was applied as one.
+        assert report["actions"] == {
+            kind: count for kind, count in (
+                ("drain", counters["drains"]),
+                ("undrain", counters["undrains"])) if count}
+        assert sum(report["targets"].values()) == counters["actions"]
+        assert len(report["log"]) == min(counters["actions"], 50)
+
+    def test_text_prints_the_same_numbers(self, traced):
+        report, counters = traced
+        lines = _optimizer_text(report).splitlines()
+        assert lines[0] == "== optimizer: self-healing actions =="
+        assert lines[1] == (
+            f"ticks={counters['ticks']} audits={counters['audits']} "
+            f"drains={counters['drains']} "
+            f"undrains={counters['undrains']}")
+        assert lines[2] == "actions: " + "  ".join(
+            f"{kind}={count}" for kind, count
+            in sorted(report["actions"].items()))
+        assert len(lines) == 3 + len(report["log"])
+        first = report["log"][0]
+        assert lines[3].replace(" ", "") == (
+            f"t={first['at']:.3f}{first['kind']}{first['target']}"
+            + first["reason"].replace(" ", ""))
 
 
 class TestAnalyzeCli:

@@ -43,11 +43,28 @@ def test_census_reads_the_owners_from_the_source():
     assert "OverloadPolicy" not in knobs
     assert "BreakerPolicy" not in knobs
     assert knobs["RetryPolicy"] == ["deadline", "decorrelated", "seed"]
+    assert "heartbeat_staleness" not in knobs["OverloadConfig"]
+    # The optimizer's constructors: thresholds are constants, and there
+    # is one strategy and no dry run.
+    assert knobs["OptimizerLoop"] == ["auditor", "applier"]
+    assert knobs["PlanApplier"] == ["platform"]
+    assert knobs["Auditor"] == ["health", "utilization", "drained"]
     # The perf harness still reads ``config.k``: a read-only property
     # over the constant, not a knob.
     assert "k" not in knobs["ServeConfig"]
     from repro.serve.service import TOP_K, ServeConfig
     assert ServeConfig().k == TOP_K == 10
+
+
+def test_every_optimizer_parameter_is_set_outside_the_tests():
+    check_knobs = load()
+    rows = dict(check_knobs.census())
+    optimizer = {key: sites for key, sites in rows.items()
+                 if key.split(".")[0] in
+                 ("OptimizerLoop", "PlanApplier", "Auditor")}
+    assert len(optimizer) == 6
+    assert all(optimizer.values()), optimizer
+    assert not set(optimizer) & set(check_knobs.TEST_ONLY)
 
 
 def test_test_only_table_stays_short():

@@ -19,7 +19,6 @@ from repro.faults import (
     BOX_CRASH,
     BOX_DEGRADE,
     BOX_GRAY,
-    BOX_MIGRATE,
     BOX_OVERLOAD,
     BOX_RECOVER,
     BOX_SHED,
@@ -161,10 +160,11 @@ class TestFaultSchedule:
 # ---------------------------------------------------------------------------
 # Point-in-time queries: frozen oracle
 #
-# The ten query bodies as they stood before they were rewritten over
+# The query bodies as they stood before they were rewritten over
 # three shared scans (latch / level / window), kept here verbatim
-# (``self._events`` reads ``events``).  The live methods must agree with them on every
-# schedule and every ``t``.
+# (``self._events`` reads ``events``).  There were ten; the tenth,
+# ``migrating_at``, went with the ``box-migrate`` kind.  The live
+# methods must agree with them on every schedule and every ``t``.
 
 _DOMAIN_KINDS = (DOMAIN_FAIL, NET_PARTITION)
 
@@ -254,16 +254,6 @@ def frozen_shedding_at(events, target, t):
     return False
 
 
-def frozen_migrating_at(events, target, t):
-    for event in events:
-        if event.time > t:
-            break
-        if event.kind == BOX_MIGRATE and event.target == target \
-                and t < event.time + event.duration:
-            return True
-    return False
-
-
 def frozen_gray_at(events, target, t):
     factor = 1.0
     for event in events:
@@ -304,7 +294,7 @@ def schedule_and_probe(draw):
         workers=2, domains=["rack:0", "rack:1"],
         permanent_fraction=permanent,
         link_flaps=draw(st.integers(0, 2)), skews=draw(st.integers(0, 2)),
-        migrations=draw(st.integers(0, 2)), grays=draw(st.integers(0, 2)),
+        grays=draw(st.integers(0, 2)),
         domain_fails=draw(st.integers(0, 1)),
         partitions=draw(st.integers(0, 1)), **counts)
     raw = draw(st.lists(st.builds(
@@ -336,7 +326,6 @@ class TestPointInTimeQueriesMatchFrozenBodies:
             (schedule.churn_until, frozen_churn_until),
             (schedule.overload_at, frozen_overload_at),
             (schedule.shedding_at, frozen_shedding_at),
-            (schedule.migrating_at, frozen_migrating_at),
             (schedule.gray_at, frozen_gray_at),
         ):
             got, want = live(target, t), frozen(events, target, t)
@@ -357,13 +346,11 @@ class TestPointInTimeQueriesMatchFrozenBodies:
         sched = FaultSchedule([
             FaultEvent(1.0, NET_PARTITION, "rack:0"),
             FaultEvent(1.0, BOX_SHED, "b"),
-            FaultEvent(1.0, BOX_MIGRATE, "b"),
             FaultEvent(1.0, WORKER_CHURN, "worker:0"),
         ])
         for t in (1.0, 5.0, 1e9):
             assert sched.partitions_at(t) == ["rack:0"]
             assert not sched.shedding_at("b", t)
-            assert not sched.migrating_at("b", t)
             assert sched.churn_until("worker:0", t) is None
         assert sched.partitions_at(0.5) == []
 

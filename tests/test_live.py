@@ -1,6 +1,6 @@
 """Tests for the live telemetry plane (``repro.obs.live``).
 
-Pins the tentpole loop end to end -- observe -> alert -> act:
+Pins the plane end to end -- observe -> alert -> dump:
 
 - windowed series: ring bounds, window/tumbling/rate queries,
   monotonic-time enforcement, the shared ``ewma_step`` primitive;
@@ -12,9 +12,8 @@ Pins the tentpole loop end to end -- observe -> alert -> act:
 - exposition: ``render_prometheus`` output passes
   ``validate_exposition``; the validator rejects malformed documents;
 - serving integration: a forced SLO burn fires an alert that shows up
-  in ``GET /metrics``, dumps a clean trace, and is consumed by an
-  optimizer ``Auditor`` tick; ``/metrics`` and ``/v1/stats`` stay
-  bounded under a 10k-request load;
+  in ``GET /metrics`` and dumps a clean trace; ``/metrics`` and
+  ``/v1/stats`` stay bounded under a 10k-request load;
 - sweep interaction: live telemetry is per-process -- only
   ``netsim.*`` counters merge back, so windows never double-count.
 """
@@ -26,7 +25,6 @@ from unittest import mock
 
 import pytest
 
-from repro.core.optimizer.audit import Auditor
 from repro.experiments.sweep import run_parallel
 from repro.obs import METRICS
 from repro.obs.export import validate_trace_events
@@ -350,21 +348,6 @@ class TestLiveTelemetry:
         assert validate_exposition(text) == []
         assert 'repro_slo_burning{key="t1"} 1' in text
 
-    def test_auditor_consumes_drained_alerts(self):
-        telemetry = LiveTelemetry(template=TIGHT)
-        _force_burn(telemetry)
-        alerted_before = METRICS.counter(
-            "optimizer.audits.alerted").value
-        auditor = Auditor(health=lambda: {},
-                          alerts=telemetry.drain_alerts)
-        report = auditor.audit(at=1.0)
-        assert len(report.alerts) == 1
-        assert report.alerts[0].key == "t1"
-        assert METRICS.counter("optimizer.audits.alerted").value \
-            == alerted_before + 1
-        # The drain is a cursor: a second tick sees nothing new.
-        assert auditor.audit(at=2.0).alerts == ()
-
     def test_trigger_dumps_with_kind(self, tmp_path):
         telemetry = LiveTelemetry(template=TIGHT,
                                   dump_dir=str(tmp_path))
@@ -401,15 +384,11 @@ class TestServeIntegration:
         text = service.metrics_exposition()
         assert validate_exposition(text) == []
         assert 'repro_slo_burning{key="t1"} 1' in text
-        # (b) ...the flight recorder dumped a validator-clean trace
-        # tagged with the burn...
+        # (b) ...and the flight recorder dumped a validator-clean
+        # trace tagged with the burn.
         payload = telemetry.recorder.last_dump()
         assert payload["trigger"]["kind"].startswith("slo_burn:")
         assert validate_trace_events(payload["traceEvents"]) == []
-        # (c) ...and an optimizer audit tick consumes it.
-        auditor = Auditor(health=lambda: {},
-                          alerts=telemetry.drain_alerts)
-        assert auditor.audit(at=service.clock).alerts
 
     def test_healthy_traffic_stays_quiet(self):
         service = AggregationService()

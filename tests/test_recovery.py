@@ -180,52 +180,3 @@ class TestRecoveryProperties:
                 request.fail_box(victim)
         assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
 
-
-class TestMidRequestMigration:
-    """migrate_box: §3.1 rewiring with drain-then-cutover semantics."""
-
-    def test_clean_migration_preserves_sum(self):
-        request = make_request()
-        request.deliver_worker(0)
-        victim = request.tree.worker_entry[0]
-        assert victim is not None
-        log = request.migrate_box(victim)
-        assert not log.rolled_back and not log.failed_over
-        assert victim not in request.tree.boxes
-        assert log.parked_sources == ["worker:0"]
-        assert log.replayed_to == log.dest_chain[0]
-        for index in (1, 2, 3):
-            request.deliver_worker(index)
-        assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
-        assert request.migrations == [log]
-
-    def test_migrating_idle_box_parks_nothing(self):
-        request = make_request()
-        victim = sorted(request.tree.boxes)[0]
-        log = request.migrate_box(victim)
-        assert log.parked_sources == [] and log.replayed_to == ""
-        request.deliver_all_workers()
-        assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
-
-    def test_dest_death_in_window_fails_over_down_the_chain(self):
-        request = make_request()
-        request.deliver_worker(0)
-        victim = request.tree.worker_entry[0]
-        parent = request.tree.boxes[victim].parent
-        assert parent is not None
-        log = request.migrate_box(
-            victim, interrupt=lambda: request.fail_box(parent))
-        assert log.failed_over
-        assert log.replayed_to != parent
-        for index in (1, 2, 3):
-            request.deliver_worker(index)
-        assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
-
-    def test_migrate_rejects_unknown_and_failed_boxes(self):
-        request = make_request()
-        with pytest.raises(KeyError):
-            request.migrate_box("box:nope")
-        victim = sorted(request.tree.boxes)[0]
-        request.fail_box(victim)  # rewired out: no longer migratable
-        with pytest.raises(KeyError):
-            request.migrate_box(victim)

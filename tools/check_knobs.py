@@ -5,8 +5,9 @@ Every field of a policy or config object is an option, and every option
 doubles the configurations the tests and benchmarks must cover.  This
 script counts, for each knob of the platform's policy plane -- the
 fields of ``OverloadConfig``, ``AdmissionPolicy``, ``RetryPolicy``,
-``ServeConfig`` and ``TenantPolicy``, plus the parameters of
-``NetAggPlatform.__init__`` -- the call sites under ``src/`` and
+``ServeConfig`` and ``TenantPolicy``, plus the constructor parameters
+of ``NetAggPlatform`` and of the optimizer's ``OptimizerLoop``,
+``PlanApplier`` and ``Auditor`` -- the call sites under ``src/`` and
 ``perf/`` that set it:
 
 - by keyword or by position in a call of the owner (``Owner(...)`` or
@@ -46,8 +47,8 @@ SRC = ROOT / "src" / "repro"
 SCANNED = ("src", "perf")
 
 #: (module relative to src/repro, owner) pairs whose knobs are counted.
-#: A dataclass's knobs are its annotated fields; ``NetAggPlatform``'s are
-#: its ``__init__`` parameters.
+#: A dataclass's knobs are its annotated fields; a plain class's are its
+#: ``__init__`` parameters.
 OWNERS = (
     ("core/overload.py", "OverloadConfig"),
     ("core/admission.py", "AdmissionPolicy"),
@@ -55,15 +56,17 @@ OWNERS = (
     ("serve/service.py", "ServeConfig"),
     ("serve/service.py", "TenantPolicy"),
     ("core/platform.py", "NetAggPlatform"),
+    ("core/optimizer/loop.py", "OptimizerLoop"),
+    ("core/optimizer/apply.py", "PlanApplier"),
+    ("core/optimizer/audit.py", "Auditor"),
 )
 
 #: Owners that are not dataclasses: ``replace`` cannot set their knobs.
-CONSTRUCTED_ONLY = frozenset({"NetAggPlatform"})
+CONSTRUCTED_ONLY = frozenset(
+    {"NetAggPlatform", "OptimizerLoop", "PlanApplier", "Auditor"})
 
 #: ``Owner.knob`` -> why no caller outside the tests sets it.
 TEST_ONLY: Dict[str, str] = {
-    "OverloadConfig.heartbeat_staleness":
-        "only the optimizer tests turn on stale-heartbeat suspicion",
     "RetryPolicy.deadline":
         "only the deadline tests bound a send's retry budget",
     "ServeConfig.dump_dir":
