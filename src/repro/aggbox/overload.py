@@ -14,9 +14,8 @@ first::
 
 A ``failed`` box is planned out of new trees and never touched by the
 optimizer; a ``gray`` one is planned around when partition tolerance is
-on.  Refusal happens at plan time
-(``BOX_SHED`` windows and gray boxes are NACKed), never by a box
-turning away a partial the platform already announced.
+on.  Refusal happens at plan time (gray boxes are NACKed), never by a
+box turning away a partial the platform already announced.
 """
 
 from __future__ import annotations

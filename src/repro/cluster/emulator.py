@@ -19,17 +19,7 @@ from repro.obs import METRICS
 
 
 class Resource:
-    """A FIFO multi-server rate resource.
-
-    Resources can *fail* mid-run: :meth:`fail` parks everything in
-    service back at the head of the queue (the work restarts from
-    scratch on :meth:`recover` -- replay, not resume, matching a crashed
-    agg box that lost its in-memory partials) and stops dispatching;
-    :meth:`degrade` slows the service rate for future dispatches until
-    recovery.  Time already burnt on parked work stays in ``busy_time``
-    (it was real occupancy) and the replay is charged again in full, so
-    utilisation reflects wasted work.
-    """
+    """A FIFO multi-server rate resource that serves at a fixed ``rate``."""
 
     def __init__(self, queue: EventQueue, name: str, rate: float,
                  servers: int = 1) -> None:
@@ -40,27 +30,23 @@ class Resource:
         self._queue = queue
         self.name = name
         self.rate = rate
-        self._base_rate = rate
         self.servers = servers
         self._waiting: Deque[Tuple[float, Callable[[], None]]] = deque()
-        #: One record per server, ``(token, amount, done, started_at,
-        #: service)`` while it serves and ``None`` while it idles.
-        self._slots: List[Optional[tuple]] = [None] * servers
+        #: Each server's ``done`` while it serves, ``None`` while it idles.
+        self._slots: List[Optional[Callable[[], None]]] = [None] * servers
         self._idle = list(range(servers))
         #: Each server's completion callback, bound once, not per item.
         self._finishers = [partial(self._pump, slot)
                            for slot in range(servers)]
-        self._down = False
         self.busy_time = 0.0
         self.completed = 0
-        self.failures = 0
 
     def request(self, amount: float, done: Callable[[], None]) -> None:
         """Enqueue ``amount`` units of work; ``done`` fires on completion."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
         idle = self._idle
-        if not idle or self._down or self._waiting:
+        if not idle or self._waiting:
             self._waiting.append((amount, done))
             if idle:   # freed by the completion whose ``done`` is calling
                 self._pump()
@@ -69,55 +55,12 @@ class Resource:
         slot = idle.pop()
         service = amount / self.rate
         self.busy_time += service
-        queue = self._queue
-        token = queue.schedule(service, self._finishers[slot])
-        self._slots[slot] = (token, amount, done, queue.now, service)
+        self._queue.schedule(service, self._finishers[slot])
+        self._slots[slot] = done
 
     @property
     def queue_length(self) -> int:
         return len(self._waiting)
-
-    @property
-    def is_down(self) -> bool:
-        return self._down
-
-    def fail(self) -> None:
-        """Take the resource down, parking in-service work for replay.
-
-        Idempotent while down.  Each in-service item's scheduled
-        completion is cancelled and the item returns to the *front* of
-        the queue in its original dispatch order; its not-yet-served
-        time is refunded from ``busy_time`` (the elapsed part stays --
-        those server-seconds really were spent before the crash).
-        """
-        if self._down:
-            return
-        self._down = True
-        self.failures += 1
-        now = self._queue.now
-        # Tokens grow with dispatch order, so sorting restores it.
-        parked = sorted(record for record in self._slots if record)
-        for token, _amount, _done, started, service in parked:
-            self._queue.cancel(token)
-            self.busy_time -= service - (now - started)
-        for _token, amount, done, _started, _service in reversed(parked):
-            self._waiting.appendleft((amount, done))
-        # In place: _pump holds both lists across the ``done`` it calls.
-        self._slots[:] = [None] * self.servers
-        self._idle[:] = range(self.servers)
-
-    def recover(self) -> None:
-        """Bring the resource back at full rate and replay parked work."""
-        self._down = False
-        self.rate = self._base_rate
-        self._pump()
-
-    def degrade(self, factor: float) -> None:
-        """Divide the service rate by ``factor`` (from the built rate,
-        not compounding) for future dispatches, until :meth:`recover`."""
-        if factor < 1.0:
-            raise ValueError("degradation factor must be >= 1")
-        self.rate = self._base_rate / factor
 
     def utilisation(self, elapsed: float) -> float:
         """Average busy fraction over ``elapsed`` seconds."""
@@ -128,23 +71,23 @@ class Resource:
     def _pump(self, finished: Optional[int] = None) -> None:
         """Retire the item on server ``finished`` (when given), then
         serve waiting work on idle servers.  A completion is scheduled
-        (and its token drawn) at dispatch, never at enqueue: ``rate`` may
-        change while work waits, and tokens break same-time ties."""
+        (and its token drawn) at dispatch, never at enqueue: tokens break
+        same-time ties, so drawing them earlier would reorder them."""
         slots, idle, waiting = self._slots, self._idle, self._waiting
         if finished is not None:
-            done = slots[finished][2]
+            done = slots[finished]
             slots[finished] = None
             idle.append(finished)
             self.completed += 1
             done()
         queue = self._queue
-        while waiting and idle and not self._down:
+        while waiting and idle:
             amount, done = waiting.popleft()
             slot = idle.pop()
             service = amount / self.rate
             self.busy_time += service
-            token = queue.schedule(service, self._finishers[slot])
-            slots[slot] = (token, amount, done, queue.now, service)
+            queue.schedule(service, self._finishers[slot])
+            slots[slot] = done
 
 
 class TransferChain:

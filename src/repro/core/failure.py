@@ -114,8 +114,8 @@ class FailureDetector:
         stamped earlier than the last one seen (a skewed or rewound
         sender clock) keeps the newer timestamp instead of silently
         rewinding the box towards a spurious timeout.  Legitimate skew
-        (see ``clock-skew`` fault events) thus delays detection of a
-        *silent* box but never fails a *live* one.
+        thus delays detection of a *silent* box but never fails a
+        *live* one.
         """
         if box_id not in self._last_seen:
             raise KeyError(f"not watching box {box_id!r}")

@@ -11,9 +11,8 @@ One :class:`OverloadConfig` switches on the overload plane of a
 
 Boxes have no queue bound: a box holds one request's fan-in and
 forgets it when the request ends, so there is no box load to bound,
-report or shed.  New trees are planned around boxes in a scheduled
-``BOX_SHED`` window and, with partition tolerance on, around gray
-boxes.
+report or shed.  With partition tolerance on, new trees are planned
+around gray boxes.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ load factor -- replays against three strategies:
 - ``ctrl``: NetAgg *with* overload control: the planner consults a
   deterministic admission view (per-box token buckets over job
   arrivals, plus the schedule's overload/shed windows) and re-plans new
-  jobs' trees away from saturated boxes -- the flow-level analogue of
-  the platform's shed-window NACK + re-planning path;
+  jobs' trees away from saturated boxes, the way a NACKed sender walks
+  its degradation ladder;
 - ``nc``: NetAgg *without* control: every job uses its planned boxes
   regardless of saturation, so flows pile into slowed processing links;
 - ``edge``: a binary edge-server tree (no boxes to overload).

@@ -1,4 +1,4 @@
-"""Deterministic fault injection across all three execution layers.
+"""Deterministic fault injection for the flow simulator and the platform.
 
 NetAgg's robustness story (§3.1, "Handling failures") is that the
 platform survives agg-box failures mid-request with duplicate
@@ -7,37 +7,30 @@ package turns that story into a reusable chaos harness:
 
 - :mod:`repro.faults.schedule` -- a seedable :class:`FaultSchedule` of
   timestamped fault events (box crash/recover, capacity degradation,
-  link down/flap, worker churn, clock-skewed heartbeats, the overload
-  kinds ``box-overload``/``box-shed`` for saturation windows, gray
-  failures, and correlated domain failures and partitions);
+  link flaps and worker churn; ``box-overload``/``box-shed`` saturation
+  windows for the flow simulator; gray failures and partitions for the
+  platform) with a table of which kind reaches which layer;
 - :mod:`repro.faults.retry` -- the shim-side :class:`RetryPolicy`:
   connect timeout, bounded exponential backoff with deterministic
   jitter;
-- :mod:`repro.faults.domains` -- correlated fault domains
-  (:class:`FaultDomain`, :func:`topology_domains`): rack/ToR and pod
-  blast radii whose ``domain-fail``/``net-partition`` markers expand
-  deterministically into member crashes and border link cuts;
-- :mod:`repro.faults.inject` -- one injector per execution layer:
-  :class:`SimFaultInjector` (flow-level simulator),
-  :class:`PlatformFaultInjector` (functional platform; with a
-  topology it also answers partition-scope isolation and gray-window
-  queries),
-  :class:`EmulatorFaultInjector` (testbed emulator).
+- :mod:`repro.faults.domains` -- rack and pod partition scopes and
+  :func:`in_scope`, which ``net-partition`` faults are read against;
+- :mod:`repro.faults.inject` -- one injector per faulted layer:
+  :class:`SimFaultInjector` (flow-level simulator) and
+  :class:`PlatformFaultInjector` (functional platform; with a topology
+  it also answers partition-scope isolation).
 
-The same schedule can be replayed against every layer, so FCT under
-failure, exactness of aggregates under failure, and emulated testbed
-behaviour under failure are all driven by one seed.
+One seed drives FCT under failure (``fig_failures``, ``fig_overload``,
+``fig_selfheal``) and exactness of aggregates under failure
+(``fig_failures``, ``fig_partition``).
 """
 
 from repro.faults.domains import (
-    FaultDomain,
     in_scope,
     pod_domain_name,
     rack_domain_name,
-    topology_domains,
 )
 from repro.faults.inject import (
-    EmulatorFaultInjector,
     PlatformFaultInjector,
     SimFaultInjector,
 )
@@ -49,9 +42,6 @@ from repro.faults.schedule import (
     BOX_OVERLOAD,
     BOX_RECOVER,
     BOX_SHED,
-    CLOCK_SKEW,
-    DOMAIN_FAIL,
-    DOMAIN_KINDS,
     FAULT_KINDS,
     LINK_DOWN,
     LINK_UP,
@@ -64,12 +54,9 @@ from repro.faults.schedule import (
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
-    "FaultDomain",
     "RetryPolicy",
     "SimFaultInjector",
     "PlatformFaultInjector",
-    "EmulatorFaultInjector",
-    "topology_domains",
     "in_scope",
     "rack_domain_name",
     "pod_domain_name",
@@ -79,12 +66,9 @@ __all__ = [
     "LINK_DOWN",
     "LINK_UP",
     "WORKER_CHURN",
-    "CLOCK_SKEW",
     "BOX_OVERLOAD",
     "BOX_SHED",
     "BOX_GRAY",
-    "DOMAIN_FAIL",
     "NET_PARTITION",
     "FAULT_KINDS",
-    "DOMAIN_KINDS",
 ]

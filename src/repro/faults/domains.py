@@ -1,82 +1,26 @@
-"""Correlated fault domains over a topology.
+"""Partition scopes over a topology.
 
-Real data-centre outages are rarely independent: a ToR switch or a rack
-PDU takes every box and host in the rack with it, and a mis-pushed
-routing config partitions a whole pod from the spine.  A
-:class:`FaultDomain` names one such blast radius -- the boxes, hosts and
-links that fail (or are cut) *together* -- and
-:func:`topology_domains` derives the standard ones from a topology:
+A ``net-partition`` fault names the scope it cuts off from the rest of
+the fabric:
 
-- ``rack:<tor_id>``  -- the rack behind one ToR: its hosts, the agg
-  boxes attached to the ToR, and the ToR's uplinks into the
-  aggregation tier (both directions).  ``DOMAIN_FAIL`` on it models a
-  ToR/power-domain outage; ``NET_PARTITION`` cuts only the uplinks,
-  leaving the rack alive but unreachable.
-- ``pod:<k>``        -- one pod: its hosts, every box attached to the
-  pod's ToR/aggregation switches, and the pod's aggregation->core
-  links (both directions).  ``NET_PARTITION`` on it is the classic
-  spine-side partition: the pod keeps running, but nothing crosses the
-  core.
+- ``rack:<tor_id>`` -- the rack behind one ToR: its hosts, the agg
+  boxes attached to the ToR, and the ToR itself;
+- ``pod:<k>`` -- one pod: every host, switch and box in it (core
+  switches belong to no pod).
 
-Domain names double as *partition scopes*: a node is "inside" the
-scope iff it belongs to the domain, and two endpoints are separated by
-an active partition iff exactly one of them is inside (see
-:meth:`repro.faults.PlatformFaultInjector.isolated`).  Schedules carry
-the marker events (``DOMAIN_FAIL``/``NET_PARTITION``) untouched;
-:meth:`repro.faults.FaultSchedule.expanded` turns them into the
-correlated member ``box-crash``/``link-down`` events each execution
-layer already understands.
+Members stay alive; only reachability across the border is lost.  Two
+endpoints are separated by an active partition iff exactly one of them
+is inside its scope (see
+:meth:`repro.faults.PlatformFaultInjector.isolated`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from repro.topology.base import Topology
 
-from repro.topology.base import (
-    AGGR,
-    TOR,
-    Topology,
-    link_id,
-)
-
-#: Scope-name prefixes :func:`topology_domains` emits.
+#: Scope-name prefixes.
 RACK_PREFIX = "rack:"
 POD_PREFIX = "pod:"
-
-
-@dataclass(frozen=True)
-class FaultDomain:
-    """One correlated blast radius over a topology.
-
-    Attributes:
-        name: the domain's id, also used as the fault event target and
-            the partition scope (``"rack:tor:0:1"``, ``"pod:2"``).
-        kind: ``"rack"`` or ``"pod"`` for derived domains; free-form
-            for hand-built ones.
-        boxes: agg boxes that crash when the domain fails.
-        links: directed links cut by a partition of (or failure of)
-            the domain -- the domain's border to the rest of the
-            fabric, both directions.
-        hosts: hosts inside the domain (their workers become
-            unreachable from masters outside it).
-    """
-
-    name: str
-    kind: str
-    boxes: Tuple[str, ...] = ()
-    links: Tuple[str, ...] = ()
-    hosts: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("fault domain needs a name")
-
-    @property
-    def members(self) -> Tuple[str, ...]:
-        """Every node/link id the domain touches (sorted)."""
-        return tuple(sorted(set(self.boxes) | set(self.links)
-                            | set(self.hosts)))
 
 
 def rack_domain_name(tor_id: str) -> str:
@@ -87,67 +31,13 @@ def pod_domain_name(pod: int) -> str:
     return f"{POD_PREFIX}{pod}"
 
 
-def topology_domains(topo: Topology) -> Dict[str, FaultDomain]:
-    """Derive the standard rack and pod fault domains of a topology.
-
-    Deterministic: domains and their member tuples are sorted, so the
-    same topology always yields byte-identical domains (schedules that
-    expand against them replay exactly).
-    """
-    domains: Dict[str, FaultDomain] = {}
-    hosts_by_tor: Dict[str, List[str]] = {}
-    for host in topo.hosts():
-        hosts_by_tor.setdefault(topo.tor_of(host), []).append(host)
-
-    for tor in sorted(topo.switches(TOR)):
-        uplinks: List[str] = []
-        for neighbor in sorted(topo.neighbors(tor)):
-            if topo.node(neighbor).tier == AGGR:
-                uplinks.append(link_id(tor, neighbor))
-                uplinks.append(link_id(neighbor, tor))
-        domains[rack_domain_name(tor)] = FaultDomain(
-            name=rack_domain_name(tor),
-            kind="rack",
-            boxes=tuple(sorted(b.box_id for b in topo.boxes_at(tor))),
-            links=tuple(sorted(uplinks)),
-            hosts=tuple(sorted(hosts_by_tor.get(tor, []))),
-        )
-
-    pods = sorted({topo.pod_of(a) for a in topo.switches(AGGR)})
-    for pod in pods:
-        pod_switches = sorted(
-            s for tier in (TOR, AGGR)
-            for s in topo.switches(tier) if topo.pod_of(s) == pod
-        )
-        boxes = sorted(
-            b.box_id for s in pod_switches for b in topo.boxes_at(s)
-        )
-        hosts = sorted(h for h in topo.hosts() if topo.pod_of(h) == pod)
-        core_links: List[str] = []
-        for aggr in (s for s in pod_switches
-                     if topo.node(s).tier == AGGR):
-            for neighbor in sorted(topo.neighbors(aggr)):
-                if topo.node(neighbor).tier == "core":
-                    core_links.append(link_id(aggr, neighbor))
-                    core_links.append(link_id(neighbor, aggr))
-        domains[pod_domain_name(pod)] = FaultDomain(
-            name=pod_domain_name(pod),
-            kind="pod",
-            boxes=tuple(boxes),
-            links=tuple(sorted(core_links)),
-            hosts=tuple(hosts),
-        )
-    return domains
-
-
 def in_scope(topo: Topology, node_id: str, scope: str) -> bool:
     """Is ``node_id`` (host, box, or switch) inside partition ``scope``?
 
-    Pure function of the topology -- no domain table needed: pod scopes
-    test pod membership (core switches belong to no pod), rack scopes
-    test attachment to the named ToR.  Unknown nodes are outside every
-    scope (a master name that is not in the topology cannot be cut
-    off by it).
+    Pure function of the topology: pod scopes test pod membership (core
+    switches belong to no pod), rack scopes test attachment to the named
+    ToR.  Unknown nodes are outside every scope (a master name that is
+    not in the topology cannot be cut off by it).
     """
     if not topo.has_node(node_id):
         return False

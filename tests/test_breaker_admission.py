@@ -30,7 +30,6 @@ from repro.core.admission import NACK_WINDOW, RATE_LIMIT
 from repro.faults import (
     BOX_CRASH,
     BOX_RECOVER,
-    BOX_SHED,
     FaultEvent,
     FaultSchedule,
     PlatformFaultInjector,
@@ -321,21 +320,6 @@ class TestPlatformBreakers:
 
 
 class TestPlatformHealthNacks:
-    def test_shed_window_nacks_box_out_of_plan(self):
-        topo = three_tier(SMALL)
-        deploy_boxes(topo)
-        box_ids = sorted(info.box_id for info in topo.all_boxes())
-        schedule = FaultSchedule([
-            FaultEvent(0.0, BOX_SHED, b, duration=10.0) for b in box_ids
-        ])
-        platform = make_platform(schedule, overload=OverloadConfig())
-        outcome = platform.execute_request("sum", "r1", "host:0", PARTIALS)
-        assert outcome.value == TOTAL
-        nacks = outcome.events_of_kind("nack")
-        assert nacks and all(e.detail == "shed-window" for e in nacks)
-        assert outcome.boxes_used == []       # everything went direct
-        assert not outcome.events_of_kind("unreachable")
-
     def test_health_feed_visible_in_report(self):
         platform = make_platform(overload=OverloadConfig())
         platform.execute_request("sum", "r1", "host:0", PARTIALS)

@@ -19,11 +19,13 @@ def load():
 
 
 #: A small owner table with the real shapes: two dataclasses sharing a
-#: field name, and the platform, whose knobs are constructor parameters.
+#: field name, the platform, whose knobs are constructor parameters, and
+#: a method owner.
 KNOBS = {
     "AdmissionPolicy": ["rate", "burst"],
     "TenantPolicy": ["rate", "burst", "slo"],
     "NetAggPlatform": ["topo", "faults"],
+    "FaultSchedule.generate": ["seed", "duration"],
 }
 
 
@@ -54,6 +56,13 @@ def test_census_reads_the_owners_from_the_source():
     assert "k" not in knobs["ServeConfig"]
     from repro.serve.service import TOP_K, ServeConfig
     assert ServeConfig().k == TOP_K == 10
+    # The fault plane: the generator's draws and the injectors.
+    assert knobs["FaultSchedule.generate"] == [
+        "seed", "duration", "boxes", "links", "workers", "box_crashes",
+        "link_flaps", "degradations", "churns", "overloads", "sheds",
+        "permanent_fraction"]
+    assert knobs["SimFaultInjector"] == ["topo", "schedule"]
+    assert knobs["PlatformFaultInjector"] == ["schedule", "topo"]
 
 
 def test_every_optimizer_parameter_is_set_outside_the_tests():
@@ -96,6 +105,9 @@ def test_test_only_table_stays_short():
     ("replace(p, faults=None)\n", set()),
     ("replace(p, **overrides)\n", set()),
     ("AdmissionPolicy(ratee=1.0)\n", set()),
+    ("FaultSchedule.generate(1, duration=2.0)\n",
+     {"FaultSchedule.generate.seed", "FaultSchedule.generate.duration"}),
+    ("other.generate(seed=1)\n", set()),
 ])
 def test_setters(source, credited):
     found = load().setters_in(source, KNOBS, where="m.py")

@@ -65,71 +65,6 @@ class TestResource:
 
 
 class TestResourceEdgeCases:
-    def test_fail_scheduled_before_dispatch_wins_the_same_time_tie(self):
-        queue = EventQueue()
-        nic = Resource(queue, "nic", rate=1.0)
-        done = []
-        queue.schedule_at(1.0, nic.fail)            # lower token
-        nic.request(1.0, lambda: done.append(queue.now))
-        queue.run()
-        assert done == [] and nic.queue_length == 1 and nic.completed == 0
-        assert nic.busy_time == 1.0                 # all of it was served
-        nic.recover()
-        queue.run()
-        assert done == [2.0] and nic.completed == 1  # once, not twice
-        assert nic.busy_time == 2.0
-
-    def test_completion_dispatched_before_fail_wins_the_same_time_tie(self):
-        queue = EventQueue()
-        nic = Resource(queue, "nic", rate=1.0)
-        done = []
-        nic.request(1.0, lambda: done.append(queue.now))  # lower token
-        nic.request(1.0, lambda: done.append(queue.now))
-        queue.schedule_at(1.0, nic.fail)
-        queue.run()
-        # The first fired at 1.0 and is not replayed; the second was
-        # dispatched by that completion, then parked at zero elapsed.
-        assert done == [1.0] and nic.queue_length == 1
-        assert nic.busy_time == 1.0
-        nic.recover()
-        queue.run()
-        assert done == [1.0, 2.0] and nic.completed == 2
-
-    def test_degrade_with_a_backlog_changes_only_later_dispatches(self):
-        queue = EventQueue()
-        nic = Resource(queue, "nic", rate=10.0)
-        done = []
-        for name in "abc":
-            nic.request(10.0, lambda name=name: done.append((name, queue.now)))
-        queue.schedule_at(0.5, lambda: nic.degrade(2.0))
-        queue.run()
-        assert done == [("a", 1.0), ("b", 3.0), ("c", 5.0)]
-        assert nic.busy_time == 1.0 + 2.0 + 2.0
-
-    def test_eight_servers_replay_in_dispatch_order(self):
-        queue = EventQueue()
-        pool = Resource(queue, "cpu", rate=1.0, servers=8)
-        done = []
-
-        def submit(name, amount):
-            pool.request(amount, lambda: done.append((name, queue.now)))
-
-        # 0, 2 and 4 finish early, so 8-10 start on their servers: the
-        # order work sits on servers is no longer the order it started.
-        for name in range(8):
-            submit(name, 0.25 if name in (0, 2, 4) else 1.0)
-        for name in (8, 9, 10, 11):
-            submit(name, 1.0)
-        queue.schedule_at(0.5, pool.fail)
-        queue.schedule_at(1.0, pool.recover)
-        queue.run()
-        assert done[:3] == [(0, 0.25), (2, 0.25), (4, 0.25)]
-        assert done[3:] == [(name, 2.0) for name in
-                            (1, 3, 5, 6, 7, 8, 9, 10)] + [(11, 3.0)]
-        assert pool.completed == 12 and pool.queue_length == 0
-        # 3 short items, 5 x 0.5s + 3 x 0.25s lost to the crash, 9 replays.
-        assert pool.busy_time == 0.75 + 2.5 + 0.75 + 9.0
-
     def test_zero_amount_completes_through_the_queue(self):
         queue = EventQueue()
         nic = Resource(queue, "nic", rate=10.0)

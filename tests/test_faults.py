@@ -1,7 +1,7 @@
 """Tests for the deterministic fault-injection layer (repro.faults).
 
-Covers the schedule/retry primitives, the three per-layer injectors
-(flow simulator, functional platform, testbed emulator), and the
+Covers the schedule/retry primitives, the two per-layer injectors
+(flow simulator, functional platform), and the
 property-style guarantee the layer exists for: under randomized seeded
 fault schedules the platform's aggregates stay byte-identical to a
 centralised computation while the shims retry and degrade gracefully.
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.aggbox.functions import SearchResult, TopKFunction
 from repro.aggregation import NetAggStrategy, deploy_boxes
-from repro.cluster.emulator import Resource
 from repro.core.platform import NetAggPlatform
 from repro.faults import (
     BOX_CRASH,
@@ -22,14 +21,11 @@ from repro.faults import (
     BOX_OVERLOAD,
     BOX_RECOVER,
     BOX_SHED,
-    CLOCK_SKEW,
-    DOMAIN_FAIL,
     FAULT_KINDS,
     LINK_DOWN,
     LINK_UP,
     NET_PARTITION,
     WORKER_CHURN,
-    EmulatorFaultInjector,
     FaultEvent,
     FaultSchedule,
     PlatformFaultInjector,
@@ -43,7 +39,6 @@ from repro.faults.retry import (
     TIMEOUT,
     raw_backoff,
 )
-from repro.netsim.engine import EventQueue
 from repro.netsim.simulator import FlowSim
 from repro.topology.threetier import ThreeTierParams, three_tier
 from repro.wire.records import decode_search_results, encode_search_results
@@ -69,11 +64,10 @@ class TestFaultSchedule:
     def test_events_kept_sorted(self):
         sched = FaultSchedule([
             FaultEvent(2.0, BOX_CRASH, "b"),
+            FaultEvent(1.5, LINK_UP, "l"),
             FaultEvent(1.0, LINK_DOWN, "l"),
         ])
-        sched.add(FaultEvent(1.5, LINK_UP, "l"))
         assert [e.time for e in sched] == [1.0, 1.5, 2.0]
-        assert sched.horizon == 2.0
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -134,7 +128,7 @@ class TestFaultSchedule:
     def test_generate_deterministic(self):
         kwargs = dict(duration=10.0, boxes=["b1", "b2", "b3"],
                       links=["l1", "l2"], workers=4, box_crashes=3,
-                      link_flaps=2, degradations=1, churns=1, skews=1)
+                      link_flaps=2, degradations=1, churns=1)
         a = FaultSchedule.generate(seed=42, **kwargs)
         b = FaultSchedule.generate(seed=42, **kwargs)
         c = FaultSchedule.generate(seed=43, **kwargs)
@@ -162,11 +156,10 @@ class TestFaultSchedule:
 #
 # The query bodies as they stood before they were rewritten over
 # three shared scans (latch / level / window), kept here verbatim
-# (``self._events`` reads ``events``).  There were ten; the tenth,
-# ``migrating_at``, went with the ``box-migrate`` kind.  The live
-# methods must agree with them on every schedule and every ``t``.
-
-_DOMAIN_KINDS = (DOMAIN_FAIL, NET_PARTITION)
+# (``self._events`` reads ``events``).  There were ten; ``migrating_at``
+# and ``clock_skew_at`` went with their kinds, and ``partitions_at``
+# reads the one partition kind left.  The live methods must agree with
+# them on every schedule and every ``t``.
 
 
 def frozen_crashed_at(events, t):
@@ -205,20 +198,6 @@ def frozen_degradation_at(events, target, t):
         elif event.kind == BOX_RECOVER:
             factor = 1.0
     return factor
-
-
-def frozen_clock_skew_at(events, target, t):
-    skew = 0.0
-    for event in events:
-        if event.time > t:
-            break
-        if event.target != target:
-            continue
-        if event.kind == CLOCK_SKEW:
-            skew = event.severity
-        elif event.kind == BOX_RECOVER:
-            skew = 0.0
-    return skew
 
 
 def frozen_churn_until(events, target, t):
@@ -270,7 +249,7 @@ def frozen_partitions_at(events, t):
     for event in events:
         if event.time > t:
             break
-        if event.kind in _DOMAIN_KINDS \
+        if event.kind == NET_PARTITION \
                 and (event.duration <= 0
                      or t < event.time + event.duration):
             scopes.add(event.target)
@@ -286,17 +265,14 @@ _TARGETS = BOX_IDS[:2] + ["link:a", "worker:0", "worker:1", "rack:0"]
 @st.composite
 def schedule_and_probe(draw):
     """A chaos-suite schedule widened to every fault kind, salted with
-    raw events the generator never draws (severity below 1, zero-length
-    windows, recovers with nothing to clear), and one (target, t)."""
+    raw events the generator never draws (gray and partition windows,
+    severity below 1, zero-length windows), and one (target, t).  A raw
+    event that would make the timeline incoherent is left out."""
     seed, counts, permanent, _, _ = draw(platform_scenario())
     generated = FaultSchedule.generate(
         seed=seed, duration=3.0, boxes=BOX_IDS, links=["link:a", "link:b"],
-        workers=2, domains=["rack:0", "rack:1"],
-        permanent_fraction=permanent,
-        link_flaps=draw(st.integers(0, 2)), skews=draw(st.integers(0, 2)),
-        grays=draw(st.integers(0, 2)),
-        domain_fails=draw(st.integers(0, 1)),
-        partitions=draw(st.integers(0, 1)), **counts)
+        workers=2, permanent_fraction=permanent,
+        link_flaps=draw(st.integers(0, 2)), **counts)
     raw = draw(st.lists(st.builds(
         FaultEvent,
         time=st.sampled_from(_GRID),
@@ -305,7 +281,14 @@ def schedule_and_probe(draw):
         severity=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
         duration=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     ), max_size=12))
-    schedule = FaultSchedule(list(generated) + raw, validate=False)
+    events = list(generated)
+    for event in raw:
+        try:
+            FaultSchedule(events + [event])
+        except ValueError:
+            continue
+        events.append(event)
+    schedule = FaultSchedule(events)
     targets = sorted({e.target for e in schedule}) + ["nobody"]
     t = draw(st.sampled_from(_GRID) | st.floats(0.0, 4.0))
     return schedule, draw(st.sampled_from(targets)), t
@@ -322,7 +305,6 @@ class TestPointInTimeQueriesMatchFrozenBodies:
         assert schedule.partitions_at(t) == frozen_partitions_at(events, t)
         for live, frozen in (
             (schedule.degradation_at, frozen_degradation_at),
-            (schedule.clock_skew_at, frozen_clock_skew_at),
             (schedule.churn_until, frozen_churn_until),
             (schedule.overload_at, frozen_overload_at),
             (schedule.shedding_at, frozen_shedding_at),
@@ -523,11 +505,11 @@ class TestPlatformFaults:
         assert outcome.shim_events == []
 
     def test_oracle_surface_is_called_directly(self):
-        """One plain request asks the oracle all seven questions, and
+        """One plain request asks the oracle all five questions, and
         asks them unguarded: an oracle missing one fails at first use
         instead of being silently read as "no such fault"."""
-        surface = {"box_down", "degradation", "overload_factor",
-                   "gray_factor", "shedding", "churn_until", "isolated"}
+        surface = {"box_down", "degradation", "gray_factor",
+                   "churn_until", "isolated"}
         real = PlatformFaultInjector(FaultSchedule())
 
         class Oracle:
@@ -689,76 +671,3 @@ class TestPlatformFaults:
             "solr", "job", "host:0", keyed, n_trees=2)
         assert outcome.value == base.value
 
-
-# ---------------------------------------------------------------------------
-# Emulator injection
-
-
-class TestEmulatorFaults:
-    def test_fail_parks_and_replays_in_order(self):
-        queue = EventQueue()
-        nic = Resource(queue, "nic", rate=100.0)
-        dones = []
-        nic.request(100.0, lambda: dones.append(("a", queue.now)))
-        nic.request(50.0, lambda: dones.append(("b", queue.now)))
-        sched = FaultSchedule([
-            FaultEvent(0.4, BOX_CRASH, "nic"),
-            FaultEvent(0.9, BOX_RECOVER, "nic"),
-        ])
-        assert EmulatorFaultInjector(sched).arm(queue, {"nic": nic}) == 2
-        queue.run()
-        # "a" restarts from scratch at 0.9 (replay, not resume).
-        assert dones == [("a", pytest.approx(1.9)),
-                         ("b", pytest.approx(2.4))]
-        assert nic.failures == 1
-        # busy_time counts the 0.4s of wasted pre-crash work.
-        assert nic.busy_time == pytest.approx(0.4 + 1.0 + 0.5)
-
-    def test_fail_idempotent_and_down_blocks_dispatch(self):
-        queue = EventQueue()
-        cpu = Resource(queue, "cpu", rate=1.0)
-        cpu.fail()
-        cpu.fail()
-        assert cpu.failures == 1
-        assert cpu.is_down
-        done = []
-        cpu.request(1.0, lambda: done.append(queue.now))
-        queue.run()
-        assert done == []  # nothing dispatches while down
-        cpu.recover()
-        queue.run()
-        assert done == [pytest.approx(1.0)]
-
-    def test_degrade_slows_future_dispatches(self):
-        queue = EventQueue()
-        nic = Resource(queue, "nic", rate=10.0)
-        sched = FaultSchedule([
-            FaultEvent(0.0, BOX_DEGRADE, "nic", severity=2.0),
-        ])
-        EmulatorFaultInjector(sched).arm(queue, {"nic": nic})
-        done = []
-        queue.schedule_at(0.1, lambda: nic.request(
-            10.0, lambda: done.append(queue.now)))
-        queue.run()
-        assert done == [pytest.approx(2.1)]  # 10 units at rate 5
-        nic.recover()
-        assert nic.rate == 10.0
-
-    def test_unmatched_targets_not_armed(self):
-        queue = EventQueue()
-        sched = FaultSchedule([FaultEvent(1.0, BOX_CRASH, "ghost")])
-        assert EmulatorFaultInjector(sched).arm(queue, {}) == 0
-        assert len(queue) == 0
-
-    def test_multi_server_fail_refunds_unserved_time(self):
-        queue = EventQueue()
-        pool = Resource(queue, "cpu", rate=1.0, servers=2)
-        done = []
-        pool.request(2.0, lambda: done.append(queue.now))
-        pool.request(2.0, lambda: done.append(queue.now))
-        queue.schedule_at(1.0, pool.fail)
-        queue.schedule_at(1.5, pool.recover)
-        queue.run()
-        assert done == [pytest.approx(3.5), pytest.approx(3.5)]
-        # 2 servers x 1s real pre-crash work + 2 x 2s replays.
-        assert pool.busy_time == pytest.approx(2.0 + 4.0)

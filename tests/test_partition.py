@@ -4,9 +4,7 @@ Covers the pieces end-to-end, each label checked against ground truth:
 
 - schedule coherence: ``FaultSchedule.validate`` rejects incoherent
   timelines and names the offending events;
-- fault domains: rack/pod derivation, scope membership, and the
-  expansion of ``domain-fail``/``net-partition`` markers into
-  correlated member events;
+- partition scopes: rack/pod membership;
 - gray detection: the seeded-EWMA latency-outlier detector flags
   without poisoning its baseline, and the platform hedges deliveries
   into gray boxes against the deadline;
@@ -40,7 +38,6 @@ from repro.faults import (
     BOX_CRASH,
     BOX_GRAY,
     BOX_RECOVER,
-    DOMAIN_FAIL,
     LINK_DOWN,
     LINK_UP,
     NET_PARTITION,
@@ -50,7 +47,6 @@ from repro.faults import (
     in_scope,
     pod_domain_name,
     rack_domain_name,
-    topology_domains,
 )
 from repro.serve import AggregationService, HttpFrontend, ServeConfig
 from repro.serve import service as service_module
@@ -98,41 +94,37 @@ class TestScheduleValidate:
             ])
 
     def test_recover_before_crash_rejected(self):
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=BOX_RECOVER, target="box:tor:0:0"),
-        ], validate=False)
         with pytest.raises(ValueError, match=r"box-recover@1->box:tor:0:0"):
-            schedule.validate()
+            FaultSchedule([
+                FaultEvent(time=1.0, kind=BOX_RECOVER, target="box:tor:0:0"),
+            ])
 
     def test_overlapping_crash_windows_rejected(self):
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=BOX_CRASH, target="box:tor:0:0",
-                       duration=0.0),
-            FaultEvent(time=2.0, kind=BOX_CRASH, target="box:tor:0:0",
-                       duration=0.0),
-        ], validate=False)
         with pytest.raises(ValueError, match="still crashed"):
-            schedule.validate()
+            FaultSchedule([
+                FaultEvent(time=1.0, kind=BOX_CRASH, target="box:tor:0:0",
+                           duration=0.0),
+                FaultEvent(time=2.0, kind=BOX_CRASH, target="box:tor:0:0",
+                           duration=0.0),
+            ])
 
     def test_double_link_down_rejected(self):
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=LINK_DOWN, target="a->b"),
-            FaultEvent(time=2.0, kind=LINK_DOWN, target="a->b"),
-        ], validate=False)
         with pytest.raises(ValueError, match="already down"):
-            schedule.validate()
+            FaultSchedule([
+                FaultEvent(time=1.0, kind=LINK_DOWN, target="a->b"),
+                FaultEvent(time=2.0, kind=LINK_DOWN, target="a->b"),
+            ])
 
     def test_overlapping_domain_windows_rejected(self):
         # duration=0 is permanent, so any later window on the same
-        # domain overlaps it.
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=NET_PARTITION, target="pod:1",
-                       duration=0.0),
-            FaultEvent(time=5.0, kind=NET_PARTITION, target="pod:1",
-                       duration=1.0),
-        ], validate=False)
+        # scope overlaps it.
         with pytest.raises(ValueError, match="pod:1"):
-            schedule.validate()
+            FaultSchedule([
+                FaultEvent(time=1.0, kind=NET_PARTITION, target="pod:1",
+                           duration=0.0),
+                FaultEvent(time=5.0, kind=NET_PARTITION, target="pod:1",
+                           duration=1.0),
+            ])
 
     def test_coherent_timeline_returns_self(self):
         schedule = FaultSchedule([
@@ -150,46 +142,40 @@ class TestScheduleValidate:
         assert schedule.validate() is schedule
 
     def test_all_violations_listed(self):
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=BOX_RECOVER, target="box:a"),
-            FaultEvent(time=1.0, kind=LINK_DOWN, target="a->b"),
-            FaultEvent(time=2.0, kind=LINK_DOWN, target="a->b"),
-        ], validate=False)
         with pytest.raises(ValueError) as exc:
-            schedule.validate()
+            FaultSchedule([
+                FaultEvent(time=1.0, kind=BOX_RECOVER, target="box:a"),
+                FaultEvent(time=1.0, kind=LINK_DOWN, target="a->b"),
+                FaultEvent(time=2.0, kind=LINK_DOWN, target="a->b"),
+            ])
         message = str(exc.value)
         assert "box-recover@1->box:a" in message
         assert "link-down@2->a->b" in message
 
 
 # ---------------------------------------------------------------------------
-# Fault domains
+# Partition scopes
 
 
 class TestFaultDomains:
     def test_pod_domains_cover_pod_members(self):
         topo = small_topo()
-        domains = topology_domains(topo)
-        pod0 = domains[pod_domain_name(0)]
-        assert set(pod0.hosts) == {
-            h for h in topo.hosts() if topo.pod_of(h) == 0}
-        assert all(topo.pod_of(b) == 0 for b in pod0.boxes)
-        assert pod0.links  # aggr<->core border links
+        scope = pod_domain_name(0)
+        hosts = {h for h in topo.hosts() if in_scope(topo, h, scope)}
+        assert hosts == {h for h in topo.hosts() if topo.pod_of(h) == 0}
+        boxes = [b.box_id for b in topo.all_boxes()]
+        assert {b for b in boxes if in_scope(topo, b, scope)} == {
+            b for b in boxes if topo.pod_of(b) == 0}
 
     def test_rack_domains_cover_rack_members(self):
         topo = small_topo()
-        domains = topology_domains(topo)
         tor = sorted(topo.switches(TOR))[0]
-        rack = domains[rack_domain_name(tor)]
-        assert set(rack.hosts) == {
+        scope = rack_domain_name(tor)
+        assert {h for h in topo.hosts() if in_scope(topo, h, scope)} == {
             h for h in topo.hosts() if topo.tor_of(h) == tor}
-        assert set(rack.boxes) == {
+        assert {b.box_id for b in topo.all_boxes()
+                if in_scope(topo, b.box_id, scope)} == {
             b.box_id for b in topo.boxes_at(tor)}
-        assert rack.links  # tor<->aggr uplinks
-
-    def test_domains_deterministic(self):
-        topo = small_topo()
-        assert topology_domains(topo) == topology_domains(topo)
 
     def test_in_scope_membership(self):
         topo = small_topo()
@@ -202,49 +188,6 @@ class TestFaultDomains:
         # Unknown nodes are outside every scope.
         assert not in_scope(topo, "host:999", pod_domain_name(0))
         assert not in_scope(topo, "nonsense", rack_domain_name(tor))
-
-
-class TestDomainExpansion:
-    def test_domain_fail_expands_to_member_crashes(self):
-        topo = small_topo()
-        domains = topology_domains(topo)
-        tor = sorted(topo.switches(TOR))[0]
-        rack = domains[rack_domain_name(tor)]
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=DOMAIN_FAIL, target=rack.name,
-                       duration=2.0),
-        ]).expanded(domains)
-        crashes = {e.target for e in schedule.events
-                   if e.kind == BOX_CRASH}
-        recovers = {e.target for e in schedule.events
-                    if e.kind == BOX_RECOVER and e.time == 3.0}
-        assert crashes == set(rack.boxes)
-        assert recovers == set(rack.boxes)
-        downs = {e.target for e in schedule.events if e.kind == LINK_DOWN}
-        assert downs == set(rack.links)
-
-    def test_net_partition_cuts_links_only(self):
-        topo = small_topo()
-        domains = topology_domains(topo)
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=NET_PARTITION, target="pod:1",
-                       duration=0.0),
-        ]).expanded(domains)
-        assert not [e for e in schedule.events if e.kind == BOX_CRASH]
-        downs = [e for e in schedule.events if e.kind == LINK_DOWN]
-        assert {e.target for e in downs} == set(domains["pod:1"].links)
-        # duration=0 is permanent: no matching link-up events.
-        assert not [e for e in schedule.events if e.kind == LINK_UP]
-        # The marker itself is retained for partition-aware consumers.
-        assert schedule.partitions_at(2.0) == ["pod:1"]
-
-    def test_unknown_domain_rejected_with_catalogue(self):
-        topo = small_topo()
-        schedule = FaultSchedule([
-            FaultEvent(time=1.0, kind=NET_PARTITION, target="pod:99"),
-        ])
-        with pytest.raises(ValueError, match="unknown fault domain"):
-            schedule.expanded(topology_domains(topo))
 
 
 # ---------------------------------------------------------------------------

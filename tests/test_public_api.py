@@ -156,8 +156,7 @@ def test_stable_surface_no_leaks():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, f"repro.{name} missing"
     # Per-layer fault injectors are submodule API now, not top-level.
-    for internal in ("SimFaultInjector", "PlatformFaultInjector",
-                     "EmulatorFaultInjector"):
+    for internal in ("SimFaultInjector", "PlatformFaultInjector"):
         with pytest.raises(AttributeError):
             getattr(repro, internal)
     # Everything public and eagerly bound on the package (other than

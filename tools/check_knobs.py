@@ -6,12 +6,14 @@ doubles the configurations the tests and benchmarks must cover.  This
 script counts, for each knob of the platform's policy plane -- the
 fields of ``OverloadConfig``, ``AdmissionPolicy``, ``RetryPolicy``,
 ``ServeConfig`` and ``TenantPolicy``, plus the constructor parameters
-of ``NetAggPlatform`` and of the optimizer's ``OptimizerLoop``,
-``PlanApplier`` and ``Auditor`` -- the call sites under ``src/`` and
-``perf/`` that set it:
+of ``NetAggPlatform``, of the optimizer's ``OptimizerLoop``,
+``PlanApplier`` and ``Auditor`` and of the fault injectors, and the
+parameters of ``FaultSchedule.generate`` -- the call sites under
+``src/`` and ``perf/`` that set it:
 
-- by keyword or by position in a call of the owner (``Owner(...)`` or
-  ``module.Owner(...)``), or
+- by keyword or by position in a call of the owner (``Owner(...)``,
+  ``module.Owner(...)`` or, for a method owner, ``Owner.method(...)``),
+  or
 - by keyword in a ``replace(...)`` / ``dataclasses.replace(...)`` call,
   credited to every dataclass owner that has a field of each of the
   call's keywords (the replaced object's type is not known
@@ -48,7 +50,8 @@ SCANNED = ("src", "perf")
 
 #: (module relative to src/repro, owner) pairs whose knobs are counted.
 #: A dataclass's knobs are its annotated fields; a plain class's are its
-#: ``__init__`` parameters.
+#: ``__init__`` parameters; a ``Class.method`` owner's are the method's
+#: parameters after ``self``/``cls``.
 OWNERS = (
     ("core/overload.py", "OverloadConfig"),
     ("core/admission.py", "AdmissionPolicy"),
@@ -59,11 +62,15 @@ OWNERS = (
     ("core/optimizer/loop.py", "OptimizerLoop"),
     ("core/optimizer/apply.py", "PlanApplier"),
     ("core/optimizer/audit.py", "Auditor"),
+    ("faults/schedule.py", "FaultSchedule.generate"),
+    ("faults/inject.py", "SimFaultInjector"),
+    ("faults/inject.py", "PlatformFaultInjector"),
 )
 
 #: Owners that are not dataclasses: ``replace`` cannot set their knobs.
 CONSTRUCTED_ONLY = frozenset(
-    {"NetAggPlatform", "OptimizerLoop", "PlanApplier", "Auditor"})
+    {"NetAggPlatform", "OptimizerLoop", "PlanApplier", "Auditor",
+     "FaultSchedule.generate", "SimFaultInjector", "PlatformFaultInjector"})
 
 #: ``Owner.knob`` -> why no caller outside the tests sets it.
 TEST_ONLY: Dict[str, str] = {
@@ -71,6 +78,8 @@ TEST_ONLY: Dict[str, str] = {
         "only the deadline tests bound a send's retry budget",
     "ServeConfig.dump_dir":
         "a deployment path, so it stays; only tests write dumps to disk",
+    "FaultSchedule.generate.permanent_fraction":
+        "the chaos suites need all-permanent and all-recovering crashes",
 }
 
 Site = str  #: "path:line" of one setting call
@@ -81,11 +90,12 @@ def owner_knobs() -> Dict[str, List[str]]:
     knobs: Dict[str, List[str]] = {}
     for module, owner in OWNERS:
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        name, _, method = owner.partition(".")
         cls = next(node for node in tree.body
-                   if isinstance(node, ast.ClassDef) and node.name == owner)
+                   if isinstance(node, ast.ClassDef) and node.name == name)
         init = next((node for node in cls.body
                      if isinstance(node, ast.FunctionDef)
-                     and node.name == "__init__"), None)
+                     and node.name == (method or "__init__")), None)
         if init is not None:
             knobs[owner] = [a.arg for a in init.args.args[1:]]
         else:
@@ -95,13 +105,17 @@ def owner_knobs() -> Dict[str, List[str]]:
     return knobs
 
 
-def _callee(call: ast.Call) -> str:
+def _callees(call: ast.Call) -> Tuple[str, ...]:
+    """The names a call answers to: ``f(...)`` is ``f``, ``a.f(...)`` is
+    ``f`` and ``a.f``."""
     func = call.func
     if isinstance(func, ast.Name):
-        return func.id
+        return (func.id,)
     if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
+        if isinstance(func.value, ast.Name):
+            return (func.attr, f"{func.value.id}.{func.attr}")
+        return (func.attr,)
+    return ()
 
 
 def setters_in(source: str, knobs: Dict[str, List[str]],
@@ -115,8 +129,9 @@ def setters_in(source: str, knobs: Dict[str, List[str]],
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        name = _callee(node)
-        if name in knobs:
+        names = _callees(node)
+        name = next((n for n in names if n in knobs), None)
+        if name is not None:
             fields = knobs[name]
             for index, arg in enumerate(node.args):
                 if index < len(fields) and not isinstance(arg, ast.Starred):
@@ -124,7 +139,7 @@ def setters_in(source: str, knobs: Dict[str, List[str]],
             for keyword in node.keywords:
                 if keyword.arg in fields:
                     credit(name, keyword.arg, node.lineno)
-        elif name == "replace":
+        elif names[:1] == ("replace",):
             names = {keyword.arg for keyword in node.keywords}
             for owner, fields in knobs.items():
                 if owner not in CONSTRUCTED_ONLY and names <= set(fields):
