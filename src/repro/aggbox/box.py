@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.aggbox.functions import AggregationFunction
 from repro.aggbox.localtree import tree_aggregate
 from repro.obs import METRICS, get_tracer
-from repro.wire.framing import ChunkReassembler
+from repro.wire.framing import ChunkReassembler, whole_frame
 
 
 @dataclass
@@ -87,8 +87,8 @@ class AggBoxRuntime:
         #: Platform-level request id behind the partials currently being
         #: fed (the per-request key ``request_id`` is a per-tree alias
         #: like ``<origin>@t0``).  The hosting platform sets this before
-        #: each delivery; it is stamped onto the box's spans/instants so
-        #: the critical-path extractor can group box work per request.
+        #: each delivery; it is stamped onto the box's ``box.emit`` spans
+        #: so the critical-path extractor can group box work per request.
         self.trace_origin = ""
         self._apps: Dict[str, AppBinding] = {}
         #: Requests in flight: an entry leaves on :meth:`release`.
@@ -152,8 +152,8 @@ class AggBoxRuntime:
                 f"adjusted expected count {new_expected} must stay >= 0"
             )
         state.expected = new_expected
-        if state.partials:
-            return self._maybe_emit(state)
+        if state.partials and not state.emitted and state.complete:
+            return self._emit(self._binding(app), state)
         return None
 
     def has_source(self, app: str, request_id: str, source: str) -> bool:
@@ -171,38 +171,35 @@ class AggBoxRuntime:
         Re-submissions from already-processed sources are dropped (the
         failure-recovery protocol resends only unprocessed results).
         """
-        self._binding(app)
-        state = self._state(app, request_id)
-        if source in state.processed_sources or source in state.sources:
-            return None
-        state.partials.append(value)
-        state.sources.append(source)
-        self._m_partials.inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant("box.partial", self.clock, layer="aggbox",
-                           box=self.box_id, app=app, request=request_id,
-                           origin=self.trace_origin, source=source,
-                           pending=len(state.partials))
-        return self._maybe_emit(state)
+        return self._intake(self._binding(app), self._state(app, request_id),
+                            source, value)
 
     def submit_chunk(self, app: str, request_id: str, source: str,
                      chunk: bytes) -> Optional[AggregateReady]:
         """Deliver raw bytes; frames are reassembled across chunks.
 
         Each completed frame is deserialised with the application's codec
-        and treated as one partial result from ``source``.
+        and treated as one partial result from ``source``.  A chunk that
+        is exactly one frame, on a stream with nothing buffered, skips
+        the reassembler.
         """
         binding = self._binding(app)
         key = (app, request_id, source)
-        reassembler = self._reassemblers.pop(key, None) or ChunkReassembler()
-        frames = reassembler.feed(chunk)
-        if reassembler.pending_bytes:
-            self._reassemblers[key] = reassembler
-        result = None
+        reassembler = self._reassemblers.pop(key, None)
+        payload = whole_frame(chunk) if reassembler is None else None
+        if payload is not None:
+            frames = [payload]
+        else:
+            reassembler = reassembler or ChunkReassembler()
+            frames = reassembler.feed(chunk)
+            if reassembler.pending_bytes:
+                self._reassemblers[key] = reassembler
+        result = state = None
         for frame_payload in frames:
             value = binding.deserialise(frame_payload)
-            emitted = self.submit_partial(app, request_id, source, value)
+            if state is None:
+                state = self._state(app, request_id)
+            emitted = self._intake(binding, state, source, value)
             if emitted is not None:
                 result = emitted
         return result
@@ -226,7 +223,7 @@ class AggBoxRuntime:
         state = self._state(app, request_id)
         if not state.partials:
             return None
-        return self._emit(state)
+        return self._emit(self._binding(app), state)
 
     def last_processed(self, app: str, request_id: str) -> List[str]:
         """Sources whose partials were folded into an emitted aggregate.
@@ -281,18 +278,26 @@ class AggBoxRuntime:
             self._requests[key] = state
         return state
 
-    def _maybe_emit(self, state: RequestState) -> Optional[AggregateReady]:
+    def _intake(self, binding: AppBinding, state: RequestState, source: str,
+                value: Any) -> Optional[AggregateReady]:
+        """Fold one partial from ``source`` into ``state`` (the caller
+        resolved both once per delivery); emit if it completes it."""
+        if source in state.processed_sources or source in state.sources:
+            return None
+        state.partials.append(value)
+        state.sources.append(source)
+        self._m_partials.inc()
         if state.emitted or not state.complete:
             return None
-        return self._emit(state)
+        return self._emit(binding, state)
 
-    def _emit(self, state: RequestState) -> AggregateReady:
+    def _emit(self, binding: AppBinding,
+              state: RequestState) -> AggregateReady:
         """Merge ``state``'s buffered partials into one aggregate.
 
         Merge first, then mutate: a function or codec that raises (a
         request dying inside a merge) leaves the state as it was.
         """
-        binding = self._binding(state.app)
         tracer = get_tracer()
         span_id = tracer.begin(
             "box.emit", self.clock, layer="aggbox", box=self.box_id,

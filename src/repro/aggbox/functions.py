@@ -58,6 +58,11 @@ class AggregationFunction(ABC):
         return self.merge([])
 
 
+def _rank(result: SearchResult) -> Tuple[float, int]:
+    """Top-k order: higher score first, then lower doc id."""
+    return (result.score, -result.doc_id)
+
+
 class TopKFunction(AggregationFunction):
     """Merge scored search results, keeping the k best (Solr's merge)."""
 
@@ -72,8 +77,12 @@ class TopKFunction(AggregationFunction):
         merged: List[SearchResult] = []
         for partial in items:
             merged.extend(partial)
-        return heapq.nlargest(self.k, merged,
-                              key=lambda r: (r.score, -r.doc_id))
+        # What ``heapq.nlargest(k, merged, key=_rank)`` returns, ties in
+        # input order (the sort is stable): a box merges a few dozen
+        # results at most, where one sort beats a heap of them.
+        merged.sort(key=_rank, reverse=True)
+        del merged[self.k:]
+        return merged
 
     def output_bytes(self, input_sizes: Sequence[float]) -> float:
         if not input_sizes:

@@ -103,8 +103,8 @@ class NetAggPlatform:
 
     ``faults`` is the connect-time fault oracle, a
     :class:`repro.faults.PlatformFaultInjector` whose ``box_down``,
-    ``isolated``, ``degradation``, ``gray_factor`` and ``churn_until``
-    the request path calls directly; ``retry`` is the shim retry policy.
+    ``isolated``, ``slowdown`` and ``churn_until`` the request path
+    calls directly; ``retry`` is the shim retry policy.
     ``None`` is not a mode: ``faults=None`` *is*
     ``PlatformFaultInjector(FaultSchedule())``,
     ``retry=None`` *is* ``RetryPolicy()`` and ``overload=None`` *is*
@@ -467,14 +467,11 @@ class NetAggPlatform:
         against a duplicate down the healthy path, capping ``charged`` at
         :data:`HEDGE_DEADLINE` plus one healthy send.
         """
-        faults, clock = self._faults, self._clock
-        latency = SEND_LATENCY
-        factor = (faults.degradation(box_id, clock)
-                  * faults.gray_factor(box_id, clock))
-        cost = charged = latency * factor
+        factor = self._faults.slowdown(box_id, self._clock)
+        cost = charged = SEND_LATENCY * factor
         if self._gray is not None:
-            self._gray.observe(box_id, cost, at=clock)
-            charged = min(cost, HEDGE_DEADLINE + latency)
+            self._gray.observe(box_id, cost, at=self._clock)
+            charged = min(cost, HEDGE_DEADLINE + SEND_LATENCY)
         return factor, cost, charged
 
     def _run_on_tree(self, app: str, request_id: str, master: str,
@@ -840,9 +837,12 @@ class _Request:
         ``serialised`` is the application codec's output: a worker's
         partial encoded by :meth:`deliver_box`, or the ``payload`` a
         child box emitted.  The box knows the request by its per-tree
-        id; the platform-level id is threaded onto the delivery span
-        and, via :attr:`AggBoxRuntime.trace_origin`, onto every
-        span/instant the box emits while processing the chunks.
+        id (the span's ``key``); the platform-level id is threaded onto
+        the delivery span and, via :attr:`AggBoxRuntime.trace_origin`,
+        onto the ``box.emit`` span of the box's aggregation.  The
+        delivery span is the hop's one record: ``pending`` counts the
+        partials the box holds for the request once this one is in,
+        before any emission.
         """
         p = self._p
         runtime = p._boxes[box_id]
@@ -850,21 +850,24 @@ class _Request:
         # platform virtual time and the health feed sees it as fresh.
         runtime.clock = max(runtime.clock, p._clock)
         runtime.trace_origin = self.request_id
+        app, tree_request = self.app, self.tree_request
         payload = frame(serialised)
         tracer = get_tracer()
         span = tracer.begin(
             "platform.deliver", p._clock, layer="platform", box=box_id,
             source=source, bytes=len(payload), request=self.request_id,
+            app=app, key=tree_request,
+            pending=len(runtime.pending_sources(app, tree_request)) + 1,
         ) if tracer.enabled else 0
         try:
             emitted = None
             offset = 0
             while offset < len(payload):
-                size = self.rng.randint(1, _CHUNK_BYTES)
+                size = self.rng.randrange(1, _CHUNK_BYTES + 1)
                 chunk = payload[offset:offset + size]
                 offset += size
-                result = runtime.submit_chunk(self.app, self.tree_request,
-                                              source, chunk)
+                result = runtime.submit_chunk(app, tree_request, source,
+                                              chunk)
                 if result is not None:
                     emitted = result
         finally:

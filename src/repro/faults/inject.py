@@ -10,7 +10,7 @@ reads only the kinds the experiments send its layer (the table in
   by a *permanent* box crash are re-admitted along the §3.1-rewired tree
   via reroute events;
 - :class:`PlatformFaultInjector` answers the functional platform's
-  connect-time questions (is this box down at my clock?  how degraded?
+  connect-time questions (is this box down at my clock?  how slowed?
   is this worker churning?  is it cut off?), driving the shim
   retry/backoff ladder.
 
@@ -27,11 +27,14 @@ from repro.faults.domains import in_scope
 from repro.faults.schedule import (
     BOX_CRASH,
     BOX_DEGRADE,
+    BOX_GRAY,
     BOX_OVERLOAD,
     BOX_RECOVER,
     BOX_SHED,
     LINK_DOWN,
     LINK_UP,
+    NET_PARTITION,
+    WORKER_CHURN,
     FaultSchedule,
 )
 from repro.topology.base import Topology, link_id as make_link_id
@@ -288,6 +291,17 @@ class PlatformFaultInjector:
                  topo: Optional[Topology] = None) -> None:
         self._topo = topo
         self._schedule = schedule
+        # A schedule does not change once built, so whom it names is
+        # known here: a box, a worker or a partition scope that no
+        # event names gets its answer without a scan of the events.
+        named: Dict[str, Set[str]] = {}
+        for event in schedule:
+            named.setdefault(event.kind, set()).add(event.target)
+        self._crashable = named.get(BOX_CRASH, set())
+        self._slowed = named.get(BOX_DEGRADE, set()) \
+            | named.get(BOX_GRAY, set())
+        self._churning = named.get(WORKER_CHURN, set())
+        self._partitioned = NET_PARTITION in named
 
     @property
     def schedule(self) -> FaultSchedule:
@@ -299,24 +313,29 @@ class PlatformFaultInjector:
 
     def box_down(self, box_id: str, t: float) -> bool:
         """Is the box crashed (and not yet recovered) at clock ``t``?"""
-        return box_id in self._schedule.crashed_at(t)
-
-    def degradation(self, box_id: str, t: float) -> float:
-        """Processing slow-down factor of the box at ``t`` (1.0 = none)."""
-        return self._schedule.degradation_at(box_id, t)
+        return box_id in self._crashable \
+            and box_id in self._schedule.crashed_at(t)
 
     def churn_until(self, worker_index: int, t: float) -> Optional[float]:
         """End of a churn window covering worker ``worker_index`` at ``t``."""
-        return self._schedule.churn_until(f"worker:{worker_index}", t)
+        target = f"worker:{worker_index}"
+        if target not in self._churning:
+            return None
+        return self._schedule.churn_until(target, t)
 
-    def gray_factor(self, box_id: str, t: float) -> float:
-        """Gray slow-down factor at ``t`` (1.0 = none).
+    def slowdown(self, box_id: str, t: float) -> float:
+        """How many times slower than healthy a send into the box is at
+        ``t`` (1.0 = not slowed): its ``box-degrade`` level times its
+        worst ``box-gray`` window.
 
-        Unlike :meth:`degradation`, a gray window is invisible to
-        scheduled health machinery: only the observed service time
-        betrays it.
+        A gray window, unlike a degradation, is invisible to scheduled
+        health machinery: only the observed service time betrays it.
         """
-        return self._schedule.gray_at(box_id, t)
+        if box_id not in self._slowed:
+            return 1.0
+        schedule = self._schedule
+        return schedule.degradation_at(box_id, t) \
+            * schedule.gray_at(box_id, t)
 
     def isolated(self, node_id: str, other: str,
                  t: float) -> Optional[str]:
@@ -328,7 +347,7 @@ class PlatformFaultInjector:
         ``None`` when the endpoints can reach each other (always, when
         the injector has no topology).
         """
-        if self._topo is None:
+        if self._topo is None or not self._partitioned:
             return None
         for scope in self._schedule.partitions_at(t):
             inside = in_scope(self._topo, node_id, scope)

@@ -11,7 +11,7 @@ received chunk").
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.wire.serializer import (
     WireError,
@@ -24,6 +24,26 @@ from repro.wire.serializer import (
 def frame(payload: bytes) -> bytes:
     """Wrap ``payload`` in a varint length prefix."""
     return write_varint(len(payload)) + payload
+
+
+def whole_frame(chunk: bytes) -> Optional[bytes]:
+    """The payload of ``chunk`` when it is exactly one complete frame.
+
+    ``None`` for anything else -- several frames, part of one, a
+    malformed prefix -- which a :class:`ChunkReassembler` then handles
+    (and rejects) as usual.  Lets a receiver skip the reassembler for
+    the common chunk that carries one whole frame.
+    """
+    size = len(chunk)
+    if size and chunk[0] == size - 1 < 0x80:  # a one-byte length prefix
+        return bytes(chunk[1:])
+    try:
+        length, after = read_varint(chunk, 0)
+    except WireError:
+        return None
+    if after + length != size:
+        return None
+    return bytes(chunk[after:])
 
 
 def unframe_all(buffer: bytes) -> List[bytes]:

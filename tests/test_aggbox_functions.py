@@ -43,6 +43,23 @@ class TestTopK:
         fn = TopKFunction(k=5)
         assert fn.output_bytes([100.0, 80.0, 120.0]) == 120.0
 
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 6),
+                                       st.sampled_from((0.5, 1.0, 2.0)),
+                                       st.sampled_from(("", "a", "b"))),
+                             max_size=12), max_size=5),
+           st.integers(1, 12))
+    @settings(max_examples=300)
+    def test_merge_is_the_heap_merge_it_replaced(self, partials, k):
+        """The sort keeps exactly what ``heapq.nlargest`` kept, in the
+        same order -- ties on score and doc id (records differing only
+        in their snippet) included."""
+        import heapq
+
+        items = [[SearchResult(*r) for r in part] for part in partials]
+        want = heapq.nlargest(k, [r for part in items for r in part],
+                              key=lambda r: (r.score, -r.doc_id))
+        assert TopKFunction(k=k).merge(items) == want
+
     @given(st.lists(st.lists(st.floats(0, 100), max_size=8), max_size=6),
            st.integers(1, 5))
     @settings(max_examples=100)

@@ -397,24 +397,80 @@ class TestRequestPathSpans:
                             "platform.request")
         assert "box.emit" not in {span.name for span in recorder.spans}
 
+    @staticmethod
+    def _records_of(service, request):
+        """``(record count, spans, instants)`` one request leaves."""
+        recorder = service.telemetry.recorder
+        before = recorder.record_count()
+        spans, instants = len(recorder.spans), len(recorder.instants)
+        assert service.handle(request)["status"] == 200
+        return (recorder.record_count() - before,
+                list(recorder.spans)[spans:],
+                list(recorder.instants)[instants:])
+
+    #: One request's records: 14 hops (8 worker partials, 6 box
+    #: emissions travelling up), each one ``platform.deliver`` span --
+    #: 31 records.  It was 45 while each hop also left a ``box.partial``
+    #: instant repeating its delivery span.
+    REQUEST_RECORDS = 31
+    REQUEST_SPANS = {"platform.deliver": 14, "box.emit": 7,
+                     "platform.probe": 7, "platform.request": 1,
+                     "serve.request": 1}
+
     def test_one_query_records_a_fixed_set(self):
         """A record added to (or dropped from) the request path shows
         up here as a diff, not as a slower benchmark."""
         from collections import Counter
 
         service = self._service()
-        recorder = service.telemetry.recorder
         service.handle({"id": "warm", **self.QUERY})
-        before = recorder.record_count()
-        spans, instants = len(recorder.spans), len(recorder.instants)
-        assert service.handle({"id": "q", **self.QUERY})["status"] == 200
-        assert recorder.record_count() - before == 45
-        assert Counter(s.name for s in list(recorder.spans)[spans:]) == {
-            "platform.deliver": 14, "box.emit": 7, "platform.probe": 7,
-            "platform.request": 1, "serve.request": 1}
-        assert Counter(i.name for i in list(recorder.instants)[instants:]) \
-            == {"box.partial": 14, "serve.response": 1}
-        assert not recorder.samples
+        count, spans, instants = self._records_of(
+            service, {"id": "q", **self.QUERY})
+        assert count == self.REQUEST_RECORDS
+        assert Counter(s.name for s in spans) == self.REQUEST_SPANS
+        assert Counter(i.name for i in instants) == {"serve.response": 1}
+        assert not service.telemetry.recorder.samples
+
+    def test_one_gradient_round_records_the_same_set(self):
+        """The ``serve_bulk`` path: 1,024-dim rounds travel in several
+        chunks a hop, and still leave one record per hop."""
+        from collections import Counter
+
+        service = self._service()
+        round_ = {"op": "mlgrad", "tenant": "tenant-1", "payload_seed": 7,
+                  "workers": 8, "gradient_dims": 1024}
+        service.handle({"id": "warm", **round_})
+        count, spans, instants = self._records_of(
+            service, {"id": "g", **round_})
+        assert count == self.REQUEST_RECORDS
+        assert Counter(s.name for s in spans) == self.REQUEST_SPANS
+        assert Counter(i.name for i in instants) == {"serve.response": 1}
+
+    def test_a_delivery_span_carries_the_hop(self):
+        """What the ``box.partial`` instant said lives on the delivery
+        span: the app, the per-tree key the box knows the request by,
+        and how many partials the box holds once this one is in -- the
+        fan-in exactly when the delivery makes the box emit."""
+        service = self._service()
+        _, spans, _ = self._records_of(service, {"id": "q", **self.QUERY})
+        delivers = [s for s in spans if s.name == "platform.deliver"]
+        held: dict = {}
+        for span in delivers:
+            tags = span.tags
+            assert set(tags) == {"box", "source", "bytes", "request",
+                                 "app", "key", "pending"}
+            assert (tags["request"], tags["app"], tags["key"]) \
+                == ("q", "serve-solr", "q@t0")
+            held[tags["box"]] = held.get(tags["box"], 0) + 1
+            assert tags["pending"] == held[tags["box"]]
+            emits = [e for e in spans if e.name == "box.emit"
+                     and e.parent_id == span.span_id]
+            for emit in emits:
+                assert emit.tags["box"] == tags["box"]
+                assert emit.tags["partials"] == tags["pending"]
+        # Every aggregation ran inside the delivery that completed it.
+        assert sum(1 for s in spans if s.name == "box.emit"
+                   and s.parent_id in {d.span_id for d in delivers}) == 7
 
     def test_a_disabled_tracer_is_never_called(self):
         """Off means one ``enabled`` test per site: ``_feed``, ``_fold``
