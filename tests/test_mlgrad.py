@@ -70,11 +70,18 @@ class TestVectorSum:
         max_size=9)))
     @example([[math.inf, -0.0, 5e-324, math.nan], [],
               [-math.inf, -0.0, -5e-324, 1.0]])
+    # One vector: the single-input path, every special value at once.
+    @example([[-0.0, math.nan, math.inf, -math.inf, 5e-324]])
     @settings(max_examples=200)
     def test_merge_is_bit_equal_to_the_index_loop(self, vectors):
         # Compared as bytes: NaN equals itself, 0.0 differs from -0.0.
         merged = VectorSumFunction().merge(vectors)
         assert write_floats(merged) == write_floats(index_loop_merge(vectors))
+
+    def test_single_input_keeps_ints(self):
+        merged = VectorSumFunction().merge([[1, 2]])
+        assert merged == [1, 2]
+        assert all(type(x) is int for x in merged)
 
     @given(st.lists(st.lists(st.floats(), min_size=1, max_size=6),
                     min_size=2, max_size=6))
