@@ -31,9 +31,23 @@ class VectorSumFunction(AggregationFunction):
     name = "vector-sum"
 
     def merge(self, items: Sequence[List[float]]) -> List[float]:
+        """The column sums, each bit for bit what ``sum()`` gives.
+
+        A lone vector (``tree_aggregate`` merges a single partial once)
+        is ``0 + x`` per element: exactly ``sum((x,))``, an int 0 plus
+        x with no compensation term, so ints stay ints, -0.0 becomes
+        0.0 and a NaN keeps its payload.  Two or more vectors keep
+        ``sum()`` per column: for two NaNs with different payloads
+        ``sum((a, b))`` returns the second payload on CPython 3.11 and
+        the first on 3.12, and 3.12's compensated ``sum`` differs from
+        any fold of ``+`` from three inputs on, so no add expression
+        matches ``sum()`` on every interpreter.
+        """
         vectors = [v for v in items if v]
         if not vectors:
             return []
+        if len(vectors) == 1:
+            return [0 + x for x in vectors[0]]
         length = len(vectors[0])
         for vector in vectors:
             if len(vector) != length:

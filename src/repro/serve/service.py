@@ -98,6 +98,26 @@ SLO_TARGET = 0.9
 SLO_FAST_WINDOW = 1.0
 SLO_SLOW_WINDOW = 5.0
 
+#: Most values one seed-synthesised request may ask for: workers x
+#: ``results_per_worker`` (query) or workers x ``gradient_dims``
+#: (mlgrad).  A body of a hundred bytes could otherwise buy unbounded
+#: work under the service lock (8 workers x 200,000 results took 11 s);
+#: the HTTP frame limit bounds only explicit payloads.  The ceiling is
+#: twice a ``serve_bulk`` round (8 x 1,024) and 256 times the loadgen's
+#: largest request (8 x 8); at the ceiling one query costs about 100 ms
+#: of :meth:`AggregationService.handle` and one gradient round about
+#: 9 ms.
+MAX_SYNTHESISED_VALUES = 1 << 14
+
+#: Synthesised gradients: element j of worker i is
+#: ``((seed + 31*i + 7*j) % 1999 - 999) / 999.0``.  It depends on j only
+#: through ``7*j mod 1999``, and 1999 is prime, so every vector is a run
+#: of this one cycle (entry m has residue ``7*m``) starting at
+#: ``(seed + 31*i) * 7^-1 mod 1999``.  Each entry is computed by the
+#: same expression, so the floats are bit-identical.
+_GRAD_CYCLE = [((7 * m) % 1999 - 999) / 999.0 for m in range(1999)]
+_INVERSE_OF_7 = pow(7, -1, 1999)
+
 
 @dataclass(frozen=True)
 class TenantPolicy:
@@ -218,9 +238,11 @@ class AggregationService:
 
     def _endpoints(self, request: Mapping[str, Any]) -> Tuple[str, List[str]]:
         """A request's master and worker hosts: one seeded draw."""
+        workers = int(request.get("workers", 8))
+        if workers < 1:
+            raise ValueError(f"'workers' must be >= 1, got {workers}")
         return pick_endpoints(
-            self._hosts, int(request.get("payload_seed", 0)),
-            int(request.get("workers", 8)))
+            self._hosts, int(request.get("payload_seed", 0)), workers)
 
     def _query_partials(
         self, request: Mapping[str, Any],
@@ -278,13 +300,8 @@ class AggregationService:
         dims = int(request.get("gradient_dims", 8))
         if workers is None:
             _, workers = self._endpoints(request)
-        return [
-            (host, [
-                ((seed + i * 31 + j * 7) % 1999 - 999) / 999.0
-                for j in range(dims)
-            ])
-            for i, host in enumerate(workers)
-        ]
+        return [(host, _gradient(seed + i * 31, dims))
+                for i, host in enumerate(workers)]
 
     def expected_value(self, request: Mapping[str, Any]) -> Any:
         """The centralised (ground-truth) aggregate of a request.
@@ -443,6 +460,7 @@ class AggregationService:
                   arrival: float) -> Dict[str, Any]:
         try:
             master, workers = self._endpoints(request)
+            _check_synthesis(request, op, len(workers))
             if op == OP_QUERY:
                 outcome = self._platform.execute_request(
                     APP_QUERY, request_id, master,
@@ -512,3 +530,31 @@ class AggregationService:
 def _encode_results(results: List[SearchResult]) -> List[List[float]]:
     """Search results as JSON-ready ``[doc_id, score]`` pairs."""
     return [[r.doc_id, r.score] for r in results]
+
+
+def _gradient(offset: int, dims: int) -> List[float]:
+    """``((offset + 7*j) % 1999 - 999) / 999.0`` for ``j < dims``."""
+    start = offset % 1999 * _INVERSE_OF_7 % 1999
+    vector = _GRAD_CYCLE[start:start + max(dims, 0)]
+    while len(vector) < dims:
+        vector += _GRAD_CYCLE[:dims - len(vector)]
+    return vector
+
+
+def _check_synthesis(request: Mapping[str, Any], op: str,
+                     workers: int) -> None:
+    """Refuse a seed-synthesised payload with a negative size or more
+    than :data:`MAX_SYNTHESISED_VALUES` values (a ``ValueError``, so a
+    400); an explicit payload is the frame limit's to bound."""
+    explicit, name, default = (
+        ("results", "results_per_worker", 4) if op == OP_QUERY
+        else ("gradients", "gradient_dims", 8))
+    if explicit in request:
+        return
+    size = int(request.get(name, default))
+    if size < 0:
+        raise ValueError(f"{name!r} must be >= 0, got {size}")
+    if workers * size > MAX_SYNTHESISED_VALUES:
+        raise ValueError(
+            f"{workers} workers x {name!r} {size} = {workers * size} "
+            f"synthesised values, more than {MAX_SYNTHESISED_VALUES}")
