@@ -17,8 +17,10 @@ reorder float additions, so trained weights agree to rounding error
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from math import fsum, inf, isfinite, nan
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.aggbox.functions import AggregationFunction
 from repro.wire.serializer import WireError, read_floats, read_varint, \
@@ -31,17 +33,27 @@ class VectorSumFunction(AggregationFunction):
     name = "vector-sum"
 
     def merge(self, items: Sequence[List[float]]) -> List[float]:
-        """The column sums, each bit for bit what ``sum()`` gives.
+        """The column sums, under one float rule on every interpreter.
 
-        A lone vector (``tree_aggregate`` merges a single partial once)
-        is ``0 + x`` per element: exactly ``sum((x,))``, an int 0 plus
-        x with no compensation term, so ints stay ints, -0.0 becomes
-        0.0 and a NaN keeps its payload.  Two or more vectors keep
-        ``sum()`` per column: for two NaNs with different payloads
-        ``sum((a, b))`` returns the second payload on CPython 3.11 and
-        the first on 3.12, and 3.12's compensated ``sum`` differs from
-        any fold of ``+`` from three inputs on, so no add expression
-        matches ``sum()`` on every interpreter.
+        Per column:
+
+        - a float column merges to its correctly rounded sum (an int
+          beside a float counts as ``float(int)``);
+        - a column with a NaN, or with both infinities, gives some quiet
+          NaN (which payload is left open);
+        - a column of zeros gives +0.0, whatever their signs;
+        - an integer column stays an exact integer.
+
+        For one or two finite inputs this is exactly what ``sum()``
+        returns on every CPython, and a served round merges only one or
+        two (``tree_aggregate`` has fan-in 2).  A lone vector is ``0 +
+        x`` per element.  Two are ``x + y``: one IEEE add is correctly
+        rounded, and differs from the rule only where two -0.0s give
+        -0.0, so each zero the adds produce (a jump per zero found, not
+        a pass per element) becomes ``0 + z``.  Three or more (the flat
+        ground truth) take ``fsum`` per float column, which is correctly
+        rounded in any order, and answer its two refusals as the rule
+        says.
         """
         vectors = [v for v in items if v]
         if not vectors:
@@ -54,14 +66,53 @@ class VectorSumFunction(AggregationFunction):
                 raise ValueError(
                     f"gradient length mismatch: {len(vector)} != {length}"
                 )
-        # One sum() per column, adding in the order the vectors came.
-        # zip alone would silently truncate ragged input, hence the
-        # check above.
-        return list(map(sum, zip(*vectors)))
+        # zip and map alone would silently truncate ragged input, hence
+        # the check above.
+        if len(vectors) > 2:
+            return list(map(_column_sum, zip(*vectors)))
+        out = list(map(operator.add, *vectors))
+        # index finds zeros of either sign; 0 + z is +0.0 for a float
+        # zero and leaves an int 0 an int.
+        i = -1
+        try:
+            while True:
+                i = out.index(0.0, i + 1)
+                out[i] = 0 + out[i]
+        except ValueError:
+            return out
 
     def output_bytes(self, input_sizes: Sequence[float]) -> float:
         # The aggregate is one vector, the size of any single input.
         return max(input_sizes) if input_sizes else 0.0
+
+
+def _column_sum(column: Tuple[Any, ...]) -> Any:
+    """One column of a three-or-more-input merge, under the float rule."""
+    if isinstance(column[0], int) and all(isinstance(v, int)
+                                          for v in column):
+        return sum(column)
+    try:
+        return fsum(column)
+    except ValueError:
+        # +inf and -inf: fsum refuses, the rule says NaN.
+        return nan
+    except OverflowError:
+        # A partial sum overflowed, though the total may not.  An
+        # infinity or NaN beside it decides the column as above; else
+        # sum exactly and round once.
+        floats = [float(v) for v in column]
+        specials = [v for v in floats if not isfinite(v)]
+        if specials:
+            return _column_sum(specials)
+        # Imported here: fractions pulls in decimal, and only this rare
+        # column needs it.
+        from fractions import Fraction
+
+        exact = sum(map(Fraction, floats))
+        try:
+            return float(exact)
+        except OverflowError:
+            return inf if exact > 0 else -inf
 
 
 def encode_vector(vector: List[float]) -> bytes:
