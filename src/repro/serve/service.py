@@ -207,7 +207,10 @@ class AggregationService:
         self._platform.register_app(
             APP_MLGRAD, VectorSumFunction(), encode_vector, decode_vector)
         self._hosts = sorted(self._topo.hosts())
-        self._lock = asyncio.Lock()
+        #: Built by the first :meth:`handle_async`, inside its running
+        #: loop: on 3.9 an ``asyncio.Lock`` built here, with no loop
+        #: running, raises.
+        self._lock: Optional[asyncio.Lock] = None
         #: Numbers the requests that arrive without an ``id``.
         self._anonymous = itertools.count()
         self.report = ServeReport(slo=config.default_policy.slo)
@@ -397,6 +400,8 @@ class AggregationService:
         execute in submission order -- the deterministic-replay
         property the loadgen tests pin.
         """
+        if self._lock is None:
+            self._lock = asyncio.Lock()
         async with self._lock:
             return self.handle(request, arrival=arrival)
 

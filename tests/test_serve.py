@@ -14,6 +14,7 @@ Covers the four contract areas of the serving API:
 
 import asyncio
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,30 @@ class TestServiceRoundTrips:
         assert stats.requests == 2
         assert stats.ok == 1 and stats.errors == 1
         assert not service.report.accounting_errors()
+
+    def test_lock_is_built_inside_the_running_loop(self):
+        """On 3.9 an ``asyncio.Lock`` built with no running loop raises:
+        the service builds its one lock in the first ``handle_async``,
+        and concurrent submissions still run in submission order."""
+        real_lock = asyncio.Lock
+        built = []
+
+        def lock_needing_a_loop():
+            asyncio.get_running_loop()      # RuntimeError outside a loop
+            built.append(True)
+            return real_lock()
+
+        async def submit(service):
+            return await asyncio.gather(*(
+                service.handle_async(_query(rid=f"r{i}", seed=i))
+                for i in range(4)))
+
+        with mock.patch("asyncio.Lock", lock_needing_a_loop):
+            service = AggregationService()
+            responses = asyncio.run(submit(service))
+        assert [r["id"] for r in responses] == ["r0", "r1", "r2", "r3"]
+        assert all(r["status"] == 200 for r in responses)
+        assert built == [True]
 
 
 _SYNTH_SERVICE = []
