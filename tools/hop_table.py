@@ -31,11 +31,13 @@ at run time and adds no instrumentation to the package:
    request (8 workers x 1,024-dim gradients) through ``handle``:
    payload synthesis (``_mlgrad_partials``), ``execute_request`` and,
    inside it, ``VectorSumFunction.merge`` by the number of non-empty
-   inputs, each timed in place by a wrapper; "the rest" is ``handle``
-   minus synthesis and ``execute_request``.  The response's JSON
-   encoding, which the HTTP front-end does after ``handle``, is timed
-   on its own.  Rows are the median over ``--rounds`` rounds of the
-   mean per request.
+   inputs and the boxes' ``encode_vector`` / ``decode_vector``, each
+   timed in place by a wrapper.  The hops are what those leave of
+   ``execute_request`` (framing, chunks, reassembly, intake, probes,
+   records); the rest of ``handle`` is ``handle`` minus synthesis and
+   ``execute_request``.  The response's JSON encoding, which the HTTP
+   front-end does after ``handle``, is timed on its own.  Rows are the
+   median over ``--rounds`` rounds of the mean per request.
 
 Run from the repo root::
 
@@ -63,6 +65,7 @@ from repro.apps.mlgrad import VectorSumFunction
 from repro.core import platform as platform_module
 from repro.obs import METRICS, FlightRecorder
 from repro.serve import AggregationService, ServeConfig
+from repro.serve.service import APP_MLGRAD
 from repro.wire.framing import ChunkReassembler
 
 APP = "serve-solr"
@@ -390,6 +393,11 @@ def bulk_rows(requests: int, rounds: int) -> List[tuple]:
     watch.wrap(platform_module.NetAggPlatform, "execute_request",
                lambda *a: "execute")
     watch.wrap(VectorSumFunction, "merge", _arity)
+    for info in service.platform.topology.all_boxes():
+        binding = service.platform.box_runtime(info.box_id).binding(
+            APP_MLGRAD)
+        watch.wrap(binding, "serialise", lambda *a: "encode")
+        watch.wrap(binding, "deserialise", lambda *a: "decode")
     per_round: List[Dict[str, Tuple[float, float]]] = []
     try:
         for r in range(rounds):
@@ -405,6 +413,11 @@ def bulk_rows(requests: int, rounds: int) -> List[tuple]:
                          watch.seconds[key] / watch.calls[key] * 1e6)
                    for key in watch.calls}
             row["json"] = (1.0, json_s / requests * 1e6)
+            inside = sum(seconds for key, seconds in watch.seconds.items()
+                         if key.startswith("merge")
+                         or key in ("encode", "decode"))
+            row["hops"] = (1.0, (watch.seconds["execute"] - inside)
+                           / requests * 1e6)
             row["rest"] = (1.0, (watch.seconds["handle"]
                                  - watch.seconds["synthesis"]
                                  - watch.seconds["execute"])
@@ -424,7 +437,11 @@ def bulk_rows(requests: int, rounds: int) -> List[tuple]:
            ("`execute_request`", *median("execute"))]
     out += [(f"of which {key} (`VectorSumFunction.merge`)", *median(key))
             for key in merges]
-    out += [("the rest of `handle` (checks, report, telemetry)",
+    out += [("of which encode (`encode_vector`)", *median("encode")),
+            ("of which decode (`decode_vector`)", *median("decode")),
+            ("of which the hops (the rest of `execute_request`)",
+             *median("hops")),
+            ("the rest of `handle` (checks, report, telemetry)",
              *median("rest")),
             ("**`handle` total**", *median("handle")),
             ("response JSON (`json.dumps`, after `handle`)",
