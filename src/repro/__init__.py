@@ -39,7 +39,7 @@ surface and fails when an internal name leaks to the top level.
 __version__ = "1.0.0"
 
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
-from repro.units import GB, KB, MB, Gbps, Mbps
+from repro.units import GB, KB, MB, Gbps
 
 #: The stable public API, grouped: units, faults, platform, the
 #: experiment registry + scales, and the serving layer.  Heavy names
@@ -47,7 +47,7 @@ from repro.units import GB, KB, MB, Gbps, Mbps
 __all__ = [
     "__version__",
     # units
-    "Gbps", "Mbps", "KB", "MB", "GB",
+    "Gbps", "KB", "MB", "GB",
     # fault schedules and the shim retry policy
     "FaultSchedule", "FaultEvent", "RetryPolicy",
     # the NetAgg platform

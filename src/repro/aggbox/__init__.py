@@ -5,33 +5,20 @@ organised as a pipelined *local aggregation tree*, scheduled cooperatively
 over a thread pool with weighted-fair sharing between applications.
 
 - :mod:`repro.aggbox.functions` -- aggregation functions (top-k merge,
-  combiner-style dictionary merge, sample, categorise) with both real
-  merge semantics and calibrated CPU/output-size cost models;
+  combiner-style dictionary merge, sum) with both real
+  merge semantics and a calibrated CPU cost model;
 - :mod:`repro.aggbox.localtree` -- functional tree aggregation plus the
   discrete-event performance model behind Fig. 15 / Fig. 21;
 - :mod:`repro.aggbox.scheduler` -- the cooperative task scheduler with
   fixed and adaptive weighted fair queuing (Figs. 25/26);
 - :mod:`repro.aggbox.box` -- the box runtime: application registration,
-  per-request partial-result collection, streaming deserialisation;
-- :mod:`repro.aggbox.overload` -- the states of the platform's box
-  health feed (healthy, failed, gray) and its heartbeat record.
+  per-request partial-result collection, streaming deserialisation.
 """
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding, RequestState
-from repro.aggbox.overload import BoxHeartbeat
-from repro.aggbox.isolation import (
-    AggregationFault,
-    AppQuarantined,
-    GuardedFunction,
-    IsolationMonitor,
-    IsolationPolicy,
-)
 from repro.aggbox.functions import (
     AggregationFunction,
-    CategoriseFunction,
     CombinerFunction,
-    MaxFunction,
-    SampleFunction,
     SumFunction,
     TopKFunction,
 )
@@ -49,10 +36,7 @@ __all__ = [
     "AggregationFunction",
     "TopKFunction",
     "CombinerFunction",
-    "SampleFunction",
-    "CategoriseFunction",
     "SumFunction",
-    "MaxFunction",
     "tree_aggregate",
     "LocalTreeModel",
     "TreeModelParams",
@@ -66,10 +50,4 @@ __all__ = [
     "AggBoxRuntime",
     "AppBinding",
     "RequestState",
-    "BoxHeartbeat",
-    "GuardedFunction",
-    "IsolationMonitor",
-    "IsolationPolicy",
-    "AggregationFault",
-    "AppQuarantined",
 ]

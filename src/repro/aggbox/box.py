@@ -111,9 +111,6 @@ class AggBoxRuntime:
             raise ValueError(f"app {binding.app!r} already registered")
         self._apps[binding.app] = binding
 
-    def apps(self) -> List[str]:
-        return sorted(self._apps)
-
     def binding(self, app: str) -> AppBinding:
         """The registered binding for ``app`` (KeyError if unknown)."""
         return self._binding(app)

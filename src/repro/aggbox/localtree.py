@@ -40,7 +40,7 @@ def tree_aggregate(function: AggregationFunction,
     if fan_in < 2:
         raise ValueError("fan_in must be >= 2")
     if not items:
-        return function.identity()
+        return function.merge([])
     level: List[Any] = list(items)
     while len(level) > 1:
         level = [
@@ -163,11 +163,6 @@ class LocalTreeModel:
                 next_level.append(node.node_id)
             current = next_level
         self._root = current[0]
-
-    @property
-    def n_tasks(self) -> int:
-        """Number of merge tasks (internal nodes)."""
-        return sum(1 for n in self._nodes if n.children)
 
     def run(self) -> TreeModelResult:
         p = self._p

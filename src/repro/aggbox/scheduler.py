@@ -153,9 +153,6 @@ class WfqExecutor:
         self._pending[app].append((duration, done))
         self._pump()
 
-    def queue_length(self, app: str) -> int:
-        return len(self._pending[app])
-
     # -- internals -----------------------------------------------------------
 
     def _weight(self, app: str) -> float:

@@ -51,10 +51,6 @@ class TimedAggBox:
         self._emit_callbacks: Dict[tuple, Callable] = {}
 
     @property
-    def runtime(self) -> AggBoxRuntime:
-        return self._runtime
-
-    @property
     def executor(self) -> WfqExecutor:
         return self._executor
 

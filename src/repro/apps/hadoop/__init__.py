@@ -23,7 +23,6 @@ from repro.apps.hadoop.data import (
 )
 from repro.apps.hadoop.engine import MapReduceEngine, PhaseStats
 from repro.apps.hadoop.job import JobSpec
-from repro.apps.hadoop.adpredictor import CtrModel, train_ctr_model
 from repro.apps.hadoop.pagerank import PageRankResult, pagerank
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "PhaseStats",
     "pagerank",
     "PageRankResult",
-    "CtrModel",
-    "train_ctr_model",
     "BENCHMARKS",
     "wordcount_job",
     "adpredictor_job",

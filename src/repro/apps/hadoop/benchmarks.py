@@ -35,10 +35,6 @@ def pack_clicks(clicks: int, impressions: int) -> int:
     return (clicks << _AP_SHIFT) | impressions
 
 
-def unpack_clicks(packed: int) -> Tuple[int, int]:
-    return packed >> _AP_SHIFT, packed & _AP_MASK
-
-
 def _sum_reducer(_key: str, values: List[int]) -> int:
     return sum(values)
 

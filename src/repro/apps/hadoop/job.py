@@ -64,9 +64,3 @@ class Counters:
     reduce_output_records: int = 0
     reduce_output_bytes: float = 0.0
     spilled_records: int = 0
-
-    def output_ratio(self) -> float:
-        """Measured aggregation output ratio alpha = output/intermediate."""
-        if self.map_output_bytes <= 0:
-            return 1.0
-        return self.reduce_output_bytes / self.map_output_bytes

@@ -81,10 +81,6 @@ class VectorSumFunction(AggregationFunction):
         except ValueError:
             return out
 
-    def output_bytes(self, input_sizes: Sequence[float]) -> float:
-        # The aggregate is one vector, the size of any single input.
-        return max(input_sizes) if input_sizes else 0.0
-
 
 def _column_sum(column: Tuple[Any, ...]) -> Any:
     """One column of a three-or-more-input merge, under the float rule."""

@@ -3,16 +3,14 @@
 Backends each hold one shard of an inverted index over a synthetic
 Wikipedia-like corpus; a frontend scatters queries to all backends and
 gathers/merges their top-k partial results -- the partition/aggregation
-pattern of §2.1.  The aggregation step (top-k merge, or the paper's
-``sample``/``categorise`` functions) is what NetAgg executes on-path.
+pattern of §2.1.  The aggregation step (the top-k merge) is what NetAgg
+executes on-path.
 """
 
 from repro.apps.solr.backend import SearchBackend
 from repro.apps.solr.corpus import Document, generate_corpus, shard_corpus
 from repro.apps.solr.frontend import SearchFrontend
 from repro.apps.solr.functions import (
-    make_categorise_wrapper,
-    make_sample_wrapper,
     make_topk_wrapper,
 )
 from repro.apps.solr.index import InvertedIndex
@@ -25,6 +23,4 @@ __all__ = [
     "SearchBackend",
     "SearchFrontend",
     "make_topk_wrapper",
-    "make_sample_wrapper",
-    "make_categorise_wrapper",
 ]

@@ -23,9 +23,6 @@ class SearchBackend:
     def n_docs(self) -> int:
         return self._index.n_docs
 
-    def document(self, doc_id: int) -> Document:
-        return self._index.document(doc_id)
-
     def term_stats(self, text: str) -> Dict[str, int]:
         """Per-term shard document frequencies (distributed-IDF phase 1)."""
         from repro.apps.solr.index import tokenize
@@ -58,15 +55,3 @@ class SearchBackend:
             results.append(SearchResult(doc_id=doc_id, score=score,
                                         snippet=snippet))
         return results
-
-    def documents_for_categorise(self, text: str, k: int = 10,
-                                 global_doc_count: Optional[int] = None,
-                                 global_df: Optional[Dict[str, int]] = None):
-        """Partial results for the categorise function: (text, score)."""
-        return [
-            (self._index.document(doc_id).text, score, "")
-            for doc_id, score in self._index.search(
-                text, k=k, global_doc_count=global_doc_count,
-                global_df=global_df,
-            )
-        ]

@@ -30,10 +30,6 @@ class SearchFrontend:
         self.queries_served = 0
 
     @property
-    def backends(self) -> List[SearchBackend]:
-        return list(self._backends)
-
-    @property
     def global_doc_count(self) -> int:
         return sum(b.n_docs for b in self._backends)
 

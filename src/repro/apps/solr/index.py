@@ -51,10 +51,6 @@ class InvertedIndex:
     def n_docs(self) -> int:
         return len(self._docs)
 
-    @property
-    def n_terms(self) -> int:
-        return len(self._postings)
-
     def document(self, doc_id: int) -> Document:
         return self._docs[doc_id]
 

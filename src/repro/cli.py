@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common_options(
             scale_default="bench",
             out_help="write results to a file (*.json serialises "
-                     "via ExperimentResult.to_json)")])
+                     "via ExperimentResult.to_dict)")])
     run.add_argument("experiment",
                      help="experiment name (fig08, tab01, ...) or 'all'")
     run.add_argument("--plot", action="store_true",

@@ -8,7 +8,7 @@ shape and expose every knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.aggbox.functions import DEFAULT_CORE_RATE
 from repro.units import Gbps, MB
@@ -44,6 +44,3 @@ class TestbedConfig:
     @property
     def n_backends(self) -> int:
         return self.racks * self.backends_per_rack
-
-    def scaled(self, **overrides) -> "TestbedConfig":
-        return replace(self, **overrides)

@@ -58,16 +58,6 @@ class Resource:
         self._queue.schedule(service, self._finishers[slot])
         self._slots[slot] = done
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    def utilisation(self, elapsed: float) -> float:
-        """Average busy fraction over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time / (elapsed * self.servers)
-
     def _pump(self, finished: Optional[int] = None) -> None:
         """Retire the item on server ``finished`` (when given), then
         serve waiting work on idle servers.  A completion is scheduled

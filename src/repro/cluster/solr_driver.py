@@ -28,6 +28,7 @@ from repro.cluster.emulator import (
 from repro.netsim.engine import EventQueue
 from repro.units import KB, percentile, to_gbps
 
+
 @dataclass(frozen=True)
 class SolrEmulationParams:
     """One experiment configuration.
@@ -85,10 +86,6 @@ class SolrRunResult:
     @property
     def p99_latency(self) -> float:
         return percentile(self.latencies, 99.0)
-
-    @property
-    def mean_latency(self) -> float:
-        return sum(self.latencies) / len(self.latencies)
 
 
 class SolrEmulation:

@@ -126,14 +126,6 @@ class AdmissionController:
     def tenant_policy(self, tenant: str) -> AdmissionPolicy:
         return self._per_tenant.get(tenant, self.policy)
 
-    def set_tenant_policy(self, tenant: str,
-                          policy: AdmissionPolicy) -> None:
-        """Install a tenant override (before the tenant's first request)."""
-        if tenant in self._buckets:
-            raise ValueError(
-                f"tenant {tenant!r} already has a live bucket")
-        self._per_tenant[tenant] = policy
-
     def bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:

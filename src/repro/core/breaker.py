@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Tuple
 FAILURE_THRESHOLD = 3
 
 #: Virtual seconds an open breaker refuses sends before it lets one
-#: half-open probe through; every deployment ran this default, and
-#: ``recover_box`` skips the wait when a target is known to be back.
+#: half-open probe through; every deployment ran this default.
 RESET_TIMEOUT = 0.5
 
 CLOSED = "closed"
@@ -105,20 +104,6 @@ class CircuitBreaker:
         if self._state == HALF_OPEN:
             self._move(CLOSED, now, "probe-success")
         self._failures = 0
-
-    def force_probe(self, now: float, reason: str = "recovery") -> None:
-        """Move an open breaker to half-open ahead of its timeout.
-
-        Called when an out-of-band signal says the target is back (e.g.
-        :meth:`repro.core.platform.NetAggPlatform.recover_box`): instead
-        of refusing sends for the rest of :data:`RESET_TIMEOUT`, the very
-        next send probes the target.  A closed or already half-open
-        breaker is left untouched; failure of the probe re-opens the
-        breaker as usual, so a false recovery signal costs one attempt.
-        """
-        if self._state != OPEN:
-            return
-        self._move(HALF_OPEN, now, reason)
 
     def record_failure(self, now: float) -> None:
         """A connect attempt to the target timed out."""

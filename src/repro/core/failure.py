@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.tree import AggregationTree
 
@@ -136,6 +136,3 @@ class FailureDetector:
 
     def forget(self, box_id: str) -> None:
         self._last_seen.pop(box_id, None)
-
-    def watched(self) -> Set[str]:
-        return set(self._last_seen)

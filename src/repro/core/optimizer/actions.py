@@ -47,6 +47,3 @@ class ActionPlan:
 
     at: float
     actions: Tuple[Action, ...] = ()
-
-    def of_kind(self, kind: str) -> Tuple[Action, ...]:
-        return tuple(a for a in self.actions if a.kind == kind)

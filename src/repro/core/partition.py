@@ -87,12 +87,6 @@ class GrayDetector:
     def is_gray(self, box_id: str) -> bool:
         return box_id in self._flagged
 
-    def gray_boxes(self) -> List[str]:
-        return sorted(self._flagged)
-
-    def baseline_of(self, box_id: str) -> float:
-        return self._baselines.get(box_id, self._baseline)
-
 
 @dataclass(frozen=True)
 class Completeness:
@@ -139,10 +133,6 @@ class Completeness:
             "missing_workers": list(self.missing_workers),
             "missing_scopes": list(self.missing_scopes),
         }
-
-    @classmethod
-    def exact_for(cls, n_workers: int) -> "Completeness":
-        return cls(workers_total=n_workers, workers_included=n_workers)
 
     @classmethod
     def merged(cls, parts: List["Completeness"]) -> "Completeness":

@@ -40,12 +40,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import AggregationFunction
-from repro.aggbox.overload import (
-    FAILED as BOX_FAILED,
-    GRAY,
-    HEALTHY,
-    BoxHeartbeat,
-)
 from repro.core.admission import AdmissionController
 from repro.core.breaker import HALF_OPEN, BreakerBoard
 from repro.core.failure import rewire_failed_box, rewire_out
@@ -126,8 +120,8 @@ class NetAggPlatform:
     :class:`repro.core.partition.Completeness` record; deliveries are
     hedged against :data:`repro.core.partition.HEDGE_DEADLINE`; and a
     :class:`repro.core.partition.GrayDetector` seeded with
-    ``SEND_LATENCY`` flags slow-but-alive boxes, which the
-    health feed reports as ``gray`` and the planner routes around.
+    ``SEND_LATENCY`` flags slow-but-alive boxes, which the request
+    path routes around.
     Without it, an isolated worker fails the whole request with
     :class:`SubtreeUnreachable` (the fail-stop baseline).
     """
@@ -151,7 +145,6 @@ class NetAggPlatform:
         self._builder = TreeBuilder(topo)
         self._faults = faults
         self._retry = retry
-        self._overload = overload
         self._boxes: Dict[str, AggBoxRuntime] = {
             info.box_id: AggBoxRuntime(info.box_id)
             for info in topo.all_boxes()
@@ -159,7 +152,6 @@ class NetAggPlatform:
         self._functions: Dict[str, AggregationFunction] = {}
         self._mergers: Dict[str, Callable[[Sequence[Any]], Any]] = {}
         self._failed: Set[str] = set()
-        self._drained: Set[str] = set()
         self._master_shims: Dict[str, MasterShim] = {}
         self._partition = partition
         self._gray = GrayDetector(SEND_LATENCY) if partition else None
@@ -231,48 +223,9 @@ class NetAggPlatform:
         return self._clock
 
     @property
-    def overload(self) -> OverloadConfig:
-        return self._overload
-
-    @property
     def breakers(self) -> Optional[BreakerBoard]:
         """The per-target circuit breakers (None with breakers off)."""
         return self._breakers
-
-    @property
-    def admission(self) -> Optional[AdmissionController]:
-        """The master-shim admission controller (None when disabled)."""
-        return self._admission
-
-    @property
-    def gray_detector(self) -> Optional[GrayDetector]:
-        """The latency-outlier detector (None without ``partition``)."""
-        return self._gray
-
-    def health_report(self) -> Dict[str, BoxHeartbeat]:
-        """The health feed: one heartbeat per box, keyed by box id.
-
-        A box itself is always ``healthy`` (it holds nothing between
-        requests); the feed reports the platform's verdicts about it,
-        worst news first.  A box taken down with :meth:`fail_box`
-        reports ``failed`` until :meth:`recover_box`.
-
-        With ``partition`` on, a box that the latency-outlier detector
-        has flagged is reported as ``gray`` -- the heartbeat protocol's
-        blind spot made visible (gray failure: alive, probing fine, and
-        slow).
-        """
-        report: Dict[str, BoxHeartbeat] = {}
-        for box_id in sorted(self._boxes):
-            if box_id in self._failed:
-                state = BOX_FAILED
-            elif self._gray is not None and self._gray.is_gray(box_id):
-                state = GRAY
-            else:
-                state = HEALTHY
-            report[box_id] = BoxHeartbeat(box_id=box_id, at=self._clock,
-                                          state=state)
-        return report
 
     def fail_box(self, box_id: str) -> None:
         """Mark a box failed; future trees route around it (§3.1)."""
@@ -280,56 +233,13 @@ class NetAggPlatform:
             raise KeyError(f"unknown box {box_id!r}")
         self._failed.add(box_id)
 
-    def recover_box(self, box_id: str) -> None:
-        """Bring a failed box back into future tree plans.
-
-        Recovery is an out-of-band liveness signal, so the box's
-        circuit breaker (if any) is nudged from open to half-open:
-        the next send probes the box immediately instead of waiting
-        out the remainder of the breaker's reset timeout.
-        """
-        if box_id not in self._boxes:
-            raise KeyError(f"unknown box {box_id!r}")
-        self._failed.discard(box_id)
-        if self._breakers is not None:
-            self._breakers.breaker(box_id).force_probe(self._clock)
-
-    def failed_boxes(self) -> Set[str]:
-        return set(self._failed)
-
-    def drain_box(self, box_id: str) -> None:
-        """Plan future trees around a live box (the optimizer's drain).
-
-        Unlike :meth:`fail_box` the box stays up and keeps its place in
-        the health feed; it holds nothing between requests, so there is
-        nothing to move off it.
-        """
-        if box_id not in self._boxes:
-            raise KeyError(f"unknown box {box_id!r}")
-        self._drained.add(box_id)
-
-    def undrain_box(self, box_id: str) -> None:
-        """Return a drained box to the planner."""
-        if box_id not in self._boxes:
-            raise KeyError(f"unknown box {box_id!r}")
-        self._drained.discard(box_id)
-
-    def drained_boxes(self) -> Set[str]:
-        return set(self._drained)
-
     # -- execution ------------------------------------------------------------
 
     def build_trees(self, key: str, master: str,
                     worker_hosts: Sequence[str],
                     n_trees: int = 1) -> List[AggregationTree]:
-        """Aggregation trees for the endpoints, failures rewired out.
-
-        Drained boxes (the optimizer's hot boxes) are rewired out the
-        same way -- their runtimes are alive, but new work must not
-        land on them.
-        """
-        avoid = self._failed | self._drained
-        return [rewire_out(tree, avoid) for tree in
+        """Aggregation trees for the endpoints, failures rewired out."""
+        return [rewire_out(tree, self._failed) for tree in
                 self._builder.build_many(key, master, worker_hosts, n_trees)]
 
     def execute_request(
@@ -847,7 +757,7 @@ class _Request:
         p = self._p
         runtime = p._boxes[box_id]
         # Keep the box's clock in step so its trace records carry
-        # platform virtual time and the health feed sees it as fresh.
+        # platform virtual time.
         runtime.clock = max(runtime.clock, p._clock)
         runtime.trace_origin = self.request_id
         app, tree_request = self.app, self.tree_request

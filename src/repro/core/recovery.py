@@ -102,10 +102,6 @@ class InFlightRequest:
         self._sent_values[source] = value
         self._submit(entry, source, value)
 
-    def deliver_all_workers(self) -> None:
-        for index in range(len(self._worker_values)):
-            self.deliver_worker(index)
-
     # -- failure injection ------------------------------------------------------
 
     def fail_box(self, box_id: str) -> RecoveryLog:

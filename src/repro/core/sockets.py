@@ -92,10 +92,6 @@ class Connection:
     def close(self) -> None:
         self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
 
 class SocketFactory:
     """The plain factory: bytes go where the application pointed them."""

@@ -66,22 +66,8 @@ class StragglerMonitor:
             return "fail"
         return "redirect"
 
-    def is_redirected(self, box_id: str, request_id: str) -> bool:
-        """True when this request already routes around the box."""
-        return (box_id, request_id) in self._redirected
-
-    def slow_request_count(self, box_id: str) -> int:
-        return len(self._slow_requests.get(box_id, ()))
-
     def permanently_failed(self) -> List[str]:
         return sorted(
             box_id for box_id, slow in self._slow_requests.items()
             if len(slow) >= self.policy.repeat_limit
         )
-
-    def reset_box(self, box_id: str) -> None:
-        """Clear history (e.g. after the box was replaced)."""
-        self._slow_requests.pop(box_id, None)
-        self._redirected = {
-            entry for entry in self._redirected if entry[0] != box_id
-        }

@@ -70,15 +70,6 @@ class AggregationTree:
             idx for idx, entry in self.worker_entry.items() if entry is None
         )
 
-    def depth_of(self, box_id: str) -> int:
-        """Hops from a box to the master along parent pointers."""
-        depth = 1
-        vertex = self.boxes[box_id]
-        while vertex.parent is not None:
-            vertex = self.boxes[vertex.parent]
-            depth += 1
-        return depth
-
     def request_key(self, request_id: str) -> str:
         """The id this tree's boxes know ``request_id`` by: a box keys
         its state on request *and* tree, so two trees of one request
@@ -160,39 +151,6 @@ class TreeBuilder:
         topo = self._topo
         return _TreeChoices(topo, key, tree_index).lane(
             topo.tor_of(host), topo.pod_of(host), master_tor, master_pod)
-
-    def pod_aggr(self, key: str, tree_index: int, pod: int) -> str:
-        """The aggregation switch a tree uses within ``pod``.
-
-        The *same position* (index into the pod's sorted aggregation
-        switches) is used in every pod of a tree: in a fat-tree, only
-        same-position switches share core switches, so a position-
-        consistent choice keeps cross-pod lanes wired.  The hash picks
-        tree 0's position; further trees round-robin from there,
-        guaranteeing disjoint lanes while enough switches exist (§3.1:
-        "each aggregation tree uses a disjoint set of agg boxes").
-        """
-        return _TreeChoices(self._topo, key, tree_index).pod_aggr(pod)
-
-    def core(self, key: str, tree_index: int) -> str:
-        """The core switch of a tree's cross-pod lane.
-
-        Chosen among the cores actually adjacent to the tree's
-        aggregation switches (any core in a three-tier multi-rooted
-        network; the position-matched core group in a fat-tree).
-        """
-        return _TreeChoices(self._topo, key, tree_index).core()
-
-    def box_id(self, key: str, tree_index: int, switch: str) -> str:
-        """The box a tree uses at ``switch``.
-
-        Hash picks tree 0's box; further trees round-robin from there,
-        so an application's trees land on *distinct* boxes while enough
-        are attached -- the scale-out mechanism of §3.1 ("aggregation
-        trees are assigned to agg boxes in a way that balances the load
-        between them").
-        """
-        return _TreeChoices(self._topo, key, tree_index).box_id(switch)
 
     # -- internals -----------------------------------------------------------
 

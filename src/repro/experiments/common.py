@@ -15,9 +15,8 @@ rack) is what makes rack-level aggregation's inbound bottleneck visible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.aggregation.base import AggregationStrategy
 from repro.faults import FaultSchedule, SimFaultInjector
@@ -150,11 +149,6 @@ class ExperimentResult:
             raise ValueError(f"row missing columns: {sorted(missing)}")
         self.rows.append(values)
 
-    def column(self, name: str) -> List[object]:
-        if name not in self.columns:
-            raise KeyError(f"no column {name!r}")
-        return [row[name] for row in self.rows]
-
     def to_text(self) -> str:
         """Render as an aligned text table (for example scripts)."""
         widths = {
@@ -187,28 +181,6 @@ class ExperimentResult:
         if self.diagnosis:
             data["diagnosis"] = dict(self.diagnosis)
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ExperimentResult":
-        result = cls(
-            experiment=data["experiment"],
-            description=data["description"],
-            columns=tuple(data["columns"]),
-            notes=data.get("notes", ""),
-            metrics=dict(data.get("metrics", {})),
-            diagnosis=dict(data.get("diagnosis", {})),
-        )
-        for row in data["rows"]:
-            result.add_row(**row)
-        return result
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialise; round-trips through :meth:`from_json`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        return cls.from_dict(json.loads(text))
 
 
 def _fmt(value: object) -> str:

@@ -8,7 +8,7 @@ distribution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.aggregation import (
     BinaryTreeStrategy,
@@ -20,7 +20,6 @@ from repro.aggregation import (
 from repro.experiments.common import DEFAULT, ExperimentResult, SimScale, simulate
 from repro.experiments import register
 from repro.experiments.sweep import run_parallel
-from repro.netsim.metrics import fct_cdf
 
 STRATEGIES = (
     (RackLevelStrategy(), None),
@@ -39,16 +38,6 @@ def _strategy_fcts(task: Tuple[int, SimScale, int]) -> List[float]:
     strategy, deploy = STRATEGIES[index]
     sim = simulate(scale, strategy, deploy=deploy, seed=seed)
     return sorted(sim.fcts())
-
-
-def cdfs(scale: SimScale = DEFAULT, seed: int = 1,
-         aggregatable=None) -> Dict[str, List[Tuple[float, float]]]:
-    """Full CDFs per strategy (used by Fig. 7 and the plots)."""
-    out = {}
-    for strategy, deploy in STRATEGIES:
-        result = simulate(scale, strategy, deploy=deploy, seed=seed)
-        out[strategy.name] = fct_cdf(result, aggregatable=aggregatable)
-    return out
 
 
 @register("fig06")

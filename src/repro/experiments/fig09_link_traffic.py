@@ -38,7 +38,7 @@ def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     rack_median = None
     for strategy, deploy in STRATEGIES:
         sim = simulate(scale, strategy, deploy=deploy, seed=seed)
-        traffic = list(sim.link_traffic(wire_only=True).values())
+        traffic = list(sim.link_traffic().values())
         median = percentile(traffic, 50.0)
         if rack_median is None:
             rack_median = median

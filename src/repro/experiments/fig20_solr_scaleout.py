@@ -15,7 +15,7 @@ from repro.experiments.common import (
     ExperimentResult,
     SimScale,
 )
-from repro.aggbox.functions import CategoriseFunction
+from repro.aggbox.functions import CATEGORISE_CPU_FACTOR
 
 CLIENTS = (10, 30, 50, 70, 90)
 
@@ -34,7 +34,7 @@ def _sweep(clients=CLIENTS, duration: float = 10.0) -> ExperimentResult:
                     "per switch",
         columns=("clients", "one_box_gbps", "two_boxes_gbps"),
     )
-    cpu_factor = CategoriseFunction.cpu_factor
+    cpu_factor = CATEGORISE_CPU_FACTOR
     for n_clients in clients:
         one = SolrEmulation(
             TestbedConfig(boxes_per_rack=1),

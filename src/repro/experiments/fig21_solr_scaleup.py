@@ -7,7 +7,7 @@ the data-parallel local tree exploits them all.
 
 from __future__ import annotations
 
-from repro.aggbox.functions import CategoriseFunction, SampleFunction
+from repro.aggbox.functions import CATEGORISE_CPU_FACTOR, SAMPLE_CPU_FACTOR
 from repro.cluster.deployment import TestbedConfig
 from repro.cluster.solr_driver import SolrEmulation, SolrEmulationParams
 from repro.experiments import register
@@ -38,10 +38,10 @@ def _sweep(cores=CORES, n_clients: int = 70,
         config = TestbedConfig(box_cores=n_cores)
         sample = SolrEmulation(config, SolrEmulationParams(
             n_clients=n_clients, duration=duration, use_netagg=True,
-            agg_cpu_factor=SampleFunction.cpu_factor)).run()
+            agg_cpu_factor=SAMPLE_CPU_FACTOR)).run()
         categorise = SolrEmulation(config, SolrEmulationParams(
             n_clients=n_clients, duration=duration, use_netagg=True,
-            agg_cpu_factor=CategoriseFunction.cpu_factor)).run()
+            agg_cpu_factor=CATEGORISE_CPU_FACTOR)).run()
         result.add_row(
             cores=n_cores,
             sample_gbps=sample.throughput_gbps,

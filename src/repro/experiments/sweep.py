@@ -22,7 +22,7 @@ Merge-back scope -- what does and does not cross the fork boundary:
   once, so serial and parallel totals agree and nothing is counted
   twice (the child inherits the parent's counter values at fork time;
   the delta subtracts that inheritance out).
-- **Per-process, discarded**: everything else.  Gauges and histograms
+- **Per-process, discarded**: everything else.  Histograms
   are point-in-time process state with no meaningful cross-process
   sum.  Likewise the live telemetry plane (:mod:`repro.obs.live`) --
   ``TimeSeriesStore`` windows, ``SloMonitor`` burn state and

@@ -27,8 +27,6 @@ One seed drives FCT under failure (``fig_failures``, ``fig_overload``,
 
 from repro.faults.domains import (
     in_scope,
-    pod_domain_name,
-    rack_domain_name,
 )
 from repro.faults.inject import (
     PlatformFaultInjector,
@@ -58,8 +56,6 @@ __all__ = [
     "SimFaultInjector",
     "PlatformFaultInjector",
     "in_scope",
-    "rack_domain_name",
-    "pod_domain_name",
     "BOX_CRASH",
     "BOX_RECOVER",
     "BOX_DEGRADE",

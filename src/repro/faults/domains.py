@@ -23,14 +23,6 @@ RACK_PREFIX = "rack:"
 POD_PREFIX = "pod:"
 
 
-def rack_domain_name(tor_id: str) -> str:
-    return f"{RACK_PREFIX}{tor_id}"
-
-
-def pod_domain_name(pod: int) -> str:
-    return f"{POD_PREFIX}{pod}"
-
-
 def in_scope(topo: Topology, node_id: str, scope: str) -> bool:
     """Is ``node_id`` (host, box, or switch) inside partition ``scope``?
 

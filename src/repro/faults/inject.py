@@ -82,10 +82,6 @@ class SimFaultInjector:
             link: info for info in topo.all_boxes()
             for link in (info.downlink, info.uplink, info.proc_link)}
 
-    @property
-    def schedule(self) -> FaultSchedule:
-        return self._schedule
-
     def fault_view(self, job) -> Set[str]:
         """Boxes to plan around when ``job`` starts: the crashed ones."""
         return self._schedule.crashed_at(job.start_time) & self._known_boxes
@@ -303,14 +299,6 @@ class PlatformFaultInjector:
         self._churning = named.get(WORKER_CHURN, set())
         self._partitioned = NET_PARTITION in named
 
-    @property
-    def schedule(self) -> FaultSchedule:
-        return self._schedule
-
-    @property
-    def topo(self) -> Optional[Topology]:
-        return self._topo
-
     def box_down(self, box_id: str, t: float) -> bool:
         """Is the box crashed (and not yet recovered) at clock ``t``?"""
         return box_id in self._crashable \
@@ -354,4 +342,3 @@ class PlatformFaultInjector:
             if inside != in_scope(self._topo, other, scope):
                 return scope
         return None
-

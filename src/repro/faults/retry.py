@@ -30,7 +30,7 @@ Two jitter schemes are available:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.netsim.routing import stable_hash
 
@@ -91,8 +91,9 @@ class RetryPolicy:
 
         Deterministic: the same ``(policy, attempt, key)`` always yields
         the same delay.  With the default scheme the delay is within
-        ``[(1 - JITTER) * b, b]`` for the un-jittered bound ``b``
-        (:func:`raw_backoff`); with ``decorrelated=True`` it is within
+        ``[(1 - JITTER) * b, b]`` for the un-jittered bound
+        ``b = min(BASE_BACKOFF * MULTIPLIER ** (attempt - 1),
+        MAX_BACKOFF)``; with ``decorrelated=True`` it is within
         ``[BASE_BACKOFF, MAX_BACKOFF]``.
         """
         if attempt < 1:
@@ -100,8 +101,8 @@ class RetryPolicy:
         if self.decorrelated:
             return self._decorrelated(attempt, key)
         bucket = stable_hash(f"{key}#a{attempt}") % _JITTER_BUCKETS
-        return raw_backoff(attempt) * (
-            1.0 - JITTER * bucket / _JITTER_BUCKETS)
+        raw = min(BASE_BACKOFF * MULTIPLIER ** (attempt - 1), MAX_BACKOFF)
+        return raw * (1.0 - JITTER * bucket / _JITTER_BUCKETS)
 
     def _decorrelated(self, attempt: int, key: str) -> float:
         """Decorrelated jitter, replayed from the first attempt.
@@ -121,22 +122,3 @@ class RetryPolicy:
             span = max(3.0 * sleep - BASE_BACKOFF, 0.0)
             sleep = min(BASE_BACKOFF + frac * span, MAX_BACKOFF)
         return sleep
-
-    def delays(self, key: str = "") -> List[float]:
-        """All backoff sleeps of one full retry sequence for ``key``."""
-        return [self.backoff(a, key) for a in range(1, MAX_ATTEMPTS)]
-
-    def worst_case_clock(self) -> float:
-        """Upper bound on clock burnt before giving up on one target."""
-        raw = MAX_ATTEMPTS * TIMEOUT + sum(
-            raw_backoff(a) for a in range(1, MAX_ATTEMPTS))
-        if self.deadline is None:
-            return raw
-        # The deadline is checked before each attempt after the first,
-        # so the worst case is one full attempt past the budget.
-        return min(raw, self.deadline + TIMEOUT)
-
-
-def raw_backoff(attempt: int) -> float:
-    """The un-jittered exponential backoff after attempt ``attempt``."""
-    return min(BASE_BACKOFF * MULTIPLIER ** (attempt - 1), MAX_BACKOFF)

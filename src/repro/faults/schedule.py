@@ -194,10 +194,6 @@ class FaultSchedule:
                 "incoherent fault schedule: " + "; ".join(problems))
         return self
 
-    @property
-    def events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(self._events)
-
     def __len__(self) -> int:
         return len(self._events)
 

@@ -25,23 +25,16 @@ class EventQueue:
         self._now = start_time
         self._counter = itertools.count()
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
-        self._cancelled: set = set()
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
 
-    def __len__(self) -> int:
-        # Until the heap drains _cancelled may hold tokens that already
-        # ran; count what is real.
-        return sum(1 for _, token, _ in self._heap
-                   if token not in self._cancelled)
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        Returns a token usable with :meth:`cancel`.
+        Returns the event's token, its insertion-order tie-break.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
@@ -59,23 +52,8 @@ class EventQueue:
         heappush(self._heap, (when, token, callback))
         return token
 
-    def cancel(self, token: int) -> None:
-        """Cancel a scheduled event (no-op if it already ran)."""
-        if self._heap:   # nothing pending: the token is stale, forget it
-            self._cancelled.add(token)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` when empty."""
-        if self._cancelled:
-            self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        if self._cancelled:
-            self._drop_cancelled()
         if not self._heap:
             return False
         when, _token, callback = heappop(self._heap)
@@ -91,15 +69,11 @@ class EventQueue:
         including events a callback schedules *at* the (now current)
         batch time.  Returns the number executed (0 when idle).
         """
-        if self._cancelled:
-            self._drop_cancelled()
         if not self._heap:
             return 0
         when = self._heap[0][0]
         executed = 0
         while True:
-            if self._cancelled:
-                self._drop_cancelled()
             if not self._heap or self._heap[0][0] > when:
                 return executed
             _, _token, callback = heappop(self._heap)
@@ -114,13 +88,11 @@ class EventQueue:
         clock is advanced to exactly ``until`` even if no event fires there
         (not when ``max_events`` ran out first: events may still be due).
         """
-        heap, cancelled = self._heap, self._cancelled
+        heap = self._heap
         limit = inf if until is None else until
         budget = inf if max_events is None else max_events
         executed = 0
         while executed < budget:
-            if cancelled:
-                self._drop_cancelled()
             if not heap or heap[0][0] > limit:
                 break
             self._now, _token, callback = heappop(heap)
@@ -131,11 +103,3 @@ class EventQueue:
         if until is not None and until > self._now:
             self._now = until
         return executed
-
-    def _drop_cancelled(self) -> None:
-        heap, cancelled = self._heap, self._cancelled
-        while heap and heap[0][1] in cancelled:
-            cancelled.discard(heappop(heap)[1])
-        if not heap:
-            # Whatever is left names events that already ran.
-            cancelled.clear()

@@ -75,13 +75,6 @@ class SolverStats:
     flows_resolved: int = 0     #: flow-rate recomputations, summed
     flows_reused: int = 0       #: cached rates carried across a solve
 
-    def merge_into(self, other: "SolverStats") -> None:
-        other.solves += self.solves
-        other.cache_hits += self.cache_hits
-        other.components_resolved += self.components_resolved
-        other.flows_resolved += self.flows_resolved
-        other.flows_reused += self.flows_reused
-
 
 def _check_rate_cap(flow_id: str, rate_cap: Optional[float]) -> None:
     """Both warm solvers' ``rate_cap`` check: a negative cap would come
@@ -208,62 +201,6 @@ class IncrementalMaxMin:
         if old_rate < self._bound:
             self._bound = old_rate
         self._dirty_flows.discard(flow)
-
-    def reroute(self, flow_id: str, links: Sequence[str],
-                rate_cap: Optional[float] = None) -> None:
-        """Move a flow onto a new path.
-
-        Shared links are deduped: only links the flow actually leaves go
-        onto the dirty-link list (the flow itself seeds the region BFS,
-        which covers its new links), and a reroute onto the identical
-        link set with an unchanged rate cap is a pure no-op -- §3.1
-        rewiring storms that re-issue a flow's current path no longer
-        trigger region re-solves.  The water-level bound matches the old
-        remove+add pair exactly: nothing below the flow's old rate is
-        disturbed on departed links, nothing below a link's even split
-        among its users is disturbed on the new path.
-        """
-        flow = self._flows.get(flow_id)
-        if flow is None:
-            raise KeyError(flow_id)
-        _check_rate_cap(flow_id, rate_cap)
-        index = self._link_index
-        try:
-            new_links = tuple({index[l]: None for l in links})
-        except KeyError as exc:
-            raise KeyError(
-                f"flow {flow_id!r} uses unknown link {exc.args[0]!r}"
-            ) from None
-        if new_links == flow.links and rate_cap == flow.cap:
-            return
-        users = self._users
-        cap_arr = self._cap_arr
-        old_set = set(flow.links)
-        new_set = set(new_links)
-        for li in flow.links:
-            if li not in new_set:
-                users[li].discard(flow)
-                self._dirty_links.add(li)
-        bound = self._bound
-        for li in new_links:
-            link_users = users[li]
-            if li not in old_set:
-                link_users.add(flow)
-            first_touch = cap_arr[li] / len(link_users)
-            if first_touch < bound:
-                bound = first_touch
-        # Keep the stale rate entry: the flow seeds the next region
-        # re-solve, which overwrites it.  Popping it would make a later
-        # remove_flow() mistake this flow for a never-solved fresh add
-        # (``fid not in self._rates``) and cancel it without releasing
-        # its links' capacity.
-        old_rate = self._rates.get(flow_id, _INF)
-        if old_rate < bound:
-            bound = old_rate
-        self._bound = bound
-        flow.links = new_links
-        flow.cap = rate_cap
-        self._dirty_flows.add(flow)
 
     def set_capacity(self, link_id: str, capacity: float) -> None:
         """Change a link's capacity (0 = down: its flows get rate 0)."""

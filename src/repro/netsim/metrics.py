@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.netsim.simulator import SimulationResult
-from repro.units import cdf_points, mean, percentile
+from repro.units import mean, percentile
 
 
 @dataclass(frozen=True)
@@ -109,56 +109,6 @@ def relative_p99(
             "baseline p99 FCT is zero; nothing to normalise "
             f"({_filter_context(baseline, None, aggregatable)})")
     return ours / base
-
-
-def fct_cdf(
-    result: SimulationResult,
-    kinds: Optional[Sequence[str]] = None,
-    aggregatable: Optional[bool] = None,
-) -> List[Tuple[float, float]]:
-    """Empirical CDF of FCTs (Fig. 6 / Fig. 7 series)."""
-    return cdf_points(result.fcts(kinds=kinds, aggregatable=aggregatable))
-
-
-def link_traffic_cdf(result: SimulationResult) -> List[Tuple[float, float]]:
-    """Empirical CDF of per-link carried bytes (Fig. 9 series).
-
-    Only physical links are included; links that carried no traffic are
-    kept (they are real points of the distribution).
-    """
-    return cdf_points(list(result.link_traffic(wire_only=True).values()))
-
-
-def median_link_traffic(result: SimulationResult) -> float:
-    """Median over physical links of bytes carried."""
-    return percentile(list(result.link_traffic(wire_only=True).values()), 50.0)
-
-
-def job_completion_summary(result: SimulationResult) -> Dict[str, float]:
-    """Per-job completion times (used by strategy-level sanity checks)."""
-    return result.job_completion_times()
-
-
-def tier_traffic(result: SimulationResult) -> Dict[str, float]:
-    """Bytes carried per topology tier (edge / tor-aggr / aggr-core /
-    box links), from the link ids' naming convention.
-
-    Useful for diagnosing *where* an aggregation strategy removes
-    traffic (e.g. Fig. 12's deployment analysis).
-    """
-    tiers = {"edge": 0.0, "tor-aggr": 0.0, "aggr-core": 0.0, "box": 0.0}
-    for link_id, nbytes in result.link_traffic(wire_only=True).items():
-        src, _, dst = link_id.partition("->")
-        ends = {src.split(":")[0], dst.split(":")[0]}
-        if "box" in link_id:
-            tiers["box"] += nbytes
-        elif "host" in ends:
-            tiers["edge"] += nbytes
-        elif ends == {"tor", "aggr"}:
-            tiers["tor-aggr"] += nbytes
-        elif ends == {"aggr", "core"}:
-            tiers["aggr-core"] += nbytes
-    return tiers
 
 
 def slowdowns(result: SimulationResult, network,

@@ -36,11 +36,6 @@ class Link:
         if self.capacity <= 0:
             raise ValueError(f"link {self.link_id!r} needs capacity > 0")
 
-    @property
-    def is_down(self) -> bool:
-        """True when the link was administratively downed (capacity 0)."""
-        return self.capacity <= 0.0
-
 
 class Network:
     """A set of named links, with per-link traffic accounting."""
@@ -58,39 +53,13 @@ class Network:
     def __contains__(self, link_id: str) -> bool:
         return link_id in self._links
 
-    def __iter__(self) -> Iterator[Link]:
-        return iter(self._links.values())
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def link(self, link_id: str) -> Link:
-        return self._links[link_id]
-
     def capacities(self) -> Dict[str, float]:
         """Link id -> capacity, in the shape the fairness solver wants."""
         return {link_id: link.capacity for link_id, link in self._links.items()}
 
-    def set_capacity(self, link_id: str, capacity: float) -> None:
-        """Change a link's capacity in place (0 = down).
-
-        Links are built with positive capacity; this is the only way a
-        link reaches 0, which marks it failed (:attr:`Link.is_down`).
-        Note :class:`repro.netsim.simulator.FlowSim` snapshots
-        capacities at ``run()`` -- use its capacity *events* to change
-        capacity mid-simulation.
-        """
-        if capacity < 0:
-            raise ValueError(f"link {link_id!r} capacity must be >= 0")
-        self._links[link_id].capacity = capacity
-
     def account(self, link_id: str, nbytes: float) -> None:
         """Record ``nbytes`` carried by ``link_id`` (for Fig. 9 metrics)."""
         self._links[link_id].bytes_carried += nbytes
-
-    def reset_accounting(self) -> None:
-        for link in self._links.values():
-            link.bytes_carried = 0.0
 
     def wire_links(self) -> Iterator[Link]:
         """Iterate physical links only (excludes processing constraints)."""

@@ -147,11 +147,6 @@ class FlowRecord:
         """Flow completion time: the flow's own transfer duration."""
         return self.drain_time - self.admitted_time
 
-    @property
-    def dependency_wait(self) -> float:
-        """Seconds the flow waited for upstream flows before starting."""
-        return self.admitted_time - self.spec.start_time
-
 
 @dataclass
 class SimulationResult:
@@ -177,21 +172,11 @@ class SimulationResult:
             out.append(record.fct)
         return out
 
-    def job_completion_times(self) -> Dict[str, float]:
-        """Job id -> time when its last flow completed."""
-        jobs: Dict[str, float] = {}
-        for record in self.records.values():
-            job_id = record.spec.job_id
-            if job_id is None:
-                continue
-            current = jobs.get(job_id, 0.0)
-            jobs[job_id] = max(current, record.completion_time)
-        return jobs
-
-    def link_traffic(self, wire_only: bool = True) -> Dict[str, float]:
-        """Link id -> cumulative bytes carried (Fig. 9's metric)."""
-        links = self.network.wire_links() if wire_only else iter(self.network)
-        return {link.link_id: link.bytes_carried for link in links}
+    def link_traffic(self) -> Dict[str, float]:
+        """Physical link id -> cumulative bytes carried (Fig. 9's
+        metric; virtual processing links are left out)."""
+        return {link.link_id: link.bytes_carried
+                for link in self.network.wire_links()}
 
 
 class _LinkUtilSampler:

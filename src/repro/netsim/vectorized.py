@@ -2,7 +2,7 @@
 
 :class:`VectorizedMaxMin` is a drop-in alternative to
 :class:`repro.netsim.incremental.IncrementalMaxMin`: the same mutation
-API (``add_flow`` / ``remove_flow`` / ``reroute`` / ``set_capacity``),
+API (``add_flow`` / ``remove_flow`` / ``set_capacity``),
 the same :meth:`rates` contract and the same
 :class:`~repro.netsim.incremental.SolverStats` counters, but with the
 progressive filling executed as array operations over link x flow
@@ -66,7 +66,7 @@ SOLVER_BACKENDS = ("auto", "vectorized", "incremental")
 _INF = float("inf")
 
 #: Compact the edge arrays once this many dead edges accumulate (and
-#: they outnumber the live ones); keeps reroute/stall storms from
+#: they outnumber the live ones); keeps leave/attach storms from
 #: growing every per-solve reduction without paying a rebuild per event.
 _COMPACT_MIN_DEAD = 256
 
@@ -273,30 +273,6 @@ class VectorizedMaxMin:
                 and self._dead_edges > self._nedges - self._dead_edges:
             self._compact_edges()
 
-    def reroute(self, flow_id: str, links: Sequence[str],
-                rate_cap: Optional[float] = None) -> None:
-        """Move a flow onto a new path; a reroute onto the identical
-        link set with an unchanged rate cap is a pure no-op."""
-        slot = self._flows.get(flow_id)
-        if slot is None:
-            raise KeyError(flow_id)
-        _check_rate_cap(flow_id, rate_cap)
-        index = self._link_index
-        try:
-            new_links = tuple({index[l]: None for l in links})
-        except KeyError as exc:
-            raise KeyError(
-                f"flow {flow_id!r} uses unknown link {exc.args[0]!r}"
-            ) from None
-        new_cap = rate_cap if rate_cap is not None else _INF
-        if new_cap == self._fcap[slot] and new_links == self._slinks[slot]:
-            return
-        # The slot dance is remove+add, but the water-level bound it
-        # produces matches the deduped incremental reroute exactly: the
-        # old rate plus the new links' even splits.
-        self.remove_flow(flow_id)
-        self.add_flow(flow_id, links, rate_cap=rate_cap)
-
     def set_capacity(self, link_id: str, capacity: float) -> None:
         """Change a link's capacity (0 = down); same-value is a no-op."""
         if capacity < 0:
@@ -352,9 +328,6 @@ class VectorizedMaxMin:
         of removed flows read 0).  Treat as read-only."""
         self._solve()
         return self._rate
-
-    def slot(self, flow_id: str) -> int:
-        return self._flows[flow_id]
 
     @property
     def nslots(self) -> int:

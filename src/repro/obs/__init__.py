@@ -15,7 +15,7 @@ stats in the aggbox layer):
           run_experiment()
       write_trace(tracer, "trace.json")
 
-- :class:`MetricsRegistry` holds named counters, gauges and histograms
+- :class:`MetricsRegistry` holds named counters and histograms
   behind one ``snapshot()``.  The process-wide registry is
   :data:`METRICS`; the simulator, platform and aggbox layers all write
   into it (``netsim.*``, ``platform.*``, ``aggbox.*`` namespaces).
@@ -55,7 +55,6 @@ from repro.obs.live import (
 from repro.obs.metrics import (
     METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "BurnRateAlert",
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "Instant",
     "LINK_UTIL_PREFIX",

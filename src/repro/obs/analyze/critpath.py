@@ -87,16 +87,6 @@ class RequestPath:
     def dominant(self) -> str:
         return max(CATEGORIES, key=lambda c: self.seconds[c])
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "request": self.request,
-            "total": self.total,
-            "seconds": dict(self.seconds),
-            "fractions": self.fractions,
-            "dominant": self.dominant,
-            "chain": list(self.chain),
-        }
-
 
 def _zero_seconds() -> Dict[str, float]:
     return {cat: 0.0 for cat in CATEGORIES}

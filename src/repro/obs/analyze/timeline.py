@@ -153,16 +153,6 @@ class TimelineReport:
     tier_credit: Dict[str, float]   #: total cp_seconds per tier
     dominant_tier: str              #: most-credited tier (module doc)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "strategy": self.strategy,
-            "end_time": self.end_time,
-            "dominant_tier": self.dominant_tier,
-            "tier_busy": dict(self.tier_busy),
-            "tier_credit": dict(self.tier_credit),
-            "links": [s.to_dict() for s in self.links],
-        }
-
 
 def _weighted_p99(pieces: List[Tuple[float, float]]) -> float:
     """Time-weighted 99th-percentile value of (duration, value) pieces."""

@@ -7,7 +7,6 @@ rates and alert counts -- into the plain-text format every Prometheus
 scraper understands:
 
 - counters expose as ``repro_<name>_total``;
-- gauges as ``repro_<name>``;
 - histograms as summaries: ``_count`` / ``_sum`` plus
   ``{quantile="0.5"|"0.99"}`` samples from the log-bucket estimator;
 - windowed telemetry as labelled gauges
@@ -32,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     METRICS,
@@ -94,10 +92,6 @@ def render_registry(registry: Optional[MetricsRegistry] = None,
         if isinstance(metric, Counter):
             exposed = mangle(name) + "_total"
             lines.append(f"# TYPE {exposed} counter")
-            lines.append(sample_line(exposed, metric.value))
-        elif isinstance(metric, Gauge):
-            exposed = mangle(name)
-            lines.append(f"# TYPE {exposed} gauge")
             lines.append(sample_line(exposed, metric.value))
         elif isinstance(metric, Histogram):
             exposed = mangle(name)

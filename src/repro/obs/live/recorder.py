@@ -64,9 +64,6 @@ class FlightRecorder(Tracer):
             deque(maxlen=KEPT_DUMPS)
         self._last_dump: Dict[str, float] = {}
 
-    def record_count(self) -> int:
-        return len(self.spans) + len(self.instants) + len(self.samples)
-
     def dump(self, trigger: str, at: float,
              path: Optional[Union[str, pathlib.Path]] = None,
              metrics: Optional[Dict[str, float]] = None,
@@ -100,9 +97,3 @@ class FlightRecorder(Tracer):
             pathlib.Path(path).write_text(
                 json.dumps(payload, indent=1) + "\n", encoding="utf-8")
         return payload
-
-    def last_dump(self) -> Optional[dict]:
-        """The most recent dump payload (None before the first)."""
-        if not self.dumps:
-            return None
-        return self.dumps[-1][2]

@@ -30,7 +30,6 @@ primitive; :class:`repro.core.partition.GrayDetector` consumes it).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -75,18 +74,6 @@ class WindowStats:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    @property
-    def span(self) -> float:
-        return self.end - self.start
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "start": self.start, "end": self.end, "count": self.count,
-            "sum": self.total, "mean": self.mean, "min": self.minimum,
-            "max": self.maximum, "p50": self.p50, "p99": self.p99,
-        }
-
-
 _EMPTY = WindowStats(start=0.0, end=0.0, count=0)
 
 
@@ -114,9 +101,6 @@ class WindowedSeries:
         self.maxlen = maxlen
         self._at: List[float] = []
         self._values: List[float] = []
-
-    def __len__(self) -> int:
-        return len(self._at)
 
     def observe(self, at: float, value: float) -> None:
         """Append one point (``at`` must not move backwards)."""
@@ -157,18 +141,6 @@ class WindowedSeries:
             minimum=min(inside), maximum=max(inside),
             p50=percentile(inside, 50.0), p99=percentile(inside, 99.0),
         )
-
-    def tumbling(self, at: float, window: float) -> WindowStats:
-        """Aggregates over the last *completed* tumbling window.
-
-        Tumbling windows are the fixed half-open partitions
-        ``(k*window, (k+1)*window]``; at time ``at`` the last completed
-        one is the partition ending at ``floor(at/window)*window``.
-        """
-        if window <= 0:
-            raise ValueError("window must be positive")
-        end = math.floor(at / window) * window
-        return self.window(end, window)
 
     # -- counter-style queries ---------------------------------------------
 
@@ -211,9 +183,6 @@ class TimeSeriesStore:
     def names(self, prefix: str = "") -> List[str]:
         return sorted(n for n in self._series if n.startswith(prefix))
 
-    def get(self, name: str) -> Optional[WindowedSeries]:
-        return self._series.get(name)
-
     # -- recording ---------------------------------------------------------
 
     def observe(self, name: str, at: float, value: float) -> None:
@@ -231,16 +200,6 @@ class TimeSeriesStore:
             series._values[-1] = total
         else:
             series.observe(at, total)
-
-    def record_counter(self, name: str, at: float, value: float) -> None:
-        """Sample an *external* cumulative counter (e.g. one from
-        :data:`repro.obs.METRICS`) so windowed rates can be derived."""
-        series = self.series(name, COUNTER)
-        last = series.last()
-        if last and last[0] == at:
-            series._values[-1] = float(value)
-        else:
-            series.observe(at, value)
 
     # -- queries -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The metrics registry: named counters, gauges and histograms.
+"""The metrics registry: named counters and histograms.
 
 One process-wide :data:`METRICS` registry absorbs the ad-hoc telemetry
 that used to live in three places -- the flow simulator's module-wide
@@ -96,22 +96,6 @@ class Counter:
         self.value = 0
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
 class Histogram:
     """Streaming distribution summary with bounded quantile buckets.
 
@@ -192,7 +176,7 @@ class Histogram:
                 self.buckets[index] = 0
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -207,9 +191,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
@@ -232,7 +213,7 @@ class MetricsRegistry:
     def snapshot(self, prefix: str = "") -> Dict[str, float]:
         """Flat ``{name: value}`` view (JSON-ready).
 
-        Counters and gauges map to one entry each; a histogram expands
+        A counter maps to one entry; a histogram expands
         into ``<name>.count`` / ``.sum`` / ``.min`` / ``.max`` /
         ``.mean`` plus log-bucket ``.p50`` / ``.p99`` estimates
         (min/max/percentiles omitted while empty; the pre-existing
@@ -259,7 +240,7 @@ class MetricsRegistry:
         """``{name: value}`` for every counter, in name order.
 
         Counters are the one metric kind that sums across runs and
-        processes; gauges and histograms are point-in-time state, so
+        processes; histograms are point-in-time state, so
         the bench ledger and the sweep runner's fork merge read this
         view rather than :meth:`snapshot`.
         """

@@ -31,15 +31,15 @@ tracer.end(...)`` in its ``finally``; instants and samples under ``if
 tracer.enabled:`` -- so a disabled tracer costs a :func:`get_tracer`
 call and one attribute test per site and builds no tag dict, and an
 enabled one pays for a record, not for a generator.
-:meth:`Tracer.span` (a ``@contextmanager``, several times the cost of
-the begin/end pair it wraps) is for tests and off-path callers;
-``tools/check_obs.py`` rejects ``with ....span(`` anywhere else.
+There is no ``span`` context manager (one costs several times the
+begin/end pair it wraps); ``tools/check_obs.py`` rejects
+``with ....span(`` anywhere.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 
 class Span:
@@ -59,20 +59,10 @@ class Span:
         self.end = end  #: None while the span is open
         self.tags = tags
 
-    def __repr__(self) -> str:
-        return (f"Span({self.span_id}, {self.name!r}, {self.layer!r}, "
-                f"[{self.start}, {self.end}], {self.tags})")
-
     @property
     def seq(self) -> int:
         """Global record sequence number (spans use their id)."""
         return self.span_id
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"span {self.name!r} ({self.span_id}) is open")
-        return self.end - self.start
 
 
 class Instant(NamedTuple):
@@ -166,18 +156,6 @@ class Tracer:
         top.end = at
         self._stack.pop()
 
-    @contextmanager
-    def span(self, name: str, clock: Callable[[], float], layer: str = "",
-             **tags: object) -> Iterator[Span]:
-        """Span over a ``with`` block; ``clock`` reads the virtual time
-        at entry and exit (it is called twice)."""
-        span_id = self.begin(name, clock(), layer=layer, **tags)
-        opened = self._stack[-1]
-        try:
-            yield opened
-        finally:
-            self.end(span_id, clock())
-
     def instant(self, name: str, at: float, layer: str = "",
                 **tags: object) -> None:
         self.instants.append(Instant(name, at, layer, tags,
@@ -195,13 +173,6 @@ class Tracer:
 
     # -- inspection --------------------------------------------------------
 
-    def open_spans(self) -> List[Span]:
-        """Spans begun but not yet ended (innermost last)."""
-        return list(self._stack)
-
-    def finished(self) -> bool:
-        return not self._stack
-
     def layers(self) -> List[str]:
         """Distinct layer tags seen, sorted."""
         seen = {s.layer for s in self.spans}
@@ -209,16 +180,6 @@ class Tracer:
         seen.update(s.layer for s in self.samples)
         seen.discard("")
         return sorted(seen)
-
-    def clear(self) -> None:
-        if self._stack:
-            raise RuntimeError(
-                f"clear() with {len(self._stack)} span(s) still open"
-            )
-        self.spans.clear()
-        self.instants.clear()
-        self.samples.clear()
-        self._next_id = 1
 
 
 class NullTracer(Tracer):
@@ -246,10 +207,6 @@ class NullTracer(Tracer):
                  layer: str = "", parent_id: Optional[int] = None,
                  **tags: object) -> int:
         return 0
-
-    def span(self, name: str, clock: Callable[[], float], layer: str = "",
-             **tags: object):
-        return nullcontext()
 
     def instant(self, name: str, at: float, layer: str = "",
                 **tags: object) -> None:

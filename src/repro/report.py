@@ -1,22 +1,17 @@
 """Terminal-friendly rendering of experiment results.
 
-Pure-text charts (no plotting dependencies, works over SSH):
-
-- :func:`bar_chart` -- horizontal bars for one numeric column;
-- :func:`series_chart` -- multi-series line-ish chart over an x column;
-- :func:`sparkline` -- a one-line trend.
-
-Used by the CLI (``python -m repro run --plot``) and the examples.
+Pure text (no plotting dependencies, works over SSH):
+:func:`sparkline` draws a one-line trend and :func:`summarise` one
+sparkline per numeric column.  Used by ``python -m repro run --plot``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
 
 _SPARK = "▁▂▃▄▅▆▇█"
-_BAR = "█"
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -31,62 +26,6 @@ def sparkline(values: Sequence[float]) -> str:
                    int((v - low) / span * (len(_SPARK) - 1)))]
         for v in values
     )
-
-
-def bar_chart(result: ExperimentResult, label_column: str,
-              value_column: str, width: int = 40) -> str:
-    """Horizontal bar chart of ``value_column``, one row per entry."""
-    _require_columns(result, (label_column, value_column))
-    labels = [str(row[label_column]) for row in result.rows]
-    values = [float(row[value_column]) for row in result.rows]
-    if not values:
-        return "(no data)"
-    label_width = max(len(l) for l in labels)
-    peak = max(values) or 1.0
-    lines = [f"{result.experiment}: {value_column}"]
-    for label, value in zip(labels, values):
-        bar = _BAR * max(1, round(value / peak * width)) if value > 0 \
-            else ""
-        lines.append(f"{label.rjust(label_width)} | {bar} {value:.3f}")
-    return "\n".join(lines)
-
-
-def series_chart(result: ExperimentResult, x_column: str,
-                 series: Optional[Sequence[str]] = None,
-                 height: int = 10, width: int = 60) -> str:
-    """Plot numeric series against ``x_column`` on a character grid."""
-    if series is None:
-        series = [c for c in result.columns
-                  if c != x_column and _is_numeric(result, c)]
-    _require_columns(result, (x_column, *series))
-    if not result.rows:
-        return "(no data)"
-    marks = "*o+x#@%&"
-    xs = [float(row[x_column]) for row in result.rows]
-    all_values = [float(row[c]) for c in series for row in result.rows]
-    low, high = min(all_values), max(all_values)
-    span = (high - low) or 1.0
-    x_low, x_high = min(xs), max(xs)
-    x_span = (x_high - x_low) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for si, column in enumerate(series):
-        mark = marks[si % len(marks)]
-        for row in result.rows:
-            x = float(row[x_column])
-            y = float(row[column])
-            col = int((x - x_low) / x_span * (width - 1))
-            line = height - 1 - int((y - low) / span * (height - 1))
-            grid[line][col] = mark
-    lines = [f"{result.experiment} — y in [{low:.3g}, {high:.3g}], "
-             f"x = {x_column} in [{x_low:.3g}, {x_high:.3g}]"]
-    lines += ["|" + "".join(row) for row in grid]
-    lines.append("+" + "-" * width)
-    legend = "  ".join(
-        f"{marks[i % len(marks)]} {c}" for i, c in enumerate(series)
-    )
-    lines.append(f"  {legend}")
-    return "\n".join(lines)
 
 
 def summarise(result: ExperimentResult) -> str:
@@ -147,10 +86,3 @@ def _is_numeric(result: ExperimentResult, column: str) -> bool:
         not isinstance(row[column], bool)
         for row in result.rows
     ) and bool(result.rows)
-
-
-def _require_columns(result: ExperimentResult,
-                     columns: Sequence[str]) -> None:
-    missing = [c for c in columns if c not in result.columns]
-    if missing:
-        raise KeyError(f"result has no column(s) {missing}")

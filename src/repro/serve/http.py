@@ -37,10 +37,15 @@ from repro.workload.openloop import OP_MLGRAD, OP_QUERY
 
 _MAX_BODY = 4 * 1024 * 1024
 
+#: Most header lines one request may carry; one more is answered 431.
+#: (One line longer than the stream reader's 64 KiB limit is a 431 too.)
+_MAX_HEADERS = 100
+
 _REASONS = {
     200: "OK", 206: "Partial Content", 400: "Bad Request",
     404: "Not Found", 405: "Method Not Allowed",
     413: "Payload Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -194,7 +199,9 @@ async def _read_request(
 
     Raises :class:`_HttpError` on frame-level problems -- a garbled
     request line (400), an unparseable or negative ``Content-Length``
-    (400), a body larger than the 4 MiB frame limit (413) -- so the
+    (400), a body larger than the 4 MiB frame limit (413), a header
+    line over the reader's limit or more than ``_MAX_HEADERS`` header
+    lines (431) -- so the
     connection handler can answer them properly.
     """
     try:
@@ -209,10 +216,21 @@ async def _read_request(
         raise _HttpError(400, "bad-request-line",
                          "request line is not valid HTTP")
     headers: Dict[str, str] = {}
+    lines = 0
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            # The line outgrew the reader's limit: the stream cannot be
+            # resynced, so answer and close.
+            raise _HttpError(431, "header-too-large",
+                             "a header line exceeds the 64 KiB limit")
         if raw in (b"\r\n", b"\n", b""):
             break
+        lines += 1
+        if lines > _MAX_HEADERS:
+            raise _HttpError(431, "too-many-headers",
+                             f"more than {_MAX_HEADERS} header lines")
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     try:

@@ -251,9 +251,6 @@ class Topology:
             )
         return index
 
-    def neighbors(self, node_id: str) -> List[str]:
-        return list(self._adjacency[node_id])
-
     def tor_of(self, host_id: str) -> str:
         """The ToR switch a host (or agg box) connects to."""
         node = self._nodes[host_id]
@@ -284,9 +281,6 @@ class Topology:
     def box(self, box_id: str) -> AggBoxInfo:
         return self._box_index[box_id]
 
-    def switches_with_boxes(self) -> List[str]:
-        return [s for s, boxes in self._boxes.items() if boxes]
-
     # -- routing -------------------------------------------------------------
 
     def equal_cost_paths(self, src: str, dst: str) -> Tuple[Tuple[str, ...], ...]:
@@ -308,12 +302,6 @@ class Topology:
         )
         self._paths_cache[key] = paths
         return paths
-
-    def node_paths(self, src: str, dst: str) -> List[List[str]]:
-        """All shortest paths as node-id sequences (used by strategies)."""
-        if src == dst:
-            return [[src]]
-        return self._bfs_all_shortest(src, dst)
 
     def _source_bfs(
         self, src: str,

@@ -101,22 +101,3 @@ def three_tier(params: ThreeTierParams = ThreeTierParams()) -> Topology:
                 topo.connect(host_id, tor_id, params.edge_rate)
 
     return topo
-
-
-def attach_boxes_everywhere(
-    topo: Topology,
-    link_rate: float = Gbps(10.0),
-    proc_rate: float = Gbps(9.2),
-    count: int = 1,
-    tiers: tuple = (TOR, AGGR, CORE),
-) -> None:
-    """Attach ``count`` agg boxes to every switch of the given tiers.
-
-    Defaults match the paper's full NetAgg deployment: one box per switch,
-    10 Gbps attachment links, 9.2 Gbps processing rate (the measured rate
-    of the prototype, §4.2).
-    """
-    for tier in tiers:
-        for switch_id in topo.switches(tier):
-            topo.attach_aggbox(switch_id, link_rate=link_rate,
-                               proc_rate=proc_rate, count=count)

@@ -13,7 +13,7 @@ MB chunks, KB flows) into those base units.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 #: One kilobyte / megabyte / gigabyte in bytes (decimal, as in networking).
 KB = 1_000.0
@@ -29,16 +29,6 @@ GiB = 1024.0**3
 def Gbps(rate: float) -> float:
     """Convert gigabits per second into bytes per second."""
     return rate * 1e9 / 8.0
-
-
-def Mbps(rate: float) -> float:
-    """Convert megabits per second into bytes per second."""
-    return rate * 1e6 / 8.0
-
-
-def Kbps(rate: float) -> float:
-    """Convert kilobits per second into bytes per second."""
-    return rate * 1e3 / 8.0
 
 
 def to_gbps(bytes_per_second: float) -> float:
@@ -83,17 +73,5 @@ def mean(values: Iterable[float]) -> float:
     return total / count
 
 
-def cdf_points(values: Sequence[float]) -> List[tuple]:
-    """Return ``(value, cumulative_fraction)`` points of the empirical CDF."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
 #: Tolerance used when comparing virtual times / byte counts for equality.
 EPSILON = 1e-9
-
-
-def approx_equal(a: float, b: float, eps: float = EPSILON) -> bool:
-    """True when ``a`` and ``b`` differ by at most ``eps`` (absolute)."""
-    return abs(a - b) <= eps

@@ -14,7 +14,7 @@ implements that layer from scratch:
   map/reduce traffic and scored documents for search results.
 """
 
-from repro.wire.framing import ChunkReassembler, frame, unframe_all
+from repro.wire.framing import ChunkReassembler, frame
 from repro.wire.records import (
     KeyValue,
     SearchResult,
@@ -26,7 +26,6 @@ from repro.wire.records import (
 from repro.wire.serializer import (
     WireError,
     read_bytes,
-    read_float,
     read_floats,
     read_string,
     read_varint,
@@ -45,12 +44,10 @@ __all__ = [
     "write_string",
     "read_bytes",
     "write_bytes",
-    "read_float",
     "write_float",
     "read_floats",
     "write_floats",
     "frame",
-    "unframe_all",
     "ChunkReassembler",
     "KeyValue",
     "SearchResult",

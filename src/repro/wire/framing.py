@@ -11,7 +11,7 @@ received chunk").
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.wire.serializer import (
     WireError,
@@ -46,17 +46,6 @@ def whole_frame(chunk: bytes) -> Optional[bytes]:
     return bytes(chunk[after:])
 
 
-def unframe_all(buffer: bytes) -> List[bytes]:
-    """Split a buffer containing whole frames; raises on trailing junk."""
-    reassembler = ChunkReassembler()
-    frames = reassembler.feed(buffer)
-    if reassembler.pending_bytes:
-        raise WireError(
-            f"{reassembler.pending_bytes} trailing bytes after last frame"
-        )
-    return frames
-
-
 class ChunkReassembler:
     """Streaming frame extractor tolerating arbitrary chunk boundaries.
 
@@ -80,25 +69,14 @@ class ChunkReassembler:
         #: Buffer length at which the frame at the head is complete;
         #: 0 while its length prefix has not fully arrived.
         self._need = 0
-        self._frames_out = 0
-        self._bytes_in = 0
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
         return len(self._buffer)
 
-    @property
-    def frames_emitted(self) -> int:
-        return self._frames_out
-
-    @property
-    def bytes_consumed(self) -> int:
-        return self._bytes_in
-
     def feed(self, chunk: bytes) -> List[bytes]:
         """Add a chunk; returns every frame completed by it."""
-        self._bytes_in += len(chunk)
         buffer = self._buffer
         buffer += chunk
         if len(buffer) < self._need:
@@ -122,19 +100,4 @@ class ChunkReassembler:
             frames.append(bytes(buffer[after:end]))
             offset = end
         del buffer[:offset]
-        self._frames_out += len(frames)
         return frames
-
-    def feed_all(self, chunks: Iterable[bytes]) -> List[bytes]:
-        frames: List[bytes] = []
-        for chunk in chunks:
-            frames.extend(self.feed(chunk))
-        return frames
-
-    def finish(self) -> None:
-        """Assert the stream ended on a frame boundary."""
-        if self._buffer:
-            raise WireError(
-                f"stream ended mid-frame with {len(self._buffer)} bytes "
-                "buffered"
-            )

@@ -18,7 +18,6 @@ from repro.wire.serializer import (
     WireError,
     WireTruncated,
     append_varint,
-    read_float,
     read_string,
     read_varint,
     write_float,
@@ -54,18 +53,6 @@ class SearchResult(NamedTuple):
     doc_id: int
     score: float
     snippet: str = ""
-
-    def encode(self) -> bytes:
-        return (write_varint(self.doc_id) + write_float(self.score)
-                + write_string(self.snippet))
-
-    @classmethod
-    def decode(cls, buffer: bytes, offset: int = 0
-               ) -> Tuple["SearchResult", int]:
-        doc_id, offset = read_varint(buffer, offset)
-        score, offset = read_float(buffer, offset)
-        snippet, offset = read_string(buffer, offset)
-        return cls(doc_id, score, snippet), offset
 
 
 def encode_kv_stream(pairs: List[KeyValue]) -> bytes:

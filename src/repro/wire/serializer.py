@@ -84,18 +84,6 @@ def read_varint(buffer: bytes, offset: int = 0) -> Tuple[int, int]:
     raise WireTruncated("truncated varint")
 
 
-def write_signed(value: int) -> bytes:
-    """Zig-zag encode a signed integer."""
-    return write_varint((value << 1) ^ (value >> 63) if value >= 0
-                        else ((-value) << 1) - 1)
-
-
-def read_signed(buffer: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode a zig-zag encoded signed integer."""
-    raw, offset = read_varint(buffer, offset)
-    return (raw >> 1) ^ -(raw & 1), offset
-
-
 def write_bytes(data: bytes) -> bytes:
     """Length-prefixed byte blob."""
     return write_varint(len(data)) + data
@@ -128,13 +116,6 @@ _DOUBLE = struct.Struct(">d")
 def write_float(value: float) -> bytes:
     """IEEE-754 double, big-endian."""
     return _DOUBLE.pack(value)
-
-
-def read_float(buffer: bytes, offset: int = 0) -> Tuple[float, int]:
-    end = offset + 8
-    if end > len(buffer):
-        raise WireTruncated("truncated float")
-    return _DOUBLE.unpack_from(buffer, offset)[0], end
 
 
 def write_floats(values: Sequence[float]) -> bytes:

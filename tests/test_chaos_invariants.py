@@ -65,14 +65,14 @@ from repro.faults import (
     PlatformFaultInjector,
     SimFaultInjector,
     in_scope,
-    pod_domain_name,
-    rack_domain_name,
 )
 from repro.netsim.simulator import FlowSim
 from repro.topology import ThreeTierParams, three_tier
 from repro.topology.base import TOR
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import write_float
 from repro.workload.synthetic import WorkloadParams, generate_workload
+from tests.codecs import read_float
+from tests.health import health_report
 from tests.leftovers import NOTHING, left_behind
 
 CHAOS_EXAMPLES = int(os.environ.get("CHAOS_EXAMPLES", "200"))
@@ -270,7 +270,7 @@ class TestPlatformChaos:
             except AdmissionNack as nack:
                 # Termination by typed NACK: legal reason, logged.
                 assert nack.reason in NACK_REASONS
-                assert platform.admission.nacks[-1].reason == nack.reason
+                assert platform._admission.nacks[-1].reason == nack.reason
             except ValueError as rejected:
                 # Exit by exception mid-tree: the poisoned kind only.
                 assert poisoned is not None
@@ -283,7 +283,7 @@ class TestPlatformChaos:
             assert left_behind(platform) == NOTHING
 
         assert_legal_breaker_transitions(platform.breakers.transitions())
-        for beat in platform.health_report().values():
+        for beat in health_report(platform).values():
             assert beat.state in FEED_STATES
 
     def test_fixed_seed_reproduces_bit_identical_logs(self):
@@ -329,10 +329,10 @@ class TestPlatformChaos:
             platform.advance_clock(i * 0.5)
             platform.execute_request("sum", f"r{i}", "host:0", partials)
             seen.update(beat.state
-                        for beat in platform.health_report().values())
+                        for beat in health_report(platform).values())
         platform.fail_box(BOX_IDS[0])
         seen.update(beat.state
-                    for beat in platform.health_report().values())
+                    for beat in health_report(platform).values())
         # The chaos run's gray box turns gray and the failed box
         # reports failed; nothing else ever appears.
         assert seen <= set(FEED_STATES)
@@ -603,8 +603,8 @@ class TestMidRequestFailureChaos:
 #: Every partition scope of the shared topology: one per pod, one per
 #: rack.
 PARTITION_SCOPES = sorted(
-    [pod_domain_name(p) for p in {TOPO.pod_of(h) for h in TOPO.hosts()}]
-    + [rack_domain_name(tor) for tor in TOPO.switches(TOR)])
+    [f"pod:{p}" for p in {TOPO.pod_of(h) for h in TOPO.hosts()}]
+    + [f"rack:{tor}" for tor in TOPO.switches(TOR)])
 
 
 def host(h):

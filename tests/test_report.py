@@ -1,9 +1,7 @@
 """Tests for the terminal chart renderer."""
 
-import pytest
-
 from repro.experiments.common import ExperimentResult
-from repro.report import bar_chart, series_chart, sparkline, summarise
+from repro.report import sparkline, summarise
 
 
 def make_result():
@@ -32,40 +30,6 @@ class TestSparkline:
 
     def test_empty(self):
         assert sparkline([]) == ""
-
-
-class TestBarChart:
-    def test_renders_all_rows(self):
-        chart = bar_chart(make_result(), "name", "netagg")
-        assert chart.count("\n") == 3
-        assert "0.300" in chart and "0.900" in chart
-
-    def test_longest_bar_is_max(self):
-        chart = bar_chart(make_result(), "name", "netagg", width=10)
-        lines = chart.splitlines()[1:]
-        bars = [line.count("█") for line in lines]
-        assert max(bars) == bars[-1] == 10
-
-    def test_unknown_column_raises(self):
-        with pytest.raises(KeyError):
-            bar_chart(make_result(), "name", "ghost")
-
-
-class TestSeriesChart:
-    def test_contains_marks_and_legend(self):
-        chart = series_chart(make_result(), "alpha",
-                             series=("netagg", "rack"))
-        assert "* netagg" in chart
-        assert "o rack" in chart
-        assert "*" in chart.splitlines()[3] or "*" in chart
-
-    def test_auto_series_excludes_non_numeric(self):
-        chart = series_chart(make_result(), "alpha")
-        assert "name" not in chart.splitlines()[-1]
-
-    def test_bounds_in_header(self):
-        chart = series_chart(make_result(), "alpha")
-        assert "[0.3, 1]" in chart or "0.3" in chart
 
 
 class TestSummarise:

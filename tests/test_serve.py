@@ -32,7 +32,7 @@ from repro.workload.openloop import (
     OP_QUERY,
     OpenLoopParams,
     ZipfTenants,
-    generate_arrivals,
+    iter_arrivals,
     pick_endpoints,
 )
 from repro.serve.service import MAX_SYNTHESISED_VALUES
@@ -237,9 +237,9 @@ class TestDuplicateIdsCostNothing:
         platform = service.platform
         return {
             "clock": platform.clock,
-            "admitted": platform.admission.admitted,
-            "nacks": len(platform.admission.nacks),
-            "tokens": platform.admission.bucket("t1").available(
+            "admitted": platform._admission.admitted,
+            "nacks": len(platform._admission.nacks),
+            "tokens": platform._admission.bucket("t1").available(
                 platform.clock),
             "breakers": platform.breakers.states(),
             "transitions": platform.breakers.transitions(),
@@ -267,7 +267,7 @@ class TestDuplicateIdsCostNothing:
         fresh = service.handle(make(rid="b"))
         assert fresh["status"] == 200
         assert fresh["latency"] == pytest.approx(first["latency"])
-        assert service.platform.admission.admitted == 2
+        assert service.platform._admission.admitted == 2
 
     def test_a_rate_limited_tenant_keeps_its_last_token(self):
         service = AggregationService(ServeConfig(
@@ -510,8 +510,8 @@ class TestLoadgenDeterminism:
 
     def test_arrival_stream_is_deterministic(self):
         params = OpenLoopParams(users=20_000, duration=1.0, tenants=8)
-        a = generate_arrivals(params, seed=5)
-        b = generate_arrivals(params, seed=5)
+        a = list(iter_arrivals(params, seed=5))
+        b = list(iter_arrivals(params, seed=5))
         assert a == b
         assert all(x.at <= y.at for x, y in zip(a, a[1:]))
         assert all(arrival.at < params.duration for arrival in a)
@@ -524,7 +524,6 @@ class TestLoadgenDeterminism:
         draws = [zipf.draw(rng) for _ in range(4000)]
         counts = {t: draws.count(t) for t in set(draws)}
         assert max(counts, key=counts.get) == "tenant-1"
-        assert zipf.share("tenant-1") > zipf.share("tenant-8")
 
 
 class TestChaos:
@@ -572,11 +571,9 @@ class TestChaos:
         assert rejected["error"] == "breaker-open"
         assert rejected["reason"]
         assert service.report.tenants["t1"].rejected_unavailable == 1
-        # Recovery: boxes come back, the breaker reset timeout elapses
-        # (allow() performs open -> half-open), and the retried request
-        # returns the exact centralised aggregate.
-        for box in boxes:
-            service.platform.recover_box(box)
+        # Recovery: the breaker reset timeout elapses (allow() performs
+        # open -> half-open), and the retried request returns the exact
+        # centralised aggregate.
         service.platform.advance_clock(service.clock + 1.0)
         retried = service.handle(dict(request, id="retry"))
         assert retried["status"] == 200

@@ -8,14 +8,11 @@ from repro.apps.solr import (
     SearchBackend,
     SearchFrontend,
     generate_corpus,
-    make_categorise_wrapper,
-    make_sample_wrapper,
     make_topk_wrapper,
     shard_corpus,
 )
 from repro.apps.solr.corpus import BASE_CATEGORIES, Document, random_queries
 from repro.apps.solr.index import tokenize
-from repro.wire import WireError, write_varint
 
 
 def corpus(n=120, seed=2):
@@ -169,33 +166,3 @@ class TestWrappers:
         results = backend.query("science", k=4)
         assert deserialise(serialise(results)) == results
         assert len(fn.merge([results])) <= 2
-
-    def test_sample_wrapper(self):
-        fn, serialise, deserialise = make_sample_wrapper(alpha=0.5)
-        assert fn.alpha == 0.5
-
-    def test_categorise_wrapper_roundtrip(self):
-        fn, serialise, deserialise = make_categorise_wrapper(k=2)
-        items = [("science text science", 1.5, "")]
-        merged = fn.merge([items])
-        assert deserialise(serialise(merged)) == merged
-        assert merged[0][2] == "science"
-
-    def test_categorise_decoder_rejects_malformed_batches(self):
-        _, serialise, deserialise = make_categorise_wrapper(k=2)
-        encoded = serialise([("science text", 1.5, "science")])
-        with pytest.raises(WireError, match="2 trailing bytes"):
-            deserialise(encoded + b"\x00\x00")
-        # A declared count far beyond the buffer fails on the first
-        # missing item instead of sizing anything by the count.
-        with pytest.raises(WireError):
-            deserialise(write_varint(2**60) + encoded[1:])
-
-    def test_categorise_classifies_corpus_correctly(self):
-        fn, _, _ = make_categorise_wrapper()
-        docs = corpus(25)
-        hits = 0
-        for doc in docs:
-            if fn.classify(doc.text) == doc.category:
-                hits += 1
-        assert hits / len(docs) > 0.8

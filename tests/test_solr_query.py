@@ -155,5 +155,5 @@ class TestDistributedAdvancedQueries:
         for result in frontend.search("science -history"):
             doc = next(b for b in backends
                        if result.doc_id % 3 == int(b.backend_id[1])
-                       ).document(result.doc_id)
+                       )._index.document(result.doc_id)
             assert "history" not in doc.text.lower().split()

@@ -134,7 +134,8 @@ class TestStrategyInvariants:
         sim = FlowSim(topo.network)
         sim.add_flows(specs)
         result = sim.run()
-        completion = result.job_completion_times()["j"]
+        completion = max(r.completion_time for r in result.records.values()
+                         if r.spec.job_id == "j")
         edge = TOPO_PARAMS.edge_rate
         slowest_leaf = max(
             (s.size for s in specs if not s.children and s.path),

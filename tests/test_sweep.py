@@ -20,6 +20,7 @@ from repro.experiments.sweep import (
     sweep,
 )
 from repro.obs import METRICS
+from tests.test_experiments import column
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -109,9 +110,9 @@ class TestSweep:
         assert len(results) == 1
         merged = results[0]
         assert merged.columns[:2] == ("scale", "seed")
-        seeds_seen = sorted(set(merged.column("seed")))
+        seeds_seen = sorted(set(column(merged, "seed")))
         assert seeds_seen == [1, 2]
-        assert all(scale == "quick" for scale in merged.column("scale"))
+        assert all(scale == "quick" for scale in column(merged, "scale"))
         # Four strategies per seed.
         assert len(merged.rows) == 8
 

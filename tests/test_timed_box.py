@@ -8,7 +8,8 @@ from repro.aggbox.scheduler import WfqExecutor
 from repro.aggbox.timed import TimedAggBox
 from repro.experiments import QUICK, ablation_colocation
 from repro.netsim.engine import EventQueue
-from repro.wire.serializer import read_float, write_float
+from repro.wire.serializer import write_float
+from tests.codecs import read_float
 
 
 def binding(app="sum"):

@@ -15,7 +15,6 @@ from repro.topology.base import (
     Node,
     Topology,
 )
-from repro.topology.threetier import attach_boxes_everywhere
 from repro.units import Gbps
 
 SMALL = ThreeTierParams(
@@ -38,22 +37,21 @@ class TestThreeTierStructure:
 
     def test_host_edge_capacity(self):
         topo = three_tier(SMALL)
-        link = topo.network.link("host:0->tor:0")
-        assert link.capacity == SMALL.edge_rate
+        assert topo.network.capacities()["host:0->tor:0"] == SMALL.edge_rate
 
     def test_oversubscription_shapes_uplinks(self):
         params = SMALL.scaled(oversubscription=2.0)
         topo = three_tier(params)
-        uplink = topo.network.link("tor:0->aggr:0:0")
-        total_up = uplink.capacity * params.aggrs_per_pod
+        uplink = topo.network.capacities()["tor:0->aggr:0:0"]
+        total_up = uplink * params.aggrs_per_pod
         total_down = params.hosts_per_tor * params.edge_rate
         assert total_down / total_up == pytest.approx(2.0)
 
     def test_full_bisection_at_one(self):
         params = SMALL.scaled(oversubscription=1.0)
         topo = three_tier(params)
-        uplink = topo.network.link("tor:0->aggr:0:0")
-        assert uplink.capacity * params.aggrs_per_pod == pytest.approx(
+        uplink = topo.network.capacities()["tor:0->aggr:0:0"]
+        assert uplink * params.aggrs_per_pod == pytest.approx(
             params.hosts_per_tor * params.edge_rate
         )
 
@@ -126,8 +124,9 @@ class TestAggBoxes:
         topo = three_tier(SMALL)
         (info,) = topo.attach_aggbox("tor:0", link_rate=Gbps(10),
                                      proc_rate=Gbps(9.2))
-        assert topo.network.link(info.proc_link).virtual
-        assert topo.network.link(info.uplink).capacity == Gbps(10)
+        wire = {link.link_id for link in topo.network.wire_links()}
+        assert info.proc_link in topo.network and info.proc_link not in wire
+        assert topo.network.capacities()[info.uplink] == Gbps(10)
         assert topo.boxes_at("tor:0") == [info]
         assert topo.box(info.box_id) == info
 
@@ -149,7 +148,7 @@ class TestAggBoxes:
         attach_boxes_everywhere(topo)
         n_switches = 4 + 4 + 2
         assert len(topo.all_boxes()) == n_switches
-        assert len(topo.switches_with_boxes()) == n_switches
+        assert len({b.switch_id for b in topo.all_boxes()}) == n_switches
 
     def test_path_to_box(self):
         topo = three_tier(SMALL)
@@ -211,8 +210,7 @@ class TestTopologyGuards:
         topo.add_node(Node("a", TOR))
         topo.add_node(Node("b", TOR))
         topo.connect("a", "b", 5.0, capacity_ba=7.0)
-        assert topo.network.link("a->b").capacity == 5.0
-        assert topo.network.link("b->a").capacity == 7.0
+        assert topo.network.capacities() == {"a->b": 5.0, "b->a": 7.0}
 
 
 # -- differential oracle: per-source BFS, frozen ------------------------------
@@ -229,7 +227,7 @@ def _frozen_source_bfs(topo, src):
     queue = deque([src])
     while queue:
         current = queue.popleft()
-        for neighbor in topo.neighbors(current):
+        for neighbor in topo._adjacency[current]:
             if topo.node(neighbor).tier in (HOST, AGGBOX):
                 continue
             if neighbor not in dist:
@@ -247,7 +245,7 @@ def _frozen_all_shortest(topo, src, dst):
     if dst in dist:
         dst_preds = preds[dst]
     else:
-        adjacent = set(topo.neighbors(dst))
+        adjacent = set(topo._adjacency[dst])
         best = None
         for node in order:
             if node in adjacent:
@@ -268,6 +266,21 @@ def _frozen_all_shortest(topo, src, dst):
 
     unwind(dst, [])
     return paths
+
+
+def attach_boxes_everywhere(topo, count=1, tiers=(TOR, AGGR, CORE)):
+    """``count`` boxes on every switch of ``tiers`` (10 Gbps links,
+    9.2 Gbps processing: the paper's full deployment)."""
+    for tier in tiers:
+        for switch_id in topo.switches(tier):
+            topo.attach_aggbox(switch_id, link_rate=Gbps(10.0),
+                               proc_rate=Gbps(9.2), count=count)
+
+
+def node_paths(topo, src, dst):
+    """``equal_cost_paths`` as node sequences, in the same order."""
+    return [[src] + [link.split("->")[1] for link in path]
+            for path in topo.equal_cost_paths(src, dst)]
 
 
 def _quick_three_tier_with_boxes():
@@ -298,7 +311,7 @@ class TestPathsMatchFrozenPerSourceBfs:
                 if src == dst:
                     continue
                 expected = _frozen_all_shortest(topo, src, dst)
-                assert topo.node_paths(src, dst) == expected, (src, dst)
+                assert node_paths(topo, src, dst) == expected, (src, dst)
                 assert topo.equal_cost_paths(src, dst) == tuple(
                     tuple(f"{a}->{b}" for a, b in zip(nodes, nodes[1:]))
                     for nodes in expected
@@ -309,13 +322,13 @@ class TestPathsMatchFrozenPerSourceBfs:
     def test_a_leaf_wired_after_the_first_query_is_routed(self):
         """Paths cached for a switch must not outlive a ``connect``."""
         topo = _quick_three_tier_with_boxes()
-        before = topo.node_paths("host:0", "host:31")
+        before = node_paths(topo, "host:0", "host:31")
         topo.add_node(Node("host:late", HOST, rack=3, pod=1))
         topo.connect("host:late", "tor:3", Gbps(1.0))
-        assert topo.node_paths("host:0", "host:31") == before
+        assert node_paths(topo, "host:0", "host:31") == before
         for src, dst in (("host:late", "host:0"), ("host:0", "host:late"),
                          ("host:late", "box:core:0:0")):
-            assert topo.node_paths(src, dst) == \
+            assert node_paths(topo, src, dst) == \
                 _frozen_all_shortest(topo, src, dst)
 
     def test_a_dual_homed_leaf_keeps_its_own_sweep(self):
@@ -328,15 +341,15 @@ class TestPathsMatchFrozenPerSourceBfs:
                       "box:aggr:1:0:0"):
             for src, dst in (("host:dual", other), (other, "host:dual")):
                 expected = _frozen_all_shortest(topo, src, dst)
-                assert topo.node_paths(src, dst) == expected
+                assert node_paths(topo, src, dst) == expected
                 assert len(topo.equal_cost_paths(src, dst)) == len(expected)
 
     def test_unreachable_and_unknown_endpoints(self):
         topo = three_tier(SMALL)
         topo.add_node(Node("host:island", HOST))
         with pytest.raises(ValueError, match="no path"):
-            topo.node_paths("host:0", "host:island")
+            node_paths(topo, "host:0", "host:island")
         with pytest.raises(ValueError, match="no path"):
             topo.equal_cost_paths("host:island", "host:0")
         with pytest.raises(KeyError):
-            topo.node_paths("host:0", "host:nowhere")
+            node_paths(topo, "host:0", "host:nowhere")

@@ -11,12 +11,6 @@ class TestRates:
     def test_gbps(self):
         assert units.Gbps(1.0) == 125e6
 
-    def test_mbps(self):
-        assert units.Mbps(8.0) == 1e6
-
-    def test_kbps(self):
-        assert units.Kbps(8.0) == 1e3
-
     def test_roundtrip(self):
         assert units.to_gbps(units.Gbps(9.2)) == pytest.approx(9.2)
 
@@ -98,23 +92,3 @@ class TestMean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             units.mean([])
-
-
-class TestCdfPoints:
-    def test_fractions_reach_one(self):
-        points = units.cdf_points([3.0, 1.0, 2.0])
-        assert [v for v, _ in points] == [1.0, 2.0, 3.0]
-        assert points[-1][1] == pytest.approx(1.0)
-
-    def test_fractions_monotone(self):
-        points = units.cdf_points([5.0, 5.0, 1.0, 9.0])
-        fractions = [f for _, f in points]
-        assert fractions == sorted(fractions)
-
-
-class TestApproxEqual:
-    def test_within_eps(self):
-        assert units.approx_equal(1.0, 1.0 + 1e-12)
-
-    def test_outside_eps(self):
-        assert not units.approx_equal(1.0, 1.1)

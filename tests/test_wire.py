@@ -17,22 +17,23 @@ from repro.wire import (
     encode_kv_stream,
     encode_search_results,
     frame,
-    unframe_all,
 )
 from repro.wire.serializer import (
     WireTruncated,
     read_bytes,
-    read_float,
     read_floats,
-    read_signed,
     read_string,
     read_varint,
     write_bytes,
     write_float,
     write_floats,
-    write_signed,
     write_string,
     write_varint,
+)
+from tests.codecs import (
+    decode_search_result,
+    encode_search_result,
+    read_float,
 )
 
 
@@ -102,7 +103,8 @@ class TestTheEncoderRefusesWhatTheDecoderRefuses:
 
     def test_the_batch_and_record_encoders_refuse_it_too(self):
         wide = SearchResult(2**70, 0.5)
-        for encode in (wide.encode, lambda: encode_search_results([wide]),
+        for encode in (lambda: encode_search_result(wide),
+                       lambda: encode_search_results([wide]),
                        lambda: encode_kv_stream([KeyValue("k", 2**70)])):
             with pytest.raises(WireError, match="needs more than 10 bytes"):
                 encode()
@@ -192,19 +194,6 @@ class TestReadVarintMatchesItsFrozenCopy:
         assert _outcome(read_varint, b"\xff" * 11) \
             == (WireError, "varint longer than 10 bytes")
         assert read_varint(b"\xff" * 9 + b"\x7f") == (2**70 - 1, 10)
-
-
-class TestSigned:
-    @given(st.integers(-(2**62), 2**62))
-    @settings(max_examples=200)
-    def test_roundtrip(self, value):
-        decoded, _ = read_signed(write_signed(value))
-        assert decoded == value
-
-    def test_zigzag_compactness(self):
-        # Small magnitudes (either sign) stay in one byte.
-        assert len(write_signed(-1)) == 1
-        assert len(write_signed(63)) == 1
 
 
 class TestScalars:
@@ -316,12 +305,16 @@ _LONG_PAYLOADS = st.builds(
 
 class TestFraming:
     def test_frame_roundtrip(self):
-        frames = unframe_all(frame(b"abc") + frame(b"") + frame(b"xy"))
+        reassembler = ChunkReassembler()
+        frames = reassembler.feed(frame(b"abc") + frame(b"") + frame(b"xy"))
         assert frames == [b"abc", b"", b"xy"]
+        assert reassembler.pending_bytes == 0
 
     def test_trailing_junk_rejected(self):
-        with pytest.raises(WireError):
-            unframe_all(frame(b"abc") + b"\x05ab")
+        # A partial frame is never emitted: it waits for its bytes.
+        reassembler = ChunkReassembler()
+        assert reassembler.feed(frame(b"abc") + b"\x05ab") == [b"abc"]
+        assert reassembler.pending_bytes == 3
 
     @given(st.lists(st.one_of(st.binary(max_size=100), _LONG_PAYLOADS),
                     max_size=10),
@@ -334,7 +327,7 @@ class TestFraming:
         for i in range(0, len(stream), chunk_size):
             out.extend(reassembler.feed(stream[i:i + chunk_size]))
         assert out == payloads
-        reassembler.finish()  # must end on a boundary
+        assert reassembler.pending_bytes == 0  # ends on a boundary
 
     @pytest.mark.parametrize("length", [127, 128, 300, 16_383, 16_384,
                                         20_000])
@@ -347,9 +340,7 @@ class TestFraming:
         for i in range(len(stream)):
             out.extend(reassembler.feed(stream[i:i + 1]))
         assert out == [payload, b"", b"tail"]
-        assert reassembler.frames_emitted == 3
-        assert reassembler.bytes_consumed == len(stream)
-        reassembler.finish()
+        assert reassembler.pending_bytes == 0
 
     def test_prefix_parsed_a_constant_number_of_times(self, monkeypatch):
         """Reassembly is linear: a frame's prefix is not re-read per chunk."""
@@ -379,7 +370,7 @@ class TestFraming:
         assert reassembler.feed(stream[10:]) == [big, small]
         assert reassembler.pending_bytes == 50
         assert reassembler.feed(frame(big)[50:]) == [big]
-        reassembler.finish()
+        assert reassembler.pending_bytes == 0
 
     def test_malformed_prefix_raises_instead_of_buffering(self):
         """Ten prefix bytes without a terminator can never become a
@@ -391,8 +382,6 @@ class TestFraming:
         reassembler = ChunkReassembler()
         with pytest.raises(WireError, match="longer than 10 bytes"):
             reassembler.feed(b"\xff" * 11)
-        with pytest.raises(WireError, match="longer than 10 bytes"):
-            unframe_all(b"\xff" * 11)
 
     def test_frames_ahead_of_a_malformed_prefix_are_delivered(self):
         """A whole frame sharing a chunk with the poison is not lost: it
@@ -401,12 +390,9 @@ class TestFraming:
         reassembler = ChunkReassembler()
         assert reassembler.feed(
             frame(b"ok") + frame(b"") + b"\xff" * 11) == [b"ok", b""]
-        assert reassembler.frames_emitted == 2
         assert reassembler.pending_bytes == 11
         with pytest.raises(WireError, match="longer than 10 bytes"):
             reassembler.feed(b"")
-        with pytest.raises(WireError, match="trailing bytes"):
-            unframe_all(frame(b"ok") + b"\x80" * 10 + b"\x01")
 
     def test_padded_prefix_raises(self):
         reassembler = ChunkReassembler()
@@ -414,21 +400,12 @@ class TestFraming:
         with pytest.raises(WireError, match="overlong varint"):
             reassembler.feed(b"\x00abc")
 
-    def test_finish_mid_frame_raises(self):
-        reassembler = ChunkReassembler()
-        reassembler.feed(frame(b"abcdef")[:3])
-        with pytest.raises(WireError):
-            reassembler.finish()
-
     def test_counters(self):
         reassembler = ChunkReassembler()
         data = frame(b"abc")
-        reassembler.feed(data[:2])
-        assert reassembler.frames_emitted == 0
+        assert reassembler.feed(data[:2]) == []
         assert reassembler.pending_bytes == 2
-        reassembler.feed(data[2:])
-        assert reassembler.frames_emitted == 1
-        assert reassembler.bytes_consumed == len(data)
+        assert reassembler.feed(data[2:]) == [b"abc"]
         assert reassembler.pending_bytes == 0
 
 
@@ -508,10 +485,10 @@ class TestSearchResultContract:
 
     def test_record_codec_methods(self):
         result = SearchResult(300, -0.0, "é")
-        encoded = result.encode()
+        encoded = encode_search_result(result)
         assert encoded == (write_varint(300) + write_float(-0.0)
                            + write_string("é"))
-        decoded, offset = SearchResult.decode(b"\x00" + encoded, 1)
+        decoded, offset = decode_search_result(b"\x00" + encoded, 1)
         assert _bits([decoded]) == _bits([result])
         assert offset == 1 + len(encoded)
         assert type(decoded) is SearchResult
@@ -561,7 +538,9 @@ def _key_values(max_size):
 
 
 def _per_record_encode(records) -> bytes:
-    return write_varint(len(records)) + b"".join(r.encode() for r in records)
+    return write_varint(len(records)) + b"".join(
+        encode_search_result(r) if isinstance(r, SearchResult)
+        else r.encode() for r in records)
 
 
 def _per_record_decode(cls, buffer: bytes):
@@ -569,8 +548,9 @@ def _per_record_decode(cls, buffer: bytes):
     must agree with on every input, in value or in the exact error."""
     count, offset = read_varint(buffer, 0)
     out = []
+    decode = decode_search_result if cls is SearchResult else cls.decode
     for _ in range(count):
-        record, offset = cls.decode(buffer, offset)
+        record, offset = decode(buffer, offset)
         out.append(record)
     if offset != len(buffer):
         batch = "result" if cls is SearchResult else "kv"
@@ -772,4 +752,3 @@ class TestRecordBatchDecodersAreTotal:
         for data in (b"\x80\x00", b"\x01\x80\x00\x05", b"\x01\x00\x85\x00"):
             with pytest.raises(WireError, match="overlong varint"):
                 decode_kv_stream(data)
-
