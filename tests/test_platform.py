@@ -34,13 +34,14 @@ SMALL = ThreeTierParams(
 )
 
 
-def make_platform(tiers=None, register_solr=True, overload=None):
+def make_platform(tiers=None, register_solr=True, overload=None,
+                  faults=None):
     topo = three_tier(SMALL)
     if tiers is None:
         deploy_boxes(topo)
     elif tiers:
         deploy_boxes(topo, tiers=tiers)
-    platform = NetAggPlatform(topo, overload=overload)
+    platform = NetAggPlatform(topo, faults=faults, overload=overload)
     if register_solr:
         platform.register_app(
             "solr", TopKFunction(k=3),
@@ -155,6 +156,62 @@ class TestFailures:
         platform = make_platform()
         with pytest.raises(KeyError):
             platform.fail_box("box:ghost")
+
+
+class TestLadderLandings:
+    """Where a worker's partial lands when boxes on its path are down:
+    the next live ancestor (one ``fallback``), the master (one
+    ``bypass``), or, with no box on the path, the master with no
+    ladder event at all."""
+
+    HOSTS = ("host:4", "host:8", "host:12")
+
+    def run(self, crashed, tiers=None):
+        from repro.faults import BOX_CRASH, FaultEvent
+        platform = make_platform(tiers=tiers, faults=PlatformFaultInjector(
+            FaultSchedule([FaultEvent(0.0, BOX_CRASH, box)
+                           for box in crashed])))
+        partials = solr_partials(self.HOSTS)
+        outcome = platform.execute_request("solr", "lad", "host:0",
+                                           partials)
+        expected = TopKFunction(k=3).merge([p for _, p in partials])
+        assert outcome.value == expected
+        return outcome
+
+    def chain(self):
+        """Worker 0's entry box and its ancestors, bottom up."""
+        tree = make_platform().build_trees("lad", "host:0",
+                                           list(self.HOSTS))[0]
+        box, chain = tree.worker_entry[0], []
+        while box is not None:
+            chain.append(box)
+            box = tree.boxes[box].parent
+        return chain
+
+    def test_entry_down_lands_on_the_parent(self):
+        entry, parent = self.chain()[:2]
+        outcome = self.run([entry])
+        fallbacks = outcome.events_of_kind("fallback")
+        assert [(e.source, e.target) for e in fallbacks] == [
+            ("worker:0", parent)]
+        assert outcome.events_of_kind("bypass") == []
+        assert parent in outcome.boxes_used
+        assert entry not in outcome.boxes_used
+
+    def test_whole_chain_down_bypasses_to_the_master(self):
+        chain = self.chain()
+        outcome = self.run(chain)
+        bypasses = outcome.events_of_kind("bypass")
+        assert [(e.source, e.target) for e in bypasses] == [
+            ("worker:0", "master")]
+        assert outcome.events_of_kind("fallback") == []
+        assert not set(chain) & set(outcome.boxes_used)
+
+    def test_no_box_on_the_path_is_no_ladder_event(self):
+        outcome = self.run([], tiers=())
+        assert outcome.boxes_used == []
+        assert outcome.events_of_kind("fallback") == []
+        assert outcome.events_of_kind("bypass") == []
 
 
 class TestOffIsTheEmptySchedule:
