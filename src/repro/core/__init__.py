@@ -3,8 +3,8 @@
 - :mod:`repro.core.tree` -- construction of distributed aggregation
   trees over the agg boxes of a topology (switch lanes, box assignment,
   multiple disjoint trees per application);
-- :mod:`repro.core.shim` -- the edge-server shim layers: transparent
-  redirection, request metadata, partial-result collection and
+- :mod:`repro.core.shim` -- the edge-server shim layers: the key-hash
+  split across trees, request metadata, partial-result collection and
   empty-result emulation at the master;
 - :mod:`repro.core.platform` -- the platform object: box runtimes wired
   to a topology, application registration, functional end-to-end request
@@ -17,8 +17,6 @@
   send path (closed/open/half-open on the virtual clock);
 - :mod:`repro.core.admission` -- admission control at the master shim
   (per-tenant token buckets, rate-limit NACKs);
-- :mod:`repro.core.overload` -- the platform's overload-control
-  configuration tying breakers and admission together;
 - :mod:`repro.core.partition` -- partition tolerance: gray-failure
   detection (seeded-EWMA latency outliers), hedged deliveries, and
   partial-aggregate completeness records;
@@ -31,7 +29,6 @@
 from repro.core.admission import (
     AdmissionController,
     AdmissionNack,
-    AdmissionPolicy,
     TokenBucket,
 )
 from repro.core.breaker import (
@@ -56,7 +53,6 @@ from repro.core.optimizer import (
     OptimizerLoop,
     PlanApplier,
 )
-from repro.core.overload import OverloadConfig
 from repro.core.partition import (
     Completeness,
     GrayDetector,
@@ -67,7 +63,7 @@ from repro.core.recovery import (
     InFlightRequest,
     RecoveryLog,
 )
-from repro.core.shim import MasterShim, WorkerShim
+from repro.core.shim import MasterShim
 from repro.core.sockets import (
     NetAggSocketFactory,
     SocketFactory,
@@ -80,7 +76,6 @@ __all__ = [
     "BoxVertex",
     "TreeBuilder",
     "MasterShim",
-    "WorkerShim",
     "NetAggPlatform",
     "FailureDetector",
     "rewire_failed_box",
@@ -101,9 +96,7 @@ __all__ = [
     "BreakerTransition",
     "AdmissionController",
     "AdmissionNack",
-    "AdmissionPolicy",
     "TokenBucket",
-    "OverloadConfig",
     "Completeness",
     "GrayDetector",
     "SubtreeUnreachable",

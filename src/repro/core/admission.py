@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Mapping, Optional
+from typing import Any, Callable, Deque, Dict
 
 RATE_LIMIT = "rate-limit"
 
@@ -60,23 +60,6 @@ class TokenBucket:
         return True
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Master-shim admission configuration.
-
-    Attributes:
-        rate: sustained admitted requests per tenant per virtual second.
-        burst: token-bucket ceiling (instantaneous burst allowance).
-    """
-
-    rate: float = 50.0
-    burst: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0 or self.burst <= 0:
-            raise ValueError("rate and burst must be positive")
-
-
 class AdmissionNack(RuntimeError):
     """A request was refused at the master shim.
 
@@ -105,31 +88,26 @@ class NackRecord:
 class AdmissionController:
     """Per-tenant token buckets.
 
-    ``per_tenant`` overrides the default policy for named tenants, so a
-    multi-tenant deployment (the serving layer) can give each tenant its
-    own sustained rate and burst.  The override is read once, when the
-    tenant's bucket is created.  ``admitted`` and ``refused`` count every
-    decision; ``nacks`` keeps only the last :data:`NACK_WINDOW`
-    refusals.
+    ``policy_for(tenant)`` is the tenant's policy: any object with a
+    ``rate`` (sustained admitted requests per virtual second) and a
+    ``burst`` (the bucket's ceiling), such as the serving layer's
+    ``TenantPolicy`` from ``ServeConfig.policy_for``.  It is read once,
+    when the tenant's bucket is created.  ``admitted`` and ``refused``
+    count every decision; ``nacks`` keeps only the last
+    :data:`NACK_WINDOW` refusals.
     """
 
-    def __init__(self, policy: AdmissionPolicy,
-                 per_tenant: Optional[
-                     Mapping[str, AdmissionPolicy]] = None) -> None:
-        self.policy = policy
-        self._per_tenant: Dict[str, AdmissionPolicy] = dict(per_tenant or {})
+    def __init__(self, policy_for: Callable[[str], Any]) -> None:
+        self._policy_for = policy_for
         self._buckets: Dict[str, TokenBucket] = {}
         self.admitted = 0
         self.refused = 0
         self.nacks: Deque[NackRecord] = deque(maxlen=NACK_WINDOW)
 
-    def tenant_policy(self, tenant: str) -> AdmissionPolicy:
-        return self._per_tenant.get(tenant, self.policy)
-
     def bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            policy = self.tenant_policy(tenant)
+            policy = self._policy_for(tenant)
             bucket = TokenBucket(policy.rate, policy.burst)
             self._buckets[tenant] = bucket
         return bucket

@@ -26,8 +26,8 @@ moves by ``SEND_LATENCY`` per probe and per delivery.  A box that is
 down burns ``TIMEOUT`` per attempt plus jittered backoff; a box that
 exhausts its attempts is rewired out of the request's tree *before*
 expected counts are announced, so partial-result accounting stays
-consistent.  Worker shims then walk the degradation ladder (entry box
--> next on-path ancestor -> direct to master) and every retry,
+consistent.  Each worker's partial then walks the degradation ladder
+(entry box -> next on-path ancestor -> direct to master) and every retry,
 fallback, bypass, degradation and churn wait is recorded as a
 :class:`repro.core.shim.ShimEvent` on the outcome.
 """
@@ -43,14 +43,13 @@ from repro.aggbox.functions import AggregationFunction
 from repro.core.admission import AdmissionController
 from repro.core.breaker import HALF_OPEN, BreakerBoard
 from repro.core.failure import rewire_failed_box, rewire_out
-from repro.core.overload import OverloadConfig
 from repro.core.partition import (
     HEDGE_DEADLINE,
     Completeness,
     GrayDetector,
     SubtreeUnreachable,
 )
-from repro.core.shim import MasterShim, ShimEvent, WorkerShim
+from repro.core.shim import MasterShim, ShimEvent, split_by_key
 from repro.core.tree import AggregationTree, TreeBuilder
 from repro.faults.retry import MAX_ATTEMPTS, SEND_LATENCY, TIMEOUT
 from repro.netsim.routing import stable_hash
@@ -100,18 +99,20 @@ class NetAggPlatform:
     ``isolated``, ``slowdown`` and ``churn_until`` the request path
     calls directly; ``retry`` is the shim retry policy.
     ``None`` is not a mode: ``faults=None`` *is*
-    ``PlatformFaultInjector(FaultSchedule())``,
-    ``retry=None`` *is* ``RetryPolicy()`` and ``overload=None`` *is*
-    ``OverloadConfig()``.  A platform built without an oracle therefore
+    ``PlatformFaultInjector(FaultSchedule())`` and ``retry=None`` *is*
+    ``RetryPolicy()``.  A platform built without an oracle therefore
     runs the one request path there is: every box is probed, none is
     found down, and the virtual clock advances by
     :data:`repro.faults.retry.SEND_LATENCY` per probe and per delivery,
     exactly as with an empty schedule.
 
-    ``overload`` configures the overload-control plane (see
-    :class:`repro.core.overload.OverloadConfig`): per-target circuit
-    breakers at connect time and admission control at the master
-    shim.  The default config has no breakers and admits everything.
+    The overload-control plane is two arguments: ``breakers=True``
+    wraps each probe in a per-target circuit breaker (constants in
+    :mod:`repro.core.breaker`), and ``admission`` is the master shim's
+    :class:`repro.core.admission.AdmissionController`, which raises
+    :class:`repro.core.admission.AdmissionNack` for a request its
+    tenant's bucket refuses.  The defaults have no breakers and admit
+    everything.
 
     ``partition=True`` switches on the partition-tolerance plane (see
     :mod:`repro.core.partition`): workers the fault oracle reports as
@@ -128,7 +129,8 @@ class NetAggPlatform:
 
     def __init__(self, topo: Topology, faults: Optional[Any] = None,
                  retry: Optional[Any] = None,
-                 overload: Optional[OverloadConfig] = None,
+                 breakers: bool = False,
+                 admission: Optional[AdmissionController] = None,
                  partition: bool = False) -> None:
         # Deferred: repro.faults imports repro.core for the tree types.
         from repro.faults import FaultSchedule, PlatformFaultInjector, \
@@ -139,8 +141,6 @@ class NetAggPlatform:
             faults = PlatformFaultInjector(FaultSchedule())
         if retry is None:
             retry = RetryPolicy()
-        if overload is None:
-            overload = OverloadConfig()
         self._topo = topo
         self._builder = TreeBuilder(topo)
         self._faults = faults
@@ -155,12 +155,8 @@ class NetAggPlatform:
         self._master_shims: Dict[str, MasterShim] = {}
         self._partition = partition
         self._gray = GrayDetector(SEND_LATENCY) if partition else None
-        self._breakers = BreakerBoard() if overload.breaker else None
-        self._admission = (
-            AdmissionController(overload.admission,
-                                per_tenant=overload.admission_per_tenant)
-            if overload.admission is not None else None
-        )
+        self._breakers = BreakerBoard() if breakers else None
+        self._admission = admission
         self._clock = 0.0
 
     # -- deployment ------------------------------------------------------------
@@ -270,8 +266,8 @@ class NetAggPlatform:
         trees = self.build_trees(request_id, master,
                                  [h for h, _ in worker_partials], n_trees)
         chosen = trees[stable_hash(request_id) % len(trees)]
-        return self._run_on_tree(app, request_id, master, worker_partials,
-                                 chosen, tenant or app)
+        return _Request(self, app, request_id, master, worker_partials,
+                        chosen, tenant or app).run()
 
     def execute_batch(
         self,
@@ -297,20 +293,16 @@ class NetAggPlatform:
         rebundle = rebundle or (lambda items: items)
         hosts = [h for h, _ in worker_keyed_items]
         trees = self.build_trees(job_id, master, hosts, n_trees)
-        shims = [
-            WorkerShim(host, index, trees)
-            for index, host in enumerate(hosts)
-        ]
+        splits = [split_by_key(keyed, len(trees))
+                  for _, keyed in worker_keyed_items]
         outcomes = []
         for tree in trees:
-            partials: List[Tuple[str, Any]] = []
-            for index, (host, keyed) in enumerate(worker_keyed_items):
-                split = shims[index].split(keyed)
-                partials.append((host, rebundle(split[tree.tree_index])))
-            outcomes.append(self._run_on_tree(
-                app, self._batch_request(job_id, tree.tree_index), master,
-                partials, tree, tenant or app,
-            ))
+            partials = [(host, rebundle(split[tree.tree_index]))
+                        for host, split in zip(hosts, splits)]
+            outcomes.append(_Request(
+                self, app, self._batch_request(job_id, tree.tree_index),
+                master, partials, tree, tenant or app,
+            ).run())
         merged = self._mergers[app](
             [outcome.value for outcome in outcomes]
         )
@@ -384,22 +376,6 @@ class NetAggPlatform:
             charged = min(cost, HEDGE_DEADLINE + SEND_LATENCY)
         return factor, cost, charged
 
-    def _run_on_tree(self, app: str, request_id: str, master: str,
-                     worker_partials: Sequence[Tuple[str, Any]],
-                     tree: AggregationTree, tenant: str) -> RequestOutcome:
-        tracer = get_tracer()
-        span = tracer.begin(
-            "platform.request", self._clock, layer="platform",
-            request=request_id, app=app, workers=len(worker_partials),
-            trees=1, tenant=tenant,
-        ) if tracer.enabled else 0
-        try:
-            return _Request(self, app, request_id, master, worker_partials,
-                            tree).run()
-        finally:
-            if span:
-                tracer.end(span, self._clock)
-
     @staticmethod
     def _batch_request(job_id: str, tree_index: int) -> str:
         """The id one tree's share of a batch job runs under."""
@@ -414,26 +390,23 @@ class _Request:
     partition, the chunking rng, the master shim's entry and the
     per-tree id ``<id>@t<k>`` the boxes know it by -- so the stages of
     the path (exclude, plan, announce, emit, propagate, answer, retire)
-    read it off ``self`` instead of passing it along.
-
-    It is also the ``transport`` :meth:`WorkerShim.send` talks to:
-    ``connect`` replays the probe verdicts, ``deliver_box`` /
-    ``deliver_master`` route into the platform's box runtimes / master
-    shim and charge the delivery's clock cost, ``record`` writes ladder
-    events onto the audit trail.
+    read it off ``self`` instead of passing it along.  The worker shim
+    is :meth:`_send`: it walks a worker's ladder over the probe
+    verdicts.
     """
 
     def __init__(self, platform: NetAggPlatform, app: str, request_id: str,
                  master: str, worker_partials: Sequence[Tuple[str, Any]],
-                 tree: AggregationTree) -> None:
+                 tree: AggregationTree, tenant: str) -> None:
         self._p = platform
         self.app = app
         self.request_id = request_id
+        self.tenant = tenant
         self.tree_request = tree.request_key(request_id)
         self.master = master
         self.partials = worker_partials
-        #: The planned tree, which the worker shims walk; ``run``
-        #: resolves it into the effective tree the boxes are told about.
+        #: The planned tree, which :meth:`_send` walks; ``run`` resolves
+        #: it into the effective tree the boxes are told about.
         self.planned = tree
         shim = platform._master_shims.get(master)
         if shim is None:
@@ -446,49 +419,63 @@ class _Request:
 
     def run(self) -> RequestOutcome:
         p = self._p
-        # Partition check first: workers the fault oracle reports as
-        # isolated from the master cannot deliver, no matter how many
-        # retries are burnt.  With ``partition`` on they are dropped
-        # (partial delivery); without it the request fails fast -- the
-        # fail-stop baseline.
-        excluded = self.excluded
-        for index, (host, _) in enumerate(self.partials):
-            scope = p._faults.isolated(host, self.master, p._clock)
-            if scope is not None:
-                excluded[index] = scope
-        if excluded:
-            missing = tuple(sorted(excluded))
-            scopes = tuple(sorted(set(excluded.values())))
-            if not p._partition:
-                raise SubtreeUnreachable(self.request_id, missing, scopes,
-                                         detail="partial delivery disabled")
-            if len(excluded) == len(self.partials):
-                raise SubtreeUnreachable(self.request_id, missing, scopes,
-                                         detail="no reachable workers")
-            for index in missing:
-                self.record("partition", f"worker:{index}", excluded[index])
-        # Resolve the effective tree next: partition-only subtrees are
-        # pruned without probing, then unreachable boxes are rewired
-        # out before announcement keeps every expected count honest.
-        tree = self._resolve(self._prune_excluded(self.planned))
-        self.shim.intercept_request(self.request_id, [tree],
-                                    excluded=sorted(excluded))
-        # From here on the request owns state: an entry on the master
-        # shim and, once announced, one on every box of its effective
-        # tree.  Whether it is answered or raises (a merge refusing a
-        # partial, a box error, an incomplete tree), all of it ends
-        # here -- nothing arrives for a request after it has returned.
+        tracer = get_tracer()
+        span = tracer.begin(
+            "platform.request", p._clock, layer="platform",
+            request=self.request_id, app=self.app,
+            workers=len(self.partials), trees=1, tenant=self.tenant,
+        ) if tracer.enabled else 0
         try:
-            return self._deliver(tree)
+            # Partition check first: workers the fault oracle reports as
+            # isolated from the master cannot deliver, no matter how
+            # many retries are burnt.  With ``partition`` on they are
+            # dropped (partial delivery); without it the request fails
+            # fast -- the fail-stop baseline.
+            excluded = self.excluded
+            for index, (host, _) in enumerate(self.partials):
+                scope = p._faults.isolated(host, self.master, p._clock)
+                if scope is not None:
+                    excluded[index] = scope
+            if excluded:
+                missing = tuple(sorted(excluded))
+                scopes = tuple(sorted(set(excluded.values())))
+                if not p._partition:
+                    raise SubtreeUnreachable(
+                        self.request_id, missing, scopes,
+                        detail="partial delivery disabled")
+                if len(excluded) == len(self.partials):
+                    raise SubtreeUnreachable(
+                        self.request_id, missing, scopes,
+                        detail="no reachable workers")
+                for index in missing:
+                    self.record("partition", f"worker:{index}",
+                                excluded[index])
+            # Resolve the effective tree next: partition-only subtrees
+            # are pruned unprobed, then unreachable boxes are rewired
+            # out, so the announced expected counts stay honest.
+            tree = self._resolve(self._prune_excluded(self.planned))
+            self.shim.intercept_request(self.request_id, tree,
+                                        excluded=sorted(excluded))
+            # From here on the request owns state: an entry on the
+            # master shim and, once announced, one on every box of its
+            # effective tree.  Whether it is answered or raises (a merge
+            # refusing a partial, a box error, an incomplete tree), all
+            # of it ends here -- nothing arrives for a request after it
+            # has returned.
+            try:
+                return self._answer(tree, *self._deliver(tree))
+            finally:
+                abandoned = 0
+                for box_id in tree.boxes:
+                    abandoned += p._boxes[box_id].release(
+                        self.app, self.tree_request)
+                self.shim.retire(self.request_id)
+                if abandoned:
+                    METRICS.counter("platform.abandoned_partials").inc(
+                        abandoned)
         finally:
-            abandoned = 0
-            for box_id in tree.boxes:
-                abandoned += p._boxes[box_id].release(
-                    self.app, self.tree_request)
-            self.shim.retire(self.request_id)
-            if abandoned:
-                METRICS.counter("platform.abandoned_partials").inc(
-                    abandoned)
+            if span:
+                tracer.end(span, p._clock)
 
     def _prune_excluded(self, tree: AggregationTree) -> AggregationTree:
         """Rewire out boxes whose every input is behind the partition.
@@ -547,8 +534,7 @@ class _Request:
 
         With circuit breakers enabled, an open breaker fails the probe
         immediately (zero clock burnt); a half-open breaker allows one
-        probe attempt only.  With a retry ``deadline``, attempts stop
-        once the send's clock budget is exhausted.  The verdict covers
+        probe attempt only.  The verdict covers
         partition scopes: a box isolated from the master fails its
         probes for as long as the partition holds.
         """
@@ -569,14 +555,7 @@ class _Request:
             target=box_id, request=source,
         ) if tracer.enabled else 0
         try:
-            started = p._clock
             for attempt in range(1, attempts + 1):
-                if policy.deadline is not None and attempt > 1 \
-                        and p._clock - started >= policy.deadline:
-                    self.record("deadline", source, box_id,
-                                attempt=attempt - 1,
-                                detail=f"budget {policy.deadline:g}")
-                    return False
                 # Down, or cut off from the master by a partition: such
                 # a box is alive but its aggregates cannot reach the
                 # master, so to the request it is exactly as unreachable
@@ -601,10 +580,14 @@ class _Request:
             if probe_span:
                 tracer.end(probe_span, p._clock)
 
-    def _deliver(self, tree: AggregationTree) -> RequestOutcome:
-        """Announce, emit, propagate and answer over the effective tree."""
+    def _deliver(self, tree: AggregationTree
+                 ) -> Tuple[List[Any], List[str], float]:
+        """Announce, emit and propagate over the effective tree.
+
+        Returns the roots' aggregates, the boxes that emitted (in
+        completion order) and the bytes that entered boxes.
+        """
         p, app, tree_request = self._p, self.app, self.tree_request
-        excluded = self.excluded
         boxes_used: List[str] = []
         bytes_in = 0.0
         # Announce expected input counts to each participating box
@@ -612,22 +595,18 @@ class _Request:
         # anywhere).
         for box_id in tree.boxes:
             p._boxes[box_id].announce(app, tree_request,
-                                      tree.fan_in(box_id, excluded))
+                                      tree.fan_in(box_id, self.excluded))
 
         # Emissions queued for upstream delivery, as (box_id, aggregate);
         # each travels to its parent under the source tag ``box:<id>``.
         ready: List[Tuple[str, Any]] = []
 
-        # Workers emit; shims walk the ladder into the entry boxes.  The
-        # shim sees the *planned* tree (it skips dead boxes up the
-        # ancestor chain itself), which lands exactly on the effective
-        # tree's entry, so the announced counts match.
-        for index, (host, value) in enumerate(self.partials):
-            if index in excluded:
+        # Workers emit, each down its ladder into its entry box.
+        for index, (_, value) in enumerate(self.partials):
+            if index in self.excluded:
                 continue
             self._wait_out_churn(index)
-            landed, emitted, nbytes = WorkerShim(
-                host, index, [self.planned]).send(value, self)
+            landed, emitted, nbytes = self._send(index, value)
             bytes_in += nbytes
             if emitted is not None:
                 ready.append((landed, emitted))
@@ -651,19 +630,23 @@ class _Request:
             bytes_in += nbytes
             if parent_emitted is not None:
                 ready.append((parent, parent_emitted))
+        return root_values, boxes_used, bytes_in
 
+    def _answer(self, tree: AggregationTree, root_values: List[Any],
+                boxes_used: List[str], bytes_in: float) -> RequestOutcome:
+        """Hand the aggregate to the master shim and build the outcome."""
+        p, excluded = self._p, self.excluded
         if root_values:
             value = (root_values[0] if len(root_values) == 1
-                     else p._mergers[app](root_values))
-            self.shim.deliver_aggregate(self.request_id, tree.tree_index,
-                                        value)
+                     else p._mergers[self.app](root_values))
+            self.shim.deliver_aggregate(self.request_id, value)
         if not self.shim.is_complete(self.request_id):
             raise RuntimeError(
                 f"request {self.request_id!r} incomplete: boxes never "
                 "emitted (inconsistent expected counts?)"
             )
         responses = self.shim.emulate_worker_responses(
-            self.request_id, merge=p._mergers[app]
+            self.request_id, merge=p._mergers[self.app]
         )
         completeness = None
         if p._partition:
@@ -684,6 +667,36 @@ class _Request:
             completeness=completeness,
         )
 
+    def _send(self, index: int,
+              value: Any) -> Tuple[Optional[str], Any, float]:
+        """Send worker ``index``'s partial down its ladder (§3.1): from
+        its entry box in the *planned* tree up past boxes ``_resolve``
+        found unreachable (*fallback*), or direct to the master when
+        none is left (*bypass*).  It lands on the effective tree's
+        entry, so the announced counts match.  ``probes`` holds every
+        box on the walk: each has a live input (the worker, or the child
+        below it), so ``_prune_excluded`` kept it and ``_resolve``
+        probed it.  Returns ``(landing box or None, emitted, bytes)``.
+        """
+        source = f"worker:{index}"
+        target = self.planned.worker_entry[index]
+        fell_back = False
+        while target is not None and not self.probes[target]:
+            fell_back = True
+            target = self.planned.boxes[target].parent
+        if target is None:
+            if fell_back:
+                self.record("bypass", source, "master")
+            self.shim.deliver_direct(self.request_id, index, value)
+            return None, None, 0.0
+        if fell_back:
+            self.record("fallback", source, target)
+        # Worker partials arrive as values: this is the one place the
+        # request path serialises on a box's behalf.
+        serialise = self._p._boxes[target].binding(self.app).serialise
+        emitted, nbytes = self._feed(target, source, serialise(value))
+        return target, emitted, nbytes
+
     def _wait_out_churn(self, worker_index: int) -> None:
         """A churning worker holds its emission until the window ends."""
         p = self._p
@@ -693,19 +706,6 @@ class _Request:
                         f"worker:{worker_index}",
                         detail=f"until {until:g}", until=until)
             p._clock = until
-
-    # -- the transport WorkerShim.send talks to ------------------------------
-
-    def connect(self, source: str, box_id: str) -> bool:
-        """The verdict ``_resolve`` reached for ``box_id``.
-
-        The lookup cannot miss.  A shim only walks the ancestor chain of
-        a non-excluded worker's entry box in the planned tree; every box
-        on that chain has a live input (the worker itself, or the child
-        below it on the chain), so ``_prune_excluded`` keeps it and
-        ``_resolve`` probed it before the first worker emitted.
-        """
-        return self.probes[box_id]
 
     def record(self, kind: str, source: str, target: str, attempt: int = 0,
                detail: str = "", **tags: object) -> None:
@@ -727,25 +727,13 @@ class _Request:
                            source=source, target=target, attempt=attempt,
                            detail=detail, request=self.request_id, **tags)
 
-    def deliver_box(self, box_id: str, worker_index: int, value: Any):
-        # Worker partials arrive as values: this is the one place the
-        # request path serialises on a box's behalf.
-        serialise = self._p._boxes[box_id].binding(self.app).serialise
-        emitted, nbytes = self._feed(box_id, f"worker:{worker_index}",
-                                     serialise(value))
-        return box_id, emitted, nbytes
-
-    def deliver_master(self, worker_index: int, value: Any):
-        self.shim.deliver_direct(self.request_id, worker_index, value)
-        return None, None, 0.0
-
     def _feed(self, box_id: str, source: str, serialised: bytes):
         """Frame, chunk and deliver one serialised partial to a box,
         then charge the delivery's clock cost (inflated if the box is
         slow, capped if the send was hedged).
 
         ``serialised`` is the application codec's output: a worker's
-        partial encoded by :meth:`deliver_box`, or the ``payload`` a
+        partial encoded by :meth:`_send`, or the ``payload`` a
         child box emitted.  The box knows the request by its per-tree
         id (the span's ``key``); the platform-level id is threaded onto
         the delivery span and, via :attr:`AggBoxRuntime.trace_origin`,

@@ -3,13 +3,14 @@
 Shims intercept application traffic at the socket layer and interact
 with the agg boxes so applications need no modification:
 
-- :class:`WorkerShim` redirects a worker's outgoing partial result to
-  the first agg box along its path (or lets it pass through to the
-  master when no box is on the path), splitting data across multiple
-  aggregation trees by key hash;
+- the worker shim sends a worker's partial result to the first
+  reachable agg box along its path, or straight to the master when none
+  is left; on the platform that is ``_Request._send`` in
+  :mod:`repro.core.platform`, and batch data is split across the
+  aggregation trees by key hash with :func:`split_by_key`;
 - :class:`MasterShim` records per-request metadata (how many partial
   results the workers will produce), announces it to the boxes, collects
-  the aggregated results, and *emulates empty partial results* from all
+  the aggregated result, and *emulates empty partial results* from all
   but one worker so that unmodified master logic -- which expects one
   response per worker -- still works.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.tree import AggregationTree
 from repro.netsim.routing import stable_hash
@@ -29,13 +30,17 @@ from repro.netsim.routing import stable_hash
 RETIRED_ID_WINDOW = 4096
 
 
-@dataclass(frozen=True)
-class Redirect:
-    """Where a worker's partial result should go."""
+def split_by_key(items: Sequence[Tuple[str, Any]],
+                 n_trees: int) -> Dict[int, List[Any]]:
+    """Partition keyed items across ``n_trees`` aggregation trees.
 
-    tree_index: int
-    #: Entry box id, or None to pass through to the master unmodified.
-    box_id: Optional[str]
+    Batch applications hash data keys (§3.1, "Multiple aggregation
+    trees per application"), so one key always lands on one tree.
+    """
+    parts: Dict[int, List[Any]] = {i: [] for i in range(n_trees)}
+    for key, item in items:
+        parts[stable_hash(key) % n_trees].append(item)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,6 @@ class ShimEvent:
         ``churn``       a worker was churning and its emission waited;
         ``breaker-open``  the target's circuit breaker refused the send
                         without burning retry clock;
-        ``deadline``    a send exhausted its total retry-time budget
-                        (:attr:`repro.faults.RetryPolicy.deadline`) and
-                        degraded early;
         ``nack``        a reachable box refused new work (shed window or
                         gray box) and was planned out of the request's
                         tree;
@@ -78,93 +80,21 @@ class ShimEvent:
     detail: str = ""
 
 
-class WorkerShim:
-    """Socket-level interception on a worker host."""
-
-    def __init__(self, host: str, worker_index: int,
-                 trees: Sequence[AggregationTree]) -> None:
-        if not trees:
-            raise ValueError("worker shim needs at least one tree")
-        self.host = host
-        self.worker_index = worker_index
-        self._trees = list(trees)
-        for tree in self._trees:
-            if worker_index not in tree.worker_entry:
-                raise ValueError(
-                    f"worker {worker_index} missing from tree {tree.key}"
-                )
-
-    def redirect_for(self, partition_key: str) -> Redirect:
-        """Pick the aggregation tree (by key hash) and its entry box.
-
-        Online services hash request identifiers; batch applications hash
-        data keys (§3.1, "Multiple aggregation trees per application").
-        """
-        index = stable_hash(partition_key) % len(self._trees)
-        tree = self._trees[index]
-        return Redirect(tree_index=index,
-                        box_id=tree.worker_entry[self.worker_index])
-
-    def split(self, items: Sequence[Tuple[str, Any]]
-              ) -> Dict[int, List[Any]]:
-        """Partition keyed items across the trees (batch applications)."""
-        parts: Dict[int, List[Any]] = {i: [] for i in range(len(self._trees))}
-        for key, item in items:
-            parts[stable_hash(key) % len(self._trees)].append(item)
-        return parts
-
-    def send(self, value: Any, transport: Any,
-             partition_key: str = "") -> Tuple[Optional[str], Any, float]:
-        """Send one partial result, degrading down the ladder (§3.1).
-
-        ``transport`` carries the platform's connection semantics:
-        ``connect(source, box_id) -> bool`` (the verdict of the probe
-        that burnt retry/backoff clock when the request's tree was
-        resolved), ``deliver_box(box_id, worker_index, value)``,
-        ``deliver_master(worker_index, value)`` and ``record(kind,
-        source, target)`` for ladder events.
-
-        The ladder: try the entry box (with the transport's verdict);
-        unreachable boxes are skipped up the ancestor chain to the next
-        on-path box (*fallback*); when no box remains, the partial goes
-        direct to the master (*bypass*).  Returns whatever the transport
-        delivery returned: ``(landing_box_or_None, emitted, bytes)``.
-        """
-        redirect = self.redirect_for(partition_key)
-        tree = self._trees[redirect.tree_index]
-        source = f"worker:{self.worker_index}"
-        target = redirect.box_id
-        fell_back = False
-        while target is not None:
-            if transport.connect(source, target):
-                if fell_back:
-                    transport.record("fallback", source, target)
-                return transport.deliver_box(target, self.worker_index, value)
-            fell_back = True
-            target = tree.boxes[target].parent
-        if fell_back:
-            transport.record("bypass", source, "master")
-        return transport.deliver_master(self.worker_index, value)
-
-
 @dataclass
 class _RequestEntry:
     """Master-side state about one in-flight request."""
 
     request_id: str
     n_workers: int
-    expected_per_tree: Dict[int, int]
-    received: Dict[int, Any] = field(default_factory=dict)
+    #: Workers whose partial enters the tree's boxes.
+    expected: int
+    #: The tree's root aggregate, once it arrived (at most one).
+    received: List[Any] = field(default_factory=list)
     direct_results: List[Tuple[int, Any]] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
-        trees_done = all(
-            index in self.received
-            for index, expected in self.expected_per_tree.items()
-            if expected > 0
-        )
-        return trees_done
+        return bool(self.received) or self.expected == 0
 
 
 class MasterShim:
@@ -177,38 +107,29 @@ class MasterShim:
         #: The last :data:`RETIRED_ID_WINDOW` retired ids, oldest first.
         self._retired: "OrderedDict[str, None]" = OrderedDict()
 
-    def intercept_request(self, request_id: str,
-                          trees: Sequence[AggregationTree],
-                          excluded: Sequence[int] = (),
-                          ) -> Dict[int, int]:
+    def intercept_request(self, request_id: str, tree: AggregationTree,
+                          excluded: Sequence[int] = ()) -> int:
         """Record an outgoing request's metadata.
 
-        Returns, per tree index, the number of partial results the boxes
-        of that tree should expect at their leaves -- the announcement
-        the shim sends to agg boxes (§3.2.2, "Partial result collection").
+        Returns the number of partial results the boxes of ``tree``
+        should expect at their leaves -- the announcement the shim sends
+        to agg boxes (§3.2.2, "Partial result collection").  A batch job
+        runs one request per tree, so a request has exactly one.
 
         ``excluded`` names worker indices that will *not* emit (workers
         behind a network partition, dropped by the platform's
-        partial-delivery path): they are subtracted from each tree's
-        expected count so partial requests still complete, and boxes
-        never wait for partials that cannot arrive.
+        partial-delivery path): they are subtracted from the expected
+        count so partial requests still complete, and boxes never wait
+        for partials that cannot arrive.
         """
         self.refuse_duplicate(request_id)
-        if not trees:
-            raise ValueError("request needs at least one tree")
-        n_workers = len(trees[0].worker_entry)
         skipped = set(excluded)
-        expected = {
-            tree.tree_index: sum(
-                1 for worker, entry in tree.worker_entry.items()
-                if entry is not None and worker not in skipped
-            )
-            for tree in trees
-        }
+        expected = sum(1 for worker, entry in tree.worker_entry.items()
+                       if entry is not None and worker not in skipped)
         self._requests[request_id] = _RequestEntry(
             request_id=request_id,
-            n_workers=n_workers,
-            expected_per_tree=expected,
+            n_workers=len(tree.worker_entry),
+            expected=expected,
         )
         return expected
 
@@ -231,15 +152,12 @@ class MasterShim:
         if len(self._retired) > RETIRED_ID_WINDOW:
             self._retired.popitem(last=False)
 
-    def deliver_aggregate(self, request_id: str, tree_index: int,
-                          value: Any) -> None:
-        """An aggregation tree's root result arrived."""
+    def deliver_aggregate(self, request_id: str, value: Any) -> None:
+        """The aggregation tree's root result arrived."""
         entry = self._entry(request_id)
-        if tree_index in entry.received:
-            raise ValueError(
-                f"duplicate aggregate for {request_id!r} tree {tree_index}"
-            )
-        entry.received[tree_index] = value
+        if entry.received:
+            raise ValueError(f"duplicate aggregate for {request_id!r}")
+        entry.received.append(value)
 
     def deliver_direct(self, request_id: str, worker_index: int,
                        value: Any) -> None:
@@ -257,23 +175,21 @@ class MasterShim:
         All aggregated data is attached to the lowest worker index; every
         other worker yields an *empty* partial result.  Safe because the
         aggregation function is associative and commutative (§3.2.2,
-        "Empty partial results").  ``merge`` combines the per-tree
-        aggregates when the application used multiple trees (the master's
-        final aggregation step); with one tree it may be None.
+        "Empty partial results").  ``merge`` combines the tree's
+        aggregate with the partials that bypassed the boxes (the
+        master's final aggregation step); with one part it may be None.
         """
         entry = self._entry(request_id)
         if not entry.complete:
             raise RuntimeError(f"request {request_id!r} still in flight")
-        aggregates = [entry.received[i] for i in sorted(entry.received)]
         direct = [value for _, value in sorted(entry.direct_results)]
-        parts = aggregates + direct
+        parts = entry.received + direct
         if len(parts) == 1:
             combined = parts[0]
         else:
             if merge is None:
                 raise ValueError(
-                    "multiple aggregates need a merge function at the master"
-                )
+                    "several parts need a merge function at the master")
             combined = merge(parts)
         responses: List[Tuple[int, Any]] = [(0, combined)]
         responses.extend((i, None) for i in range(1, entry.n_workers))

@@ -30,7 +30,6 @@ Two jitter schemes are available:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.netsim.routing import stable_hash
 
@@ -64,12 +63,13 @@ SEND_LATENCY = 0.001
 class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
 
+    A probe gives up after :data:`MAX_ATTEMPTS` timeouts and the
+    backoffs between them: with the default jitter at most
+    ``3 * TIMEOUT + BASE_BACKOFF * (1 + MULTIPLIER)`` = 0.18 s of
+    virtual clock, below the serving layer's default 0.25 s SLO, so a
+    send has no separate time budget.
+
     Attributes:
-        deadline: optional total retry-time budget per send.  Once a
-            send has burnt this much clock across attempts, the shim
-            degrades down the ladder immediately, even with attempts
-            remaining -- so a send can never exceed a request SLO.
-            None (the default) keeps attempts unbounded in time.
         decorrelated: use decorrelated jitter instead of jittered
             exponential backoff (see the module docstring); delays stay
             within ``[BASE_BACKOFF, MAX_BACKOFF]`` and are a pure
@@ -78,13 +78,8 @@ class RetryPolicy:
             so two deployments sharing retry keys still decorrelate.
     """
 
-    deadline: Optional[float] = None
     decorrelated: bool = False
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive (or None)")
 
     def backoff(self, attempt: int, key: str = "") -> float:
         """Sleep before retry number ``attempt + 1`` (attempts from 1).

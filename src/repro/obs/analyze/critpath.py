@@ -23,7 +23,7 @@ per-source ``<id>/<source>`` aliases; box spans carry the origin id
 directly).  Attribution inside the envelope:
 
 - ``box-compute``: ``box.emit`` span time for the request;
-- ``shim-retry``: probe spans that contained a retry/deadline
+- ``shim-retry``: probe spans that contained a retry or breaker-open
   instant (the whole probe burned timeout+backoff clock), plus
   churn waits and degradation costs;
 - ``edge-link``: clean probe sends and delivery time net of the box
@@ -61,7 +61,7 @@ _TIER_TO_CATEGORY = {
 }
 
 #: Shim instants that mark a probe as retry-dominated.
-_RETRY_INSTANTS = ("shim.retry", "shim.deadline", "shim.breaker-open")
+_RETRY_INSTANTS = ("shim.retry", "shim.breaker-open")
 
 
 @dataclass

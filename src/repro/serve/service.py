@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -53,8 +54,7 @@ from repro.apps.mlgrad import (
     decode_vector,
     encode_vector,
 )
-from repro.core.admission import AdmissionNack, AdmissionPolicy
-from repro.core.overload import OverloadConfig
+from repro.core.admission import AdmissionController, AdmissionNack
 from repro.core.partition import SubtreeUnreachable
 from repro.core.platform import NetAggPlatform
 from repro.faults import FaultSchedule, PlatformFaultInjector
@@ -121,14 +121,20 @@ _INVERSE_OF_7 = pow(7, -1, 1999)
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """One tenant's serving contract: admitted rate and latency SLO."""
+    """One tenant's serving contract: admitted rate and latency SLO.
+
+    Every field must be finite and > 0 (NaN fails too): a zero rate or
+    burst admits nothing, and no request meets a non-positive SLO.
+    """
 
     rate: float = 50.0    #: sustained admitted requests per virtual second
     burst: float = 10.0   #: token-bucket burst allowance
     slo: float = 0.25     #: latency SLO (virtual seconds)
 
-    def admission(self) -> AdmissionPolicy:
-        return AdmissionPolicy(rate=self.rate, burst=self.burst)
+    def __post_init__(self) -> None:
+        for name in ("rate", "burst", "slo"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,8 @@ class ServeConfig:
         return TOP_K
 
     def policy_for(self, tenant: str) -> TenantPolicy:
+        """``tenant``'s override, else the default: the SLO its
+        requests are scored by and the bucket admission gives it."""
         return self.tenants.get(tenant, self.default_policy)
 
 
@@ -185,20 +193,13 @@ class AggregationService:
         deploy_boxes(self._topo)
         self._box_ids = sorted(
             info.box_id for info in self._topo.all_boxes())
-        overload = OverloadConfig(
-            breaker=True,
-            admission=(config.default_policy.admission()
-                       if config.admission else None),
-            admission_per_tenant={
-                name: policy.admission()
-                for name, policy in sorted(config.tenants.items())
-            } if config.admission else None,
-        )
         self._platform = NetAggPlatform(
             self._topo,
             faults=PlatformFaultInjector(config.faults or FaultSchedule(),
                                          topo=self._topo),
-            overload=overload,
+            breakers=True,
+            admission=(AdmissionController(config.policy_for)
+                       if config.admission else None),
             partition=config.partition,
         )
         self._platform.register_app(

@@ -1,5 +1,5 @@
-"""Unit and integration tests: circuit breakers, admission control,
-retry deadlines -- the shim half of the overload-control plane."""
+"""Unit and integration tests: circuit breakers and admission control
+-- the shim half of the overload-control plane."""
 
 import tracemalloc
 
@@ -10,11 +10,9 @@ from repro.aggregation import deploy_boxes
 from repro.core import (
     AdmissionController,
     AdmissionNack,
-    AdmissionPolicy,
     BreakerBoard,
     CircuitBreaker,
     NetAggPlatform,
-    OverloadConfig,
     TokenBucket,
 )
 from repro.core.breaker import (
@@ -33,9 +31,8 @@ from repro.faults import (
     FaultEvent,
     FaultSchedule,
     PlatformFaultInjector,
-    RetryPolicy,
 )
-from repro.faults.retry import MAX_ATTEMPTS
+from repro.serve.service import TenantPolicy
 from repro.topology import ThreeTierParams, three_tier
 from repro.wire.serializer import write_float
 
@@ -50,13 +47,13 @@ PARTIALS = [("host:4", 1.0), ("host:8", 2.0), ("host:12", 4.0),
 TOTAL = 15.0
 
 
-def make_platform(schedule=None, overload=None, retry=None):
+def make_platform(schedule=None, breakers=False, admission=None):
     topo = three_tier(SMALL)
     deploy_boxes(topo)
     faults = PlatformFaultInjector(schedule) if schedule is not None \
         else None
-    platform = NetAggPlatform(topo, faults=faults, retry=retry,
-                              overload=overload)
+    platform = NetAggPlatform(topo, faults=faults, breakers=breakers,
+                              admission=admission)
     platform.register_app("sum", SumFunction(), write_float,
                           lambda b: read_float(b)[0])
     return platform
@@ -89,9 +86,15 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=-1.0)
 
 
+def controller(rate, burst):
+    """An admission controller giving every tenant one policy."""
+    policy = TenantPolicy(rate=rate, burst=burst)
+    return AdmissionController(lambda tenant: policy)
+
+
 class TestAdmissionController:
     def test_rate_limit_nack_after_burst(self):
-        ctl = AdmissionController(AdmissionPolicy(rate=1.0, burst=2.0))
+        ctl = controller(rate=1.0, burst=2.0)
         ctl.admit("solr", 0.0)
         ctl.admit("solr", 0.0)
         with pytest.raises(AdmissionNack) as err:
@@ -102,22 +105,27 @@ class TestAdmissionController:
         ctl.admit("solr", 1.0)  # refilled
 
     def test_tenants_have_independent_buckets(self):
-        ctl = AdmissionController(AdmissionPolicy(rate=1.0, burst=1.0))
+        ctl = controller(rate=1.0, burst=1.0)
         ctl.admit("solr", 0.0)
         ctl.admit("hadoop", 0.0)
         with pytest.raises(AdmissionNack):
             ctl.admit("solr", 0.0)
 
     def test_policy_validation(self):
+        """``policy_for`` may return any object with ``rate`` and
+        ``burst``; the tenant's bucket still refuses a non-positive
+        one when it is created."""
+        class Policy:
+            rate, burst = 0.0, 1.0
+
+        ctl = AdmissionController(lambda tenant: Policy())
         with pytest.raises(ValueError):
-            AdmissionPolicy(rate=0.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(burst=0.0)
+            ctl.admit("solr", 0.0)
 
     def test_nack_log_is_bounded(self):
         """A service refuses for as long as it runs: the log keeps the
         last NACK_WINDOW refusals and the total is a count."""
-        ctl = AdmissionController(AdmissionPolicy(rate=1.0, burst=1.0))
+        ctl = controller(rate=1.0, burst=1.0)
         ctl.admit("solr", 0.0)
         refusals = NACK_WINDOW + 10_000
         tracemalloc.start()
@@ -209,47 +217,12 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy deadline (satellite)
-
-
-class TestRetryDeadline:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline=-1.0)
-
-    def test_deadline_stops_retries_and_emits_event(self):
-        topo = three_tier(SMALL)
-        deploy_boxes(topo)
-        box_ids = sorted(info.box_id for info in topo.all_boxes())
-        schedule = FaultSchedule([
-            FaultEvent(0.0, BOX_CRASH, b) for b in box_ids
-        ])
-        # Two timeouts burn 0.1 s plus a backoff: the budget binds
-        # before the third attempt.
-        retry = RetryPolicy(deadline=0.1)
-        platform = make_platform(schedule, retry=retry)
-        outcome = platform.execute_request("sum", "r1", "host:0", PARTIALS)
-        assert outcome.value == TOTAL
-        deadlines = outcome.events_of_kind("deadline")
-        assert deadlines
-        # The budget binds before the attempt cap: never all attempts.
-        for box_id in box_ids:
-            attempts = [e.attempt for e in outcome.shim_events
-                        if e.kind == "retry" and e.target == box_id]
-            assert len(attempts) < MAX_ATTEMPTS
-
-
-# ---------------------------------------------------------------------------
 # Platform integration
 
 
 class TestPlatformAdmission:
     def test_nack_raised_before_any_tree_work(self):
-        overload = OverloadConfig(
-            admission=AdmissionPolicy(rate=0.5, burst=1.0))
-        platform = make_platform(overload=overload)
+        platform = make_platform(admission=controller(rate=0.5, burst=1.0))
         assert platform.execute_request(
             "sum", "r1", "host:0", PARTIALS).value == TOTAL
         with pytest.raises(AdmissionNack) as err:
@@ -259,9 +232,7 @@ class TestPlatformAdmission:
         assert platform._admission.admitted == 1
 
     def test_explicit_tenant_and_recovery_over_time(self):
-        overload = OverloadConfig(
-            admission=AdmissionPolicy(rate=1.0, burst=1.0))
-        platform = make_platform(overload=overload)
+        platform = make_platform(admission=controller(rate=1.0, burst=1.0))
         platform.execute_request("sum", "r1", "host:0", PARTIALS,
                                  tenant="gold")
         # A different tenant has its own bucket.
@@ -281,8 +252,7 @@ class TestPlatformBreakers:
         deploy_boxes(topo)
         victim = sorted(info.box_id for info in topo.all_boxes())[0]
         schedule = FaultSchedule([FaultEvent(0.0, BOX_CRASH, victim)])
-        platform = make_platform(schedule,
-                                 overload=OverloadConfig(breaker=True))
+        platform = make_platform(schedule, breakers=True)
 
         tripped = False
         for i in range(12):
@@ -306,8 +276,7 @@ class TestPlatformBreakers:
             FaultEvent(0.0, BOX_CRASH, victim),
             FaultEvent(1.0, BOX_RECOVER, victim),
         ])
-        platform = make_platform(schedule,
-                                 overload=OverloadConfig(breaker=True))
+        platform = make_platform(schedule, breakers=True)
         for i in range(30):
             platform.advance_clock(i * 0.1)
             platform.execute_request("sum", f"r{i}", "host:0", PARTIALS)
@@ -317,7 +286,7 @@ class TestPlatformBreakers:
 
 class TestPlatformHealthNacks:
     def test_health_feed_visible_in_report(self):
-        platform = make_platform(overload=OverloadConfig())
+        platform = make_platform()
         platform.execute_request("sum", "r1", "host:0", PARTIALS)
         report = health_report(platform)
         assert set(report) == {

@@ -45,12 +45,7 @@ from hypothesis import strategies as st
 from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import SumFunction
 from repro.aggregation import NetAggStrategy, deploy_boxes
-from repro.core import (
-    AdmissionNack,
-    AdmissionPolicy,
-    NetAggPlatform,
-    OverloadConfig,
-)
+from repro.core import AdmissionController, AdmissionNack, NetAggPlatform
 from repro.core.admission import NACK_REASONS
 from repro.core.breaker import assert_legal_breaker_transitions
 from repro.core.failure import rewire_failed_box
@@ -67,6 +62,7 @@ from repro.faults import (
     in_scope,
 )
 from repro.netsim.simulator import FlowSim
+from repro.serve.service import TenantPolicy
 from repro.topology import ThreeTierParams, three_tier
 from repro.topology.base import TOR
 from repro.wire.serializer import write_float
@@ -221,12 +217,9 @@ def platform_scenario(draw):
         sheds=draw(st.integers(0, 2)),
     )
     permanent = draw(st.sampled_from([0.0, 1.0]))
-    overload = OverloadConfig(
-        breaker=True,
-        admission=AdmissionPolicy(
-            rate=draw(st.sampled_from([2.0, 10.0, 50.0])),
-            burst=draw(st.sampled_from([1.0, 3.0])),
-        ),
+    policy = TenantPolicy(
+        rate=draw(st.sampled_from([2.0, 10.0, 50.0])),
+        burst=draw(st.sampled_from([1.0, 3.0])),
     )
     n_requests = draw(st.integers(1, 3))
     requests = []
@@ -240,20 +233,20 @@ def platform_scenario(draw):
         poisoned = draw(st.none() | st.integers(0, len(values) - 1))
         requests.append((hosts[0], hosts[1:], [float(v) for v in values],
                          start, poisoned))
-    return seed, counts, permanent, overload, requests
+    return seed, counts, permanent, policy, requests
 
 
 class TestPlatformChaos:
     @given(scenario=platform_scenario())
     @CHAOS
     def test_exact_or_nacked_with_legal_machines(self, scenario):
-        seed, counts, permanent, overload, requests = scenario
+        seed, counts, permanent, policy, requests = scenario
         schedule = FaultSchedule.generate(
             seed=seed, duration=3.0, boxes=BOX_IDS, workers=8,
             permanent_fraction=permanent, **counts)
         platform = NetAggPlatform(
-            TOPO, faults=PlatformFaultInjector(schedule),
-            overload=overload)
+            TOPO, faults=PlatformFaultInjector(schedule), breakers=True,
+            admission=AdmissionController(lambda tenant: policy))
         platform.register_app("sum", NanRejectingSum(), write_float,
                               lambda b: read_float(b)[0])
 
@@ -288,11 +281,11 @@ class TestPlatformChaos:
 
     def test_fixed_seed_reproduces_bit_identical_logs(self):
         def run_once():
+            policy = TenantPolicy(rate=20.0, burst=3.0)
             platform = NetAggPlatform(
                 TOPO, faults=PlatformFaultInjector(fixed_seed_schedule()),
-                overload=OverloadConfig(
-                    breaker=True,
-                    admission=AdmissionPolicy(rate=20.0, burst=3.0)))
+                breakers=True,
+                admission=AdmissionController(lambda tenant: policy))
             platform.register_app("sum", SumFunction(), write_float,
                                   lambda b: read_float(b)[0])
             partials = [(f"host:{h}", float(h)) for h in range(1, 16)]

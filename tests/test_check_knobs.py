@@ -18,13 +18,15 @@ def load():
     return module
 
 
-#: A small owner table with the real shapes: two dataclasses sharing a
-#: field name, the platform, whose knobs are constructor parameters, and
-#: a method owner.
+#: A small owner table with the real shapes: dataclasses, the platform,
+#: whose knobs are constructor parameters and share names with
+#: ``ServeConfig`` fields, and a method owner sharing ``seed`` with
+#: ``RetryPolicy``.
 KNOBS = {
-    "AdmissionPolicy": ["rate", "burst"],
+    "RetryPolicy": ["decorrelated", "seed"],
     "TenantPolicy": ["rate", "burst", "slo"],
-    "NetAggPlatform": ["topo", "faults"],
+    "ServeConfig": ["default_policy", "faults", "partition"],
+    "NetAggPlatform": ["topo", "faults", "partition"],
     "FaultSchedule.generate": ["seed", "duration"],
 }
 
@@ -38,14 +40,14 @@ def test_every_knob_is_set_or_listed():
 
 def test_census_reads_the_owners_from_the_source():
     knobs = load().owner_knobs()
-    assert knobs["AdmissionPolicy"] == ["rate", "burst"]
+    assert knobs["TenantPolicy"] == ["rate", "burst", "slo"]
     assert knobs["NetAggPlatform"] == [
-        "topo", "faults", "retry", "overload", "partition"]
+        "topo", "faults", "retry", "breakers", "admission", "partition"]
     assert "breaker" not in knobs["ServeConfig"]
-    assert "OverloadPolicy" not in knobs
-    assert "BreakerPolicy" not in knobs
-    assert knobs["RetryPolicy"] == ["deadline", "decorrelated", "seed"]
-    assert "heartbeat_staleness" not in knobs["OverloadConfig"]
+    for gone in ("OverloadConfig", "AdmissionPolicy", "OverloadPolicy",
+                 "BreakerPolicy"):
+        assert gone not in knobs
+    assert knobs["RetryPolicy"] == ["decorrelated", "seed"]
     # The optimizer's constructors: thresholds are constants, and there
     # is one strategy and no dry run.
     assert knobs["OptimizerLoop"] == ["auditor", "applier"]
@@ -85,29 +87,32 @@ def test_test_only_table_stays_short():
 
 
 @pytest.mark.parametrize("source, credited", [
-    ("AdmissionPolicy(rate=2.0)\n", {"AdmissionPolicy.rate"}),
-    ("core.AdmissionPolicy(1.0, 2.0)\n",
-     {"AdmissionPolicy.rate", "AdmissionPolicy.burst"}),
+    ("TenantPolicy(rate=2.0)\n", {"TenantPolicy.rate"}),
+    ("faults.RetryPolicy(True, 2)\n",
+     {"RetryPolicy.decorrelated", "RetryPolicy.seed"}),
     ("NetAggPlatform(topo, faults=f)\n",
      {"NetAggPlatform.topo", "NetAggPlatform.faults"}),
     ("replace(p, slo=0.1)\n", {"TenantPolicy.slo"}),
-    ("dataclasses.replace(p, rate=1.0)\n",
-     {"AdmissionPolicy.rate", "TenantPolicy.rate"}),
+    ("dataclasses.replace(p, rate=1.0)\n", {"TenantPolicy.rate"}),
     ("replace(p, rate=1.0, slo=0.1)\n",
      {"TenantPolicy.rate", "TenantPolicy.slo"}),
     # Not setters: defaults, splats, other classes, the platform via
-    # replace, and keywords no owner has.
-    ("AdmissionPolicy()\n", set()),
-    ("AdmissionPolicy(**overrides)\n", set()),
-    ("AdmissionPolicy(*args)\n", set()),
+    # replace (``faults`` credits only the dataclass), and keywords no
+    # owner has.
+    ("TenantPolicy()\n", set()),
+    ("TenantPolicy(**overrides)\n", set()),
+    ("TenantPolicy(*args)\n", set()),
     ("BucketPolicy(rate=1.0)\n", set()),
     ("def f(rate=1.0):\n    pass\n", set()),
-    ("replace(p, faults=None)\n", set()),
+    ("replace(p, faults=None)\n", {"ServeConfig.faults"}),
     ("replace(p, **overrides)\n", set()),
-    ("AdmissionPolicy(ratee=1.0)\n", set()),
+    ("TenantPolicy(ratee=1.0)\n", set()),
     ("FaultSchedule.generate(1, duration=2.0)\n",
      {"FaultSchedule.generate.seed", "FaultSchedule.generate.duration"}),
     ("other.generate(seed=1)\n", set()),
+    # ``seed`` is also a ``FaultSchedule.generate`` parameter: replace
+    # credits only the dataclass.
+    ("replace(p, seed=1)\n", {"RetryPolicy.seed"}),
 ])
 def test_setters(source, credited):
     found = load().setters_in(source, KNOBS, where="m.py")

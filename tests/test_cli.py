@@ -252,6 +252,12 @@ class TestLoadgen:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("slo", ["-1", "0", "nan"])
+    def test_loadgen_refuses_an_slo_nothing_can_meet(self, slo):
+        with pytest.raises(ValueError, match="slo must be finite"):
+            cli.main(["loadgen", "--users", "1000", "--duration", "1",
+                      "--scale", "quick", "--slo", slo])
+
     def test_loadgen_writes_json(self, tmp_path, capsys):
         import json
 

@@ -3,8 +3,9 @@ pinned by digest so a refactor cannot shift a figure unnoticed.
 
 ``tests/golden/quick_seed1.json`` maps experiment module name ->
 sha256 of ``ExperimentResult.to_text()``.  The digests are identical
-with and without numpy (the solver backends agree exactly at this
-scale), so one manifest serves both CI legs.
+with and without numpy, so one manifest serves both CI legs: the solver
+backends differ in the last bits (``bincount`` adds in its own order)
+but agree after the tables' rounding.
 
 When a table is *meant* to move, regenerate the manifest and commit the
 diff alongside the change that explains it::

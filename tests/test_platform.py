@@ -10,7 +10,7 @@ from repro.aggbox.functions import (
 )
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import VectorSumFunction, decode_vector, encode_vector
-from repro.core import NetAggPlatform, OverloadConfig
+from repro.core import AdmissionController, NetAggPlatform
 from repro.faults import FaultSchedule, PlatformFaultInjector, RetryPolicy
 from repro.obs import METRICS
 from repro.topology import ThreeTierParams, three_tier
@@ -34,14 +34,13 @@ SMALL = ThreeTierParams(
 )
 
 
-def make_platform(tiers=None, register_solr=True, overload=None,
-                  faults=None):
+def make_platform(tiers=None, register_solr=True, faults=None):
     topo = three_tier(SMALL)
     if tiers is None:
         deploy_boxes(topo)
     elif tiers:
         deploy_boxes(topo, tiers=tiers)
-    platform = NetAggPlatform(topo, faults=faults, overload=overload)
+    platform = NetAggPlatform(topo, faults=faults)
     if register_solr:
         platform.register_app(
             "solr", TopKFunction(k=3),
@@ -224,7 +223,7 @@ class TestOffIsTheEmptySchedule:
         bare = NetAggPlatform(TOPO)
         explicit = NetAggPlatform(
             TOPO, faults=PlatformFaultInjector(FaultSchedule()),
-            retry=RetryPolicy(), overload=OverloadConfig())
+            retry=RetryPolicy(), breakers=False, admission=None)
         for platform in (bare, explicit):
             platform.register_app("sum", SumFunction(), write_float,
                                   lambda b: read_float(b)[0])
@@ -290,14 +289,13 @@ class TestDuplicateIdsRefusedBeforeAdmission:
 
     @staticmethod
     def gated_platform():
-        from repro.core.admission import AdmissionPolicy
-        from repro.faults import FaultSchedule, PlatformFaultInjector
+        from repro.serve.service import TenantPolicy
         topo = three_tier(SMALL)
         deploy_boxes(topo)
+        policy = TenantPolicy(rate=0.001, burst=2.0)
         platform = NetAggPlatform(
             topo, faults=PlatformFaultInjector(FaultSchedule(), topo=topo),
-            overload=OverloadConfig(admission=AdmissionPolicy(rate=0.001,
-                                                              burst=2.0)))
+            admission=AdmissionController(lambda tenant: policy))
         platform.register_app("solr", TopKFunction(k=3),
                               encode_search_results, decode_search_results)
         platform.register_app("hadoop", CombinerFunction(),

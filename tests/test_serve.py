@@ -401,6 +401,15 @@ class TestAdmissionMapping:
                 _query(tenant="hot", rid=f"r{i}"))["status"] == 200
 
 
+class TestTenantPolicy:
+    @pytest.mark.parametrize("field", ["rate", "burst", "slo"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"),
+                                       float("nan")])
+    def test_every_field_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TenantPolicy(**{field: value})
+
+
 class TestHttpEndpoints:
     def _dispatch(self, frontend, method, path, body=b""):
         return asyncio.run(frontend.dispatch(method, path, body))

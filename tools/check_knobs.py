@@ -4,11 +4,11 @@
 Every field of a policy or config object is an option, and every option
 doubles the configurations the tests and benchmarks must cover.  This
 script counts, for each knob of the platform's policy plane -- the
-fields of ``OverloadConfig``, ``AdmissionPolicy``, ``RetryPolicy``,
-``ServeConfig`` and ``TenantPolicy``, plus the constructor parameters
-of ``NetAggPlatform``, of the optimizer's ``OptimizerLoop``,
-``PlanApplier`` and ``Auditor`` and of the fault injectors, and the
-parameters of ``FaultSchedule.generate`` -- the call sites under
+fields of ``RetryPolicy``, ``ServeConfig`` and ``TenantPolicy``, plus
+the constructor parameters of ``NetAggPlatform``, of the optimizer's
+``OptimizerLoop``, ``PlanApplier`` and ``Auditor`` and of the fault
+injectors, and the parameters of ``FaultSchedule.generate`` -- the
+call sites under
 ``src/`` and ``perf/`` that set it:
 
 - by keyword or by position in a call of the owner (``Owner(...)``,
@@ -53,8 +53,6 @@ SCANNED = ("src", "perf")
 #: ``__init__`` parameters; a ``Class.method`` owner's are the method's
 #: parameters after ``self``/``cls``.
 OWNERS = (
-    ("core/overload.py", "OverloadConfig"),
-    ("core/admission.py", "AdmissionPolicy"),
     ("faults/retry.py", "RetryPolicy"),
     ("serve/service.py", "ServeConfig"),
     ("serve/service.py", "TenantPolicy"),
@@ -74,8 +72,6 @@ CONSTRUCTED_ONLY = frozenset(
 
 #: ``Owner.knob`` -> why no caller outside the tests sets it.
 TEST_ONLY: Dict[str, str] = {
-    "RetryPolicy.deadline":
-        "only the deadline tests bound a send's retry budget",
     "ServeConfig.dump_dir":
         "a deployment path, so it stays; only tests write dumps to disk",
     "FaultSchedule.generate.permanent_fraction":

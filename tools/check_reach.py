@@ -113,7 +113,7 @@ REASONS: Dict[str, str] = {
         "the chaos digests read",
     "core/breaker.py:CircuitBreaker":
         "fault: a breaker trips only on probe timeouts under "
-        "breaker=True",
+        "breakers=True",
     "core/breaker.py:assert_legal_breaker_transitions":
         "oracle: the breaker state-machine check of the chaos suites",
     "core/partition.py:Completeness.merged":
