@@ -34,6 +34,25 @@ cross-check the three solvers against each other to within 1e-9.
 numpy carries the edge arrays and the per-solve ``bincount``, not the
 fill (measurements: ARCHITECTURE, "Why three max-min implementations").
 
+Three pruning rules skip work whose outcome is already known, so they
+change what a solve scans and never what it resolves (every rate,
+water level and :class:`SolverStats` counter is bit-identical with
+and without them; ``tests/test_vectorized_differential.py`` holds the
+solver to a frozen copy from before them):
+
+1. a visit to a link that bottlenecked nobody (recorded level +inf,
+   capacity unchanged) is skipped when the capacity its candidates
+   leave to its region users, shared among them, already exceeds
+   ``_lmax``, a per-link upper bound on its users' rates -- the link
+   cannot saturate below that share, so nobody on it can be admitted;
+2. a re-visit is skipped when the largest rate the previous visit
+   rejected is below the link's even-split bound: that bound is the
+   same at every visit of one solve, and a visit lowers its floor
+   only for a candidate at or above it;
+3. of one flow's single-user links only the lowest ``(level, link)``
+   enters the fill's heap: each can fire only for that flow, and the
+   flow is frozen before any but the lowest could fire.
+
 numpy is a soft dependency: importing this module without numpy leaves
 :data:`HAVE_NUMPY` false and :func:`make_solver` falls back to the
 pure-Python incremental solver (the ``solver="auto"`` default on
@@ -135,6 +154,10 @@ class VectorizedMaxMin:
         self._f_mark: List[float] = [0.0] * nlinks
         self._f_ver: List[int] = [0] * nlinks
         self._f_rising: List[int] = [0] * nlinks
+        #: Per-link upper bound on the rates of the link's users: the
+        #: fill raises it, a region visit that scans the link resets it
+        #: (see :meth:`_build_region`).
+        self._lmax: List[float] = [0.0] * nlinks
 
         # Slot 0 is the reserved sink for dead edges: inactive, rate 0.
         n0 = 16
@@ -385,6 +408,37 @@ class VectorizedMaxMin:
         argument as the incremental solver's global threshold, applied
         per link, which keeps regions near the true disturbance size.
 
+        Two visits are skipped without scanning the link's users, both
+        only when the scan could not admit anyone:
+
+        - *Non-bottleneck links.*  On a link whose recorded level is
+          +inf and whose capacity did not change, the floor is the
+          water-fill level alone.  With ``k`` region users, the
+          candidates (at most their current rates, whose sum is
+          ``lalloc - contrib``) leave at least ``cap - lalloc +
+          contrib`` to the risers, so the link cannot saturate below
+          that over ``k``.  ``_lmax`` bounds every candidate's rate:
+          when it is below that share, nobody reaches the floor.  The
+          share is cut by 1e-9 of ``cap`` first, which covers the
+          rounding of ``lalloc`` (a ``bincount``, then a subtraction
+          per removal) and of ``contrib``, and by the floor's own
+          slack.  The rule needs the +inf level: at a finite level the
+          floor can sit below the share (three flows at rate 1 on a
+          link of capacity 3; two leave and one joins: the survivor
+          must rise to 1.5 although the share is 2).  With no region
+          user the floor is +inf, so only an infinite rate could be
+          admitted.
+        - *Re-visits.*  ``k + len(cand)`` is the link's user count, so
+          the even-split bound ``cap / (k + len(cand))`` is the same at
+          every visit of one solve.  A re-visit can only admit a flow
+          the previous visit rejected, and only through a water-fill
+          level below that visit's floor, which it computes only for a
+          candidate at or above the bound.  If every rejected rate is
+          below the bound, the re-visit admits nobody.
+
+        A visit that does scan resets ``_lmax`` to its largest
+        candidate rate; :meth:`_fill` raises it for the rates it writes.
+
         Returns ``(slots, region_users, contrib)``: the sorted region,
         plus -- built here as flows are admitted, so the fill kernel
         needs no second pass -- the region's users per touched link and
@@ -396,6 +450,8 @@ class VectorizedMaxMin:
         slinks = self._slinks
         cap_list = self._cap_list
         cap_seeds = self._cap_seeds
+        lmax = self._lmax
+        lalloc = self._lalloc
         region = set(self._fresh)
         #: Region users per link / their old-rate sums (fresh flows
         #: have no old rate and contribute nothing).
@@ -422,6 +478,8 @@ class VectorizedMaxMin:
         #: re-visit rescan of the previous candidates is complete --
         #: heavily-shared links are scanned in full only once.
         part: Dict[int, List[int]] = {}
+        #: Largest rate the link's last scanning visit rejected.
+        rejected: Dict[int, float] = {}
         qi = 0
         while qi < len(queue):
             li = queue[qi]
@@ -430,12 +488,31 @@ class VectorizedMaxMin:
             prev = part.get(li)
             if prev is None:
                 prev = lflows[li]
+            elif rejected[li] < cap_list[li] / len(lflows[li]) \
+                    * _THRESHOLD_SLACK:
+                # Re-visit: nobody left reaches the even-split bound.
+                continue
+            level = llevel[li]
+            if level == _INF and li not in cap_seeds:
+                # Non-bottleneck link: skip it when every candidate is
+                # below the lowest level it can saturate at.
+                users = adm.get(li)
+                if users is None:
+                    if lmax[li] < _INF:
+                        continue
+                elif (cap_list[li] * _THRESHOLD_SLACK - lalloc.item(li)
+                      + contrib[li]) \
+                        / len(users) * _THRESHOLD_SLACK > lmax[li]:
+                    continue
             cand = [s for s in prev if s not in region]
             part[li] = cand
             if not cand:
+                rejected[li] = -1.0
                 continue
+            top = max([rlist[s] for s in cand])
+            lmax[li] = top
             k = len(lflows[li]) - len(cand)
-            floor = llevel[li] * _THRESHOLD_SLACK
+            floor = level * _THRESHOLD_SLACK
             if k or li in cap_seeds:
                 # The link's pressure may have grown (admitted risers,
                 # a capacity cut), so its level can also *drop* -- but
@@ -446,17 +523,21 @@ class VectorizedMaxMin:
                 # has strictly *lost* load, so its level cannot drop at
                 # all and the recorded-level floor alone is sound.
                 lb = cap_list[li] / (k + len(cand)) * _THRESHOLD_SLACK
-                if lb < floor:
-                    for s in cand:
-                        if lb <= rlist[s] < floor:
-                            sat = self._sat_level(li, cand, k) \
-                                * _THRESHOLD_SLACK
-                            if sat < floor:
-                                floor = sat
-                            break
+                if lb <= top and lb < floor and (top < floor or any(
+                        lb <= rlist[s] < floor for s in cand)):
+                    sat = self._sat_level(li, cand, k) * _THRESHOLD_SLACK
+                    if sat < floor:
+                        floor = sat
+            if top < floor:
+                rejected[li] = top
+                continue
+            worst = -1.0
             for s in cand:
                 r = rlist[s]
-                if r >= floor:
+                if r < floor:
+                    if r > worst:
+                        worst = r
+                else:
                     region.add(s)
                     back = r if r != _INF else 0.0
                     for m in slinks[s]:
@@ -470,6 +551,7 @@ class VectorizedMaxMin:
                         if m not in inq:
                             inq.add(m)
                             queue.append(m)
+            rejected[li] = worst
         return sorted(region), adm, contrib
 
     def _sat_level(self, li: int, env_slots: List[int], k: int) -> float:
@@ -479,7 +561,8 @@ class VectorizedMaxMin:
         saturate)."""
         cap = self._cap_list[li]
         rlist = self._rlist
-        env = sorted(rlist[s] for s in env_slots)
+        env = [rlist[s] for s in env_slots]
+        env.sort()
         pre = 0.0
         n = len(env)
         for j, r in enumerate(env):
@@ -524,6 +607,15 @@ class VectorizedMaxMin:
         whole last allocation, and adding back the region's own old
         rates (``contrib``, accumulated by the region BFS) yields the
         capacity available to the rising set.
+
+        A link with one rising user can only fire for that user, and its
+        entry stays valid until the user freezes.  So of one flow's
+        single-user links only the lowest ``(level, link id)`` can fire;
+        the others would be popped stale once the flow froze, and only
+        that entry is pushed.  Their ``llevel`` stays +inf, as it did
+        when they never fired.  Freeze levels never fall, so the rate a
+        link's last rising user freezes at bounds all its region users:
+        that is where ``_lmax`` is raised.
         """
         slinks = self._slinks
         fcap = self._fcap
@@ -533,27 +625,39 @@ class VectorizedMaxMin:
 
         touched = list(lflows)
         llevel = self._llevel
-        for li in touched:
-            # Refreshed below as links fire; a link that never fires
-            # bottlenecks nobody in the new allocation.
-            llevel[li] = _INF
         cap_list = self._cap_list
         allocs = self._lalloc[touched].tolist()
         lrem = self._f_rem
         lmark = self._f_mark
         lver = self._f_ver
         lrising = self._f_rising
+        lmax = self._lmax
         link_heap: List[Tuple[float, int, int]] = []
+        #: Per flow, the lowest entry of its single-user links.
+        single: Dict[int, Tuple[float, int, int]] = {}
         for li, alloc in zip(touched, allocs):
+            # Refreshed below as links fire; a link that never fires
+            # bottlenecks nobody in the new allocation.
+            llevel[li] = _INF
             left = cap_list[li] - alloc + contrib[li]
             if left < 0.0:
                 left = 0.0
-            n = len(lflows[li])
-            lrem[li] = left
-            lmark[li] = 0.0
+            users = lflows[li]
+            n = len(users)
             lver[li] = 1
             lrising[li] = n
-            link_heap.append((left / n, 1, li))
+            if n == 1:
+                # Its residual is never read: the link dies when its
+                # one user freezes.
+                entry = (left, 1, li)
+                best = single.get(users[0])
+                if best is None or entry < best:
+                    single[users[0]] = entry
+            else:
+                lrem[li] = left
+                lmark[li] = 0.0
+                link_heap.append((left / n, 1, li))
+        link_heap.extend(single.values())
         heapify(link_heap)
         heapify(cap_heap)
 
@@ -591,6 +695,8 @@ class VectorizedMaxMin:
                     if s not in frozen:
                         out_slots.append(s)
                         out_rates.append(_INF)
+                        for m in slinks[s]:
+                            lmax[m] = _INF
                 break
             if cap_level <= link_level:
                 cap, s = heappop(cap_heap)
@@ -602,11 +708,18 @@ class VectorizedMaxMin:
                 n_active -= 1
                 for m in slinks[s]:
                     n = lrising[m]
+                    lver[m] += 1
+                    if n == 1:
+                        # The link's last riser: nothing reads its
+                        # residual again.
+                        lrising[m] = 0
+                        if lmax[m] < cap:
+                            lmax[m] = cap
+                        continue
                     left = lrem[m] - (level - lmark[m]) * n
                     lrem[m] = left if left > 0.0 else 0.0
                     lmark[m] = level
                     lrising[m] = n - 1
-                    lver[m] += 1
             else:
                 sat_level, _, li = heappop(link_heap)
                 if level < sat_level:
@@ -625,11 +738,16 @@ class VectorizedMaxMin:
                         charges[m] = charges_get(m, 0) + 1
                 for m, k in charges.items():
                     n = lrising[m]
+                    lver[m] += 1
+                    if n == k:
+                        lrising[m] = 0
+                        if lmax[m] < level:
+                            lmax[m] = level
+                        continue
                     left = lrem[m] - (level - lmark[m]) * n
                     lrem[m] = left if left > 0.0 else 0.0
                     lmark[m] = level
                     lrising[m] = n - k
-                    lver[m] += 1
         self._rate[out_slots] = out_rates
         rlist = self._rlist
         for s, r in zip(out_slots, out_rates):

@@ -103,6 +103,26 @@ class TestBasics:
         assert rates["a"] == pytest.approx(4.5)
         assert "b" not in rates
 
+    def test_survivor_on_a_finite_level_link_rises(self):
+        """The counterexample to skipping a visit by the water-fill
+        share alone: the link's recorded level is 1, so the survivor
+        at 1 must join the region although the share left to the new
+        flow is 2.  Skipping that visit leaves the survivor at 1 and
+        gives the new flow 2."""
+        solver = VectorizedMaxMin({"l": 3.0})
+        for fid in ("a", "b", "c"):
+            solver.add_flow(fid, ["l"])
+        assert dict(solver.rates()) == {"a": 1.0, "b": 1.0, "c": 1.0}
+        before = solver.stats.flows_resolved
+        solver.remove_flow("a")
+        solver.remove_flow("b")
+        solver.add_flow("d", ["l"])
+        assert dict(solver.rates()) == {"c": 1.5, "d": 1.5}
+        assert_matches_exact(solver, {"c": ["l"], "d": ["l"]},
+                             {"l": 3.0}, {})
+        # The survivor and the new flow were both re-solved.
+        assert solver.stats.flows_resolved - before == 2
+
     def test_rate_cap_binds(self):
         solver = VectorizedMaxMin({"l": 10.0})
         solver.add_flow("a", ["l"], rate_cap=2.0)
