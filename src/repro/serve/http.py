@@ -75,6 +75,8 @@ class HttpFrontend:
     def __init__(self, service: AggregationService) -> None:
         self.service = service
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections: handler task -> its writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -88,8 +90,15 @@ class HttpFrontend:
         return bound[0], bound[1]
 
     async def stop(self) -> None:
+        """Stop listening, close every open connection and wait for its
+        handler: a keep-alive client reads EOF, and no handler is left
+        parked in ``readline`` for the loop to cancel at shutdown."""
         if self._server is not None:
             self._server.close()
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -102,6 +111,8 @@ class HttpFrontend:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -125,6 +136,7 @@ class HttpFrontend:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -14,6 +14,7 @@ Covers the four contract areas of the serving API:
 
 import asyncio
 import json
+import logging
 from unittest import mock
 
 import pytest
@@ -496,6 +497,32 @@ class TestHttpEndpoints:
         status_line, payload = asyncio.run(scenario())
         assert b"200" in status_line
         assert payload["status"] == 200
+
+    def test_stop_closes_open_keep_alive_connections(self, caplog):
+        """A client that keeps its connection open after a response
+        leaves the handler parked in ``readline``: ``stop()`` closes the
+        connection, so the client reads EOF and the loop shuts down
+        without cancelling a handler (which asyncio logs as an ERROR)."""
+        async def scenario():
+            frontend = HttpFrontend(AggregationService())
+            host, port = await frontend.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r")[0])
+            await reader.readexactly(length)
+            await asyncio.wait_for(frontend.stop(), timeout=10)
+            tail = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            return head, tail
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            head, tail = asyncio.run(scenario())
+        assert head.startswith(b"HTTP/1.1 200")
+        assert tail == b""
+        assert [r for r in caplog.records
+                if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
 
 
 class TestLoadgenDeterminism:
