@@ -253,11 +253,7 @@ def _trace_platform_companion(scale: SimScale, seed: int) -> None:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.topology.threetier import three_tier
     from repro.workload.synthetic import generate_workload
-    from repro.workload.traces import (
-        load_workload,
-        save_workload,
-        workload_summary,
-    )
+    from repro.workload.traces import save_workload, workload_summary
 
     if args.target == "generate":
         if not args.out:
@@ -272,7 +268,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.target == "inspect":
         if not args.path:
             raise SystemExit("trace inspect requires a trace file path")
-        workload = load_workload(args.path)
+        workload = _read_workload(args.path)
         for key, value in workload_summary(workload).items():
             if isinstance(value, float):
                 print(f"{key:28s} {value:,.3f}")
@@ -552,14 +548,24 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_workload(path: str):
+    """The workload in trace file ``path``.  A file that cannot be read
+    or parsed ends the command with one line naming it (exit 1)."""
+    from repro.workload.traces import load_workload
+
+    try:
+        return load_workload(path)
+    except (OSError, ValueError) as exc:  # TraceError is a ValueError
+        raise SystemExit(f"cannot read trace {path}: {exc}") from None
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     import repro.aggregation as aggregation
     from repro.netsim.metrics import fct_summary, slowdown_summary
     from repro.netsim.simulator import FlowSim
     from repro.topology.threetier import three_tier
-    from repro.workload.traces import load_workload
 
-    workload = load_workload(args.trace)
+    workload = _read_workload(args.trace)
     scale = SCALES[args.scale]
     rows = []
     names = sorted(STRATEGIES) if args.strategy == "all" \

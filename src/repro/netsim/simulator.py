@@ -179,62 +179,13 @@ class SimulationResult:
                 for link in self.network.wire_links()}
 
 
-class _LinkUtilSampler:
-    """Per-link utilization counter tracks of one traced run.
-
-    A sample at ``now`` holds the link's allocated-bandwidth fraction
-    for the epoch starting at ``now`` (piecewise-constant until the
-    next sample on the same track).  Samples are emitted on change
-    only, optionally rate-limited per link by ``period``; the timeline
-    analyzer integrates these tracks into busy fractions and
-    utilization percentiles.
-    """
-
-    def __init__(self, network: Network, period: Optional[float]) -> None:
-        self._wire_ids = tuple(l.link_id for l in network.wire_links())
-        self._period = period
-        self._last_util: Dict[str, float] = {}
-        self._last_sampled: Dict[str, float] = {}
-
-    def sample(self, tracer, now: float,
-               rates: Iterable[Tuple[str, float]],
-               paths: Dict[str, Tuple[str, ...]],
-               capacities: Dict[str, float]) -> None:
-        """Emit this epoch's samples; ``rates`` is (flow id, rate) for
-        the flows in the rate solve."""
-        used: Dict[str, float] = {}
-        for flow_id, rate in rates:
-            if rate <= 0.0 or rate == float("inf"):
-                continue
-            for link_id in paths[flow_id]:
-                used[link_id] = used.get(link_id, 0.0) + rate
-        last_util, last_sampled = self._last_util, self._last_sampled
-        for link_id in self._wire_ids:
-            cap = capacities.get(link_id, 0.0)
-            util = (used.get(link_id, 0.0) / cap) if cap > 0 else 0.0
-            previous = last_util.get(link_id)
-            if previous is not None and abs(util - previous) <= 1e-12:
-                continue
-            if self._period and link_id in last_sampled \
-                    and now - last_sampled[link_id] < self._period:
-                continue
-            last_util[link_id] = util
-            last_sampled[link_id] = now
-            tracer.sample(LINK_UTIL_PREFIX + link_id, now, util,
-                          layer="netsim")
-
-
 class FlowSim:
     """Simulate a set of flows over a :class:`Network` to completion.
 
     ``label`` names the run in traces (the planning strategy, usually);
     it lands on the ``flowsim.run`` span so multi-run traces stay
-    attributable.  ``link_sample_period`` throttles the traced per-link
-    utilization counter tracks: ``None`` (the default) emits a sample at
-    every rate epoch where a link's utilization changed, a positive
-    period additionally caps each link's track at one sample per period
-    (coarser timelines, smaller traces).  Sampling only happens under an
-    enabled tracer.
+    attributable.  Under an enabled tracer a run also samples each
+    physical link's utilization at every rate epoch where it changed.
 
     ``solver`` selects the max-min backend: ``"vectorized"`` (numpy),
     ``"incremental"`` (pure Python) or ``"auto"`` (the default:
@@ -245,10 +196,7 @@ class FlowSim:
     """
 
     def __init__(self, network: Network, label: str = "",
-                 link_sample_period: Optional[float] = None,
                  solver: str = "auto") -> None:
-        if link_sample_period is not None and link_sample_period < 0:
-            raise ValueError("link_sample_period must be >= 0 (or None)")
         if solver not in SOLVER_BACKENDS:
             raise ValueError(
                 f"unknown solver backend {solver!r}; "
@@ -259,7 +207,6 @@ class FlowSim:
                 "use solver='auto' for the automatic fallback")
         self._network = network
         self._label = label
-        self._link_sample_period = link_sample_period
         self._solver_backend = solver
         self._specs: Dict[str, FlowSpec] = {}
         self._cap_events: List[CapacityEvent] = []
@@ -319,295 +266,334 @@ class FlowSim:
         completions, capacity changes and reroutes mutate it, and every
         event that lands on one virtual timestamp is coalesced into a
         single rate epoch (one solver consult; ``netsim.events`` counts
-        the individual events, ``netsim.epochs`` the consults).  Each
-        epoch is: apply due fault events, admit due flows, ask the
-        transfer state when the next flow drains, advance to the
-        earliest of that / the next admission / the next fault event,
-        and record whoever finished.  Flows whose path crosses a down
-        link are stalled (out of the solve) via a per-link index rather
-        than a per-epoch scan.
+        the individual events, ``netsim.epochs`` the consults).  The
+        run's state lives on a :class:`_Run`, and this loop drives its
+        steps.  Each epoch is: apply due fault events, admit due flows,
+        consult the solver for the epoch's length (until the next drain,
+        admission or fault event), then advance to its end and record
+        whoever finished.
         """
         self._validate_dependencies()
-        METRICS.counter("netsim.runs").inc()
-        METRICS.counter("netsim.flows").inc(len(self._specs))
-        n_events = 0   # admissions + completions + fault events applied
-        n_epochs = 0   # rate epochs (one solver consult each)
-        specs = self._specs
-        tracer = get_tracer()
-        traced = tracer.enabled
-        capacities = dict(self._network.capacities())
-        solver = make_solver(capacities, self._solver_backend)
-        state = transfer_state(solver, specs)
-        run_span = tracer.begin(
-            "flowsim.run", 0.0, layer="netsim",
-            flows=len(specs), links=len(capacities),
-            strategy=self._label,
-        ) if traced else 0
-        sampler = _LinkUtilSampler(
-            self._network, self._link_sample_period) if traced else None
-        #: Current path per flow; reroute events replace entries.
-        paths: Dict[str, Tuple[str, ...]] = {
-            flow_id: spec.path for flow_id, spec in specs.items()
-        }
-        #: Bytes already charged to a (previous) path per rerouted flow.
-        accounted: Dict[str, float] = {}
+        run = _Run(self)
+        while run.pending or run.state:
+            run.apply_faults()
+            run.admit()
+            if run.state:
+                run.advance(run.consult())
+        return run.finish()
 
+    def _validate_dependencies(self) -> None:
+        """Raise ``KeyError`` on an unknown child and ``ValueError`` on
+        a dependency cycle.  A depth-first walk with its own stack, so
+        a chain of any length checks without recursion."""
+        specs, done = self._specs, set()
+        for root in specs:
+            visiting, stack = {root}, [(root, iter(specs[root].children))]
+            while stack:
+                flow_id, children = stack[-1]
+                child = next(children, None)
+                if child is None:
+                    stack.pop()
+                    visiting.discard(flow_id)
+                    done.add(flow_id)
+                elif child in visiting:
+                    raise ValueError(
+                        f"dependency cycle through flow {child!r}")
+                elif child not in done:
+                    if child not in specs:
+                        raise KeyError(f"unknown child flow {child!r}")
+                    visiting.add(child)
+                    stack.append((child, iter(specs[child].children)))
+
+
+class _Run:
+    """The state of one :meth:`FlowSim.run` and the steps of its loop.
+
+    A flow is *pending* until it is admitted, *transferring* until it
+    drains (the transfer state holds it, in the rate solve or stalled),
+    then *recorded*.  Flows whose path crosses a down link are stalled
+    (out of the solve) through a per-link index of transferring flows
+    rather than a per-epoch scan.
+    """
+
+    def __init__(self, sim: FlowSim) -> None:
+        METRICS.counter("netsim.runs").inc()
+        METRICS.counter("netsim.flows").inc(len(sim._specs))
+        self.specs = specs = sim._specs
+        self.network = network = sim.network
+        self.tracer = tracer = get_tracer()
+        self.traced = tracer.enabled
+        self.capacities = capacities = dict(network.capacities())
+        self.solver = make_solver(capacities, sim._solver_backend)
+        self.state = transfer_state(self.solver, specs)
+        self.run_span = tracer.begin(
+            "flowsim.run", 0.0, layer="netsim", flows=len(specs),
+            links=len(capacities), strategy=sim._label) if self.traced else 0
+        #: Physical links, and the utilization of each one's last
+        #: ``link.util`` sample (traced runs).
+        self.wire_ids = tuple(l.link_id for l in network.wire_links())
+        self.last_util: Dict[str, float] = {}
+        #: Current path per flow; reroute events replace entries.
+        self.paths: Dict[str, Tuple[str, ...]] = {
+            flow_id: spec.path for flow_id, spec in specs.items()}
+        #: Bytes already charged to a (previous) path per rerouted flow.
+        self.accounted: Dict[str, float] = {}
         # Fault events in time order; the sort is stable, so capacity
         # changes precede reroutes at equal times, then insertion order.
-        events: List[object] = sorted(
-            self._cap_events + self._reroute_events, key=lambda e: e.when)
-        event_i = 0
-
+        self.events: List[object] = sorted(
+            sim._cap_events + sim._reroute_events, key=lambda e: e.when)
+        self.event_i = 0
         # Dependency bookkeeping: a flow is *armed* once every child has
         # drained; an armed flow is admitted at max(start_time, arm time).
-        blockers: Dict[str, int] = {}
-        dependents: Dict[str, List[str]] = {}
-        pending: List[Tuple[float, str]] = []
+        self.blockers: Dict[str, int] = {}
+        self.dependents: Dict[str, List[str]] = {}
+        self.pending: List[Tuple[float, str]] = []
         for flow_id, spec in specs.items():
-            blockers[flow_id] = len(spec.children)
+            self.blockers[flow_id] = len(spec.children)
             for child in spec.children:
-                dependents.setdefault(child, []).append(flow_id)
+                self.dependents.setdefault(child, []).append(flow_id)
             if not spec.children:
-                heapq.heappush(pending, (spec.start_time, flow_id))
-        records: Dict[str, FlowRecord] = {}
-        now = 0.0
-
+                heapq.heappush(self.pending, (spec.start_time, flow_id))
+        self.records: Dict[str, FlowRecord] = {}
+        self.now = 0.0
         #: Links currently at zero capacity, and the per-link index of
         #: transferring flows used to find who a capacity or reroute
         #: event touches without scanning every active flow.
-        down_links: Set[str] = {
-            link_id for link_id, cap in capacities.items() if cap <= 0.0
-        }
-        link_flows: Dict[str, Set[str]] = {}
+        self.down_links: Set[str] = {
+            link_id for link_id, cap in capacities.items() if cap <= 0.0}
+        self.link_flows: Dict[str, Set[str]] = {}
+        self.n_events = 0   # admissions + completions + fault events
+        self.n_epochs = 0   # rate epochs (one solver consult each)
 
-        def is_up(path: Sequence[str]) -> bool:
-            return not (down_links and any(l in down_links for l in path))
+    def apply_faults(self) -> None:
+        """Apply every fault event due by now.  With nothing
+        transferring, the clock first jumps to the next admission or
+        fault event."""
+        events = self.events
+        if not self.state:
+            wake = self.pending[0][0]
+            if self.event_i < len(events):
+                wake = min(wake, events[self.event_i].when)
+            self.now = max(self.now, wake)
+        while self.event_i < len(events) and \
+                events[self.event_i].when <= self.now + EPSILON:
+            event = events[self.event_i]
+            self.event_i += 1
+            self.n_events += 1
+            if isinstance(event, CapacityEvent):
+                self.apply_capacity(event)
+            else:
+                self.apply_reroute(event)
 
-        def attach(flow_id: str) -> None:
-            """Index a transferring flow by link; it enters the rate
-            solve unless its path crosses a down link."""
-            path = paths[flow_id]
-            for link_id in set(path):
-                link_flows.setdefault(link_id, set()).add(flow_id)
-            if is_up(path):
-                state.enter(flow_id, path)
-
-        def unindex(flow_id: str) -> None:
-            for link_id in set(paths[flow_id]):
-                link_flows[link_id].discard(flow_id)
-
-        def drain(flow_id: str, when: float, admitted: float) -> None:
-            nonlocal n_events
-            n_events += 1
+    def admit(self) -> None:
+        """Admit armed flows whose admission time has arrived."""
+        pending, specs, until = self.pending, self.specs, self.now
+        while pending and pending[0][0] <= until + EPSILON:
+            when, flow_id = heapq.heappop(pending)
+            self.n_events += 1
             spec = specs[flow_id]
-            records[flow_id] = FlowRecord(
-                spec=spec, drain_time=when, admitted_time=admitted)
-            if traced:
-                # One completed span per flow over its transfer window
-                # [admitted, drained].  Flows overlap freely, so they
-                # live on their own layer row (outside the LIFO stack)
-                # and link to the run span explicitly.  The tags carry
-                # the request/job DAG (children, path) the critical-path
-                # extractor reconstructs.
-                tracer.complete(
-                    "flow", admitted, when, layer="netsim.flow",
-                    parent_id=run_span,
-                    flow=flow_id, job=spec.job_id or "", kind=spec.kind,
-                    size=spec.size, wait=admitted - spec.start_time,
-                    path="|".join(paths[flow_id]),
-                    children="|".join(spec.children),
-                )
-            for parent in dependents.get(flow_id, ()):
-                blockers[parent] -= 1
-                if blockers[parent] == 0:
-                    start = max(specs[parent].start_time, when)
-                    heapq.heappush(pending, (start, parent))
+            admitted = max(when, spec.start_time)
+            if spec.size <= 0 or (not self.paths[flow_id] and
+                                  spec.rate_cap is None):
+                self.drain(flow_id, admitted, admitted)
+            else:
+                self.records[flow_id] = FlowRecord(
+                    spec=spec, drain_time=math.nan, admitted_time=admitted)
+                self.state.admit(flow_id)
+                self.attach(flow_id)
 
-        def admit(until: float) -> None:
-            """Admit armed flows whose admission time has arrived."""
-            nonlocal n_events
-            while pending and pending[0][0] <= until + EPSILON:
-                when, flow_id = heapq.heappop(pending)
-                n_events += 1
-                spec = specs[flow_id]
-                admitted = max(when, spec.start_time)
-                if spec.size <= 0 or (not paths[flow_id] and
-                                      spec.rate_cap is None):
-                    drain(flow_id, admitted, admitted)
-                else:
-                    records[flow_id] = FlowRecord(
-                        spec=spec, drain_time=float("nan"),
-                        admitted_time=admitted,
-                    )
-                    state.admit(flow_id)
-                    attach(flow_id)
+    def consult(self) -> float:
+        """Open a rate epoch and return its length: until the next
+        drain at the solver's rates, admission or fault event.  One
+        consult covers every admission, completion and fault event
+        applied at this instant; a clean solver answers straight from
+        its cache."""
+        self.n_epochs += 1
+        state, pending, events, now = \
+            self.state, self.pending, self.events, self.now
+        dt = min(
+            state.next_completion(),
+            (pending[0][0] - now) if pending else math.inf,
+            (events[self.event_i].when - now)
+            if self.event_i < len(events) else math.inf,
+        )
+        if dt == math.inf:
+            stuck = (f" ({state.n_stalled} flow(s) stuck on down links "
+                     "with no recovery or reroute scheduled)"
+                     if state.n_stalled else "")
+            raise RuntimeError(
+                "simulation stalled: active flows make no progress" + stuck)
+        dt = max(dt, 0.0)
+        if self.traced:
+            self.trace_epoch(dt)
+        return dt
 
-        def apply_capacity(event: CapacityEvent) -> None:
-            link_id = event.link_id
-            old = capacities[link_id]
-            if traced:
-                tracer.instant("capacity", event.when, layer="netsim",
-                               link=link_id, capacity=event.capacity)
-            if old == event.capacity:
-                return
-            capacities[link_id] = event.capacity
-            solver.set_capacity(link_id, event.capacity)
-            if event.capacity <= 0.0 < old:
-                down_links.add(link_id)
-                # Flows crossing the downed link stall: they keep
-                # their place but leave the rate solve.
-                for fid in link_flows.get(link_id, ()):
-                    if not state.is_stalled(fid):
-                        state.leave(fid)
-            elif old <= 0.0 < event.capacity:
-                down_links.discard(link_id)
-                for fid in sorted(link_flows.get(link_id, ())):
-                    if state.is_stalled(fid) and is_up(paths[fid]):
-                        state.enter(fid, paths[fid])
+    def advance(self, dt: float) -> None:
+        """Move every flow in the solve ``dt`` seconds at this epoch's
+        rates and record whoever drained."""
+        self.now = now = self.now + dt
+        records = self.records
+        for flow_id in self.state.advance(dt):
+            self.unindex(flow_id)
+            self.drain(flow_id, now, records[flow_id].admitted_time)
 
-        def apply_reroute(event: RerouteEvent) -> None:
-            flow_id = event.flow_id
-            if traced:
-                tracer.instant("reroute", event.when, layer="netsim",
-                               flow=flow_id, hops=len(event.path))
-            if flow_id in state:
-                # Charge what transferred so far to the old path.
-                moved = specs[flow_id].size - state.remaining(flow_id)
-                delta = moved - accounted.get(flow_id, 0.0)
-                if delta > 0:
-                    for link_id in paths[flow_id]:
-                        self._network.account(link_id, delta)
-                    accounted[flow_id] = moved
-                unindex(flow_id)
-                if not state.is_stalled(flow_id):
-                    state.leave(flow_id)
-                paths[flow_id] = event.path
-                attach(flow_id)
-            elif flow_id not in records:
-                paths[flow_id] = event.path  # not admitted yet
-            # else: already drained; nothing left to move
-
-        while pending or state:
-            if not state:
-                wake = pending[0][0]
-                if event_i < len(events):
-                    wake = min(wake, events[event_i].when)
-                now = max(now, wake)
-            while event_i < len(events) and \
-                    events[event_i].when <= now + EPSILON:
-                event = events[event_i]
-                event_i += 1
-                n_events += 1
-                if isinstance(event, CapacityEvent):
-                    apply_capacity(event)
-                else:
-                    apply_reroute(event)
-            admit(now)
-            if not state:
-                continue
-
-            # One solver consult covers every admission, completion and
-            # fault event applied at this instant; a clean solver
-            # answers straight from its cache.
-            n_epochs += 1
-            dt = min(
-                state.next_completion(),
-                (pending[0][0] - now) if pending else float("inf"),
-                (events[event_i].when - now)
-                if event_i < len(events) else float("inf"),
-            )
-            if dt == float("inf"):
-                detail = ""
-                if state.n_stalled:
-                    detail = (
-                        f" ({state.n_stalled} flow(s) stuck on down links "
-                        "with no recovery or reroute scheduled)"
-                    )
-                raise RuntimeError(
-                    "simulation stalled: active flows make no progress"
-                    + detail
-                )
-            dt = max(dt, 0.0)
-
-            if traced:
-                epoch_span = tracer.begin(
-                    "epoch", now, layer="netsim",
-                    active=len(state) - state.n_stalled,
-                    stalled=state.n_stalled,
-                )
-                tracer.sample("netsim.active_flows", now,
-                              float(len(state)), layer="netsim")
-                sampler.sample(tracer, now, state.moving_rates(), paths,
-                               capacities)
-                tracer.end(epoch_span, now + dt)
-            now += dt
-            for flow_id in state.advance(dt):
-                unindex(flow_id)
-                drain(flow_id, now, records[flow_id].admitted_time)
-        METRICS.counter("netsim.events").inc(n_events)
-        METRICS.counter("netsim.epochs").inc(n_epochs)
+    def finish(self) -> SimulationResult:
+        """Publish the run's counters, charge each flow's bytes to the
+        links that carried them, and close the trace."""
+        METRICS.counter("netsim.events").inc(self.n_events)
+        METRICS.counter("netsim.epochs").inc(self.n_epochs)
         for attr, name in _SOLVER_METRICS:
-            METRICS.counter(name).inc(getattr(solver.stats, attr))
-
+            METRICS.counter(name).inc(getattr(self.solver.stats, attr))
+        records, specs, network = self.records, self.specs, self.network
         if len(records) != len(specs):
             missing = sorted(set(specs) - set(records))
             raise RuntimeError(f"flows never became eligible: {missing}")
-        self._account_traffic(paths, accounted)
-        end_time = max(
-            (r.completion_time for r in records.values()), default=0.0
-        )
-        if traced:
-            self._trace_link_traffic(tracer, capacities, end_time)
-            tracer.end(run_span, end_time)
-        return SimulationResult(records=records, network=self._network,
+        # Total bytes per link do not depend on the rate schedule, so
+        # the accounting is exact and done once, here.  A rerouted flow
+        # charged what it moved before the reroute to the old path when
+        # the event fired; only the remainder lands here.
+        for flow_id, spec in specs.items():
+            rest = spec.size - self.accounted.get(flow_id, 0.0)
+            for link_id in self.paths[flow_id]:
+                network.account(link_id, rest)
+        end_time = max((r.completion_time for r in records.values()),
+                       default=0.0)
+        if self.traced:
+            # One ``link.traffic`` instant per physical link: how much
+            # of its capacity-time the run used (Fig. 9's "where do the
+            # bytes go" view, directly in the trace).
+            for link in network.wire_links():
+                busy = self.capacities.get(link.link_id, 0.0) * end_time
+                self.tracer.instant(
+                    "link.traffic", end_time, layer="netsim",
+                    link=link.link_id, bytes=link.bytes_carried,
+                    utilization=(link.bytes_carried / busy
+                                 if busy > 0 else 0.0),
+                )
+            self.tracer.end(self.run_span, end_time)
+        return SimulationResult(records=records, network=network,
                                 end_time=end_time)
 
-    # -- internals ---------------------------------------------------------
+    def is_up(self, path: Sequence[str]) -> bool:
+        down_links = self.down_links
+        return not (down_links and any(l in down_links for l in path))
 
-    def _trace_link_traffic(self, tracer, capacities: Dict[str, float],
-                            end_time: float) -> None:
-        """One ``link.traffic`` instant per physical link: how much of
-        its capacity-time the run used (Fig. 9's "where do the bytes
-        go" view, directly in the trace)."""
-        for link in self._network.wire_links():
-            busy = capacities.get(link.link_id, 0.0) * end_time
-            tracer.instant(
-                "link.traffic", end_time, layer="netsim",
-                link=link.link_id, bytes=link.bytes_carried,
-                utilization=(link.bytes_carried / busy
-                             if busy > 0 else 0.0),
+    def attach(self, flow_id: str) -> None:
+        """Index a transferring flow by link; it enters the rate
+        solve unless its path crosses a down link."""
+        path = self.paths[flow_id]
+        link_flows = self.link_flows
+        for link_id in set(path):
+            link_flows.setdefault(link_id, set()).add(flow_id)
+        if self.is_up(path):
+            self.state.enter(flow_id, path)
+
+    def unindex(self, flow_id: str) -> None:
+        link_flows = self.link_flows
+        for link_id in set(self.paths[flow_id]):
+            link_flows[link_id].discard(flow_id)
+
+    def drain(self, flow_id: str, when: float, admitted: float) -> None:
+        """Record a drained flow and arm the parents it unblocks."""
+        self.n_events += 1
+        spec = self.specs[flow_id]
+        self.records[flow_id] = FlowRecord(
+            spec=spec, drain_time=when, admitted_time=admitted)
+        if self.traced:
+            # One completed span per flow over its transfer window
+            # [admitted, drained].  Flows overlap freely, so they
+            # live on their own layer row (outside the LIFO stack)
+            # and link to the run span explicitly.  The tags carry
+            # the request/job DAG (children, path) the critical-path
+            # extractor reconstructs.
+            self.tracer.complete(
+                "flow", admitted, when, layer="netsim.flow",
+                parent_id=self.run_span,
+                flow=flow_id, job=spec.job_id or "", kind=spec.kind,
+                size=spec.size, wait=admitted - spec.start_time,
+                path="|".join(self.paths[flow_id]),
+                children="|".join(spec.children),
             )
+        blockers, specs = self.blockers, self.specs
+        for parent in self.dependents.get(flow_id, ()):
+            blockers[parent] -= 1
+            if blockers[parent] == 0:
+                start = max(specs[parent].start_time, when)
+                heapq.heappush(self.pending, (start, parent))
 
-    def _validate_dependencies(self) -> None:
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
+    def apply_capacity(self, event: CapacityEvent) -> None:
+        link_id = event.link_id
+        old = self.capacities[link_id]
+        if self.traced:
+            self.tracer.instant("capacity", event.when, layer="netsim",
+                                link=link_id, capacity=event.capacity)
+        if old == event.capacity:
+            return
+        self.capacities[link_id] = event.capacity
+        self.solver.set_capacity(link_id, event.capacity)
+        state = self.state
+        if event.capacity <= 0.0 < old:
+            self.down_links.add(link_id)
+            # Flows crossing the downed link stall: they keep
+            # their place but leave the rate solve.
+            for fid in self.link_flows.get(link_id, ()):
+                if not state.is_stalled(fid):
+                    state.leave(fid)
+        elif old <= 0.0 < event.capacity:
+            self.down_links.discard(link_id)
+            for fid in sorted(self.link_flows.get(link_id, ())):
+                if state.is_stalled(fid) and self.is_up(self.paths[fid]):
+                    state.enter(fid, self.paths[fid])
 
-        def visit(flow_id: str) -> None:
-            mark = state.get(flow_id)
-            if mark == 1:
-                return
-            if mark == 0:
-                raise ValueError(f"dependency cycle through flow {flow_id!r}")
-            state[flow_id] = 0
-            spec = self._specs.get(flow_id)
-            if spec is None:
-                raise KeyError(f"unknown child flow {flow_id!r}")
-            for child in spec.children:
-                visit(child)
-            state[flow_id] = 1
+    def apply_reroute(self, event: RerouteEvent) -> None:
+        flow_id, state, paths = event.flow_id, self.state, self.paths
+        if self.traced:
+            self.tracer.instant("reroute", event.when, layer="netsim",
+                                flow=flow_id, hops=len(event.path))
+        if flow_id in state:
+            # Charge what transferred so far to the old path.
+            moved = self.specs[flow_id].size - state.remaining(flow_id)
+            delta = moved - self.accounted.get(flow_id, 0.0)
+            if delta > 0:
+                for link_id in paths[flow_id]:
+                    self.network.account(link_id, delta)
+                self.accounted[flow_id] = moved
+            self.unindex(flow_id)
+            if not state.is_stalled(flow_id):
+                state.leave(flow_id)
+            paths[flow_id] = event.path
+            self.attach(flow_id)
+        elif flow_id not in self.records:
+            paths[flow_id] = event.path  # not admitted yet
+        # else: already drained; nothing left to move
 
-        for flow_id in self._specs:
-            visit(flow_id)
-
-    def _account_traffic(self, paths: Dict[str, Tuple[str, ...]],
-                         accounted: Dict[str, float]) -> None:
-        """Charge each flow's bytes to the links that carried them.
-
-        Total bytes per link do not depend on the rate schedule, so the
-        accounting is exact and done once at the end.  For rerouted
-        flows, bytes moved before the reroute were charged to the old
-        path when the event fired; only the remainder lands here.
-        """
-        for flow_id, spec in self._specs.items():
-            rest = spec.size - accounted.get(flow_id, 0.0)
-            for link_id in paths[flow_id]:
-                self._network.account(link_id, rest)
+    def trace_epoch(self, dt: float) -> None:
+        """The epoch's span, its active-flow count, and a
+        ``link.util:<link>`` sample for each physical link whose
+        utilization changed since its last sample.  A sample at ``now``
+        holds the link's allocated-bandwidth fraction until the next one
+        on its track; the timeline analyzer integrates these tracks into
+        busy fractions and utilization percentiles."""
+        tracer, state, now = self.tracer, self.state, self.now
+        span = tracer.begin("epoch", now, layer="netsim",
+                            active=len(state) - state.n_stalled,
+                            stalled=state.n_stalled)
+        tracer.sample("netsim.active_flows", now,
+                      float(len(state)), layer="netsim")
+        used: Dict[str, float] = {}
+        for flow_id, rate in state.moving_rates():
+            if rate <= 0.0 or rate == math.inf:
+                continue
+            for link_id in self.paths[flow_id]:
+                used[link_id] = used.get(link_id, 0.0) + rate
+        capacities, last_util = self.capacities, self.last_util
+        for link_id in self.wire_ids:
+            cap = capacities.get(link_id, 0.0)
+            util = (used.get(link_id, 0.0) / cap) if cap > 0 else 0.0
+            previous = last_util.get(link_id)
+            if previous is not None and abs(util - previous) <= 1e-12:
+                continue
+            last_util[link_id] = util
+            tracer.sample(LINK_UTIL_PREFIX + link_id, now, util,
+                          layer="netsim")
+        tracer.end(span, now + dt)

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import cli
 
 
@@ -187,6 +193,33 @@ class TestReplay:
         assert "best 99th-percentile FCT:" in text
         for name in ("none", "rack", "binary", "chain", "netagg"):
             assert name in text
+
+
+class TestBadTraceFile:
+    """A trace file that is missing or malformed ends ``replay`` and
+    ``trace inspect`` with one stderr line naming the file (exit 1),
+    not a traceback."""
+
+    @pytest.mark.parametrize("command", [["replay"], ["trace", "inspect"]],
+                             ids=["replay", "trace-inspect"])
+    @pytest.mark.parametrize("content, error", [
+        (None, "No such file or directory"),
+        ('{"type": "job", "job_id": 1}\n', "bad job record"),
+    ], ids=["missing", "malformed"])
+    def test_one_line_and_exit_1(self, tmp_path, command, content, error):
+        path = tmp_path / "trace.jsonl"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert str(path) in lines[0] and error in lines[0]
 
 
 class TestUniformContract:

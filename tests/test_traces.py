@@ -145,12 +145,19 @@ class TestTraceCli:
 
 
 class TestTraceCliErrors:
+    """A bad trace file ends the command with a one-line message that
+    names the file (``SystemExit`` with a string: exit status 1)."""
+
     def test_inspect_missing_file(self):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(SystemExit) as err:
             cli.main(["trace", "inspect", "/nonexistent/trace.jsonl"])
+        assert "/nonexistent/trace.jsonl" in err.value.code
+        assert "No such file or directory" in err.value.code
 
     def test_inspect_malformed_trace(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "mystery"}\n')
-        with pytest.raises(TraceError):
+        with pytest.raises(SystemExit) as err:
             cli.main(["trace", "inspect", str(bad)])
+        assert str(bad) in err.value.code
+        assert "unknown record type 'mystery'" in err.value.code
