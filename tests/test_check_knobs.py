@@ -65,6 +65,13 @@ def test_census_reads_the_owners_from_the_source():
         "permanent_fraction"]
     assert knobs["SimFaultInjector"] == ["topo", "schedule"]
     assert knobs["PlatformFaultInjector"] == ["schedule", "topo"]
+    # The testbed emulator: what the figures vary.  Its hardware rates
+    # and core counts and the Solr query costs are module constants.
+    assert knobs["TestbedConfig"] == [
+        "racks", "backends_per_rack", "box_cores", "boxes_per_rack"]
+    assert knobs["SolrEmulationParams"] == [
+        "n_clients", "use_netagg", "alpha", "agg_cpu_factor", "duration",
+        "seed"]
 
 
 def test_every_optimizer_parameter_is_set_outside_the_tests():

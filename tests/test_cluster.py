@@ -9,6 +9,7 @@ from repro.cluster import (
     TestbedConfig,
     TransferChain,
 )
+from repro.cluster.deployment import BACKEND_CORES
 from repro.cluster.emulator import Barrier
 from repro.cluster.hadoop_driver import JobProfile, measure_job_profile
 from repro.cluster.solr_driver import SolrEmulationParams
@@ -340,28 +341,28 @@ class TestRunAccounting:
         return {name: snapshot.get(name, 0) for name in self.NAMES}
 
     def test_plain_hadoop_counts_match_a_hand_count(self):
-        config = TestbedConfig()
+        config = TestbedConfig(backends_per_rack=2)   # two mappers
         profile = JobProfile("WC", output_ratio=0.1, cpu_factor=1.0,
                              aggregatable=True)
         counts = self.published(lambda: HadoopEmulation(config).run(
-            profile, 1 * GB, n_mappers=2))
+            profile, 1 * GB))
         # 2 mapper NICs -> 2 reducer-link transfers -> one core-wide
         # reduce -> 1 disk spill; every event is a completion.
-        requests = 2 + 2 + config.backend_cores + 1
+        requests = 2 + 2 + BACKEND_CORES + 1
         assert counts == {"cluster.queries": 0, "cluster.shuffles": 1,
                           "cluster.resource.dispatches": requests,
                           "cluster.engine_events": requests}
 
     def test_netagg_hadoop_counts_match_a_hand_count(self):
-        config = TestbedConfig()
+        config = TestbedConfig(backends_per_rack=2)   # two mappers
         profile = JobProfile("WC", output_ratio=0.1, cpu_factor=1.0,
                              aggregatable=True)
         counts = self.published(lambda: HadoopEmulation(config).run(
-            profile, 1 * GB, use_netagg=True, n_mappers=2))
+            profile, 1 * GB, use_netagg=True))
         # 64 chunks per mapper through NIC, box link and box CPU, then
         # box-out, reducer link, the reduce and the spill; each chunk
         # also costs its mapper one zero-delay "send the next" event.
-        requests = 2 * 64 * 3 + 1 + 1 + config.backend_cores + 1
+        requests = 2 * 64 * 3 + 1 + 1 + BACKEND_CORES + 1
         assert counts["cluster.resource.dispatches"] == requests
         assert counts["cluster.engine_events"] == requests + 2 * 64
         assert counts["cluster.shuffles"] == 1

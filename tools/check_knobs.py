@@ -7,9 +7,9 @@ script counts, for each knob of the platform's policy plane -- the
 fields of ``RetryPolicy``, ``ServeConfig`` and ``TenantPolicy``, plus
 the constructor parameters of ``NetAggPlatform``, of the optimizer's
 ``OptimizerLoop``, ``PlanApplier`` and ``Auditor`` and of the fault
-injectors, and the parameters of ``FaultSchedule.generate`` -- the
-call sites under
-``src/`` and ``perf/`` that set it:
+injectors, the parameters of ``FaultSchedule.generate`` and the
+testbed emulator's ``TestbedConfig`` and ``SolrEmulationParams`` fields
+-- the call sites under ``src/`` and ``perf/`` that set it:
 
 - by keyword or by position in a call of the owner (``Owner(...)``,
   ``module.Owner(...)`` or, for a method owner, ``Owner.method(...)``),
@@ -63,6 +63,8 @@ OWNERS = (
     ("faults/schedule.py", "FaultSchedule.generate"),
     ("faults/inject.py", "SimFaultInjector"),
     ("faults/inject.py", "PlatformFaultInjector"),
+    ("cluster/deployment.py", "TestbedConfig"),
+    ("cluster/solr_driver.py", "SolrEmulationParams"),
 )
 
 #: Owners that are not dataclasses: ``replace`` cannot set their knobs.
