@@ -1,14 +1,22 @@
 """Cross-layer consistency: the flow simulator and the functional
-platform must wire the *same* aggregation trees, and the functional
-byte counts must match the wire encoding exactly."""
+platform must wire the *same* aggregation trees, the functional byte
+counts must match the wire encoding exactly, and the emulator's FIFO
+links and the simulator's max-min links must both conserve work."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggbox.functions import TopKFunction
 from repro.aggregation import NetAggStrategy, deploy_boxes
+from repro.cluster import Resource
 from repro.core import NetAggPlatform
 from repro.core.tree import TreeBuilder
+from repro.netsim.engine import EventQueue
+from repro.netsim.network import Link, Network
 from repro.netsim.routing import EcmpRouter
+from repro.netsim.simulator import FlowSim, FlowSpec
+from repro.netsim.vectorized import HAVE_NUMPY
 from repro.topology import ThreeTierParams, three_tier
 from repro.units import MB
 from repro.wire.framing import frame
@@ -133,3 +141,51 @@ class TestByteAccounting:
         outcome = platform.execute_request("solr", "r", "host:0", partials)
         final_payload = encode_search_results(outcome.value)
         assert len(final_payload) < raw_bytes / 3
+
+
+class TestWorkConservation:
+    """n transfers of sizes s_i start together through one bottleneck of
+    rate C.  The emulator serves them one at a time (FIFO ``Resource``),
+    the simulator shares the link among them (max-min ``FlowSim``); both
+    are work-conserving, so in both the last one finishes at sum(s_i)/C.
+
+    The float bound, relative to sum(s_i)/C: ``REL_BOUND`` = 1e-8.  The
+    FIFO queue adds n service times one at a time (n roundings of about
+    1e-16 each).  The simulator calls a flow drained once at most
+    ``EPSILON`` (1e-9) of its bytes remain, so it can stop up to 1e-9 of
+    the total early, plus one rounding per rate epoch.
+    """
+
+    REL_BOUND = 1e-8
+    SOLVERS = ("vectorized", "incremental") if HAVE_NUMPY else (
+        "incremental",)
+
+    @staticmethod
+    def fifo_end(sizes, rate):
+        queue = EventQueue()
+        link = Resource(queue, "bottleneck", rate)
+        done = []
+        for size in sizes:
+            link.request(size, lambda: done.append(queue.now))
+        queue.run()
+        assert len(done) == len(sizes)
+        return max(done)
+
+    @staticmethod
+    def max_min_end(sizes, rate, solver):
+        sim = FlowSim(Network([Link("bottleneck", rate)]), solver=solver)
+        for i, size in enumerate(sizes):
+            sim.add_flow(FlowSpec(f"f{i}", size=size, path=("bottleneck",)))
+        result = sim.run()
+        return max(record.drain_time for record in result.records.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.floats(1.0, 1e10), min_size=1, max_size=24),
+           rate=st.floats(1e3, 1e11))
+    def test_last_transfer_ends_at_total_over_rate(self, sizes, rate):
+        expected = sum(sizes) / rate
+        bound = self.REL_BOUND * expected
+        assert abs(self.fifo_end(sizes, rate) - expected) <= bound
+        for solver in self.SOLVERS:
+            assert abs(self.max_min_end(sizes, rate, solver)
+                       - expected) <= bound, solver
