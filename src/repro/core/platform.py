@@ -11,8 +11,8 @@ Execution model:
 - batch jobs (Hadoop-style) split keyed data across all trees and merge
   the per-tree aggregates at the master;
 - worker payloads travel as framed binary (the :mod:`repro.wire` layer),
-  delivered to boxes in bounded chunks, so streaming deserialisation is
-  exercised on every request;
+  delivered to boxes in TCP-segment-sized pieces, so a frame larger than
+  one segment is reassembled across piece boundaries;
 - failed boxes are rewired out of the trees per §3.1 before execution;
 - a request's state in the boxes and on the master shim lives exactly
   as long as the call that runs it: one ``finally`` retires it whether
@@ -34,7 +34,6 @@ fallback, bypass, degradation and churn wait is recorded as a
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -57,9 +56,10 @@ from repro.obs import METRICS, get_tracer
 from repro.topology.base import Topology
 from repro.wire.framing import frame
 
-#: Partial-result payloads are delivered to boxes in chunks of this size
-#: to exercise frame reassembly across chunk boundaries.
-_CHUNK_BYTES = 1024
+#: A framed partial reaches a box in consecutive pieces of one TCP
+#: segment payload: 1,500 B Ethernet MTU - 20 IP - 20 TCP - 12 timestamp
+#: option.  Larger frames cross piece boundaries and are reassembled.
+_SEGMENT_BYTES = 1448
 
 
 @dataclass
@@ -387,12 +387,11 @@ class _Request:
 
     Owns everything that lives exactly as long as the request -- the
     audit trail, the probe verdicts, the workers excluded behind a
-    partition, the chunking rng, the master shim's entry and the
-    per-tree id ``<id>@t<k>`` the boxes know it by -- so the stages of
-    the path (exclude, plan, announce, emit, propagate, answer, retire)
-    read it off ``self`` instead of passing it along.  The worker shim
-    is :meth:`_send`: it walks a worker's ladder over the probe
-    verdicts.
+    partition, the master shim's entry and the per-tree id ``<id>@t<k>``
+    the boxes know it by -- so the stages of the path (exclude, plan,
+    announce, emit, propagate, answer, retire) read it off ``self``
+    instead of passing it along.  The worker shim is :meth:`_send`: it
+    walks a worker's ladder over the probe verdicts.
     """
 
     def __init__(self, platform: NetAggPlatform, app: str, request_id: str,
@@ -415,7 +414,6 @@ class _Request:
         self.events: List[ShimEvent] = []
         self.probes: Dict[str, bool] = {}
         self.excluded: Dict[int, str] = {}
-        self.rng = random.Random(stable_hash(request_id) & 0xFFFF)
 
     def run(self) -> RequestOutcome:
         p = self._p
@@ -728,9 +726,10 @@ class _Request:
                            detail=detail, request=self.request_id, **tags)
 
     def _feed(self, box_id: str, source: str, serialised: bytes):
-        """Frame, chunk and deliver one serialised partial to a box,
-        then charge the delivery's clock cost (inflated if the box is
-        slow, capped if the send was hedged).
+        """Frame one serialised partial, deliver it to a box in
+        :data:`_SEGMENT_BYTES` pieces, then charge the delivery's clock
+        cost (inflated if the box is slow, capped if the send was
+        hedged).
 
         ``serialised`` is the application codec's output: a worker's
         partial encoded by :meth:`_send`, or the ``payload`` a
@@ -759,13 +758,10 @@ class _Request:
         ) if tracer.enabled else 0
         try:
             emitted = None
-            offset = 0
-            while offset < len(payload):
-                size = self.rng.randrange(1, _CHUNK_BYTES + 1)
-                chunk = payload[offset:offset + size]
-                offset += size
-                result = runtime.submit_chunk(app, tree_request, source,
-                                              chunk)
+            for offset in range(0, len(payload), _SEGMENT_BYTES):
+                result = runtime.submit_chunk(
+                    app, tree_request, source,
+                    payload[offset:offset + _SEGMENT_BYTES])
                 if result is not None:
                     emitted = result
         finally:

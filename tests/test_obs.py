@@ -416,8 +416,8 @@ class TestRequestPathSpans:
         assert not service.telemetry.recorder.samples
 
     def test_one_gradient_round_records_the_same_set(self):
-        """The ``serve_bulk`` path: 1,024-dim rounds travel in several
-        chunks a hop, and still leave one record per hop."""
+        """The ``serve_bulk`` path: 1,024-dim rounds travel in six TCP
+        segments a hop, and still leave one record per hop."""
         from collections import Counter
 
         service = self._service()

@@ -3,9 +3,10 @@
 and its ``serve_bulk`` request budget.
 
 A box hop is one ``_Request._feed`` call: frame a serialised partial,
-chunk it, and hand the chunks to the box (reassemble, decode, intake,
-and on the delivery that completes the box's fan-in a merge, an encode
-and a ``box.emit`` span), then charge the send's clock cost.  The
+cut it into TCP-segment-sized pieces, and hand them to the box
+(reassemble, decode, intake, and on the delivery that completes the
+box's fan-in a merge, an encode and a ``box.emit`` span), then charge
+the send's clock cost.  The
 script prices a hop from outside ``src/`` -- it wraps the hop's pieces
 at run time and adds no instrumentation to the package:
 
@@ -33,7 +34,7 @@ at run time and adds no instrumentation to the package:
    inside it, ``VectorSumFunction.merge`` by the number of non-empty
    inputs and the boxes' ``encode_vector`` / ``decode_vector``, each
    timed in place by a wrapper.  The hops are what those leave of
-   ``execute_request`` (framing, chunks, reassembly, intake, probes,
+   ``execute_request`` (framing, segments, reassembly, intake, probes,
    records); the rest of ``handle`` is ``handle`` minus synthesis and
    ``execute_request``.  The response's JSON encoding, which the HTTP
    front-end does after ``handle``, is timed on its own.  Rows are the
@@ -285,8 +286,8 @@ def rows(hop_count: int, seen: Dict[str, Any], service) -> List[tuple]:
                          sources=[f"worker:{i}" for i in range(4)],
                          partials=[None] * 4)
     counter = METRICS.counter("hop_table.scratch")
-    rng = platform_module.random.Random(1)
     binding = runtime.binding(APP)
+    segment = platform_module._SEGMENT_BYTES
 
     def price(label: str, piece: str, cost: Callable[[], float]) -> tuple:
         per_hop = calls.get(piece, 0) / hop_count
@@ -302,9 +303,8 @@ def rows(hop_count: int, seen: Dict[str, Any], service) -> List[tuple]:
     out = [
         price("frame (`frame`)", "frame", replay(platform_module.frame,
                                                  "frame")),
-        price("chunk (`rng.randrange` + slice)", "chunks",
-              lambda: per_call(lambda p: p[0:rng.randrange(1, 1025)],
-                               args["frame"])),
+        price("segment (slice)", "chunks",
+              lambda: per_call(lambda p: p[0:segment], args["frame"])),
         price("`ChunkReassembler` construction", "reassembler",
               lambda: per_call(ChunkReassembler, [()])),
         price("single-frame check (`whole_frame`)", "whole_frame",
