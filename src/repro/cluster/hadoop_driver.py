@@ -85,6 +85,9 @@ class HadoopEmulation:
     """Emulate shuffle + reduce of one job on the testbed."""
 
     def __init__(self, config: TestbedConfig = TestbedConfig()) -> None:
+        for name in ("racks", "boxes_per_rack"):
+            if getattr(config, name) != 1:
+                raise ValueError(f"{name} must be 1: one rack, one box")
         self._config = config
 
     #: Fixed shuffle+reduce overhead (task scheduling, JVM startup,

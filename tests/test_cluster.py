@@ -236,6 +236,13 @@ class TestHadoopEmulation:
         return JobProfile("WC", output_ratio=alpha, cpu_factor=cpu,
                           aggregatable=True)
 
+    @pytest.mark.parametrize("field", ["racks", "boxes_per_rack"])
+    def test_a_shape_the_job_cannot_use_is_refused(self, field):
+        """The job runs in one rack through one box: a second rack or
+        box would be silently ignored, so it is an error."""
+        with pytest.raises(ValueError, match=field):
+            HadoopEmulation(TestbedConfig(**{field: 2}))
+
     def test_netagg_speeds_up_shuffle(self):
         emulation = HadoopEmulation(TestbedConfig())
         plain = emulation.run(self.profile(), 2 * GB, use_netagg=False)

@@ -17,7 +17,9 @@ the Hadoop job (output ratio, CPU factor, intermediate bytes, NetAgg
 or plain, reducers).  Frozen and live must agree with ``==``: every
 result field, the whole ``latencies`` list, the ``cluster.*`` counter
 deltas the run publishes and, when a run fails, the exception's type
-and message.
+and message.  The Hadoop job runs in one rack through one box, so a
+shape with another rack or box count must be refused, naming the
+field, where the frozen driver ran it as one rack and one box.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -440,7 +443,9 @@ def test_solr_matches_the_frozen_driver(case):
     assert live == frozen
 
 
-@settings(max_examples=120, deadline=None)
+#: About five of six drawn shapes are refused: five times the examples
+#: keep about as many comparisons as before the refusal.
+@settings(max_examples=600, deadline=None)
 @given(case=_hadoop_cases())
 @example(case=(dict(), JobProfile("WC", 0.1, 1.0, True),
                dict(intermediate_bytes=2 * GB, use_netagg=True,
@@ -452,11 +457,20 @@ def test_solr_matches_the_frozen_driver(case):
                dict(intermediate_bytes=1 * GB, use_netagg=True,
                     n_reducers=1)))
 def test_hadoop_matches_the_frozen_driver(case):
+    """Equal to the frozen driver on one rack with one box; any other
+    shape, which the frozen driver silently ran as one rack and one
+    box, is refused with the field named."""
     shape, profile, run = case
+    config = TestbedConfig(**shape)
+    wrong = [name for name in ("racks", "boxes_per_rack")
+             if getattr(config, name) != 1]
+    if wrong:
+        with pytest.raises(ValueError, match=wrong[0]):
+            HadoopEmulation(config)
+        return
     frozen = _outcome(partial(_FrozenHadoopEmulation(
         _TestbedShape(**shape)).run, profile, **run))
-    live = _outcome(partial(HadoopEmulation(
-        TestbedConfig(**shape)).run, profile, **run))
+    live = _outcome(partial(HadoopEmulation(config).run, profile, **run))
     assert live == frozen
 
 
