@@ -1,11 +1,11 @@
 """Deterministic emulator of the paper's 34-server testbed (§4.2).
 
-The testbed: two racks, each with one 12-core master, ten 4-core
-workers, five client machines, 1 Gbps edge links, and an agg box on a
-10 Gbps link.  We model it as a queueing network -- NICs are rate
-servers, CPU pools are multi-server queues -- driven by the discrete-
-event engine, with application behaviour (result sizes, output ratios,
-CPU costs) *measured* from real runs of the mini apps.
+The testbed: two racks of workers on 1 Gbps edge links, each rack with
+a master and an agg box on a 10 Gbps link (:mod:`repro.cluster.deployment`
+holds the hardware).  It is a queueing network -- NICs are rate servers,
+CPU pools multi-server queues -- on the discrete-event engine.  Figs.
+22-23's Hadoop job profiles are measured by real runs of the mini
+engine; every other application cost is a constant.
 
 - :mod:`repro.cluster.emulator` -- resources and transfer chains;
 - :mod:`repro.cluster.deployment` -- the testbed configuration;

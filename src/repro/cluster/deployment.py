@@ -1,10 +1,10 @@
 """Testbed configuration (§4.2, "Testbed set-up").
 
-The paper's hardware: per rack, one 12-core 2.9 GHz master with 32 GB,
-ten 8-core 3.3 GHz workers, five client machines; 1 Gbps server links;
-agg boxes with master-class hardware on 10 Gbps links.  We keep the
-shape: what the figures vary is a :class:`TestbedConfig` field, the
-rest is a constant.  Clients are ``SolrEmulationParams.n_clients``.
+Per rack: ten workers (``backends_per_rack``) of :data:`BACKEND_CORES`
+= 8 cores, a master of :data:`MASTER_CORES` = 12, an agg box of
+``box_cores`` on a :data:`BOX_LINK_RATE` link, servers on :data:`EDGE_RATE`
+links.  The figures vary :class:`TestbedConfig` fields; the rest is a
+constant below.  Clients are ``SolrEmulationParams.n_clients``.
 """
 
 from __future__ import annotations
