@@ -20,10 +20,10 @@
 - :mod:`repro.core.partition` -- partition tolerance: gray-failure
   detection (seeded-EWMA latency outliers), hedged deliveries, and
   partial-aggregate completeness records;
-- :mod:`repro.core.optimizer` -- the self-healing control loop: a
-  deterministic audit -> strategy -> action-plan -> apply loop that
-  drains boxes whose effective capacity collapsed and undrains them
-  once they cool.
+- :mod:`repro.core.optimizer` -- the self-healing control loop: one
+  pure strategy (``rebalance_hot_edges``) and one ``tick`` that drains
+  boxes whose effective capacity collapsed out of the caller's drained
+  set and undrains them once they cool.
 """
 
 from repro.core.admission import (
@@ -43,15 +43,6 @@ from repro.core.multicast import (
     multicast_link_copies,
     plan_multicast_flows,
     plan_unicast_flows,
-)
-from repro.core.optimizer import (
-    Action,
-    ActionPlan,
-    ApplyResult,
-    Auditor,
-    AuditReport,
-    OptimizerLoop,
-    PlanApplier,
 )
 from repro.core.partition import (
     Completeness,
@@ -84,13 +75,6 @@ __all__ = [
     "StragglerPolicy",
     "InFlightRequest",
     "RecoveryLog",
-    "Action",
-    "ActionPlan",
-    "ApplyResult",
-    "Auditor",
-    "AuditReport",
-    "OptimizerLoop",
-    "PlanApplier",
     "CircuitBreaker",
     "BreakerBoard",
     "BreakerTransition",

@@ -10,7 +10,7 @@ changing network conditions" argument is about.  Two arms replay the
 same workload against the same degradation schedule:
 
 - ``opt``: NetAgg with the control loop ticking at every job arrival.
-  The auditor's utilization feed is the plan-time concurrent fan-in
+  The loop's utilization feed is the plan-time concurrent fan-in
   demand over each box's *effective* (degradation-adjusted)
   processing rate -- the flow-level stand-in for the platform's
   pressure heartbeats; the ``rebalance_hot_edges`` strategy drains
@@ -41,14 +41,8 @@ from dataclasses import replace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.aggregation import NetAggStrategy, deploy_boxes
-from repro.core.optimizer import (
-    DRAIN,
-    UNDRAIN,
-    Auditor,
-    OptimizerLoop,
-    PlanApplier,
-)
 from repro.core.failure import rewire_out
+from repro.core.optimizer import DRAIN, tick
 from repro.core.tree import TreeBuilder
 from repro.experiments import register
 from repro.experiments.common import (
@@ -203,50 +197,15 @@ def skew_workload(workload: Workload, topo: Topology,
     return Workload(jobs=jobs, background=list(workload.background))
 
 
-class PlanDrainShim:
-    """The drain-capable surface :class:`PlanApplier` needs, plan-side.
-
-    No box runtimes exist at plan time; the drained set is the output
-    the planner consumes.
-    """
-
-    def __init__(self, topo: Topology) -> None:
-        self.topology = topo
-        self.clock = 0.0
-        self._drained: Set[str] = set()
-
-    def drain_box(self, box_id: str) -> None:
-        self._drained.add(box_id)
-
-    def undrain_box(self, box_id: str) -> None:
-        self._drained.discard(box_id)
-
-    def drained_boxes(self) -> Set[str]:
-        return set(self._drained)
-
-    def failed_boxes(self) -> Set[str]:
-        return set()
-
-
-class _PlanBeat:
-    """Minimal heartbeat for the plan-time auditor (always healthy)."""
-
-    __slots__ = ("state",)
-
-    def __init__(self) -> None:
-        self.state = "healthy"
-
-
 class SelfHealController:
     """Plan-time control loop for the ``opt`` arm.
 
     ``view(job)`` is installed as ``NetAggStrategy``'s fault view, so
     it runs once per job in arrival order: it advances the utilization
-    window to the job's start, ticks the optimizer (audit ->
-    ``rebalance_hot_edges`` -> drain/undrain through the real
-    :class:`PlanApplier`, ``optimizer.*`` trace records included),
-    charges the job's surviving tree boxes, and returns the drained
-    set for the strategy to rewire around.
+    window to the job's start, ticks the optimizer on its ``drained``
+    set (``rebalance_hot_edges``, then drain/undrain, ``optimizer.*``
+    trace records included), charges the job's surviving tree boxes,
+    and returns the drained set for the strategy to rewire around.
     """
 
     def __init__(self, topo: Topology, schedule: FaultSchedule) -> None:
@@ -263,20 +222,11 @@ class SelfHealController:
             for host in topo.hosts()
         }
         self._charges: List[Tuple[float, str, float]] = []
-        self._shim = PlanDrainShim(topo)
-        auditor = Auditor(
-            health=self._health,
-            utilization=self._utilization,
-            drained=self._shim.drained_boxes,
-        )
-        self.loop = OptimizerLoop(auditor, PlanApplier(self._shim))
+        self.drained: Set[str] = set()
         self.drains = 0
         self.undrains = 0
 
-    def _health(self) -> Dict[str, _PlanBeat]:
-        return {box_id: _PlanBeat() for box_id in sorted(self._capacity)}
-
-    def _utilization(self) -> Dict[str, float]:
+    def _utilization(self, now: float) -> Dict[str, float]:
         """Concurrent fan-in demand over *effective* processing rate.
 
         Each worker of each recent job offers its edge-link rate into
@@ -288,7 +238,6 @@ class SelfHealController:
         collapsed; the planner learns it here the same way
         ``fig_overload``'s admission view does).
         """
-        now = self._shim.clock
         demand = {box_id: 0.0 for box_id in self._capacity}
         for at, box_id, rate in self._charges:
             if at > now - UTIL_WINDOW:
@@ -301,13 +250,12 @@ class SelfHealController:
 
     def view(self, job: AggJob) -> Set[str]:
         t = job.start_time
-        self._shim.clock = max(self._shim.clock, t)
         self._charges = [c for c in self._charges
                          if c[0] > t - UTIL_WINDOW]
-        applied = self.loop.tick(t).result.applied
-        self.drains += sum(1 for a in applied if a.kind == DRAIN)
-        self.undrains += sum(1 for a in applied if a.kind == UNDRAIN)
-        drained = self._shim.drained_boxes()
+        applied = tick(t, self._utilization(t), self.drained)
+        drains = sum(1 for kind, _, _ in applied if kind == DRAIN)
+        self.drains += drains
+        self.undrains += len(applied) - drains
         # Charge the boxes this job will actually use: build its trees,
         # rewire the drained boxes out exactly as the strategy will,
         # and charge each worker's edge rate to its entry box.
@@ -316,12 +264,12 @@ class SelfHealController:
             job.n_trees,
         )
         for tree in trees:
-            tree = rewire_out(tree, drained)
+            tree = rewire_out(tree, self.drained)
             for index, (host, _) in enumerate(job.workers):
                 entry = tree.worker_entry[index]
                 if entry is not None:
                     self._charges.append((t, entry, self._edge[host]))
-        return drained
+        return self.drained
 
 
 def _violations(result, slo: float) -> float:

@@ -1,8 +1,8 @@
 """Optimizer attribution: every control-loop action, from the trace.
 
-The self-healing control plane (:mod:`repro.core.optimizer`) emits
-``optimizer.*`` spans and instants as it works -- one audit span and
-one apply span per tick, per-action instants tagged with
+The self-healing control loop (:func:`repro.core.optimizer.tick`)
+emits ``optimizer.*`` spans and instants as it works -- one audit span
+and one apply span per tick, per-action instants tagged with
 kind/target/reason, and a drain or undrain instant per applied action.
 :func:`optimizer_report` folds a whole trace's worth into the
 ``optimizer`` section of the diagnosis dict, so ``python -m repro
@@ -35,8 +35,8 @@ def optimizer_report(trace: TraceData) -> Dict[str, object]:
          "log": [{at, kind, target, reason}, ...]}
 
     ``actions`` counts what the strategy asked for, ``drains`` and
-    ``undrains`` what was applied (a drain the guard refuses is an
-    action and not a drain).
+    ``undrains`` what was applied; every action is applied, so the
+    kinds in ``actions`` sum to ``drains + undrains``.
     """
     audits = sum(1 for s in trace.spans if s.name == "optimizer.audit")
     ticks = sum(1 for s in trace.spans if s.name == "optimizer.apply")

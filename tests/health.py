@@ -3,9 +3,9 @@
 No entry point asks :class:`repro.core.platform.NetAggPlatform` for a
 health feed, so the feed is a test oracle: a box is ``failed`` once
 ``fail_box`` took it down, ``gray`` while the partition plane's latency
-detector flags it slow, and ``healthy`` otherwise.  The optimizer's
-:class:`repro.core.optimizer.Auditor` takes ``lambda:
-health_report(platform)`` as its health provider.
+detector flags it slow, and ``healthy`` otherwise.  The optimizer
+tests hand :func:`repro.core.optimizer.tick` the utilization of every
+box this feed does not report ``failed``.
 """
 
 from typing import Dict, NamedTuple

@@ -1,10 +1,13 @@
 """The self-healing control loop (repro.core.optimizer) and its
 robustness satellites.
 
-Covers the four stages of the loop -- audit, strategy, plan, apply --
+Covers the loop's two functions -- the pure ``rebalance_hot_edges``
+and ``tick``, which applies its actions to the caller's drained set --
 plus the platform hook the loop depends on (the ``failed`` verdict of
 the health feed, a test oracle in ``tests/health.py``) and the seeded
-decorrelated retry jitter the fleet uses to spread probe storms.  Mid-request failure (the
+decorrelated retry jitter the fleet uses to spread probe storms.
+test_optimizer_differential.py holds the loop to a frozen copy of the
+staged audit/strategy/plan/apply one.  Mid-request failure (the
 §3.1 arithmetic) is exercised in test_recovery.py and under chaos in
 test_chaos_invariants.py; ``fig_selfheal``'s decisions are pinned tick
 by tick at the end.
@@ -22,24 +25,14 @@ from repro.aggregation import deploy_boxes
 from repro.core import NetAggPlatform
 from repro.core.optimizer import (
     DRAIN,
-    UNDRAIN,
-    Action,
-    ActionPlan,
-    Auditor,
-    AuditReport,
-    BoxAudit,
-    OptimizerLoop,
-    PlanApplier,
-    rebalance_hot_edges,
-)
-from repro.core.optimizer.strategies import (
     HOT_UTILIZATION,
     MAX_ACTIONS,
     MIN_ACTIVE,
-    _headroom,
+    UNDRAIN,
+    rebalance_hot_edges,
+    tick,
 )
 from repro.experiments.common import BENCH, QUICK
-from repro.experiments.fig_selfheal import PlanDrainShim
 from repro.faults.retry import (
     BASE_BACKOFF,
     JITTER,
@@ -71,20 +64,8 @@ def make_platform():
     return platform
 
 
-class Fleet(PlanDrainShim):
-    """:class:`PlanApplier`'s target: ``fig_selfheal``'s plan-side drain
-    surface over a test platform's topology, with its failed boxes."""
-
-    def __init__(self, platform):
-        super().__init__(platform.topology)
-        self.platform = platform
-
-    def failed_boxes(self):
-        return set(self.platform._failed)
-
-
-def of_kind(plan, kind):
-    return tuple(a for a in plan.actions if a.kind == kind)
+def targets(actions, kind):
+    return [box for k, box, _ in actions if k == kind]
 
 
 def delays(policy, key):
@@ -96,13 +77,13 @@ def box_ids(platform):
     return sorted(info.box_id for info in platform.topology.all_boxes())
 
 
-def audit(box_id, state="healthy", util=0.0, drained=False):
-    return BoxAudit(box_id=box_id, state=state, utilization=util,
-                    drained=drained)
-
-
-def report(*boxes, at=1.0):
-    return AuditReport(at=at, boxes=tuple(boxes))
+def reported(platform, util):
+    """What a caller hands the loop: the utilization of every box the
+    health feed does not report failed (a box missing from ``util``
+    reads 0.0)."""
+    return {box_id: util.get(box_id, 0.0)
+            for box_id, beat in health_report(platform).items()
+            if beat.state != FAILED}
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +139,6 @@ class TestFailedBoxesReportFailed:
         deploy_boxes(topo)
         return NetAggPlatform(topo)
 
-    def make_loop(self, fleet, util):
-        return OptimizerLoop(
-            Auditor(health=lambda: health_report(fleet.platform),
-                    utilization=lambda: util,
-                    drained=fleet.drained_boxes),
-            PlanApplier(fleet))
-
     def test_no_strategy_targets_the_dead_box(self):
         platform = self.make()
         boxes = box_ids(platform)
@@ -174,14 +148,10 @@ class TestFailedBoxesReportFailed:
         # first if it believed the box alive.
         util = {b: 0.0 for b in boxes}
         util[dead] = 3.0
-        report = Auditor(health=lambda: health_report(platform),
-                         utilization=lambda: util,
-                         drained=set).audit(1.0)
-        states = {a.box_id: a.state for a in report.boxes}
-        assert states[dead] == FAILED
-        assert _headroom(report) == len(boxes) - 1 - MIN_ACTIVE
-        plan = rebalance_hot_edges(report)
-        assert plan.actions == ()
+        assert health_report(platform)[dead].state == FAILED
+        live = reported(platform, util)
+        assert dead not in live and len(live) == len(boxes) - 1
+        assert rebalance_hot_edges(live, set()) == []
 
     def test_tick_drains_a_live_box_not_the_dead_one(self):
         platform = self.make()
@@ -190,10 +160,10 @@ class TestFailedBoxesReportFailed:
         platform.fail_box(dead)
         util = {b: 0.0 for b in boxes}
         util[dead] = util[live] = 3.0
-        fleet = Fleet(platform)
-        tick = self.make_loop(fleet, util).tick(1.0)
-        assert [a.target for a in of_kind(tick.plan, DRAIN)] == [live]
-        assert fleet.drained_boxes() == {live}
+        drained = set()
+        applied = tick(1.0, reported(platform, util), drained)
+        assert targets(applied, DRAIN) == [live]
+        assert drained == {live}
 
 
 class TestUnknownBoxes:
@@ -215,156 +185,120 @@ class TestUnknownBoxes:
 
 class TestStrategies:
     def test_rebalance_undrains_cooled_then_drains_hottest(self):
-        plan = rebalance_hot_edges(report(
-            audit("box:a", util=0.05, drained=True),
-            audit("box:b", util=2.5),
-            audit("box:c", util=0.9),
-            audit("box:d", util=0.1),
-        ))
-        kinds = [(a.kind, a.target) for a in plan.actions]
-        assert kinds == [(UNDRAIN, "box:a"), (DRAIN, "box:b")]
-        assert plan.actions[1].reason == f"util=2.50>={HOT_UTILIZATION:g}"
+        actions = rebalance_hot_edges(
+            {"box:a": 0.05, "box:b": 2.5, "box:c": 0.9, "box:d": 0.1},
+            {"box:a"})
+        assert [(kind, box) for kind, box, _ in actions] \
+            == [(UNDRAIN, "box:a"), (DRAIN, "box:b")]
+        assert actions[0][2] == "cooled util=0.05"
+        assert actions[1][2] == f"util=2.50>={HOT_UTILIZATION:g}"
 
     def test_rebalance_noops_when_balanced(self):
-        plan = rebalance_hot_edges(
-            report(audit("box:a", util=0.6), audit("box:b", util=0.7)))
-        assert plan == ActionPlan(at=1.0)
+        assert rebalance_hot_edges(
+            {"box:a": 0.6, "box:b": 0.7}, set()) == []
 
     def test_noop_plan_shape(self):
-        plan = ActionPlan(at=2.0)
-        assert plan.actions == ()
-        assert of_kind(plan, DRAIN) == of_kind(plan, UNDRAIN) == ()
+        # No box reported: nothing to plan, and a drained box the
+        # caller left out stays drained.
+        drained = {"box:a"}
+        assert rebalance_hot_edges({}, drained) == []
+        assert tick(2.0, {}, drained) == [] and drained == {"box:a"}
 
     def test_drains_hottest_first_and_caps_per_tick(self):
-        boxes = [audit(f"box:{i}", util=2.0 + i) for i in range(6)]
-        plan = rebalance_hot_edges(report(*boxes))
+        util = {f"box:{i}": 2.0 + i for i in range(6)}
         assert MAX_ACTIONS == 2
-        assert [a.target for a in of_kind(plan, DRAIN)] == ["box:5", "box:4"]
+        assert targets(rebalance_hot_edges(util, set()), DRAIN) \
+            == ["box:5", "box:4"]
 
     def test_never_plans_below_min_active(self):
-        hot = [audit(f"box:{i}", util=3.0) for i in range(MIN_ACTIVE)]
-        assert rebalance_hot_edges(report(*hot)).actions == ()
-        plan = rebalance_hot_edges(report(*hot, audit("box:z")))
-        assert len(of_kind(plan, DRAIN)) == 1
+        hot = {f"box:{i}": 3.0 for i in range(MIN_ACTIVE)}
+        assert rebalance_hot_edges(hot, set()) == []
+        actions = rebalance_hot_edges({**hot, "box:z": 0.0}, set())
+        assert len(targets(actions, DRAIN)) == 1
+
+    def test_drain_budget_counts_the_undrains(self):
+        # One active box below MIN_ACTIVE: the undrain brings the
+        # deployment back to MIN_ACTIVE, and no drain takes it under.
+        assert MIN_ACTIVE == 2
+        actions = rebalance_hot_edges({"box:cool": 0.0, "box:hot": 3.0},
+                                      {"box:cool"})
+        assert [(kind, box) for kind, box, _ in actions] \
+            == [(UNDRAIN, "box:cool")]
 
     def test_failed_drained_boxes_stay_drained(self):
-        plan = rebalance_hot_edges(report(
-            audit("box:a", state=FAILED, drained=True),
-            audit("box:b"), audit("box:c")))
-        assert plan.actions == ()
-
-    def test_action_validation(self):
-        with pytest.raises(ValueError):
-            Action(kind="explode", target="box:a")
-        with pytest.raises(ValueError):
-            Action(kind=DRAIN, target="")  # needs a target
-        with pytest.raises(ValueError):
-            Action(kind="migrate", target="box:a")  # folded into drain
+        # The caller leaves the failed box:a out of its utilization.
+        assert rebalance_hot_edges(
+            {"box:b": 0.0, "box:c": 0.0}, {"box:a"}) == []
 
 
 # ---------------------------------------------------------------------------
-# The applier: drain and undrain on fig_selfheal's plan-side surface
+# Applying a plan: tick's drain and undrain on the caller's drained set
 
 
 class TestPlanApplier:
-    def plan(self, *actions, at=1.0):
-        return ActionPlan(at=at, actions=tuple(actions))
-
     def test_drain_and_undrain_round_trip(self):
-        fleet = Fleet(make_platform())
-        box = box_ids(fleet.platform)[0]
-        applier = PlanApplier(fleet)
+        box = "box:a"
+        drained = set()
         drains = METRICS.counter("optimizer.drains").value
         undrains = METRICS.counter("optimizer.undrains").value
-        applier.apply(self.plan(Action(kind=DRAIN, target=box)))
-        assert fleet.drained_boxes() == {box}
-        applier.apply(self.plan(Action(kind=UNDRAIN, target=box)))
-        assert fleet.drained_boxes() == set()
+        assert tick(1.0, {box: 3.0, "box:x": 0.0, "box:y": 0.0},
+                    drained) == [(DRAIN, box, "util=3.00>=2")]
+        assert drained == {box}
+        assert tick(2.0, {box: 0.0, "box:x": 0.0, "box:y": 0.0},
+                    drained) == [(UNDRAIN, box, "cooled util=0.00")]
+        assert drained == set()
         assert METRICS.counter("optimizer.drains").value == drains + 1
         assert METRICS.counter("optimizer.undrains").value == undrains + 1
 
-    def test_guard_skips_drain_without_rollback(self):
-        fleet = Fleet(make_platform())
-        boxes = box_ids(fleet.platform)
-        for box in boxes[:-MIN_ACTIVE]:
-            fleet.drain_box(box)
-        drains = METRICS.counter("optimizer.drains").value
-        actions = METRICS.counter("optimizer.actions").value
-        result = PlanApplier(fleet).apply(
-            self.plan(Action(kind=DRAIN, target=boxes[-1])))
-        assert result.applied == []
-        assert [reason for _, reason in result.skipped] \
-            == ["guard: too few active"]
-        assert fleet.drained_boxes() == set(boxes[:-MIN_ACTIVE])
-        # Asked for, counted as an action, not applied as a drain.
-        assert METRICS.counter("optimizer.actions").value == actions + 1
-        assert METRICS.counter("optimizer.drains").value == drains
-
-    def test_guard_counts_failed_boxes_as_inactive(self):
-        fleet = Fleet(make_platform())
-        boxes = box_ids(fleet.platform)
-        for box in boxes[:-MIN_ACTIVE]:
-            fleet.platform.fail_box(box)
-        result = PlanApplier(fleet).apply(
-            self.plan(Action(kind=DRAIN, target=boxes[-1])))
-        assert result.applied == [] and fleet.drained_boxes() == set()
-
     def test_noop_actions_apply_without_side_effects(self):
-        fleet = Fleet(make_platform())
-        result = PlanApplier(fleet).apply(self.plan())
-        assert result.applied == [] and result.skipped == []
-        assert fleet.drained_boxes() == set()
+        drained = {"box:a"}
+        actions = METRICS.counter("optimizer.actions").value
+        assert tick(1.0, {"box:a": 1.0, "box:b": 1.0}, drained) == []
+        assert drained == {"box:a"}
+        assert METRICS.counter("optimizer.actions").value == actions
 
 
 # ---------------------------------------------------------------------------
-# The loop end to end: audit -> strategy -> plan -> apply
+# The loop end to end: plan, then apply to the caller's drained set
 
 
 def test_apply_and_tick_take_no_in_flight_request():
     """A box dying mid-request is ``InFlightRequest.fail_box``, called
-    by whoever holds the request; the applier has no route to it."""
-    assert list(inspect.signature(PlanApplier.apply).parameters) == \
-        ["self", "plan"]
-    assert list(inspect.signature(OptimizerLoop.tick).parameters) == \
-        ["self", "at"]
+    by whoever holds the request; the loop has no route to it."""
+    assert list(inspect.signature(rebalance_hot_edges).parameters) == \
+        ["utilization", "drained"]
+    assert list(inspect.signature(tick).parameters) == \
+        ["at", "utilization", "drained"]
 
 
 class TestOptimizerLoop:
-    def make_loop(self, fleet, util=None):
-        auditor = Auditor(
-            health=lambda: health_report(fleet.platform),
-            utilization=lambda: util or {},
-            drained=fleet.drained_boxes,
-        )
-        return OptimizerLoop(auditor, PlanApplier(fleet))
-
     def test_healthy_platform_ticks_to_noop(self):
         platform = make_platform()
-        tick = self.make_loop(Fleet(platform)).tick(1.0)
-        assert tick.plan.actions == () and tick.result.applied == []
-        assert tick.report.at == 1.0
-        assert len(tick.report.boxes) == len(box_ids(platform))
+        util = reported(platform, {})
+        assert sorted(util) == box_ids(platform)
+        drained = set()
+        assert tick(1.0, util, drained) == [] and drained == set()
 
     def test_rebalance_follows_load_then_returns_capacity(self):
-        fleet = Fleet(make_platform())
-        boxes = box_ids(fleet.platform)
+        platform = make_platform()
+        boxes = box_ids(platform)
         util = {b: 0.0 for b in boxes}
         util[boxes[0]] = 3.0
-        loop = self.make_loop(fleet, util)
-        tick = loop.tick(1.0)
-        assert [a.target for a in of_kind(tick.plan, DRAIN)] == [boxes[0]]
-        assert fleet.drained_boxes() == {boxes[0]}
+        drained = set()
+        applied = tick(1.0, reported(platform, util), drained)
+        assert targets(applied, DRAIN) == [boxes[0]]
+        assert drained == {boxes[0]}
         util[boxes[0]] = 0.0  # the hot spot cooled: capacity returns
-        tick = loop.tick(2.0)
-        assert [a.target for a in of_kind(tick.plan, UNDRAIN)] == [boxes[0]]
-        assert fleet.drained_boxes() == set()
+        applied = tick(2.0, reported(platform, util), drained)
+        assert targets(applied, UNDRAIN) == [boxes[0]]
+        assert drained == set()
 
     def test_tick_counters_advance(self):
         before = METRICS.counter("optimizer.ticks").value
         audits_before = METRICS.counter("optimizer.audits").value
-        loop = self.make_loop(Fleet(make_platform()))
-        loop.tick(1.0)
-        loop.tick(2.0)
+        util = reported(make_platform(), {})
+        tick(1.0, util, set())
+        tick(2.0, util, set())
         assert METRICS.counter("optimizer.ticks").value == before + 2
         assert METRICS.counter("optimizer.audits").value \
             == audits_before + 2

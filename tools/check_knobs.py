@@ -5,8 +5,7 @@ Every field of a policy or config object is an option, and every option
 doubles the configurations the tests and benchmarks must cover.  This
 script counts, for each knob of the platform's policy plane -- the
 fields of ``RetryPolicy``, ``ServeConfig`` and ``TenantPolicy``, plus
-the constructor parameters of ``NetAggPlatform``, of the optimizer's
-``OptimizerLoop``, ``PlanApplier`` and ``Auditor`` and of the fault
+the constructor parameters of ``NetAggPlatform`` and of the fault
 injectors, the parameters of ``FaultSchedule.generate`` and the
 testbed emulator's ``TestbedConfig`` and ``SolrEmulationParams`` fields
 -- the call sites under ``src/`` and ``perf/`` that set it:
@@ -57,9 +56,6 @@ OWNERS = (
     ("serve/service.py", "ServeConfig"),
     ("serve/service.py", "TenantPolicy"),
     ("core/platform.py", "NetAggPlatform"),
-    ("core/optimizer/loop.py", "OptimizerLoop"),
-    ("core/optimizer/apply.py", "PlanApplier"),
-    ("core/optimizer/audit.py", "Auditor"),
     ("faults/schedule.py", "FaultSchedule.generate"),
     ("faults/inject.py", "SimFaultInjector"),
     ("faults/inject.py", "PlatformFaultInjector"),
@@ -69,8 +65,8 @@ OWNERS = (
 
 #: Owners that are not dataclasses: ``replace`` cannot set their knobs.
 CONSTRUCTED_ONLY = frozenset(
-    {"NetAggPlatform", "OptimizerLoop", "PlanApplier", "Auditor",
-     "FaultSchedule.generate", "SimFaultInjector", "PlatformFaultInjector"})
+    {"NetAggPlatform", "FaultSchedule.generate", "SimFaultInjector",
+     "PlatformFaultInjector"})
 
 #: ``Owner.knob`` -> why no caller outside the tests sets it.
 TEST_ONLY: Dict[str, str] = {
