@@ -48,8 +48,9 @@ class RecoveryLog:
 class InFlightRequest:
     """One request executing over an aggregation tree, failure-aware.
 
-    Drives the boxes step by step so tests (and the emulator) can inject
-    a failure between any two deliveries.  Worker payloads and child-box
+    Drives the boxes step by step so a caller (the tests and
+    ``examples/failure_recovery.py``) can inject a failure between any
+    two deliveries.  Worker payloads and child-box
     emissions are retained for replays, exactly like a worker shim's send
     buffer and a box's unacknowledged-output log.
     """

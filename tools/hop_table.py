@@ -14,7 +14,8 @@ at run time and adds no instrumentation to the package:
    call of ``--requests`` real ``serve_query``-shaped requests through
    ``AggregationService.handle``; the mean per hop of each of
    ``--rounds`` rounds, and the median round.  Once with telemetry on
-   (the default service) and once under ``ServeConfig(telemetry=False)``.
+   (the default service) and once under ``ServeConfig(telemetry=False)``,
+   the two alternating round by round.
 2. **Census.**  One more batch runs with counting wrappers on the hop's
    callables (``frame``, ``ChunkReassembler``, the box's ``_binding`` /
    ``_state`` lookups, the codec, ``tree_aggregate``, the fault oracle)
@@ -25,9 +26,13 @@ at run time and adds no instrumentation to the package:
    over replays of the captured arguments (statement-level pieces --
    the duplicate check, the counter, the completion test, the clock --
    replay the same statement on the same shapes); a row is calls per
-   hop times cost per call.  Minima are floors, so "the rest" (hop
-   total minus every row: the bodies and calls of ``_feed`` and the
-   intake, ``_send_cost``'s arithmetic) stays an upper bound.
+   hop times cost per call.  Every round prices the rows right after
+   timing its hop total, so a change in the machine's load moves both
+   alike; "the rest" (the round's hop total minus its rows: the bodies
+   and calls of ``_feed`` and the intake, ``_send_cost``'s arithmetic)
+   is taken per round.  The table prints each row's median over the
+   rounds and the median rest.  Minima are floors, so the rest stays an
+   upper bound.
 4. **Bulk request.**  A second table prices one ``serve_bulk``-shaped
    request (8 workers x 1,024-dim gradients) through ``handle``:
    payload synthesis (``_mlgrad_partials``), ``execute_request`` and,
@@ -129,17 +134,18 @@ class _Hops:
         platform_module._Request._feed = self._original
 
 
-def hop_total(telemetry: bool, requests: int, rounds: int) -> float:
-    """Median over rounds of the mean µs per hop."""
+def warm_service(telemetry: bool) -> AggregationService:
+    """A service that has answered the warm-up requests."""
     service = AggregationService(ServeConfig(telemetry=telemetry))
     _requests(service, "warm", WARMUP, seed=0)
-    means = []
+    return service
+
+
+def hop_round(service: AggregationService, r: int, requests: int) -> float:
+    """Mean µs per hop of round ``r``: ``requests`` timed requests."""
     with _Hops() as hops:
-        for r in range(rounds):
-            hops.times.clear()
-            _requests(service, f"r{r}", requests, seed=r + 1)
-            means.append(sum(hops.times) / len(hops.times) * 1e6)
-    return statistics.median(means)
+        _requests(service, f"r{r}", requests, seed=r + 1)
+    return sum(hops.times) / len(hops.times) * 1e6
 
 
 class _Census:
@@ -470,12 +476,21 @@ def main(argv: Sequence[str] = ()) -> int:
     parser.add_argument("--rounds", type=int, default=10,
                         help="timing rounds per side (default 10)")
     opts = parser.parse_args(argv or None)
-    on = hop_total(True, opts.requests, opts.rounds)
-    off = hop_total(False, opts.requests, opts.rounds)
     n = min(CENSUS, opts.requests)
     hop_count, seen, service = census(n)
-    table = rows(hop_count, seen, service)
-    priced = sum(weight * cost for _, weight, cost in table)
+    on_service, off_service = warm_service(True), warm_service(False)
+    ons, offs, tables, rests = [], [], [], []
+    for r in range(opts.rounds):
+        ons.append(hop_round(on_service, r, opts.requests))
+        tables.append(rows(hop_count, seen, service))
+        rests.append(ons[-1] - sum(weight * cost
+                                   for _, weight, cost in tables[-1]))
+        offs.append(hop_round(off_service, r, opts.requests))
+    table = [(piece, weight,
+              statistics.median(t[i][2] for t in tables))
+             for i, (piece, weight, _) in enumerate(tables[0])]
+    rest = statistics.median(rests)
+    on, off = statistics.median(ons), statistics.median(offs)
     print(f"{hop_count / n:.1f} hops a request; µs per hop, "
           f"{opts.rounds} rounds of {opts.requests} requests\n")
     print("| piece | per hop | µs per call | µs per hop |")
@@ -485,7 +500,6 @@ def main(argv: Sequence[str] = ()) -> int:
         print(f"| {piece} | {weight:.2f} | {cost:.3f} | {weight * cost:.2f} |")
         if weight * cost < 0:
             bad.append(piece)
-    rest = on - priced
     print(f"| the rest (`_feed` and intake bodies, `_send_cost` arithmetic) "
           f"| 1 | | {rest:.2f} |")
     print(f"| **hop total, telemetry on** | | | **{on:.2f}** |")
