@@ -107,7 +107,7 @@ class TestVectorSum:
 
     def test_codec_roundtrip(self):
         vector = [0.5, -1.25, 3e9, 0.0]
-        assert decode_vector(encode_vector(vector)) == vector
+        assert list(decode_vector(encode_vector(vector))) == vector
 
     @given(st.integers(0, 64).flatmap(lambda width: st.lists(
         st.one_of(st.just([]),
@@ -159,7 +159,7 @@ class TestVectorSum:
         assert encode_vector(vector) == expected
         assert write_floats(decode_vector(expected)) == write_floats(vector)
         assert encode_vector([]) == b"\x00"
-        assert decode_vector(b"\x00") == []
+        assert list(decode_vector(b"\x00")) == []
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(WireError, match="3 trailing bytes"):
@@ -171,6 +171,25 @@ class TestVectorSum:
         buffer = write_varint(count) + write_float(1.0) + write_float(2.0)
         with pytest.raises(WireError, match="truncated float"):
             decode_vector(buffer)
+
+    @given(st.one_of(
+        st.binary(max_size=80),
+        st.builds(lambda count, body: write_varint(count) + body,
+                  st.integers(0, 12), st.binary(max_size=96))))
+    # A signalling NaN, a negative NaN with a payload and -0.0.
+    @example(write_varint(3) + bytes.fromhex(
+        "7ff0000000000001" "fff4000000000abc" "8000000000000000"))
+    @example(b"\x80\x00")
+    @settings(max_examples=300)
+    def test_decode_is_total(self, buffer):
+        """Any bytes decode to a vector that encodes back to them,
+        NaN payloads included, or raise ``WireError``: nothing else."""
+        try:
+            vector = decode_vector(buffer)
+        except WireError:
+            return
+        assert encode_vector(vector) == buffer
+
 
 class TestTraining:
     def test_learns_true_weights(self):

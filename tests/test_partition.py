@@ -615,3 +615,100 @@ class TestHttpFrameRobustness:
             + b"Content-Length: %d\r\n\r\n" % len(body) + body)
         assert b"200" in status_line
         assert payload["status"] == 200
+
+
+#: The reason phrase of every status the front door writes (RFC 9110;
+#: 429 and 431 are RFC 6585's).
+REASON_PHRASES = {
+    200: "OK", 206: "Partial Content", 400: "Bad Request",
+    404: "Not Found", 405: "Method Not Allowed",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 503: "Service Unavailable",
+}
+
+
+class _Capture:
+    """A stream-writer stand-in that keeps what is written."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestHttpDoorEdges:
+    """Each frame limit at its exact boundary, and the status a client
+    reads off the wire against the one in the body."""
+
+    _raw_exchange = TestHttpFrameRobustness._raw_exchange
+
+    @staticmethod
+    def _query(body_size=None, headers=b""):
+        body = json.dumps({"tenant": "t1", "id": "r1",
+                           "payload_seed": 1}).encode()
+        if body_size is not None:
+            body = body.ljust(body_size)  # JSON allows trailing spaces
+        return (b"POST /v1/query HTTP/1.1\r\n" + headers
+                + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+    def test_body_of_exactly_the_frame_limit_is_served(self):
+        status_line, payload = self._raw_exchange(
+            self._query(body_size=4 * 1024 * 1024))
+        assert http._MAX_BODY == 4 * 1024 * 1024
+        assert status_line == b"HTTP/1.1 200 OK\r\n"
+        assert payload["status"] == 200
+
+    def test_one_byte_past_the_frame_limit_is_a_413(self):
+        status_line, payload = self._raw_exchange(
+            b"POST /v1/query HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % (4 * 1024 * 1024 + 1))
+        assert status_line == b"HTTP/1.1 413 Payload Too Large\r\n"
+        assert payload["status"] == 413
+        assert payload["error"] == "payload-too-large"
+
+    def test_exactly_the_header_cap_is_served(self):
+        # 99 of these plus Content-Length: 100 header lines.
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+        assert http._MAX_HEADERS == 100
+        status_line, payload = self._raw_exchange(
+            self._query(headers=headers))
+        assert status_line == b"HTTP/1.1 200 OK\r\n"
+        assert payload["status"] == 200
+
+    def test_one_header_past_the_cap_is_a_431(self):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+        status_line, payload = self._raw_exchange(
+            self._query(headers=headers))
+        assert status_line == \
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        assert payload["status"] == 431
+        assert payload["error"] == "too-many-headers"
+
+    @pytest.mark.parametrize("status", sorted(REASON_PHRASES))
+    def test_status_line_carries_the_reason_phrase(self, status):
+        writer = _Capture()
+        asyncio.run(http._write_response(writer, status, {}))
+        assert writer.data.startswith(
+            f"HTTP/1.1 {status} {REASON_PHRASES[status]}\r\n".encode())
+
+    def test_no_status_is_written_without_its_phrase(self):
+        assert http._REASONS == REASON_PHRASES
+
+    @pytest.mark.parametrize("raw,status,error", [
+        (b"\xff\xfe garbage\r\n\r\n", 400, "bad-request-line"),
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: 2\r\n\r\n[1",
+         400, "bad-json"),
+        (b"GET /v1/nowhere HTTP/1.1\r\n\r\n", 404, "not-found"),
+        (b"GET /v1/query HTTP/1.1\r\n\r\n", 405, "method-not-allowed"),
+    ])
+    def test_body_status_is_the_wire_status(self, raw, status, error):
+        status_line, payload = self._raw_exchange(raw)
+        assert status_line == \
+            f"HTTP/1.1 {status} {REASON_PHRASES[status]}\r\n".encode()
+        assert payload["status"] == status
+        assert payload["error"] == error
