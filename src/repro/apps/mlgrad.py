@@ -18,13 +18,25 @@ reorder float additions, so trained weights agree to rounding error
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, nan
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.aggbox.functions import AggregationFunction
-from repro.wire.serializer import WireError, read_floats, read_varint, \
+from repro.wire.serializer import WireError, WireTruncated, read_varint, \
     write_floats, write_varint
+
+#: A gradient: a list of numbers, or (decoded off the wire or synthesised
+#: by the service) an ``array('d')`` of C doubles.
+Vector = Union[List[float], array]
+
+#: The wire carries big-endian doubles; ``array('d')`` holds native ones.
+_SWAP = sys.byteorder == "little"
+
+#: Where each native double keeps its sign and top exponent bits.
+_HIGH_BYTE = 7 if _SWAP else 0
 
 
 class VectorSumFunction(AggregationFunction):
@@ -32,7 +44,7 @@ class VectorSumFunction(AggregationFunction):
 
     name = "vector-sum"
 
-    def merge(self, items: Sequence[List[float]]) -> List[float]:
+    def merge(self, items: Sequence[Vector]) -> Vector:
         """The column sums, under one float rule on every interpreter.
 
         Per column:
@@ -54,12 +66,19 @@ class VectorSumFunction(AggregationFunction):
         ground truth) take ``fsum`` per float column, which is correctly
         rounded in any order, and answer its two refusals as the rule
         says.
+
+        A lone ``array('d')`` comes back as a copy, with ``0 + x``
+        applied only where it can change a double (see
+        :func:`_plus_zero`); two or more inputs give a list.
         """
         vectors = [v for v in items if v]
         if not vectors:
             return []
         if len(vectors) == 1:
-            return [0 + x for x in vectors[0]]
+            lone = vectors[0]
+            if _is_doubles(lone):
+                return _plus_zero(lone[:], lone, b"\x80\x7f\xff")
+            return [0 + x for x in lone]
         length = len(vectors[0])
         for vector in vectors:
             if len(vector) != length:
@@ -71,6 +90,11 @@ class VectorSumFunction(AggregationFunction):
         if len(vectors) > 2:
             return list(map(_column_sum, zip(*vectors)))
         out = list(map(operator.add, *vectors))
+        doubles = [v for v in vectors if _is_doubles(v)]
+        if doubles:
+            # x + y is -0.0 only where both are -0.0, so the -0.0s of
+            # either input mark every sum the rule changes.
+            return _plus_zero(out, doubles[0], b"\x80")
         # index finds zeros of either sign; 0 + z is +0.0 for a float
         # zero and leaves an int 0 an int.
         i = -1
@@ -111,15 +135,60 @@ def _column_sum(column: Tuple[Any, ...]) -> Any:
             return inf if exact > 0 else -inf
 
 
-def encode_vector(vector: List[float]) -> bytes:
-    return write_varint(len(vector)) + write_floats(vector)
+def _is_doubles(vector: Vector) -> bool:
+    return isinstance(vector, array) and vector.typecode == "d"
 
 
-def decode_vector(buffer: bytes) -> List[float]:
+def _plus_zero(out: Vector, doubles: array,
+               marks: bytes) -> Vector:
+    """Apply ``0 + x`` to ``out[i]`` wherever element ``i`` of
+    ``doubles`` has a high byte (sign and top exponent bits) in
+    ``marks``.
+
+    ``0 + x`` is ``x`` bit for bit for every double but two kinds:
+    -0.0 (high byte 0x80) becomes +0.0, and a signalling NaN (0x7F or
+    0xFF, as every infinity and NaN) is quieted.  So marking those
+    three bytes finds every element the rule changes, and a false
+    match (a tiny negative, an infinity, a quiet NaN) is left as it
+    was.  The scan is a byte search over one slice of the raw doubles:
+    no per-element Python float is made.
+    """
+    high = doubles.tobytes()[_HIGH_BYTE::8]
+    for mark in marks:
+        i = high.find(mark)
+        while i >= 0:
+            out[i] = 0 + out[i]
+            i = high.find(mark, i + 1)
+    return out
+
+
+def encode_vector(vector: Vector) -> bytes:
+    """A varint count, then the elements as big-endian doubles."""
+    if not _is_doubles(vector):
+        return write_varint(len(vector)) + write_floats(vector)
+    doubles = vector[:]
+    if _SWAP:
+        doubles.byteswap()
+    return write_varint(len(vector)) + doubles.tobytes()
+
+
+def decode_vector(buffer: bytes) -> array:
+    """The ``array('d')`` :func:`encode_vector` wrote into ``buffer``.
+
+    The count is checked against the bytes present before anything is
+    sized by it (a truncated float), then the bytes past the last
+    double (trailing bytes): both are :class:`WireError`.
+    """
     count, offset = read_varint(buffer, 0)
-    values, offset = read_floats(buffer, offset, count)
-    if offset != len(buffer):
-        raise WireError(f"{len(buffer) - offset} trailing bytes in vector")
+    if count > (len(buffer) - offset) // 8:
+        raise WireTruncated("truncated float")
+    end = offset + 8 * count
+    if end != len(buffer):
+        raise WireError(f"{len(buffer) - end} trailing bytes in vector")
+    values = array("d")
+    values.frombytes(buffer[offset:end])
+    if _SWAP:
+        values.byteswap()
     return values
 
 

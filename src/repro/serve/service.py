@@ -44,12 +44,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.aggbox.functions import TopKFunction
 from repro.aggregation import deploy_boxes
 from repro.apps.mlgrad import (
+    Vector,
     VectorSumFunction,
     decode_vector,
     encode_vector,
@@ -114,8 +116,11 @@ MAX_SYNTHESISED_VALUES = 1 << 14
 #: through ``7*j mod 1999``, and 1999 is prime, so every vector is a run
 #: of this one cycle (entry m has residue ``7*m``) starting at
 #: ``(seed + 31*i) * 7^-1 mod 1999``.  Each entry is computed by the
-#: same expression, so the floats are bit-identical.
-_GRAD_CYCLE = [((7 * m) % 1999 - 999) / 999.0 for m in range(1999)]
+#: same expression, so the floats are bit-identical.  A C double array,
+#: so a vector is a slice of it (one copy) and encodes without a float
+#: object per element.
+_GRAD_CYCLE = array("d", [((7 * m) % 1999 - 999) / 999.0
+                          for m in range(1999)])
 _INVERSE_OF_7 = pow(7, -1, 1999)
 
 
@@ -288,7 +293,7 @@ class AggregationService:
     def _mlgrad_partials(
         self, request: Mapping[str, Any],
         workers: Optional[List[str]] = None,
-    ) -> List[Tuple[str, List[float]]]:
+    ) -> List[Tuple[str, Vector]]:
         """Per-worker gradient vectors, explicit or seed-synthesised."""
         if "gradients" in request:
             rows = request["gradients"]
@@ -538,7 +543,7 @@ def _encode_results(results: List[SearchResult]) -> List[List[float]]:
     return [[r.doc_id, r.score] for r in results]
 
 
-def _gradient(offset: int, dims: int) -> List[float]:
+def _gradient(offset: int, dims: int) -> Vector:
     """``((offset + 7*j) % 1999 - 999) / 999.0`` for ``j < dims``."""
     start = offset % 1999 * _INVERSE_OF_7 % 1999
     vector = _GRAD_CYCLE[start:start + max(dims, 0)]

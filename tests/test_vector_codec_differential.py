@@ -42,6 +42,8 @@ from repro.wire.serializer import (
 
 # -- the live codec's API: the only lines that follow the code under test
 
+from array import array
+
 from repro.apps.mlgrad import (
     VectorSumFunction,
     decode_vector as live_decode,
@@ -51,7 +53,7 @@ from repro.apps.mlgrad import (
 
 def carried(floats: Sequence[float]) -> Any:
     """An all-float vector as the box path carries a decoded gradient."""
-    return list(floats)
+    return array("d", floats)
 
 
 # -- end of the adapter
