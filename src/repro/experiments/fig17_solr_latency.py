@@ -21,11 +21,12 @@ _QUICK = dict(clients=(50,), duration=5.0)
 
 @register("fig17")
 def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
-    return _sweep(**(_QUICK if scale.name == "quick" else {}))
+    return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
 def _sweep(clients=CLIENTS, duration: float = 10.0,
-           config: TestbedConfig = TestbedConfig()) -> ExperimentResult:
+           config: TestbedConfig = TestbedConfig(),
+           seed: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig17",
         description="Solr 99th-pct response latency (s) vs clients",
@@ -33,9 +34,10 @@ def _sweep(clients=CLIENTS, duration: float = 10.0,
     )
     for n_clients in clients:
         plain = SolrEmulation(config, SolrEmulationParams(
-            n_clients=n_clients, duration=duration)).run()
+            n_clients=n_clients, duration=duration, seed=seed)).run()
         netagg = SolrEmulation(config, SolrEmulationParams(
-            n_clients=n_clients, duration=duration, use_netagg=True)).run()
+            n_clients=n_clients, duration=duration, seed=seed,
+            use_netagg=True)).run()
         result.add_row(
             clients=n_clients,
             solr_p99_s=plain.p99_latency,

@@ -23,21 +23,22 @@ _QUICK = dict(alphas=(0.05, 0.5, 1.0), duration=5.0)
 
 @register("fig18")
 def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
-    return _sweep(**(_QUICK if scale.name == "quick" else {}))
+    return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
 def _sweep(alphas=ALPHAS, n_clients: int = 70, duration: float = 10.0,
-           config: TestbedConfig = TestbedConfig()) -> ExperimentResult:
+           config: TestbedConfig = TestbedConfig(),
+           seed: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig18",
         description="Solr throughput (Gbps) vs output ratio, 70 clients",
         columns=("alpha", "solr_gbps", "netagg_gbps"),
     )
     plain = SolrEmulation(config, SolrEmulationParams(
-        n_clients=n_clients, duration=duration)).run()
+        n_clients=n_clients, duration=duration, seed=seed)).run()
     for alpha in alphas:
         netagg = SolrEmulation(config, SolrEmulationParams(
-            n_clients=n_clients, duration=duration, use_netagg=True,
+            n_clients=n_clients, duration=duration, seed=seed, use_netagg=True,
             alpha=alpha)).run()
         result.add_row(
             alpha=alpha,

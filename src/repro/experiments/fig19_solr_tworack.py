@@ -23,11 +23,11 @@ _QUICK = dict(backends=(4, 10), duration=5.0)
 
 @register("fig19")
 def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
-    return _sweep(**(_QUICK if scale.name == "quick" else {}))
+    return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
 def _sweep(backends=BACKENDS_PER_RACK, duration: float = 10.0,
-           n_clients: int = 70) -> ExperimentResult:
+           n_clients: int = 70, seed: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig19",
         description="NetAgg throughput (Gbps) vs backends per rack",
@@ -37,12 +37,12 @@ def _sweep(backends=BACKENDS_PER_RACK, duration: float = 10.0,
         one = SolrEmulation(
             TestbedConfig(racks=1, backends_per_rack=n_backends),
             SolrEmulationParams(n_clients=n_clients, duration=duration,
-                                use_netagg=True),
+                                seed=seed, use_netagg=True),
         ).run()
         two = SolrEmulation(
             TestbedConfig(racks=2, backends_per_rack=n_backends),
             SolrEmulationParams(n_clients=2 * n_clients, duration=duration,
-                                use_netagg=True),
+                                seed=seed, use_netagg=True),
         ).run()
         result.add_row(
             backends_per_rack=n_backends,

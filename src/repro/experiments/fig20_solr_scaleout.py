@@ -24,10 +24,11 @@ _QUICK = dict(clients=(70,), duration=5.0)
 
 @register("fig20")
 def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
-    return _sweep(**(_QUICK if scale.name == "quick" else {}))
+    return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
-def _sweep(clients=CLIENTS, duration: float = 10.0) -> ExperimentResult:
+def _sweep(clients=CLIENTS, duration: float = 10.0,
+           seed: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig20",
         description="categorise throughput (Gbps): one vs two boxes "
@@ -39,12 +40,14 @@ def _sweep(clients=CLIENTS, duration: float = 10.0) -> ExperimentResult:
         one = SolrEmulation(
             TestbedConfig(boxes_per_rack=1),
             SolrEmulationParams(n_clients=n_clients, duration=duration,
-                                use_netagg=True, agg_cpu_factor=cpu_factor),
+                                seed=seed, use_netagg=True,
+                                agg_cpu_factor=cpu_factor),
         ).run()
         two = SolrEmulation(
             TestbedConfig(boxes_per_rack=2),
             SolrEmulationParams(n_clients=n_clients, duration=duration,
-                                use_netagg=True, agg_cpu_factor=cpu_factor),
+                                seed=seed, use_netagg=True,
+                                agg_cpu_factor=cpu_factor),
         ).run()
         result.add_row(
             clients=n_clients,

@@ -24,11 +24,11 @@ _QUICK = dict(cores=(2, 4, 16), duration=5.0)
 
 @register("fig21")
 def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
-    return _sweep(**(_QUICK if scale.name == "quick" else {}))
+    return _sweep(seed=seed, **(_QUICK if scale.name == "quick" else {}))
 
 
 def _sweep(cores=CORES, n_clients: int = 70,
-           duration: float = 10.0) -> ExperimentResult:
+           duration: float = 10.0, seed: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig21",
         description="agg box throughput (Gbps) vs CPU cores",
@@ -37,10 +37,10 @@ def _sweep(cores=CORES, n_clients: int = 70,
     for n_cores in cores:
         config = TestbedConfig(box_cores=n_cores)
         sample = SolrEmulation(config, SolrEmulationParams(
-            n_clients=n_clients, duration=duration, use_netagg=True,
+            n_clients=n_clients, duration=duration, seed=seed, use_netagg=True,
             agg_cpu_factor=SAMPLE_CPU_FACTOR)).run()
         categorise = SolrEmulation(config, SolrEmulationParams(
-            n_clients=n_clients, duration=duration, use_netagg=True,
+            n_clients=n_clients, duration=duration, seed=seed, use_netagg=True,
             agg_cpu_factor=CATEGORISE_CPU_FACTOR)).run()
         result.add_row(
             cores=n_cores,

@@ -30,8 +30,22 @@ EXCLUDED = ("tab01_loc",)
 GOLDEN_MODULES = [name for name in MODULES if name not in EXCLUDED]
 
 
-def table_digest(module: str) -> str:
-    text = load(module).run(scale=QUICK, seed=1).to_text()
+#: The testbed figures that draw Solr's backend jitter from the run's
+#: seed: seed 2 must print a different table than seed 1.  fig20's does
+#: not: at QUICK both of its runs are bound by box CPU, which serves
+#: every query at one fixed cost, so the count of completed queries (its
+#: only column) is 256 and 512 on every seed while p99 latency moves.
+SEEDED_TESTBED = (
+    "fig16_solr_throughput", "fig17_solr_latency", "fig18_solr_ratio",
+    "fig19_solr_tworack",
+    pytest.param("fig20_solr_scaleout", marks=pytest.mark.xfail(
+        strict=True, reason="box-CPU bound: throughput is seed-free")),
+    "fig21_solr_scaleup",
+)
+
+
+def table_digest(module: str, seed: int = 1) -> str:
+    text = load(module).run(scale=QUICK, seed=seed).to_text()
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -45,6 +59,14 @@ def test_table_matches_golden(module):
     assert table_digest(module) == golden[module], (
         f"{module}: QUICK/seed-1 table moved; if intended, regenerate "
         "with `PYTHONPATH=src python -m tests.test_golden`")
+
+
+@pytest.mark.parametrize("module", SEEDED_TESTBED)
+def test_seed_reaches_the_table(module):
+    """``--seed`` reaches the emulator: seed 2's table is not the
+    pinned seed-1 one (which ``test_table_matches_golden`` checks)."""
+    golden = json.loads(MANIFEST.read_text())
+    assert table_digest(module, seed=2) != golden[module]
 
 
 if __name__ == "__main__":
