@@ -139,15 +139,14 @@ def _is_doubles(vector: Vector) -> bool:
     return isinstance(vector, array) and vector.typecode == "d"
 
 
-def _plus_zero(out: Vector, doubles: array,
-               marks: bytes) -> Vector:
+def _plus_zero(out: Vector, doubles: array, marks: bytes) -> Vector:
     """Apply ``0 + x`` to ``out[i]`` wherever element ``i`` of
     ``doubles`` has a high byte (sign and top exponent bits) in
     ``marks``.
 
     ``0 + x`` is ``x`` bit for bit for every double but two kinds:
     -0.0 (high byte 0x80) becomes +0.0, and a signalling NaN (0x7F or
-    0xFF, as every infinity and NaN) is quieted.  So marking those
+    0xFF, like every infinity and NaN) is quieted.  So marking those
     three bytes finds every element the rule changes, and a false
     match (a tiny negative, an infinity, a quiet NaN) is left as it
     was.  The scan is a byte search over one slice of the raw doubles:
