@@ -569,7 +569,8 @@ class TestHttpFrameRobustness:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(raw)
             await writer.drain()
-            status_line = await reader.readline()
+            # A server that waits for bytes never sent fails, not hangs.
+            status_line = await asyncio.wait_for(reader.readline(), 30)
             while (await reader.readline()) not in (b"\r\n", b""):
                 pass
             payload = json.loads(await reader.read(65536))
