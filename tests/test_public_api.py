@@ -1,10 +1,14 @@
 """Public-API smoke tests: imports, exports and paper-scale builds."""
 
 import importlib
+import types
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(repro.__file__).parent
 
 PACKAGES = [
     "repro",
@@ -83,16 +87,24 @@ def test_imports(package):
     assert module is not None
 
 
-@pytest.mark.parametrize("package", [
-    "repro", "repro.netsim", "repro.topology", "repro.workload",
-    "repro.aggregation", "repro.core", "repro.aggbox", "repro.wire",
-    "repro.cluster", "repro.cost", "repro.faults", "repro.experiments",
-    "repro.serve",
-])
+#: Every package under ``src/repro``, found on disk.
+ALL_PACKAGES = sorted(
+    ".".join(("repro",) + init.parent.relative_to(SRC).parts)
+    for init in SRC.rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("package", ALL_PACKAGES)
 def test_dunder_all_resolves(package):
+    """Every name a package declares resolves to what it names, and
+    ``dir()`` lists it before first access: a lazy re-export exists
+    only in the package's ``__getattr__`` and ``__dir__`` until then."""
     module = importlib.import_module(package)
     for name in getattr(module, "__all__", []):
-        assert hasattr(module, name), f"{package}.{name} missing"
+        assert name in dir(module), f"{package}.{name} not in dir()"
+        value = getattr(module, name)
+        # A name shared with a submodule must not resolve to the module.
+        assert not isinstance(value, types.ModuleType), \
+            f"{package}.{name} is a module"
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_MODULES)
@@ -160,8 +172,6 @@ def test_stable_surface_no_leaks():
             getattr(repro, internal)
     # Everything public and eagerly bound on the package (other than
     # submodules Python inserts on import) must be declared in __all__.
-    import types
-
     allowed = set(repro.__all__) | {"annotations"}
     leaked = [
         name for name, value in vars(repro).items()
