@@ -36,64 +36,71 @@ of the compatibility contract; ``tests/test_public_api.py`` pins the
 surface and fails when an internal name leaks to the top level.
 """
 
+from __future__ import annotations
+
+import importlib
+import sys
+import typing
+
 __version__ = "1.0.0"
 
-from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
-from repro.units import GB, KB, MB, Gbps
+
+def _lazy_exports(package: str, modules: dict[str, list[str]]
+                  ) -> tuple[list[str], typing.Callable[[str], object],
+                             typing.Callable[[], list[str]]]:
+    """Lazy re-exports for a package ``__init__`` (PEP 562).
+
+    ``modules`` maps a defining module to the names ``package``
+    re-exports from it, each name written once; -> ``(__all__,
+    __getattr__, __dir__)`` for the package::
+
+        from repro import _lazy_exports
+
+        __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+            "repro.netsim.engine": ["EventQueue"],
+        })
+
+    A name's module is imported on the name's first access, so
+    importing one module of a package loads what that module imports,
+    not every layer the package re-exports.  The helper lives here
+    because every ``repro`` import loads this module anyway.
+    """
+    where = {name: module for module, names in modules.items()
+             for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> object:
+        if name not in where:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(where[name]), name)
+        namespace[name] = value  # later reads skip this hook
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(where))
+
+    return list(where), __getattr__, __dir__
+
 
 #: The stable public API, grouped: units, faults, platform, the
-#: experiment registry + scales, and the serving layer.  Heavy names
-#: resolve lazily through ``__getattr__`` (see ``_LAZY_EXPORTS``).
-__all__ = [
-    "__version__",
-    # units
-    "Gbps", "KB", "MB", "GB",
+#: experiment registry + scales, and the serving layer.
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.units": ["Gbps", "KB", "MB", "GB"],
     # fault schedules and the shim retry policy
-    "FaultSchedule", "FaultEvent", "RetryPolicy",
+    "repro.faults": ["FaultSchedule", "FaultEvent", "RetryPolicy"],
     # the NetAgg platform
-    "NetAggPlatform",
+    "repro.core.platform": ["NetAggPlatform"],
     # experiment registry and scale presets
-    "ExperimentResult", "all_experiments", "load", "resolve",
-    "simulate", "SimScale", "QUICK", "BENCH", "DEFAULT", "PAPER",
+    "repro.experiments": [
+        "ExperimentResult", "all_experiments", "load", "resolve",
+        "simulate", "SimScale", "QUICK", "BENCH", "DEFAULT", "PAPER",
+    ],
     # the serving layer
-    "AggregationService", "ServeConfig", "TenantPolicy",
-    "OpenLoopParams", "run_loadgen", "serve_forever",
-]
-
-#: Lazily re-exported names -> defining module.  Importing these
-#: eagerly would pull the whole simulator / platform / asyncio serving
-#: stack (whose strategy modules import this package) at import time.
-_LAZY_EXPORTS = {
-    "NetAggPlatform": "repro.core.platform",
-    "ExperimentResult": "repro.experiments",
-    "all_experiments": "repro.experiments",
-    "load": "repro.experiments",
-    "resolve": "repro.experiments",
-    "simulate": "repro.experiments",
-    "SimScale": "repro.experiments",
-    "QUICK": "repro.experiments",
-    "BENCH": "repro.experiments",
-    "DEFAULT": "repro.experiments",
-    "PAPER": "repro.experiments",
-    "AggregationService": "repro.serve",
-    "ServeConfig": "repro.serve",
-    "TenantPolicy": "repro.serve",
-    "run_loadgen": "repro.serve",
-    "serve_forever": "repro.serve",
-    "OpenLoopParams": "repro.workload.openloop",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_LAZY_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache: __getattr__ runs once per name
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    "repro.serve": [
+        "AggregationService", "ServeConfig", "TenantPolicy",
+        "run_loadgen", "serve_forever",
+    ],
+    "repro.workload.openloop": ["OpenLoopParams"],
+})
+__all__.insert(0, "__version__")

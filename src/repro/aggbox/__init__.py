@@ -15,39 +15,20 @@ over a thread pool with weighted-fair sharing between applications.
   per-request partial-result collection, streaming deserialisation.
 """
 
-from repro.aggbox.box import AggBoxRuntime, AppBinding, RequestState
-from repro.aggbox.functions import (
-    AggregationFunction,
-    CombinerFunction,
-    SumFunction,
-    TopKFunction,
-)
-from repro.aggbox.localtree import LocalTreeModel, TreeModelParams, tree_aggregate
-from repro.aggbox.scheduler import (
-    AppShare,
-    SchedulerParams,
-    TaskScheduler,
-    WfqExecutor,
-    WorkloadSpec,
-)
-from repro.aggbox.timed import RequestTiming, TimedAggBox
+from repro import _lazy_exports
 
-__all__ = [
-    "AggregationFunction",
-    "TopKFunction",
-    "CombinerFunction",
-    "SumFunction",
-    "tree_aggregate",
-    "LocalTreeModel",
-    "TreeModelParams",
-    "TaskScheduler",
-    "SchedulerParams",
-    "WorkloadSpec",
-    "AppShare",
-    "WfqExecutor",
-    "TimedAggBox",
-    "RequestTiming",
-    "AggBoxRuntime",
-    "AppBinding",
-    "RequestState",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.aggbox.box": ["AggBoxRuntime", "AppBinding", "RequestState"],
+    "repro.aggbox.functions": [
+        "AggregationFunction", "CombinerFunction", "SumFunction",
+        "TopKFunction",
+    ],
+    "repro.aggbox.localtree": [
+        "LocalTreeModel", "TreeModelParams", "tree_aggregate",
+    ],
+    "repro.aggbox.scheduler": [
+        "AppShare", "SchedulerParams", "TaskScheduler", "WfqExecutor",
+        "WorkloadSpec",
+    ],
+    "repro.aggbox.timed": ["RequestTiming", "TimedAggBox"],
+})

@@ -19,29 +19,15 @@ every aggregation point forwards ``alpha`` times the bytes it receives
 of the incoming traffic is forwarded at each hop").
 """
 
-from repro.aggregation.base import AggregationStrategy, plan_background
-from repro.aggregation.edge import (
-    BinaryTreeStrategy,
-    ChainStrategy,
-    DAryTreeStrategy,
-    NoAggregationStrategy,
-    RackLevelStrategy,
-)
-from repro.aggregation.onpath import (
-    NetAggStrategy,
-    deploy_boxes,
-    deploy_box_budget,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AggregationStrategy",
-    "plan_background",
-    "NoAggregationStrategy",
-    "RackLevelStrategy",
-    "DAryTreeStrategy",
-    "BinaryTreeStrategy",
-    "ChainStrategy",
-    "NetAggStrategy",
-    "deploy_boxes",
-    "deploy_box_budget",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.aggregation.base": ["AggregationStrategy", "plan_background"],
+    "repro.aggregation.edge": [
+        "BinaryTreeStrategy", "ChainStrategy", "DAryTreeStrategy",
+        "NoAggregationStrategy", "RackLevelStrategy",
+    ],
+    "repro.aggregation.onpath": [
+        "NetAggStrategy", "deploy_boxes", "deploy_box_budget",
+    ],
+})

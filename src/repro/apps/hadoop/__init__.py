@@ -6,40 +6,18 @@ aggregation output ratios fed to the testbed emulator are *measured*,
 not assumed.  The five benchmark jobs of §4.2.2 are provided.
 """
 
-from repro.apps.hadoop.benchmarks import (
-    BENCHMARKS,
-    adpredictor_job,
-    pagerank_job,
-    terasort_job,
-    uservisits_job,
-    wordcount_job,
-)
-from repro.apps.hadoop.data import (
-    generate_adpredictor_logs,
-    generate_graph,
-    generate_text,
-    generate_uservisits,
-    generate_terasort_records,
-)
-from repro.apps.hadoop.engine import MapReduceEngine, PhaseStats
-from repro.apps.hadoop.job import JobSpec
-from repro.apps.hadoop.pagerank import PageRankResult, pagerank
+from repro import _lazy_exports
 
-__all__ = [
-    "JobSpec",
-    "MapReduceEngine",
-    "PhaseStats",
-    "pagerank",
-    "PageRankResult",
-    "BENCHMARKS",
-    "wordcount_job",
-    "adpredictor_job",
-    "pagerank_job",
-    "uservisits_job",
-    "terasort_job",
-    "generate_text",
-    "generate_adpredictor_logs",
-    "generate_graph",
-    "generate_uservisits",
-    "generate_terasort_records",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.apps.hadoop.benchmarks": [
+        "BENCHMARKS", "adpredictor_job", "pagerank_job", "terasort_job",
+        "uservisits_job", "wordcount_job",
+    ],
+    "repro.apps.hadoop.data": [
+        "generate_adpredictor_logs", "generate_graph", "generate_text",
+        "generate_uservisits", "generate_terasort_records",
+    ],
+    "repro.apps.hadoop.engine": ["MapReduceEngine", "PhaseStats"],
+    "repro.apps.hadoop.iterative": ["PageRankResult", "pagerank"],
+    "repro.apps.hadoop.job": ["JobSpec"],
+})

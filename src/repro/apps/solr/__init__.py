@@ -7,20 +7,12 @@ pattern of §2.1.  The aggregation step (the top-k merge) is what NetAgg
 executes on-path.
 """
 
-from repro.apps.solr.backend import SearchBackend
-from repro.apps.solr.corpus import Document, generate_corpus, shard_corpus
-from repro.apps.solr.frontend import SearchFrontend
-from repro.apps.solr.functions import (
-    make_topk_wrapper,
-)
-from repro.apps.solr.index import InvertedIndex
+from repro import _lazy_exports
 
-__all__ = [
-    "Document",
-    "generate_corpus",
-    "shard_corpus",
-    "InvertedIndex",
-    "SearchBackend",
-    "SearchFrontend",
-    "make_topk_wrapper",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.apps.solr.backend": ["SearchBackend"],
+    "repro.apps.solr.corpus": ["Document", "generate_corpus", "shard_corpus"],
+    "repro.apps.solr.frontend": ["SearchFrontend"],
+    "repro.apps.solr.functions": ["make_topk_wrapper"],
+    "repro.apps.solr.index": ["InvertedIndex"],
+})

@@ -15,17 +15,11 @@ engine; every other application cost is a constant.
   (Figs. 22-24).
 """
 
-from repro.cluster.deployment import TestbedConfig
-from repro.cluster.emulator import Resource, TransferChain
-from repro.cluster.hadoop_driver import HadoopEmulation, HadoopRunResult
-from repro.cluster.solr_driver import SolrEmulation, SolrRunResult
+from repro import _lazy_exports
 
-__all__ = [
-    "Resource",
-    "TransferChain",
-    "TestbedConfig",
-    "SolrEmulation",
-    "SolrRunResult",
-    "HadoopEmulation",
-    "HadoopRunResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cluster.deployment": ["TestbedConfig"],
+    "repro.cluster.emulator": ["Resource", "TransferChain"],
+    "repro.cluster.hadoop_driver": ["HadoopEmulation", "HadoopRunResult"],
+    "repro.cluster.solr_driver": ["SolrEmulation", "SolrRunResult"],
+})

@@ -26,69 +26,29 @@
   set and undrains them once they cool.
 """
 
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionNack,
-    TokenBucket,
-)
-from repro.core.breaker import (
-    BreakerBoard,
-    BreakerTransition,
-    CircuitBreaker,
-)
-from repro.core.failure import FailureDetector, rewire_failed_box, rewire_out
-from repro.core.multicast import (
-    MulticastTree,
-    build_multicast_tree,
-    multicast_link_copies,
-    plan_multicast_flows,
-    plan_unicast_flows,
-)
-from repro.core.partition import (
-    Completeness,
-    GrayDetector,
-    SubtreeUnreachable,
-)
-from repro.core.platform import NetAggPlatform
-from repro.core.recovery import (
-    InFlightRequest,
-    RecoveryLog,
-)
-from repro.core.shim import MasterShim
-from repro.core.sockets import (
-    NetAggSocketFactory,
-    SocketFactory,
-)
-from repro.core.straggler import StragglerMonitor, StragglerPolicy
-from repro.core.tree import AggregationTree, BoxVertex, TreeBuilder
+from repro import _lazy_exports
 
-__all__ = [
-    "AggregationTree",
-    "BoxVertex",
-    "TreeBuilder",
-    "MasterShim",
-    "NetAggPlatform",
-    "FailureDetector",
-    "rewire_failed_box",
-    "rewire_out",
-    "StragglerMonitor",
-    "StragglerPolicy",
-    "InFlightRequest",
-    "RecoveryLog",
-    "CircuitBreaker",
-    "BreakerBoard",
-    "BreakerTransition",
-    "AdmissionController",
-    "AdmissionNack",
-    "TokenBucket",
-    "Completeness",
-    "GrayDetector",
-    "SubtreeUnreachable",
-    "SocketFactory",
-    "NetAggSocketFactory",
-    "MulticastTree",
-    "build_multicast_tree",
-    "plan_multicast_flows",
-    "plan_unicast_flows",
-    "multicast_link_copies",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.admission": [
+        "AdmissionController", "AdmissionNack", "TokenBucket",
+    ],
+    "repro.core.breaker": [
+        "BreakerBoard", "BreakerTransition", "CircuitBreaker",
+    ],
+    "repro.core.failure": [
+        "FailureDetector", "rewire_failed_box", "rewire_out",
+    ],
+    "repro.core.multicast": [
+        "MulticastTree", "build_multicast_tree", "multicast_link_copies",
+        "plan_multicast_flows", "plan_unicast_flows",
+    ],
+    "repro.core.partition": [
+        "Completeness", "GrayDetector", "SubtreeUnreachable",
+    ],
+    "repro.core.platform": ["NetAggPlatform"],
+    "repro.core.recovery": ["InFlightRequest", "RecoveryLog"],
+    "repro.core.shim": ["MasterShim"],
+    "repro.core.sockets": ["NetAggSocketFactory", "SocketFactory"],
+    "repro.core.straggler": ["StragglerMonitor", "StragglerPolicy"],
+    "repro.core.tree": ["AggregationTree", "BoxVertex", "TreeBuilder"],
+})

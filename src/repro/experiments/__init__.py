@@ -24,15 +24,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.experiments.common import (
-    BENCH,
-    DEFAULT,
-    PAPER,
-    QUICK,
-    ExperimentResult,
-    SimScale,
-    simulate,
-)
+from repro import _lazy_exports
+from repro.experiments.common import ExperimentResult
 
 #: Ordered catalogue of experiment modules (figure order, then extras).
 MODULES: List[str] = [
@@ -179,19 +172,11 @@ def unknown_experiment_message(name: str) -> str:
             f"{catalogue}")
 
 
-__all__ = [
-    "Experiment",
-    "ExperimentResult",
-    "MODULES",
-    "SimScale",
-    "all_experiments",
-    "load",
-    "register",
-    "resolve",
-    "simulate",
-    "unknown_experiment_message",
-    "QUICK",
-    "BENCH",
-    "DEFAULT",
-    "PAPER",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.experiments.common": [
+        "ExperimentResult", "SimScale", "simulate",
+        "QUICK", "BENCH", "DEFAULT", "PAPER",
+    ],
+})
+__all__ += ["Experiment", "MODULES", "all_experiments", "load", "register",
+            "resolve", "unknown_experiment_message"]

@@ -31,7 +31,7 @@ APP_SPECIFIC: Dict[Tuple[str, str], Tuple[str, ...]] = {
     ("hadoop", "application"): (
         "apps/hadoop/engine.py", "apps/hadoop/job.py",
         "apps/hadoop/benchmarks.py", "apps/hadoop/data.py",
-        "apps/hadoop/pagerank.py",
+        "apps/hadoop/iterative.py",
     ),
 }
 

@@ -25,46 +25,15 @@ One seed drives FCT under failure (``fig_failures``, ``fig_overload``,
 (``fig_failures``, ``fig_partition``).
 """
 
-from repro.faults.domains import (
-    in_scope,
-)
-from repro.faults.inject import (
-    PlatformFaultInjector,
-    SimFaultInjector,
-)
-from repro.faults.retry import RetryPolicy
-from repro.faults.schedule import (
-    BOX_CRASH,
-    BOX_DEGRADE,
-    BOX_GRAY,
-    BOX_OVERLOAD,
-    BOX_RECOVER,
-    BOX_SHED,
-    FAULT_KINDS,
-    LINK_DOWN,
-    LINK_UP,
-    NET_PARTITION,
-    WORKER_CHURN,
-    FaultEvent,
-    FaultSchedule,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultSchedule",
-    "RetryPolicy",
-    "SimFaultInjector",
-    "PlatformFaultInjector",
-    "in_scope",
-    "BOX_CRASH",
-    "BOX_RECOVER",
-    "BOX_DEGRADE",
-    "LINK_DOWN",
-    "LINK_UP",
-    "WORKER_CHURN",
-    "BOX_OVERLOAD",
-    "BOX_SHED",
-    "BOX_GRAY",
-    "NET_PARTITION",
-    "FAULT_KINDS",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.faults.domains": ["in_scope"],
+    "repro.faults.inject": ["PlatformFaultInjector", "SimFaultInjector"],
+    "repro.faults.retry": ["RetryPolicy"],
+    "repro.faults.schedule": [
+        "BOX_CRASH", "BOX_DEGRADE", "BOX_GRAY", "BOX_OVERLOAD", "BOX_RECOVER",
+        "BOX_SHED", "FAULT_KINDS", "LINK_DOWN", "LINK_UP", "NET_PARTITION",
+        "WORKER_CHURN", "FaultEvent", "FaultSchedule",
+    ],
+})

@@ -14,19 +14,12 @@ Public entry points:
 - :func:`repro.netsim.fairness.max_min_rates` -- standalone solver.
 """
 
-from repro.netsim.engine import EventQueue
-from repro.netsim.fairness import max_min_rates
-from repro.netsim.network import Link, Network
-from repro.netsim.routing import EcmpRouter
-from repro.netsim.simulator import FlowSim, FlowSpec, SimulationResult
+from repro import _lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "max_min_rates",
-    "Link",
-    "Network",
-    "EcmpRouter",
-    "FlowSim",
-    "FlowSpec",
-    "SimulationResult",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.netsim.engine": ["EventQueue"],
+    "repro.netsim.fairness": ["max_min_rates"],
+    "repro.netsim.network": ["Link", "Network"],
+    "repro.netsim.routing": ["EcmpRouter"],
+    "repro.netsim.simulator": ["FlowSim", "FlowSpec", "SimulationResult"],
+})

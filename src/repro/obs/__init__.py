@@ -30,76 +30,23 @@ Perfetto thread row, so one timeline correlates simulator rate epochs,
 shim send->retry->breaker->NACK lifecycles and per-partial box work.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.obs.export import (
-    to_trace_events,
-    trace_payload,
-    validate_trace_events,
-    validate_trace_file,
-    write_trace,
-)
-from repro.obs.live import (
-    BurnRateAlert,
-    FlightRecorder,
-    LiveTelemetry,
-    SloMonitor,
-    SloObjective,
-    TimeSeriesStore,
-    WindowStats,
-    WindowedSeries,
-    ewma_step,
-    render_prometheus,
-    validate_exposition,
-)
-from repro.obs.metrics import (
-    METRICS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.tracer import (
-    LINK_UTIL_PREFIX,
-    NULL_TRACER,
-    Instant,
-    NullTracer,
-    Sample,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
-)
-
-__all__ = [
-    "BurnRateAlert",
-    "Counter",
-    "FlightRecorder",
-    "Histogram",
-    "Instant",
-    "LINK_UTIL_PREFIX",
-    "LiveTelemetry",
-    "METRICS",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "Sample",
-    "SloMonitor",
-    "SloObjective",
-    "Span",
-    "TimeSeriesStore",
-    "Tracer",
-    "WindowStats",
-    "WindowedSeries",
-    "ewma_step",
-    "get_tracer",
-    "render_prometheus",
-    "set_tracer",
-    "to_trace_events",
-    "trace_payload",
-    "tracing",
-    "validate_exposition",
-    "validate_trace_events",
-    "validate_trace_file",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.export": [
+        "to_trace_events", "trace_payload", "validate_trace_events",
+        "validate_trace_file", "write_trace",
+    ],
+    "repro.obs.live": [
+        "BurnRateAlert", "FlightRecorder", "LiveTelemetry", "SloMonitor",
+        "SloObjective", "TimeSeriesStore", "WindowStats", "WindowedSeries",
+        "ewma_step", "render_prometheus", "validate_exposition",
+    ],
+    "repro.obs.metrics": [
+        "METRICS", "Counter", "Histogram", "MetricsRegistry",
+    ],
+    "repro.obs.tracer": [
+        "LINK_UTIL_PREFIX", "NULL_TRACER", "Instant", "NullTracer", "Sample",
+        "Span", "Tracer", "get_tracer", "set_tracer", "tracing",
+    ],
+})

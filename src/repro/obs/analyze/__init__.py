@@ -40,37 +40,17 @@ from __future__ import annotations
 import pathlib
 from typing import Dict, Union
 
+from repro import _lazy_exports
 from repro.obs.analyze.critpath import (
-    CAT_BOX,
-    CAT_CORE,
-    CAT_EDGE,
-    CAT_RETRY,
-    CATEGORIES,
-    RequestPath,
     aggregate_paths,
     link_credit,
     platform_paths,
     simulator_paths,
 )
-from repro.obs.analyze.timeline import (
-    BUSY_UTILIZATION,
-    TIERS,
-    LinkSeries,
-    LinkStats,
-    TimelineReport,
-    link_tier,
-    run_timeline,
-    series_for_run,
-)
 from repro.obs.analyze.optimizer import optimizer_report
 from repro.obs.analyze.serve import serve_report
-from repro.obs.analyze.trace_data import (
-    InstantRec,
-    RunView,
-    SampleRec,
-    SpanRec,
-    TraceData,
-)
+from repro.obs.analyze.timeline import run_timeline, series_for_run
+from repro.obs.analyze.trace_data import TraceData
 from repro.obs.tracer import Tracer
 
 #: Diagnosis dict schema version.
@@ -120,34 +100,21 @@ def diagnose_file(path: Union[str, pathlib.Path]) -> Dict[str, object]:
     return diagnose(TraceData.from_file(path))
 
 
-__all__ = [
-    "BUSY_UTILIZATION",
-    "CAT_BOX",
-    "CAT_CORE",
-    "CAT_EDGE",
-    "CAT_RETRY",
-    "CATEGORIES",
-    "DIAGNOSIS_SCHEMA",
-    "InstantRec",
-    "LinkSeries",
-    "LinkStats",
-    "RequestPath",
-    "RunView",
-    "SampleRec",
-    "SpanRec",
-    "TIERS",
-    "TimelineReport",
-    "TraceData",
-    "aggregate_paths",
-    "diagnose",
-    "diagnose_file",
-    "diagnose_tracer",
-    "link_credit",
-    "link_tier",
-    "optimizer_report",
-    "platform_paths",
-    "run_timeline",
-    "series_for_run",
-    "serve_report",
-    "simulator_paths",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.analyze.critpath": [
+        "CAT_BOX", "CAT_CORE", "CAT_EDGE", "CAT_RETRY", "CATEGORIES",
+        "RequestPath", "aggregate_paths", "link_credit", "platform_paths",
+        "simulator_paths",
+    ],
+    "repro.obs.analyze.optimizer": ["optimizer_report"],
+    "repro.obs.analyze.serve": ["serve_report"],
+    "repro.obs.analyze.timeline": [
+        "BUSY_UTILIZATION", "TIERS", "LinkSeries", "LinkStats",
+        "TimelineReport", "link_tier", "run_timeline", "series_for_run",
+    ],
+    "repro.obs.analyze.trace_data": [
+        "InstantRec", "RunView", "SampleRec", "SpanRec", "TraceData",
+    ],
+})
+__all__ += ["DIAGNOSIS_SCHEMA", "diagnose", "diagnose_file",
+            "diagnose_tracer"]

@@ -32,24 +32,11 @@ import pathlib
 import re
 from typing import Dict, List, Optional
 
-from repro.obs.live.exposition import (
-    render_prometheus,
-    render_registry,
-    sample_line,
-    validate_exposition,
-)
+from repro import _lazy_exports
+from repro.obs.live.exposition import sample_line
 from repro.obs.live.recorder import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.live.series import (
-    COUNTER,
-    DEFAULT_MAXLEN,
-    GAUGE,
-    TimeSeriesStore,
-    WindowStats,
-    WindowedSeries,
-    ewma_step,
-)
+from repro.obs.live.series import DEFAULT_MAXLEN, TimeSeriesStore
 from repro.obs.live.slo import (
-    BAD_PREFIX,
     GOOD_PREFIX,
     BurnRateAlert,
     SloMonitor,
@@ -196,28 +183,20 @@ class LiveTelemetry:
         return lines
 
 
-__all__ = [
-    "BAD_PREFIX",
-    "BurnRateAlert",
-    "CLIENT_FAULT_STATUSES",
-    "COUNTER",
-    "DEFAULT_CAPACITY",
-    "DEFAULT_MAXLEN",
-    "FlightRecorder",
-    "GAUGE",
-    "GOOD_PREFIX",
-    "GOOD_STATUSES",
-    "LATENCY_PREFIX",
-    "LiveTelemetry",
-    "REQUEST_PREFIX",
-    "SloMonitor",
-    "SloObjective",
-    "TimeSeriesStore",
-    "WindowStats",
-    "WindowedSeries",
-    "ewma_step",
-    "render_prometheus",
-    "render_registry",
-    "sample_line",
-    "validate_exposition",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.live.exposition": [
+        "render_prometheus", "render_registry", "sample_line",
+        "validate_exposition",
+    ],
+    "repro.obs.live.recorder": ["DEFAULT_CAPACITY", "FlightRecorder"],
+    "repro.obs.live.series": [
+        "COUNTER", "DEFAULT_MAXLEN", "GAUGE", "TimeSeriesStore",
+        "WindowStats", "WindowedSeries", "ewma_step",
+    ],
+    "repro.obs.live.slo": [
+        "BAD_PREFIX", "BurnRateAlert", "GOOD_PREFIX", "SloMonitor",
+        "SloObjective",
+    ],
+})
+__all__ += ["CLIENT_FAULT_STATUSES", "GOOD_STATUSES", "LATENCY_PREFIX",
+            "LiveTelemetry", "REQUEST_PREFIX"]

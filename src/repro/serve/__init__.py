@@ -17,33 +17,17 @@ Turns the scripted NetAgg reproduction into a service you can hammer:
   (``python -m repro watch``) over ``/v1/stats`` + ``/metrics``.
 """
 
-from repro.serve.http import HttpFrontend, serve_forever
-from repro.serve.loadgen import (
-    LoadGenResult,
-    estimate_service_time,
-    run_loadgen,
-    tenant_policies,
-)
-from repro.serve.service import (
-    AggregationService,
-    ServeConfig,
-    TenantPolicy,
-)
-from repro.serve.stats import ServeReport, TenantStats
-from repro.serve.watch import render_dashboard, watch_loop
+from repro import _lazy_exports
 
-__all__ = [
-    "AggregationService",
-    "HttpFrontend",
-    "LoadGenResult",
-    "ServeConfig",
-    "ServeReport",
-    "TenantPolicy",
-    "TenantStats",
-    "estimate_service_time",
-    "render_dashboard",
-    "run_loadgen",
-    "serve_forever",
-    "tenant_policies",
-    "watch_loop",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.serve.http": ["HttpFrontend", "serve_forever"],
+    "repro.serve.loadgen": [
+        "LoadGenResult", "estimate_service_time", "run_loadgen",
+        "tenant_policies",
+    ],
+    "repro.serve.service": [
+        "AggregationService", "ServeConfig", "TenantPolicy",
+    ],
+    "repro.serve.stats": ["ServeReport", "TenantStats"],
+    "repro.serve.watch": ["render_dashboard", "watch_loop"],
+})

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import ExperimentResult
 from repro.obs.metrics import Histogram
 from repro.units import percentile
 
@@ -174,6 +173,8 @@ class ServeReport:
         JSON helpers, so ``--out foo.json`` works like every other
         subcommand.
         """
+        from repro.experiments.common import ExperimentResult
+
         result = ExperimentResult(
             experiment="serve",
             description=description or "per-tenant serving report",

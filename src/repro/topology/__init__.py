@@ -9,15 +9,10 @@
   multi-tree ablation.
 """
 
-from repro.topology.base import AggBoxInfo, Node, Topology
-from repro.topology.fattree import fat_tree
-from repro.topology.threetier import ThreeTierParams, three_tier
+from repro import _lazy_exports
 
-__all__ = [
-    "Node",
-    "AggBoxInfo",
-    "Topology",
-    "ThreeTierParams",
-    "three_tier",
-    "fat_tree",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.topology.base": ["AggBoxInfo", "Node", "Topology"],
+    "repro.topology.fattree": ["fat_tree"],
+    "repro.topology.threetier": ["ThreeTierParams", "three_tier"],
+})

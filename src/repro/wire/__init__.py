@@ -14,45 +14,17 @@ implements that layer from scratch:
   map/reduce traffic and scored documents for search results.
 """
 
-from repro.wire.framing import ChunkReassembler, frame
-from repro.wire.records import (
-    KeyValue,
-    SearchResult,
-    decode_kv_stream,
-    decode_search_results,
-    encode_kv_stream,
-    encode_search_results,
-)
-from repro.wire.serializer import (
-    WireError,
-    read_bytes,
-    read_floats,
-    read_string,
-    read_varint,
-    write_bytes,
-    write_float,
-    write_floats,
-    write_string,
-    write_varint,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "WireError",
-    "read_varint",
-    "write_varint",
-    "read_string",
-    "write_string",
-    "read_bytes",
-    "write_bytes",
-    "write_float",
-    "read_floats",
-    "write_floats",
-    "frame",
-    "ChunkReassembler",
-    "KeyValue",
-    "SearchResult",
-    "encode_kv_stream",
-    "decode_kv_stream",
-    "encode_search_results",
-    "decode_search_results",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.wire.framing": ["ChunkReassembler", "frame"],
+    "repro.wire.records": [
+        "KeyValue", "SearchResult", "decode_kv_stream",
+        "decode_search_results", "encode_kv_stream", "encode_search_results",
+    ],
+    "repro.wire.serializer": [
+        "WireError", "read_bytes", "read_floats", "read_string", "read_varint",
+        "write_bytes", "write_float", "write_floats", "write_string",
+        "write_varint",
+    ],
+})

@@ -7,24 +7,13 @@ locality-aware worker placement.  All of that is generated here, fully
 seeded and deterministic.
 """
 
-from repro.workload.placement import LocalityAwarePlacer, RandomPlacer
-from repro.workload.stragglers import StragglerModel, inject_stragglers
-from repro.workload.synthetic import (
-    AggJob,
-    BackgroundFlow,
-    Workload,
-    WorkloadParams,
-    generate_workload,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AggJob",
-    "BackgroundFlow",
-    "Workload",
-    "WorkloadParams",
-    "generate_workload",
-    "LocalityAwarePlacer",
-    "RandomPlacer",
-    "StragglerModel",
-    "inject_stragglers",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workload.placement": ["LocalityAwarePlacer", "RandomPlacer"],
+    "repro.workload.stragglers": ["StragglerModel", "inject_stragglers"],
+    "repro.workload.synthetic": [
+        "AggJob", "BackgroundFlow", "Workload", "WorkloadParams",
+        "generate_workload",
+    ],
+})

@@ -75,12 +75,9 @@ SRC = ROOT / "src" / "repro"
 #: reaches) and *outside* (run where this hook cannot see: ``perf/``,
 #: ``tools/``, a fork child or under cProfile).
 REASONS: Dict[str, str] = {
-    "__init__.py:__dir__":
-        "interface: PEP 562 lazy top-level API; entry points import "
-        "submodules",
-    "__init__.py:__getattr__":
-        "interface: PEP 562 lazy top-level API (`from repro import "
-        "NetAggPlatform`); entry points import submodules",
+    "__init__.py:_lazy_exports.<locals>.__dir__":
+        "interface: PEP 562 `dir()` of a package, which lists its lazy "
+        "re-exports; no entry point lists a package",
     "aggbox/box.py:AggBoxRuntime.adjust_expected":
         "fault: §3.1 recovery of a box that dies below another box "
         "mid-request",
