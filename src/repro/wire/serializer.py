@@ -133,7 +133,12 @@ def read_floats(buffer: bytes, offset: int,
 
     ``count`` usually comes off the wire, so it is checked against the
     bytes actually present before any format or list is sized by it.
+    A negative ``count``, or an ``offset`` outside the buffer, is a
+    ``WireError`` too: ``struct`` would read a negative offset from the
+    end of the buffer.
     """
+    if count < 0 or not 0 <= offset <= len(buffer):
+        raise WireError(f"bad float run: offset {offset}, count {count}")
     if count > (len(buffer) - offset) // 8:
         raise WireTruncated("truncated float")
     values = struct.unpack_from(f">{count}d", buffer, offset)

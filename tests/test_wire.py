@@ -287,6 +287,37 @@ class TestFloatRuns:
         with pytest.raises(WireError, match="truncated float"):
             read_floats(buffer, 0, count)
 
+    @given(st.binary(max_size=80), st.integers(-100, 100),
+           st.one_of(st.integers(-20, 20), st.integers(-2**62, 2**62)))
+    @example(b"", 0, -1)
+    @example(b"\0" * 8, -8, 1)
+    @example(b"\0" * 8, 9, 0)
+    @example(b"\0" * 8, 8, 0)
+    @example(write_floats([math.nan, -0.0]), 0, 2)
+    @example(struct.pack(">Q", 0x7FF0_0000_0000_0001), 0, 1)
+    @settings(max_examples=500)
+    def test_a_run_is_read_whole_or_refused(self, buffer, offset, count):
+        """Either the values re-encode to exactly the bytes consumed
+        (NaN payloads included), or the call raises ``WireError``."""
+        try:
+            values, end = read_floats(buffer, offset, count)
+        except WireError:
+            return
+        assert 0 <= offset <= end == offset + 8 * count <= len(buffer)
+        assert write_floats(values) == bytes(buffer[offset:end])
+
+    def test_huge_count_allocates_nothing(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireError):
+                read_floats(b"\0" * 16, 0, 2**40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_scalar_truncation(self):
         with pytest.raises(WireError, match="truncated float"):
             read_float(write_float(1.0)[:7])
