@@ -44,6 +44,12 @@ at run time and adds no instrumentation to the package:
    ``execute_request``.  The response's JSON encoding, which the HTTP
    front-end does after ``handle``, is timed on its own.  Rows are the
    median over ``--rounds`` rounds of the mean per request.
+5. **Control.**  The last row of both tables times fixed work that no
+   change under ``src/`` can touch -- ``json.dumps`` of a constant list
+   of 1,024 floats -- in the same rounds as the table's totals.  When
+   two runs (say a parent's tree and a change's) differ in this row,
+   that part of their gap is machine drift (load, clock, allocator
+   state), not the change.
 
 Run from the repo root::
 
@@ -89,6 +95,11 @@ REPLAYS = 400
 REPEATS = 7
 #: Captured argument tuples kept per piece.
 KEEP = 64
+#: The control row's fixed work: ``json.dumps`` of these floats,
+#: ``CONTROL_CALLS`` times a round.
+CONTROL = [i / 7 for i in range(1024)]
+CONTROL_CALLS = 50
+CONTROL_ROW = "control: `json.dumps` of 1,024 fixed floats (no `src/` code)"
 
 
 def _requests(service: AggregationService, prefix: str, n: int,
@@ -236,6 +247,14 @@ def per_call(fn: Callable[..., Any], args: Sequence[tuple]) -> float:
             fn(*a)
         best = min(best, time.perf_counter() - started)
     return best / len(args) * 1e6
+
+
+def control_us() -> float:
+    """Mean µs of one ``json.dumps(CONTROL)`` over a round's calls."""
+    started = time.perf_counter()
+    for _ in range(CONTROL_CALLS):
+        json.dumps(CONTROL)
+    return (time.perf_counter() - started) / CONTROL_CALLS * 1e6
 
 
 def fresh_feed(feeds: Sequence[tuple]) -> float:
@@ -419,6 +438,7 @@ def bulk_rows(requests: int, rounds: int) -> List[tuple]:
                          watch.seconds[key] / watch.calls[key] * 1e6)
                    for key in watch.calls}
             row["json"] = (1.0, json_s / requests * 1e6)
+            row["control"] = (1.0, control_us())
             inside = sum(seconds for key, seconds in watch.seconds.items()
                          if key.startswith("merge")
                          or key in ("encode", "decode"))
@@ -451,7 +471,8 @@ def bulk_rows(requests: int, rounds: int) -> List[tuple]:
              *median("rest")),
             ("**`handle` total**", *median("handle")),
             ("response JSON (`json.dumps`, after `handle`)",
-             *median("json"))]
+             *median("json")),
+            (CONTROL_ROW, *median("control"))]
     return out
 
 
@@ -479,9 +500,10 @@ def main(argv: Sequence[str] = ()) -> int:
     n = min(CENSUS, opts.requests)
     hop_count, seen, service = census(n)
     on_service, off_service = warm_service(True), warm_service(False)
-    ons, offs, tables, rests = [], [], [], []
+    ons, offs, tables, rests, controls = [], [], [], [], []
     for r in range(opts.rounds):
         ons.append(hop_round(on_service, r, opts.requests))
+        controls.append(control_us())
         tables.append(rows(hop_count, seen, service))
         rests.append(ons[-1] - sum(weight * cost
                                    for _, weight, cost in tables[-1]))
@@ -504,6 +526,7 @@ def main(argv: Sequence[str] = ()) -> int:
           f"| 1 | | {rest:.2f} |")
     print(f"| **hop total, telemetry on** | | | **{on:.2f}** |")
     print(f"| hop total, telemetry off | | | {off:.2f} |")
+    print(f"| {CONTROL_ROW} | | | {statistics.median(controls):.2f} |")
     if rest < 0:
         bad.append("the rest")
     bad += print_bulk(bulk_rows(opts.requests, opts.rounds),
