@@ -82,6 +82,9 @@ def main():
     overdue = detector.missing(now=2.5)
     print("  overdue at t=2.5s:", overdue)
     assert overdue == ["box:core:0:0"]
+    # Once the dead box is rewired out, its parent stops watching it.
+    detector.forget("box:core:0:0")
+    assert detector.missing(now=5.0) == ["box:tor:0:0"]
 
     print("\n-- straggler mitigation --")
     monitor = StragglerMonitor(StragglerPolicy(latency_threshold=0.5,

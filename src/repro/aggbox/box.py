@@ -30,13 +30,14 @@ class AppBinding:
     Attributes:
         app: application name.
         function: its aggregation function.
-        deserialise: frame payload -> Python partial result.
+        deserialise: frame payload -> Python partial result; None for
+            a box fed only decoded values (``submit_partial``).
         serialise: Python aggregate -> frame payload.
     """
 
     app: str
     function: AggregationFunction
-    deserialise: Callable[[bytes], Any]
+    deserialise: Optional[Callable[[bytes], Any]]
     serialise: Callable[[Any], bytes]
 
 

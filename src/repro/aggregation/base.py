@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.netsim.routing import EcmpRouter
 from repro.netsim.simulator import FlowSpec
-from repro.topology.base import Topology, link_id
+from repro.topology.base import Topology
 from repro.workload.synthetic import AggJob, BackgroundFlow, Workload
 
 
@@ -62,11 +62,6 @@ def ecmp_path(
 ) -> Tuple[str, ...]:
     """One ECMP-selected shortest path between two endpoints."""
     return router.choose(topo.equal_cost_paths(src, dst), key)
-
-
-def lane_links(nodes: Sequence[str]) -> Tuple[str, ...]:
-    """Link ids along an explicit node sequence (a fixed routing lane)."""
-    return tuple(link_id(a, b) for a, b in zip(nodes, nodes[1:]))
 
 
 def worker_start_time(job: AggJob, worker_index: int) -> float:

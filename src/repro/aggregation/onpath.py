@@ -17,13 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.aggregation.base import (
-    AggregationStrategy,
-    lane_links,
-    worker_start_time,
-)
-from repro.core.failure import rewire_out
-from repro.core.tree import AggregationTree, TreeBuilder
+from repro.aggregation.base import AggregationStrategy, worker_start_time
+from repro.core.tree import AggregationTree, TreeBuilder, lane_links
 from repro.netsim.routing import EcmpRouter
 from repro.netsim.simulator import FlowSpec
 from repro.topology.base import AGGR, CORE, TOR, Topology
@@ -63,11 +58,9 @@ class NetAggStrategy(AggregationStrategy):
                  router: EcmpRouter) -> List[FlowSpec]:
         builder = TreeBuilder(topo)
         trees = builder.build_many(
-            job.job_id, job.master, [h for h, _ in job.workers], job.n_trees
+            job.job_id, job.master, [h for h, _ in job.workers], job.n_trees,
+            leave_out=() if self.fault_view is None else self.fault_view(job),
         )
-        if self.fault_view is not None:
-            failed = set(self.fault_view(job))
-            trees = [rewire_out(tree, failed) for tree in trees]
         specs: List[FlowSpec] = []
         for tree in trees:
             specs.extend(self._tree_flows(job, tree, topo, builder))
@@ -86,31 +79,19 @@ class NetAggStrategy(AggregationStrategy):
         # aggregate available results, stragglers go direct).
         bypassed = set()
         for index, (host, size) in enumerate(job.workers):
-            flow_id = f"{prefix}:w{index}"
-            start = worker_start_time(job, index)
-            entry = tree.worker_entry[index]
-            # Up to the entry box's switch, or -- no box on the path --
-            # the full switch lane from the worker to the master.
-            lane = tree.worker_lane[index]
-            if entry is not None and \
+            if tree.worker_entry[index] is not None and \
                     job.delay_of(index) > self.straggler_bypass:
                 bypassed.add(index)
-                entry = None
-                lane = tuple(builder.lane(job.job_id, tree.tree_index,
-                                          host, tree.master_tor,
-                                          master_pod))
-            if entry is None:
-                path = lane_links((host,) + lane + (job.master,))
+                lane = builder.lane(job.job_id, tree.tree_index, host,
+                                    tree.master_tor, master_pod)
+                path = lane_links([host] + lane + [job.master])
             else:
-                info = tree.boxes[entry].info
-                path = lane_links((host,) + lane) + (
-                    info.downlink, info.proc_link,
-                )
+                path = tree.worker_path(index, host)
             specs.append(FlowSpec(
-                flow_id=flow_id,
+                flow_id=f"{prefix}:w{index}",
                 size=size * share,
                 path=path,
-                start_time=start,
+                start_time=worker_start_time(job, index),
                 job_id=job.job_id,
                 kind="worker",
                 aggregatable=True,
@@ -133,28 +114,13 @@ class NetAggStrategy(AggregationStrategy):
                 children.append(f"{prefix}:b:{child}")
             out_bytes = min(inflow, dictionary)
             outputs[box_id] = out_bytes
-            if vertex.parent is not None:
-                parent = tree.boxes[vertex.parent]
-                path = (
-                    (vertex.info.uplink,)
-                    + lane_links(vertex.lane_to_parent)
-                    + (parent.info.downlink, parent.info.proc_link)
-                )
-                kind = "internal"
-            else:
-                path = (
-                    (vertex.info.uplink,)
-                    + lane_links(vertex.lane_to_parent)
-                    + (f"{tree.master_tor}->{job.master}",)
-                )
-                kind = "result"
             specs.append(FlowSpec(
                 flow_id=f"{prefix}:b:{box_id}",
                 size=out_bytes,
-                path=path,
+                path=tree.box_path(box_id),
                 start_time=job.start_time,
                 job_id=job.job_id,
-                kind=kind,
+                kind="result" if vertex.parent is None else "internal",
                 aggregatable=True,
                 children=tuple(children),
             ))

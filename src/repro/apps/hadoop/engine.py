@@ -32,8 +32,7 @@ class PhaseStats:
     level_bytes: List[float]
     shuffle_bytes: float
     output_bytes: float
-    #: Reducer outputs in emission order (globally sorted under the
-    #: range partitioner -- TeraSort's contract).
+    #: Reducer outputs, sorted by key (TeraSort's contract).
     output_pairs: List[Tuple[str, int]] = field(default_factory=list)
 
     @property
@@ -61,22 +60,14 @@ def _combine(pairs: Iterable[Tuple[str, int]], reducer) -> List[Tuple[str, int]]
 class MapReduceEngine:
     """Single-process execution of map/reduce jobs with real data.
 
-    ``partitioner`` selects how intermediate keys map to reducers:
-
-    - ``"hash"`` (default) -- Hadoop's default hash partitioner;
-    - ``"range"`` -- TeraSort-style: cut points are sampled from the
-      mapper outputs so reducer *i* receives a contiguous, sorted key
-      range and the concatenated reducer outputs are globally sorted.
+    Intermediate keys go to reducers by Hadoop's default hash
+    partitioner; the reducer outputs are then sorted by key.
     """
 
-    def __init__(self, n_reducers: int = 1,
-                 partitioner: str = "hash") -> None:
+    def __init__(self, n_reducers: int = 1) -> None:
         if n_reducers < 1:
             raise ValueError("n_reducers must be >= 1")
-        if partitioner not in ("hash", "range"):
-            raise ValueError(f"unknown partitioner {partitioner!r}")
         self.n_reducers = n_reducers
-        self.partitioner = partitioner
 
     def run(
         self,
@@ -135,23 +126,20 @@ class MapReduceEngine:
         partitions: List[List[Tuple[str, int]]] = [
             [] for _ in range(self.n_reducers)
         ]
-        route = self._make_partitioner(current)
         for part in current:
             for key, value in part:
-                partitions[route(key)].append((key, value))
+                partitions[stable_hash(key) % self.n_reducers].append(
+                    (key, value))
 
         # -- reduce ----------------------------------------------------------
         result: Dict[str, int] = {}
         output_pairs: List[Tuple[str, int]] = []
         for partition in partitions:
             reduced = _combine(partition, job.reducer)
-            # _combine sorts by key; with a range partitioner the
-            # concatenation of reducer outputs is globally sorted.
             output_pairs.extend(reduced)
             for key, value in reduced:
                 result[key] = value
-        if self.partitioner == "hash":
-            output_pairs = sorted(output_pairs)
+        output_pairs.sort()
         output_bytes = _encode_size(output_pairs)
         counters.reduce_output_records = len(output_pairs)
         counters.reduce_output_bytes = output_bytes
@@ -164,25 +152,3 @@ class MapReduceEngine:
             output_pairs=output_pairs,
         )
         return result, stats
-
-    def _make_partitioner(
-        self, parts: Sequence[Sequence[Tuple[str, int]]]
-    ):
-        """Key -> reducer index router for the configured partitioner."""
-        if self.partitioner == "hash" or self.n_reducers == 1:
-            n = self.n_reducers
-            return lambda key: stable_hash(key) % n
-        # Range partitioner: sample keys to find balanced cut points,
-        # exactly like TeraSort's input sampler.
-        import bisect
-
-        sample: List[str] = sorted(
-            key for part in parts for key, _ in part
-        )
-        if not sample:
-            return lambda key: 0
-        cuts = [
-            sample[(i + 1) * len(sample) // self.n_reducers - 1]
-            for i in range(self.n_reducers - 1)
-        ]
-        return lambda key: bisect.bisect_left(cuts, key)

@@ -2,15 +2,15 @@
 
 - :mod:`repro.core.tree` -- construction of distributed aggregation
   trees over the agg boxes of a topology (switch lanes, box assignment,
-  multiple disjoint trees per application);
+  multiple disjoint trees per application), failed boxes rewired out
+  of them, and the links each tree edge crosses;
 - :mod:`repro.core.shim` -- the edge-server shim layers: the key-hash
   split across trees, request metadata, partial-result collection and
   empty-result emulation at the master;
 - :mod:`repro.core.platform` -- the platform object: box runtimes wired
   to a topology, application registration, functional end-to-end request
   execution;
-- :mod:`repro.core.failure` -- failure detection and recovery (child
-  rewiring + duplicate suppression);
+- :mod:`repro.core.failure` -- heartbeat failure detection;
 - :mod:`repro.core.straggler` -- straggler mitigation (per-request
   redirect, permanent failover for repeat offenders);
 - :mod:`repro.core.breaker` -- per-target circuit breakers on the shim
@@ -35,9 +35,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core.breaker": [
         "BreakerBoard", "BreakerTransition", "CircuitBreaker",
     ],
-    "repro.core.failure": [
-        "FailureDetector", "rewire_failed_box", "rewire_out",
-    ],
+    "repro.core.failure": ["FailureDetector"],
     "repro.core.multicast": [
         "MulticastTree", "build_multicast_tree", "multicast_link_copies",
         "plan_multicast_flows", "plan_unicast_flows",
@@ -50,5 +48,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core.shim": ["MasterShim"],
     "repro.core.sockets": ["NetAggSocketFactory", "SocketFactory"],
     "repro.core.straggler": ["StragglerMonitor", "StragglerPolicy"],
-    "repro.core.tree": ["AggregationTree", "BoxVertex", "TreeBuilder"],
+    "repro.core.tree": [
+        "AggregationTree", "BoxVertex", "TreeBuilder", "rewire_failed_box",
+        "rewire_out",
+    ],
 })

@@ -9,81 +9,16 @@ suppression, which the box runtime enforces via its processed-sources
 set).
 
 The structural half -- removing F from a tree and re-parenting its
-children -- is :func:`rewire_failed_box` (:func:`rewire_out` for a set of
-boxes known before planning); the detector half is a small heartbeat
-monitor usable in both the functional platform and tests.
+children -- is :func:`repro.core.tree.rewire_failed_box` (and
+``TreeBuilder.build_many(..., leave_out)`` for the boxes known before
+planning); the detector half, here, is a small heartbeat monitor usable
+in both the functional platform and tests.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
-
-from repro.core.tree import AggregationTree
-
-
-def rewire_failed_box(tree: AggregationTree,
-                      failed_box: str) -> AggregationTree:
-    """Return a copy of ``tree`` with ``failed_box`` removed.
-
-    The failed box's children (boxes and directly-attached workers) are
-    re-parented to its own parent -- the upstream node N that detected
-    the failure (the master when F was a root).  Lanes are joined so the
-    rewired segments still follow the tree's switch lane.
-    """
-    if failed_box not in tree.boxes:
-        raise KeyError(f"box {failed_box!r} is not part of tree {tree.key}")
-    rewired = copy.deepcopy(tree)
-    failed = rewired.boxes.pop(failed_box)
-    parent_id = failed.parent
-
-    # The lane from a child continues through the failed box's lane
-    # (minus the duplicated junction switch).
-    def joined_lane(child_lane: Tuple[str, ...]) -> Tuple[str, ...]:
-        return child_lane + failed.lane_to_parent[1:]
-
-    if parent_id is not None:
-        parent = rewired.boxes[parent_id]
-        parent.children.remove(failed_box)
-
-    for child_id in failed.children:
-        child = rewired.boxes[child_id]
-        child.parent = parent_id
-        child.lane_to_parent = joined_lane(child.lane_to_parent)
-        if parent_id is not None:
-            rewired.boxes[parent_id].children.append(child_id)
-
-    for worker_index in failed.direct_workers:
-        if parent_id is None:
-            # Workers now ship straight to the master.
-            rewired.worker_entry[worker_index] = None
-            rewired.worker_lane[worker_index] = joined_lane(
-                rewired.worker_lane[worker_index]
-            )
-        else:
-            rewired.worker_entry[worker_index] = parent_id
-            rewired.worker_lane[worker_index] = joined_lane(
-                rewired.worker_lane[worker_index]
-            )
-            rewired.boxes[parent_id].direct_workers.append(worker_index)
-
-    return rewired
-
-
-def rewire_out(tree: AggregationTree,
-               box_ids: Iterable[str]) -> AggregationTree:
-    """``tree`` with every box of ``box_ids`` it holds rewired out.
-
-    Plan-time §3.1, stated once for every planner: boxes leave in
-    sorted id order (adopted children are appended in rewiring order,
-    so the order shows in the tree) and ids the tree does not hold are
-    skipped.  Returns ``tree`` itself when nothing had to go.
-    """
-    for box_id in sorted(box_ids):
-        if box_id in tree.boxes:
-            tree = rewire_failed_box(tree, box_id)
-    return tree
+from typing import Dict, List
 
 
 @dataclass

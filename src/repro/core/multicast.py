@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aggregation.base import lane_links
+from repro.core.tree import lane_links
 from repro.core.tree import AggregationTree, TreeBuilder
 from repro.netsim.simulator import FlowSpec
 from repro.topology.base import Topology

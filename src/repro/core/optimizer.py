@@ -4,8 +4,8 @@ A deterministic loop that drains boxes whose effective capacity
 collapsed and returns them once they cool, in the spirit of
 utilization-aware placement of scarce aggregation resources (SOAR,
 arXiv 2110.14224).  The caller keeps the drained set, and the set feeds
-the §3.1 rewiring (:func:`repro.core.failure.rewire_out`) of every tree
-built afterwards:
+the §3.1 rewiring of every tree built afterwards (the ``leave_out`` of
+:meth:`repro.core.tree.TreeBuilder.build_many`):
 
 - :func:`rebalance_hot_edges` is the one strategy, a pure function
   from per-box utilization and the drained set to ``(kind, box,

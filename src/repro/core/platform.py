@@ -41,7 +41,6 @@ from repro.aggbox.box import AggBoxRuntime, AppBinding
 from repro.aggbox.functions import AggregationFunction
 from repro.core.admission import AdmissionController
 from repro.core.breaker import HALF_OPEN, BreakerBoard
-from repro.core.failure import rewire_failed_box, rewire_out
 from repro.core.partition import (
     HEDGE_DEADLINE,
     Completeness,
@@ -49,7 +48,7 @@ from repro.core.partition import (
     SubtreeUnreachable,
 )
 from repro.core.shim import MasterShim, ShimEvent, split_by_key
-from repro.core.tree import AggregationTree, TreeBuilder
+from repro.core.tree import AggregationTree, TreeBuilder, rewire_failed_box
 from repro.faults.retry import MAX_ATTEMPTS, SEND_LATENCY, TIMEOUT
 from repro.netsim.routing import stable_hash
 from repro.obs import METRICS, get_tracer
@@ -235,8 +234,8 @@ class NetAggPlatform:
                     worker_hosts: Sequence[str],
                     n_trees: int = 1) -> List[AggregationTree]:
         """Aggregation trees for the endpoints, failures rewired out."""
-        return [rewire_out(tree, self._failed) for tree in
-                self._builder.build_many(key, master, worker_hosts, n_trees)]
+        return self._builder.build_many(key, master, worker_hosts, n_trees,
+                                        leave_out=self._failed)
 
     def execute_request(
         self,

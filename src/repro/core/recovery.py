@@ -8,7 +8,9 @@ flight, after it already consumed some partial results.
 Protocol (§3.1, "Handling failures"):
 
 1. upstream node N (F's parent box, or the master shim) detects the
-   failure via the heartbeat detector;
+   failure via a heartbeat detector
+   (:class:`repro.core.failure.FailureDetector`, run by whoever holds
+   the request, which then calls :meth:`InFlightRequest.fail_box`);
 2. N contacts F's children (boxes or worker shims) and instructs them to
    redirect future partial results to N itself;
 3. to avoid duplicate results, N passes along the last result F
@@ -30,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Set
 
 from repro.aggbox.box import AggBoxRuntime
-from repro.core.failure import FailureDetector, rewire_failed_box
-from repro.core.tree import AggregationTree
+from repro.core.tree import AggregationTree, rewire_failed_box
 
 
 @dataclass
@@ -72,13 +73,10 @@ class InFlightRequest:
         self._boxes = boxes
         self._worker_values = list(worker_values)
         self._merge = merge
-        self._detector = FailureDetector(timeout=1.0)
         #: Emission log: source tag -> emitted value (the sender's
         #: unacknowledged-output buffer).
         self._sent_values: Dict[str, Any] = {}
         self._emit_count: Dict[str, int] = {}
-        for box_id in tree.boxes:
-            self._detector.watch(box_id)
         #: Aggregates delivered to the master, keyed by source tag.
         self.master_inbox: Dict[str, Any] = {}
         #: Direct (unaggregated) worker deliveries to the master.
@@ -174,7 +172,6 @@ class InFlightRequest:
         """
         vertex = self.tree.boxes[box_id]
         parent = vertex.parent
-        self._detector.forget(box_id)
         self.tree = rewire_failed_box(self.tree, box_id)
         if parent is None:
             return

@@ -12,18 +12,32 @@ Construction is deterministic per (key, tree index):
 - when several boxes share a switch, the (key, tree, switch) hash picks
   one, balancing trees across boxes (scale-out).
 
-Both the flow-level :class:`repro.aggregation.NetAggStrategy` and the
-functional :class:`repro.core.platform.NetAggPlatform` build their trees
-here, so the simulated and executed systems are wired identically.
+A failed box F leaves a tree by :func:`rewire_failed_box`: F's children
+(boxes and directly attached workers) are re-parented to F's parent,
+lanes joined.  :meth:`TreeBuilder.build_many` rewires the boxes known
+before planning out of every tree it builds (``leave_out``), and
+:meth:`AggregationTree.worker_path` / :meth:`AggregationTree.box_path`
+name the links each tree edge crosses.
+
+The flow-level :class:`repro.aggregation.NetAggStrategy`, the fault
+injector's reroutes and the functional
+:class:`repro.core.platform.NetAggPlatform` all build their trees and
+paths here, so the simulated and executed systems are wired identically.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netsim.routing import stable_hash
-from repro.topology.base import AggBoxInfo, Topology
+from repro.topology.base import AggBoxInfo, Topology, link_id
+
+
+def lane_links(nodes: Sequence[str]) -> Tuple[str, ...]:
+    """Link ids along an explicit node sequence (a fixed routing lane)."""
+    return tuple(link_id(a, b) for a, b in zip(nodes, nodes[1:]))
 
 
 @dataclass
@@ -86,6 +100,28 @@ class AggregationTree:
                 else len(workers))
         return live + len(vertex.children)
 
+    def worker_path(self, index: int, host: str) -> Tuple[str, ...]:
+        """Links worker ``index``'s partial crosses from ``host``: up its
+        lane into the entry box's downlink and processing link, or --
+        no box on its path -- on to the master."""
+        lane = self.worker_lane[index]
+        entry = self.worker_entry[index]
+        if entry is None:
+            return lane_links((host,) + lane + (self.master,))
+        info = self.boxes[entry].info
+        return lane_links((host,) + lane) + (info.downlink, info.proc_link)
+
+    def box_path(self, box_id: str) -> Tuple[str, ...]:
+        """Links ``box_id``'s output crosses: its uplink, its lane, then
+        the parent's downlink and processing link, or -- a root -- the
+        master's edge."""
+        vertex = self.boxes[box_id]
+        head = (vertex.info.uplink,) + lane_links(vertex.lane_to_parent)
+        if vertex.parent is None:
+            return head + (link_id(self.master_tor, self.master),)
+        parent = self.boxes[vertex.parent].info
+        return head + (parent.downlink, parent.proc_link)
+
 
 class TreeConstructionError(RuntimeError):
     """Raised when lanes produce an inconsistent parent relation."""
@@ -134,12 +170,17 @@ class TreeBuilder:
         return tree
 
     def build_many(self, key: str, master: str,
-                   worker_hosts: Sequence[str],
-                   n_trees: int) -> List[AggregationTree]:
+                   worker_hosts: Sequence[str], n_trees: int,
+                   leave_out: Iterable[str] = ()) -> List[AggregationTree]:
+        """The ``n_trees`` trees of ``key``, each with the boxes of
+        ``leave_out`` (failed, drained: whatever a planner decided
+        before the job) rewired out by :func:`rewire_out`."""
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        leave_out = tuple(leave_out)  # read once per tree
         return [
-            self.build(key, master, worker_hosts, tree_index=t)
+            rewire_out(self.build(key, master, worker_hosts, tree_index=t),
+                       leave_out)
             for t in range(n_trees)
         ]
 
@@ -270,3 +311,66 @@ def _lane_slice(lane: Sequence[str], src: str, dst: str) -> Tuple[str, ...]:
     if end < start:
         raise TreeConstructionError(f"lane runs backwards: {src} -> {dst}")
     return tuple(lane[start:end + 1])
+
+
+def rewire_failed_box(tree: AggregationTree,
+                      failed_box: str) -> AggregationTree:
+    """Return a copy of ``tree`` with ``failed_box`` removed.
+
+    The failed box's children (boxes and directly-attached workers) are
+    re-parented to its own parent -- the upstream node N that detected
+    the failure (the master when F was a root).  Lanes are joined so the
+    rewired segments still follow the tree's switch lane.
+    """
+    if failed_box not in tree.boxes:
+        raise KeyError(f"box {failed_box!r} is not part of tree {tree.key}")
+    rewired = copy.deepcopy(tree)
+    failed = rewired.boxes.pop(failed_box)
+    parent_id = failed.parent
+
+    # The lane from a child continues through the failed box's lane
+    # (minus the duplicated junction switch).
+    def joined_lane(child_lane: Tuple[str, ...]) -> Tuple[str, ...]:
+        return child_lane + failed.lane_to_parent[1:]
+
+    if parent_id is not None:
+        parent = rewired.boxes[parent_id]
+        parent.children.remove(failed_box)
+
+    for child_id in failed.children:
+        child = rewired.boxes[child_id]
+        child.parent = parent_id
+        child.lane_to_parent = joined_lane(child.lane_to_parent)
+        if parent_id is not None:
+            rewired.boxes[parent_id].children.append(child_id)
+
+    for worker_index in failed.direct_workers:
+        if parent_id is None:
+            # Workers now ship straight to the master.
+            rewired.worker_entry[worker_index] = None
+            rewired.worker_lane[worker_index] = joined_lane(
+                rewired.worker_lane[worker_index]
+            )
+        else:
+            rewired.worker_entry[worker_index] = parent_id
+            rewired.worker_lane[worker_index] = joined_lane(
+                rewired.worker_lane[worker_index]
+            )
+            rewired.boxes[parent_id].direct_workers.append(worker_index)
+
+    return rewired
+
+
+def rewire_out(tree: AggregationTree,
+               box_ids: Iterable[str]) -> AggregationTree:
+    """``tree`` with every box of ``box_ids`` it holds rewired out.
+
+    Plan-time §3.1, stated once for every planner: boxes leave in
+    sorted id order (adopted children are appended in rewiring order,
+    so the order shows in the tree) and ids the tree does not hold are
+    skipped.  Returns ``tree`` itself when nothing had to go.
+    """
+    for box_id in sorted(box_ids):
+        if box_id in tree.boxes:
+            tree = rewire_failed_box(tree, box_id)
+    return tree

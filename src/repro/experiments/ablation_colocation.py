@@ -27,7 +27,7 @@ from repro.experiments.common import (
 )
 from repro.netsim.engine import EventQueue
 from repro.units import percentile
-from repro.wire.serializer import read_floats, write_float
+from repro.wire.serializer import write_float
 
 #: Bytes per partial result chosen so merges cost ~30 ms (online) and
 #: ~1 ms (batch) on one core at the default rate.
@@ -40,7 +40,7 @@ def _binding(app: str) -> AppBinding:
     return AppBinding(
         app=app,
         function=SumFunction(),
-        deserialise=lambda b: read_floats(b, 0, 1)[0][0],
+        deserialise=None,  # the timed box is fed decoded values
         serialise=write_float,
     )
 

@@ -23,7 +23,7 @@ from repro.faults import FaultSchedule, SimFaultInjector
 from repro.netsim.routing import EcmpRouter
 from repro.netsim.simulator import FlowSim, SimulationResult
 from repro.topology.base import Topology
-from repro.topology.threetier import ThreeTierParams, three_tier
+from repro.topology.threetier import QUICK_TOPO, ThreeTierParams, three_tier
 from repro.units import MB
 from repro.workload.stragglers import StragglerModel, inject_stragglers
 from repro.workload.synthetic import WorkloadParams, generate_workload
@@ -54,8 +54,7 @@ _WORKLOAD_DEFAULTS = dict(
 
 QUICK = SimScale(
     name="quick",
-    topo=ThreeTierParams(n_pods=2, tors_per_pod=2, aggrs_per_pod=2,
-                         n_cores=2, hosts_per_tor=8),
+    topo=QUICK_TOPO,
     workload=WorkloadParams(n_flows=80, max_workers=24,
                             **_WORKLOAD_DEFAULTS),
 )

@@ -41,7 +41,6 @@ from dataclasses import replace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.aggregation import NetAggStrategy, deploy_boxes
-from repro.core.failure import rewire_out
 from repro.core.optimizer import DRAIN, tick
 from repro.core.tree import TreeBuilder
 from repro.experiments import register
@@ -256,15 +255,14 @@ class SelfHealController:
         drains = sum(1 for kind, _, _ in applied if kind == DRAIN)
         self.drains += drains
         self.undrains += len(applied) - drains
-        # Charge the boxes this job will actually use: build its trees,
-        # rewire the drained boxes out exactly as the strategy will,
+        # Charge the boxes this job will actually use: build its trees
+        # with the drained boxes left out exactly as the strategy will,
         # and charge each worker's edge rate to its entry box.
         trees = self._builder.build_many(
             job.job_id, job.master, [h for h, _ in job.workers],
-            job.n_trees,
+            job.n_trees, leave_out=self.drained,
         )
         for tree in trees:
-            tree = rewire_out(tree, self.drained)
             for index, (host, _) in enumerate(job.workers):
                 entry = tree.worker_entry[index]
                 if entry is not None:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.failure import rewire_failed_box, rewire_out
-from repro.core.tree import AggregationTree, TreeBuilder
+from repro.core.tree import AggregationTree, TreeBuilder, rewire_failed_box
 from repro.faults.domains import in_scope
 from repro.faults.schedule import (
     BOX_CRASH,
@@ -37,7 +36,7 @@ from repro.faults.schedule import (
     WORKER_CHURN,
     FaultSchedule,
 )
-from repro.topology.base import Topology, link_id as make_link_id
+from repro.topology.base import Topology
 
 
 #: The box links each box fault kind changes (``BoxInfo`` attributes).
@@ -48,10 +47,6 @@ _TOUCHED = {
     BOX_OVERLOAD: ("proc_link",),
     BOX_SHED: ("downlink",),
 }
-
-
-def _lane_links(nodes: Sequence[str]) -> Tuple[str, ...]:
-    return tuple(make_link_id(a, b) for a, b in zip(nodes, nodes[1:]))
 
 
 class SimFaultInjector:
@@ -188,84 +183,49 @@ class SimFaultInjector:
             later = [(tc, box) for tc, box in crashes if tc > job.start_time]
             if not later:
                 continue
-            hosts = [h for h, _ in job.workers]
             # Reproduce the plan-time view: boxes already down at job
             # start were rewired out before any flow existed.
-            down = self.fault_view(job)
-            trees = [rewire_out(tree, down) for tree in builder.build_many(
-                job.job_id, job.master, hosts, job.n_trees)]
+            trees = builder.build_many(
+                job.job_id, job.master, [h for h, _ in job.workers],
+                job.n_trees, leave_out=self.fault_view(job))
             for crash_time, box in later:
                 for i, tree in enumerate(trees):
                     if box not in tree.boxes:
                         continue
-                    reroutes = self._tree_reroutes(job, tree, box,
-                                                   crash_time, path_now)
-                    for when, flow_id, path in reroutes:
+                    rewired = rewire_failed_box(tree, box)
+                    for flow_id, path in self._tree_reroutes(
+                            job, tree, rewired, box, path_now):
                         path_now[flow_id] = path
-                        out.append((when, flow_id, path))
-                    trees[i] = rewire_failed_box(tree, box)
+                        out.append((crash_time, flow_id, path))
+                    trees[i] = rewired
         return out
 
+    @staticmethod
     def _tree_reroutes(
-        self,
         job,
         tree: AggregationTree,
+        rewired: AggregationTree,
         box: str,
-        crash_time: float,
         path_now: Dict[str, Tuple[str, ...]],
-    ) -> List[Tuple[float, str, Tuple[str, ...]]]:
+    ) -> List[Tuple[str, Tuple[str, ...]]]:
+        """(flow id, new path) for the flows of ``tree`` whose current
+        path crosses ``box``, which ``rewired`` no longer holds."""
         vertex = tree.boxes[box]
-        rewired = rewire_failed_box(tree, box)
         prefix = f"{job.job_id}:t{tree.tree_index}"
+        # Workers that entered the dead box redirect up the joined lane;
+        # the dead box's own output segment bypasses the box and follows
+        # its lane to the adopting parent (fluid stand-in for the
+        # children's replayed partials reaching the §3.1 detector node);
+        # child boxes that fed the dead box now feed its parent.
+        moves = [(f"{prefix}:w{w}", rewired.worker_path(w, job.workers[w][0]))
+                 for w in vertex.direct_workers]
+        moves.append((f"{prefix}:b:{box}", tree.box_path(box)[1:]))
+        moves.extend((f"{prefix}:b:{child}", rewired.box_path(child))
+                     for child in vertex.children)
         info = vertex.info
         dead_links = {info.downlink, info.uplink, info.proc_link}
-        master_edge = make_link_id(tree.master_tor, job.master)
-
-        def touched(flow_id: str) -> bool:
-            path = path_now.get(flow_id)
-            return path is not None and any(l in dead_links for l in path)
-
-        def into(tree_after: AggregationTree,
-                 parent: Optional[str]) -> Tuple[str, ...]:
-            """Final hops into the adopting parent box (or the master)."""
-            if parent is None:
-                return (master_edge,)
-            pinfo = tree_after.boxes[parent].info
-            return (pinfo.downlink, pinfo.proc_link)
-
-        out: List[Tuple[float, str, Tuple[str, ...]]] = []
-
-        # Workers that entered the dead box redirect up the joined lane.
-        for w in vertex.direct_workers:
-            flow_id = f"{prefix}:w{w}"
-            if not touched(flow_id):
-                continue
-            host = job.workers[w][0]
-            lane = rewired.worker_lane[w]
-            path = _lane_links((host,) + lane) \
-                + into(rewired, rewired.worker_entry[w])
-            out.append((crash_time, flow_id, path))
-
-        # The dead box's output segment: its bytes bypass the box and
-        # follow the lane to the adopting parent (fluid stand-in for the
-        # children's replayed partials reaching the §3.1 detector node).
-        flow_id = f"{prefix}:b:{box}"
-        if touched(flow_id):
-            path = _lane_links(vertex.lane_to_parent) \
-                + into(tree, vertex.parent)
-            out.append((crash_time, flow_id, path))
-
-        # Child boxes that fed the dead box now feed its parent.
-        for child in vertex.children:
-            flow_id = f"{prefix}:b:{child}"
-            if not touched(flow_id):
-                continue
-            cvert = rewired.boxes[child]
-            path = (cvert.info.uplink,) \
-                + _lane_links(cvert.lane_to_parent) \
-                + into(rewired, cvert.parent)
-            out.append((crash_time, flow_id, path))
-        return out
+        return [(flow_id, path) for flow_id, path in moves
+                if not dead_links.isdisjoint(path_now.get(flow_id, ()))]
 
 
 class PlatformFaultInjector:

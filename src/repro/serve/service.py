@@ -72,7 +72,7 @@ from repro.serve.stats import (
     STATUS_UNAVAILABLE,
     ServeReport,
 )
-from repro.topology.threetier import three_tier
+from repro.topology.threetier import QUICK_TOPO, ThreeTierParams, three_tier
 from repro.wire.records import (
     SearchResult,
     decode_search_results,
@@ -153,7 +153,7 @@ class ServeConfig:
     """
 
     #: Topology preset the platform deploys over.
-    topo: Any = None                       # ThreeTierParams; None = QUICK's
+    topo: ThreeTierParams = QUICK_TOPO
     #: Default per-tenant policy (tenants without an override).
     default_policy: TenantPolicy = TenantPolicy()
     #: Per-tenant overrides.
@@ -190,11 +190,8 @@ class AggregationService:
     """A live NetAgg deployment behind a request/response interface."""
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
-        from repro.experiments.common import QUICK
-
         self.config = config
-        topo_params = config.topo if config.topo is not None else QUICK.topo
-        self._topo = three_tier(topo_params)
+        self._topo = three_tier(config.topo)
         deploy_boxes(self._topo)
         self._box_ids = sorted(
             info.box_id for info in self._topo.all_boxes())

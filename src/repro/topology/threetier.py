@@ -75,6 +75,12 @@ class ThreeTierParams:
         return replace(self, **overrides)
 
 
+#: The QUICK scale's topology (32 hosts): unit tests, ``--scale quick``
+#: and the serving layer's default deployment.
+QUICK_TOPO = ThreeTierParams(n_pods=2, tors_per_pod=2, aggrs_per_pod=2,
+                             n_cores=2, hosts_per_tor=8)
+
+
 def three_tier(params: ThreeTierParams = ThreeTierParams()) -> Topology:
     """Build the three-tier multi-rooted topology."""
     topo = Topology(name=f"three-tier-{params.n_hosts}")

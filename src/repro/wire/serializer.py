@@ -60,10 +60,12 @@ def read_varint(buffer: bytes, offset: int = 0) -> Tuple[int, int]:
 
     Only the shortest encoding of a value is accepted (a multi-byte
     varint ending in a zero byte pads a shorter one), so every byte
-    string that decodes re-encodes to itself.
+    string that decodes re-encodes to itself.  A negative ``offset`` is
+    refused (indexing would read from the buffer's end), and so every
+    reader built on this one refuses it too.
     """
     size = len(buffer)
-    if offset < size:
+    if 0 <= offset < size:
         byte = buffer[offset]
         if byte < 0x80:  # a count, a short length, a small id
             return byte, offset + 1
@@ -81,6 +83,8 @@ def read_varint(buffer: bytes, offset: int = 0) -> Tuple[int, int]:
                 raise WireError("varint longer than 10 bytes")
             result |= (byte & 0x7F) << shift
             shift += 7
+    if offset < 0:
+        raise WireError(f"negative offset {offset}")
     raise WireTruncated("truncated varint")
 
 

@@ -50,10 +50,9 @@ from repro.aggregation import NetAggStrategy, deploy_boxes
 from repro.core import AdmissionController, AdmissionNack, NetAggPlatform
 from repro.core.admission import NACK_REASONS
 from repro.core.breaker import assert_legal_breaker_transitions
-from repro.core.failure import rewire_failed_box
 from repro.core.partition import SubtreeUnreachable
 from repro.core.recovery import InFlightRequest
-from repro.core.tree import TreeBuilder
+from repro.core.tree import TreeBuilder, rewire_failed_box
 from repro.faults import (
     BOX_GRAY,
     NET_PARTITION,

@@ -49,13 +49,12 @@ FIXTURE = {
 }
 
 
-@pytest.fixture
-def package(tmp_path):
-    """``(root, modules)`` of the fixture package, imported by path."""
+def load_package(tmp_path, files):
+    """``(root, modules)`` of a package of ``files``, imported by path."""
     root = tmp_path / "pkg"
     root.mkdir()
     modules = {}
-    for name, source in FIXTURE.items():
+    for name, source in files.items():
         path = root / name
         path.write_text(source)
         spec = importlib.util.spec_from_file_location(
@@ -64,6 +63,12 @@ def package(tmp_path):
         spec.loader.exec_module(module)
         modules[path.stem] = module
     return root, modules
+
+
+@pytest.fixture
+def package(tmp_path):
+    """``(root, modules)`` of the fixture package."""
+    return load_package(tmp_path, FIXTURE)
 
 
 def census(check_reach, root, calls, reasons):
@@ -137,6 +142,30 @@ def test_byte_identical_defs_in_two_files_count_apart(package):
     # ... and entering one does not enter the other.
     unentered, _ = census(check_reach, root, [run_a], {})
     assert "fig_b.py:run" in unentered and "fig_a.py:run" not in unentered
+
+
+def test_lambdas_are_counted_like_defs(tmp_path):
+    """A lambda is keyed ``path:outer.<lambda>@line``; the enclosing
+    def's key covers it, as it covers a closure."""
+    check_reach = load()
+    root, modules = load_package(tmp_path, {"lam.py": (
+        "def outer():\n"
+        "    used = lambda: 1\n"
+        "    spare = lambda: 2\n"
+        "    return used()\n"
+        "\n\n"
+        "TOP = lambda: 3\n")})
+    assert sorted(check_reach.defs(root).values()) == [
+        "lam.py:<lambda>@7", "lam.py:outer",
+        "lam.py:outer.<locals>.<lambda>@2",
+        "lam.py:outer.<locals>.<lambda>@3"]
+    unentered, found = census(check_reach, root, [modules["lam"].outer], {})
+    assert unentered == ["lam.py:<lambda>@7",
+                         "lam.py:outer.<locals>.<lambda>@3"]
+    assert [line.split(": ")[0] for line in found] == unentered
+    _, found = census(check_reach, root, [modules["lam"].outer], {
+        "lam.py:outer": "kept", "lam.py:<lambda>@7": "kept"})
+    assert found == []
 
 
 def test_reasons_table_stays_short_and_names_real_defs():

@@ -41,13 +41,26 @@ ENTRIES = {
 }
 
 
-def loaded_after_import(module: str):
-    """Every module a fresh interpreter holds after importing ``module``."""
+_SERVICE_CENSUS = """
+import json, sys
+from repro.serve.service import AggregationService, ServeConfig
+AggregationService(ServeConfig())
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _census(script: str, *args: str):
+    """Every module a fresh interpreter holds after running ``script``."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", _CENSUS, module],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after_import(module: str):
+    """Every module a fresh interpreter holds after importing ``module``."""
+    return _census(_CENSUS, module)
 
 
 def _within(name: str, package: str) -> bool:
@@ -66,3 +79,11 @@ def test_entry_point_loads_only_its_layers(entry):
         assert len(repro_modules) <= most, (
             f"{entry} loads {len(repro_modules)} repro modules: "
             f"{repro_modules}")
+
+
+def test_building_the_service_loads_no_experiment():
+    """``ServeConfig``'s default topology is named in the topology
+    layer, so a service built on it never reaches for the registry."""
+    loaded = _census(_SERVICE_CENSUS)
+    stray = [m for m in loaded if _within(m, "repro.experiments")]
+    assert not stray, stray

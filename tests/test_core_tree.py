@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation import deploy_boxes
-from repro.core.failure import rewire_failed_box, rewire_out
 from repro.core.tree import (
     AggregationTree,
     BoxVertex,
     TreeBuilder,
     TreeConstructionError,
     _TreeChoices,
+    rewire_failed_box,
+    rewire_out,
 )
 from repro.netsim.routing import stable_hash
 from repro.topology import ThreeTierParams, fat_tree, three_tier
@@ -436,7 +437,8 @@ class TestLiveBuilderMatchesFrozenSelection:
 def _frozen_rewire_loop(tree, avoid):
     """The plan-time rewiring loop as ``NetAggPlatform.build_trees``,
     ``NetAggStrategy.plan_job``, ``SimFaultInjector.reroute_events`` and
-    ``SelfHealController.view`` each spelled it before ``rewire_out``."""
+    ``SelfHealController.view`` each spelled it before ``rewire_out``
+    (which ``TreeBuilder.build_many`` now applies to ``leave_out``)."""
     for box_id in sorted(avoid):
         if box_id in tree.boxes:
             tree = rewire_failed_box(tree, box_id)
@@ -487,6 +489,21 @@ class TestRewireOutAndFanIn:
         for box_id, vertex in tree.boxes.items():
             assert tree.fan_in(box_id) == \
                 len(vertex.direct_workers) + len(vertex.children)
+
+    @given(_jobs(), st.data())
+    @settings(max_examples=80)
+    def test_build_many_leaves_out_like_the_loop(self, job, data):
+        topo, key, master, workers, n_trees = job
+        builder = TreeBuilder(topo)
+        pool = sorted(info.box_id for info in topo.all_boxes())
+        avoid = data.draw(st.lists(st.sampled_from(pool + ["box:ghost"]),
+                                   unique=True))
+        want = [_frozen_rewire_loop(
+            builder.build(key, master, workers, tree_index=t), set(avoid))
+            for t in range(n_trees)]
+        for leave_out in (avoid, set(avoid), iter(avoid)):
+            _same_trees(builder.build_many(key, master, workers, n_trees,
+                                           leave_out=leave_out), want)
 
     def test_request_key_names_the_tree(self):
         trees = TreeBuilder(topo_with_boxes()).build_many(

@@ -43,8 +43,8 @@ class TestSharedTreeConstruction:
     def test_strategy_and_platform_use_same_boxes(self):
         """The simulated flows traverse exactly the boxes the platform's
         trees contain, and enter them where the platform's workers do --
-        both are built by repro.core.tree and, around failed boxes,
-        rewired by repro.core.failure.rewire_out."""
+        both are built, and around failed boxes rewired, by
+        repro.core.tree.TreeBuilder.build_many."""
         topo = make_topo()
         planned = TreeBuilder(topo).build("req-7", "host:0", list(WORKERS))
         entry, root = planned.worker_entry[0], planned.roots()[0]

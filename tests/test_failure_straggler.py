@@ -3,9 +3,9 @@
 import pytest
 
 from repro.aggregation import deploy_boxes
-from repro.core.failure import FailureDetector, rewire_failed_box
+from repro.core.failure import FailureDetector
 from repro.core.straggler import StragglerMonitor, StragglerPolicy
-from repro.core.tree import TreeBuilder
+from repro.core.tree import TreeBuilder, rewire_failed_box
 from repro.topology import ThreeTierParams, three_tier
 
 SMALL = ThreeTierParams(

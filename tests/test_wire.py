@@ -295,16 +295,26 @@ class TestFloatRuns:
     @example(b"\0" * 8, 8, 0)
     @example(write_floats([math.nan, -0.0]), 0, 2)
     @example(struct.pack(">Q", 0x7FF0_0000_0000_0001), 0, 1)
+    @example(b"\x05", -1, 0)
+    @example(b"\x01a", -2, 0)
     @settings(max_examples=500)
     def test_a_run_is_read_whole_or_refused(self, buffer, offset, count):
         """Either the values re-encode to exactly the bytes consumed
-        (NaN payloads included), or the call raises ``WireError``."""
-        try:
-            values, end = read_floats(buffer, offset, count)
-        except WireError:
-            return
-        assert 0 <= offset <= end == offset + 8 * count <= len(buffer)
-        assert write_floats(values) == bytes(buffer[offset:end])
+        (NaN payloads included), or the call raises ``WireError``.  The
+        same holds for the varint, byte-blob and string readers at the
+        same offset."""
+        for read, args, write in ((read_floats, (count,), write_floats),
+                                  (read_varint, (), write_varint),
+                                  (read_bytes, (), write_bytes),
+                                  (read_string, (), write_string)):
+            try:
+                value, end = read(buffer, offset, *args)
+            except WireError:
+                continue
+            assert 0 <= offset <= end <= len(buffer)
+            assert write(value) == bytes(buffer[offset:end])
+            if read is read_floats:
+                assert len(value) == count
 
     def test_huge_count_allocates_nothing(self):
         import tracemalloc

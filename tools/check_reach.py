@@ -3,8 +3,8 @@
 
 A function that no figure, example or served request ever enters is kept
 alive only by the tests that import it.  This script drives the entry
-points with a profile hook installed and lists every ``def`` under
-``src/repro`` that nothing entered:
+points with a profile hook installed and lists every ``def`` and
+``lambda`` under ``src/repro`` that nothing entered:
 
 - ``python -m repro run all --scale quick``, then each other CLI
   command once at QUICK scale (in process; see :func:`_cli_runs`);
@@ -192,7 +192,8 @@ class Recorder:
 
 
 def defs(root: pathlib.Path = SRC) -> Dict[Key, str]:
-    """Every ``def`` under ``root``: its key -> ``path:qualname``.
+    """Every ``def`` and ``lambda`` under ``root``: its key ->
+    ``path:qualname`` (``path:outer.<lambda>@line`` for a lambda).
 
     A code object's first line is its first decorator's, so the key
     takes the smaller of the two.
@@ -207,6 +208,11 @@ def defs(root: pathlib.Path = SRC) -> Dict[Key, str]:
                 first = min([child.lineno] + [d.lineno for d in
                                               child.decorator_list])
                 found[(str(path), first, child.name)] = f"{rel}:{qualname}"
+                walk(child, path, rel, qualname + ".<locals>.")
+            elif isinstance(child, ast.Lambda):
+                qualname = f"{prefix}<lambda>@{child.lineno}"
+                found[(str(path), child.lineno, "<lambda>")] = \
+                    f"{rel}:{qualname}"
                 walk(child, path, rel, qualname + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, rel, prefix + child.name + ".")
