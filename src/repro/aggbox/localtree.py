@@ -183,8 +183,8 @@ class LocalTreeModel:
         busy = [0]
 
         def deliver(leaf_index: int, seq: int) -> None:
-            leaf = self._leaf(leaf_index)
-            leaf.in_chunks[0] += 1
+            # _build_tree appends the leaves first.
+            self._nodes[leaf_index].in_chunks[0] += 1
             pump()
 
         # Schedule all chunk arrivals, interleaved across leaves.
@@ -257,7 +257,3 @@ class LocalTreeModel:
             tasks_executed=executed[0],
             peak_concurrency=peak[0],
         )
-
-    def _leaf(self, index: int) -> _TaskNode:
-        leaves = [n for n in self._nodes if not n.children]
-        return leaves[index]

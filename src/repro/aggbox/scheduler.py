@@ -22,6 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.engine import EventQueue
 from repro.obs import METRICS
+from repro.obs.live.series import ewma_step
+
+#: Smoothing weight of the moving average of task durations that the
+#: adaptive weights divide by (both schedulers).
+DURATION_ALPHA = 0.2
 
 
 @dataclass(frozen=True)
@@ -57,22 +62,18 @@ class SchedulerParams:
         threads: thread-pool size.
         adaptive: adapt weights from measured task times (Fig. 26) or
             keep them fixed at the target shares (Fig. 25).
-        ema_alpha: smoothing of the task-duration moving average.
         adapt_interval: seconds between weight re-computations.
         sample_interval: CPU-share sampling window for the time series.
     """
 
     threads: int = 16
     adaptive: bool = False
-    ema_alpha: float = 0.2
     adapt_interval: float = 0.5
     sample_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if not 0.0 < self.ema_alpha <= 1.0:
-            raise ValueError("ema_alpha must be in (0, 1]")
         if self.adapt_interval <= 0 or self.sample_interval <= 0:
             raise ValueError("intervals must be positive")
 
@@ -112,23 +113,20 @@ class WfqExecutor:
     weight; a freed thread picks the non-empty queue with the largest
     weighted deficit (deterministic WFQ rather than the paper's
     probabilistic offer, so tests are exact); adaptive mode re-derives
-    weights from an EMA of measured task durations exactly like the
-    paper's scheduler.
+    weights from a moving average of measured task durations exactly
+    like the paper's scheduler.
     """
 
     def __init__(self, queue: EventQueue, threads: int = 16,
-                 adaptive: bool = True, ema_alpha: float = 0.2) -> None:
+                 adaptive: bool = True) -> None:
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        if not 0.0 < ema_alpha <= 1.0:
-            raise ValueError("ema_alpha must be in (0, 1]")
         self._queue = queue
         self._threads_free = threads
         self.threads = threads
         self._adaptive = adaptive
-        self._ema_alpha = ema_alpha
         self._targets: Dict[str, float] = {}
-        self._ema: Dict[str, Optional[float]] = {}
+        self._mean_duration: Dict[str, Optional[float]] = {}
         self._pending: Dict[str, List] = {}
         self._served: Dict[str, float] = {}  # cpu-seconds granted
         self.cpu_seconds: Dict[str, float] = {}
@@ -139,7 +137,7 @@ class WfqExecutor:
         if target_share <= 0:
             raise ValueError("target_share must be positive")
         self._targets[app] = target_share
-        self._ema[app] = None
+        self._mean_duration[app] = None
         self._pending[app] = []
         self._served[app] = 0.0
         self.cpu_seconds[app] = 0.0
@@ -159,7 +157,7 @@ class WfqExecutor:
         target = self._targets[app]
         if not self._adaptive:
             return target
-        measured = self._ema[app]
+        measured = self._mean_duration[app]
         if not measured:
             return target
         return target / measured
@@ -171,7 +169,7 @@ class WfqExecutor:
         # Deterministic analogue of the paper's probabilistic offer:
         # every *pick* costs 1/weight, so fixed weights are count-fair
         # (the Fig. 25 pathology: long tasks hog CPU time) and adaptive
-        # weights (target / EMA duration) become time-fair (Fig. 26).
+        # weights (target / mean duration) become time-fair (Fig. 26).
         def deficit(app: str) -> float:
             weight = self._weight(app)
             return self._served[app] / weight if weight > 0 else float("inf")
@@ -187,11 +185,8 @@ class WfqExecutor:
             self._threads_free -= 1
             self._served[app] += 1.0  # one pick (see _pick)
             self.cpu_seconds[app] += duration
-            previous = self._ema[app]
-            self._ema[app] = duration if previous is None else (
-                self._ema_alpha * duration
-                + (1 - self._ema_alpha) * previous
-            )
+            self._mean_duration[app] = ewma_step(
+                self._mean_duration[app], duration, DURATION_ALPHA)
 
             def finish(cb=done):
                 self._threads_free += 1
@@ -234,7 +229,8 @@ class TaskScheduler:
         params = self._params
         queue = EventQueue()
         weights = dict(self._targets)  # initial weights = target shares
-        ema: Dict[str, Optional[float]] = {a: None for a in self._workloads}
+        mean_took: Dict[str, Optional[float]] = {
+            a: None for a in self._workloads}
         shares = {a: AppShare(app=a) for a in self._workloads}
         window: Dict[str, float] = {a: 0.0 for a in self._workloads}
         timeline: List[Tuple[float, Dict[str, float]]] = []
@@ -266,10 +262,7 @@ class TaskScheduler:
             shares[app].cpu_seconds += used
             shares[app].tasks_run += 1
             window[app] += used
-            previous = ema[app]
-            ema[app] = took if previous is None else (
-                params.ema_alpha * took + (1 - params.ema_alpha) * previous
-            )
+            mean_took[app] = ewma_step(mean_took[app], took, DURATION_ALPHA)
             queue.schedule(took, run_thread)
 
         def adapt() -> None:
@@ -278,7 +271,7 @@ class TaskScheduler:
             if params.adaptive:
                 ratios = {}
                 for app, target in self._targets.items():
-                    measured = ema[app]
+                    measured = mean_took[app]
                     if measured is None or measured <= 0:
                         ratios[app] = target
                     else:

@@ -31,7 +31,7 @@ _INF = float("inf")
 
 def transfer_state(solver, specs: Mapping[str, object]):
     """The transfer state matching ``solver``'s storage.  ``specs`` maps
-    flow id -> :class:`~repro.netsim.simulator.FlowSpec` (sizes, caps)."""
+    flow id -> :class:`~repro.netsim.simulator.FlowSpec` (sizes)."""
     if isinstance(solver, VectorizedMaxMin):
         return _ArrayTransfers(solver, specs)
     return _DictTransfers(solver, specs)
@@ -78,8 +78,7 @@ class _DictTransfers:
     def enter(self, flow_id: str, path: Sequence[str]) -> None:
         """Put a stalled flow into the rate solve on ``path``."""
         self._stalled.discard(flow_id)
-        self._solver.add_flow(flow_id, path,
-                              rate_cap=self._specs[flow_id].rate_cap)
+        self._solver.add_flow(flow_id, path)
 
     def leave(self, flow_id: str) -> None:
         """Take a flow out of the rate solve; it keeps its bytes."""
@@ -183,7 +182,7 @@ class _ArrayTransfers:
     def enter(self, flow_id: str, path: Sequence[str]) -> None:
         """Put a stalled flow into the rate solve on ``path``."""
         spec = self._specs[flow_id]
-        slot = self._solver.add_flow(flow_id, path, rate_cap=spec.rate_cap)
+        slot = self._solver.add_flow(flow_id, path)
         n = len(self._rem)
         if slot >= n:
             size = max(slot + 1, 2 * n)

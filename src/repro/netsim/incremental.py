@@ -37,11 +37,10 @@ bottleneck-freezing kernel that is algebraically the same progressive
 filling the batch solvers implement, but organised around a lazy heap
 of link-saturation water levels instead of lock-step rounds: link ``l``
 with ``u`` unfrozen users and ``r`` remaining capacity saturates at
-level ``level + r / u``; the next event is the smallest such level (or
-the smallest unreached rate cap); freezing a flow lazily charges only
-the links it traverses.  Links are integer-indexed with
-generation-stamped scratch arrays, so a solve allocates only in
-proportion to the region it touches.
+level ``level + r / u``; the next event is the smallest such level;
+freezing a flow lazily charges only the links it traverses.  Links are
+integer-indexed with generation-stamped scratch arrays, so a solve
+allocates only in proportion to the region it touches.
 
 The result is the same unique max-min allocation the exact solvers
 compute; property tests in ``tests/test_incremental.py`` cross-check
@@ -54,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import fsum
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 _INF = float("inf")
 
@@ -76,24 +75,24 @@ class SolverStats:
     flows_reused: int = 0       #: cached rates carried across a solve
 
 
-def _check_rate_cap(flow_id: str, rate_cap: Optional[float]) -> None:
-    """Both warm solvers' ``rate_cap`` check: a negative cap would come
-    back as a negative rate and a NaN one never freezes (``>= 0`` is
-    false for both)."""
-    if rate_cap is not None and not rate_cap >= 0:
-        raise ValueError(f"flow {flow_id!r} rate cap must be >= 0")
+def _check_rate_cap(flow_id: str, rate_cap: None) -> None:
+    """Both warm solvers' ``add_flow`` take a third ``rate_cap`` argument
+    only because ``perf/sim.py``'s solver replay passes
+    ``FlowSpec.rate_cap`` (always ``None``) there; anything else is
+    refused, since every rate is bounded by links alone."""
+    if rate_cap is not None:
+        raise ValueError(f"flow {flow_id!r}: per-flow rate caps are not "
+                         f"supported (got {rate_cap!r})")
 
 
 class _Flow:
     """Internal per-flow record (identity-hashed, generation-stamped)."""
 
-    __slots__ = ("fid", "links", "cap", "seen", "frozen")
+    __slots__ = ("fid", "links", "seen", "frozen")
 
-    def __init__(self, fid: str, links: Tuple[int, ...],
-                 cap: Optional[float]) -> None:
+    def __init__(self, fid: str, links: Tuple[int, ...]) -> None:
         self.fid = fid
         self.links = links      #: distinct link indices traversed
-        self.cap = cap
         self.seen = 0           #: region-BFS generation stamp
         self.frozen = 0         #: fill generation stamp
 
@@ -105,7 +104,7 @@ class IncrementalMaxMin:
 
         solver = IncrementalMaxMin(network.capacities())
         solver.add_flow("f1", ("l1", "l2"))
-        solver.add_flow("f2", ("l2",), rate_cap=3.0)
+        solver.add_flow("f2", ("l2",))
         rates = solver.rates()          # solves
         solver.remove_flow("f1")
         rates = solver.rates()          # re-solves only what f1 touched
@@ -150,9 +149,11 @@ class IncrementalMaxMin:
         return len(self._flows)
 
     def add_flow(self, flow_id: str, links: Sequence[str],
-                 rate_cap: Optional[float] = None) -> None:
+                 rate_cap: None = None) -> None:
         """Add a flow traversing ``links`` (set semantics, like the batch
-        solvers: a repeated link is charged once)."""
+        solvers: a repeated link is charged once).  A flow with no links
+        gets rate +inf.  ``rate_cap`` is there for ``perf/sim.py`` and
+        must be ``None`` (:func:`_check_rate_cap`)."""
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
         _check_rate_cap(flow_id, rate_cap)
@@ -163,7 +164,7 @@ class IncrementalMaxMin:
             raise KeyError(
                 f"flow {flow_id!r} uses unknown link {exc.args[0]!r}"
             ) from None
-        flow = _Flow(flow_id, link_ids, rate_cap)
+        flow = _Flow(flow_id, link_ids)
         self._flows[flow_id] = flow
         users = self._users
         cap_arr = self._cap_arr
@@ -318,43 +319,21 @@ class IncrementalMaxMin:
         lver, lrising = self._lver, self._lrising
         users = self._users
 
-        cap_heap: List[Tuple[float, str, _Flow]] = []
         n_active = 0
         for flow in region:
-            if not flow.links and flow.cap is None:
+            if flow.links:
+                n_active += 1
+            else:
                 rates[flow.fid] = _INF
-                continue
-            n_active += 1
-            if flow.cap is not None:
-                cap_heap.append((flow.cap, flow.fid, flow))
         link_heap: List[Tuple[float, int, int]] = [
             (lrem[li] / lrising[li], 1, li)
             for li in touched if lrising[li]
         ]
         heapify(link_heap)
-        heapify(cap_heap)
 
         level = 0.0
 
-        def freeze(flow: _Flow, rate: float, at: float) -> None:
-            nonlocal n_active
-            rates[flow.fid] = rate
-            flow.frozen = gen
-            n_active -= 1
-            for li in flow.links:
-                # Charge the rise since the link's last update, with the
-                # user count *including* the flow being frozen.
-                n = lrising[li]
-                left = lrem[li] - (at - lmark[li]) * n
-                lrem[li] = left if left > 0.0 else 0.0
-                lmark[li] = at
-                lrising[li] = n - 1
-                lver[li] += 1
-
         while n_active:
-            while cap_heap and cap_heap[0][2].frozen == gen:
-                heappop(cap_heap)
-            cap_level = cap_heap[0][0] if cap_heap else _INF
             # Lazily repair the link heap: a stale top entry is replaced
             # by the link's current saturation level (which only ever
             # rises as users freeze, so stale entries are lower bounds
@@ -370,23 +349,21 @@ class IncrementalMaxMin:
                     if left < 0.0:
                         left = 0.0
                     heappush(link_heap, (lmark[li] + left / n, lver[li], li))
-            link_level = link_heap[0][0] if link_heap else _INF
-            if cap_level == _INF and link_level == _INF:
-                # Unconstrained flows (no links, no cap) -- cannot happen
-                # given the admission above, but guard against looping.
-                for flow in region:  # pragma: no cover - defensive
-                    if flow.frozen != gen and rates.get(flow.fid) != _INF:
-                        rates[flow.fid] = _INF
-                break
-            if cap_level <= link_level:
-                cap, _, flow = heappop(cap_heap)
-                if level < cap:
-                    level = cap
-                freeze(flow, cap, level)
-            else:
-                sat_level, _, li = heappop(link_heap)
-                if level < sat_level:
-                    level = sat_level
-                for flow in users[li]:
-                    if flow.frozen != gen and flow.seen == gen:
-                        freeze(flow, level, level)
+            sat_level, _, li = heappop(link_heap)
+            if level < sat_level:
+                level = sat_level
+            for flow in users[li]:
+                if flow.frozen != gen and flow.seen == gen:
+                    rates[flow.fid] = level
+                    flow.frozen = gen
+                    n_active -= 1
+                    for lj in flow.links:
+                        # Charge the rise since the link's last update,
+                        # with the user count *including* the flow being
+                        # frozen.
+                        n = lrising[lj]
+                        left = lrem[lj] - (level - lmark[lj]) * n
+                        lrem[lj] = left if left > 0.0 else 0.0
+                        lmark[lj] = level
+                        lrising[lj] = n - 1
+                        lver[lj] += 1

@@ -130,8 +130,6 @@ def slowdowns(result: SimulationResult, network,
         if not spec.path or spec.size <= 0:
             continue
         bottleneck = min(capacities[link] for link in spec.path)
-        if spec.rate_cap is not None:
-            bottleneck = min(bottleneck, spec.rate_cap)
         if bottleneck <= 0:
             continue  # link downed post-run; no meaningful ideal
         ideal = spec.size / bottleneck

@@ -61,8 +61,7 @@ def simulate_reference(
                 if not ready(spec, now):
                     continue
                 admitted[spec.flow_id] = max(now, spec.start_time)
-                if spec.size <= 0 or (not spec.path
-                                      and spec.rate_cap is None):
+                if spec.size <= 0 or not spec.path:
                     drained[spec.flow_id] = admitted[spec.flow_id]
                 else:
                     remaining[spec.flow_id] = spec.size
@@ -85,11 +84,7 @@ def simulate_reference(
             continue
 
         rates = max_min_rates(
-            {fid: by_id[fid].path for fid in remaining},
-            capacities,
-            {fid: by_id[fid].rate_cap for fid in remaining
-             if by_id[fid].rate_cap is not None},
-        )
+            {fid: by_id[fid].path for fid in remaining}, capacities)
         now += time_step
         finished: List[str] = []
         for flow_id in remaining:

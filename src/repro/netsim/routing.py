@@ -34,9 +34,6 @@ class SinglePathRouter:
 class EcmpRouter:
     """Pick one of several equal-cost paths by hashing a flow key."""
 
-    def __init__(self, salt: str = "") -> None:
-        self._salt = salt
-
     def choose(
         self, paths: Sequence[Tuple[str, ...]], flow_key: str
     ) -> Tuple[str, ...]:
@@ -49,5 +46,5 @@ class EcmpRouter:
             raise ValueError(f"no paths available for flow {flow_key!r}")
         if len(paths) == 1:
             return tuple(paths[0])
-        index = stable_hash(self._salt + flow_key) % len(paths)
+        index = stable_hash(flow_key) % len(paths)
         return tuple(paths[index])

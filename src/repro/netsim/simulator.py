@@ -64,7 +64,7 @@ class FlowSpec:
         flow_id: unique id.
         size: bytes to transfer (>= 0; zero-byte flows finish instantly).
         path: link ids traversed, in order.  May be empty for co-located
-            endpoints (the flow then finishes instantly unless rate-capped).
+            endpoints (the flow then finishes instantly).
         start_time: virtual time at which the flow becomes active.
         job_id: optional grouping key (one partition/aggregation job).
         kind: free-form label -- the strategies use ``"worker"``,
@@ -74,7 +74,9 @@ class FlowSpec:
             (used to split Figs. 6 and 7).
         children: flow ids that must drain before this flow is admitted
             (an aggregate cannot be forwarded before its inputs arrive).
-        rate_cap: optional per-flow rate ceiling in bytes/second.
+
+    Every rate is bounded by the links of ``path`` alone: a box's
+    processing rate is its ``proc_link``, so there is no per-flow cap.
     """
 
     flow_id: str
@@ -85,7 +87,6 @@ class FlowSpec:
     kind: str = "background"
     aggregatable: bool = False
     children: Tuple[str, ...] = ()
-    rate_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
         # Chained/negated comparisons, so that NaN (false either way)
@@ -95,8 +96,12 @@ class FlowSpec:
             raise ValueError(f"flow {self.flow_id!r} size not in [0, inf)")
         if not 0 <= self.start_time < math.inf:
             raise ValueError(f"flow {self.flow_id!r} start not in [0, inf)")
-        if self.rate_cap is not None and not self.rate_cap > 0:
-            raise ValueError(f"flow {self.flow_id!r} has non-positive cap")
+
+    @property
+    def rate_cap(self) -> None:
+        """Always ``None``: ``perf/sim.py``'s solver replay still reads
+        it and passes it to ``add_flow``."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -393,8 +398,7 @@ class _Run:
             self.n_events += 1
             spec = specs[flow_id]
             admitted = max(when, spec.start_time)
-            if spec.size <= 0 or (not self.paths[flow_id] and
-                                  spec.rate_cap is None):
+            if spec.size <= 0 or not self.paths[flow_id]:
                 self.drain(flow_id, admitted, admitted)
             else:
                 self.records[flow_id] = FlowRecord(

@@ -165,8 +165,6 @@ class VectorizedMaxMin:
         self._rate = _np.zeros(n0, dtype=_np.float64)
         #: Python mirror of ``_rate`` (scalar reads during region BFS).
         self._rlist: List[float] = [0.0] * n0
-        #: Per-slot rate cap (+inf = uncapped).
-        self._fcap: List[float] = [_INF] * n0
         self._estart = _np.zeros(n0, dtype=_np.int64)
         self._eend = _np.zeros(n0, dtype=_np.int64)
 
@@ -209,7 +207,6 @@ class VectorizedMaxMin:
             arr[:n] = old
             setattr(self, name, arr)
         self._rlist.extend([0.0] * (new - n))
-        self._fcap.extend([_INF] * (new - n))
 
     def _grow_edges(self, need: int) -> None:
         n = len(self._eflow)
@@ -223,9 +220,11 @@ class VectorizedMaxMin:
             setattr(self, name, arr)
 
     def add_flow(self, flow_id: str, links: Sequence[str],
-                 rate_cap: Optional[float] = None) -> int:
+                 rate_cap: None = None) -> int:
         """Add a flow traversing ``links`` (set semantics); returns the
-        flow's slot index for array-side bookkeeping."""
+        flow's slot index for array-side bookkeeping.  ``rate_cap`` is
+        there for ``perf/sim.py`` and must be ``None``
+        (:func:`~repro.netsim.incremental._check_rate_cap`)."""
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
         _check_rate_cap(flow_id, rate_cap)
@@ -243,7 +242,6 @@ class VectorizedMaxMin:
         # next solve's re-solve region.
         self._rate[slot] = _INF
         self._rlist[slot] = _INF
-        self._fcap[slot] = rate_cap if rate_cap is not None else _INF
         ne = len(link_ids)
         e0 = self._nedges
         self._grow_edges(e0 + ne)
@@ -372,17 +370,10 @@ class VectorizedMaxMin:
             self._finish_solve(0)
             return
 
+        # A flow with no links keeps the +inf it was added with; only
+        # fresh flows can reach the region linkless.
         slinks = self._slinks
-        fcap = self._fcap
-        rlist = self._rlist
-        linked: List[int] = []
-        for s in slots:
-            if slinks[s]:
-                linked.append(s)
-            else:
-                # Flows with no links freeze immediately at cap (or
-                # +inf); only fresh flows can reach the region linkless.
-                self._rate[s] = rlist[s] = fcap[s]
+        linked = [s for s in slots if slinks[s]]
         if linked:
             self._fill(linked, lflows, contrib)
         self._finish_solve(region)
@@ -598,10 +589,10 @@ class VectorizedMaxMin:
         """Progressive fill of the rising region.
 
         The same bottleneck-freezing algorithm as
-        ``IncrementalMaxMin._fill`` (lazy link-saturation heap plus a
-        rate-cap heap), run over region-local state: its cost follows
-        the region, never the network -- no full-length (all links /
-        all edges) array pass is paid per solve.
+        ``IncrementalMaxMin._fill`` (a lazy link-saturation heap), run
+        over region-local state: its cost follows the region, never the
+        network -- no full-length (all links / all edges) array pass is
+        paid per solve.
         Per-link residuals are reconstructed from the maintained
         allocation sums: ``cap - lalloc`` is the slack left by the
         whole last allocation, and adding back the region's own old
@@ -618,9 +609,6 @@ class VectorizedMaxMin:
         that is where ``_lmax`` is raised.
         """
         slinks = self._slinks
-        fcap = self._fcap
-        cap_heap: List[Tuple[float, int]] = [
-            (fcap[s], s) for s in slots if fcap[s] != _INF]
         n_active = len(slots)
 
         touched = list(lflows)
@@ -659,7 +647,6 @@ class VectorizedMaxMin:
                 link_heap.append((left / n, 1, li))
         link_heap.extend(single.values())
         heapify(link_heap)
-        heapify(cap_heap)
 
         frozen: set = set()
         out_slots: List[int] = []
@@ -673,9 +660,6 @@ class VectorizedMaxMin:
         charges: Dict[int, int] = {}
 
         while n_active:
-            while cap_heap and cap_heap[0][1] in frozen:
-                heappop(cap_heap)
-            cap_level = cap_heap[0][0] if cap_heap else _INF
             while link_heap:
                 sat_level, ver, li = link_heap[0]
                 if lver[li] == ver:
@@ -687,67 +671,33 @@ class VectorizedMaxMin:
                     if left < 0.0:
                         left = 0.0
                     heappush(link_heap, (lmark[li] + left / n, lver[li], li))
-            link_level = link_heap[0][0] if link_heap else _INF
-            if cap_level == _INF and link_level == _INF:
-                # pragma: no cover - defensive (no-link flows are
-                # frozen before the fill)
-                for s in slots:
-                    if s not in frozen:
-                        out_slots.append(s)
-                        out_rates.append(_INF)
-                        for m in slinks[s]:
-                            lmax[m] = _INF
-                break
-            if cap_level <= link_level:
-                cap, s = heappop(cap_heap)
-                if level < cap:
-                    level = cap
+            sat_level, _, li = heappop(link_heap)
+            if level < sat_level:
+                level = sat_level
+            llevel[li] = level
+            charges.clear()
+            charges_get = charges.get
+            for s in lflows[li]:
+                if s in frozen:
+                    continue
                 frozen.add(s)
                 out_slots.append(s)
-                out_rates.append(cap)
+                out_rates.append(level)
                 n_active -= 1
                 for m in slinks[s]:
-                    n = lrising[m]
-                    lver[m] += 1
-                    if n == 1:
-                        # The link's last riser: nothing reads its
-                        # residual again.
-                        lrising[m] = 0
-                        if lmax[m] < cap:
-                            lmax[m] = cap
-                        continue
-                    left = lrem[m] - (level - lmark[m]) * n
-                    lrem[m] = left if left > 0.0 else 0.0
-                    lmark[m] = level
-                    lrising[m] = n - 1
-            else:
-                sat_level, _, li = heappop(link_heap)
-                if level < sat_level:
-                    level = sat_level
-                llevel[li] = level
-                charges.clear()
-                charges_get = charges.get
-                for s in lflows[li]:
-                    if s in frozen:
-                        continue
-                    frozen.add(s)
-                    out_slots.append(s)
-                    out_rates.append(level)
-                    n_active -= 1
-                    for m in slinks[s]:
-                        charges[m] = charges_get(m, 0) + 1
-                for m, k in charges.items():
-                    n = lrising[m]
-                    lver[m] += 1
-                    if n == k:
-                        lrising[m] = 0
-                        if lmax[m] < level:
-                            lmax[m] = level
-                        continue
-                    left = lrem[m] - (level - lmark[m]) * n
-                    lrem[m] = left if left > 0.0 else 0.0
-                    lmark[m] = level
-                    lrising[m] = n - k
+                    charges[m] = charges_get(m, 0) + 1
+            for m, k in charges.items():
+                n = lrising[m]
+                lver[m] += 1
+                if n == k:
+                    lrising[m] = 0
+                    if lmax[m] < level:
+                        lmax[m] = level
+                    continue
+                left = lrem[m] - (level - lmark[m]) * n
+                lrem[m] = left if left > 0.0 else 0.0
+                lmark[m] = level
+                lrising[m] = n - k
         self._rate[out_slots] = out_rates
         rlist = self._rlist
         for s, r in zip(out_slots, out_rates):

@@ -67,6 +67,15 @@ def test_census_reads_the_owners_from_the_source():
     assert knobs["SolrEmulationParams"] == [
         "n_clients", "use_netagg", "alpha", "agg_cpu_factor", "duration",
         "seed"]
+    # The flow layer: every bottleneck is a link, so a flow has no rate
+    # cap.  ``perf/sim.py`` still reads ``spec.rate_cap``: a read-only
+    # property that answers None, not a knob.
+    assert knobs["FlowSpec"] == [
+        "flow_id", "size", "path", "start_time", "job_id", "kind",
+        "aggregatable", "children"]
+    assert "rate_cap" not in knobs["FlowSpec"]
+    from repro.netsim.simulator import FlowSpec
+    assert FlowSpec("f", 1.0).rate_cap is None
 
 
 def test_the_optimizer_has_no_owner():
@@ -76,7 +85,7 @@ def test_the_optimizer_has_no_owner():
     assert not any(module.startswith("core/optimizer")
                    for module, _ in check_knobs.OWNERS)
     rows = check_knobs.census()
-    assert len(rows) == 46
+    assert len(rows) == 54
     assert sum(1 for _, sites in rows if not sites) == 2
 
 

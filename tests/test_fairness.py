@@ -16,12 +16,11 @@ from repro.netsim.fairness import max_min_rates, max_min_rates_py
 from repro.netsim.vectorized import HAVE_NUMPY, VectorizedMaxMin
 
 
-def vectorized_rates(flow_links, capacities, rate_caps=None):
+def vectorized_rates(flow_links, capacities):
     """``max_min_rates``'s signature over a fresh numpy solver."""
     solver = VectorizedMaxMin(capacities)
     for flow_id, links in flow_links.items():
-        solver.add_flow(flow_id, links,
-                        rate_cap=(rate_caps or {}).get(flow_id))
+        solver.add_flow(flow_id, links)
     return dict(solver.rates())
 
 
@@ -65,27 +64,6 @@ class TestBasics:
             solver({"f": ["nope"]}, {"l": 1.0})
 
 
-class TestRateCaps:
-    def test_cap_binds(self, solver):
-        rates = solver({"f": ["l"]}, {"l": 10.0}, {"f": 4.0})
-        assert rates["f"] == pytest.approx(4.0)
-
-    def test_cap_releases_bandwidth_to_others(self, solver):
-        rates = solver(
-            {"a": ["l"], "b": ["l"]}, {"l": 10.0}, {"a": 2.0}
-        )
-        assert rates["a"] == pytest.approx(2.0)
-        assert rates["b"] == pytest.approx(8.0)
-
-    def test_linkless_flow_with_cap(self, solver):
-        rates = solver({"f": []}, {}, {"f": 3.0})
-        assert rates["f"] == pytest.approx(3.0)
-
-    def test_loose_cap_does_not_bind(self, solver):
-        rates = solver({"f": ["l"]}, {"l": 5.0}, {"f": 100.0})
-        assert rates["f"] == pytest.approx(5.0)
-
-
 class TestMaxMinProperties:
     def test_multi_level_bottlenecks(self, solver):
         # l1 shared by a,b (cap 4); l2 shared by b,c (cap 10).
@@ -115,7 +93,6 @@ def random_instance(draw):
     links = {f"l{i}": draw(st.floats(0.5, 100.0)) for i in range(n_links)}
     n_flows = draw(st.integers(1, 12))
     flows = {}
-    caps = {}
     for i in range(n_flows):
         path_len = draw(st.integers(0, min(4, n_links)))
         path = draw(
@@ -123,19 +100,15 @@ def random_instance(draw):
                      max_size=path_len, unique=True)
         )
         flows[f"f{i}"] = path
-        if draw(st.booleans()):
-            caps[f"f{i}"] = draw(st.floats(0.1, 50.0))
-        elif not path:
-            caps[f"f{i}"] = draw(st.floats(0.1, 50.0))
-    return flows, links, caps
+    return flows, links
 
 
 class TestPropertyBased:
     @given(random_instance())
     @settings(max_examples=200, deadline=None)
     def test_no_link_overloaded(self, instance):
-        flows, links, caps = instance
-        rates = max_min_rates(flows, links, caps)
+        flows, links = instance
+        rates = max_min_rates(flows, links)
         for link, capacity in links.items():
             load = sum(
                 rates[f] for f, path in flows.items() if link in path
@@ -144,27 +117,19 @@ class TestPropertyBased:
 
     @given(random_instance())
     @settings(max_examples=200, deadline=None)
-    def test_caps_respected(self, instance):
-        flows, links, caps = instance
-        rates = max_min_rates(flows, links, caps)
-        for flow_id, cap in caps.items():
-            assert rates[flow_id] <= cap * (1 + 1e-6)
-
-    @given(random_instance())
-    @settings(max_examples=200, deadline=None)
     def test_rates_positive(self, instance):
-        flows, links, caps = instance
-        rates = max_min_rates(flows, links, caps)
+        flows, links = instance
+        rates = max_min_rates(flows, links)
         for flow_id in flows:
             assert rates[flow_id] > 0
 
     @given(random_instance())
     @settings(max_examples=100, deadline=None)
     def test_pareto_efficiency_on_links(self, instance):
-        """Every flow is blocked by a saturated link or its cap (work
+        """Every flow is blocked by a saturated link (work
         conservation): no flow could be raised without hurting another."""
-        flows, links, caps = instance
-        rates = max_min_rates(flows, links, caps)
+        flows, links = instance
+        rates = max_min_rates(flows, links)
         loads = {
             link: sum(rates[f] for f, path in flows.items() if link in path)
             for link in links
@@ -172,8 +137,6 @@ class TestPropertyBased:
         for flow_id, path in flows.items():
             if rates[flow_id] == math.inf:
                 continue
-            at_cap = flow_id in caps and rates[flow_id] >= caps[flow_id] * (1 - 1e-6)
-            on_saturated = any(
+            assert any(
                 loads[link] >= links[link] * (1 - 1e-6) for link in path
             )
-            assert at_cap or on_saturated

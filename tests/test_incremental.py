@@ -22,9 +22,9 @@ REL = 1e-9
 ABS = 1e-9
 
 
-def assert_matches_exact(solver, flows, links, caps):
+def assert_matches_exact(solver, flows, links):
     got = solver.rates()
-    want = max_min_rates_py(flows, links, caps)
+    want = max_min_rates_py(flows, links)
     assert set(got) == set(want)
     for flow_id in want:
         if math.isinf(want[flow_id]):
@@ -67,21 +67,10 @@ class TestBasics:
         assert rates["a"] == pytest.approx(4.5)
         assert "b" not in rates
 
-    def test_rate_cap_binds(self):
-        solver = IncrementalMaxMin({"l": 10.0})
-        solver.add_flow("a", ["l"], rate_cap=2.0)
-        solver.add_flow("b", ["l"])
-        rates = solver.rates()
-        assert rates["a"] == pytest.approx(2.0)
-        assert rates["b"] == pytest.approx(8.0)
-
     def test_linkless_flow_unbounded_or_capped(self):
         solver = IncrementalMaxMin({})
         solver.add_flow("free", [])
-        solver.add_flow("capped", [], rate_cap=3.0)
-        rates = solver.rates()
-        assert math.isinf(rates["free"])
-        assert rates["capped"] == pytest.approx(3.0)
+        assert math.isinf(solver.rates()["free"])
 
     def test_repeated_link_charged_once(self):
         solver = IncrementalMaxMin({"l": 10.0})
@@ -147,9 +136,8 @@ class TestBasics:
 def random_history(draw):
     """A capacity map plus a random op history over it.
 
-    Ops: ("add", fid, path, cap) / ("remove", fid) /
-    ("reroute", fid, path, cap) / ("capacity", link, value) /
-    ("solve",).
+    Ops: ("add", fid, path) / ("remove", fid) /
+    ("reroute", fid, path) / ("capacity", link, value) / ("solve",).
     """
     n_links = draw(st.integers(1, 6))
     links = {f"l{i}": draw(st.floats(0.5, 100.0)) for i in range(n_links)}
@@ -169,9 +157,7 @@ def random_history(draw):
             path = draw(st.lists(st.sampled_from(link_ids),
                                  min_size=path_len, max_size=path_len,
                                  unique=True))
-            cap = draw(st.floats(0.1, 50.0)) \
-                if (not path or draw(st.booleans())) else None
-            ops.append(("add", fid, path, cap))
+            ops.append(("add", fid, path))
             active.append(fid)
         elif kind == "remove":
             fid = draw(st.sampled_from(active))
@@ -183,9 +169,7 @@ def random_history(draw):
             path = draw(st.lists(st.sampled_from(link_ids),
                                  min_size=path_len, max_size=path_len,
                                  unique=True))
-            cap = draw(st.floats(0.1, 50.0)) \
-                if (not path or draw(st.booleans())) else None
-            ops.append(("reroute", fid, path, cap))
+            ops.append(("reroute", fid, path))
         elif kind == "capacity":
             link = draw(st.sampled_from(link_ids))
             value = draw(st.one_of(st.just(0.0), st.floats(0.5, 100.0)))
@@ -206,34 +190,27 @@ class TestPropertyBased:
         capacities = dict(links)
         solver = IncrementalMaxMin(capacities)
         flows = {}
-        caps = {}
         for op in ops:
             if op[0] == "add":
-                _, fid, path, cap = op
-                solver.add_flow(fid, path, rate_cap=cap)
+                _, fid, path = op
+                solver.add_flow(fid, path)
                 flows[fid] = path
-                if cap is not None:
-                    caps[fid] = cap
             elif op[0] == "remove":
                 solver.remove_flow(op[1])
                 del flows[op[1]]
-                caps.pop(op[1], None)
             elif op[0] == "reroute":
-                _, fid, path, cap = op
+                _, fid, path = op
                 # The simulator moves a flow by leave + attach.
                 solver.remove_flow(fid)
-                solver.add_flow(fid, path, rate_cap=cap)
+                solver.add_flow(fid, path)
                 flows[fid] = path
-                caps.pop(fid, None)
-                if cap is not None:
-                    caps[fid] = cap
             elif op[0] == "capacity":
                 _, link, value = op
                 solver.set_capacity(link, value)
                 capacities[link] = value
             else:
-                assert_matches_exact(solver, flows, capacities, caps)
-        assert_matches_exact(solver, flows, capacities, caps)
+                assert_matches_exact(solver, flows, capacities)
+        assert_matches_exact(solver, flows, capacities)
 
     @given(random_history())
     @settings(max_examples=100, deadline=None)
@@ -242,27 +219,20 @@ class TestPropertyBased:
         capacities = dict(links)
         solver = IncrementalMaxMin(capacities)
         flows = {}
-        caps = {}
         for op in ops:
             if op[0] == "add":
-                _, fid, path, cap = op
-                solver.add_flow(fid, path, rate_cap=cap)
+                _, fid, path = op
+                solver.add_flow(fid, path)
                 flows[fid] = path
-                if cap is not None:
-                    caps[fid] = cap
             elif op[0] == "remove":
                 solver.remove_flow(op[1])
                 del flows[op[1]]
-                caps.pop(op[1], None)
             elif op[0] == "reroute":
-                _, fid, path, cap = op
+                _, fid, path = op
                 # The simulator moves a flow by leave + attach.
                 solver.remove_flow(fid)
-                solver.add_flow(fid, path, rate_cap=cap)
+                solver.add_flow(fid, path)
                 flows[fid] = path
-                caps.pop(fid, None)
-                if cap is not None:
-                    caps[fid] = cap
             elif op[0] == "capacity":
                 _, link, value = op
                 solver.set_capacity(link, value)
@@ -272,8 +242,6 @@ class TestPropertyBased:
             load = sum(rates[f] for f, path in flows.items()
                        if link in path)
             assert load <= capacity * (1 + 1e-6) + 1e-9
-        for fid, cap in caps.items():
-            assert rates[fid] <= cap * (1 + 1e-6)
 
     @given(random_history())
     @settings(max_examples=50, deadline=None)
@@ -285,20 +253,19 @@ class TestPropertyBased:
         capacities = dict(links)
         warm = IncrementalMaxMin(capacities)
         flows = {}
-        caps = {}
         for op in ops:
             if op[0] == "add":
-                _, fid, path, cap = op
-                warm.add_flow(fid, path, rate_cap=cap)
-                flows[fid] = (path, cap)
+                _, fid, path = op
+                warm.add_flow(fid, path)
+                flows[fid] = path
             elif op[0] == "remove":
                 warm.remove_flow(op[1])
                 del flows[op[1]]
             elif op[0] == "reroute":
-                _, fid, path, cap = op
+                _, fid, path = op
                 warm.remove_flow(fid)
-                warm.add_flow(fid, path, rate_cap=cap)
-                flows[fid] = (path, cap)
+                warm.add_flow(fid, path)
+                flows[fid] = path
             elif op[0] == "capacity":
                 _, link, value = op
                 warm.set_capacity(link, value)
@@ -306,8 +273,8 @@ class TestPropertyBased:
             else:
                 warm.rates()
         cold = IncrementalMaxMin(capacities)
-        for fid, (path, cap) in flows.items():
-            cold.add_flow(fid, path, rate_cap=cap)
+        for fid, path in flows.items():
+            cold.add_flow(fid, path)
         warm_rates = warm.rates()
         cold_rates = cold.rates()
         for fid in flows:

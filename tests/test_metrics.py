@@ -110,18 +110,6 @@ class TestSlowdowns:
         summary = slowdown_summary(result, result.network)
         assert summary.maximum == pytest.approx(2.0)
 
-    def test_rate_cap_counts_as_bottleneck(self):
-        from repro.netsim.metrics import slowdowns
-        from repro.netsim.network import Link, Network
-        from repro.netsim.simulator import FlowSim, FlowSpec
-
-        net = Network([Link("l", 10.0)])
-        sim = FlowSim(net)
-        sim.add_flow(FlowSpec("f", size=10.0, path=("l",), rate_cap=2.0))
-        result = sim.run()
-        (value,) = slowdowns(result, net)
-        assert value == pytest.approx(1.0)  # the cap *is* its ideal
-
     def test_pathless_flows_skipped(self):
         from repro.netsim.metrics import slowdowns
         from repro.netsim.network import Link, Network

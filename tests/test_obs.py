@@ -578,15 +578,40 @@ class TestObsLint:
     ])
     def test_span_blocks_are_flagged(self, source, flagged_lines):
         import ast
+
+        problems = self._tool()._check_span_blocks(ast.parse(source))
+        assert [line for line, _ in problems] == flagged_lines
+        assert all("tracer.begin" in text for _, text in problems)
+
+    @pytest.mark.parametrize("source, flagged_lines", [
+        ("def ewma(x):\n    pass\n", [1]),
+        ("class EwmaTracker:\n    pass\n", [1]),
+        ("self._ema: Dict[str, float] = {}\n", [1]),
+        ("ema = {}\n", [1]),
+        ("ema_alpha: float = 0.2\n", [1]),
+        ("self._ema_alpha = alpha\n", [1]),
+        # Calling the shared primitive, and names that only contain
+        # the letters.
+        ("mean = ewma_step(mean, x, ALPHA)\n", []),
+        ("schema = {}\ntheme_alpha = 0.2\nemails = []\n", []),
+    ])
+    def test_private_smoothing_names_are_flagged(self, source,
+                                                 flagged_lines):
+        import ast
+
+        problems = self._tool()._check_window_math(ast.parse(source))
+        assert [line for line, _ in problems] == flagged_lines
+        assert all("ewma_step" in text or "repro.obs.live" in text
+                   for _, text in problems)
+
+    def _tool(self):
         import importlib.util
 
         spec = importlib.util.spec_from_file_location("check_obs",
                                                       self.SCRIPT)
         check_obs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(check_obs)
-        problems = check_obs._check_span_blocks(ast.parse(source))
-        assert [line for line, _ in problems] == flagged_lines
-        assert all("tracer.begin" in text for _, text in problems)
+        return check_obs
 
 
 class TestFctSummaryDegradation:

@@ -74,12 +74,6 @@ class TestCrossValidation:
             FlowSpec("root", size=5.0, path=("l3",), children=("mid",)),
         ])
 
-    def test_rate_caps(self):
-        assert_agree([
-            FlowSpec("capped", size=10.0, path=("l1",), rate_cap=2.0),
-            FlowSpec("free", size=10.0, path=("l1",)),
-        ])
-
     def test_zero_size_and_empty_path(self):
         assert_agree([
             FlowSpec("instant", size=0.0, path=("l1",), start_time=1.0),

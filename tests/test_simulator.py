@@ -24,15 +24,19 @@ class TestFlowSpecValidation:
             FlowSpec("f", size=1.0, start_time=-0.1)
 
     def test_nonpositive_cap_rejected(self):
-        with pytest.raises(ValueError):
+        """Links bound every rate, so a flow takes no cap at all; the
+        read-only ``rate_cap`` answers None."""
+        with pytest.raises(TypeError):
             FlowSpec("f", size=1.0, rate_cap=0.0)
+        with pytest.raises(TypeError):
+            FlowSpec("f", 1.0, rate_cap=2.0)
+        assert FlowSpec("f", 1.0).rate_cap is None
 
     @pytest.mark.parametrize("fields", [
         {"size": float("nan")},
         {"size": float("inf")},
         {"size": 1.0, "start_time": float("nan")},
         {"size": 1.0, "start_time": float("inf")},
-        {"size": 1.0, "rate_cap": float("nan")},
     ])
     def test_non_finite_fields_rejected(self, fields):
         """``nan < 0`` is false, so these used to pass; a NaN-size flow
@@ -91,12 +95,6 @@ class TestSingleFlow:
         sim.add_flow(FlowSpec("f", size=100.0))
         result = sim.run()
         assert result.records["f"].fct == pytest.approx(0.0)
-
-    def test_rate_cap_slows_flow(self):
-        sim = FlowSim(two_link_network())
-        sim.add_flow(FlowSpec("f", size=100.0, path=("l1",), rate_cap=2.0))
-        result = sim.run()
-        assert result.records["f"].fct == pytest.approx(50.0)
 
 
 class TestSharing:
@@ -276,8 +274,7 @@ class TestSolverBackends:
             FlowSpec("f1", size=30.0, path=("edge_a", "core")),
             FlowSpec("f2", size=20.0, path=("edge_b", "core"),
                      start_time=1.0),
-            FlowSpec("f3", size=12.0, path=("core",), start_time=2.0,
-                     rate_cap=3.0),
+            FlowSpec("f3", size=12.0, path=("core",), start_time=2.0),
             FlowSpec("f4", size=8.0, path=("edge_a",), start_time=0.5,
                      children=("f5",)),
             FlowSpec("f5", size=5.0, path=("edge_b",)),
@@ -358,7 +355,6 @@ def fault_cases(draw):
         flows.append((
             float(draw(st.integers(0, 40))), draw(_paths(hops)),
             draw(_GRID), tuple(sorted(children)),
-            draw(st.sampled_from([None, None, 1.0, 3.0])),
         ))
     outages = tuple(draw(st.lists(st.tuples(
         st.integers(0, len(_LINKS) - 1), _GRID,
@@ -378,10 +374,10 @@ def faulted_sim(case, sim_class=FlowSim, solver="auto"):
     caps, flows, outages, reroutes = case
     network = Network([Link(l, c) for l, c in zip(_LINKS, caps)])
     sim = sim_class(network, solver=solver)
-    for i, (size, path, start, children, cap) in enumerate(flows):
+    for i, (size, path, start, children) in enumerate(flows):
         sim.add_flow(FlowSpec(
             f"f{i}", size=size, path=tuple(_LINKS[l] for l in path),
-            start_time=start, rate_cap=cap,
+            start_time=start,
             children=tuple(f"f{c}" for c in children)))
     for link, down, duration, restored in outages:
         sim.add_capacity_event(down, _LINKS[link], 0.0)
@@ -395,17 +391,17 @@ def faulted_sim(case, sim_class=FlowSim, solver="auto"):
 #: A flow admitted (t=1) onto a link that is already down (0..3).
 ADMITTED_ONTO_DOWN_LINK = (
     (10.0, 10.0, 10.0, 10.0),
-    ((20.0, (0, 1), 1.0, (), None),
-     (10.0, (1,), 0.0, (), None)),
+    ((20.0, (0, 1), 1.0, ()),
+     (10.0, (1,), 0.0, ())),
     ((0, 0.0, 3.0, 5.0),), ())
 
 #: A stalled flow (l0 down 1..6) rerouted onto live links at t=2, and a
 #: second one rerouted onto another down link.
 STALLED_FLOWS_REROUTED = (
     (10.0, 10.0, 10.0, 10.0),
-    ((40.0, (0,), 0.0, (), None),
-     (40.0, (0, 1), 0.0, (), 3.0),
-     (5.0, (2,), 0.5, (0,), None)),
+    ((40.0, (0,), 0.0, ()),
+     (40.0, (0, 1), 0.0, ()),
+     (5.0, (2,), 0.5, (0,))),
     ((0, 1.0, 5.0, 10.0), (3, 1.5, 2.0, 2.0)),
     ((2.0, 0, (2,)), (2.0, 1, (3, 1))))
 

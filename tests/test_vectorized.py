@@ -47,9 +47,8 @@ def assert_same_rates(got, want):
                 want[flow_id], rel=REL, abs=ABS), flow_id
 
 
-def assert_matches_exact(solver, flows, links, caps):
-    assert_same_rates(solver.rates(),
-                      max_min_rates_py(flows, links, caps))
+def assert_matches_exact(solver, flows, links):
+    assert_same_rates(solver.rates(), max_min_rates_py(flows, links))
 
 
 class TestBackendSelection:
@@ -119,25 +118,14 @@ class TestBasics:
         solver.add_flow("d", ["l"])
         assert dict(solver.rates()) == {"c": 1.5, "d": 1.5}
         assert_matches_exact(solver, {"c": ["l"], "d": ["l"]},
-                             {"l": 3.0}, {})
+                             {"l": 3.0})
         # The survivor and the new flow were both re-solved.
         assert solver.stats.flows_resolved - before == 2
-
-    def test_rate_cap_binds(self):
-        solver = VectorizedMaxMin({"l": 10.0})
-        solver.add_flow("a", ["l"], rate_cap=2.0)
-        solver.add_flow("b", ["l"])
-        rates = solver.rates()
-        assert rates["a"] == pytest.approx(2.0)
-        assert rates["b"] == pytest.approx(8.0)
 
     def test_linkless_flow_unbounded_or_capped(self):
         solver = VectorizedMaxMin({})
         solver.add_flow("free", [])
-        solver.add_flow("capped", [], rate_cap=3.0)
-        rates = solver.rates()
-        assert math.isinf(rates["free"])
-        assert rates["capped"] == pytest.approx(3.0)
+        assert math.isinf(solver.rates()["free"])
 
     def test_repeated_link_charged_once(self):
         solver = VectorizedMaxMin({"l": 10.0})
@@ -248,15 +236,24 @@ class TestCacheHits:
 @pytest.mark.parametrize("backend", ["vectorized", "incremental"])
 @pytest.mark.parametrize("bad_cap", [-1.0, float("nan")])
 def test_negative_or_nan_rate_cap_rejected(backend, bad_cap):
-    """A negative cap used to come back as a negative rate from both
-    warm solvers (the exact solver answers 0.0); a refused add must
-    leave the solver as it was."""
+    """A refused add must leave the solver as it was."""
     solver = make_solver({"l": 10.0}, backend)
-    with pytest.raises(ValueError, match="rate cap"):
+    with pytest.raises(ValueError, match="rate caps"):
         solver.add_flow("a", ["l"], rate_cap=bad_cap)
     assert "a" not in solver
-    solver.add_flow("a", ["l"], rate_cap=4.0)
-    assert dict(solver.rates()) == {"a": 4.0}
+    solver.add_flow("a", ["l"], rate_cap=None)
+    assert dict(solver.rates()) == {"a": 10.0}
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "incremental"])
+def test_any_rate_cap_rejected(backend):
+    """Links bound every rate: the third ``add_flow`` argument takes
+    only ``None``, which is what ``FlowSpec.rate_cap`` answers."""
+    solver = make_solver({"l": 10.0}, backend)
+    with pytest.raises(ValueError, match="rate caps"):
+        solver.add_flow("a", ["l"], 2.0)
+    assert "a" not in solver
+    assert len(solver) == 0
 
 
 @st.composite
@@ -281,9 +278,7 @@ def random_history(draw):
             path = draw(st.lists(st.sampled_from(link_ids),
                                  min_size=path_len, max_size=path_len,
                                  unique=True))
-            cap = draw(st.floats(0.1, 50.0)) \
-                if (not path or draw(st.booleans())) else None
-            ops.append(("add", fid, path, cap))
+            ops.append(("add", fid, path))
             active.append(fid)
         elif kind == "remove":
             fid = draw(st.sampled_from(active))
@@ -295,9 +290,7 @@ def random_history(draw):
             path = draw(st.lists(st.sampled_from(link_ids),
                                  min_size=path_len, max_size=path_len,
                                  unique=True))
-            cap = draw(st.floats(0.1, 50.0)) \
-                if (not path or draw(st.booleans())) else None
-            ops.append(("reroute", fid, path, cap))
+            ops.append(("reroute", fid, path))
         elif kind == "capacity":
             link = draw(st.sampled_from(link_ids))
             value = draw(st.one_of(st.just(0.0), st.floats(0.5, 100.0)))
@@ -309,30 +302,22 @@ def random_history(draw):
 
 def _apply(solver, op):
     if op[0] == "add":
-        solver.add_flow(op[1], op[2], rate_cap=op[3])
+        solver.add_flow(op[1], op[2])
     elif op[0] == "remove":
         solver.remove_flow(op[1])
     elif op[0] == "reroute":
         # The simulator moves a flow by leave + attach.
         solver.remove_flow(op[1])
-        solver.add_flow(op[1], op[2], rate_cap=op[3])
+        solver.add_flow(op[1], op[2])
     elif op[0] == "capacity":
         solver.set_capacity(op[1], op[2])
 
 
-def _track(flows, caps, capacities, op):
-    if op[0] == "add":
+def _track(flows, capacities, op):
+    if op[0] in ("add", "reroute"):
         flows[op[1]] = op[2]
-        if op[3] is not None:
-            caps[op[1]] = op[3]
     elif op[0] == "remove":
         del flows[op[1]]
-        caps.pop(op[1], None)
-    elif op[0] == "reroute":
-        flows[op[1]] = op[2]
-        caps.pop(op[1], None)
-        if op[3] is not None:
-            caps[op[1]] = op[3]
     elif op[0] == "capacity":
         capacities[op[1]] = op[2]
 
@@ -346,14 +331,14 @@ class TestPropertyBased:
         links, ops = history
         capacities = dict(links)
         solver = VectorizedMaxMin(capacities)
-        flows, caps = {}, {}
+        flows = {}
         for op in ops:
             if op[0] == "solve":
-                assert_matches_exact(solver, flows, capacities, caps)
+                assert_matches_exact(solver, flows, capacities)
             else:
                 _apply(solver, op)
-                _track(flows, caps, capacities, op)
-        assert_matches_exact(solver, flows, capacities, caps)
+                _track(flows, capacities, op)
+        assert_matches_exact(solver, flows, capacities)
 
     @given(random_history())
     @settings(max_examples=100, deadline=None)
@@ -378,40 +363,37 @@ class TestPropertyBased:
         links, ops = history
         capacities = dict(links)
         solver = VectorizedMaxMin(capacities)
-        flows, caps = {}, {}
+        flows = {}
         for op in ops:
             if op[0] != "solve":
                 _apply(solver, op)
-                _track(flows, caps, capacities, op)
+                _track(flows, capacities, op)
         rates = solver.rates()
         for link, capacity in capacities.items():
             load = sum(rates[f] for f, path in flows.items()
                        if link in path)
             assert load <= capacity * (1 + 1e-6) + 1e-9
-        for fid, cap in caps.items():
-            assert rates[fid] <= cap * (1 + 1e-6)
 
 
 def large_region_history():
     """A deterministic history whose re-solve regions pass a thousand
     flows, which the hypothesis histories (at most 30 ops) never reach:
     1,500 flows share one core link between 25 uplinks and 40
-    downlinks, a third of them rate-capped; then a removal wave, a core
+    downlinks; then a removal wave, a core
     capacity cut, a reroute off the core and the capacity restored."""
     links = {"core": 900.0}
     links.update({f"up{i}": 20.0 + 3.0 * i for i in range(25)})
     links.update({f"down{i}": 15.0 + 2.0 * i for i in range(40)})
     ops = []
     for i in range(1500):
-        cap = 0.2 + 0.3 * (i % 11) if i % 3 == 0 else None
         ops.append(("add", f"f{i}",
-                    [f"up{i % 25}", "core", f"down{i % 40}"], cap))
+                    [f"up{i % 25}", "core", f"down{i % 40}"]))
     ops.append(("solve",))
     ops.extend(("remove", f"f{i}") for i in range(0, 1500, 5))
     ops.append(("solve",))
     ops.append(("capacity", "core", 120.0))
     ops.append(("solve",))
-    ops.append(("reroute", "f1", ["up1", "down1"], 4.0))
+    ops.append(("reroute", "f1", ["up1", "down1"]))
     ops.append(("solve",))
     ops.append(("capacity", "core", 900.0))
     ops.append(("solve",))
@@ -423,18 +405,18 @@ def test_large_region_matches_exact_and_incremental():
     capacities = dict(links)
     vec = VectorizedMaxMin(capacities)
     inc = IncrementalMaxMin(capacities)
-    flows, caps = {}, {}
+    flows = {}
     regions = []
     for op in ops:
         if op[0] == "solve":
             before = vec.stats.flows_resolved
-            assert_matches_exact(vec, flows, capacities, caps)
+            assert_matches_exact(vec, flows, capacities)
             assert_same_rates(vec.rates(), inc.rates())
             regions.append(vec.stats.flows_resolved - before)
         else:
             _apply(vec, op)
             _apply(inc, op)
-            _track(flows, caps, capacities, op)
+            _track(flows, capacities, op)
     # The cold solve and the warm one after the capacity cut both
     # refill more than a thousand flows in one region.
     assert regions[0] == 1500 and regions[2] > 1024, regions

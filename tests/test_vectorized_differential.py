@@ -4,8 +4,8 @@
 ``repro.netsim.vectorized.VectorizedMaxMin`` as it stood before the
 region build and the fill learnt to skip work whose outcome is already
 known.  Hypothesis drives the frozen solver and the live one with the
-same script of ``add_flow`` (capped and uncapped, repeated links, empty
-paths), ``remove_flow`` (including the un-add of a flow added since the
+same script of ``add_flow`` (repeated links, empty paths),
+``remove_flow`` (including the un-add of a flow added since the
 last solve) and ``set_capacity`` (cuts to 0, restores) calls, consulting
 ``rates_array()`` between random batches.  After every consult the two
 must agree bit for bit: the same rate bytes, the same per-link water
@@ -28,11 +28,7 @@ from repro.aggregation import NetAggStrategy, deploy_boxes
 from repro.experiments.common import QUICK, simulate
 from repro.experiments.fig_failures import _make_schedule
 from repro.netsim import simulator
-from repro.netsim.incremental import (
-    SolverStats,
-    _THRESHOLD_SLACK,
-    _check_rate_cap,
-)
+from repro.netsim.incremental import SolverStats, _THRESHOLD_SLACK
 from repro.netsim.vectorized import HAVE_NUMPY
 from tests.test_vectorized import large_region_history
 
@@ -46,6 +42,14 @@ pytestmark = pytest.mark.skipif(
 
 _INF = float("inf")
 _COMPACT_MIN_DEAD = 256
+
+
+def _check_rate_cap(flow_id: str, rate_cap: Optional[float]) -> None:
+    """Both warm solvers' ``rate_cap`` check: a negative cap would come
+    back as a negative rate and a NaN one never freezes (``>= 0`` is
+    false for both)."""
+    if rate_cap is not None and not rate_cap >= 0:
+        raise ValueError(f"flow {flow_id!r} rate cap must be >= 0")
 
 
 class _FrozenVectorizedMaxMin:
@@ -591,9 +595,8 @@ class _FrozenVectorizedMaxMin:
 
 # -- scripts ------------------------------------------------------------------
 
-#: Grid capacities and caps make equal water levels (ties between links
-#: and between a link and a cap) common; the free floats make inexact
-#: quotients.
+#: Grid capacities make equal water levels (ties between links) common;
+#: the free floats make inexact quotients.
 _VALUES = st.one_of(
     st.sampled_from([0.5, 1.0, 2.0, 3.0, 6.0, 10.0]),
     st.floats(min_value=0.5, max_value=100.0),
@@ -602,7 +605,7 @@ _VALUES = st.one_of(
 
 @st.composite
 def _scripts(draw):
-    """``(capacities, ops)``; an op is ``("add", fid, path, cap)``,
+    """``(capacities, ops)``; an op is ``("add", fid, path)``,
     ``("remove", fid)``, ``("capacity", link, value)`` or
     ``("consult",)``."""
     n_links = draw(st.integers(1, 6))
@@ -629,9 +632,7 @@ def _scripts(draw):
             fid = f"f{index}"
             # Repeats allowed (set semantics), empty allowed.
             path = draw(st.lists(st.sampled_from(link_ids), max_size=5))
-            cap = draw(st.one_of(st.none(), st.none(), st.just(0.0),
-                                 _VALUES))
-            ops.append(("add", fid, path, cap))
+            ops.append(("add", fid, path))
             live.append(fid)
     ops.append(("consult",))
     return capacities, ops
@@ -651,8 +652,8 @@ def _play_both(capacities, ops):
     consults = 0
     for index, op in enumerate(ops):
         if op[0] == "add":
-            want = frozen.add_flow(op[1], op[2], rate_cap=op[3])
-            assert live.add_flow(op[1], op[2], rate_cap=op[3]) == want
+            want = frozen.add_flow(op[1], op[2])
+            assert live.add_flow(op[1], op[2]) == want
         elif op[0] == "remove":
             frozen.remove_flow(op[1])
             live.remove_flow(op[1])
@@ -675,24 +676,24 @@ def test_live_solver_matches_the_frozen_one_exactly(script):
 def test_script_that_hits_every_branch():
     """A fixed script, so the cases are covered whatever hypothesis
     draws: a shared link that bottlenecks everyone, a link that
-    bottlenecks nobody, capped flows, a repeated link, an empty path,
+    bottlenecks nobody, a repeated link, empty paths,
     the un-add of a fresh flow, a cut to 0 and its restore, and a
     re-visited link whose level rises."""
     capacities = {"a": 3.0, "b": 10.0, "c": 2.0, "d": 6.0}
-    ops = [("add", f"s{i}", ["a", "b"], None) for i in range(3)]
+    ops = [("add", f"s{i}", ["a", "b"]) for i in range(3)]
     ops += [
-        ("add", "wide", ["b", "d", "b"], None),
-        ("add", "capped", ["c", "d"], 0.5),
-        ("add", "linkless", [], 4.0),
-        ("add", "free", [], None),
+        ("add", "wide", ["b", "d", "b"]),
+        ("add", "narrow", ["c", "d"]),
+        ("add", "linkless", []),
+        ("add", "free", []),
         ("consult",),
-        ("remove", "s0"), ("remove", "s1"), ("add", "late", ["a"], None),
+        ("remove", "s0"), ("remove", "s1"), ("add", "late", ["a"]),
         ("consult",),
-        ("add", "gone", ["a", "c"], None), ("remove", "gone"),
+        ("add", "gone", ["a", "c"]), ("remove", "gone"),
         ("consult",),
         ("capacity", "b", 0.0), ("consult",),
-        ("capacity", "b", 10.0), ("remove", "capped"), ("consult",),
-        ("capacity", "d", 1.0), ("add", "tail", ["c", "d"], 2.0),
+        ("capacity", "b", 10.0), ("remove", "narrow"), ("consult",),
+        ("capacity", "d", 1.0), ("add", "tail", ["c", "d"]),
         ("consult",),
     ]
     assert _play_both(capacities, ops) == 6
@@ -701,20 +702,21 @@ def test_script_that_hits_every_branch():
 def test_revisit_admits_a_flow_the_first_visit_rejected():
     """A re-visit of link ``L`` whose rejected rate sits just above the
     even-split bound 8 / 4 = 2.  The first visit (one riser, the fresh
-    ``f``) rejects ``x`` at 2.01 below its water-fill level 2.495; ``y``
+    ``f``) rejects ``x``, held at 2.01 by its own link ``X``, below its
+    water-fill level 2.495; ``y``
     then joins the region through ``M``'s capacity rise, and the
     re-visit's level drops to 2, which admits ``x``: everyone on ``L``
     ends at 2."""
-    capacities = {"L": 8.0, "M": 1.0}
+    capacities = {"L": 8.0, "M": 1.0, "X": 2.01}
     ops = [
-        ("add", "x", ["L"], 2.01), ("add", "y", ["L", "M"], None),
-        ("add", "z", ["L"], None), ("consult",),
-        ("add", "f", ["L"], None), ("capacity", "M", 10.0), ("consult",),
+        ("add", "x", ["L", "X"]), ("add", "y", ["L", "M"]),
+        ("add", "z", ["L"]), ("consult",),
+        ("add", "f", ["L"]), ("capacity", "M", 10.0), ("consult",),
     ]
     assert _play_both(capacities, ops) == 2
     live = VectorizedMaxMin(capacities)
     for op in ops[:3]:
-        live.add_flow(op[1], op[2], rate_cap=op[3])
+        live.add_flow(op[1], op[2])
     assert dict(live.rates()) == {"x": 2.01, "y": 1.0, "z": 8.0 - 2.01 - 1.0}
     live.add_flow("f", ["L"])
     live.set_capacity("M", 10.0)
@@ -728,9 +730,9 @@ class _Recording(VectorizedMaxMin if HAVE_NUMPY else object):
         super().__init__(capacities)
         self.ops = []
 
-    def add_flow(self, flow_id, links, rate_cap=None):
-        self.ops.append(("add", flow_id, tuple(links), rate_cap))
-        return super().add_flow(flow_id, links, rate_cap=rate_cap)
+    def add_flow(self, flow_id, links):
+        self.ops.append(("add", flow_id, tuple(links)))
+        return super().add_flow(flow_id, links)
 
     def remove_flow(self, flow_id):
         self.ops.append(("remove", flow_id))

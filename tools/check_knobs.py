@@ -61,6 +61,7 @@ OWNERS = (
     ("faults/inject.py", "PlatformFaultInjector"),
     ("cluster/deployment.py", "TestbedConfig"),
     ("cluster/solr_driver.py", "SolrEmulationParams"),
+    ("netsim/simulator.py", "FlowSpec"),
 )
 
 #: Owners that are not dataclasses: ``replace`` cannot set their knobs.

@@ -16,8 +16,8 @@ growing back: outside ``src/repro/obs/``, modules may not
   ``repro.obs.export``) so the exporter's schema quirks -- exact-time
   ``t0``/``t1`` keys, seq-encoded ordering -- live in one place, or
 - re-implement windowing / smoothing math: define a function, class or
-  attribute whose name says EWMA, or a class whose name says it is a
-  windowed/rolling series or burn-rate tracker.  That arithmetic lives
+  attribute whose name says EWMA or EMA, or a class whose name says it
+  is a windowed/rolling series or burn-rate tracker.  That arithmetic lives
   in :mod:`repro.obs.live` (``ewma_step``, ``WindowedSeries``,
   ``SloMonitor``); callers import it (as ``core.partition``'s
   ``GrayDetector`` does) rather than growing private copies whose
@@ -58,8 +58,10 @@ GLOBAL_PATTERN = re.compile(r"^(COUNTERS|METRICS|TELEMETRY|STATS)$")
 TRACE_FN_PATTERN = re.compile(
     r"(?:^|_)(?:parse|load|read)\w*_trace|trace\w*_(?:parse|load|read)")
 
-#: Definition/binding names that read as private smoothing math.
-EWMA_PATTERN = re.compile(r"(?i)ewma")
+#: Definition/binding names that read as private smoothing math:
+#: ``ewma`` anywhere, or ``ema`` as a whole ``_``-separated word
+#: (``_ema``, ``ema_alpha``; not ``schema``).
+EWMA_PATTERN = re.compile(r"(?i)ewma|(?:^|_)ema(?:_|$)")
 
 #: Class names that read as ad-hoc windowed-series / burn-rate
 #: containers (repro.obs.live owns that arithmetic).

@@ -141,6 +141,8 @@ REASONS: Dict[str, str] = {
     "netsim/reference.py:simulate_reference":
         "oracle: the event-by-event simulator tests/test_reference_sim.py "
         "holds FlowSim to",
+    "netsim/simulator.py:FlowSpec.rate_cap":
+        "outside: perf/sim.py's solver replay reads `spec.rate_cap`",
     "netsim/vectorized.py:VectorizedMaxMin":
         "interface: `rate`/`rates`/`in`/`len` of the solver seam it "
         "shares with IncrementalMaxMin; perf/sim.py names `rates`",
