@@ -27,8 +27,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "LocalTreeModel", "TreeModelParams", "tree_aggregate",
     ],
     "repro.aggbox.scheduler": [
-        "AppShare", "SchedulerParams", "TaskScheduler", "WfqExecutor",
-        "WorkloadSpec",
+        "AppShare", "TaskScheduler", "WfqExecutor", "WorkloadSpec",
     ],
     "repro.aggbox.timed": ["RequestTiming", "TimedAggBox"],
 })

@@ -54,43 +54,41 @@ def tree_aggregate(function: AggregationFunction,
     return level[0]
 
 
+#: Bounded buffer per tree edge, in chunks (back-pressure).
+BUFFER_CHUNKS = 4
+#: Total rate at which the network layer feeds the leaves (bytes/second):
+#: the 10 Gbps box link.
+INGEST_RATE = Gbps(10.0)
+
+
 @dataclass(frozen=True)
 class TreeModelParams:
     """Knobs of the performance model (defaults match §4.2's testbed).
+
+    Every merge runs at :data:`~repro.aggbox.functions.DEFAULT_CORE_RATE`
+    per core, and the leaves share :data:`INGEST_RATE`.
 
     Attributes:
         leaves: number of leaf inputs L (binary tree: L-1 merge tasks).
         threads: thread-pool size.
         chunk_bytes: granularity of pipelined streaming.
         bytes_per_leaf: input volume each leaf ingests.
-        core_rate: per-core merge throughput (bytes/second).
-        cpu_factor: function cost multiplier (see AggregationFunction).
         alpha: aggregation output ratio (output chunk = alpha * input).
-        buffer_chunks: bounded buffer per tree edge (back-pressure).
-        ingest_rate: total rate at which the network layer can feed
-            leaves (bytes/second); models the 10 Gbps box link.
     """
 
     leaves: int = 16
     threads: int = 8
     chunk_bytes: float = 256_000.0
     bytes_per_leaf: float = 8 * MB
-    core_rate: float = DEFAULT_CORE_RATE
-    cpu_factor: float = 1.0
     alpha: float = 0.10
-    buffer_chunks: int = 4
-    ingest_rate: float = Gbps(10.0)
 
     def __post_init__(self) -> None:
         if self.leaves < 1:
             raise ValueError("leaves must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if min(self.chunk_bytes, self.bytes_per_leaf, self.core_rate,
-               self.ingest_rate) <= 0:
-            raise ValueError("sizes and rates must be positive")
-        if self.buffer_chunks < 1:
-            raise ValueError("buffer_chunks must be >= 1")
+        if min(self.chunk_bytes, self.bytes_per_leaf) <= 0:
+            raise ValueError("sizes must be positive")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
 
@@ -175,7 +173,7 @@ class LocalTreeModel:
             if not node.children:
                 node.in_chunks = [0]
         total_chunks = chunks_per_leaf * p.leaves
-        ingest_interval = p.chunk_bytes / p.ingest_rate
+        ingest_interval = p.chunk_bytes / INGEST_RATE
 
         free_threads = [p.threads]
         executed = [0]
@@ -196,7 +194,7 @@ class LocalTreeModel:
         def runnable(node: _TaskNode) -> bool:
             if not node.children or node.running:
                 return False
-            if node.out_chunks >= p.buffer_chunks and \
+            if node.out_chunks >= BUFFER_CHUNKS and \
                     node.node_id != self._root:
                 return False
             return all(
@@ -220,7 +218,7 @@ class LocalTreeModel:
                 else:
                     child.in_chunks[0] -= 1
                     input_bytes += p.chunk_bytes
-            duration = p.cpu_factor * input_bytes / p.core_rate
+            duration = input_bytes / DEFAULT_CORE_RATE
             queue.schedule(duration, lambda n=node: finish(n))
 
         def finish(node: _TaskNode) -> None:

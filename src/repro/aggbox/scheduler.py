@@ -29,6 +29,16 @@ from repro.obs.live.series import ewma_step
 DURATION_ALPHA = 0.2
 
 
+#: Relative uniform jitter applied to every task duration.
+JITTER = 0.1
+#: Thread-pool size of the modelled box.
+THREADS = 16
+#: Seconds between adaptive weight re-computations.
+ADAPT_INTERVAL = 0.5
+#: CPU-share sampling window of the time series, in seconds.
+SAMPLE_INTERVAL = 1.0
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One application's task stream offered to the scheduler.
@@ -37,45 +47,17 @@ class WorkloadSpec:
         app: application name.
         task_seconds: duration of one aggregation task on one core.
         target_share: desired CPU fraction (the ``s_i`` above).
-        jitter: relative uniform jitter applied to task durations.
     """
 
     app: str
     task_seconds: float
     target_share: float
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.task_seconds <= 0:
             raise ValueError("task_seconds must be positive")
         if not 0.0 < self.target_share <= 1.0:
             raise ValueError("target_share must be in (0, 1]")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SchedulerParams:
-    """Scheduler configuration.
-
-    Attributes:
-        threads: thread-pool size.
-        adaptive: adapt weights from measured task times (Fig. 26) or
-            keep them fixed at the target shares (Fig. 25).
-        adapt_interval: seconds between weight re-computations.
-        sample_interval: CPU-share sampling window for the time series.
-    """
-
-    threads: int = 16
-    adaptive: bool = False
-    adapt_interval: float = 0.5
-    sample_interval: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.adapt_interval <= 0 or self.sample_interval <= 0:
-            raise ValueError("intervals must be positive")
 
 
 @dataclass
@@ -201,12 +183,13 @@ class TaskScheduler:
 
     Applications are assumed backlogged (their queues never empty), which
     matches the paper's co-location experiment: both Solr and Hadoop
-    continuously offer aggregation work.
+    continuously offer aggregation work.  ``adaptive`` re-derives the
+    weights from measured task times (Fig. 26) instead of keeping them at
+    the target shares (Fig. 25).
     """
 
     def __init__(self, workloads: Sequence[WorkloadSpec],
-                 params: SchedulerParams = SchedulerParams(),
-                 seed: int = 1) -> None:
+                 adaptive: bool = False, seed: int = 1) -> None:
         if not workloads:
             raise ValueError("need at least one workload")
         names = [w.app for w in workloads]
@@ -216,7 +199,7 @@ class TaskScheduler:
         if total_share <= 0:
             raise ValueError("target shares must sum to a positive value")
         self._workloads = {w.app: w for w in workloads}
-        self._params = params
+        self._adaptive = adaptive
         self._rng = random.Random(seed)
         # Normalise target shares.
         self._targets = {
@@ -226,7 +209,6 @@ class TaskScheduler:
     def run(self, duration: float = 60.0) -> SchedulerResult:
         if duration <= 0:
             raise ValueError("duration must be positive")
-        params = self._params
         queue = EventQueue()
         weights = dict(self._targets)  # initial weights = target shares
         mean_took: Dict[str, Optional[float]] = {
@@ -247,9 +229,8 @@ class TaskScheduler:
             return apps[-1]
 
         def task_duration(app: str) -> float:
-            spec = self._workloads[app]
-            jitter = 1.0 + spec.jitter * (2.0 * self._rng.random() - 1.0)
-            return spec.task_seconds * jitter
+            jitter = 1.0 + JITTER * (2.0 * self._rng.random() - 1.0)
+            return self._workloads[app].task_seconds * jitter
 
         def run_thread() -> None:
             """One thread picks a task, runs it to completion, repeats."""
@@ -268,7 +249,7 @@ class TaskScheduler:
         def adapt() -> None:
             if queue.now >= duration:
                 return
-            if params.adaptive:
+            if self._adaptive:
                 ratios = {}
                 for app, target in self._targets.items():
                     measured = mean_took[app]
@@ -279,7 +260,7 @@ class TaskScheduler:
                 total = sum(ratios.values())
                 for app in weights:
                     weights[app] = ratios[app] / total
-            queue.schedule(params.adapt_interval, adapt)
+            queue.schedule(ADAPT_INTERVAL, adapt)
 
         def sample() -> None:
             total = sum(window.values())
@@ -291,12 +272,12 @@ class TaskScheduler:
             for app in window:
                 window[app] = 0.0
             if queue.now < duration:
-                queue.schedule(params.sample_interval, sample)
+                queue.schedule(SAMPLE_INTERVAL, sample)
 
-        for _ in range(params.threads):
+        for _ in range(THREADS):
             run_thread()
-        queue.schedule(params.adapt_interval, adapt)
-        queue.schedule(params.sample_interval, sample)
+        queue.schedule(ADAPT_INTERVAL, adapt)
+        queue.schedule(SAMPLE_INTERVAL, sample)
         queue.run(until=duration)
 
         # Published once per run (never per task), so the bench ledger

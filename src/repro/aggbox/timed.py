@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.aggbox.box import AggBoxRuntime, AppBinding
-from repro.aggbox.functions import DEFAULT_CORE_RATE
 from repro.aggbox.scheduler import WfqExecutor
 from repro.netsim.engine import EventQueue
 
@@ -37,16 +36,15 @@ class RequestTiming:
 
 
 class TimedAggBox:
-    """An agg box whose merges take simulated CPU time."""
+    """An agg box whose merges take simulated CPU time, at
+    :data:`~repro.aggbox.functions.DEFAULT_CORE_RATE` per core."""
 
-    def __init__(self, queue: EventQueue, box_id: str = "box:timed",
-                 cores: int = 16, core_rate: float = DEFAULT_CORE_RATE,
+    def __init__(self, queue: EventQueue, cores: int = 16,
                  adaptive: bool = True) -> None:
         self._queue = queue
-        self._runtime = AggBoxRuntime(box_id)
+        self._runtime = AggBoxRuntime("box:timed")
         self._executor = WfqExecutor(queue, threads=cores,
                                      adaptive=adaptive)
-        self._core_rate = core_rate
         self._timings: Dict[tuple, RequestTiming] = {}
         self._emit_callbacks: Dict[tuple, Callable] = {}
 
@@ -78,7 +76,7 @@ class TimedAggBox:
                 first_arrival=self._queue.now,
             )
         binding = self._runtime.binding(app)
-        duration = binding.function.cpu_seconds(nbytes, self._core_rate)
+        duration = binding.function.cpu_seconds(nbytes)
 
         def merge_done() -> None:
             ready = self._runtime.submit_partial(app, request_id, source,

@@ -26,10 +26,14 @@ from repro.units import Gbps
 from repro.workload.synthetic import AggJob
 
 
+#: Start delay (seconds) past which a worker bypasses the tree.
+STRAGGLER_BYPASS = 0.2
+
+
 class NetAggStrategy(AggregationStrategy):
     """On-path aggregation at agg boxes attached to switches.
 
-    ``straggler_bypass`` implements §3.1's straggler handling: a worker
+    :data:`STRAGGLER_BYPASS` implements §3.1's straggler handling: a worker
     whose start delay exceeds the threshold ships its partial result
     *directly to the master* instead of through the tree ("the agg box
     just aggregates available results, while the rest is sent directly
@@ -45,13 +49,9 @@ class NetAggStrategy(AggregationStrategy):
     """
 
     def __init__(self, name: str = "netagg",
-                 straggler_bypass: float = 0.2,
                  fault_view: Optional[
                      Callable[[AggJob], Iterable[str]]] = None) -> None:
-        if straggler_bypass <= 0:
-            raise ValueError("straggler_bypass must be positive")
         self.name = name
-        self.straggler_bypass = straggler_bypass
         self.fault_view = fault_view
 
     def plan_job(self, job: AggJob, topo: Topology,
@@ -80,7 +80,7 @@ class NetAggStrategy(AggregationStrategy):
         bypassed = set()
         for index, (host, size) in enumerate(job.workers):
             if tree.worker_entry[index] is not None and \
-                    job.delay_of(index) > self.straggler_bypass:
+                    job.delay_of(index) > STRAGGLER_BYPASS:
                 bypassed.add(index)
                 lane = builder.lane(job.job_id, tree.tree_index, host,
                                     tree.master_tor, master_pod)

@@ -21,6 +21,9 @@ from repro.apps.hadoop.job import Counters, JobSpec
 from repro.netsim.routing import stable_hash
 from repro.wire.records import KeyValue, encode_kv_stream
 
+#: Reducers the shuffle partitions intermediate keys over.
+N_REDUCERS = 1
+
 
 @dataclass
 class PhaseStats:
@@ -60,14 +63,9 @@ def _combine(pairs: Iterable[Tuple[str, int]], reducer) -> List[Tuple[str, int]]
 class MapReduceEngine:
     """Single-process execution of map/reduce jobs with real data.
 
-    Intermediate keys go to reducers by Hadoop's default hash
-    partitioner; the reducer outputs are then sorted by key.
+    Intermediate keys go to :data:`N_REDUCERS` reducers by Hadoop's
+    default hash partitioner; the reducer outputs are then sorted by key.
     """
-
-    def __init__(self, n_reducers: int = 1) -> None:
-        if n_reducers < 1:
-            raise ValueError("n_reducers must be >= 1")
-        self.n_reducers = n_reducers
 
     def run(
         self,
@@ -124,11 +122,11 @@ class MapReduceEngine:
         shuffle_bytes = sum(_encode_size(p) for p in current)
         counters.shuffle_bytes = shuffle_bytes
         partitions: List[List[Tuple[str, int]]] = [
-            [] for _ in range(self.n_reducers)
+            [] for _ in range(N_REDUCERS)
         ]
         for part in current:
             for key, value in part:
-                partitions[stable_hash(key) % self.n_reducers].append(
+                partitions[stable_hash(key) % N_REDUCERS].append(
                     (key, value))
 
         # -- reduce ----------------------------------------------------------

@@ -3,7 +3,7 @@
 The paper compares deploying agg boxes against upgrading the network,
 with equipment prices from Popa et al., "A Cost Comparison of Data
 Center Network Architectures" (CoNEXT'10).  We use the same flavour of
-per-port/per-server price list (documented constants below -- the
+per-port/per-server prices (documented constants below -- the
 absolute dollars matter less than their ratios) and count the equipment
 delta each option needs over the base set-up (1 Gbps edges, 4:1
 over-subscription).
@@ -27,25 +27,22 @@ from repro.topology.threetier import ThreeTierParams
 from repro.units import Gbps
 
 
-@dataclass(frozen=True)
-class PriceList:
-    """Unit prices in USD (Popa et al. flavour).
+# Unit prices in USD (Popa et al. flavour): ``PORT_*`` per switch port
+# (amortised switch cost), ``NIC_*`` per server adapter; agg boxes are
+# commodity servers.
+PORT_1G = 100.0
+PORT_10G = 900.0
+NIC_1G = 50.0
+NIC_10G = 500.0
+AGGBOX_SERVER = 2500.0
 
-    ``port_*`` prices are per switch port (amortised switch cost);
-    ``nic_*`` per server adapter; servers are commodity boxes.
-    """
 
-    port_1g: float = 100.0
-    port_10g: float = 900.0
-    nic_1g: float = 50.0
-    nic_10g: float = 500.0
-    aggbox_server: float = 2500.0
+def port_price(rate: float) -> float:
+    return PORT_10G if rate > Gbps(1.0) else PORT_1G
 
-    def port(self, rate: float) -> float:
-        return self.port_10g if rate > Gbps(1.0) else self.port_1g
 
-    def nic(self, rate: float) -> float:
-        return self.nic_10g if rate > Gbps(1.0) else self.nic_1g
+def nic_price(rate: float) -> float:
+    return NIC_10G if rate > Gbps(1.0) else NIC_1G
 
 
 @dataclass
@@ -66,7 +63,6 @@ class CostReport:
 
 
 def network_cost(params: ThreeTierParams,
-                 prices: PriceList = PriceList(),
                  label: str = "network") -> CostReport:
     """Total network equipment cost of a three-tier configuration.
 
@@ -79,8 +75,8 @@ def network_cost(params: ThreeTierParams,
     """
     report = CostReport(label=label)
     report.add("edge switch ports", params.n_hosts,
-               prices.port(params.edge_rate))
-    report.add("server NICs", params.n_hosts, prices.nic(params.edge_rate))
+               port_price(params.edge_rate))
+    report.add("server NICs", params.n_hosts, nic_price(params.edge_rate))
     # Total uplink capacity: ToR->aggr and aggr->core carry the same
     # post-over-subscription volume; each link has two port ends.
     tor_uplink_total = (params.n_tors * params.hosts_per_tor
@@ -88,20 +84,19 @@ def network_cost(params: ThreeTierParams,
     fabric_capacity = tor_uplink_total * 2  # two inter-switch tiers
     port_equivalents = math.ceil(fabric_capacity * 2 / Gbps(10.0))
     report.add("inter-switch fabric (10G-port equivalents)",
-               port_equivalents, prices.port_10g)
+               port_equivalents, PORT_10G)
     return report
 
 
 def upgrade_cost(base: ThreeTierParams, target: ThreeTierParams,
-                 prices: PriceList = PriceList(),
                  label: str = "upgrade") -> CostReport:
     """Equipment delta to move the network from ``base`` to ``target``.
 
     Only additional/replaced equipment is charged (you cannot resell
     ports you rip out, so replacements cost the full new price).
     """
-    base_cost = network_cost(base, prices)
-    target_cost = network_cost(target, prices, label=label)
+    base_cost = network_cost(base)
+    target_cost = network_cost(target, label=label)
     report = CostReport(label=label)
     base_items = {d: (q, u) for d, q, u in base_cost.items}
     for description, quantity, unit in target_cost.items:
@@ -114,14 +109,13 @@ def upgrade_cost(base: ThreeTierParams, target: ThreeTierParams,
     return report
 
 
-def netagg_cost(n_boxes: int, prices: PriceList = PriceList(),
-                label: str = "NetAgg",
+def netagg_cost(n_boxes: int, label: str = "NetAgg",
                 link_rate: float = Gbps(10.0)) -> CostReport:
     """Cost of deploying ``n_boxes`` agg boxes (server + NIC + port)."""
     if n_boxes < 0:
         raise ValueError("n_boxes must be >= 0")
     report = CostReport(label=label)
-    report.add("agg box servers", n_boxes, prices.aggbox_server)
-    report.add("agg box NICs", n_boxes, prices.nic(link_rate))
-    report.add("agg box switch ports", n_boxes, prices.port(link_rate))
+    report.add("agg box servers", n_boxes, AGGBOX_SERVER)
+    report.add("agg box NICs", n_boxes, nic_price(link_rate))
+    report.add("agg box switch ports", n_boxes, port_price(link_rate))
     return report

@@ -9,8 +9,10 @@ fraction of its cost.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.aggregation import NetAggStrategy, RackLevelStrategy, deploy_boxes
-from repro.cost.model import PriceList, netagg_cost, upgrade_cost
+from repro.cost.model import netagg_cost, upgrade_cost
 from repro.experiments.common import DEFAULT, ExperimentResult, SimScale, simulate
 from repro.experiments import register
 from repro.netsim.metrics import relative_p99
@@ -19,8 +21,7 @@ from repro.units import Gbps
 
 
 @register("fig03")
-def run(scale: SimScale = DEFAULT, seed: int = 1,
-        prices: PriceList = PriceList()) -> ExperimentResult:
+def run(scale: SimScale = DEFAULT, seed: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig03",
         description="FCT (relative to base rack-level) and upgrade cost",
@@ -29,34 +30,21 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
     base = scale.topo
     baseline = simulate(scale, RackLevelStrategy(), seed=seed)
 
-    def rack_on(topo_overrides) -> float:
-        sub = scale.with_topo(**topo_overrides)
-        return relative_p99(
-            simulate(sub, RackLevelStrategy(), seed=seed), baseline
-        )
-
     # -- upgraded networks, still rack-level aggregation -------------------
-    full_10g = dict(edge_rate=Gbps(10.0), oversubscription=1.0)
-    oversub_10g = dict(edge_rate=Gbps(10.0))
-    full_1g = dict(oversubscription=1.0)
-    result.add_row(
-        configuration="FullBisec-10G",
-        relative_p99=rack_on(full_10g),
-        upgrade_cost_usd=upgrade_cost(base, base.scaled(**full_10g),
-                                      prices).total,
+    upgrades = (
+        ("FullBisec-10G",
+         base.scaled(edge_rate=Gbps(10.0), oversubscription=1.0)),
+        ("Oversub-10G", base.scaled(edge_rate=Gbps(10.0))),
+        ("FullBisec-1G", base.scaled(oversubscription=1.0)),
     )
-    result.add_row(
-        configuration="Oversub-10G",
-        relative_p99=rack_on(oversub_10g),
-        upgrade_cost_usd=upgrade_cost(base, base.scaled(**oversub_10g),
-                                      prices).total,
-    )
-    result.add_row(
-        configuration="FullBisec-1G",
-        relative_p99=rack_on(full_1g),
-        upgrade_cost_usd=upgrade_cost(base, base.scaled(**full_1g),
-                                      prices).total,
-    )
+    for configuration, target in upgrades:
+        rack = simulate(replace(scale, topo=target), RackLevelStrategy(),
+                        seed=seed)
+        result.add_row(
+            configuration=configuration,
+            relative_p99=relative_p99(rack, baseline),
+            upgrade_cost_usd=upgrade_cost(base, target).total,
+        )
 
     # -- NetAgg on the base network -----------------------------------------
     n_switches = (base.n_tors + base.n_pods * base.aggrs_per_pod
@@ -66,7 +54,7 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
     result.add_row(
         configuration="NetAgg",
         relative_p99=relative_p99(netagg, baseline),
-        upgrade_cost_usd=netagg_cost(n_switches, prices).total,
+        upgrade_cost_usd=netagg_cost(n_switches).total,
     )
     n_aggr = base.n_pods * base.aggrs_per_pod
     incremental = simulate(
@@ -77,6 +65,6 @@ def run(scale: SimScale = DEFAULT, seed: int = 1,
     result.add_row(
         configuration="Incremental-NetAgg",
         relative_p99=relative_p99(incremental, baseline),
-        upgrade_cost_usd=netagg_cost(n_aggr, prices).total,
+        upgrade_cost_usd=netagg_cost(n_aggr).total,
     )
     return result

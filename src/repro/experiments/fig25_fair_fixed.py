@@ -8,7 +8,7 @@ Hadoop starves (the paper's motivation for the adaptive scheduler).
 
 from __future__ import annotations
 
-from repro.aggbox.scheduler import SchedulerParams, TaskScheduler, WorkloadSpec
+from repro.aggbox.scheduler import TaskScheduler, WorkloadSpec
 from repro.experiments import register
 from repro.experiments.common import (
     DEFAULT,
@@ -36,7 +36,7 @@ def _sweep(duration: float = 30.0, seed: int = 1,
             WorkloadSpec("hadoop", task_seconds=HADOOP_TASK_SECONDS,
                          target_share=0.5),
         ],
-        SchedulerParams(adaptive=adaptive),
+        adaptive=adaptive,
         seed=seed,
     )
     outcome = scheduler.run(duration)

@@ -18,11 +18,12 @@ class EventQueue:
     """Priority queue of ``(time, callback)`` events with a virtual clock.
 
     Events scheduled for the same time fire in insertion order.  The clock
-    only moves forward; scheduling an event in the past raises.
+    starts at zero and only moves forward; scheduling an event in the past
+    raises.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._counter = itertools.count()
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
 

@@ -9,7 +9,7 @@ wire links as far as the fairness solver is concerned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterator
 
 
 @dataclass
@@ -38,12 +38,13 @@ class Link:
 
 
 class Network:
-    """A set of named links, with per-link traffic accounting."""
+    """A set of named links, with per-link traffic accounting.
 
-    def __init__(self, links: Optional[Iterable[Link]] = None) -> None:
+    It starts empty; :meth:`add_link` adds each link.
+    """
+
+    def __init__(self) -> None:
         self._links: Dict[str, Link] = {}
-        for link in links or ():
-            self.add_link(link)
 
     def add_link(self, link: Link) -> None:
         if link.link_id in self._links:

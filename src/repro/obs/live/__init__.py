@@ -34,8 +34,8 @@ from typing import Dict, List, Optional
 
 from repro import _lazy_exports
 from repro.obs.live.exposition import sample_line
-from repro.obs.live.recorder import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.live.series import DEFAULT_MAXLEN, TimeSeriesStore
+from repro.obs.live.recorder import FlightRecorder
+from repro.obs.live.series import TimeSeriesStore
 from repro.obs.live.slo import (
     GOOD_PREFIX,
     BurnRateAlert,
@@ -62,15 +62,11 @@ class LiveTelemetry:
 
     def __init__(self,
                  template: Optional[SloObjective] = None,
-                 maxlen: int = DEFAULT_MAXLEN,
-                 recorder_capacity: int = DEFAULT_CAPACITY,
                  window: float = 5.0,
-                 dump_dir: Optional[str] = None,
-                 dump_min_interval: float = 1.0) -> None:
-        self.store = TimeSeriesStore(maxlen=maxlen)
+                 dump_dir: Optional[str] = None) -> None:
+        self.store = TimeSeriesStore()
         self.monitor = SloMonitor(store=self.store, template=template)
-        self.recorder = FlightRecorder(capacity=recorder_capacity,
-                                       min_interval=dump_min_interval)
+        self.recorder = FlightRecorder()
         #: Window (virtual seconds) for dashboard/exposition stats.
         self.window = window
         self.dump_dir = dump_dir
@@ -188,9 +184,9 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "render_prometheus", "render_registry", "sample_line",
         "validate_exposition",
     ],
-    "repro.obs.live.recorder": ["DEFAULT_CAPACITY", "FlightRecorder"],
+    "repro.obs.live.recorder": ["FlightRecorder", "RING_CAPACITY"],
     "repro.obs.live.series": [
-        "COUNTER", "DEFAULT_MAXLEN", "GAUGE", "TimeSeriesStore",
+        "COUNTER", "GAUGE", "SERIES_MAXLEN", "TimeSeriesStore",
         "WindowStats", "WindowedSeries", "ewma_step",
     ],
     "repro.obs.live.slo": [

@@ -3,7 +3,7 @@
 A :class:`FlightRecorder` is a :class:`~repro.obs.tracer.Tracer` whose
 record lists are bounded rings: it can stay installed as the active
 tracer indefinitely -- the black box on the aircraft -- holding only
-the most recent ``capacity`` spans, instants and counter samples.
+the most recent :data:`RING_CAPACITY` spans, instants and counter samples.
 Instrumented hot paths keep their exact NULL_TRACER discipline (one
 ``tracer.enabled`` branch when no tracer is installed; the recorder is
 only active while the serving layer is inside a request), so always-on
@@ -16,8 +16,8 @@ payload via :mod:`repro.obs.export`, tagged with the triggering event,
 so the operator gets the seconds *leading up to* the anomaly without
 having traced anything in advance.
 
-Dumps are debounced per trigger kind (``min_interval`` on the virtual
-clock) and the kept payloads are themselves a bounded ring, so a
+Dumps are debounced per trigger kind (:data:`MIN_INTERVAL` on the
+virtual clock) and the kept payloads are themselves a bounded ring, so a
 pathological alert storm cannot turn the recorder into a leak.
 Determinism: the ring content is a pure function of the recorded
 virtual-clock events, so identical seeds and fault schedules dump
@@ -35,8 +35,11 @@ from repro.obs.export import trace_payload
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer
 
-#: Default ring capacity (records per kind).
-DEFAULT_CAPACITY = 2048
+#: Ring capacity (records per kind).
+RING_CAPACITY = 2048
+
+#: Virtual seconds before a trigger kind may dump again.
+MIN_INTERVAL = 1.0
 
 #: Dump payloads kept in memory (oldest evicted).
 KEPT_DUMPS = 8
@@ -45,20 +48,15 @@ KEPT_DUMPS = 8
 class FlightRecorder(Tracer):
     """A tracer whose memory is a bounded ring (see module docstring)."""
 
-    __slots__ = ("capacity", "min_interval", "dumps", "_last_dump")
+    __slots__ = ("dumps", "_last_dump")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 min_interval: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if capacity < 16:
-            raise ValueError("capacity must be >= 16")
-        self.capacity = capacity
-        self.min_interval = min_interval
         # Rebind the record containers as rings; every Tracer method
         # appends through these, so the override is complete.
-        self.spans = deque(maxlen=capacity)
-        self.instants = deque(maxlen=capacity)
-        self.samples = deque(maxlen=capacity)
+        self.spans = deque(maxlen=RING_CAPACITY)
+        self.instants = deque(maxlen=RING_CAPACITY)
+        self.samples = deque(maxlen=RING_CAPACITY)
         #: (trigger, at, payload) of recent dumps, oldest evicted.
         self.dumps: Deque[Tuple[str, float, dict]] = \
             deque(maxlen=KEPT_DUMPS)
@@ -78,7 +76,7 @@ class FlightRecorder(Tracer):
         unknown keys).
         """
         last = self._last_dump.get(trigger)
-        if last is not None and at - last < self.min_interval:
+        if last is not None and at - last < MIN_INTERVAL:
             METRICS.counter("obs.flightrec.suppressed").inc()
             return None
         self._last_dump[trigger] = at

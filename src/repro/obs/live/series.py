@@ -17,7 +17,7 @@ on demand:
   numbers without per-event bookkeeping.
 
 Memory is bounded by construction: every series retains at most
-``2 * maxlen`` points (amortised-O(1) batch eviction of the oldest).
+``2 * SERIES_MAXLEN`` points (amortised-O(1) batch eviction of the oldest).
 Under sustained load a window query therefore covers the most recent
 retained points that fall in the window -- a documented approximation,
 not a leak.
@@ -40,8 +40,8 @@ from repro.units import percentile
 GAUGE = "gauge"
 COUNTER = "counter"
 
-#: Default per-series ring capacity.
-DEFAULT_MAXLEN = 1024
+#: Per-series ring capacity.
+SERIES_MAXLEN = 1024
 
 
 def ewma_step(previous: Optional[float], sample: float,
@@ -85,20 +85,16 @@ class WindowedSeries:
     sorted by construction and window queries are two binary searches.
     The ring is a compacted list pair -- appends are O(1) amortised,
     eviction drops the oldest half-batch once the list doubles past
-    ``maxlen``, and random access stays O(1) for the bisects.
+    :data:`SERIES_MAXLEN`, and random access stays O(1) for the bisects.
     """
 
-    __slots__ = ("name", "kind", "maxlen", "_at", "_values")
+    __slots__ = ("name", "kind", "_at", "_values")
 
-    def __init__(self, name: str, kind: str = GAUGE,
-                 maxlen: int = DEFAULT_MAXLEN) -> None:
+    def __init__(self, name: str, kind: str = GAUGE) -> None:
         if kind not in (GAUGE, COUNTER):
             raise ValueError(f"unknown series kind {kind!r}")
-        if maxlen < 2:
-            raise ValueError("maxlen must be >= 2")
         self.name = name
         self.kind = kind
-        self.maxlen = maxlen
         self._at: List[float] = []
         self._values: List[float] = []
 
@@ -110,9 +106,9 @@ class WindowedSeries:
                 f"latest point at {self._at[-1]}")
         self._at.append(float(at))
         self._values.append(float(value))
-        if len(self._at) > 2 * self.maxlen:
-            del self._at[:-self.maxlen]
-            del self._values[:-self.maxlen]
+        if len(self._at) > 2 * SERIES_MAXLEN:
+            del self._at[:-SERIES_MAXLEN]
+            del self._values[:-SERIES_MAXLEN]
 
     def last(self) -> Optional[Tuple[float, float]]:
         if not self._at:
@@ -166,14 +162,13 @@ class WindowedSeries:
 class TimeSeriesStore:
     """Name -> :class:`WindowedSeries` map with get-or-create access."""
 
-    def __init__(self, maxlen: int = DEFAULT_MAXLEN) -> None:
-        self.maxlen = maxlen
+    def __init__(self) -> None:
         self._series: Dict[str, WindowedSeries] = {}
 
     def series(self, name: str, kind: str = GAUGE) -> WindowedSeries:
         series = self._series.get(name)
         if series is None:
-            series = WindowedSeries(name, kind=kind, maxlen=self.maxlen)
+            series = WindowedSeries(name, kind=kind)
             self._series[name] = series
         elif series.kind != kind:
             raise TypeError(

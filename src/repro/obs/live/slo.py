@@ -50,7 +50,6 @@ class SloObjective:
     slow_window: float = 10.0   #: long window (virtual seconds)
     fast_burn: float = 5.0      #: firing threshold on the fast window
     slow_burn: float = 1.0      #: firing threshold on the slow window
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target < 1.0:

@@ -24,58 +24,41 @@ import math
 from typing import Dict, List, Optional, Union
 
 
-class LogBins:
-    """A fixed log-spaced bucket scheme shared by all histograms.
-
-    ``bins_per_decade`` buckets per power of ten between ``10**lo_exp``
-    and ``10**hi_exp``, plus an underflow bucket (index 0, catching
-    zero and negatives) and a clamp into the last bucket for overflow.
-    The scheme is *fixed*: a histogram's memory is bounded by the bin
-    count regardless of how many values it absorbs, and the relative
-    quantile error is bounded by the bucket width (~12% at 20 bins per
-    decade).
-    """
-
-    __slots__ = ("lo_exp", "hi_exp", "bins_per_decade", "n_bins",
-                 "_lo_bound")
-
-    def __init__(self, lo_exp: int = -9, hi_exp: int = 9,
-                 bins_per_decade: int = 20) -> None:
-        if hi_exp <= lo_exp:
-            raise ValueError("hi_exp must exceed lo_exp")
-        if bins_per_decade < 1:
-            raise ValueError("bins_per_decade must be >= 1")
-        self.lo_exp = lo_exp
-        self.hi_exp = hi_exp
-        self.bins_per_decade = bins_per_decade
-        #: Bucket 0 is underflow; buckets 1..n cover the decades.
-        self.n_bins = (hi_exp - lo_exp) * bins_per_decade + 1
-        self._lo_bound = 10.0 ** lo_exp
-
-    def index(self, value: float) -> int:
-        """Bucket index of ``value`` (0 = underflow, clamped on top)."""
-        if value <= self._lo_bound:
-            return 0
-        i = 1 + int((math.log10(value) - self.lo_exp)
-                    * self.bins_per_decade)
-        return min(max(i, 1), self.n_bins - 1)
-
-    def lower(self, index: int) -> float:
-        """Inclusive-ish lower edge of bucket ``index`` (0 for underflow)."""
-        if index <= 0:
-            return 0.0
-        return 10.0 ** (self.lo_exp
-                        + (index - 1) / self.bins_per_decade)
-
-    def upper(self, index: int) -> float:
-        """Upper edge of bucket ``index``."""
-        if index <= 0:
-            return self._lo_bound
-        return 10.0 ** (self.lo_exp + index / self.bins_per_decade)
+# A fixed log-spaced bucket scheme shared by all histograms:
+# ``BINS_PER_DECADE`` buckets per power of ten between ``10**LO_EXP``
+# and ``10**HI_EXP``, plus an underflow bucket (index 0, catching zero
+# and negatives) and a clamp into the last bucket for overflow.  The
+# scheme is *fixed*: a histogram's memory is bounded by the bin count
+# regardless of how many values it absorbs, and the relative quantile
+# error is bounded by the bucket width (~12% at 20 bins per decade).
+LO_EXP = -9
+HI_EXP = 9
+BINS_PER_DECADE = 20
+#: Bucket 0 is underflow; buckets 1..N_BINS-1 cover the decades.
+N_BINS = (HI_EXP - LO_EXP) * BINS_PER_DECADE + 1
+_LO_BOUND = 10.0 ** LO_EXP
 
 
-#: The process-wide bucket scheme (covers 1e-9 .. 1e9 at ~12% error).
-LOG_BINS = LogBins()
+def bin_index(value: float) -> int:
+    """Bucket index of ``value`` (0 = underflow, clamped on top)."""
+    if value <= _LO_BOUND:
+        return 0
+    i = 1 + int((math.log10(value) - LO_EXP) * BINS_PER_DECADE)
+    return min(max(i, 1), N_BINS - 1)
+
+
+def bin_lower(index: int) -> float:
+    """Inclusive-ish lower edge of bucket ``index`` (0 for underflow)."""
+    if index <= 0:
+        return 0.0
+    return 10.0 ** (LO_EXP + (index - 1) / BINS_PER_DECADE)
+
+
+def bin_upper(index: int) -> float:
+    """Upper edge of bucket ``index``."""
+    if index <= 0:
+        return _LO_BOUND
+    return 10.0 ** (LO_EXP + index / BINS_PER_DECADE)
 
 
 class Counter:
@@ -100,7 +83,7 @@ class Histogram:
     """Streaming distribution summary with bounded quantile buckets.
 
     Observations are folded into running aggregates (count/sum/min/max)
-    plus fixed log-spaced bucket counts (:data:`LOG_BINS`), so a
+    plus fixed log-spaced bucket counts (:func:`bin_index`), so a
     histogram on a hot path stays O(1) in memory yet answers
     :meth:`percentile` queries live -- p50/p99 no longer require
     holding every observation.  The bucket list is allocated lazily on
@@ -128,8 +111,8 @@ class Histogram:
         if value > self.maximum:
             self.maximum = value
         if self.buckets is None:
-            self.buckets = [0] * LOG_BINS.n_bins
-        self.buckets[LOG_BINS.index(value)] += 1
+            self.buckets = [0] * N_BINS
+        self.buckets[bin_index(value)] += 1
 
     @property
     def mean(self) -> float:
@@ -158,8 +141,8 @@ class Histogram:
             if not bucket:
                 continue
             if cumulative + bucket >= rank:
-                lower = LOG_BINS.lower(index)
-                upper = LOG_BINS.upper(index)
+                lower = bin_lower(index)
+                upper = bin_upper(index)
                 frac = (rank - cumulative) / bucket
                 value = lower + frac * (upper - lower)
                 return min(max(value, self.minimum), self.maximum)

@@ -54,19 +54,17 @@ class _HttpError(Exception):
     """A request that failed *before* routing (parse/frame layer).
 
     Carries everything needed to answer with a well-formed JSON error
-    instead of dropping the connection.  ``close`` is set when the
-    stream cannot be resynchronised (an unread oversized body, a
-    garbled request line), so the error is answered and the connection
-    is then closed.
+    instead of dropping the connection.  The stream cannot be
+    resynchronised after one (an unread oversized body, a garbled
+    request line), so the error is answered and the connection is then
+    closed.
     """
 
-    def __init__(self, status: int, error: str, reason: str,
-                 close: bool = True) -> None:
+    def __init__(self, status: int, error: str, reason: str) -> None:
         super().__init__(reason)
         self.status = status
         self.error = error
         self.reason = reason
-        self.close = close
 
 
 class HttpFrontend:
@@ -120,14 +118,12 @@ class HttpFrontend:
                 except _HttpError as exc:
                     # Malformed and oversized requests get a real
                     # response (400/413 with a JSON body), never a
-                    # silently dropped connection.
+                    # silently dropped connection; then it closes.
                     await _write_response(
                         writer, exc.status,
                         {"status": exc.status, "error": exc.error,
                          "reason": exc.reason})
-                    if exc.close:
-                        break
-                    continue
+                    break
                 if request is None:
                     break
                 method, path, body = request

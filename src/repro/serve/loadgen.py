@@ -24,7 +24,13 @@ from repro.serve.service import (
     ServeConfig,
     TenantPolicy,
 )
-from repro.workload.openloop import OpenLoopParams, iter_arrivals
+from repro.workload.openloop import (
+    GRADIENT_DIMS,
+    RESULTS_PER_WORKER,
+    WORKERS,
+    OpenLoopParams,
+    iter_arrivals,
+)
 
 #: Fraction of estimated platform capacity the default per-tenant
 #: admission budget hands out in aggregate (headroom for bursts).
@@ -96,9 +102,9 @@ async def drive(service: AggregationService, params: OpenLoopParams,
             "tenant": arrival.tenant,
             "id": arrival.request_id,
             "payload_seed": arrival.payload_seed,
-            "workers": params.workers,
-            "results_per_worker": params.results_per_worker,
-            "gradient_dims": params.gradient_dims,
+            "workers": WORKERS,
+            "results_per_worker": RESULTS_PER_WORKER,
+            "gradient_dims": GRADIENT_DIMS,
         }
         batch.append(service.handle_async(request, arrival=arrival.at))
         submitted += 1

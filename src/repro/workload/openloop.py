@@ -16,7 +16,7 @@ payload seeds -- the property the deterministic-replay tests pin.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 #: Request kinds the serving layer understands.
@@ -24,6 +24,18 @@ OP_QUERY = "query"     #: Solr-style partition/aggregate top-k query
 OP_MLGRAD = "mlgrad"   #: one distributed gradient-aggregation round
 
 OPS = (OP_QUERY, OP_MLGRAD)
+
+#: Zipf exponent of tenant popularity (rank 1 hottest).
+ZIPF_S = 1.2
+#: Fraction of requests that are Solr-style queries; the remainder are
+#: mlgrad rounds.
+QUERY_FRACTION = 0.8
+#: Worker fan-in of each request (hosts holding partials).
+WORKERS = 8
+#: Per-worker result count of a query request.
+RESULTS_PER_WORKER = 4
+#: Gradient vector length of an mlgrad request.
+GRADIENT_DIMS = 8
 
 
 @dataclass(frozen=True)
@@ -38,33 +50,18 @@ class OpenLoopParams:
         duration: virtual seconds of arrivals to generate.
         per_user_rate: sustained request rate of one user (req/s).
         tenants: number of distinct tenants sharing the deployment.
-        zipf_s: Zipf exponent of tenant popularity (rank 1 hottest).
-        query_fraction: fraction of requests that are Solr-style
-            queries; the remainder are mlgrad rounds.
-        workers: worker fan-in of each request (hosts holding partials).
-        results_per_worker: per-worker result count of a query request.
-        gradient_dims: gradient vector length of an mlgrad request.
     """
 
     users: int = 10_000
     duration: float = 10.0
     per_user_rate: float = 0.001
     tenants: int = 8
-    zipf_s: float = 1.2
-    query_fraction: float = 0.8
-    workers: int = 8
-    results_per_worker: int = 4
-    gradient_dims: int = 8
 
     def __post_init__(self) -> None:
-        if self.users < 1 or self.tenants < 1 or self.workers < 1:
-            raise ValueError("users, tenants and workers must be >= 1")
+        if self.users < 1 or self.tenants < 1:
+            raise ValueError("users and tenants must be >= 1")
         if self.duration <= 0 or self.per_user_rate <= 0:
             raise ValueError("duration and per_user_rate must be positive")
-        if not 0.0 <= self.query_fraction <= 1.0:
-            raise ValueError("query_fraction must be in [0, 1]")
-        if self.zipf_s <= 0:
-            raise ValueError("zipf_s must be positive")
 
     @property
     def offered_rate(self) -> float:
@@ -121,7 +118,7 @@ def iter_arrivals(params: OpenLoopParams,
     payload seed are drawn per arrival from the same seeded stream.
     """
     rng = random.Random(seed * 0x5E5E + 17)
-    tenants = ZipfTenants(params.tenants, params.zipf_s)
+    tenants = ZipfTenants(params.tenants, ZIPF_S)
     rate = params.offered_rate
     t = 0.0
     index = 0
@@ -129,7 +126,7 @@ def iter_arrivals(params: OpenLoopParams,
         t += rng.expovariate(rate)
         if t >= params.duration:
             return
-        op = OP_QUERY if rng.random() < params.query_fraction \
+        op = OP_QUERY if rng.random() < QUERY_FRACTION \
             else OP_MLGRAD
         yield Arrival(
             at=t,

@@ -104,6 +104,14 @@ class Workload:
         return sum(flow.size for flow in self.background)
 
 
+#: Masters (frontends/reducers) live outside their workers' rack.
+REMOTE_MASTER = True
+#: Probability a worker is displaced to a random rack by bin-packing
+#: pressure (fragmented clusters are where rack-level aggregation
+#: degenerates and on-path aggregation shines).
+FRAGMENTATION = 0.25
+
+
 @dataclass(frozen=True)
 class WorkloadParams:
     """Knobs of the synthetic generator (defaults = DESIGN.md assumptions)."""
@@ -119,13 +127,6 @@ class WorkloadParams:
     worker_pareto_shape: float = 1.5
     n_trees: int = 1
     random_placement: bool = False
-    #: Masters (frontends/reducers) live outside their workers' rack by
-    #: default; False co-locates them (the locality ablation).
-    remote_master: bool = True
-    #: Probability a worker is displaced to a random rack by bin-packing
-    #: pressure (fragmented clusters are where rack-level aggregation
-    #: degenerates and on-path aggregation shines).
-    fragmentation: float = 0.25
     #: How jobs/flows arrive over time:
     #: - "simultaneous": everything at t=0 (the paper's worst case);
     #: - "uniform": starts drawn uniformly over ``arrival_span``;
@@ -214,9 +215,8 @@ def generate_workload(
     rng = random.Random(seed)
     placer = (
         RandomPlacer(topo, rng) if params.random_placement
-        else LocalityAwarePlacer(topo, rng,
-                                 remote_master=params.remote_master,
-                                 fragmentation=params.fragmentation)
+        else LocalityAwarePlacer(topo, rng, remote_master=REMOTE_MASTER,
+                                 fragmentation=FRAGMENTATION)
     )
     hosts = sorted(topo.hosts())
     workload = Workload()

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.cost import PriceList, netagg_cost, upgrade_cost
-from repro.cost.model import network_cost
+from repro.cost import netagg_cost, upgrade_cost
+from repro.cost.model import (
+    NIC_10G,
+    PORT_1G,
+    PORT_10G,
+    network_cost,
+    nic_price,
+    port_price,
+)
 from repro.topology import ThreeTierParams
 from repro.units import Gbps
 
@@ -12,10 +19,9 @@ BASE = ThreeTierParams()  # 1G edges, 4:1 oversubscription
 
 class TestPriceList:
     def test_rate_selection(self):
-        prices = PriceList()
-        assert prices.port(Gbps(1.0)) == prices.port_1g
-        assert prices.port(Gbps(10.0)) == prices.port_10g
-        assert prices.nic(Gbps(10.0)) == prices.nic_10g
+        assert port_price(Gbps(1.0)) == PORT_1G
+        assert port_price(Gbps(10.0)) == PORT_10G
+        assert nic_price(Gbps(10.0)) == NIC_10G
 
 
 class TestNetworkCost:

@@ -13,7 +13,7 @@ from repro.cluster import Resource
 from repro.core import NetAggPlatform
 from repro.core.tree import TreeBuilder
 from repro.netsim.engine import EventQueue
-from repro.netsim.network import Link, Network
+from repro.netsim.network import Link
 from repro.netsim.routing import EcmpRouter
 from repro.netsim.simulator import FlowSim, FlowSpec
 from repro.netsim.vectorized import HAVE_NUMPY
@@ -26,6 +26,7 @@ from repro.wire.records import (
     encode_search_results,
 )
 from repro.workload import AggJob
+from tests.nets import network_of
 
 SMALL = ThreeTierParams(
     n_pods=2, tors_per_pod=2, aggrs_per_pod=2, n_cores=2, hosts_per_tor=4
@@ -173,7 +174,7 @@ class TestWorkConservation:
 
     @staticmethod
     def max_min_end(sizes, rate, solver):
-        sim = FlowSim(Network([Link("bottleneck", rate)]), solver=solver)
+        sim = FlowSim(network_of([Link("bottleneck", rate)]), solver=solver)
         for i, size in enumerate(sizes):
             sim.add_flow(FlowSpec(f"f{i}", size=size, path=("bottleneck",)))
         result = sim.run()

@@ -37,7 +37,9 @@ class TestScheduling:
             queue.schedule(-1.0, lambda: None)
 
     def test_schedule_at_past_rejected(self):
-        queue = EventQueue(start_time=10.0)
+        queue = EventQueue()
+        queue.schedule(10.0, lambda: None)
+        queue.run()
         with pytest.raises(ValueError):
             queue.schedule_at(5.0, lambda: None)
 

@@ -16,6 +16,7 @@ from repro.apps.hadoop import (
     uservisits_job,
     wordcount_job,
 )
+from repro.apps.hadoop import engine as engine_module
 from repro.apps.hadoop.benchmarks import pack_clicks
 from repro.apps.hadoop.job import Counters
 
@@ -72,12 +73,11 @@ class TestEngineBasics:
         for before, after in zip(stats.level_bytes, stats.level_bytes[1:]):
             assert after <= before
 
-    def test_multiple_reducers_same_result(self):
+    def test_multiple_reducers_same_result(self, monkeypatch):
         text = generate_text(100, seed=3)
-        single, _ = MapReduceEngine(n_reducers=1).run(
-            wordcount_job(), chop(text))
-        multi, _ = MapReduceEngine(n_reducers=4).run(
-            wordcount_job(), chop(text))
+        single, _ = MapReduceEngine().run(wordcount_job(), chop(text))
+        monkeypatch.setattr(engine_module, "N_REDUCERS", 4)
+        multi, _ = MapReduceEngine().run(wordcount_job(), chop(text))
         assert single == multi
 
     def test_on_path_without_combiner_rejected(self):
@@ -93,10 +93,6 @@ class TestEngineBasics:
         assert counters.map_output_records == 3
         assert counters.reduce_output_records == 2
         assert counters.map_output_bytes > 0
-
-    def test_invalid_reducer_count(self):
-        with pytest.raises(ValueError):
-            MapReduceEngine(n_reducers=0)
 
 
 class TestOutputRatios:

@@ -9,6 +9,7 @@ from repro.apps.hadoop import (
     pagerank,
     terasort_job,
 )
+from repro.apps.hadoop import engine as engine_module
 
 
 def chop(data, n=5):
@@ -19,12 +20,14 @@ class TestRangePartitioner:
     """Reducer partitioning: keys hash to reducers, and the output
     TeraSort reads is sorted by key all the same."""
 
-    def test_hash_partitioner_also_sorted_output(self):
+    def test_hash_partitioner_also_sorted_output(self, monkeypatch):
         # Hash partitioning sorts the concatenated output explicitly,
         # and the reducer count does not change the result.
         records = generate_terasort_records(200, seed=9)
-        result, stats = MapReduceEngine(n_reducers=4).run(
+        monkeypatch.setattr(engine_module, "N_REDUCERS", 4)
+        result, stats = MapReduceEngine().run(
             terasort_job(), chop(records), use_combiner=False)
+        monkeypatch.undo()
         keys = [k for k, _ in stats.output_pairs]
         assert keys == sorted(keys)
         assert sum(v for _, v in stats.output_pairs) == 200

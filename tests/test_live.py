@@ -29,7 +29,8 @@ from repro.experiments.sweep import run_parallel
 from repro.obs import METRICS
 from repro.obs.export import validate_trace_events
 from repro.obs.live import (
-    DEFAULT_CAPACITY,
+    RING_CAPACITY,
+    SERIES_MAXLEN,
     FlightRecorder,
     LiveTelemetry,
     SloMonitor,
@@ -40,6 +41,8 @@ from repro.obs.live import (
     render_prometheus,
     validate_exposition,
 )
+from repro.obs.live import recorder as recorder_module
+from repro.obs.live import series as series_module
 from repro.obs.metrics import Histogram
 from repro.serve import AggregationService, ServeConfig, TenantPolicy
 from repro.serve import service as service_module
@@ -94,8 +97,9 @@ class TestWindowedSeries:
         with pytest.raises(ValueError, match="precedes"):
             series.observe(0.5, 0.0)
 
-    def test_ring_stays_bounded(self):
-        series = WindowedSeries("lat", maxlen=64)
+    def test_ring_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(series_module, "SERIES_MAXLEN", 64)
+        series = WindowedSeries("lat")
         for i in range(10_000):
             series.observe(i * 0.001, 1.0)
         assert len(series._values) <= 2 * 64
@@ -231,13 +235,14 @@ class TestFlightRecorder:
             recorder.end(span, at + 0.005)
             recorder.instant("tick", at, layer="test")
 
-    def test_ring_stays_bounded(self):
-        recorder = FlightRecorder(capacity=32)
+    def test_ring_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "RING_CAPACITY", 32)
+        recorder = FlightRecorder()
         self._fill(recorder, n=5_000)
         assert record_count(recorder) <= 3 * 32
 
     def test_dump_is_validator_clean_and_tagged(self):
-        recorder = FlightRecorder(capacity=64)
+        recorder = FlightRecorder()
         self._fill(recorder)
         payload = recorder.dump("breaker.open", 1.0, tenant="t1")
         assert payload is not None
@@ -247,31 +252,28 @@ class TestFlightRecorder:
         assert recorder.dumps[-1][2] is payload
 
     def test_debounce_per_trigger_kind(self):
-        recorder = FlightRecorder(capacity=64, min_interval=1.0)
+        recorder = FlightRecorder()
         self._fill(recorder)
         assert recorder.dump("storm", 1.0) is not None
         assert recorder.dump("storm", 1.5) is None       # inside interval
         assert recorder.dump("other", 1.5) is not None   # distinct kind
         assert recorder.dump("storm", 2.5) is not None   # re-armed
 
-    def test_dumps_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=64, min_interval=0.0)
+    def test_dumps_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "MIN_INTERVAL", 0.0)
+        recorder = FlightRecorder()
         self._fill(recorder)
         for i in range(50):
             recorder.dump("k", float(i))
         assert len(recorder.dumps) <= 8
 
     def test_dump_writes_valid_file(self, tmp_path):
-        recorder = FlightRecorder(capacity=64)
+        recorder = FlightRecorder()
         self._fill(recorder)
         path = tmp_path / "dump.json"
         recorder.dump("alert", 1.0, path=path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert validate_trace_events(payload["traceEvents"]) == []
-
-    def test_capacity_floor(self):
-        with pytest.raises(ValueError, match="capacity"):
-            FlightRecorder(capacity=2)
 
 
 class TestExposition:
@@ -433,7 +435,7 @@ class TestBoundedUnderLoad:
         """The hardening pin: after 10k requests the recorder ring, the
         windowed store and both GET endpoints are the same size they
         were after 1k -- nothing grows with trace length."""
-        capacity = DEFAULT_CAPACITY  # the ring is full after 1k requests
+        capacity = RING_CAPACITY  # the ring is full after 1k requests
         service = AggregationService()
         telemetry = service.telemetry
 
@@ -453,7 +455,7 @@ class TestBoundedUnderLoad:
                                   seed=i))
         records, retained, lines = sizes()
         assert records <= 3 * capacity
-        assert retained <= warm[1] + 8 * 2 * telemetry.store.maxlen
+        assert retained <= warm[1] + 8 * 2 * SERIES_MAXLEN
         # The exposition gained at most a few registry families (new
         # status counters), never per-request lines.
         assert lines <= warm[2] + 20

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.aggbox import localtree
 from repro.aggbox.functions import SumFunction, TopKFunction
 from repro.aggbox.localtree import (
+    INGEST_RATE,
     LocalTreeModel,
     TreeModelParams,
     tree_aggregate,
 )
-from repro.units import Gbps, to_gbps
+from repro.units import to_gbps
 from repro.wire.records import SearchResult
 
 
@@ -45,8 +47,6 @@ class TestTreeModelParams:
             TreeModelParams(threads=0)
         with pytest.raises(ValueError):
             TreeModelParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            TreeModelParams(buffer_chunks=0)
         with pytest.raises(ValueError):
             TreeModelParams(chunk_bytes=-1.0)
 
@@ -101,20 +101,22 @@ class TestTreeModelBehaviour:
         assert large.throughput > small.throughput * 2
 
     def test_throughput_bounded_by_ingest(self):
-        params = TreeModelParams(leaves=64, threads=32,
-                                 ingest_rate=Gbps(10.0))
+        params = TreeModelParams(leaves=64, threads=32)
         result = LocalTreeModel(params).run()
-        assert result.throughput <= Gbps(10.0) * 1.01
+        assert result.throughput <= INGEST_RATE * 1.01
 
     def test_peak_concurrency_bounded_by_threads(self):
         params = TreeModelParams(leaves=64, threads=8)
         result = LocalTreeModel(params).run()
         assert result.peak_concurrency <= 8
 
-    def test_expensive_function_lowers_throughput(self):
+    def test_expensive_function_lowers_throughput(self, monkeypatch):
         cheap = LocalTreeModel(TreeModelParams(leaves=16, threads=8)).run()
-        costly = LocalTreeModel(TreeModelParams(leaves=16, threads=8,
-                                                cpu_factor=8.0)).run()
+        # A function eight times as costly: every merge runs at an eighth
+        # of the core rate.
+        monkeypatch.setattr(localtree, "DEFAULT_CORE_RATE",
+                            localtree.DEFAULT_CORE_RATE / 8)
+        costly = LocalTreeModel(TreeModelParams(leaves=16, threads=8)).run()
         assert costly.throughput < cheap.throughput / 4
 
     def test_fig15_shape(self):

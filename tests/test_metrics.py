@@ -7,12 +7,13 @@ from repro.netsim.metrics import (
     fct_summary,
     relative_p99,
 )
-from repro.netsim.network import Link, Network
+from repro.netsim.network import Link
 from repro.netsim.simulator import FlowSim, FlowSpec
+from tests.nets import network_of
 
 
 def run_sim(sizes, capacity=10.0):
-    net = Network([Link("l", capacity)])
+    net = network_of([Link("l", capacity)])
     sim = FlowSim(net)
     for i, size in enumerate(sizes):
         sim.add_flow(FlowSpec(f"f{i}", size=size, path=("l",),
@@ -80,7 +81,7 @@ class TestRelativeP99:
             SimulationResult,
         )
 
-        net = Network([Link("l", 10.0)])
+        net = network_of([Link("l", 10.0)])
         stalled = SimulationResult(
             records={"f0": FlowRecord(
                 spec=FlowSpec("f0", size=10.0, path=("l",)),
@@ -112,10 +113,10 @@ class TestSlowdowns:
 
     def test_pathless_flows_skipped(self):
         from repro.netsim.metrics import slowdowns
-        from repro.netsim.network import Link, Network
+        from repro.netsim.network import Link
         from repro.netsim.simulator import FlowSim, FlowSpec
 
-        net = Network([Link("l", 10.0)])
+        net = network_of([Link("l", 10.0)])
         sim = FlowSim(net)
         sim.add_flow(FlowSpec("empty", size=5.0))
         sim.add_flow(FlowSpec("real", size=5.0, path=("l",)))

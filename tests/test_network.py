@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.netsim.network import Link, Network
+from repro.netsim.network import Link
+from tests.nets import network_of
 
 
 class TestLink:
@@ -18,28 +19,28 @@ class TestLink:
 
 class TestNetwork:
     def test_add_and_lookup(self):
-        net = Network([Link("l1", 1.0)])
+        net = network_of([Link("l1", 1.0)])
         assert "l1" in net
         assert net.capacities() == {"l1": 1.0}
 
     def test_duplicate_rejected(self):
-        net = Network([Link("l1", 1.0)])
+        net = network_of([Link("l1", 1.0)])
         with pytest.raises(ValueError):
             net.add_link(Link("l1", 2.0))
 
     def test_capacities_shape(self):
-        net = Network([Link("a", 1.0), Link("b", 2.0)])
+        net = network_of([Link("a", 1.0), Link("b", 2.0)])
         assert net.capacities() == {"a": 1.0, "b": 2.0}
 
     def test_accounting(self):
         link = Link("l", 1.0)
-        net = Network([link])
+        net = network_of([link])
         net.account("l", 100.0)
         net.account("l", 50.0)
         assert link.bytes_carried == 150.0
 
     def test_wire_links_excludes_virtual(self):
-        net = Network([
+        net = network_of([
             Link("wire", 1.0),
             Link("proc:x", 1.0, virtual=True),
         ])

@@ -32,6 +32,7 @@ from repro.obs import (
     validate_trace_file,
     write_trace,
 )
+from tests.nets import network_of
 from tests.test_live import record_count
 
 
@@ -265,11 +266,11 @@ class TestExporter:
 
 class TestInstrumentation:
     def test_simulator_emits_netsim_spans(self):
-        from repro.netsim.network import Link, Network
+        from repro.netsim.network import Link
         from repro.netsim.simulator import FlowSim, FlowSpec
 
         with tracing(Tracer()) as t:
-            sim = FlowSim(Network([Link("l", 10.0)]))
+            sim = FlowSim(network_of([Link("l", 10.0)]))
             sim.add_flow(FlowSpec("f", size=10.0, path=("l",)))
             sim.run()
         assert not t._stack
@@ -282,11 +283,11 @@ class TestInstrumentation:
         assert any(i.name == "link.traffic" for i in t.instants)
 
     def test_simulator_counts_land_in_the_registry(self):
-        from repro.netsim.network import Link, Network
+        from repro.netsim.network import Link
         from repro.netsim.simulator import FlowSim, FlowSpec
 
         METRICS.reset("netsim.")
-        sim = FlowSim(Network([Link("l", 10.0)]))
+        sim = FlowSim(network_of([Link("l", 10.0)]))
         sim.add_flow(FlowSpec("f", size=10.0, path=("l",)))
         sim.run()
         snap = METRICS.snapshot("netsim.")

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.aggregation import NetAggStrategy, deploy_box_budget, deploy_boxes
 from repro.aggregation.base import worker_start_time
+from repro.aggregation.onpath import STRAGGLER_BYPASS
 from repro.core.platform import NetAggPlatform
 from repro.core.tree import AggregationTree, TreeBuilder
 from repro.faults import FaultEvent, FaultSchedule, SimFaultInjector
@@ -141,7 +142,7 @@ class _FrozenNetAggStrategy(NetAggStrategy):
             entry = tree.worker_entry[index]
             lane = tree.worker_lane[index]
             if entry is not None and \
-                    job.delay_of(index) > self.straggler_bypass:
+                    job.delay_of(index) > STRAGGLER_BYPASS:
                 bypassed.add(index)
                 entry = None
                 lane = tuple(builder.lane(job.job_id, tree.tree_index,

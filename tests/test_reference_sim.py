@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.network import Link, Network
+from repro.netsim.network import Link
 from repro.netsim.reference import simulate_reference
 from repro.netsim.simulator import FlowSim, FlowSpec
+from tests.nets import network_of
 
 STEP = 0.01
 
 
 def make_network():
-    return Network([
+    return network_of([
         Link("l1", 10.0), Link("l2", 7.0), Link("l3", 13.0),
     ])
 

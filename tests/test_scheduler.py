@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.aggbox.scheduler import (
-    SchedulerParams,
-    TaskScheduler,
-    WorkloadSpec,
-)
+from repro.aggbox.scheduler import TaskScheduler, WorkloadSpec
 
 
 def make(adaptive, solr_ms=30.0, hadoop_ms=1.0, seed=1):
@@ -17,7 +13,7 @@ def make(adaptive, solr_ms=30.0, hadoop_ms=1.0, seed=1):
             WorkloadSpec("hadoop", task_seconds=hadoop_ms / 1e3,
                          target_share=0.5),
         ],
-        SchedulerParams(adaptive=adaptive),
+        adaptive=adaptive,
         seed=seed,
     )
 
@@ -28,15 +24,10 @@ class TestValidation:
             WorkloadSpec("a", task_seconds=0.0, target_share=0.5)
         with pytest.raises(ValueError):
             WorkloadSpec("a", task_seconds=0.1, target_share=0.0)
-        with pytest.raises(ValueError):
-            WorkloadSpec("a", task_seconds=0.1, target_share=0.5,
-                         jitter=1.0)
 
     def test_scheduler_validation(self):
         with pytest.raises(ValueError):
             TaskScheduler([])
-        with pytest.raises(ValueError):
-            SchedulerParams(threads=0)
         spec = WorkloadSpec("a", task_seconds=0.1, target_share=0.5)
         with pytest.raises(ValueError):
             TaskScheduler([spec, spec])
@@ -71,7 +62,7 @@ class TestAdaptiveWeights:
                 WorkloadSpec("big", task_seconds=0.03, target_share=0.75),
                 WorkloadSpec("small", task_seconds=0.001, target_share=0.25),
             ],
-            SchedulerParams(adaptive=True),
+            adaptive=True,
             seed=3,
         )
         result = scheduler.run(30.0)
@@ -103,7 +94,7 @@ class TestAdaptiveWeights:
     def test_single_app_gets_everything(self):
         scheduler = TaskScheduler(
             [WorkloadSpec("only", task_seconds=0.01, target_share=1.0)],
-            SchedulerParams(adaptive=True),
+            adaptive=True,
         )
         result = scheduler.run(5.0)
         assert result.overall_share("only") == pytest.approx(1.0)

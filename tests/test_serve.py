@@ -29,8 +29,11 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.workload.openloop import (
+    GRADIENT_DIMS,
     OP_MLGRAD,
     OP_QUERY,
+    RESULTS_PER_WORKER,
+    WORKERS,
     OpenLoopParams,
     ZipfTenants,
     iter_arrivals,
@@ -221,9 +224,8 @@ class TestSynthesisBounds:
         # loadgen and fig_serve send OpenLoopParams' sizes; fig_partition
         # sends its WORKERS with the default four results; serve_bulk
         # sends 8 x 1,024.
-        params = OpenLoopParams()
-        largest = max(params.workers * params.results_per_worker,
-                      params.workers * params.gradient_dims,
+        largest = max(WORKERS * RESULTS_PER_WORKER,
+                      WORKERS * GRADIENT_DIMS,
                       fig_partition.WORKERS * 4)
         assert largest * 100 < MAX_SYNTHESISED_VALUES
         assert 8 * 1024 * 2 <= MAX_SYNTHESISED_VALUES

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.network import Link, Network
+from repro.netsim.network import Link
 from repro.netsim.simulator import FlowSim, FlowSpec
 from repro.netsim.vectorized import HAVE_NUMPY
 from repro.obs import Tracer, tracing
+from tests.nets import network_of
 
 
 def two_link_network():
-    return Network([Link("l1", 10.0), Link("l2", 10.0)])
+    return network_of([Link("l1", 10.0), Link("l2", 10.0)])
 
 
 class TestFlowSpecValidation:
@@ -169,7 +170,7 @@ class TestDependencies:
         parent-first (the deepest walk it can get) without recursing,
         and the chain drains one flow after another."""
         n = 5000
-        sim = FlowSim(Network([Link("l", 10.0)]))
+        sim = FlowSim(network_of([Link("l", 10.0)]))
         for i in reversed(range(n)):
             sim.add_flow(FlowSpec(f"c{i}", size=10.0, path=("l",),
                                   children=(f"c{i - 1}",) if i else ()))
@@ -233,7 +234,7 @@ class TestConservationProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_fct_at_least_ideal_transfer_time(self, flow_rows):
-        net = Network([Link("l1", 7.0), Link("l2", 13.0)])
+        net = network_of([Link("l1", 7.0), Link("l2", 13.0)])
         sim = FlowSim(net)
         for i, (size, start, use1, use2) in enumerate(flow_rows):
             path = tuple(
@@ -255,7 +256,7 @@ class TestConservationProperties:
     def test_single_link_completion_is_total_bytes(self, sizes):
         """With one shared link, the last completion equals total/capacity
         (work conservation of max-min sharing)."""
-        net = Network([Link("l", 10.0)])
+        net = network_of([Link("l", 10.0)])
         sim = FlowSim(net)
         for i, size in enumerate(sizes):
             sim.add_flow(FlowSpec(f"f{i}", size=size, path=("l",)))
@@ -268,7 +269,7 @@ class TestSolverBackends:
     any observable simulation outcome."""
 
     def _workload(self):
-        network = Network([Link("core", 10.0), Link("edge_a", 6.0),
+        network = network_of([Link("core", 10.0), Link("edge_a", 6.0),
                            Link("edge_b", 4.0)])
         specs = [
             FlowSpec("f1", size=30.0, path=("edge_a", "core")),
@@ -372,7 +373,7 @@ def faulted_sim(case, sim_class=FlowSim, solver="auto"):
     """A ``sim_class`` (``FlowSim`` or a class built like it) loaded
     with one :func:`fault_cases` case, ready to run."""
     caps, flows, outages, reroutes = case
-    network = Network([Link(l, c) for l, c in zip(_LINKS, caps)])
+    network = network_of([Link(l, c) for l, c in zip(_LINKS, caps)])
     sim = sim_class(network, solver=solver)
     for i, (size, path, start, children) in enumerate(flows):
         sim.add_flow(FlowSpec(

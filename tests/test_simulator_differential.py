@@ -41,6 +41,7 @@ from repro.netsim.simulator import (
 from repro.netsim.vectorized import HAVE_NUMPY, make_solver
 from repro.obs import LINK_UTIL_PREFIX, METRICS, Tracer, get_tracer, tracing
 from repro.units import EPSILON
+from tests.nets import network_of
 from tests.test_chaos_invariants import chaos_sim, sim_scenario
 from tests.test_simulator import (
     ADMITTED_ONTO_DOWN_LINK,
@@ -473,7 +474,7 @@ def test_a_stall_raises_the_same_error():
     """A flow stuck on a link that never recovers: both loops raise
     the same ``RuntimeError``."""
     def build(cls, solver):
-        sim = cls(Network([Link("l0", 10.0)]), solver=solver)
+        sim = cls(network_of([Link("l0", 10.0)]), solver=solver)
         sim.add_flow(FlowSpec("f0", size=50.0, path=("l0",)))
         sim.add_capacity_event(1.0, "l0", 0.0)
         return sim
@@ -500,7 +501,7 @@ def test_dependency_errors_match_the_frozen_check(graph):
     """The same ``KeyError`` or ``ValueError`` (type and message) for
     any dependency graph, and the same run when it is valid."""
     def build(cls, solver):
-        sim = cls(Network([Link("l0", 10.0)]), solver=solver)
+        sim = cls(network_of([Link("l0", 10.0)]), solver=solver)
         for fid, children in graph:
             sim.add_flow(FlowSpec(fid, size=1.0, path=("l0",),
                                   children=children))

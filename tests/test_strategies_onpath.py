@@ -7,6 +7,7 @@ from repro.aggregation import (
     RackLevelStrategy,
     deploy_box_budget,
     deploy_boxes,
+    onpath,
 )
 from repro.netsim import FlowSim
 from repro.netsim.metrics import fct_summary
@@ -207,7 +208,8 @@ class TestScaleOut:
         switches = {u.rsplit(":", 1)[0] for u in used}
         assert len(used) > len(switches)  # more than one box per switch used
 
-    def test_straggler_delay_propagates_without_bypass(self):
+    def test_straggler_delay_propagates_without_bypass(self, monkeypatch):
+        monkeypatch.setattr(onpath, "STRAGGLER_BYPASS", 100.0)
         topo = make_topo()
         job = AggJob(
             "j", "host:0",
@@ -215,7 +217,7 @@ class TestScaleOut:
             alpha=0.5,
             worker_delays=(5.0, 0.0),
         )
-        strategy = NetAggStrategy(straggler_bypass=100.0)
+        strategy = NetAggStrategy()
         specs = strategy.plan_job(job, topo, EcmpRouter())
         result = run(topo, specs)
         (res_id,) = [s.flow_id for s in specs if s.kind == "result"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aggbox.box import AppBinding
-from repro.aggbox.functions import SumFunction
+from repro.aggbox.functions import DEFAULT_CORE_RATE, SumFunction
 from repro.aggbox.scheduler import WfqExecutor
 from repro.aggbox.timed import TimedAggBox
 from repro.experiments import QUICK, ablation_colocation
@@ -88,23 +88,24 @@ class TestWfqExecutor:
 class TestTimedAggBox:
     def test_emits_after_cpu_time(self):
         queue = EventQueue()
-        box = TimedAggBox(queue, cores=2, core_rate=1000.0)
+        box = TimedAggBox(queue, cores=2)
         box.register_app(binding())
         emitted = []
         box.announce("sum", "r", expected=2,
                      on_emit=lambda v, t: emitted.append((v, t)))
-        box.submit("sum", "r", "w0", 1.0, nbytes=500.0)   # 0.5s on a core
-        box.submit("sum", "r", "w1", 2.0, nbytes=500.0)
+        half_second = DEFAULT_CORE_RATE / 2               # 0.5s on a core
+        box.submit("sum", "r", "w0", 1.0, nbytes=half_second)
+        box.submit("sum", "r", "w1", 2.0, nbytes=half_second)
         queue.run()
         assert emitted == [(3.0, 0.5)]  # both merges in parallel
 
     def test_latency_measured_from_first_arrival(self):
         queue = EventQueue()
-        box = TimedAggBox(queue, cores=1, core_rate=1000.0)
+        box = TimedAggBox(queue, cores=1)
         box.register_app(binding())
         box.announce("sum", "r", expected=2)
-        box.submit("sum", "r", "w0", 1.0, nbytes=1000.0)
-        box.submit("sum", "r", "w1", 1.0, nbytes=1000.0)
+        box.submit("sum", "r", "w0", 1.0, nbytes=DEFAULT_CORE_RATE)
+        box.submit("sum", "r", "w1", 1.0, nbytes=DEFAULT_CORE_RATE)
         queue.run()
         (latency,) = box.latencies("sum")
         assert latency == pytest.approx(2.0)  # serialised on one core

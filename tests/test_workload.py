@@ -20,6 +20,7 @@ from repro.workload.placement import (
     PlacementError,
     RandomPlacer,
 )
+from repro.workload import synthetic
 from repro.workload.synthetic import pareto_size, worker_count
 
 SMALL = ThreeTierParams(
@@ -338,17 +339,19 @@ class TestFragmentation:
         with pytest.raises(ValueError):
             LocalityAwarePlacer(topo, random.Random(3), fragmentation=1.5)
 
-    def test_workload_param_plumbs_through(self):
+    def test_workload_param_plumbs_through(self, monkeypatch):
         topo = three_tier(SMALL)
+        monkeypatch.setattr(synthetic, "FRAGMENTATION", 0.0)
         tight = generate_workload(
             topo, WorkloadParams(n_flows=120, aggregatable_fraction=1.0,
-                                 fragmentation=0.0, max_workers=12),
+                                 max_workers=12),
             seed=4,
         )
         topo2 = three_tier(SMALL)
+        monkeypatch.setattr(synthetic, "FRAGMENTATION", 0.9)
         loose = generate_workload(
             topo2, WorkloadParams(n_flows=120, aggregatable_fraction=1.0,
-                                  fragmentation=0.9, max_workers=12),
+                                  max_workers=12),
             seed=4,
         )
 

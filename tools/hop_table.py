@@ -76,6 +76,7 @@ from repro.aggbox.box import AggBoxRuntime, RequestState
 from repro.apps.mlgrad import VectorSumFunction
 from repro.core import platform as platform_module
 from repro.obs import METRICS, FlightRecorder
+from repro.obs.live.recorder import RING_CAPACITY
 from repro.serve import AggregationService, ServeConfig
 from repro.serve.service import APP_MLGRAD
 from repro.wire.framing import ChunkReassembler
@@ -284,7 +285,7 @@ def fresh_feed(feeds: Sequence[tuple]) -> float:
 def record_cost(name: str, tags: Sequence[dict], span: bool) -> float:
     """µs of one recorded span (begin + end) or instant on a full ring."""
     recorder = FlightRecorder()
-    for i in range(2 * recorder.capacity):
+    for i in range(2 * RING_CAPACITY):
         recorder.end(recorder.begin("warm", float(i), layer="platform"),
                      float(i))
         recorder.instant("warm", float(i), layer="platform")
